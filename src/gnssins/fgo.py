@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from collections.abc import Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .noise_models import (
     tc_covariance,
 )
 from .nls_solver import (
+    EvaluationError,
     LmConfig,
     NlsProblem,
     ResidualBlock,
@@ -234,25 +236,246 @@ def clock_walk_factor(
 
 @dataclass
 class EpochEntry:
-    """Internal per-epoch record kept by the estimator."""
+    """Internal per-epoch record kept by the estimator.
+
+    A TC epoch also keeps its pseudorange rows as arrays, ready for
+    :func:`build_window` to stack: satellite ECEF positions, measured ranges
+    and the state column of each row's clock bias. Their variances are
+    ``pr_sigma2``; an LC epoch's fix row is ``meas.fix_pos`` with variances
+    ``fix_cov``.
+    """
 
     meas: EpochMeasurements
     state: np.ndarray
     accel_ecef: np.ndarray
     fix_cov: Optional[np.ndarray] = None
     pr_sigma2: Optional[np.ndarray] = None
+    sat_pos: np.ndarray = field(default_factory=lambda: np.empty((0, 3)))
+    pseudorange: np.ndarray = field(default_factory=lambda: np.empty(0))
+    clock_col: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
+
+
+class _LazyBlocks(Sequence):
+    """Read-only sequence of ``length`` items, each built by ``make(i)`` when indexed."""
+
+    def __init__(self, length: int, make) -> None:
+        self._length = length
+        self._make = make
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._make(j) for j in range(*i.indices(self._length))]
+        if i < 0:
+            i += self._length
+        if not 0 <= i < self._length:
+            raise IndexError("block index out of range")
+        return self._make(i)
+
+
+class FactorWindow:
+    """The NLS problem of one window, held as stacked arrays.
+
+    Slot ``k`` is the ``k``-th in-window epoch. Every factor except the
+    pseudorange is linear: the prior on slot 0, the LC fixes, and the motion,
+    INS and clock-walk factors between consecutive slots. The latter three
+    give one residual entry per state column (motion on position and bias,
+    INS on velocity, clock walk on the clocks), so they are stacked as one
+    ``dim``-row edge residual with the constant Jacobians ``jac_prev`` and the
+    identity. Their share of ``J^T J`` is computed once, here; only the
+    pseudorange rows are relinearized. ``J^T J`` is block-tridiagonal and is
+    kept in upper band storage with bandwidth ``2 * dim - 1``.
+
+    The window provides what :func:`nls_solver.solve_lm` needs
+    (``initial_values``, ``normal_equations``, ``cost``) and what callers of
+    an :class:`NlsProblem` read (``state_dims``, ``total_dim``, ``split``).
+    ``blocks`` lists the same factors as :class:`ResidualBlock` objects, built
+    only when indexed: the prior, then motion, INS and clock walk per edge,
+    then the fixes, then the pseudoranges.
+    """
+
+    def __init__(
+        self,
+        entries: Sequence[EpochEntry],
+        cfg: FgoConfig,
+        layout: StateLayout,
+        anchor_var: np.ndarray,
+    ) -> None:
+        self.cfg = cfg
+        self.layout = layout
+        self.entries = list(entries)
+        n = self.n = len(self.entries)
+        d = self.dim = layout.dim
+        self.state_dims = [d] * n
+        self.initial_values = np.concatenate([e.state for e in self.entries])
+        scale = cfg.cov_scale
+
+        self.prior_value = self.entries[0].state.copy()
+        self.prior_var = anchor_var * scale
+        self.dt = np.array([e.meas.dt for e in self.entries[1:]], dtype=float)
+        if np.any(self.dt <= 0):
+            raise ValueError("dt must be positive")
+        self.accel = np.array([e.accel_ecef for e in self.entries[1:]], dtype=float).reshape(-1, 3)
+        self.accel_dt = self.accel * self.dt[:, None]
+        edge_var = np.empty(d)
+        edge_var[POS] = cfg.motion_cov[0:3] * scale
+        edge_var[VEL] = cfg.ins_cov_diag * scale
+        edge_var[BIAS] = cfg.motion_cov[3:6] * scale
+        edge_var[9:] = (cfg.clock_rw_sigma * np.sqrt(scale)) ** 2
+        self.jac_prev = np.broadcast_to(-np.eye(d), (n - 1, d, d)).copy()
+        self.jac_prev[:, POS, VEL] = -self.dt[:, None, None] * np.eye(3)
+
+        fixed = [k for k, e in enumerate(self.entries) if e.fix_cov is not None]
+        self.fix_epoch = np.array(fixed, dtype=int)
+        self.fix_pos = np.array(
+            [self.entries[k].meas.fix_pos for k in fixed], dtype=float
+        ).reshape(-1, 3)
+        self.fix_var = np.array(
+            [self.entries[k].fix_cov for k in fixed], dtype=float
+        ).reshape(-1, 3) * scale
+
+        self.pr_count = np.array([e.pseudorange.size for e in self.entries])
+        self.pr_start = np.cumsum(self.pr_count) - self.pr_count
+        self.pr_epoch = np.repeat(np.arange(n), self.pr_count)
+        self.sat_pos = np.concatenate([e.sat_pos for e in self.entries])
+        self.pseudorange = np.concatenate([e.pseudorange for e in self.entries])
+        self.clock_col = np.concatenate([e.clock_col for e in self.entries])
+        pr_var = np.concatenate(
+            [np.empty(0)] + [e.pr_sigma2 for e in self.entries if e.pseudorange.size]
+        ) * scale
+
+        self.prior_w = 1.0 / np.sqrt(self.prior_var)
+        self.edge_w = 1.0 / np.sqrt(edge_var)
+        self.fix_w = 1.0 / np.sqrt(self.fix_var)
+        self.pr_w = 1.0 / np.sqrt(pr_var)
+
+        # band positions of the upper triangles of the diagonal blocks and of
+        # the whole blocks right above them
+        u = self.bandwidth = min(2 * d, n * d) - 1
+        self._tri = np.triu_indices(d)
+        self._diag_at = (u + self._tri[0] - self._tri[1], np.arange(n)[:, None] * d + self._tri[1])
+        a, b = np.divmod(np.arange(d * d), d)
+        upper_at = (u - d + a - b, np.arange(1, n)[:, None] * d + b)
+
+        omega = self.edge_w**2
+        hd = np.zeros((n, d, d))
+        hd[0] += np.diag(self.prior_w**2)
+        hd[1:] += np.diag(omega)
+        hd[:-1] += np.einsum("kri,r,krj->kij", self.jac_prev, omega, self.jac_prev)
+        hd[self.fix_epoch[:, None], np.arange(3), np.arange(3)] += self.fix_w**2
+        self._ab_linear = np.zeros((u + 1, n * d))
+        self._ab_linear[self._diag_at] = hd[:, self._tri[0], self._tri[1]]
+        self._ab_linear[upper_at] = np.einsum("kri,r->kir", self.jac_prev, omega).reshape(
+            n - 1, d * d
+        )
+
+        self._per_edge = 3 if layout.has_clock else 2
+        self._n_edge_blocks = (n - 1) * self._per_edge
+        self.blocks = _LazyBlocks(
+            1 + self._n_edge_blocks + len(fixed) + self.pseudorange.size, self._block
+        )
+
+    @property
+    def total_dim(self) -> int:
+        return self.n * self.dim
+
+    def split(self, values: np.ndarray) -> list[np.ndarray]:
+        return list(np.asarray(values).reshape(self.n, self.dim))
+
+    def _whitened(self, values: np.ndarray):
+        """Whitened residuals (prior, edges, fixes, pseudoranges) and the
+        pseudorange line-of-sight vectors and ranges."""
+        x = np.asarray(values, dtype=float).reshape(self.n, self.dim)
+        prior = self.prior_w * (x[0] - self.prior_value)
+        edge = x[1:] - x[:-1]
+        edge[:, POS] -= x[:-1, VEL] * self.dt[:, None]
+        edge[:, VEL] -= self.accel_dt
+        edge *= self.edge_w
+        fix = self.fix_w * (self.fix_pos - x[self.fix_epoch, 0:3])
+        los = self.sat_pos - x[self.pr_epoch, 0:3]
+        rng = np.sqrt(np.einsum("ij,ij->i", los, los))
+        if np.any(rng == 0.0):
+            raise GeometryError("a satellite coincides with the receiver")
+        pr = self.pr_w * (self.pseudorange - rng - x[self.pr_epoch, self.clock_col])
+        return (prior, edge, fix, pr), los, rng
+
+    @staticmethod
+    def _cost(residuals) -> float:
+        cost = 0.0
+        labels = ("prior", "motion/ins/clock_walk", "gnss_fix", "pseudorange")
+        for label, rw in zip(labels, residuals):
+            part = float(np.vdot(rw, rw))
+            if not np.isfinite(part):
+                raise EvaluationError(f"non-finite residual in {label} factors")
+            cost += part
+        return cost
+
+    def cost(self, values: np.ndarray) -> float:
+        """Sum of squared whitened residuals over all factors."""
+        return self._cost(self._whitened(values)[0])
+
+    def normal_equations(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """Whitened J^T J (upper band storage), J^T r and cost at ``values``."""
+        (prior, edge, fix, pr), los, rng = self._whitened(values)
+        cost = self._cost((prior, edge, fix, pr))
+        g = np.zeros((self.n, self.dim))
+        g[0] += self.prior_w * prior
+        q = self.edge_w * edge
+        g[1:] += q
+        g[:-1] += np.einsum("kri,kr->ki", self.jac_prev, q)
+        g[self.fix_epoch, 0:3] -= self.fix_w * fix
+        ab = self._ab_linear.copy()
+        if pr.size:
+            jw = np.zeros((pr.size, self.dim))
+            jw[:, 0:3] = los / rng[:, None]
+            jw[np.arange(pr.size), self.clock_col] = -1.0
+            jw *= self.pr_w[:, None]
+            live = self.pr_count > 0
+            starts = self.pr_start[live]
+            g[live] += np.add.reduceat(jw * pr[:, None], starts, axis=0)
+            hd = np.add.reduceat(jw[:, :, None] * jw[:, None, :], starts, axis=0)
+            rows, cols = self._diag_at
+            ab[rows, cols[live]] += hd[:, self._tri[0], self._tri[1]]
+        return ab, g.ravel(), cost
+
+    def _block(self, i: int) -> ResidualBlock:
+        """The ``i``-th factor as a per-block oracle :class:`ResidualBlock`."""
+        cfg, layout, scale = self.cfg, self.layout, self.cfg.cov_scale
+        if i == 0:
+            return prior_factor(0, self.prior_value, self.prior_var, layout)
+        i -= 1
+        if i < self._n_edge_blocks:
+            edge, kind = divmod(i, self._per_edge)
+            k, dt = edge + 1, self.dt[edge]
+            if kind == 0:
+                return motion_factor(k - 1, k, dt, cfg.motion_cov * scale, layout)
+            if kind == 1:
+                return ins_factor(k - 1, k, self.accel[edge], dt, cfg.ins_cov_diag * scale, layout)
+            return clock_walk_factor(k - 1, k, cfg.clock_rw_sigma * np.sqrt(scale), layout)
+        i -= self._n_edge_blocks
+        if i < self.fix_epoch.size:
+            return gnss_fix_factor(int(self.fix_epoch[i]), self.fix_pos[i], self.fix_var[i], layout)
+        i -= self.fix_epoch.size
+        k = int(self.pr_epoch[i])
+        j = i - int(self.pr_start[k])
+        entry = self.entries[k]
+        return pseudorange_factor(k, entry.meas.sats[j], entry.pr_sigma2[j] * scale, layout)
 
 
 def build_window(
     entries: Sequence[EpochEntry], cfg: FgoConfig, layout: StateLayout
-) -> NlsProblem:
-    """Assemble the NLS problem over the newest epochs.
+) -> FactorWindow:
+    """Stack the newest epochs' factors into one :class:`FactorWindow`.
 
     A finite window of size W keeps the newest W + 1 states (the current
     epoch plus W historical ones, so window size 1 optimizes the current and
     last epochs jointly); batch keeps every epoch. Each in-graph epoch
-    contributes its GNSS measurements and the oldest state carries a prior
-    at its stored estimate.
+    contributes its GNSS rows, consecutive epochs are linked by motion, INS
+    and (TC) clock-walk factors, and the oldest state carries a prior at its
+    stored estimate. The per-epoch arrays of :class:`EpochEntry` are
+    concatenated, not rebuilt.
     """
     if not entries:
         raise ValueError("empty epoch history")
@@ -262,42 +485,11 @@ def build_window(
     else:
         n_states = min(cfg.window_size + 1, n_avail)
     base = n_avail - n_states
-    scale = cfg.cov_scale
-
     # the very first trajectory state carries a wide prior; once the window
     # has slid past it, the anchor re-pins the oldest state at its previously
     # optimized value with the tight sliding prior
-    anchor_cov = cfg.initial_prior_cov(layout) if base == 0 else cfg.prior_cov(layout)
-    blocks: list[ResidualBlock] = [
-        prior_factor(0, entries[base].state, anchor_cov * scale, layout)
-    ]
-    for i in range(1, n_states):
-        entry = entries[base + i]
-        dt = entry.meas.dt
-        blocks.append(motion_factor(i - 1, i, dt, cfg.motion_cov * scale, layout))
-        blocks.append(
-            ins_factor(i - 1, i, entry.accel_ecef, dt, cfg.ins_cov_diag * scale, layout)
-        )
-        if layout.has_clock:
-            blocks.append(
-                clock_walk_factor(i - 1, i, cfg.clock_rw_sigma * np.sqrt(scale), layout)
-            )
-    for i in range(n_states):
-        entry = entries[base + i]
-        if cfg.mode == "lc":
-            if entry.meas.fix_available and entry.fix_cov is not None:
-                blocks.append(
-                    gnss_fix_factor(i, entry.meas.fix_pos, entry.fix_cov * scale, layout)
-                )
-        else:
-            if entry.pr_sigma2 is not None:
-                for sat, s2 in zip(entry.meas.sats, entry.pr_sigma2):
-                    blocks.append(pseudorange_factor(i, sat, s2 * scale, layout))
-
-    initial = np.concatenate([entries[base + i].state for i in range(n_states)])
-    return NlsProblem(
-        state_dims=[layout.dim] * n_states, blocks=blocks, initial_values=initial
-    )
+    anchor_var = cfg.initial_prior_cov(layout) if base == 0 else cfg.prior_cov(layout)
+    return FactorWindow(entries[base:], cfg, layout, anchor_var)
 
 
 def single_epoch_wls(
@@ -383,17 +575,24 @@ class FgoEstimator:
         self.layout = layout
         self.entries: list[EpochEntry] = []
 
-    def _measurement_covs(self, meas: EpochMeasurements, state_guess: np.ndarray):
-        fix_cov = None
-        pr_sigma2 = None
+    def _entry(
+        self, meas: EpochMeasurements, state: np.ndarray, accel_ecef: np.ndarray
+    ) -> EpochEntry:
+        """Epoch record with its measurement variances and, for TC, its pseudorange rows."""
+        entry = EpochEntry(meas, state, accel_ecef)
         if self.cfg.mode == "lc" and meas.fix_available:
             hdop = meas.fix_hdop
             if hdop is None:
-                hdop = compute_hdop(meas.sats, state_guess[POS])
-            fix_cov = lc_fix_covariance(hdop, self.cfg.weighting.s_user)
+                hdop = compute_hdop(meas.sats, state[POS])
+            entry.fix_cov = lc_fix_covariance(hdop, self.cfg.weighting.s_user)
         if self.cfg.mode == "tc" and meas.sats:
-            pr_sigma2 = tc_covariance(meas.sats, self.cfg.weighting)
-        return fix_cov, pr_sigma2
+            entry.pr_sigma2 = tc_covariance(meas.sats, self.cfg.weighting)
+            entry.sat_pos = np.array([s.sat_pos for s in meas.sats], dtype=float)
+            entry.pseudorange = np.array([s.pseudorange for s in meas.sats], dtype=float)
+            entry.clock_col = np.array(
+                [self.layout.clock_index(s.constellation) for s in meas.sats], dtype=int
+            )
+        return entry
 
     def _position_measurement(
         self, meas: EpochMeasurements, prev_state: np.ndarray
@@ -423,8 +622,7 @@ class FgoEstimator:
                         state[self.layout.clock_index(c)] = value
         else:
             raise GeometryError("cannot initialize: no fix and no satellites")
-        fix_cov, pr_sigma2 = self._measurement_covs(meas, state)
-        return EpochEntry(meas, state, np.zeros(3), fix_cov, pr_sigma2)
+        return self._entry(meas, state, np.zeros(3))
 
     def step(self, meas: EpochMeasurements) -> FgoStepResult:
         t0 = time.perf_counter()
@@ -455,8 +653,7 @@ class FgoEstimator:
                 prev.state[VEL] = vel_seed.copy()
                 state[VEL] = vel_seed
                 state[POS] = seed
-        fix_cov, pr_sigma2 = self._measurement_covs(meas, state)
-        self.entries.append(EpochEntry(meas, state, accel_ecef, fix_cov, pr_sigma2))
+        self.entries.append(self._entry(meas, state, accel_ecef))
 
         problem = build_window(self.entries, self.cfg, self.layout)
         try:

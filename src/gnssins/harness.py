@@ -9,7 +9,7 @@ distribution analyses.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -165,7 +165,6 @@ def run_estimator(ds: Dataset, cfg: RunConfig) -> RunResult:
 
     stepper: object
     if cfg.family == "ekf":
-        _ensure_fixes(ds, cfg.weighting) if cfg.coupling == "lc" else None
         stepper = _EkfRunner(cfg.coupling, layout, cfg)
     else:
         # the sliding anchor approximates the marginal of the state being cut
@@ -241,15 +240,7 @@ def compare(
     base = base or RunConfig()
     out: dict[str, RunResult] = {}
     for name in estimators:
-        cfg = RunConfig(
-            estimator=name,
-            window=base.window,
-            weighting=base.weighting,
-            clock_rw_sigma=base.clock_rw_sigma,
-            cov_scale=base.cov_scale,
-            lm=base.lm,
-        )
-        out[name] = run_estimator(ds, cfg)
+        out[name] = run_estimator(ds, replace(base, estimator=name))
     return out
 
 
@@ -262,14 +253,6 @@ def sweep_windows(
     base = base or RunConfig()
 
     def run_one(size):
-        cfg = RunConfig(
-            estimator="fgo-tc",
-            window=size,
-            weighting=base.weighting,
-            clock_rw_sigma=base.clock_rw_sigma,
-            cov_scale=base.cov_scale,
-            lm=base.lm,
-        )
-        return run_estimator(ds, cfg).records
+        return run_estimator(ds, replace(base, estimator="fgo-tc", window=size)).records
 
     return window_sweep(run_one, list(sizes))

@@ -1,12 +1,17 @@
 """Levenberg-Marquardt solver over block-structured nonlinear least squares.
 
-A problem is a set of state slots plus residual blocks; each block binds a
-few slots to a residual function, optional analytic Jacobians and a
-whitening matrix (inverse Cholesky factor of the block covariance). The
-normal equations are accumulated block-wise and solved with a dense
-Cholesky factorization for small problems, switching to a sparse LU for
-large batch windows where the block-banded structure makes dense solves
-wasteful.
+:func:`solve_lm` works on any problem that, at a point ``x``, returns its
+whitened normal equations ``(H, g, cost)`` from ``normal_equations(x)``, with
+``H = J^T J`` in upper band storage and ``g = J^T r``, and its cost alone from
+``cost(x)``. Every damped system is solved with one banded Cholesky
+factorization, whose bandwidth comes from the problem's structure.
+
+:class:`NlsProblem` is the general form: state slots plus residual blocks;
+each block binds a few slots to a residual function, optional analytic
+Jacobians and a whitening matrix (inverse Cholesky factor of the block
+covariance). It assembles the normal equations block by block, and its
+bandwidth follows from the slots each block spans. ``fgo.FactorWindow``
+provides the same interface from stacked arrays.
 """
 
 from __future__ import annotations
@@ -16,10 +21,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
-
-DENSE_LIMIT = 600
 
 
 class EvaluationError(ValueError):
@@ -83,10 +84,18 @@ class NlsProblem:
                 f"initial values have size {self.initial_values.size}, "
                 f"expected {self.offsets[-1]}"
             )
+        span = 1
         for b in self.blocks:
             for idx in b.state_indices:
                 if not 0 <= idx < len(self.state_dims):
                     raise ValueError(f"block {b.label!r} references unknown slot {idx}")
+            span = max(
+                span,
+                self.offsets[max(b.state_indices) + 1] - self.offsets[min(b.state_indices)],
+            )
+        # a block couples every column of the slots it spans, so no entry of
+        # J^T J lies further than the widest span from the diagonal
+        self.bandwidth = int(span) - 1
 
     @property
     def total_dim(self) -> int:
@@ -94,6 +103,39 @@ class NlsProblem:
 
     def split(self, values: np.ndarray) -> list[np.ndarray]:
         return [values[self.offsets[i] : self.offsets[i + 1]] for i in range(len(self.state_dims))]
+
+    def cost(self, values: np.ndarray) -> float:
+        """Sum of squared whitened residuals over all blocks."""
+        parts = self.split(values)
+        cost = 0.0
+        for block in self.blocks:
+            rw = block.whiten_residual(block.fn(*[parts[i] for i in block.state_indices]))
+            cost += float(rw @ rw)
+        if not np.isfinite(cost):
+            _raise_nonfinite(self, parts)
+        return cost
+
+    def normal_equations(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """Whitened J^T J (upper band storage), J^T r and cost, block by block."""
+        n = self.total_dim
+        h_mat = np.zeros((n, n))
+        g = np.zeros(n)
+        cost = 0.0
+        parts = self.split(values)
+        for block in self.blocks:
+            states = [parts[i] for i in block.state_indices]
+            jacs = _block_jacobians(block, states)
+            rw = block.whiten_residual(block.fn(*states))
+            cost += float(rw @ rw)
+            jws = [block.whiten_jacobian(j) for j in jacs]
+            for a, ia in enumerate(block.state_indices):
+                sl_a = slice(self.offsets[ia], self.offsets[ia + 1])
+                g[sl_a] += jws[a].T @ rw
+                for b, ib in enumerate(block.state_indices):
+                    h_mat[sl_a, self.offsets[ib] : self.offsets[ib + 1]] += jws[a].T @ jws[b]
+        if not np.isfinite(cost):
+            _raise_nonfinite(self, parts)
+        return upper_band(h_mat, self.bandwidth), g, cost
 
 
 @dataclass
@@ -136,22 +178,19 @@ class SolveReport:
     message: str = ""
 
 
-def block_states(problem: NlsProblem, block: ResidualBlock, values: np.ndarray) -> list[np.ndarray]:
-    parts = problem.split(values)
-    return [parts[i] for i in block.state_indices]
+def total_cost(problem, values: np.ndarray) -> float:
+    """Sum of squared whitened residuals of ``problem`` at ``values``."""
+    return problem.cost(np.asarray(values, dtype=float))
 
 
-def total_cost(problem: NlsProblem, values: np.ndarray) -> float:
-    """Sum of squared whitened residuals over all blocks."""
-    values = np.asarray(values, dtype=float)
-    parts = problem.split(values)
-    cost = 0.0
-    for block in problem.blocks:
-        rw = block.whiten_residual(block.fn(*[parts[i] for i in block.state_indices]))
-        cost += float(rw @ rw)
-    if not np.isfinite(cost):
-        _raise_nonfinite(problem, parts)
-    return cost
+def upper_band(h_mat: np.ndarray, bandwidth: int) -> np.ndarray:
+    """Upper band storage of a symmetric matrix, as ``scipy.linalg.cholesky_banded``
+    takes it: ``ab[bandwidth + i - j, j] = h_mat[i, j]`` for ``i <= j``."""
+    n = h_mat.shape[0]
+    ab = np.zeros((bandwidth + 1, n))
+    for k in range(bandwidth + 1):
+        ab[bandwidth - k, k:] = np.diagonal(h_mat, k)
+    return ab
 
 
 def _raise_nonfinite(problem: NlsProblem, parts: list[np.ndarray]) -> None:
@@ -197,82 +236,18 @@ def _block_jacobians(block: ResidualBlock, states: list[np.ndarray]) -> list[np.
     return out
 
 
-def _pair_indices(problem: NlsProblem, ia: int, ib: int):
-    cache = getattr(problem, "_pair_cache", None)
-    if cache is None:
-        cache = {}
-        problem._pair_cache = cache
-    key = (ia, ib)
-    if key not in cache:
-        ii, jj = np.meshgrid(
-            np.arange(problem.offsets[ia], problem.offsets[ia + 1]),
-            np.arange(problem.offsets[ib], problem.offsets[ib + 1]),
-            indexing="ij",
-        )
-        cache[key] = (ii.ravel(), jj.ravel())
-    return cache[key]
+def solve_damped(ab: np.ndarray, diag: np.ndarray, lam: float, g: np.ndarray):
+    """Solve (H + lam*diag) delta = -g for H in upper band storage.
 
-
-def _assemble_normal_equations(problem: NlsProblem, values: np.ndarray):
-    """Whitened J^T J and J^T r accumulated block by block."""
-    n = problem.total_dim
-    g = np.zeros(n)
-    dense = n <= DENSE_LIMIT
-    if dense:
-        h_mat = np.zeros((n, n))
-    else:
-        rows: list[np.ndarray] = []
-        cols: list[np.ndarray] = []
-        vals: list[np.ndarray] = []
-    cost = 0.0
-    parts = problem.split(values)
-    for block in problem.blocks:
-        states = [parts[i] for i in block.state_indices]
-        jacs = _block_jacobians(block, states)
-        rw = block.whiten_residual(block.fn(*states))
-        cost += float(rw @ rw)
-        jws = [block.whiten_jacobian(j) for j in jacs]
-        for a, ia in enumerate(block.state_indices):
-            sl_a = slice(problem.offsets[ia], problem.offsets[ia + 1])
-            g[sl_a] += jws[a].T @ rw
-            for b, ib in enumerate(block.state_indices):
-                contrib = jws[a].T @ jws[b]
-                if dense:
-                    h_mat[sl_a, problem.offsets[ib] : problem.offsets[ib + 1]] += contrib
-                else:
-                    ii, jj = _pair_indices(problem, ia, ib)
-                    rows.append(ii)
-                    cols.append(jj)
-                    vals.append(contrib.ravel())
-    if not np.isfinite(cost):
-        _raise_nonfinite(problem, parts)
-    if dense:
-        return h_mat, g, cost
-    h_sparse = scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    ).tocsc()
-    return h_sparse, g, cost
-
-
-def _solve_damped(h_mat, diag, lam, g):
-    """Solve (H + lam*diag(H)) delta = -g; returns None when singular."""
-    n = g.size
-    if scipy.sparse.issparse(h_mat):
-        damped = h_mat + scipy.sparse.diags(lam * diag)
-        try:
-            lu = scipy.sparse.linalg.splu(damped.tocsc())
-            delta = lu.solve(-g)
-        except RuntimeError:
-            return None
-        if not np.all(np.isfinite(delta)):
-            return None
-        return delta
-    damped = h_mat + np.diag(lam * diag)
+    Returns None when the damped matrix is not positive definite.
+    """
+    damped = ab.copy()
+    damped[-1] += lam * diag
     try:
-        cf = scipy.linalg.cho_factor(damped, check_finite=False)
-        return scipy.linalg.cho_solve(cf, -g, check_finite=False)
+        factor = scipy.linalg.cholesky_banded(damped, overwrite_ab=True, check_finite=False)
     except scipy.linalg.LinAlgError:
         return None
+    return scipy.linalg.cho_solve_banded((factor, False), -g, check_finite=False)
 
 
 def _gradient_converged(g: np.ndarray, diag: np.ndarray, cost: float, gtol: float) -> bool:
@@ -288,12 +263,12 @@ def _gradient_converged(g: np.ndarray, diag: np.ndarray, cost: float, gtol: floa
     return bool(np.all(cosines <= gtol))
 
 
-def _diagonal(h_mat) -> np.ndarray:
-    return h_mat.diagonal() if scipy.sparse.issparse(h_mat) else np.diag(h_mat).copy()
-
-
-def solve_lm(problem: NlsProblem, cfg: Optional[LmConfig] = None) -> SolveReport:
+def solve_lm(problem, cfg: Optional[LmConfig] = None) -> SolveReport:
     """Minimize the whitened squared-residual cost with Levenberg-Marquardt.
+
+    ``problem`` is an :class:`NlsProblem` or anything with the same
+    ``initial_values``, ``normal_equations`` and ``cost``; trial steps are
+    scored with :func:`total_cost`.
 
     Jacobians are recomputed at every accepted iterate; a step is accepted
     only when it lowers the cost, otherwise the damping grows tenfold. The
@@ -317,8 +292,8 @@ def solve_lm(problem: NlsProblem, cfg: Optional[LmConfig] = None) -> SolveReport
     cfg = cfg or LmConfig()
     x = problem.initial_values.astype(float).copy()
     lam = cfg.lambda0
-    h_mat, g, cost = _assemble_normal_equations(problem, x)
-    diag = _diagonal(h_mat)
+    ab, g, cost = problem.normal_equations(x)
+    diag = ab[-1]
     jacobian_evals = 1
     trace = [cost]
     if not np.isfinite(cost):
@@ -335,7 +310,7 @@ def solve_lm(problem: NlsProblem, cfg: Optional[LmConfig] = None) -> SolveReport
         iterations += 1
         accepted = False
         while True:
-            delta = _solve_damped(h_mat, diag, lam, g)
+            delta = solve_damped(ab, diag, lam, g)
             if delta is None:
                 lam *= 10.0
                 if lam > cfg.lambda_max:
@@ -370,8 +345,8 @@ def solve_lm(problem: NlsProblem, cfg: Optional[LmConfig] = None) -> SolveReport
         cost = new_cost
         trace.append(cost)
         lam = max(lam / (100.0 if ratio > 0.75 else 10.0), 1e-15)
-        h_mat, g, cost = _assemble_normal_equations(problem, x)
-        diag = _diagonal(h_mat)
+        ab, g, cost = problem.normal_equations(x)
+        diag = ab[-1]
         jacobian_evals += 1
         if rel_drop < cfg.tol:
             converged = True

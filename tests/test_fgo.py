@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import TOY_CLOCKS, toy_epochs, toy_satellite_positions
 from gnssins.fgo import (
@@ -26,7 +28,7 @@ from gnssins.noise_models import (
     lc_fix_covariance,
     motion_model_cov,
 )
-from gnssins.nls_solver import numeric_jacobian
+from gnssins.nls_solver import NlsProblem, numeric_jacobian, solve_damped
 from gnssins.types import Constellation, StateLayout
 
 TC = StateLayout((Constellation.GPS, Constellation.BEIDOU))
@@ -241,6 +243,70 @@ class TestBuildWindow:
     def test_empty_history_errors(self):
         with pytest.raises(ValueError):
             build_window([], FgoConfig(), TC)
+
+
+def dense_from_band(ab):
+    u, n = ab.shape[0] - 1, ab.shape[1]
+    h = np.zeros((n, n))
+    for k in range(u + 1):
+        h += np.diag(ab[u - k, k:], k)
+        if k:
+            h += np.diag(ab[u - k, k:], -k)
+    return h
+
+
+def close(actual, expected, rel=1e-9):
+    return np.abs(actual - expected).max() <= rel * np.abs(expected).max()
+
+
+class TestArrayWindowMatchesOracle:
+    """The stacked-array window against per-block assembly of its own blocks."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mode=st.sampled_from(["tc", "lc"]),
+        window=st.sampled_from([1, 4, BATCH]),
+        slid=st.booleans(),
+        cov_scale=st.sampled_from([1.0, 10.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_normal_equations_and_damped_solve(self, mode, window, slid, cov_scale, seed):
+        rng = np.random.default_rng(seed)
+        layout = TC if mode == "tc" else LC
+        # a slid window drops older epochs and anchors at the tight prior; an
+        # unslid one (always the case in batch) keeps the wide first prior
+        span = 8 if window is BATCH else window + 1
+        if slid and window is not BATCH:
+            n_epochs = span + int(rng.integers(1, 4))
+        else:
+            n_epochs = int(rng.integers(2, span + 1))
+        epochs, _ = toy_epochs(
+            n_epochs,
+            pr_noise=rng.normal(scale=3.0, size=(n_epochs, 8)),
+            fix_noise=rng.normal(scale=3.0, size=(n_epochs, 3)),
+        )
+        est = FgoEstimator(FgoConfig(mode=mode, window_size=2), layout)
+        for e in epochs:
+            est.step(e)
+        cfg = FgoConfig(mode=mode, window_size=window, cov_scale=cov_scale)
+        w = build_window(est.entries, cfg, layout)
+        assert (len(w.state_dims) < n_epochs) == (slid and window is not BATCH)
+
+        x = w.initial_values + rng.normal(scale=2.0, size=w.total_dim)
+        oracle = NlsProblem(w.state_dims, list(w.blocks), x)
+        ab, g, cost = w.normal_equations(x)
+        ab_ref, g_ref, cost_ref = oracle.normal_equations(x)
+        assert ab.shape == ab_ref.shape == (2 * layout.dim, w.total_dim)
+        assert close(ab, ab_ref)
+        assert close(g, g_ref)
+        assert cost == pytest.approx(cost_ref, rel=1e-9)
+        assert w.cost(x) == pytest.approx(oracle.cost(x), rel=1e-9)
+
+        lam = float(10.0 ** rng.uniform(-6, 0))
+        diag = ab[-1]
+        delta = solve_damped(ab, diag, lam, g)
+        expected = np.linalg.solve(dense_from_band(ab) + lam * np.diag(diag), -g)
+        assert close(delta, expected)
 
 
 class TestFgoEstimator:

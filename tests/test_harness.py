@@ -46,6 +46,15 @@ def test_compare_runs_all(noise_free_ds):
         assert result.summary["mean_err"] < 0.01
 
 
+def test_compare_keeps_every_base_field(noise_free_ds):
+    base = RunConfig(ekf_predict_steps=1)
+    out = compare(noise_free_ds, ("ekf-lc",), base)
+    direct = run_estimator(noise_free_ds, RunConfig(estimator="ekf-lc", ekf_predict_steps=1))
+    assert len(out["ekf-lc"].records) == len(direct.records)
+    for a, b in zip(out["ekf-lc"].records, direct.records):
+        assert np.array_equal(a.est_pos, b.est_pos)
+
+
 def test_sweep_windows_rows(noise_free_ds):
     rows = sweep_windows(noise_free_ds, [1, 5, None])
     assert [r["window"] for r in rows] == [1, 5, "batch"]

@@ -239,10 +239,10 @@ class TestSolveLm:
         with pytest.raises(SolverError):
             solve_lm(p, LmConfig(lambda_max=1e-10))
 
-    def test_sparse_path_matches_dense(self):
+    def test_large_problem_matches_closed_form(self):
         rng = np.random.default_rng(6)
         problem, mats = linear_problem(rng, n_states=80, state_dim=9, n_blocks=200)
-        assert problem.total_dim > 600  # exercises the sparse assembly
+        assert problem.total_dim == 720  # a batch-sized system on the banded path
         report = solve_lm(problem)
         expected = closed_form(problem, mats, 80, 9)
         assert np.allclose(report.values, expected, atol=1e-8)
