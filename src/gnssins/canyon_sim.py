@@ -12,6 +12,14 @@ elevation: satellites above the mask are LOS, satellites within
 ``nlos_depth_deg`` below it are received with an NLOS bias, anything deeper
 is blocked entirely. Optional deep intervals raise every mask for a time
 span to emulate driving under dense high-rise cover.
+
+Geometry is computed in bulk: the IMU specific force for all samples at
+once, and satellite positions, azimuths, elevations and ranges for the whole
+epochs-by-tracks grid (``satellite_ecef_grid``, ``azimuth_elevation_grid``;
+the scalar ``satellite_ecef`` and ``azimuth_elevation`` are their reference).
+The per-(epoch, track) loop then only applies the masks and draws the noise,
+in the same order as a per-pair computation would, so a seed gives the
+same random draws and the same dataset up to rounding.
 """
 
 from __future__ import annotations
@@ -28,10 +36,11 @@ from .frames import (
     EulerAngles,
     Geodetic,
     ecef_to_geodetic,
+    ecef_to_geodetic_array,
     enu_to_ecef,
     geodetic_to_ecef,
+    global_to_local_array,
     rotation_global_from_local,
-    rotation_local_from_body,
 )
 from .noise_models import GeometryError, SatObservation, WeightingParams, compute_hdop
 from .residual_analysis import GmmComponent, GmmModel
@@ -352,6 +361,38 @@ def azimuth_elevation(sat_pos: np.ndarray, receiver: np.ndarray) -> tuple[float,
     return az, el
 
 
+def satellite_ecef_grid(
+    tracks: Sequence[SatTrack], t: np.ndarray, ref: Geodetic
+) -> np.ndarray:
+    """:func:`satellite_ecef` for every time and track, as a
+    ``(len(t), len(tracks), 3)`` array."""
+    t = np.asarray(t, dtype=float)[:, None]
+    names = ("az0_deg", "az_rate_deg", "el_center_deg", "el_amp_deg", "el_omega", "el_phase")
+    az0, az_rate, el_center, el_amp, el_omega, el_phase = (
+        np.array([getattr(tr, name) for tr in tracks], dtype=float) for name in names
+    )
+    az = np.radians(np.mod(az0 + az_rate * t, 360.0))
+    el = np.radians(el_center + el_amp * np.sin(el_omega * t + el_phase))
+    u_enu = np.stack((np.sin(az) * np.cos(el), np.cos(az) * np.cos(el), np.sin(el)), axis=-1)
+    r0 = geodetic_to_ecef(ref)
+    u = u_enu @ rotation_global_from_local(ref).T
+    ru = u @ r0
+    slant = -ru + np.sqrt(ru**2 + MEO_RADIUS_M**2 - float(r0 @ r0))
+    return r0 + slant[..., None] * u
+
+
+def azimuth_elevation_grid(
+    sat_pos: np.ndarray, receivers: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`azimuth_elevation` of ``sat_pos[k, j]`` seen from ``receivers[k]``."""
+    lat, lon, _ = ecef_to_geodetic_array(receivers)
+    enu = global_to_local_array(lat[:, None], lon[:, None], sat_pos - receivers[:, None, :])
+    rng = np.sqrt(np.einsum("...i,...i->...", enu, enu))
+    el = np.arcsin(enu[..., 2] / rng)
+    az = np.mod(np.arctan2(enu[..., 0], enu[..., 1]), 2.0 * math.pi)
+    return az, el
+
+
 # ---------------------------------------------------------------------------
 # Dataset
 # ---------------------------------------------------------------------------
@@ -409,6 +450,31 @@ def _draw_nlos_bias(rng: np.random.Generator, model: GmmModel) -> float:
     return _truncated_positive_normal(rng, comp.mean, comp.std)
 
 
+def _imu_truth(pieces, imu_t: np.ndarray, rate_hz: float, ref: Geodetic):
+    """True yaw and body-frame specific force (no bias, no noise) per IMU sample.
+
+    The specific force is the mean ENU acceleration over the sample, from
+    exact velocity differences, taken into the sample's local frame and then
+    into the body frame by the true yaw (pitch and roll are zero).
+    """
+    edges = np.concatenate(([0.0], imu_t))
+    accel_enu = np.diff(eval_trajectory(pieces, edges)[1], axis=0) * rate_hz
+    pos_mid, vel_mid, _ = eval_trajectory(pieces, imu_t)
+    yaw = np.arctan2(vel_mid[:, 0], vel_mid[:, 1])
+    rot_ref = rotation_global_from_local(ref)
+    lat, lon, _ = ecef_to_geodetic_array(geodetic_to_ecef(ref) + pos_mid @ rot_ref.T)
+    a_local = global_to_local_array(lat, lon, accel_enu @ rot_ref.T)
+    cy, sy = np.cos(yaw), np.sin(yaw)
+    force = np.column_stack(
+        (
+            cy * a_local[:, 0] + sy * a_local[:, 1],
+            -sy * a_local[:, 0] + cy * a_local[:, 1],
+            a_local[:, 2],
+        )
+    )
+    return yaw, force
+
+
 def simulate(cfg: SimConfig) -> Dataset:
     """Generate a complete dataset for the configuration."""
     rng = np.random.default_rng(cfg.seed)
@@ -426,30 +492,14 @@ def simulate(cfg: SimConfig) -> Dataset:
     truth_pos = ref_ecef + (rot_ref @ pos_e.T).T
     truth_vel = (rot_ref @ vel_e.T).T
 
-    # IMU: per-sample mean specific force from exact velocity differences,
-    # inverted through the true attitude and local frame at each sample
-    sample_edges = np.concatenate(([0.0], imu_t))
-    _, vel_edges, _ = eval_trajectory(pieces, sample_edges)
-    accel_enu = np.diff(vel_edges, axis=0) * cfg.imu_rate_hz
-    _, vel_mid, _ = eval_trajectory(pieces, imu_t)
-    yaw_true = np.arctan2(vel_mid[:, 0], vel_mid[:, 1])
-
+    yaw_true, imu_accel = _imu_truth(pieces, imu_t, cfg.imu_rate_hz, ref)
     att_noise = math.radians(cfg.attitude_noise_deg)
     imu_attitude = np.zeros((n_imu, 3))
     imu_attitude[:, 0] = yaw_true
     if att_noise > 0:
         imu_attitude += rng.normal(0.0, att_noise, size=(n_imu, 3))
 
-    imu_accel = np.zeros((n_imu, 3))
-    pos_mid, _, _ = eval_trajectory(pieces, imu_t)
-    for i in range(n_imu):
-        a_ecef = rot_ref @ accel_enu[i]
-        geo_i = ecef_to_geodetic(ref_ecef + rot_ref @ pos_mid[i])
-        r_gl = rotation_global_from_local(geo_i)
-        r_lb = rotation_local_from_body(
-            EulerAngles(yaw_true[i], 0.0, 0.0)
-        )
-        imu_accel[i] = r_lb.T @ (r_gl.T @ a_ecef) + cfg.accel_bias_true
+    imu_accel += cfg.accel_bias_true
     if cfg.accel_noise_sigma > 0:
         imu_accel += rng.normal(0.0, cfg.accel_noise_sigma, size=(n_imu, 3))
 
@@ -458,6 +508,14 @@ def simulate(cfg: SimConfig) -> Dataset:
         name: np.array([model.at(t) for t in epoch_t])
         for name, model in cfg.clock_models.items()
     }
+
+    # geometry of every (epoch, track) pair up front; the loop below only
+    # applies the masks and draws, and its (epoch, track) order fixes the
+    # sequence of random draws
+    sat_grid = satellite_ecef_grid(tracks, epoch_t, ref)
+    az_grid, el_grid = azimuth_elevation_grid(sat_grid, truth_pos)
+    los = sat_grid - truth_pos[:, None, :]
+    range_grid = np.sqrt(np.einsum("...i,...i->...", los, los))
 
     samples_per_epoch = int(round(cfg.imu_rate_hz / cfg.gnss_rate_hz))
     epochs: list[EpochMeasurements] = []
@@ -477,15 +535,16 @@ def simulate(cfg: SimConfig) -> Dataset:
             0.0,
         ]
 
+        floor_deg = cfg.block_floor_deg(t)
         sats: list[SatObservation] = []
-        for track in tracks:
-            sat_pos = satellite_ecef(track, t, ref)
-            az, el = azimuth_elevation(sat_pos, truth_pos[k])
+        for j, (track, az, el, rho) in enumerate(
+            zip(tracks, az_grid[k].tolist(), el_grid[k].tolist(), range_grid[k].tolist())
+        ):
             if el < HARD_HORIZON_RAD:
                 continue
             mask_deg = cfg.mask_elevation_deg(math.degrees(az), t)
             el_deg = math.degrees(el)
-            if el_deg < cfg.block_floor_deg(t):
+            if el_deg < floor_deg:
                 continue  # dense cover blocks everything below the floor
             if el_deg >= mask_deg:
                 nlos = False
@@ -497,27 +556,25 @@ def simulate(cfg: SimConfig) -> Dataset:
                 nlos = True
             else:
                 continue  # blocked outright
-            rho = float(np.linalg.norm(sat_pos - truth_pos[k]))
-            rho += clock_series[track.constellation.value][k]
+            name = track.constellation.value
+            rho += clock_series[name][k]
             if cfg.los_sigma_m > 0:
                 rho += rng.normal(0.0, cfg.los_sigma_m)
             snr_shift = 0.0
             if nlos:
-                bias = _draw_nlos_bias(rng, cfg.nlos_model[track.constellation.value])
+                bias = _draw_nlos_bias(rng, cfg.nlos_model[name])
                 rho += bias
                 snr_model = cfg.snr_nlos
                 # deeper reflections arrive weaker
                 snr_shift = -cfg.snr_bias_slope_db_per_m * bias
             else:
                 snr_model = cfg.snr_los
-            snr = float(
-                np.clip(rng.normal(snr_model.mean + snr_shift, snr_model.sigma), 25.0, 55.0)
-            )
+            snr = min(max(rng.normal(snr_model.mean + snr_shift, snr_model.sigma), 25.0), 55.0)
             sats.append(
                 SatObservation(
                     sat_id=track.sat_id,
                     constellation=track.constellation,
-                    sat_pos=sat_pos,
+                    sat_pos=sat_grid[k, j],
                     pseudorange=rho,
                     snr=snr,
                     elevation=el,

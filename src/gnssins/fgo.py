@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from collections.abc import Sequence
 from typing import Optional
 
@@ -33,13 +33,20 @@ from .noise_models import (
 from .nls_solver import (
     EvaluationError,
     LmConfig,
-    NlsProblem,
     ResidualBlock,
     SolverError,
     solve_lm,
     sqrt_info_from_cov_diag,
 )
-from .types import BIAS, POS, VEL, Constellation, EpochMeasurements, StateLayout
+from .types import (
+    BIAS,
+    POS,
+    VEL,
+    Constellation,
+    EpochMeasurements,
+    StateLayout,
+    constellations_present,
+)
 
 BATCH = None  # window_size value meaning "keep all epochs"
 
@@ -234,6 +241,37 @@ def clock_walk_factor(
     )
 
 
+def pseudorange_rows(
+    sat_pos: np.ndarray,
+    pseudorange: np.ndarray,
+    clock_col: np.ndarray,
+    slot: np.ndarray,
+    x: np.ndarray,
+    jacobian: bool,
+):
+    """Stacked pseudorange model: row ``i`` measures satellite ``sat_pos[i]``
+    from state ``x[slot[i]]`` (``x`` is ``(slots, dim)``), with its clock bias in
+    column ``clock_col[i]``.
+
+    Returns the raw residuals ``pseudorange - range - clock`` and, if
+    ``jacobian``, their Jacobian rows with respect to each row's own state:
+    the line-of-sight unit vector on position and -1 on the clock (None
+    otherwise). Raises GeometryError when a satellite coincides with its
+    receiver.
+    """
+    los = sat_pos - x[slot, 0:3]
+    rng = np.sqrt(np.einsum("ij,ij->i", los, los))
+    if (rng == 0.0).any():
+        raise GeometryError("a satellite coincides with the receiver")
+    resid = pseudorange - rng - x[slot, clock_col]
+    jac = None
+    if jacobian:
+        jac = np.zeros((rng.size, x.shape[1]))
+        jac[:, 0:3] = los / rng[:, None]
+        jac[np.arange(rng.size), clock_col] = -1.0
+    return resid, jac
+
+
 @dataclass
 class EpochEntry:
     """Internal per-epoch record kept by the estimator.
@@ -384,9 +422,9 @@ class FactorWindow:
     def split(self, values: np.ndarray) -> list[np.ndarray]:
         return list(np.asarray(values).reshape(self.n, self.dim))
 
-    def _whitened(self, values: np.ndarray):
-        """Whitened residuals (prior, edges, fixes, pseudoranges) and the
-        pseudorange line-of-sight vectors and ranges."""
+    def _whitened(self, values: np.ndarray, jacobian: bool = False):
+        """Whitened residuals (prior, edges, fixes, pseudoranges) and, if
+        ``jacobian``, the raw pseudorange Jacobian rows."""
         x = np.asarray(values, dtype=float).reshape(self.n, self.dim)
         prior = self.prior_w * (x[0] - self.prior_value)
         edge = x[1:] - x[:-1]
@@ -394,12 +432,10 @@ class FactorWindow:
         edge[:, VEL] -= self.accel_dt
         edge *= self.edge_w
         fix = self.fix_w * (self.fix_pos - x[self.fix_epoch, 0:3])
-        los = self.sat_pos - x[self.pr_epoch, 0:3]
-        rng = np.sqrt(np.einsum("ij,ij->i", los, los))
-        if np.any(rng == 0.0):
-            raise GeometryError("a satellite coincides with the receiver")
-        pr = self.pr_w * (self.pseudorange - rng - x[self.pr_epoch, self.clock_col])
-        return (prior, edge, fix, pr), los, rng
+        pr, jac = pseudorange_rows(
+            self.sat_pos, self.pseudorange, self.clock_col, self.pr_epoch, x, jacobian
+        )
+        return (prior, edge, fix, self.pr_w * pr), jac
 
     @staticmethod
     def _cost(residuals) -> float:
@@ -418,7 +454,7 @@ class FactorWindow:
 
     def normal_equations(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         """Whitened J^T J (upper band storage), J^T r and cost at ``values``."""
-        (prior, edge, fix, pr), los, rng = self._whitened(values)
+        (prior, edge, fix, pr), jac = self._whitened(values, jacobian=True)
         cost = self._cost((prior, edge, fix, pr))
         g = np.zeros((self.n, self.dim))
         g[0] += self.prior_w * prior
@@ -428,9 +464,7 @@ class FactorWindow:
         g[self.fix_epoch, 0:3] -= self.fix_w * fix
         ab = self._ab_linear.copy()
         if pr.size:
-            jw = np.zeros((pr.size, self.dim))
-            jw[:, 0:3] = los / rng[:, None]
-            jw[np.arange(pr.size), self.clock_col] = -1.0
+            jw = jac
             jw *= self.pr_w[:, None]
             live = self.pr_count > 0
             starts = self.pr_start[live]
@@ -492,6 +526,64 @@ def build_window(
     return FactorWindow(entries[base:], cfg, layout, anchor_var)
 
 
+class EpochWls:
+    """Single-epoch position/clock WLS as stacked arrays.
+
+    The unknowns are ECEF position and one clock bias per constellation in
+    ``constellations``; row ``i`` is satellite ``sat_pos[i]`` with range
+    ``pseudorange[i]``, clock column ``clock_col[i]`` and weight ``w[i]``
+    (inverse standard deviation). Provides what :func:`nls_solver.solve_lm`
+    needs (``initial_values``, ``normal_equations``, ``cost``).
+    """
+
+    def __init__(
+        self,
+        sats: Sequence[SatObservation],
+        weighting: WeightingParams,
+        initial: Optional[np.ndarray] = None,
+    ) -> None:
+        self.constellations = constellations_present(sats)
+        self.dim = 3 + len(self.constellations)
+        if len(sats) < self.dim:
+            raise GeometryError(f"{len(sats)} satellites cannot determine {self.dim} unknowns")
+        self.sat_pos = np.array([s.sat_pos for s in sats], dtype=float)
+        self.pseudorange = np.array([s.pseudorange for s in sats], dtype=float)
+        self.clock_col = np.array(
+            [3 + self.constellations.index(s.constellation) for s in sats], dtype=int
+        )
+        self.w = 1.0 / np.sqrt(tc_covariance(sats, weighting))
+        self.initial_values = np.zeros(self.dim)
+        if initial is not None:
+            self.initial_values[0:3] = np.asarray(initial, dtype=float)
+        self._slot = np.zeros(len(sats), dtype=int)
+        # J^T J is dense: its upper triangle fills a band of width dim - 1
+        self._tri = np.triu_indices(self.dim)
+        self._band_at = (self.dim - 1 + self._tri[0] - self._tri[1], self._tri[1])
+
+    def _whitened(self, values: np.ndarray, jacobian: bool = False):
+        x = np.asarray(values, dtype=float).reshape(1, self.dim)
+        resid, jac = pseudorange_rows(
+            self.sat_pos, self.pseudorange, self.clock_col, self._slot, x, jacobian
+        )
+        rw = self.w * resid
+        cost = float(rw @ rw)
+        if not np.isfinite(cost):
+            raise EvaluationError("non-finite residual in single-epoch pseudoranges")
+        return rw, cost, jac
+
+    def cost(self, values: np.ndarray) -> float:
+        """Sum of squared whitened pseudorange residuals."""
+        return self._whitened(values)[1]
+
+    def normal_equations(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """Whitened J^T J (upper band storage, full bandwidth), J^T r and cost."""
+        rw, cost, jac = self._whitened(values, jacobian=True)
+        jw = jac * self.w[:, None]
+        ab = np.zeros((self.dim, self.dim))
+        ab[self._band_at] = (jw.T @ jw)[self._tri]
+        return ab, jw.T @ rw, cost
+
+
 def single_epoch_wls(
     sats: Sequence[SatObservation],
     weighting: WeightingParams,
@@ -501,58 +593,15 @@ def single_epoch_wls(
     """Weighted least-squares position/clock solve from one epoch of pseudoranges.
 
     Returns the ECEF position and one clock bias per constellation present.
-    Raises GeometryError when there are too few satellites for the unknowns.
+    Raises GeometryError when there are too few satellites for the unknowns
+    or the solve does not converge.
     """
-    consts: list[Constellation] = []
-    for s in sats:
-        if s.constellation not in consts:
-            consts.append(s.constellation)
-    n_unknowns = 3 + len(consts)
-    if len(sats) < n_unknowns:
-        raise GeometryError(
-            f"{len(sats)} satellites cannot determine {n_unknowns} unknowns"
-        )
-    sigma2 = tc_covariance(sats, weighting)
-
-    def make_block(sat: SatObservation, s2: float) -> ResidualBlock:
-        col = 3 + consts.index(sat.constellation)
-
-        def residual(x):
-            rng = np.linalg.norm(sat.sat_pos - x[0:3])
-            if rng == 0.0:
-                raise GeometryError("satellite coincides with receiver")
-            return np.array([sat.pseudorange - rng - x[col]])
-
-        def jacobian(x):
-            los = sat.sat_pos - x[0:3]
-            rng = np.linalg.norm(los)
-            j = np.zeros((1, n_unknowns))
-            j[0, 0:3] = los / rng
-            j[0, col] = -1.0
-            return [j]
-
-        return ResidualBlock(
-            state_indices=(0,),
-            dim=1,
-            fn=residual,
-            jac=jacobian,
-            sqrt_info=sqrt_info_from_cov_diag([s2]),
-            label=f"wls:{sat.sat_id}",
-        )
-
-    x0 = np.zeros(n_unknowns)
-    if initial is not None:
-        x0[0:3] = np.asarray(initial, dtype=float)
-    problem = NlsProblem(
-        state_dims=[n_unknowns],
-        blocks=[make_block(s, s2) for s, s2 in zip(sats, sigma2)],
-        initial_values=x0,
-    )
+    problem = EpochWls(sats, weighting, initial)
     report = solve_lm(problem, lm or LmConfig())
     if not report.converged:
         raise GeometryError(f"single-epoch solve did not converge: {report.message}")
     pos = report.values[0:3].copy()
-    clocks = {c: float(report.values[3 + i]) for i, c in enumerate(consts)}
+    clocks = {c: float(report.values[3 + i]) for i, c in enumerate(problem.constellations)}
     return pos, clocks
 
 
@@ -677,8 +726,3 @@ class FgoEstimator:
         if not self.entries:
             raise ValueError("estimator not initialized")
         return self.entries[-1].state.copy()
-
-
-def replace_window(cfg: FgoConfig, window_size: Optional[int]) -> FgoConfig:
-    """Copy of ``cfg`` with a different window size."""
-    return replace(cfg, window_size=window_size)

@@ -129,6 +129,60 @@ def ecef_to_geodetic(p: np.ndarray, max_iters: int = 10, tol: float = 1e-12) -> 
     return Geodetic(lat, lon, height)
 
 
+def _height_array(lat: np.ndarray, r: np.ndarray, z: np.ndarray):
+    """Prime-vertical radius and ellipsoidal height at latitudes ``lat``, with
+    the same branch on ``|lat| < pi/4`` as :func:`ecef_to_geodetic`."""
+    sphi = np.sin(lat)
+    n = WGS84_A / np.sqrt(1.0 - WGS84_E2 * sphi * sphi)
+    low = np.abs(lat) < math.pi / 4
+    height = np.empty_like(lat)
+    height[low] = r[low] / np.cos(lat[low]) - n[low]
+    height[~low] = z[~low] / sphi[~low] - n[~low] * (1.0 - WGS84_E2)
+    return n, height
+
+
+def ecef_to_geodetic_array(p: np.ndarray, max_iters: int = 10, tol: float = 1e-12):
+    """Array form of :func:`ecef_to_geodetic` for an ``(N, 3)`` stack of points.
+
+    Returns latitude, longitude and height arrays. Each element runs the
+    scalar fixed-point iteration and stops updating once its own step falls
+    below ``tol``. Raises ValueError if any point is the zero vector.
+    """
+    p = np.asarray(p, dtype=float).reshape(-1, 3)
+    x, y, z = p[:, 0], p[:, 1], p[:, 2]
+    r = np.hypot(x, y)
+    if np.any((r == 0.0) & (z == 0.0)):
+        raise ValueError("zero-norm ECEF vector has no geodetic image")
+    lon = np.arctan2(y, x)
+    lat = np.arctan2(z, r * (1.0 - WGS84_E2))
+    active = np.ones(lat.size, dtype=bool)
+    for _ in range(max_iters):
+        if not active.any():
+            break
+        lat_a, r_a, z_a = lat[active], r[active], z[active]
+        n, height = _height_array(lat_a, r_a, z_a)
+        new_lat = np.arctan2(z_a, r_a * (1.0 - WGS84_E2 * n / (n + height)))
+        lat[active] = new_lat
+        active[active] = ~(np.abs(new_lat - lat_a) < tol)
+    _, height = _height_array(lat, r, z)
+    return np.clip(lat, -math.pi / 2, math.pi / 2), lon, height
+
+
+def global_to_local_array(lat: np.ndarray, lon: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """ECEF vectors ``v`` (``(..., 3)``) in the ENU frames at ``lat``/``lon``.
+
+    Elementwise form of ``rotation_global_from_local(geo).T @ v``; ``lat`` and
+    ``lon`` broadcast against ``v[..., 0]``.
+    """
+    sphi, cphi = np.sin(lat), np.cos(lat)
+    slam, clam = np.sin(lon), np.cos(lon)
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    east = -slam * x + clam * y
+    north = -sphi * clam * x + -sphi * slam * y + cphi * z
+    up = cphi * clam * x + cphi * slam * y + sphi * z
+    return np.stack((east, north, up), axis=-1)
+
+
 def ecef_to_enu(ref: Geodetic, p: np.ndarray) -> np.ndarray:
     """Express ECEF point ``p`` in the ENU frame anchored at ``ref``."""
     delta = np.asarray(p, dtype=float) - geodetic_to_ecef(ref)

@@ -60,7 +60,17 @@ class SatObservation:
     nlos_truth: Optional[bool] = None
 
     def __post_init__(self) -> None:
-        self.sat_pos = np.asarray(self.sat_pos, dtype=float)
+        # a copy, so the observation never aliases a caller's array
+        self.sat_pos = np.array(self.sat_pos, dtype=float)
+        if not np.isfinite(self.sat_pos).all():
+            raise ValueError(f"satellite {self.sat_id}: non-finite position {self.sat_pos}")
+        if not (math.isfinite(self.pseudorange) and math.isfinite(self.snr)):
+            raise ValueError(
+                f"satellite {self.sat_id}: non-finite pseudorange {self.pseudorange}"
+                f" or snr {self.snr}"
+            )
+        if self.azimuth is not None and not math.isfinite(self.azimuth):
+            raise ValueError(f"satellite {self.sat_id}: non-finite azimuth {self.azimuth}")
         if not 0.0 < self.elevation <= math.pi / 2:
             raise ValueError(f"elevation {self.elevation} outside (0, pi/2]")
         if self.pseudorange <= 0:
@@ -85,14 +95,14 @@ def compute_hdop(sats: Sequence[SatObservation], receiver: np.ndarray) -> float:
     receiver = np.asarray(receiver, dtype=float)
     enu_rot = rotation_global_from_local(ecef_to_geodetic(receiver)).T
     consts = constellations_present(sats)
+    los = np.array([s.sat_pos for s in sats]) - receiver
+    rng = np.sqrt(np.einsum("ij,ij->i", los, los))
+    if np.any(rng == 0.0):
+        sat = sats[int(np.argmin(rng))]
+        raise GeometryError(f"satellite {sat.sat_id} coincides with receiver")
     g = np.zeros((len(sats), 3 + len(consts)))
-    for i, sat in enumerate(sats):
-        los = sat.sat_pos - receiver
-        rng = np.linalg.norm(los)
-        if rng == 0.0:
-            raise GeometryError(f"satellite {sat.sat_id} coincides with receiver")
-        g[i, :3] = enu_rot @ (los / rng)
-        g[i, 3 + consts.index(sat.constellation)] = 1.0
+    g[:, :3] = (los / rng[:, None]) @ enu_rot.T
+    g[np.arange(len(sats)), [3 + consts.index(s.constellation) for s in sats]] = 1.0
     gtg = g.T @ g
     if np.linalg.cond(gtg) > 1e12:
         raise GeometryError("singular satellite geometry")

@@ -181,16 +181,6 @@ def summarize(records: Sequence[EpochRecord]) -> dict:
     }
 
 
-def residual_window(
-    epochs: np.ndarray, values: np.ndarray, at_epoch: float, window: float
-) -> np.ndarray:
-    """Values whose epoch lies in the window (at_epoch - window, at_epoch]."""
-    epochs = np.asarray(epochs, dtype=float)
-    values = np.asarray(values, dtype=float)
-    mask = (epochs > at_epoch - window) & (epochs <= at_epoch)
-    return values[mask]
-
-
 def window_sweep(
     run_fn: Callable[[object], Sequence[EpochRecord]], sizes: Sequence[object]
 ) -> list[dict]:

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gnssins.canyon_sim import (
+    HARD_HORIZON_RAD,
     DeepInterval,
     MaskSector,
     SimConfig,
@@ -22,7 +25,15 @@ from gnssins.canyon_sim import (
     simulate,
     write_dataset,
 )
-from gnssins.frames import Geodetic, ecef_to_geodetic, geodetic_to_ecef
+from gnssins.frames import (
+    EulerAngles,
+    Geodetic,
+    ecef_to_geodetic,
+    enu_to_ecef,
+    geodetic_to_ecef,
+    rotation_global_from_local,
+    rotation_local_from_body,
+)
 from gnssins.types import Constellation
 
 
@@ -219,6 +230,137 @@ class TestSimulate:
             if floor > 0:
                 for sat in epoch.sats:
                     assert math.degrees(sat.elevation) >= floor
+
+
+def turning_canyon(seed, duration=40.0):
+    """Short canyon whose route turns twice, so yaw and acceleration vary."""
+    from dataclasses import replace
+
+    cfg = small_canyon(seed=seed, duration=duration)
+    ref = cfg.ref
+    corners = [(0.0, 0.0), (90.0, 120.0), (240.0, 120.0), (240.0, 270.0)]
+    waypoints = [
+        Waypoint(ecef_to_geodetic(enu_to_ecef(ref, np.array([e, n, 0.0]))), 8.0)
+        for e, n in corners
+    ]
+    return replace(cfg, waypoints=waypoints)
+
+
+def replay_imu_noise(cfg):
+    """The generator after the IMU draws: (generator, attitude noise, accel noise)."""
+    rng = np.random.default_rng(cfg.seed)
+    n_imu = int(round(cfg.duration_s * cfg.imu_rate_hz))
+    att = np.zeros((n_imu, 3))
+    acc = np.zeros((n_imu, 3))
+    if cfg.attitude_noise_deg > 0:
+        att = rng.normal(0.0, math.radians(cfg.attitude_noise_deg), size=(n_imu, 3))
+    if cfg.accel_noise_sigma > 0:
+        acc = rng.normal(0.0, cfg.accel_noise_sigma, size=(n_imu, 3))
+    return rng, att, acc
+
+
+def scalar_observations(cfg, ds):
+    """Per-epoch (sat_id, nlos, snr, pseudorange, sat_pos, elevation, azimuth)
+    from the scalar geometry, one (epoch, track) pair at a time, drawing from
+    the generator in the order ``simulate`` must keep."""
+    rng, _, _ = replay_imu_noise(cfg)
+    tracks = generate_constellation(cfg, rng)
+    out = []
+    for k, t in enumerate(ds.truth_t):
+        t = float(t)
+        obs = []
+        for track in tracks:
+            sat_pos = satellite_ecef(track, t, cfg.ref)
+            az, el = azimuth_elevation(sat_pos, ds.truth_pos[k])
+            if el < HARD_HORIZON_RAD:
+                continue
+            mask_deg = cfg.mask_elevation_deg(math.degrees(az), t)
+            el_deg = math.degrees(el)
+            if el_deg < cfg.block_floor_deg(t):
+                continue
+            if el_deg >= mask_deg:
+                nlos = False
+            elif el_deg >= mask_deg - cfg.nlos_depth_deg:
+                if rng.uniform() >= cfg.nlos_receive_prob:
+                    continue
+                nlos = True
+            else:
+                continue
+            name = track.constellation.value
+            rho = float(np.linalg.norm(sat_pos - ds.truth_pos[k])) + ds.truth_clocks[name][k]
+            if cfg.los_sigma_m > 0:
+                rho += rng.normal(0.0, cfg.los_sigma_m)
+            shift, snr_model = 0.0, cfg.snr_los
+            if nlos:
+                components = cfg.nlos_model[name].components
+                weights = np.array([c.weight for c in components])
+                comp = components[rng.choice(len(weights), p=weights / weights.sum())]
+                bias = 0.0
+                for _ in range(100):
+                    draw = rng.normal(comp.mean, comp.std)
+                    if draw >= 0.0:
+                        bias = float(draw)
+                        break
+                rho += bias
+                shift, snr_model = -cfg.snr_bias_slope_db_per_m * bias, cfg.snr_nlos
+            snr = float(np.clip(rng.normal(snr_model.mean + shift, snr_model.sigma), 25.0, 55.0))
+            obs.append((track.sat_id, nlos, snr, rho, sat_pos, el, az))
+        out.append(obs)
+    return out
+
+
+def angle_gap(a, b):
+    d = abs(a - b) % (2.0 * math.pi)
+    return min(d, 2.0 * math.pi - d)
+
+
+class TestBulkGeometryMatchesScalar:
+    """``simulate`` computes its geometry in bulk; the scalar functions are the oracle."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        duration=st.sampled_from([12.0, 30.0]),
+        deep=st.booleans(),
+    )
+    def test_observations_match_scalar_loop(self, seed, duration, deep):
+        cfg = turning_canyon(seed, duration)
+        if deep:
+            cfg.deep_intervals = [DeepInterval(4.0, 9.0, 60.0)]
+        ds = simulate(cfg)
+        expected = scalar_observations(cfg, ds)
+        for epoch, ref_obs in zip(ds.epochs, expected):
+            assert [(s.sat_id, s.nlos_truth) for s in epoch.sats] == [o[:2] for o in ref_obs]
+            for sat, (_, _, snr, rho, sat_pos, el, az) in zip(epoch.sats, ref_obs):
+                assert sat.snr == snr
+                assert abs(sat.pseudorange - rho) <= 1e-6
+                assert np.abs(sat.sat_pos - sat_pos).max() <= 1e-6
+                assert abs(sat.elevation - el) <= 1e-9
+                assert angle_gap(sat.azimuth, az) <= 1e-9
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        picks=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=20),
+    )
+    def test_imu_matches_per_sample_formula(self, seed, picks):
+        cfg = turning_canyon(seed)
+        ds = simulate(cfg)
+        _, att_noise, acc_noise = replay_imu_noise(cfg)
+        pieces = build_trajectory(cfg)
+        _, vel_edges, _ = eval_trajectory(pieces, np.concatenate(([0.0], ds.imu_t)))
+        accel_enu = np.diff(vel_edges, axis=0) * cfg.imu_rate_hz
+        pos_mid, vel_mid, _ = eval_trajectory(pieces, ds.imu_t)
+        yaw = np.arctan2(vel_mid[:, 0], vel_mid[:, 1])
+        rot_ref = rotation_global_from_local(cfg.ref)
+        ref_ecef = geodetic_to_ecef(cfg.ref)
+        assert np.array_equal(ds.imu_attitude[:, 0], yaw + att_noise[:, 0])
+        for i in (int(p * ds.imu_t.size) for p in picks):
+            geo = ecef_to_geodetic(ref_ecef + rot_ref @ pos_mid[i])
+            r_lb = rotation_local_from_body(EulerAngles(yaw[i], 0.0, 0.0))
+            f = r_lb.T @ (rotation_global_from_local(geo).T @ (rot_ref @ accel_enu[i]))
+            expected = f + cfg.accel_bias_true + acc_noise[i]
+            assert np.abs(ds.imu_accel[i] - expected).max() <= 1e-12
 
 
 class TestLcFixes:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import TOY_CLOCKS, toy_epochs, toy_satellite_positions
 from gnssins.fgo import (
     BATCH,
+    EpochWls,
     FgoConfig,
     FgoEstimator,
     build_window,
@@ -17,7 +18,6 @@ from gnssins.fgo import (
     motion_factor,
     prior_factor,
     pseudorange_factor,
-    replace_window,
     single_epoch_wls,
 )
 from gnssins.noise_models import (
@@ -27,8 +27,17 @@ from gnssins.noise_models import (
     ins_cov,
     lc_fix_covariance,
     motion_model_cov,
+    tc_covariance,
 )
-from gnssins.nls_solver import NlsProblem, numeric_jacobian, solve_damped
+from gnssins.nls_solver import (
+    LmConfig,
+    NlsProblem,
+    ResidualBlock,
+    numeric_jacobian,
+    solve_damped,
+    solve_lm,
+    sqrt_info_from_cov_diag,
+)
 from gnssins.types import Constellation, StateLayout
 
 TC = StateLayout((Constellation.GPS, Constellation.BEIDOU))
@@ -181,6 +190,127 @@ class TestSingleEpochWls:
         epochs, _ = toy_epochs(1)
         with pytest.raises(GeometryError):
             single_epoch_wls(epochs[0].sats[:4], WeightingParams())
+
+
+def closure_wls_problem(sats, weighting, initial=None):
+    """The former single-epoch WLS: one closure ResidualBlock per satellite on
+    the per-block NlsProblem. Returns the problem and its constellations."""
+    consts = []
+    for s in sats:
+        if s.constellation not in consts:
+            consts.append(s.constellation)
+    n_unknowns = 3 + len(consts)
+    if len(sats) < n_unknowns:
+        raise GeometryError(f"{len(sats)} satellites cannot determine {n_unknowns} unknowns")
+    sigma2 = tc_covariance(sats, weighting)
+
+    def make_block(sat, s2):
+        col = 3 + consts.index(sat.constellation)
+
+        def residual(x):
+            rng = np.linalg.norm(sat.sat_pos - x[0:3])
+            if rng == 0.0:
+                raise GeometryError("satellite coincides with receiver")
+            return np.array([sat.pseudorange - rng - x[col]])
+
+        def jacobian(x):
+            los = sat.sat_pos - x[0:3]
+            j = np.zeros((1, n_unknowns))
+            # evaluated before the residual, which raises on a zero range
+            with np.errstate(invalid="ignore"):
+                j[0, 0:3] = los / np.linalg.norm(los)
+            j[0, col] = -1.0
+            return [j]
+
+        return ResidualBlock((0,), 1, residual, sqrt_info_from_cov_diag([s2]), jacobian)
+
+    x0 = np.zeros(n_unknowns)
+    if initial is not None:
+        x0[0:3] = initial
+    blocks = [make_block(s, s2) for s, s2 in zip(sats, sigma2)]
+    return NlsProblem([n_unknowns], blocks, x0), consts
+
+
+def solve_or_geometry_error(problem, lm):
+    try:
+        return solve_lm(problem, lm)
+    except GeometryError:
+        return GeometryError
+
+
+def gradient_cosine(problem, x):
+    """The largest cosine of ``LmConfig.gtol``'s gradient test at ``x``."""
+    ab, g, cost = problem.normal_equations(x)
+    return float(np.max(np.abs(g) / np.sqrt(ab[-1] * cost)))
+
+
+class TestStackedWlsMatchesClosureBlocks:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n_sats=st.integers(3, 8),
+        mixed=st.booleans(),
+        start=st.sampled_from(["none", "near", "on_satellite"]),
+        max_iters=st.sampled_from([1, 2, 100]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_equations_solution_and_errors(self, n_sats, mixed, start, max_iters, seed):
+        rng = np.random.default_rng(seed)
+        epochs, truth = toy_epochs(1, pr_noise=rng.normal(scale=3.0, size=(1, 8)))
+        sats = list(rng.permutation(epochs[0].sats)[:n_sats])
+        if not mixed:
+            for s in sats:
+                s.constellation = Constellation.GPS
+        initial = {
+            "none": None,
+            "near": truth[0] + rng.normal(scale=200.0, size=3),
+            "on_satellite": sats[0].sat_pos.copy(),
+        }[start]
+        weighting = WeightingParams(T=float(rng.uniform(40.0, 50.0)))
+
+        try:
+            oracle, consts = closure_wls_problem(sats, weighting, initial)
+        except GeometryError:
+            with pytest.raises(GeometryError):
+                EpochWls(sats, weighting, initial)
+            with pytest.raises(GeometryError):
+                single_epoch_wls(sats, weighting, initial)
+            return
+        problem = EpochWls(sats, weighting, initial)
+        assert problem.constellations == tuple(consts)
+        assert np.array_equal(problem.initial_values, oracle.initial_values)
+
+        x = problem.initial_values + rng.normal(scale=50.0, size=problem.dim)
+        ab, g, cost = problem.normal_equations(x)
+        ab_ref, g_ref, cost_ref = oracle.normal_equations(x)
+        assert ab.shape == ab_ref.shape
+        assert close(ab, ab_ref)
+        assert close(g, g_ref)
+        assert cost == pytest.approx(cost_ref, rel=1e-9)
+        assert problem.cost(x) == pytest.approx(oracle.cost(x), rel=1e-9)
+
+        lm = LmConfig(max_iters=max_iters)
+        report = solve_or_geometry_error(problem, lm)
+        ref = solve_or_geometry_error(oracle, lm)
+        if ref is GeometryError:
+            assert report is GeometryError
+            return
+        assert report is not GeometryError
+        if report.converged != ref.converged:
+            # a solve cut by max_iters is converged if the gradient test then
+            # holds; only a cosine within rounding of gtol may decide it apart
+            assert max_iters < 100
+            assert lm.gtol / 3 < gradient_cosine(oracle, ref.values) < 3 * lm.gtol
+            return
+        # iterates of a cut solve are mid-path, where the large first steps
+        # from the Earth's centre magnify rounding (measured up to 3e-10)
+        assert close(report.values, ref.values, rel=1e-9 if ref.converged else 1e-6)
+        if ref.converged:
+            pos, clocks = single_epoch_wls(sats, weighting, initial, lm)
+            assert close(pos, ref.values[0:3])
+            assert list(clocks) == consts
+        else:
+            with pytest.raises(GeometryError):
+                single_epoch_wls(sats, weighting, initial, lm)
 
 
 class TestBuildWindow:
@@ -380,8 +510,3 @@ class TestFgoEstimator:
         est.step(epochs[1])
         with pytest.raises(ValueError):
             est.step(epochs[1])
-
-    def test_replace_window(self):
-        cfg = FgoConfig(mode="tc", window_size=10)
-        assert replace_window(cfg, BATCH).window_size is None
-        assert cfg.window_size == 10

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gnssins.frames import (
     WGS84_A,
@@ -10,8 +12,10 @@ from gnssins.frames import (
     body_accel_to_ecef,
     ecef_to_enu,
     ecef_to_geodetic,
+    ecef_to_geodetic_array,
     enu_to_ecef,
     geodetic_to_ecef,
+    global_to_local_array,
     rotation_global_from_local,
     rotation_local_from_body,
 )
@@ -107,6 +111,35 @@ def test_geodetic_round_trip():
 def test_ecef_to_geodetic_rejects_origin():
     with pytest.raises(ValueError):
         ecef_to_geodetic(np.zeros(3))
+
+
+near_surface = st.tuples(
+    st.floats(-math.pi / 2, math.pi / 2),
+    st.floats(-math.pi, math.pi, exclude_min=True),
+    st.floats(-500.0, 20_000.0),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(points=st.lists(near_surface, min_size=1, max_size=16), seed=st.integers(0, 2**32 - 1))
+def test_array_geodetic_and_local_rotation_match_scalar(points, seed):
+    """Elementwise forms against the scalar conversion and rotation matrix."""
+    p = np.array([geodetic_to_ecef(Geodetic(*pt)) for pt in points])
+    lat, lon, height = ecef_to_geodetic_array(p)
+    v = np.random.default_rng(seed).normal(scale=10.0, size=p.shape)
+    local = global_to_local_array(lat, lon, v)
+    for i, row in enumerate(p):
+        geo = ecef_to_geodetic(row)
+        assert abs(lat[i] - geo.lat) <= 1e-12
+        assert abs(lon[i] - geo.lon) <= 1e-12
+        assert abs(height[i] - geo.height) <= 1e-6
+        expected = rotation_global_from_local(geo).T @ v[i]
+        assert np.abs(local[i] - expected).max() <= 1e-12 * (1.0 + np.abs(v[i]).max())
+
+
+def test_array_geodetic_rejects_origin():
+    with pytest.raises(ValueError):
+        ecef_to_geodetic_array(np.array([[WGS84_A, 0.0, 0.0], [0.0, 0.0, 0.0]]))
 
 
 def test_enu_self_reference_is_zero():

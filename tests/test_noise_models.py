@@ -2,8 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gnssins.frames import Geodetic, enu_to_ecef, geodetic_to_ecef
+from gnssins.frames import (
+    Geodetic,
+    ecef_to_geodetic,
+    enu_to_ecef,
+    geodetic_to_ecef,
+    rotation_global_from_local,
+)
 from gnssins.noise_models import (
     GeometryError,
     SatObservation,
@@ -15,7 +23,7 @@ from gnssins.noise_models import (
     pseudorange_weight,
     tc_covariance,
 )
-from gnssins.types import Constellation
+from gnssins.types import Constellation, constellations_present
 
 REF = Geodetic.from_degrees(22.3, 114.2, 10.0)
 
@@ -111,6 +119,99 @@ class TestHdop:
         ]
         # same geometry but an extra clock unknown: HDOP cannot improve
         assert compute_hdop(mixed, receiver) >= compute_hdop(sats, receiver) - 1e-12
+
+
+def hdop_per_satellite(sats, receiver):
+    """The former per-satellite assembly of the HDOP geometry matrix.
+
+    Returns the HDOP and the condition number of G^T G.
+    """
+    if len(sats) < 4:
+        raise GeometryError(f"need at least 4 satellites, got {len(sats)}")
+    enu_rot = rotation_global_from_local(ecef_to_geodetic(receiver)).T
+    consts = constellations_present(sats)
+    g = np.zeros((len(sats), 3 + len(consts)))
+    for i, sat in enumerate(sats):
+        los = sat.sat_pos - receiver
+        rng = np.linalg.norm(los)
+        if rng == 0.0:
+            raise GeometryError(f"satellite {sat.sat_id} coincides with receiver")
+        g[i, :3] = enu_rot @ (los / rng)
+        g[i, 3 + consts.index(sat.constellation)] = 1.0
+    gtg = g.T @ g
+    if np.linalg.cond(gtg) > 1e12:
+        raise GeometryError("singular satellite geometry")
+    cov = np.linalg.inv(gtg)
+    return math.sqrt(cov[0, 0] + cov[1, 1]), np.linalg.cond(gtg)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(3, 12),
+    mixed=st.booleans(),
+    coincident=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hdop_matches_per_satellite_loop(n, mixed, coincident, seed):
+    rng = np.random.default_rng(seed)
+    sats = [
+        make_sat(
+            rng.uniform(0, 360),
+            rng.uniform(5, 89),
+            constellation=Constellation.BEIDOU if mixed and i % 2 else Constellation.GPS,
+            sat_id=f"S{i:02d}",
+        )
+        for i in range(n)
+    ]
+    receiver = geodetic_to_ecef(REF) + rng.normal(scale=50.0, size=3)
+    if coincident:
+        sats[-1].sat_pos = receiver.copy()
+    try:
+        expected, cond = hdop_per_satellite(sats, receiver)
+    except GeometryError:
+        with pytest.raises(GeometryError):
+            compute_hdop(sats, receiver)
+        return
+    # the two assemblies round differently and inverting G^T G magnifies that
+    # by its condition number (measured at most 0.3 * eps * cond): the bound
+    # is 1e-12 up to cond 4.5e3 and eps * cond for near-degenerate geometry
+    rel = max(1e-12, np.finfo(float).eps * cond)
+    assert compute_hdop(sats, receiver) == pytest.approx(expected, rel=rel)
+
+
+class TestSatObservation:
+    VALID = dict(
+        sat_id="G01",
+        constellation=Constellation.GPS,
+        sat_pos=np.array([1.5e7, 1.0e7, 1.8e7]),
+        pseudorange=2.2e7,
+        snr=45.0,
+        elevation=0.8,
+        azimuth=1.2,
+    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(["sat_pos", "pseudorange", "snr", "elevation", "azimuth"]),
+        bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+        axis=st.integers(0, 2),
+    )
+    def test_non_finite_field_rejected(self, name, bad, axis):
+        fields = dict(self.VALID)
+        if name == "sat_pos":
+            fields["sat_pos"] = fields["sat_pos"].copy()
+            fields["sat_pos"][axis] = bad
+        else:
+            fields[name] = bad
+        with pytest.raises(ValueError):
+            SatObservation(**fields)
+
+    def test_owns_its_position(self):
+        grid = np.full((2, 3), 1.5e7)
+        obs = SatObservation(**dict(self.VALID, sat_pos=grid[0]))
+        assert not np.shares_memory(obs.sat_pos, grid)
+        grid[0] = 0.0
+        assert np.all(obs.sat_pos == 1.5e7)
 
 
 class TestPseudorangeWeight:

@@ -13,7 +13,6 @@ from gnssins.residual_analysis import (
     lc_residual,
     match_components,
     pseudorange_residuals,
-    residual_window,
     summarize,
     tc_residual,
     window_sweep,
@@ -205,13 +204,6 @@ class TestSummarize:
     def test_empty_errors(self):
         with pytest.raises(ValueError):
             summarize([])
-
-
-def test_residual_window_selects_half_open_interval():
-    epochs = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
-    values = epochs * 10.0
-    out = residual_window(epochs, values, at_epoch=4.0, window=3.0)
-    assert np.allclose(out, [20.0, 30.0, 40.0])
 
 
 def test_window_sweep_rows():
