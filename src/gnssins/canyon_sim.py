@@ -16,7 +16,7 @@ span to emulate driving under dense high-rise cover.
 Geometry is computed in bulk: the IMU specific force for all samples at
 once, and satellite positions, azimuths, elevations and ranges for the whole
 epochs-by-tracks grid (``satellite_ecef_grid``, ``azimuth_elevation_grid``;
-the scalar ``satellite_ecef`` and ``azimuth_elevation`` are their reference).
+their per-pair scalar references live in the tests).
 The per-(epoch, track) loop then only applies the masks and draws the noise,
 in the same order as a per-pair computation would, so a seed gives the
 same random draws and the same dataset up to rounding.
@@ -337,35 +337,11 @@ def generate_constellation(cfg: SimConfig, rng: np.random.Generator) -> list[Sat
     return tracks
 
 
-def satellite_ecef(track: SatTrack, t: float, ref: Geodetic) -> np.ndarray:
-    """ECEF position on the MEO shell along the track's az/el at ``ref``."""
-    az_deg, el_deg = track.az_el_deg(t)
-    az, el = math.radians(az_deg), math.radians(el_deg)
-    u_enu = np.array(
-        [math.sin(az) * math.cos(el), math.cos(az) * math.cos(el), math.sin(el)]
-    )
-    r0 = geodetic_to_ecef(ref)
-    u = rotation_global_from_local(ref) @ u_enu
-    ru = float(r0 @ u)
-    slant = -ru + math.sqrt(ru**2 + MEO_RADIUS_M**2 - float(r0 @ r0))
-    return r0 + slant * u
-
-
-def azimuth_elevation(sat_pos: np.ndarray, receiver: np.ndarray) -> tuple[float, float]:
-    """Azimuth/elevation (radians) of a satellite seen from an ECEF receiver."""
-    geo = ecef_to_geodetic(receiver)
-    enu = rotation_global_from_local(geo).T @ (sat_pos - receiver)
-    rng = np.linalg.norm(enu)
-    el = math.asin(enu[2] / rng)
-    az = math.atan2(enu[0], enu[1]) % (2.0 * math.pi)
-    return az, el
-
-
 def satellite_ecef_grid(
     tracks: Sequence[SatTrack], t: np.ndarray, ref: Geodetic
 ) -> np.ndarray:
-    """:func:`satellite_ecef` for every time and track, as a
-    ``(len(t), len(tracks), 3)`` array."""
+    """ECEF positions on the MEO shell along each track's az/el at ``ref``, for
+    every time and track, as a ``(len(t), len(tracks), 3)`` array."""
     t = np.asarray(t, dtype=float)[:, None]
     names = ("az0_deg", "az_rate_deg", "el_center_deg", "el_amp_deg", "el_omega", "el_phase")
     az0, az_rate, el_center, el_amp, el_omega, el_phase = (
@@ -384,7 +360,7 @@ def satellite_ecef_grid(
 def azimuth_elevation_grid(
     sat_pos: np.ndarray, receivers: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`azimuth_elevation` of ``sat_pos[k, j]`` seen from ``receivers[k]``."""
+    """Azimuth/elevation (radians) of ``sat_pos[k, j]`` seen from the ECEF ``receivers[k]``."""
     lat, lon, _ = ecef_to_geodetic_array(receivers)
     enu = global_to_local_array(lat[:, None], lon[:, None], sat_pos - receivers[:, None, :])
     rng = np.sqrt(np.einsum("...i,...i->...", enu, enu))

@@ -13,8 +13,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .noise_models import GeometryError, SatObservation, ins_cov, motion_model_cov
+from .noise_models import (
+    GeometryError,
+    SatObservation,
+    ins_cov,
+    motion_model_cov,
+    pseudorange_rows,
+    stack_pseudoranges,
+)
 from .types import BIAS, POS, VEL, StateLayout
+
+CLOCK_RW_SIGMA = 5.0  # receiver clock random walk, meters per epoch
 
 
 @dataclass
@@ -33,13 +42,13 @@ class BeliefState:
             raise ValueError("belief dimensions do not match layout")
 
 
-def default_process_noise(layout: StateLayout, clock_rw_sigma: float = 5.0) -> np.ndarray:
+def default_process_noise(layout: StateLayout) -> np.ndarray:
     """Per-epoch process noise diagonal.
 
-    Position and bias blocks reuse the motion-model factor variances, the
-    velocity block reuses the INS factor variances, so the filter runs on the
-    same covariance constants as the factor graph. Clock biases random-walk
-    with ``clock_rw_sigma`` meters per epoch.
+    Position and bias blocks are the motion-model factor variances, the
+    velocity block the INS factor variances, and clock biases random-walk
+    with ``CLOCK_RW_SIGMA`` meters per epoch. The factor graph's edges use
+    this same diagonal.
     """
     mm = motion_model_cov()
     q = np.empty(layout.dim)
@@ -47,7 +56,7 @@ def default_process_noise(layout: StateLayout, clock_rw_sigma: float = 5.0) -> n
     q[VEL] = ins_cov()
     q[BIAS] = mm[3:]
     if layout.has_clock:
-        q[layout.clock_slice()] = clock_rw_sigma**2
+        q[layout.clock_slice()] = CLOCK_RW_SIGMA**2
     return q
 
 
@@ -55,7 +64,6 @@ def accumulated_process_noise(
     layout: StateLayout,
     steps: int,
     dt_total: float = 1.0,
-    clock_rw_sigma: float = 5.0,
 ) -> np.ndarray:
     """Process noise for one epoch predicted as ``steps`` sub-predictions.
 
@@ -63,7 +71,7 @@ def accumulated_process_noise(
     sample; velocity noise injected early in the epoch also integrates into
     position, producing position/velocity cross terms.
     """
-    q = default_process_noise(layout, clock_rw_sigma)
+    q = default_process_noise(layout)
     n = max(int(steps), 1)
     dt_s = dt_total / n
     qp, qv = q[POS], q[VEL]
@@ -140,38 +148,16 @@ def update_lc(b: BeliefState, fix: np.ndarray, r_diag: np.ndarray) -> BeliefStat
     return _kalman_update(b, h, innovation, r_diag)
 
 
-def predicted_pseudorange(state: np.ndarray, sat: SatObservation, layout: StateLayout) -> float:
-    rng = float(np.linalg.norm(sat.sat_pos - state[POS]))
-    if rng == 0.0:
-        raise GeometryError(f"satellite {sat.sat_id} coincides with receiver")
-    clock = state[layout.clock_index(sat.constellation)] if layout.has_clock else 0.0
-    return rng + clock
-
-
-def pseudorange_jacobian_row(
-    state: np.ndarray, sat: SatObservation, layout: StateLayout
-) -> np.ndarray:
-    """Row of the TC observation Jacobian for one satellite."""
-    row = np.zeros(layout.dim)
-    los = sat.sat_pos - state[POS]
-    rng = np.linalg.norm(los)
-    if rng == 0.0:
-        raise GeometryError(f"satellite {sat.sat_id} coincides with receiver")
-    row[POS] = -los / rng
-    if layout.has_clock:
-        row[layout.clock_index(sat.constellation)] = 1.0
-    return row
-
-
 def update_tc(
     b: BeliefState, sats: Sequence[SatObservation], r_diag: np.ndarray
 ) -> BeliefState:
-    """Pseudorange update: one observation row per satellite."""
+    """Pseudorange update: one observation row per satellite.
+
+    The innovation is the pseudorange residual at the prior mean, and ``H`` is
+    minus the residual's Jacobian.
+    """
     if not sats:
         raise ValueError("empty satellite list")
-    h = np.zeros((len(sats), b.layout.dim))
-    innovation = np.zeros(len(sats))
-    for i, sat in enumerate(sats):
-        h[i] = pseudorange_jacobian_row(b.mean, sat, b.layout)
-        innovation[i] = sat.pseudorange - predicted_pseudorange(b.mean, sat, b.layout)
-    return _kalman_update(b, h, innovation, r_diag)
+    arrays = stack_pseudoranges(sats, b.layout.clock_index)
+    innovation, jac = pseudorange_rows(*arrays, 0, b.mean[None, :], jacobian=True)
+    return _kalman_update(b, -jac, innovation, r_diag)

@@ -7,6 +7,13 @@ GNSS information enters either as one position-fix factor per epoch (LC) or
 one pseudorange factor per satellite (TC). The oldest in-window state is
 anchored with a prior at its previously optimized value; window size 1 keeps
 the current and last epochs only, while batch mode keeps everything.
+
+The edges use the filter's per-epoch process noise and the trajectory's first
+state the filter's initial covariance (:mod:`ekf`), so the two families share
+one set of noise constants. Once the window slides, the anchor's position and
+velocity variances depend on the coupling (:data:`SLIDING_ANCHOR_VAR`). Both
+families start from :func:`initial_state` and seed velocity from
+:func:`position_seed`.
 """
 
 from __future__ import annotations
@@ -19,15 +26,16 @@ from typing import Optional
 
 import numpy as np
 
+from .ekf import default_process_noise, initial_covariance
 from .frames import body_accel_to_ecef, ecef_to_geodetic
 from .noise_models import (
     GeometryError,
     SatObservation,
     WeightingParams,
     compute_hdop,
-    ins_cov,
     lc_fix_covariance,
-    motion_model_cov,
+    pseudorange_rows,
+    stack_pseudoranges,
     tc_covariance,
 )
 from .nls_solver import (
@@ -50,23 +58,18 @@ from .types import (
 
 BATCH = None  # window_size value meaning "keep all epochs"
 
+# position and velocity variances of the sliding anchor, by coupling. The
+# anchor approximates the marginal of the state being cut off; fix-level (LC)
+# information leaves a far wider marginal than pseudorange-level (TC)
+# information does
+SLIDING_ANCHOR_VAR = {"lc": (25.0, 1.0), "tc": (1.0, 0.1)}
+
 
 @dataclass
 class FgoConfig:
     mode: str = "tc"  # "lc" or "tc"
     window_size: Optional[int] = 30  # epochs; None (BATCH) keeps everything
     weighting: WeightingParams = field(default_factory=WeightingParams)
-    motion_cov: np.ndarray = field(default_factory=motion_model_cov)
-    ins_cov_diag: np.ndarray = field(default_factory=ins_cov)
-    clock_rw_sigma: float = 5.0
-    prior_pos_var: float = 1.0
-    prior_vel_var: float = 0.1
-    prior_bias_var: float = 1e-4
-    prior_clock_var: float = 25.0
-    initial_pos_var: float = 100.0
-    initial_vel_var: float = 10.0
-    initial_bias_var: float = 1e-2
-    initial_clock_var: float = 100.0**2
     cov_scale: float = 1.0
     lm: LmConfig = field(default_factory=LmConfig)
 
@@ -75,25 +78,6 @@ class FgoConfig:
             raise ValueError(f"mode must be 'lc' or 'tc', got {self.mode!r}")
         if self.window_size is not None and self.window_size < 1:
             raise ValueError("window_size must be >= 1 (or None for batch)")
-
-    def prior_cov(self, layout: StateLayout) -> np.ndarray:
-        p = np.empty(layout.dim)
-        p[POS] = self.prior_pos_var
-        p[VEL] = self.prior_vel_var
-        p[BIAS] = self.prior_bias_var
-        if layout.has_clock:
-            p[layout.clock_slice()] = self.prior_clock_var
-        return p
-
-    def initial_prior_cov(self, layout: StateLayout) -> np.ndarray:
-        """Wide prior for the trajectory's first state, before any slide."""
-        p = np.empty(layout.dim)
-        p[POS] = self.initial_pos_var
-        p[VEL] = self.initial_vel_var
-        p[BIAS] = self.initial_bias_var
-        if layout.has_clock:
-            p[layout.clock_slice()] = self.initial_clock_var
-        return p
 
 
 def motion_factor(
@@ -241,37 +225,6 @@ def clock_walk_factor(
     )
 
 
-def pseudorange_rows(
-    sat_pos: np.ndarray,
-    pseudorange: np.ndarray,
-    clock_col: np.ndarray,
-    slot: np.ndarray,
-    x: np.ndarray,
-    jacobian: bool,
-):
-    """Stacked pseudorange model: row ``i`` measures satellite ``sat_pos[i]``
-    from state ``x[slot[i]]`` (``x`` is ``(slots, dim)``), with its clock bias in
-    column ``clock_col[i]``.
-
-    Returns the raw residuals ``pseudorange - range - clock`` and, if
-    ``jacobian``, their Jacobian rows with respect to each row's own state:
-    the line-of-sight unit vector on position and -1 on the clock (None
-    otherwise). Raises GeometryError when a satellite coincides with its
-    receiver.
-    """
-    los = sat_pos - x[slot, 0:3]
-    rng = np.sqrt(np.einsum("ij,ij->i", los, los))
-    if (rng == 0.0).any():
-        raise GeometryError("a satellite coincides with the receiver")
-    resid = pseudorange - rng - x[slot, clock_col]
-    jac = None
-    if jacobian:
-        jac = np.zeros((rng.size, x.shape[1]))
-        jac[:, 0:3] = los / rng[:, None]
-        jac[np.arange(rng.size), clock_col] = -1.0
-    return resid, jac
-
-
 @dataclass
 class EpochEntry:
     """Internal per-epoch record kept by the estimator.
@@ -357,11 +310,7 @@ class FactorWindow:
             raise ValueError("dt must be positive")
         self.accel = np.array([e.accel_ecef for e in self.entries[1:]], dtype=float).reshape(-1, 3)
         self.accel_dt = self.accel * self.dt[:, None]
-        edge_var = np.empty(d)
-        edge_var[POS] = cfg.motion_cov[0:3] * scale
-        edge_var[VEL] = cfg.ins_cov_diag * scale
-        edge_var[BIAS] = cfg.motion_cov[3:6] * scale
-        edge_var[9:] = (cfg.clock_rw_sigma * np.sqrt(scale)) ** 2
+        self.edge_var = default_process_noise(layout) * scale
         self.jac_prev = np.broadcast_to(-np.eye(d), (n - 1, d, d)).copy()
         self.jac_prev[:, POS, VEL] = -self.dt[:, None, None] * np.eye(3)
 
@@ -385,7 +334,7 @@ class FactorWindow:
         ) * scale
 
         self.prior_w = 1.0 / np.sqrt(self.prior_var)
-        self.edge_w = 1.0 / np.sqrt(edge_var)
+        self.edge_w = 1.0 / np.sqrt(self.edge_var)
         self.fix_w = 1.0 / np.sqrt(self.fix_var)
         self.pr_w = 1.0 / np.sqrt(pr_var)
 
@@ -476,7 +425,7 @@ class FactorWindow:
 
     def _block(self, i: int) -> ResidualBlock:
         """The ``i``-th factor as a per-block oracle :class:`ResidualBlock`."""
-        cfg, layout, scale = self.cfg, self.layout, self.cfg.cov_scale
+        layout, edge_var, scale = self.layout, self.edge_var, self.cfg.cov_scale
         if i == 0:
             return prior_factor(0, self.prior_value, self.prior_var, layout)
         i -= 1
@@ -484,10 +433,11 @@ class FactorWindow:
             edge, kind = divmod(i, self._per_edge)
             k, dt = edge + 1, self.dt[edge]
             if kind == 0:
-                return motion_factor(k - 1, k, dt, cfg.motion_cov * scale, layout)
+                motion_var = np.concatenate((edge_var[POS], edge_var[BIAS]))
+                return motion_factor(k - 1, k, dt, motion_var, layout)
             if kind == 1:
-                return ins_factor(k - 1, k, self.accel[edge], dt, cfg.ins_cov_diag * scale, layout)
-            return clock_walk_factor(k - 1, k, cfg.clock_rw_sigma * np.sqrt(scale), layout)
+                return ins_factor(k - 1, k, self.accel[edge], dt, edge_var[VEL], layout)
+            return clock_walk_factor(k - 1, k, math.sqrt(edge_var[9]), layout)
         i -= self._n_edge_blocks
         if i < self.fix_epoch.size:
             return gnss_fix_factor(int(self.fix_epoch[i]), self.fix_pos[i], self.fix_var[i], layout)
@@ -519,10 +469,15 @@ def build_window(
     else:
         n_states = min(cfg.window_size + 1, n_avail)
     base = n_avail - n_states
-    # the very first trajectory state carries a wide prior; once the window
-    # has slid past it, the anchor re-pins the oldest state at its previously
-    # optimized value with the tight sliding prior
-    anchor_var = cfg.initial_prior_cov(layout) if base == 0 else cfg.prior_cov(layout)
+    # the very first trajectory state carries the filter's initial
+    # covariance; once the window has slid past it, the anchor re-pins the
+    # oldest state at its previously optimized value with the tight sliding
+    # prior, whose bias and clock variances are one epoch of process noise
+    if base == 0:
+        anchor_var = np.diag(initial_covariance(layout))
+    else:
+        anchor_var = default_process_noise(layout)
+        anchor_var[POS], anchor_var[VEL] = SLIDING_ANCHOR_VAR[cfg.mode]
     return FactorWindow(entries[base:], cfg, layout, anchor_var)
 
 
@@ -546,16 +501,13 @@ class EpochWls:
         self.dim = 3 + len(self.constellations)
         if len(sats) < self.dim:
             raise GeometryError(f"{len(sats)} satellites cannot determine {self.dim} unknowns")
-        self.sat_pos = np.array([s.sat_pos for s in sats], dtype=float)
-        self.pseudorange = np.array([s.pseudorange for s in sats], dtype=float)
-        self.clock_col = np.array(
-            [3 + self.constellations.index(s.constellation) for s in sats], dtype=int
+        self.sat_pos, self.pseudorange, self.clock_col = stack_pseudoranges(
+            sats, lambda c: 3 + self.constellations.index(c)
         )
         self.w = 1.0 / np.sqrt(tc_covariance(sats, weighting))
         self.initial_values = np.zeros(self.dim)
         if initial is not None:
             self.initial_values[0:3] = np.asarray(initial, dtype=float)
-        self._slot = np.zeros(len(sats), dtype=int)
         # J^T J is dense: its upper triangle fills a band of width dim - 1
         self._tri = np.triu_indices(self.dim)
         self._band_at = (self.dim - 1 + self._tri[0] - self._tri[1], self._tri[1])
@@ -563,7 +515,7 @@ class EpochWls:
     def _whitened(self, values: np.ndarray, jacobian: bool = False):
         x = np.asarray(values, dtype=float).reshape(1, self.dim)
         resid, jac = pseudorange_rows(
-            self.sat_pos, self.pseudorange, self.clock_col, self._slot, x, jacobian
+            self.sat_pos, self.pseudorange, self.clock_col, 0, x, jacobian
         )
         rw = self.w * resid
         cost = float(rw @ rw)
@@ -605,6 +557,48 @@ def single_epoch_wls(
     return pos, clocks
 
 
+def initial_state(
+    meas: EpochMeasurements, mode: str, layout: StateLayout, weighting: WeightingParams
+) -> np.ndarray:
+    """First state of a trajectory, for both estimator families.
+
+    Position is the LC fix when there is one, else the single-epoch WLS
+    solution, whose clock biases fill the layout's clock states. Velocity and
+    bias start at zero. Raises GeometryError when the epoch has neither.
+    """
+    state = layout.zeros()
+    if mode == "lc" and meas.fix_available:
+        state[POS] = meas.fix_pos
+    elif meas.sats:
+        pos, clocks = single_epoch_wls(meas.sats, weighting)
+        state[POS] = pos
+        for c, value in clocks.items():
+            if c in layout.constellations:
+                state[layout.clock_index(c)] = value
+    else:
+        raise GeometryError("cannot initialize: no fix and no satellites")
+    return state
+
+
+def position_seed(
+    meas: EpochMeasurements, mode: str, weighting: WeightingParams, prev_pos: np.ndarray
+) -> Optional[np.ndarray]:
+    """Position of the second epoch for the two-point velocity seed.
+
+    The LC fix, or for TC a single-epoch WLS started at ``prev_pos`` when at
+    least five satellites are in view; None when the epoch gives neither.
+    """
+    if mode == "lc":
+        return np.asarray(meas.fix_pos, dtype=float) if meas.fix_available else None
+    if len(meas.sats) < 5:
+        return None
+    try:
+        pos, _ = single_epoch_wls(meas.sats, weighting, initial=prev_pos)
+    except GeometryError:
+        return None
+    return pos
+
+
 @dataclass
 class FgoStepResult:
     state: np.ndarray
@@ -636,47 +630,16 @@ class FgoEstimator:
             entry.fix_cov = lc_fix_covariance(hdop, self.cfg.weighting.s_user)
         if self.cfg.mode == "tc" and meas.sats:
             entry.pr_sigma2 = tc_covariance(meas.sats, self.cfg.weighting)
-            entry.sat_pos = np.array([s.sat_pos for s in meas.sats], dtype=float)
-            entry.pseudorange = np.array([s.pseudorange for s in meas.sats], dtype=float)
-            entry.clock_col = np.array(
-                [self.layout.clock_index(s.constellation) for s in meas.sats], dtype=int
+            entry.sat_pos, entry.pseudorange, entry.clock_col = stack_pseudoranges(
+                meas.sats, self.layout.clock_index
             )
         return entry
-
-    def _position_measurement(
-        self, meas: EpochMeasurements, prev_state: np.ndarray
-    ) -> Optional[np.ndarray]:
-        if self.cfg.mode == "lc":
-            return np.asarray(meas.fix_pos, dtype=float) if meas.fix_available else None
-        if len(meas.sats) >= 5:
-            try:
-                pos, _ = single_epoch_wls(
-                    meas.sats, self.cfg.weighting, initial=prev_state[POS]
-                )
-                return pos
-            except GeometryError:
-                return None
-        return None
-
-    def _initialize(self, meas: EpochMeasurements) -> EpochEntry:
-        state = self.layout.zeros()
-        if self.cfg.mode == "lc" and meas.fix_available:
-            state[POS] = meas.fix_pos
-        elif meas.sats:
-            pos, clocks = single_epoch_wls(meas.sats, self.cfg.weighting)
-            state[POS] = pos
-            if self.layout.has_clock:
-                for c, value in clocks.items():
-                    if c in self.layout.constellations:
-                        state[self.layout.clock_index(c)] = value
-        else:
-            raise GeometryError("cannot initialize: no fix and no satellites")
-        return self._entry(meas, state, np.zeros(3))
 
     def step(self, meas: EpochMeasurements) -> FgoStepResult:
         t0 = time.perf_counter()
         if not self.entries:
-            entry = self._initialize(meas)
+            state = initial_state(meas, self.cfg.mode, self.layout, self.cfg.weighting)
+            entry = self._entry(meas, state, np.zeros(3))
             self.entries.append(entry)
             return FgoStepResult(
                 entry.state.copy(), time.perf_counter() - t0, 0, 0.0, True
@@ -696,7 +659,7 @@ class FgoEstimator:
             # two-point velocity seed: difference the first two position
             # solutions. Updating the stored first state matters because the
             # anchor prior pins its value, which otherwise stays at zero.
-            seed = self._position_measurement(meas, prev.state)
+            seed = position_seed(meas, self.cfg.mode, self.cfg.weighting, prev.state[POS])
             if seed is not None:
                 vel_seed = (seed - prev.state[POS]) / meas.dt
                 prev.state[VEL] = vel_seed.copy()

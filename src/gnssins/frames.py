@@ -183,14 +183,8 @@ def global_to_local_array(lat: np.ndarray, lon: np.ndarray, v: np.ndarray) -> np
     return np.stack((east, north, up), axis=-1)
 
 
-def ecef_to_enu(ref: Geodetic, p: np.ndarray) -> np.ndarray:
-    """Express ECEF point ``p`` in the ENU frame anchored at ``ref``."""
-    delta = np.asarray(p, dtype=float) - geodetic_to_ecef(ref)
-    return rotation_global_from_local(ref).T @ delta
-
-
 def enu_to_ecef(ref: Geodetic, enu: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`ecef_to_enu`."""
+    """ECEF point of the ENU coordinates ``enu`` in the frame anchored at ``ref``."""
     return geodetic_to_ecef(ref) + rotation_global_from_local(ref) @ np.asarray(enu, dtype=float)
 
 

@@ -16,9 +16,11 @@ import numpy as np
 
 from . import ekf
 from .canyon_sim import Dataset, generate_lc_fixes
-from .fgo import FgoConfig, FgoEstimator, single_epoch_wls
+# single_epoch_wls is not called here; it stays imported only because the
+# benchmark tracer wraps harness.single_epoch_wls as a call site
+from .fgo import FgoConfig, FgoEstimator, initial_state, position_seed, single_epoch_wls
 from .frames import body_accel_to_ecef, ecef_to_geodetic
-from .noise_models import GeometryError, WeightingParams, lc_fix_covariance, tc_covariance
+from .noise_models import WeightingParams, lc_fix_covariance, tc_covariance
 from .nls_solver import LmConfig
 from .residual_analysis import (
     EpochRecord,
@@ -37,7 +39,6 @@ class RunConfig:
     estimator: str = "fgo-tc"
     window: Optional[int] = 30  # epochs; None means batch
     weighting: WeightingParams = field(default_factory=WeightingParams)
-    clock_rw_sigma: float = 5.0
     cov_scale: float = 1.0
     # the EKF predicts as INS measurements arrive, so per-epoch process noise
     # accumulates over imu_rate/gnss_rate prediction steps; the factor graph
@@ -89,48 +90,23 @@ class _EkfRunner:
         self.layout = layout
         self.cfg = cfg
         self.belief: Optional[ekf.BeliefState] = None
-        self.process_noise = ekf.accumulated_process_noise(
-            layout, cfg.ekf_predict_steps, clock_rw_sigma=cfg.clock_rw_sigma
-        )
+        self.process_noise = ekf.accumulated_process_noise(layout, cfg.ekf_predict_steps)
         self._vel_seeded = False
-
-    def _position_measurement(self, meas: EpochMeasurements) -> Optional[np.ndarray]:
-        if self.coupling == "lc":
-            return meas.fix_pos if meas.fix_available else None
-        if len(meas.sats) >= 5:
-            try:
-                pos, _ = single_epoch_wls(
-                    meas.sats, self.cfg.weighting, initial=self.belief.mean[POS]
-                )
-                return pos
-            except GeometryError:
-                return None
-        return None
-
-    def _initialize(self, meas: EpochMeasurements) -> ekf.BeliefState:
-        mean = self.layout.zeros()
-        if self.coupling == "lc" and meas.fix_available:
-            mean[POS] = meas.fix_pos
-        elif meas.sats:
-            pos, clocks = single_epoch_wls(meas.sats, self.cfg.weighting)
-            mean[POS] = pos
-            if self.layout.has_clock:
-                for c, value in clocks.items():
-                    if c in self.layout.constellations:
-                        mean[self.layout.clock_index(c)] = value
-        else:
-            raise GeometryError("cannot initialize: no fix and no satellites")
-        return ekf.BeliefState(mean, ekf.initial_covariance(self.layout), self.layout)
+        self._t_prev = -np.inf
 
     def step(self, meas: EpochMeasurements) -> np.ndarray:
+        if meas.t <= self._t_prev:
+            raise ValueError("epochs must arrive in strictly increasing time order")
+        self._t_prev = meas.t
         if self.belief is None:
-            self.belief = self._initialize(meas)
-            return self.belief.mean.copy()
+            mean = initial_state(meas, self.coupling, self.layout, self.cfg.weighting)
+            self.belief = ekf.BeliefState(mean, ekf.initial_covariance(self.layout), self.layout)
+            return mean.copy()
         if not self._vel_seeded:
             # receiver-style two-point velocity seed: difference the first
             # two position solutions instead of starting blind from zero
             self._vel_seeded = True
-            z = self._position_measurement(meas)
+            z = position_seed(meas, self.coupling, self.cfg.weighting, self.belief.mean[POS])
             if z is not None:
                 self.belief.mean[VEL] = (z - self.belief.mean[POS]) / meas.dt
         geo = ecef_to_geodetic(self.belief.mean[POS])
@@ -167,21 +143,11 @@ def run_estimator(ds: Dataset, cfg: RunConfig) -> RunResult:
     if cfg.family == "ekf":
         stepper = _EkfRunner(cfg.coupling, layout, cfg)
     else:
-        # the sliding anchor approximates the marginal of the state being cut
-        # off; fix-level (LC) information leaves a far wider marginal than
-        # pseudorange-level (TC) information does
-        if cfg.coupling == "lc":
-            prior_pos_var, prior_vel_var = 25.0, 1.0
-        else:
-            prior_pos_var, prior_vel_var = 1.0, 0.1
         fgo_cfg = FgoConfig(
             mode=cfg.coupling,
             window_size=cfg.window,
             weighting=cfg.weighting,
-            clock_rw_sigma=cfg.clock_rw_sigma,
             cov_scale=cfg.cov_scale,
-            prior_pos_var=prior_pos_var,
-            prior_vel_var=prior_vel_var,
             lm=cfg.lm,
         )
         stepper = FgoEstimator(fgo_cfg, layout)
@@ -228,6 +194,8 @@ def run_estimator(ds: Dataset, cfg: RunConfig) -> RunResult:
 
 
 def _err2d(ds: Dataset, state: np.ndarray, k: int) -> float:
+    # looked up at call time, so a caller that replaces
+    # residual_analysis.error_2d (a tracer or a timing probe) sees every call
     from .residual_analysis import error_2d
 
     return error_2d(state[POS], ds.truth_pos[k], ds.ref)
@@ -247,12 +215,17 @@ def compare(
 def sweep_windows(
     ds: Dataset, sizes: Sequence[Optional[int]], base: Optional[RunConfig] = None
 ) -> list[dict]:
-    """Window-size sweep of the TC factor-graph estimator."""
-    from .residual_analysis import window_sweep
+    """Window-size sweep of the TC factor-graph estimator over identical data.
 
+    One row per size (an int, or None for batch): the window and the run's
+    summary.
+    """
+    sizes = list(sizes)
+    if not sizes:
+        raise ValueError("no window sizes requested")
     base = base or RunConfig()
-
-    def run_one(size):
-        return run_estimator(ds, replace(base, estimator="fgo-tc", window=size)).records
-
-    return window_sweep(run_one, list(sizes))
+    rows = []
+    for size in sizes:
+        result = run_estimator(ds, replace(base, estimator="fgo-tc", window=size))
+        rows.append({"window": "batch" if size is None else int(size), **result.summary})
+    return rows

@@ -4,13 +4,17 @@ Loosely coupled position fixes are weighted by HDOP times a user-equivalent
 range error; tightly coupled pseudoranges are weighted per satellite from
 elevation and SNR. The process-side factor covariances (motion model, INS)
 are fixed diagonals taken from the inertial unit specification.
+
+The pseudorange model itself, :func:`pseudorange_rows`, lives here too, next
+to the observation type it reads, so that the filter, the factor graph and
+the residual analysis all evaluate the same one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -75,6 +79,50 @@ class SatObservation:
             raise ValueError(f"elevation {self.elevation} outside (0, pi/2]")
         if self.pseudorange <= 0:
             raise ValueError("pseudorange must be positive")
+
+
+def stack_pseudoranges(
+    sats: Sequence[SatObservation], clock_index: Callable[[Constellation], int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Satellite positions ``(m, 3)``, pseudoranges and state clock columns of ``sats``.
+
+    ``clock_index`` maps a constellation to the state column of its clock bias.
+    """
+    sat_pos = np.array([s.sat_pos for s in sats], dtype=float).reshape(-1, 3)
+    pseudorange = np.array([s.pseudorange for s in sats], dtype=float)
+    clock_col = np.array([clock_index(s.constellation) for s in sats], dtype=int)
+    return sat_pos, pseudorange, clock_col
+
+
+def pseudorange_rows(
+    sat_pos: np.ndarray,
+    pseudorange: np.ndarray,
+    clock_col: np.ndarray,
+    slot,
+    x: np.ndarray,
+    jacobian: bool,
+):
+    """Stacked pseudorange model: row ``i`` measures satellite ``sat_pos[i]``
+    from state ``x[slot[i]]`` (``x`` is ``(slots, dim)``; a scalar ``slot``
+    applies to every row), with its clock bias in column ``clock_col[i]``.
+
+    Returns the raw residuals ``pseudorange - range - clock`` and, if
+    ``jacobian``, their Jacobian rows with respect to each row's own state:
+    the line-of-sight unit vector on position and -1 on the clock (None
+    otherwise). Raises GeometryError when a satellite coincides with its
+    receiver.
+    """
+    los = sat_pos - x[slot, 0:3]
+    rng = np.sqrt(np.einsum("ij,ij->i", los, los))
+    if (rng == 0.0).any():
+        raise GeometryError("a satellite coincides with the receiver")
+    resid = pseudorange - rng - x[slot, clock_col]
+    jac = None
+    if jacobian:
+        jac = np.zeros((rng.size, x.shape[1]))
+        jac[:, 0:3] = los / rng[:, None]
+        jac[np.arange(rng.size), clock_col] = -1.0
+    return resid, jac
 
 
 def lc_fix_covariance(hdop: float, s_user: float) -> np.ndarray:

@@ -13,12 +13,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .frames import Geodetic, rotation_global_from_local
-from .noise_models import SatObservation
+from .noise_models import SatObservation, pseudorange_rows, stack_pseudoranges
 from .types import POS, StateLayout
 
 
@@ -51,12 +51,8 @@ def pseudorange_residuals(
     sats: Sequence[SatObservation], state: np.ndarray, layout: StateLayout
 ) -> np.ndarray:
     """Raw (unwhitened) pseudorange residuals at the optimized state."""
-    out = np.empty(len(sats))
-    for i, sat in enumerate(sats):
-        rng = float(np.linalg.norm(sat.sat_pos - state[POS]))
-        clock = state[layout.clock_index(sat.constellation)] if layout.has_clock else 0.0
-        out[i] = sat.pseudorange - rng - clock
-    return out
+    arrays = stack_pseudoranges(sats, layout.clock_index)
+    return pseudorange_rows(*arrays, 0, np.asarray(state, dtype=float)[None, :], jacobian=False)[0]
 
 
 def tc_residual(sats: Sequence[SatObservation], state: np.ndarray, layout: StateLayout) -> float:
@@ -179,21 +175,3 @@ def summarize(records: Sequence[EpochRecord]) -> dict:
         "total_time": float(sum(r.solve_time for r in records)),
         "epochs": len(records),
     }
-
-
-def window_sweep(
-    run_fn: Callable[[object], Sequence[EpochRecord]], sizes: Sequence[object]
-) -> list[dict]:
-    """One full estimator run per window size over identical data.
-
-    ``run_fn`` maps a window size (int or None for batch) to epoch records.
-    """
-    if not sizes:
-        raise ValueError("no window sizes requested")
-    rows = []
-    for size in sizes:
-        records = run_fn(size)
-        row = {"window": "batch" if size is None else int(size)}
-        row.update(summarize(records))
-        rows.append(row)
-    return rows

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from gnssins.canyon_sim import (
     HARD_HORIZON_RAD,
+    MEO_RADIUS_M,
     DeepInterval,
     MaskSector,
+    SatTrack,
     SimConfig,
     Waypoint,
-    azimuth_elevation,
     build_trajectory,
     config_from_dict,
     config_to_dict,
@@ -21,7 +22,6 @@ from gnssins.canyon_sim import (
     generate_lc_fixes,
     noise_free_config,
     read_dataset,
-    satellite_ecef,
     simulate,
     write_dataset,
 )
@@ -35,6 +35,32 @@ from gnssins.frames import (
     rotation_local_from_body,
 )
 from gnssins.types import Constellation
+
+
+def satellite_ecef(track: SatTrack, t: float, ref: Geodetic) -> np.ndarray:
+    """Scalar oracle of ``satellite_ecef_grid``: ECEF position on the MEO shell
+    along the track's az/el at ``ref``."""
+    az_deg, el_deg = track.az_el_deg(t)
+    az, el = math.radians(az_deg), math.radians(el_deg)
+    u_enu = np.array(
+        [math.sin(az) * math.cos(el), math.cos(az) * math.cos(el), math.sin(el)]
+    )
+    r0 = geodetic_to_ecef(ref)
+    u = rotation_global_from_local(ref) @ u_enu
+    ru = float(r0 @ u)
+    slant = -ru + math.sqrt(ru**2 + MEO_RADIUS_M**2 - float(r0 @ r0))
+    return r0 + slant * u
+
+
+def azimuth_elevation(sat_pos: np.ndarray, receiver: np.ndarray) -> tuple[float, float]:
+    """Scalar oracle of ``azimuth_elevation_grid``: azimuth/elevation (radians)
+    of a satellite seen from an ECEF receiver."""
+    geo = ecef_to_geodetic(receiver)
+    enu = rotation_global_from_local(geo).T @ (sat_pos - receiver)
+    rng = np.linalg.norm(enu)
+    el = math.asin(enu[2] / rng)
+    az = math.atan2(enu[0], enu[1]) % (2.0 * math.pi)
+    return az, el
 
 
 def small_canyon(seed=3, duration=40.0):

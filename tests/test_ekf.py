@@ -2,14 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gnssins.ekf import (
     BeliefState,
     default_process_noise,
     initial_covariance,
     predict,
-    predicted_pseudorange,
-    pseudorange_jacobian_row,
     update_lc,
     update_tc,
 )
@@ -18,6 +18,30 @@ from gnssins.types import Constellation, StateLayout
 
 LC = StateLayout()
 TC = StateLayout((Constellation.GPS, Constellation.BEIDOU))
+
+
+def predicted_pseudorange(state: np.ndarray, sat: SatObservation, layout: StateLayout) -> float:
+    """Per-satellite oracle of the pseudorange model: range plus clock bias."""
+    rng = float(np.linalg.norm(sat.sat_pos - state[0:3]))
+    if rng == 0.0:
+        raise GeometryError(f"satellite {sat.sat_id} coincides with receiver")
+    clock = state[layout.clock_index(sat.constellation)] if layout.has_clock else 0.0
+    return rng + clock
+
+
+def pseudorange_jacobian_row(
+    state: np.ndarray, sat: SatObservation, layout: StateLayout
+) -> np.ndarray:
+    """Per-satellite oracle of one row of the TC observation Jacobian."""
+    row = np.zeros(layout.dim)
+    los = sat.sat_pos - state[0:3]
+    rng = np.linalg.norm(los)
+    if rng == 0.0:
+        raise GeometryError(f"satellite {sat.sat_id} coincides with receiver")
+    row[0:3] = -los / rng
+    if layout.has_clock:
+        row[layout.clock_index(sat.constellation)] = 1.0
+    return row
 
 
 def make_belief(layout, rng=None):
@@ -194,6 +218,39 @@ class TestUpdateTc:
                 prior.mean[0:3] - truth[0:3]
             ) + 1e-9
 
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_sats=st.integers(1, 10))
+    def test_matches_per_satellite_oracle(self, seed, n_sats):
+        # the stacked kernel against a textbook update built from the
+        # per-satellite model; only the range rounding differs
+        rng = np.random.default_rng(seed)
+        mean = rng.normal(scale=100.0, size=TC.dim)
+        a = rng.normal(size=(TC.dim, TC.dim))
+        cov = np.diag(np.diag(initial_covariance(TC)) * rng.uniform(0.1, 10.0, TC.dim)) + a @ a.T
+        prior = BeliefState(mean, cov, TC)
+        sats = []
+        for i in range(n_sats):
+            direction = rng.normal(size=3)
+            pos = mean[0:3] + 2.2e7 * direction / np.linalg.norm(direction)
+            constellation = (Constellation.GPS, Constellation.BEIDOU)[int(rng.integers(2))]
+            rho = 2.2e7 + mean[TC.clock_index(constellation)] + rng.normal(scale=20.0)
+            sats.append(make_sat(pos, constellation, pseudorange=rho, sat_id=f"S{i}"))
+        r_diag = rng.uniform(0.5, 50.0, size=n_sats)
+
+        h = np.array([pseudorange_jacobian_row(mean, sat, TC) for sat in sats])
+        innovation = np.array(
+            [sat.pseudorange - predicted_pseudorange(mean, sat, TC) for sat in sats]
+        )
+        r = np.diag(r_diag)
+        k = cov @ h.T @ np.linalg.inv(h @ cov @ h.T + r)
+        ikh = np.eye(TC.dim) - k @ h
+        expected_mean = mean + k @ innovation
+        expected_cov = ikh @ cov @ ikh.T + k @ r @ k.T
+
+        post = update_tc(prior, sats, r_diag)
+        for got, want in ((post.mean, expected_mean), (post.cov, expected_cov)):
+            assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
     def test_coincident_satellite_raises(self):
         b = make_belief(TC)
         sat = make_sat([0.0, 0.0, 0.0])
@@ -206,7 +263,7 @@ class TestUpdateTc:
 
 
 def test_default_process_noise_blocks():
-    q = default_process_noise(TC, clock_rw_sigma=5.0)
+    q = default_process_noise(TC)
     assert np.allclose(q[0:3], 0.09)
     assert np.allclose(q[3:6], 0.0225)
     assert np.allclose(q[6:9], 1e-4)

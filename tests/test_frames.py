@@ -10,7 +10,6 @@ from gnssins.frames import (
     EulerAngles,
     Geodetic,
     body_accel_to_ecef,
-    ecef_to_enu,
     ecef_to_geodetic,
     ecef_to_geodetic_array,
     enu_to_ecef,
@@ -19,6 +18,13 @@ from gnssins.frames import (
     rotation_global_from_local,
     rotation_local_from_body,
 )
+
+
+def ecef_to_enu(ref: Geodetic, p: np.ndarray) -> np.ndarray:
+    """Express ECEF point ``p`` in the ENU frame anchored at ``ref`` (the
+    inverse that ``enu_to_ecef`` is checked against)."""
+    delta = np.asarray(p, dtype=float) - geodetic_to_ecef(ref)
+    return rotation_global_from_local(ref).T @ delta
 
 
 def assert_rotation(r):

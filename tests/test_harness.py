@@ -1,8 +1,22 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import toy_epochs
 from gnssins.canyon_sim import generate_lc_fixes, noise_free_config, simulate
-from gnssins.harness import ESTIMATORS, RunConfig, compare, run_estimator, sweep_windows
+from gnssins.fgo import FgoConfig, FgoEstimator
+from gnssins.harness import (
+    ESTIMATORS,
+    RunConfig,
+    _EkfRunner,
+    compare,
+    run_estimator,
+    sweep_windows,
+)
+from gnssins.types import Constellation, StateLayout
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +48,13 @@ class TestRunEstimator:
         for a, b in zip(r1.records, r2.records):
             assert np.array_equal(a.est_pos, b.est_pos)
 
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    def test_epochs_out_of_time_order_rejected(self, noise_free_ds, estimator):
+        epochs = noise_free_ds.epochs[:10]
+        repeated = replace(noise_free_ds, epochs=epochs[:5] + [epochs[4]] + epochs[5:])
+        with pytest.raises(ValueError, match="strictly increasing time order"):
+            run_estimator(repeated, RunConfig(estimator=estimator, window=10))
+
     def test_unknown_estimator_rejected(self):
         with pytest.raises(ValueError):
             RunConfig(estimator="ukf-tc")
@@ -58,5 +79,35 @@ def test_compare_keeps_every_base_field(noise_free_ds):
 def test_sweep_windows_rows(noise_free_ds):
     rows = sweep_windows(noise_free_ds, [1, 5, None])
     assert [r["window"] for r in rows] == [1, 5, "batch"]
+    for row, size in zip(rows, (1, 5, None)):
+        run = run_estimator(noise_free_ds, RunConfig(estimator="fgo-tc", window=size))
+        assert row["mean_err"] == run.summary["mean_err"]
+        assert row["epochs"] == noise_free_ds.n_epochs
     # outlier-free data: window size is irrelevant beyond the startup
     assert abs(rows[1]["mean_err"] - rows[2]["mean_err"]) < 1e-3
+    with pytest.raises(ValueError):
+        sweep_windows(noise_free_ds, [])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    coupling=st.sampled_from(["lc", "tc"]),
+    seed=st.integers(0, 2**32 - 1),
+    n_sats=st.integers(5, 8),
+)
+def test_families_share_the_first_state(coupling, seed, n_sats):
+    # one initializer: the filter and the factor graph start from the same state
+    rng = np.random.default_rng(seed)
+    epochs, _ = toy_epochs(
+        1,
+        pr_noise=rng.normal(scale=3.0, size=(1, n_sats)),
+        fix_noise=rng.normal(scale=3.0, size=(1, 3)),
+        n_sats=n_sats,
+    )
+    layout = StateLayout()
+    if coupling == "tc":
+        layout = StateLayout((Constellation.GPS, Constellation.BEIDOU))
+    runner = _EkfRunner(coupling, layout, RunConfig(estimator=f"ekf-{coupling}"))
+    ekf_state = runner.step(epochs[0])
+    fgo_state = FgoEstimator(FgoConfig(mode=coupling), layout).step(epochs[0]).state
+    assert np.array_equal(ekf_state, fgo_state)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gnssins.frames import Geodetic, geodetic_to_ecef, rotation_global_from_local
 from gnssins.noise_models import SatObservation
@@ -15,7 +17,6 @@ from gnssins.residual_analysis import (
     pseudorange_residuals,
     summarize,
     tc_residual,
-    window_sweep,
 )
 from gnssins.types import Constellation, StateLayout
 
@@ -100,6 +101,29 @@ class TestResiduals:
         ]
         assert tc_residual(sats, state, TC) == pytest.approx(1.0, abs=1e-9)
         assert np.allclose(pseudorange_residuals(sats, state, TC), [4.0, -2.0])
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_sats=st.integers(1, 12))
+    def test_pseudorange_residuals_match_per_satellite_loop(self, seed, n_sats):
+        rng = np.random.default_rng(seed)
+        state = rng.normal(scale=100.0, size=TC.dim)
+        sats = [
+            self.make_sat(
+                rng.normal(scale=1.5e7, size=3),
+                float(rng.uniform(1.0e7, 3.0e7)),
+                (Constellation.GPS, Constellation.BEIDOU)[int(rng.integers(2))],
+            )
+            for _ in range(n_sats)
+        ]
+        loop = [
+            sat.pseudorange
+            - float(np.linalg.norm(sat.sat_pos - state[0:3]))
+            - state[TC.clock_index(sat.constellation)]
+            for sat in sats
+        ]
+        # the two differ only in how the range is rounded
+        atol = 4 * np.finfo(float).eps * 3.0e7
+        np.testing.assert_allclose(pseudorange_residuals(sats, state, TC), loop, rtol=0, atol=atol)
 
     def test_tc_residual_empty(self):
         with pytest.raises(ValueError):
@@ -205,17 +229,3 @@ class TestSummarize:
         with pytest.raises(ValueError):
             summarize([])
 
-
-def test_window_sweep_rows():
-    def fake_run(size):
-        n = 5 if size is None else int(size)
-        return [
-            EpochRecord(float(i), np.zeros(3), np.zeros(3), float(n), 0.0, 0.001)
-            for i in range(10)
-        ]
-
-    rows = window_sweep(fake_run, [1, 3, None])
-    assert [r["window"] for r in rows] == [1, 3, "batch"]
-    assert [r["mean_err"] for r in rows] == [1.0, 3.0, 5.0]
-    with pytest.raises(ValueError):
-        window_sweep(fake_run, [])
