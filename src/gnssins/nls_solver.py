@@ -16,11 +16,35 @@ provides the same interface from stacked arrays.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+import scipy
 import scipy.linalg
+
+
+def _single_thread_banded_lapack() -> None:
+    """Run scipy's bundled OpenBLAS, which ``solve_damped`` uses, on one thread.
+
+    The bands solved here are a few hundred columns wide. On the default pool
+    (one thread per CPU) ``cholesky_banded`` runs several times slower, and a
+    cold process can stall for tenths of a second per epoch. Environment
+    variables are read only when the library loads, which may already have
+    happened, so the pool is set through the library's own call. A build
+    without that call keeps its default.
+    """
+    libs = Path(scipy.__file__).parent.parent / "scipy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so*")):
+        try:
+            ctypes.CDLL(str(path)).scipy_openblas_set_num_threads(1)
+        except (OSError, AttributeError):
+            continue
+
+
+_single_thread_banded_lapack()
 
 
 class EvaluationError(ValueError):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gnssins import harness
 from gnssins.frames import Geodetic, geodetic_to_ecef, rotation_global_from_local
 from gnssins.noise_models import SatObservation
 from gnssins.residual_analysis import (
@@ -229,3 +230,23 @@ class TestSummarize:
         with pytest.raises(ValueError):
             summarize([])
 
+
+def test_window_sweep_rows(monkeypatch):
+    """The sweep's rows are one ``summarize`` per window size; it lives in
+    ``harness.sweep_windows`` and is checked here on fake runs."""
+
+    def fake_run(ds, cfg):
+        assert cfg.estimator == "fgo-tc"
+        n = 5 if cfg.window is None else int(cfg.window)
+        records = [
+            EpochRecord(float(i), np.zeros(3), np.zeros(3), float(n), 0.0, 0.001)
+            for i in range(10)
+        ]
+        return harness.RunResult(cfg.estimator, records, [], summarize(records))
+
+    monkeypatch.setattr(harness, "run_estimator", fake_run)
+    rows = harness.sweep_windows(None, [1, 3, None])
+    assert [r["window"] for r in rows] == [1, 3, "batch"]
+    assert [r["mean_err"] for r in rows] == [1.0, 3.0, 5.0]
+    with pytest.raises(ValueError):
+        harness.sweep_windows(None, [])
