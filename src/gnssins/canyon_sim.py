@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -451,6 +451,28 @@ def _imu_truth(pieces, imu_t: np.ndarray, rate_hz: float, ref: Geodetic):
     return yaw, force
 
 
+def _assemble_epoch(
+    k: int,
+    t: float,
+    dt: float,
+    sats: list[SatObservation],
+    imu_accel: np.ndarray,
+    imu_attitude: np.ndarray,
+    samples_per_epoch: int,
+) -> EpochMeasurements:
+    """Epoch ``k`` with the mean specific force of the IMU samples since epoch
+    ``k - 1`` and the attitude of the last of them (at epoch 0: zero force
+    and the first sample's attitude)."""
+    if k == 0:
+        accel_mean, attitude = np.zeros(3), imu_attitude[0]
+    else:
+        lo, hi = (k - 1) * samples_per_epoch, k * samples_per_epoch
+        accel_mean, attitude = imu_accel[lo:hi].mean(axis=0), imu_attitude[hi - 1]
+    return EpochMeasurements(
+        t=t, dt=dt, accel_body_mean=accel_mean, attitude=EulerAngles(*attitude), sats=sats
+    )
+
+
 def simulate(cfg: SimConfig) -> Dataset:
     """Generate a complete dataset for the configuration."""
     rng = np.random.default_rng(cfg.seed)
@@ -498,13 +520,6 @@ def simulate(cfg: SimConfig) -> Dataset:
     truth_attitude = np.zeros((n_epochs, 3))
     for k in range(n_epochs):
         t = float(epoch_t[k])
-        if k == 0:
-            accel_mean = np.zeros(3)
-            attitude = EulerAngles(*imu_attitude[0])
-        else:
-            lo, hi = (k - 1) * samples_per_epoch, k * samples_per_epoch
-            accel_mean = imu_accel[lo:hi].mean(axis=0)
-            attitude = EulerAngles(*imu_attitude[hi - 1])
         truth_attitude[k] = [
             yaw_true[min(max(k * samples_per_epoch - 1, 0), n_imu - 1)],
             0.0,
@@ -560,13 +575,7 @@ def simulate(cfg: SimConfig) -> Dataset:
             )
 
         epochs.append(
-            EpochMeasurements(
-                t=t,
-                dt=1.0 / cfg.gnss_rate_hz,
-                accel_body_mean=accel_mean,
-                attitude=attitude,
-                sats=sats,
-            )
+            _assemble_epoch(k, t, 1.0 / cfg.gnss_rate_hz, sats, imu_accel, imu_attitude, samples_per_epoch)
         )
 
     return Dataset(
@@ -698,89 +707,80 @@ def noise_free_config(seed: int = 1, duration_s: float = 60.0) -> SimConfig:
 # ---------------------------------------------------------------------------
 
 
-def config_to_dict(cfg: SimConfig) -> dict:
-    return {
-        "duration_s": cfg.duration_s,
-        "imu_rate_hz": cfg.imu_rate_hz,
-        "gnss_rate_hz": cfg.gnss_rate_hz,
-        "waypoints": [
+# JSON form of the SimConfig fields that are not plain numbers, as
+# (encode, decode); every other field is written as it is
+_JSON_CODECS = {
+    "waypoints": (
+        lambda ws: [
             {
                 "lat_deg": math.degrees(w.geo.lat),
                 "lon_deg": math.degrees(w.geo.lon),
                 "height_m": w.geo.height,
                 "speed_mps": w.speed,
             }
-            for w in cfg.waypoints
+            for w in ws
         ],
-        "los_sigma_m": cfg.los_sigma_m,
-        "nlos_model": {
-            name: [[c.weight, c.mean, c.std] for c in model.components]
-            for name, model in cfg.nlos_model.items()
-        },
-        "canyon_sectors": [
-            [s.az_min_deg, s.az_max_deg, s.min_elevation_deg] for s in cfg.canyon_sectors
+        lambda ws: [
+            Waypoint(
+                Geodetic.from_degrees(w["lat_deg"], w["lon_deg"], w.get("height_m", 0.0)),
+                w["speed_mps"],
+            )
+            for w in ws
         ],
-        "open_sky_min_elevation_deg": cfg.open_sky_min_elevation_deg,
-        "nlos_depth_deg": cfg.nlos_depth_deg,
-        "deep_intervals": [[d.t_start, d.t_end, d.block_floor_deg] for d in cfg.deep_intervals],
-        "accel_bias_true": list(map(float, cfg.accel_bias_true)),
-        "accel_noise_sigma": cfg.accel_noise_sigma,
-        "attitude_noise_deg": cfg.attitude_noise_deg,
-        "clock_models": {
-            name: {"bias_m": m.bias_m, "drift_mps": m.drift_mps}
-            for name, m in cfg.clock_models.items()
+    ),
+    "nlos_model": (
+        lambda models: {
+            name: [list(astuple(c)) for c in m.components] for name, m in models.items()
         },
-        "snr_los": {"mean": cfg.snr_los.mean, "sigma": cfg.snr_los.sigma},
-        "snr_nlos": {"mean": cfg.snr_nlos.mean, "sigma": cfg.snr_nlos.sigma},
-        "n_satellites": cfg.n_satellites,
-        "n_high_satellites": cfg.n_high_satellites,
-        "snr_bias_slope_db_per_m": cfg.snr_bias_slope_db_per_m,
-        "max_accel": cfg.max_accel,
-        "seed": cfg.seed,
-    }
+        lambda models: {
+            name: GmmModel(tuple(GmmComponent(*c) for c in comps))
+            for name, comps in models.items()
+        },
+    ),
+    "canyon_sectors": (
+        lambda sectors: [list(astuple(s)) for s in sectors],
+        lambda sectors: [MaskSector(*s) for s in sectors],
+    ),
+    "deep_intervals": (
+        lambda spans: [list(astuple(d)) for d in spans],
+        lambda spans: [DeepInterval(*d) for d in spans],
+    ),
+    "accel_bias_true": (lambda a: list(map(float, a)), np.array),
+    "clock_models": (
+        lambda models: {name: asdict(m) for name, m in models.items()},
+        lambda models: {name: ClockModel(**m) for name, m in models.items()},
+    ),
+    "snr_los": (asdict, lambda d: SnrModel(**d)),
+    "snr_nlos": (asdict, lambda d: SnrModel(**d)),
+}
+
+
+def config_to_dict(cfg: SimConfig) -> dict:
+    """JSON-ready scenario: one key per ``SimConfig`` field, named after it."""
+    out = {}
+    for f in fields(SimConfig):
+        value = getattr(cfg, f.name)
+        out[f.name] = _JSON_CODECS[f.name][0](value) if f.name in _JSON_CODECS else value
+    return out
 
 
 def config_from_dict(data: dict) -> SimConfig:
-    waypoints = [
-        Waypoint(
-            Geodetic.from_degrees(w["lat_deg"], w["lon_deg"], w.get("height_m", 0.0)),
-            w["speed_mps"],
-        )
-        for w in data["waypoints"]
-    ]
-    nlos = {
-        name: GmmModel(tuple(GmmComponent(*c) for c in comps))
-        for name, comps in data.get("nlos_model", {}).items()
-    } or _default_nlos_models()
-    return SimConfig(
-        waypoints=waypoints,
-        duration_s=data.get("duration_s", 300.0),
-        imu_rate_hz=data.get("imu_rate_hz", 100.0),
-        gnss_rate_hz=data.get("gnss_rate_hz", 1.0),
-        los_sigma_m=data.get("los_sigma_m", 2.0),
-        nlos_model=nlos,
-        canyon_sectors=[MaskSector(*s) for s in data.get("canyon_sectors", [])],
-        open_sky_min_elevation_deg=data.get("open_sky_min_elevation_deg", 10.0),
-        nlos_depth_deg=data.get("nlos_depth_deg", 30.0),
-        deep_intervals=[DeepInterval(*d) for d in data.get("deep_intervals", [])],
-        accel_bias_true=np.array(data.get("accel_bias_true", [0.0, 0.0, 0.0])),
-        accel_noise_sigma=data.get("accel_noise_sigma", 0.0),
-        attitude_noise_deg=data.get("attitude_noise_deg", 0.0),
-        clock_models={
-            name: ClockModel(m["bias_m"], m["drift_mps"])
-            for name, m in data.get(
-                "clock_models",
-                {"GPS": {"bias_m": 120.0, "drift_mps": 0.0}, "BeiDou": {"bias_m": 95.0, "drift_mps": 0.0}},
-            ).items()
-        },
-        snr_los=SnrModel(**data.get("snr_los", {"mean": 48.0, "sigma": 2.0})),
-        snr_nlos=SnrModel(**data.get("snr_nlos", {"mean": 41.0, "sigma": 2.5})),
-        n_satellites=data.get("n_satellites", 14),
-        n_high_satellites=data.get("n_high_satellites", 5),
-        snr_bias_slope_db_per_m=data.get("snr_bias_slope_db_per_m", 0.0),
-        max_accel=data.get("max_accel", 1.5),
-        seed=data.get("seed", 0),
-    )
+    """Inverse of :func:`config_to_dict`. An absent key takes ``SimConfig``'s
+    default; ``waypoints`` is required and an unknown key is an error."""
+    if not isinstance(data, dict):
+        raise ValueError("a scenario must be a JSON object")
+    unknown = sorted(set(data) - {f.name for f in fields(SimConfig)})
+    if unknown:
+        raise ValueError(f"unknown scenario keys: {', '.join(unknown)}")
+    if "waypoints" not in data:
+        raise ValueError("a scenario needs 'waypoints'")
+    kwargs = {}
+    for name, value in data.items():
+        try:
+            kwargs[name] = _JSON_CODECS[name][1](value) if name in _JSON_CODECS else value
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed scenario key {name!r}: {exc!r}") from exc
+    return SimConfig(**kwargs)
 
 
 def load_config(path: Path) -> SimConfig:
@@ -793,23 +793,19 @@ def load_config(path: Path) -> SimConfig:
 # ---------------------------------------------------------------------------
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def write_csv(path: Path, header: Sequence[str], rows) -> None:
+    """Headered CSV: floats as ``CSV_FLOAT``, anything else through ``str``."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(
-                ",".join(
-                    CSV_FLOAT % v if isinstance(v, float) else str(v) for v in row
-                )
-                + "\n"
-            )
+            fh.write(",".join(CSV_FLOAT % v if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
 def write_dataset(ds: Dataset, out_dir: Path) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     clock_names = sorted(ds.truth_clocks)
-    _write_csv(
+    write_csv(
         out_dir / "truth.csv",
         ["t", "x", "y", "z", "vx", "vy", "vz"]
         + [f"clk_{n}" for n in clock_names]
@@ -823,7 +819,7 @@ def write_dataset(ds: Dataset, out_dir: Path) -> None:
             for k in range(ds.n_epochs)
         ),
     )
-    _write_csv(
+    write_csv(
         out_dir / "imu.csv",
         ["t", "fx", "fy", "fz", "yaw", "pitch", "roll"],
         (
@@ -833,7 +829,7 @@ def write_dataset(ds: Dataset, out_dir: Path) -> None:
             for i in range(ds.imu_t.size)
         ),
     )
-    _write_csv(
+    write_csv(
         out_dir / "gnss.csv",
         [
             "t",
@@ -887,53 +883,40 @@ def read_dataset(in_dir: Path) -> Dataset:
     imu_accel = np.column_stack([imu["fx"], imu["fy"], imu["fz"]])
     imu_attitude = np.column_stack([imu["yaw"], imu["pitch"], imu["roll"]])
 
-    epochs: list[EpochMeasurements] = []
-    sats_by_epoch: dict[float, list[SatObservation]] = {float(t): [] for t in truth_t}
-    with open(in_dir / "gnss.csv") as fh:
-        header = fh.readline().strip().split(",")
-        col = {name: i for i, name in enumerate(header)}
-        for line in fh:
-            parts = line.strip().split(",")
-            t = float(parts[col["t"]])
-            sats_by_epoch.setdefault(t, []).append(
-                SatObservation(
-                    sat_id=parts[col["sat_id"]],
-                    constellation=Constellation.from_name(parts[col["constellation"]]),
-                    sat_pos=np.array(
-                        [
-                            float(parts[col["sat_x"]]),
-                            float(parts[col["sat_y"]]),
-                            float(parts[col["sat_z"]]),
-                        ]
-                    ),
-                    pseudorange=float(parts[col["pseudorange_m"]]),
-                    snr=float(parts[col["snr_dbhz"]]),
-                    elevation=float(parts[col["elevation_rad"]]),
-                    azimuth=float(parts[col["azimuth_rad"]]),
-                    nlos_truth=bool(int(parts[col["nlos"]])),
-                )
-            )
-
     dt = float(truth_t[1] - truth_t[0]) if truth_t.size > 1 else 1.0
-    rate = imu_t.size / (truth_t.size * dt) if truth_t.size else 100.0
-    samples_per_epoch = int(round(rate * dt))
-    for k, t in enumerate(truth_t):
-        if k == 0:
-            accel_mean = np.zeros(3)
-            attitude = EulerAngles(*imu_attitude[0])
-        else:
-            lo, hi = (k - 1) * samples_per_epoch, k * samples_per_epoch
-            accel_mean = imu_accel[lo:hi].mean(axis=0)
-            attitude = EulerAngles(*imu_attitude[hi - 1])
-        epochs.append(
-            EpochMeasurements(
-                t=float(t),
-                dt=dt,
-                accel_body_mean=accel_mean,
-                attitude=attitude,
-                sats=sats_by_epoch.get(float(t), []),
+    if not (dt > 0 and np.all(np.abs(np.diff(truth_t) - dt) <= 1e-6 * dt)):
+        raise ValueError("truth.csv times must increase at one constant step")
+
+    # read as text: ids stay as written, and a file with no rows still has its header
+    table = np.loadtxt(in_dir / "gnss.csv", delimiter=",", dtype=str, ndmin=2, encoding="utf-8")
+    gnss = dict(zip(table[0], table[1:].T))
+    gnss_t = gnss["t"].astype(float)
+    epoch_of = np.minimum(np.searchsorted(truth_t, gnss_t), truth_t.size - 1)
+    unmatched = truth_t[epoch_of] != gnss_t
+    if np.any(unmatched):
+        raise ValueError(f"gnss.csv time {gnss_t[unmatched][0]:g} matches no epoch of truth.csv")
+    sat_pos = np.column_stack([gnss["sat_x"], gnss["sat_y"], gnss["sat_z"]]).astype(float)
+    sats_by_epoch: list[list[SatObservation]] = [[] for _ in truth_t]
+    for i, k in enumerate(epoch_of.tolist()):
+        sats_by_epoch[k].append(
+            SatObservation(
+                sat_id=str(gnss["sat_id"][i]),
+                constellation=Constellation.from_name(str(gnss["constellation"][i])),
+                sat_pos=sat_pos[i],
+                pseudorange=float(gnss["pseudorange_m"][i]),
+                snr=float(gnss["snr_dbhz"][i]),
+                elevation=float(gnss["elevation_rad"][i]),
+                azimuth=float(gnss["azimuth_rad"][i]),
+                nlos_truth=bool(int(gnss["nlos"][i])),
             )
         )
+
+    rate = imu_t.size / (truth_t.size * dt) if truth_t.size else 100.0
+    samples_per_epoch = int(round(rate * dt))
+    epochs = [
+        _assemble_epoch(k, float(t), dt, sats_by_epoch[k], imu_accel, imu_attitude, samples_per_epoch)
+        for k, t in enumerate(truth_t)
+    ]
 
     ref = ecef_to_geodetic(truth_pos[0])
     return Dataset(

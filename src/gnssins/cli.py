@@ -15,7 +15,6 @@ from typing import Optional
 import numpy as np
 
 from .canyon_sim import (
-    CSV_FLOAT,
     Dataset,
     config_to_dict,
     default_canyon_config,
@@ -24,11 +23,12 @@ from .canyon_sim import (
     noise_free_config,
     read_dataset,
     simulate,
+    write_csv,
     write_dataset,
 )
-from .harness import ESTIMATORS, RunConfig, RunResult, run_estimator, sweep_windows
+from .harness import ESTIMATORS, RunConfig, RunResult, compare, run_estimator, sweep_windows
 from .nls_solver import SolverError
-from .residual_analysis import fit_gmm, summarize
+from .residual_analysis import fit_gmm
 
 
 def _parse_window(text: str) -> Optional[int]:
@@ -38,10 +38,6 @@ def _parse_window(text: str) -> Optional[int]:
     if value < 1:
         raise argparse.ArgumentTypeError("window must be >= 1 or 'batch'")
     return value
-
-
-def _fmt(value: float) -> str:
-    return CSV_FLOAT % value
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -71,26 +67,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _write_epochs_csv(path: Path, result: RunResult) -> None:
-    with open(path, "w") as fh:
-        fh.write("epoch,est_x,est_y,est_z,truth_x,truth_y,truth_z,err_2d_m,residual_m,solve_time_s\n")
-        for r in result.records:
-            fields = (
-                [r.epoch]
-                + list(r.est_pos)
-                + list(r.truth_pos)
-                + [r.err_2d, r.residual, r.solve_time]
-            )
-            fh.write(",".join(_fmt(float(v)) for v in fields) + "\n")
-
-
-def _write_residuals_csv(path: Path, result: RunResult) -> None:
-    with open(path, "w") as fh:
-        fh.write("epoch,sat_id,constellation,residual_m,nlos\n")
-        for o in result.obs_residuals:
-            fh.write(
-                f"{_fmt(o.epoch)},{o.sat_id},{o.constellation.value},"
-                f"{_fmt(o.residual)},{int(bool(o.nlos))}\n"
-            )
+    write_csv(
+        path,
+        "epoch,est_x,est_y,est_z,truth_x,truth_y,truth_z,err_2d_m,residual_m,solve_time_s".split(","),
+        (
+            [float(v) for v in (r.epoch, *r.est_pos, *r.truth_pos, r.err_2d, r.residual, r.solve_time)]
+            for r in result.records
+        ),
+    )
 
 
 def _summary_dict(result: RunResult, window: Optional[int]) -> dict:
@@ -110,19 +94,22 @@ def _load_dataset(args: argparse.Namespace) -> Dataset:
     return ds
 
 
-def _run_config(args: argparse.Namespace, estimator: str) -> RunConfig:
-    return RunConfig(estimator=estimator, window=args.window)
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     ds = _load_dataset(args)
-    cfg = _run_config(args, args.estimator)
+    cfg = RunConfig(estimator=args.estimator, window=args.window)
     result = run_estimator(ds, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_epochs_csv(out / "epochs.csv", result)
     if result.obs_residuals:
-        _write_residuals_csv(out / "residuals.csv", result)
+        write_csv(
+            out / "residuals.csv",
+            "epoch,sat_id,constellation,residual_m,nlos".split(","),
+            (
+                [float(o.epoch), o.sat_id, o.constellation.value, float(o.residual), int(bool(o.nlos))]
+                for o in result.obs_residuals
+            ),
+        )
     with open(out / "summary.json", "w") as fh:
         json.dump(_summary_dict(result, cfg.window), fh, indent=2)
     s = result.summary
@@ -139,20 +126,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for n in names:
         if n not in ESTIMATORS:
             raise UsageError(f"unknown estimator {n!r}")
+    results = compare(ds, names, RunConfig(window=args.window))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for name in names:
-        result = run_estimator(ds, _run_config(args, name))
-        rows.append(_summary_dict(result, args.window))
+    rows = [_summary_dict(result, args.window) for result in results.values()]
+    for name, result in results.items():
         _write_epochs_csv(out / f"epochs_{name}.csv", result)
-    with open(out / "compare.csv", "w") as fh:
-        fh.write("estimator,window,mean_err_m,std_err_m,total_time_s\n")
-        for r in rows:
-            fh.write(
-                f"{r['estimator']},{r['window']},{_fmt(r['mean_err_m'])},"
-                f"{_fmt(r['std_err_m'])},{_fmt(r['total_time_s'])}\n"
-            )
+    columns = ["estimator", "window", "mean_err_m", "std_err_m", "total_time_s"]
+    write_csv(out / "compare.csv", columns, ([r[c] for c in columns] for r in rows))
     with open(out / "compare.json", "w") as fh:
         json.dump(rows, fh, indent=2)
     width = max(len(r["estimator"]) for r in rows)
@@ -170,12 +151,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = sweep_windows(ds, sizes)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "sweep.csv", "w") as fh:
-        fh.write("window,mean_err_m,std_err_m,total_time_s\n")
-        for r in rows:
-            fh.write(
-                f"{r['window']},{_fmt(r['mean_err'])},{_fmt(r['std_err'])},{_fmt(r['total_time'])}\n"
-            )
+    columns = ["window", "mean_err", "std_err", "total_time"]
+    write_csv(
+        out / "sweep.csv",
+        ["window", "mean_err_m", "std_err_m", "total_time_s"],
+        ([r[c] for c in columns] for r in rows),
+    )
     with open(out / "sweep.json", "w") as fh:
         json.dump(rows, fh, indent=2)
     for r in rows:

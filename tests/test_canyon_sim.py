@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,10 +10,12 @@ from hypothesis import strategies as st
 from gnssins.canyon_sim import (
     HARD_HORIZON_RAD,
     MEO_RADIUS_M,
+    ClockModel,
     DeepInterval,
     MaskSector,
     SatTrack,
     SimConfig,
+    SnrModel,
     Waypoint,
     build_trajectory,
     config_from_dict,
@@ -34,6 +38,8 @@ from gnssins.frames import (
     rotation_global_from_local,
     rotation_local_from_body,
 )
+from gnssins.cli import main
+from gnssins.residual_analysis import GmmComponent, GmmModel
 from gnssins.types import Constellation
 
 
@@ -405,6 +411,60 @@ class TestLcFixes:
         assert not any(e.fix_available for e in ds.epochs)
 
 
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+_CONSTELLATION = st.sampled_from(["GPS", "BeiDou"])
+_GMM = st.lists(
+    st.builds(GmmComponent, _floats(0.01, 1.0), _floats(-5.0, 60.0), _floats(0.1, 20.0)),
+    min_size=1,
+    max_size=3,
+).map(lambda comps: GmmModel(tuple(comps)))
+_WAYPOINT = st.builds(
+    lambda lat, lon, h, v: Waypoint(Geodetic.from_degrees(lat, lon, h), v),
+    _floats(-80.0, 80.0),
+    _floats(-179.9, 179.9),
+    _floats(-100.0, 1000.0),
+    _floats(0.5, 30.0),
+)
+CONFIG_CHANGES = st.fixed_dictionaries(
+    {},
+    optional={
+        "waypoints": st.lists(_WAYPOINT, min_size=2, max_size=4),
+        "duration_s": _floats(1.0, 600.0),
+        "imu_rate_hz": _floats(1.0, 400.0),
+        "gnss_rate_hz": _floats(0.1, 10.0),
+        "los_sigma_m": _floats(0.0, 10.0),
+        "nlos_model": st.dictionaries(_CONSTELLATION, _GMM, min_size=1),
+        "canyon_sectors": st.lists(
+            st.builds(MaskSector, _floats(0.0, 360.0), _floats(0.0, 360.0), _floats(0.0, 89.9)),
+            max_size=3,
+        ),
+        "open_sky_min_elevation_deg": _floats(0.0, 30.0),
+        "nlos_depth_deg": _floats(0.0, 60.0),
+        "nlos_receive_prob": _floats(0.0, 1.0),
+        "snr_bias_slope_db_per_m": _floats(0.0, 2.0),
+        "deep_intervals": st.lists(
+            st.builds(DeepInterval, _floats(0.0, 300.0), _floats(0.0, 300.0), _floats(0.0, 89.0)),
+            max_size=3,
+        ),
+        "accel_bias_true": st.lists(_floats(-0.1, 0.1), min_size=3, max_size=3).map(np.array),
+        "accel_noise_sigma": _floats(0.0, 1.0),
+        "attitude_noise_deg": _floats(0.0, 1.0),
+        "clock_models": st.dictionaries(
+            _CONSTELLATION, st.builds(ClockModel, _floats(-1e3, 1e3), _floats(-5.0, 5.0)), min_size=1
+        ),
+        "snr_los": st.builds(SnrModel, _floats(25.0, 55.0), _floats(0.0, 5.0)),
+        "snr_nlos": st.builds(SnrModel, _floats(25.0, 55.0), _floats(0.0, 5.0)),
+        "n_satellites": st.integers(4, 30),
+        "n_high_satellites": st.integers(0, 10),
+        "max_accel": _floats(0.1, 5.0),
+        "seed": st.integers(0, 2**32 - 1),
+    },
+)
+
+
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         ds = simulate(small_canyon(seed=5, duration=15.0))
@@ -439,6 +499,73 @@ class TestPersistence:
         assert back.deep_intervals == cfg.deep_intervals
         ds1, ds2 = simulate(cfg), simulate(back)
         assert np.allclose(ds1.truth_pos, ds2.truth_pos, atol=1e-9)
+        for e1, e2 in zip(ds1.epochs, ds2.epochs):
+            assert [(s.sat_id, s.nlos_truth) for s in e1.sats] == [
+                (s.sat_id, s.nlos_truth) for s in e2.sats
+            ]
+            for s1, s2 in zip(e1.sats, e2.sats):
+                assert abs(s1.pseudorange - s2.pseudorange) <= 1e-6
+
+    @settings(max_examples=60, deadline=None)
+    @given(preset=st.sampled_from([default_canyon_config, noise_free_config]), changes=CONFIG_CHANGES)
+    def test_config_dict_round_trip_is_exact(self, preset, changes):
+        cfg = replace(preset(), **changes)
+        data = json.loads(json.dumps(config_to_dict(cfg)))
+        assert list(data) == [f.name for f in fields(SimConfig)]
+        assert_same_config(config_from_dict(data), cfg)
+
+    def test_waypoints_alone_take_simconfig_defaults(self):
+        data = {"waypoints": config_to_dict(noise_free_config())["waypoints"]}
+        cfg = config_from_dict(data)
+        assert_same_config(cfg, SimConfig(waypoints=cfg.waypoints))
+
+    def test_unknown_or_missing_keys_rejected(self):
+        data = config_to_dict(noise_free_config())
+        with pytest.raises(ValueError, match="nlos_recieve_prob"):
+            config_from_dict({**data, "nlos_recieve_prob": 0.5})
+        del data["waypoints"]
+        with pytest.raises(ValueError, match="waypoints"):
+            config_from_dict(data)
+
+    def test_truth_times_must_step_evenly(self, tmp_path):
+        write_dataset(simulate(small_canyon(seed=5, duration=5.0)), tmp_path)
+        lines = (tmp_path / "truth.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2", "3", "4"]
+        lines[4] = "5" + lines[4][1:]  # times 0, 1, 2, 5, 4
+        (tmp_path / "truth.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="truth.csv"):
+            read_dataset(tmp_path)
+        out = str(tmp_path / "run")
+        assert main(["run", "--dataset", str(tmp_path), "--estimator", "ekf-tc", "--out", out]) == 1
+
+    def test_gnss_row_must_match_an_epoch(self, tmp_path):
+        write_dataset(simulate(small_canyon(seed=5, duration=5.0)), tmp_path)
+        with open(tmp_path / "gnss.csv") as fh:
+            header, first = fh.readline(), fh.readline()
+        assert first.startswith("0,")
+        with open(tmp_path / "gnss.csv", "a") as fh:
+            fh.write("2.5" + first[1:])
+        with pytest.raises(ValueError, match="2.5"):
+            read_dataset(tmp_path)
+        out = str(tmp_path / "run")
+        assert main(["run", "--dataset", str(tmp_path), "--estimator", "ekf-tc", "--out", out]) == 1
+
+
+def assert_same_config(got, want):
+    """Field-by-field equality; waypoint angles pass through degrees, so they
+    may move by an ulp or two."""
+    for f in fields(SimConfig):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "waypoints":
+            assert len(a) == len(b)
+            for wa, wb in zip(a, b):
+                assert wa.speed == wb.speed and wa.geo.height == wb.geo.height
+                assert math.isclose(wa.geo.lat, wb.geo.lat, rel_tol=1e-15, abs_tol=1e-300)
+                assert math.isclose(wa.geo.lon, wb.geo.lon, rel_tol=1e-15, abs_tol=1e-300)
+        elif f.name == "accel_bias_true":
+            assert np.array_equal(a, b)
+        else:
+            assert a == b, f.name
 
 
 def test_default_canyon_properties():

@@ -48,6 +48,33 @@ class TestSimulate:
         for name in ("truth.csv", "imu.csv", "gnss.csv"):
             assert file_hash(tmp_path / "a" / name) == file_hash(tmp_path / "b" / name)
 
+    def test_written_config_reproduces_dataset(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run_cli("simulate", "--out", str(a)) == 0
+        assert run_cli("simulate", "--config", str(a / "sim_config.json"), "--out", str(b)) == 0
+        # the degrees round trip of the waypoints moves the truth by ~1e-11 m,
+        # which can flip last printed digits, so values are compared numerically
+        ga, gb = (
+            np.loadtxt(d / "gnss.csv", delimiter=",", dtype=str, ndmin=2) for d in (a, b)
+        )
+        assert ga.shape == gb.shape
+        text_cols = [list(ga[0]).index(c) for c in ("t", "sat_id", "constellation", "nlos")]
+        assert np.array_equal(ga[:, text_cols], gb[:, text_cols])
+        num_cols = [i for i in range(ga.shape[1]) if i not in text_cols]
+        assert np.abs(ga[1:, num_cols].astype(float) - gb[1:, num_cols].astype(float)).max() <= 1e-6
+        for name in ("truth.csv", "imu.csv"):
+            ta, tb = (np.genfromtxt(d / name, delimiter=",", skip_header=1) for d in (a, b))
+            assert ta.shape == tb.shape
+            assert np.abs(ta - tb).max() <= 1e-6
+
+    @pytest.mark.parametrize("edit", [{"nlos_recieve_prob": 0.5}, {"waypoints": None}])
+    def test_bad_scenario_keys_exit_1(self, tmp_path, edit):
+        cfg = {**config_to_dict(noise_free_config()), **edit}
+        cfg = {k: v for k, v in cfg.items() if v is not None}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert run_cli("simulate", "--config", str(bad), "--out", str(tmp_path / "out")) == 1
+
     def test_invalid_config_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
         cfg = config_to_dict(noise_free_config())

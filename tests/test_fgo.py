@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TOY_CLOCKS, toy_epochs, toy_satellite_positions
+from conftest import TOY_CLOCKS, toy_epochs
 from gnssins.fgo import (
     BATCH,
     EpochWls,
