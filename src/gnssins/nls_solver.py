@@ -180,8 +180,8 @@ class LmConfig:
     """Damping ceiling; past it a step that cannot lower the cost ends the
     solve, and normal equations that stay singular raise SolverError."""
     tol: float = 1e-8
-    """Stop once an accepted step lowers the cost by less than this fraction
-    of the cost before it."""
+    """Stop once an accepted step lowers the cost, or a rejected step raises
+    it, by less than this fraction of the cost before it."""
     gtol: float = 1e-8
     """Stop once every column of the whitened Jacobian is this close to
     orthogonal to the whitened residual: ``max_i |g_i| / sqrt(H_ii * cost)``
@@ -303,6 +303,8 @@ def solve_lm(problem, cfg: Optional[LmConfig] = None) -> SolveReport:
       optimum is returned after 0 iterations);
     * ``"step size negligible"``: a rejected step is below 1e-15 of
       ``1 + |x|``, so ``x`` cannot move in floating point;
+    * ``"relative cost change below tol"``: a rejected step raised the cost
+      by at most ``LmConfig.tol`` of its value, a tie within rounding;
     * ``"damping exceeded maximum without improvement"``: no step lowered
       the cost up to ``LmConfig.lambda_max`` (not converged);
     * ``"relative cost change below tol"``: an accepted step lowered the
@@ -349,6 +351,11 @@ def solve_lm(problem, cfg: Optional[LmConfig] = None) -> SolveReport:
                 break
             if np.linalg.norm(delta) <= 1e-15 * (1.0 + np.linalg.norm(x)):
                 message = "step size negligible"
+                converged = True
+                break
+            if new_cost - cost <= cfg.tol * cost:
+                # a rise this small is rounding: the cost is flat here
+                message = "relative cost change below tol"
                 converged = True
                 break
             lam *= 10.0

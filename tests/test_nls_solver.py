@@ -239,6 +239,27 @@ class TestSolveLm:
         with pytest.raises(SolverError):
             solve_lm(p, LmConfig(lambda_max=1e-10))
 
+    def test_rejected_tie_stops_as_converged(self):
+        # every trial step raises the cost by a rounding-sized 1e-12 of it:
+        # the solve ends on the first trial instead of raising the damping
+        class TieProblem:
+            initial_values = np.zeros(2)
+            trials = 0
+
+            def normal_equations(self, x):
+                return np.ones((1, 2)), np.array([1.0, -2.0]), 10.0
+
+            def cost(self, x):
+                self.trials += 1
+                return 10.0 * (1.0 + 1e-12)
+
+        problem = TieProblem()
+        report = solve_lm(problem)
+        assert report.converged
+        assert report.message == "relative cost change below tol"
+        assert problem.trials == 1 and report.iterations == 1
+        assert np.array_equal(report.values, problem.initial_values)
+
     def test_large_problem_matches_closed_form(self):
         rng = np.random.default_rng(6)
         problem, mats = linear_problem(rng, n_states=80, state_dim=9, n_blocks=200)
