@@ -70,8 +70,6 @@ def azimuth_elevation(sat_pos: np.ndarray, receiver: np.ndarray) -> tuple[float,
 
 
 def small_canyon(seed=3, duration=40.0):
-    from dataclasses import replace
-
     cfg = default_canyon_config(seed=seed)
     return replace(cfg, duration_s=duration, deep_intervals=[])
 
