@@ -267,7 +267,8 @@ class _LazyBlocks(Sequence):
 
 
 class FactorWindow:
-    """The NLS problem of one window, held as stacked arrays.
+    """The NLS problem of one window, held as stacked arrays and slid one
+    epoch at a time.
 
     Slot ``k`` is the ``k``-th in-window epoch. Every factor except the
     pseudorange is linear: the prior on slot 0, the LC fixes, and the motion,
@@ -275,9 +276,20 @@ class FactorWindow:
     give one residual entry per state column (motion on position and bias,
     INS on velocity, clock walk on the clocks), so they are stacked as one
     ``dim``-row edge residual with the constant Jacobians ``jac_prev`` and the
-    identity. Their share of ``J^T J`` is computed once, here; only the
-    pseudorange rows are relinearized. ``J^T J`` is block-tridiagonal and is
-    kept in upper band storage with bandwidth ``2 * dim - 1``.
+    identity. Their share of ``J^T J`` is kept in upper band storage with
+    bandwidth ``2 * dim - 1`` (``J^T J`` is block-tridiagonal); only the
+    pseudorange rows are relinearized, each slot's by one batched product
+    over the slots' rows zero-padded to the widest slot.
+
+    The window is persistent. A new one has no slots; :meth:`push` appends an
+    epoch's slot, its edge to the previous slot and its fix or pseudorange
+    rows, drops slot 0 with its rows and edge when asked, and shifts the band
+    by ``dim`` columns. Of the linear band it computes only the new edge's
+    block and the diagonal blocks of the last two slots; :meth:`anchor` then
+    pins slot 0 with the prior and recomputes that slot's diagonal block.
+    Each diagonal block is summed in one order wherever it is computed: the
+    prior or the edge into the slot, then the edge out of it, then the fix.
+    :func:`build_window` drives both.
 
     The window provides what :func:`nls_solver.solve_lm` needs
     (``initial_values``, ``normal_equations``, ``cost``) and what callers of
@@ -287,89 +299,151 @@ class FactorWindow:
     then the fixes, then the pseudoranges.
     """
 
-    def __init__(
-        self,
-        entries: Sequence[EpochEntry],
-        cfg: FgoConfig,
-        layout: StateLayout,
-        anchor_var: np.ndarray,
-    ) -> None:
+    def __init__(self, cfg: FgoConfig, layout: StateLayout) -> None:
         self.cfg = cfg
         self.layout = layout
-        self.entries = list(entries)
-        n = self.n = len(self.entries)
         d = self.dim = layout.dim
-        self.state_dims = [d] * n
-        self.initial_values = np.concatenate([e.state for e in self.entries])
-        scale = cfg.cov_scale
-
-        self.prior_value = self.entries[0].state.copy()
-        self.prior_var = anchor_var * scale
-        self.dt = np.array([e.meas.dt for e in self.entries[1:]], dtype=float)
-        if np.any(self.dt <= 0):
-            raise ValueError("dt must be positive")
-        self.accel = np.array([e.accel_ecef for e in self.entries[1:]], dtype=float).reshape(-1, 3)
-        self.accel_dt = self.accel * self.dt[:, None]
-        self.edge_var = default_process_noise(layout) * scale
-        self.jac_prev = np.broadcast_to(-np.eye(d), (n - 1, d, d)).copy()
-        self.jac_prev[:, POS, VEL] = -self.dt[:, None, None] * np.eye(3)
-
-        fixed = [k for k, e in enumerate(self.entries) if e.fix_cov is not None]
-        self.fix_epoch = np.array(fixed, dtype=int)
-        self.fix_pos = np.array(
-            [self.entries[k].meas.fix_pos for k in fixed], dtype=float
-        ).reshape(-1, 3)
-        self.fix_var = np.array(
-            [self.entries[k].fix_cov for k in fixed], dtype=float
-        ).reshape(-1, 3) * scale
-
-        self.pr_count = np.array([e.pseudorange.size for e in self.entries])
-        self.pr_start = np.cumsum(self.pr_count) - self.pr_count
-        self.pr_epoch = np.repeat(np.arange(n), self.pr_count)
-        self.sat_pos = np.concatenate([e.sat_pos for e in self.entries])
-        self.pseudorange = np.concatenate([e.pseudorange for e in self.entries])
-        self.clock_col = np.concatenate([e.clock_col for e in self.entries])
-        pr_var = np.concatenate(
-            [np.empty(0)] + [e.pr_sigma2 for e in self.entries if e.pseudorange.size]
-        ) * scale
-
-        self.prior_w = 1.0 / np.sqrt(self.prior_var)
+        self.entries: list[EpochEntry] = []
+        self.n = 0
+        self.edge_var = default_process_noise(layout) * cfg.cov_scale
         self.edge_w = 1.0 / np.sqrt(self.edge_var)
-        self.fix_w = 1.0 / np.sqrt(self.fix_var)
-        self.pr_w = 1.0 / np.sqrt(pr_var)
-
-        # band positions of the upper triangles of the diagonal blocks and of
-        # the whole blocks right above them
-        u = self.bandwidth = min(2 * d, n * d) - 1
-        self._tri = np.triu_indices(d)
-        self._diag_at = (u + self._tri[0] - self._tri[1], np.arange(n)[:, None] * d + self._tri[1])
-        a, b = np.divmod(np.arange(d * d), d)
-        upper_at = (u - d + a - b, np.arange(1, n)[:, None] * d + b)
-
-        omega = self.edge_w**2
-        hd = np.zeros((n, d, d))
-        hd[0] += np.diag(self.prior_w**2)
-        hd[1:] += np.diag(omega)
-        hd[:-1] += np.einsum("kri,r,krj->kij", self.jac_prev, omega, self.jac_prev)
-        hd[self.fix_epoch[:, None], np.arange(3), np.arange(3)] += self.fix_w**2
-        self._ab_linear = np.zeros((u + 1, n * d))
-        self._ab_linear[self._diag_at] = hd[:, self._tri[0], self._tri[1]]
-        self._ab_linear[upper_at] = np.einsum("kri,r->kir", self.jac_prev, omega).reshape(
-            n - 1, d * d
-        )
-
         self._per_edge = 3 if layout.has_clock else 2
-        self._n_edge_blocks = (n - 1) * self._per_edge
-        self.blocks = _LazyBlocks(
-            1 + self._n_edge_blocks + len(fixed) + self.pseudorange.size, self._block
-        )
+        # per edge: slot k-1 to slot k is edge k-1
+        self.dt = np.empty(0)
+        self.accel = np.empty((0, 3))
+        self.jac_prev = np.empty((0, d, d))
+        # per fix, slots ascending
+        self.fix_epoch = np.empty(0, dtype=int)
+        self.fix_pos = np.empty((0, 3))
+        self.fix_var = np.empty((0, 3))
+        # per slot: the squared fix weights, zero without a fix
+        self._slot_fix_w2 = np.empty((0, 3))
+        # per pseudorange row, grouped by slot
+        self.pr_count = np.empty(0, dtype=int)
+        self.sat_pos = np.empty((0, 3))
+        self.pseudorange = np.empty(0)
+        self.clock_col = np.empty(0, dtype=int)
+        self.pr_var = np.empty(0)
+        self.bandwidth = -1
+        self._ab_linear = np.zeros((0, 0))
+        self._tri = np.triu_indices(d)
+        # the upper triangle of a (d + 1)-square block, flattened
+        self._tri_aug = self._tri[0] * (d + 1) + self._tri[1]
+        # row minus column, and column, of each entry of a flattened d-square block
+        a, b = np.divmod(np.arange(d * d), d)
+        self._block_rc = (a - b, b)
+
+    @property
+    def state_dims(self) -> list[int]:
+        return [self.dim] * self.n
 
     @property
     def total_dim(self) -> int:
         return self.n * self.dim
 
+    @property
+    def blocks(self) -> Sequence[ResidualBlock]:
+        count = 1 + (self.n - 1) * self._per_edge + self.fix_epoch.size + self.pseudorange.size
+        return _LazyBlocks(count, self._block)
+
     def split(self, values: np.ndarray) -> list[np.ndarray]:
         return list(np.asarray(values).reshape(self.n, self.dim))
+
+    def push(self, entry: EpochEntry, drop: bool) -> None:
+        """Append ``entry`` as the newest slot; with ``drop``, first remove
+        slot 0 with its rows and its edge to slot 1. Call :meth:`anchor`
+        before solving."""
+        d, scale = self.dim, self.cfg.cov_scale
+        lo = int(drop)
+        self.entries = self.entries[lo:] + [entry]
+        n = self.n = len(self.entries)
+        if n > 1:
+            dt = float(entry.meas.dt)
+            if dt <= 0:
+                raise ValueError("dt must be positive")
+            jac = -np.eye(d)
+            jac[POS, VEL] = -dt * np.eye(3)
+            self.dt = np.append(self.dt[lo:], dt)
+            self.accel = np.concatenate((self.accel[lo:], [entry.accel_ecef]))
+            self.jac_prev = np.concatenate((self.jac_prev[lo:], [jac]))
+        self.accel_dt = self.accel * self.dt[:, None]
+
+        cut = np.count_nonzero(self.fix_epoch < lo)
+        fixed = entry.fix_cov is not None
+        self.fix_epoch = np.concatenate((self.fix_epoch[cut:] - lo, np.full(int(fixed), n - 1)))
+        self.fix_pos = np.concatenate(
+            (self.fix_pos[cut:], np.reshape(entry.meas.fix_pos if fixed else [], (-1, 3)))
+        )
+        self.fix_var = np.concatenate(
+            (self.fix_var[cut:], np.reshape(entry.fix_cov * scale if fixed else [], (-1, 3)))
+        )
+        self.fix_w = 1.0 / np.sqrt(self.fix_var)
+        self._slot_fix_w2 = np.concatenate(
+            (self._slot_fix_w2[lo:], self.fix_w[-1:] ** 2 if fixed else np.zeros((1, 3)))
+        )
+
+        cut = int(self.pr_count[:lo].sum())
+        rows = entry.pseudorange.size
+        self.pr_count = np.append(self.pr_count[lo:], rows)
+        self.sat_pos = np.concatenate((self.sat_pos[cut:], entry.sat_pos))
+        self.pseudorange = np.concatenate((self.pseudorange[cut:], entry.pseudorange))
+        self.clock_col = np.concatenate((self.clock_col[cut:], entry.clock_col))
+        self.pr_var = np.concatenate((self.pr_var[cut:], entry.pr_sigma2 * scale if rows else []))
+        self.pr_w = 1.0 / np.sqrt(self.pr_var)
+        self.pr_start = np.cumsum(self.pr_count) - self.pr_count
+        self.pr_epoch = np.repeat(np.arange(n), self.pr_count)
+        # row i sits at row pr_epoch[i] * width + (its rank in its slot) of
+        # the slots' rows zero-padded to the widest slot
+        self._pr_width = int(self.pr_count.max())
+        self._pr_row = (
+            self.pr_epoch * self._pr_width
+            + np.arange(self.pseudorange.size)
+            - self.pr_start[self.pr_epoch]
+        )
+
+        # shift the band by the dropped slot's columns; the band grows from
+        # dim to 2 * dim rows when the second slot arrives
+        u = self.bandwidth = min(2 * d, n * d) - 1
+        old = self._ab_linear[:, lo * d :]
+        self._ab_linear = np.zeros((u + 1, n * d))
+        self._ab_linear[u + 1 - old.shape[0] :, : old.shape[1]] = old
+        if drop:
+            # the dropped edge's block sat in the new slot 0's columns
+            self._ab_linear[:, :d] = 0.0
+        # flat band positions of every slot's diagonal block: slot 0's
+        # pattern, offset by dim columns per slot
+        flat = self._ab_linear.reshape(-1)
+        t0, t1 = self._tri
+        self._diag_flat = (u + t0 - t1) * (n * d) + t1 + d * np.arange(n)[:, None]
+        if n > 1:
+            # the new edge's off-diagonal block, J_prev^T Omega, right above
+            # the new slot's diagonal block
+            r, c = self._block_rc
+            flat[(u - d + r) * (n * d) + c + (n - 1) * d] = (jac.T * self.edge_w**2).ravel()
+        # the new slot and the one before it, which gained an edge out
+        self._write_diag(np.arange(max(n - 2, 1), n), self.edge_w**2)
+
+    def anchor(self, value: np.ndarray, var: np.ndarray) -> None:
+        """Pin slot 0 with a prior at ``value`` with variances ``var`` (before
+        ``cov_scale``), and start from the slots' stored states."""
+        self.prior_value = np.array(value, dtype=float)
+        self.prior_var = var * self.cfg.cov_scale
+        self.prior_w = 1.0 / np.sqrt(self.prior_var)
+        self._write_diag(np.zeros(1, dtype=int), self.prior_w**2)
+        self.initial_values = np.concatenate([e.state for e in self.entries])
+
+    def _write_diag(self, slots: np.ndarray, into: np.ndarray) -> None:
+        """Write the linear share of the diagonal blocks of ``slots``
+        (ascending) into the band: ``into`` (the prior or the edge into the
+        slot, on the diagonal), then the edge out of it, then the fix."""
+        d, n = self.dim, self.n
+        hd = np.zeros((slots.size, d, d))
+        hd[:, np.arange(d), np.arange(d)] = into
+        out = slots < n - 1
+        jac = self.jac_prev[slots[out]]
+        hd[out] += np.einsum("kri,r,krj->kij", jac, self.edge_w**2, jac)
+        hd[:, np.arange(3), np.arange(3)] += self._slot_fix_w2[slots]
+        self._ab_linear.reshape(-1)[self._diag_flat[slots]] = hd[:, self._tri[0], self._tri[1]]
 
     def _whitened(self, values: np.ndarray, jacobian: bool = False):
         """Whitened residuals (prior, edges, fixes, pseudoranges) and, if
@@ -381,9 +455,12 @@ class FactorWindow:
         edge[:, VEL] -= self.accel_dt
         edge *= self.edge_w
         fix = self.fix_w * (self.fix_pos - x[self.fix_epoch, 0:3])
-        pr, jac = pseudorange_rows(
-            self.sat_pos, self.pseudorange, self.clock_col, self.pr_epoch, x, jacobian
-        )
+        # an LC window has no rows to price
+        pr, jac = self.pseudorange, None
+        if pr.size:
+            pr, jac = pseudorange_rows(
+                self.sat_pos, self.pseudorange, self.clock_col, self.pr_epoch, x, jacobian
+            )
         return (prior, edge, fix, self.pr_w * pr), jac
 
     @staticmethod
@@ -405,7 +482,8 @@ class FactorWindow:
         """Whitened J^T J (upper band storage), J^T r and cost at ``values``."""
         (prior, edge, fix, pr), jac = self._whitened(values, jacobian=True)
         cost = self._cost((prior, edge, fix, pr))
-        g = np.zeros((self.n, self.dim))
+        n, d = self.n, self.dim
+        g = np.zeros((n, d))
         g[0] += self.prior_w * prior
         q = self.edge_w * edge
         g[1:] += q
@@ -413,14 +491,15 @@ class FactorWindow:
         g[self.fix_epoch, 0:3] -= self.fix_w * fix
         ab = self._ab_linear.copy()
         if pr.size:
-            jw = jac
-            jw *= self.pr_w[:, None]
-            live = self.pr_count > 0
-            starts = self.pr_start[live]
-            g[live] += np.add.reduceat(jw * pr[:, None], starts, axis=0)
-            hd = np.add.reduceat(jw[:, :, None] * jw[:, None, :], starts, axis=0)
-            rows, cols = self._diag_at
-            ab[rows, cols[live]] += hd[:, self._tri[0], self._tri[1]]
+            # each slot's whitened rows [J | r], zero-padded to the widest
+            # slot: one batched product gives every slot's J^T J and J^T r
+            rows = np.zeros((n * self._pr_width, d + 1))
+            rows[self._pr_row, :d] = jac * self.pr_w[:, None]
+            rows[self._pr_row, d] = pr
+            rows = rows.reshape(n, self._pr_width, d + 1)
+            prod = np.matmul(rows.transpose(0, 2, 1), rows)
+            g += prod[:, :d, d]
+            ab.reshape(-1)[self._diag_flat] += prod.reshape(n, -1)[:, self._tri_aug]
         return ab, g.ravel(), cost
 
     def _block(self, i: int) -> ResidualBlock:
@@ -429,7 +508,8 @@ class FactorWindow:
         if i == 0:
             return prior_factor(0, self.prior_value, self.prior_var, layout)
         i -= 1
-        if i < self._n_edge_blocks:
+        n_edge_blocks = (self.n - 1) * self._per_edge
+        if i < n_edge_blocks:
             edge, kind = divmod(i, self._per_edge)
             k, dt = edge + 1, self.dt[edge]
             if kind == 0:
@@ -438,7 +518,7 @@ class FactorWindow:
             if kind == 1:
                 return ins_factor(k - 1, k, self.accel[edge], dt, edge_var[VEL], layout)
             return clock_walk_factor(k - 1, k, math.sqrt(edge_var[9]), layout)
-        i -= self._n_edge_blocks
+        i -= n_edge_blocks
         if i < self.fix_epoch.size:
             return gnss_fix_factor(int(self.fix_epoch[i]), self.fix_pos[i], self.fix_var[i], layout)
         i -= self.fix_epoch.size
@@ -449,17 +529,24 @@ class FactorWindow:
 
 
 def build_window(
-    entries: Sequence[EpochEntry], cfg: FgoConfig, layout: StateLayout
+    entries: Sequence[EpochEntry],
+    cfg: FgoConfig,
+    layout: StateLayout,
+    window: Optional[FactorWindow] = None,
 ) -> FactorWindow:
-    """Stack the newest epochs' factors into one :class:`FactorWindow`.
+    """The :class:`FactorWindow` over the newest epochs of ``entries``.
 
     A finite window of size W keeps the newest W + 1 states (the current
     epoch plus W historical ones, so window size 1 optimizes the current and
     last epochs jointly); batch keeps every epoch. Each in-graph epoch
     contributes its GNSS rows, consecutive epochs are linked by motion, INS
     and (TC) clock-walk factors, and the oldest state carries a prior at its
-    stored estimate. The per-epoch arrays of :class:`EpochEntry` are
-    concatenated, not rebuilt.
+    stored estimate.
+
+    ``window``, when given, is the one built for ``entries[:-1]``: it is slid
+    in place by the newest epoch, dropping its oldest when full, and
+    returned. Without it the window is built by the same slide, one epoch at
+    a time from an empty window, so both give the same arrays.
     """
     if not entries:
         raise ValueError("empty epoch history")
@@ -469,6 +556,15 @@ def build_window(
     else:
         n_states = min(cfg.window_size + 1, n_avail)
     base = n_avail - n_states
+    if window is None:
+        window = FactorWindow(cfg, layout)
+        new = entries[base:]
+    else:
+        if n_avail < 2 or not window.entries or window.entries[-1] is not entries[-2]:
+            raise ValueError("the window to slide must end at the epoch before the newest")
+        new = entries[-1:]
+    for entry in new:
+        window.push(entry, drop=window.n == n_states)
     # the very first trajectory state carries the filter's initial
     # covariance; once the window has slid past it, the anchor re-pins the
     # oldest state at its previously optimized value with the tight sliding
@@ -478,7 +574,8 @@ def build_window(
     else:
         anchor_var = default_process_noise(layout)
         anchor_var[POS], anchor_var[VEL] = SLIDING_ANCHOR_VAR[cfg.mode]
-    return FactorWindow(entries[base:], cfg, layout, anchor_var)
+    window.anchor(entries[base].state, anchor_var)
+    return window
 
 
 class EpochWls:
@@ -606,6 +703,7 @@ class FgoStepResult:
     iterations: int
     cost: float
     converged: bool
+    message: str  # the solve's stop reason (``SolveReport.message``)
 
 
 class FgoEstimator:
@@ -617,6 +715,7 @@ class FgoEstimator:
         self.cfg = cfg
         self.layout = layout
         self.entries: list[EpochEntry] = []
+        self._window: Optional[FactorWindow] = None
 
     def _entry(
         self, meas: EpochMeasurements, state: np.ndarray, accel_ecef: np.ndarray
@@ -642,7 +741,7 @@ class FgoEstimator:
             entry = self._entry(meas, state, np.zeros(3))
             self.entries.append(entry)
             return FgoStepResult(
-                entry.state.copy(), time.perf_counter() - t0, 0, 0.0, True
+                entry.state.copy(), time.perf_counter() - t0, 0, 0.0, True, "initialized"
             )
 
         prev = self.entries[-1]
@@ -667,12 +766,14 @@ class FgoEstimator:
                 state[POS] = seed
         self.entries.append(self._entry(meas, state, accel_ecef))
 
-        problem = build_window(self.entries, self.cfg, self.layout)
+        # looked up on the module at call time, once per epoch, so a tracer
+        # that wraps fgo.build_window sees every window
+        window = self._window = build_window(self.entries, self.cfg, self.layout, self._window)
         try:
-            report = solve_lm(problem, self.cfg.lm)
+            report = solve_lm(window, self.cfg.lm)
         except SolverError as exc:
             raise SolverError(f"epoch {len(self.entries) - 1} (t={meas.t}): {exc}") from exc
-        solution = problem.split(report.values)
+        solution = window.split(report.values)
         n_states = len(solution)
         for i in range(n_states):
             self.entries[len(self.entries) - n_states + i].state = solution[i].copy()
@@ -682,6 +783,7 @@ class FgoEstimator:
             report.iterations,
             report.cost,
             report.converged,
+            report.message,
         )
 
     @property

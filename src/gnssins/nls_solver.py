@@ -294,9 +294,10 @@ def solve_lm(problem, cfg: Optional[LmConfig] = None) -> SolveReport:
     ``initial_values``, ``normal_equations`` and ``cost``; trial steps are
     scored with :func:`total_cost`.
 
-    Jacobians are recomputed at every accepted iterate; a step is accepted
-    only when it lowers the cost, otherwise the damping grows tenfold. The
-    solve stops, in the order tested, when
+    Jacobians are recomputed at every accepted iterate, except one whose
+    step already ends the solve on ``LmConfig.tol``; a step is accepted only
+    when it lowers the cost, otherwise the damping grows tenfold. The solve
+    stops, in the order tested, when
 
     * ``"gradient below gtol"``: the cosine gradient test of
       ``LmConfig.gtol`` holds at the current iterate (before any step, so an
@@ -375,14 +376,15 @@ def solve_lm(problem, cfg: Optional[LmConfig] = None) -> SolveReport:
         ratio = (cost - new_cost) / predicted if predicted > 0 else 0.0
         cost = new_cost
         trace.append(cost)
+        if rel_drop < cfg.tol:
+            # stop before relinearizing: nothing would read that H and g
+            converged = True
+            message = "relative cost change below tol"
+            break
         lam = max(lam / (100.0 if ratio > 0.75 else 10.0), 1e-15)
         ab, g, cost = problem.normal_equations(x)
         diag = ab[-1]
         jacobian_evals += 1
-        if rel_drop < cfg.tol:
-            converged = True
-            message = "relative cost change below tol"
-            break
     else:
         if _gradient_converged(g, diag, cost, cfg.gtol):
             converged = True

@@ -439,6 +439,81 @@ class TestArrayWindowMatchesOracle:
         assert close(delta, expected)
 
 
+WINDOW_ARRAYS = (
+    "initial_values", "prior_value", "prior_var", "dt", "accel", "accel_dt", "jac_prev",
+    "fix_epoch", "fix_pos", "fix_var", "pr_count", "pr_start", "pr_epoch", "sat_pos",
+    "pseudorange", "clock_col", "pr_w",
+)
+
+
+class TestSlidingWindow:
+    """A window slid one epoch at a time against one built from scratch."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        mode=st.sampled_from(["tc", "lc"]),
+        window=st.sampled_from([1, 4, BATCH]),
+        cov_scale=st.sampled_from([1.0, 10.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_slide_equals_scratch_build(self, mode, window, cov_scale, seed):
+        rng = np.random.default_rng(seed)
+        layout = TC if mode == "tc" else LC
+        n_epochs = int(rng.integers(2, 11))
+        epochs, _ = toy_epochs(
+            n_epochs,
+            pr_noise=rng.normal(scale=3.0, size=(n_epochs, 8)),
+            fix_noise=rng.normal(scale=3.0, size=(n_epochs, 3)),
+        )
+        # after the two start-up epochs, vary the rows per slot: 0 to 8
+        # satellites, and LC fixes that may be missing
+        for e in epochs[2:]:
+            e.sats = e.sats[: int(rng.integers(0, 9))]
+            if rng.random() < 0.3:
+                e.fix_pos = e.fix_hdop = None
+        est = FgoEstimator(FgoConfig(mode=mode, window_size=2), layout)
+        for e in epochs:
+            est.step(e)
+        cfg = FgoConfig(mode=mode, window_size=window, cov_scale=cov_scale)
+        slid = None
+        for k in range(1, n_epochs + 1):
+            entries = est.entries[:k]
+            slid = build_window(entries, cfg, layout, slid)
+            ref = build_window(entries, cfg, layout)
+            assert slid.entries == ref.entries
+            assert len(slid.blocks) == len(ref.blocks)
+            for name in WINDOW_ARRAYS:
+                assert np.array_equal(getattr(slid, name), getattr(ref, name)), name
+            x = ref.initial_values + rng.normal(scale=2.0, size=ref.total_dim)
+            for got, want in zip(slid.normal_equations(x), ref.normal_equations(x)):
+                assert np.array_equal(got, want)
+            assert slid.cost(x) == ref.cost(x)
+
+    def test_slides_only_the_window_of_the_previous_epoch(self):
+        epochs, _ = toy_epochs(4)
+        est = FgoEstimator(FgoConfig(mode="tc", window_size=BATCH), TC)
+        for e in epochs:
+            est.step(e)
+        cfg = FgoConfig(mode="tc", window_size=2)
+        window = build_window(est.entries[:2], cfg, TC)
+        with pytest.raises(ValueError, match="epoch before the newest"):
+            build_window(est.entries, cfg, TC, window)
+
+    def test_lc_window_never_prices_pseudoranges(self, monkeypatch):
+        epochs, _ = toy_epochs(4)
+        est = FgoEstimator(FgoConfig(mode="lc", window_size=2), LC)
+        for e in epochs:
+            est.step(e)
+
+        def no_rows(*args):
+            raise AssertionError("pseudorange kernel called on a window without rows")
+
+        monkeypatch.setattr("gnssins.fgo.pseudorange_rows", no_rows)
+        window = build_window(est.entries, FgoConfig(mode="lc", window_size=2), LC)
+        window.normal_equations(window.initial_values)
+        window.cost(window.initial_values)
+
+
 class TestFgoEstimator:
     def test_noise_free_convergence_tc(self):
         epochs, truth = toy_epochs(12)

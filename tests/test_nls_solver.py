@@ -260,6 +260,40 @@ class TestSolveLm:
         assert problem.trials == 1 and report.iterations == 1
         assert np.array_equal(report.values, problem.initial_values)
 
+    def test_no_linearization_after_the_final_step(self):
+        # one curved residual next to a large constant one: the first
+        # accepted step lowers the cost by far less than tol of it, which
+        # ends the solve, so the point it reaches is never linearized
+        class Counting:
+            def __init__(self, problem):
+                self.problem = problem
+                self.initial_values = problem.initial_values
+                self.linearized = []
+
+            def normal_equations(self, x):
+                self.linearized.append(x.copy())
+                return self.problem.normal_equations(x)
+
+            def cost(self, x):
+                return self.problem.cost(x)
+
+        blocks = [
+            ResidualBlock((0,), 1, lambda x: np.array([np.exp(x[0]) - 2.0]), sqrt_info=np.eye(1)),
+            ResidualBlock((0,), 1, lambda x: np.array([1e3]), sqrt_info=np.eye(1)),
+        ]
+        problem = Counting(NlsProblem([1], blocks, np.array([np.log(2.0) + 1e-3])))
+        report = solve_lm(problem)
+        assert report.converged
+        assert report.message == "relative cost change below tol"
+        assert report.iterations == 1 and len(report.cost_trace) == 2
+        assert report.jacobian_evals == len(problem.linearized) == 1
+        assert np.array_equal(problem.linearized[0], problem.initial_values)
+        # the reported cost is the final step's trial cost, as a
+        # linearization there would have returned it
+        assert report.cost == report.cost_trace[-1] == total_cost(problem.problem, report.values)
+        assert report.cost == problem.problem.normal_equations(report.values)[2]
+        assert report.cost < report.cost_trace[0]
+
     def test_large_problem_matches_closed_form(self):
         rng = np.random.default_rng(6)
         problem, mats = linear_problem(rng, n_states=80, state_dim=9, n_blocks=200)
