@@ -766,7 +766,8 @@ def config_to_dict(cfg: SimConfig) -> dict:
 
 def config_from_dict(data: dict) -> SimConfig:
     """Inverse of :func:`config_to_dict`. An absent key takes ``SimConfig``'s
-    default; ``waypoints`` is required and an unknown key is an error."""
+    default; ``waypoints`` is required, and an unknown key or a numeric field
+    whose value is not a number (a bool counts as none) is an error."""
     if not isinstance(data, dict):
         raise ValueError("a scenario must be a JSON object")
     unknown = sorted(set(data) - {f.name for f in fields(SimConfig)})
@@ -774,8 +775,15 @@ def config_from_dict(data: dict) -> SimConfig:
         raise ValueError(f"unknown scenario keys: {', '.join(unknown)}")
     if "waypoints" not in data:
         raise ValueError("a scenario needs 'waypoints'")
+    # fields() gives the annotations as strings (postponed evaluation)
+    numeric = {f.name: f.type for f in fields(SimConfig) if f.type in ("float", "int")}
     kwargs = {}
     for name, value in data.items():
+        if name in numeric:
+            kinds = int if numeric[name] == "int" else (int, float)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                kind = "an integer" if kinds is int else "a number"
+                raise ValueError(f"scenario key {name!r} must be {kind}, got {value!r}")
         try:
             kwargs[name] = _JSON_CODECS[name][1](value) if name in _JSON_CODECS else value
         except (KeyError, TypeError) as exc:

@@ -69,9 +69,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def _write_epochs_csv(path: Path, result: RunResult) -> None:
     write_csv(
         path,
-        "epoch,est_x,est_y,est_z,truth_x,truth_y,truth_z,err_2d_m,residual_m,solve_time_s".split(","),
+        (
+            "epoch,est_x,est_y,est_z,truth_x,truth_y,truth_z,err_2d_m,residual_m,solve_time_s,"
+            "iterations,cost,converged,message"
+        ).split(","),
         (
             [float(v) for v in (r.epoch, *r.est_pos, *r.truth_pos, r.err_2d, r.residual, r.solve_time)]
+            + [int(r.iterations), float(r.cost), int(r.converged), r.message]
             for r in result.records
         ),
     )
@@ -85,6 +89,7 @@ def _summary_dict(result: RunResult, window: Optional[int]) -> dict:
         "std_err_m": result.summary["std_err"],
         "total_time_s": result.summary["total_time"],
         "epochs": result.summary["epochs"],
+        "unconverged_epochs": result.summary["unconverged"],
     }
 
 

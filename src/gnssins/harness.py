@@ -2,8 +2,8 @@
 
 The four configurations are 'ekf-lc', 'ekf-tc', 'fgo-lc' and 'fgo-tc'. Each
 run yields one record per GNSS epoch (estimate, 2D error, GNSS residual,
-solve time) plus per-observation raw pseudorange residuals for the
-distribution analyses.
+solve time and, for the factor graph, the LM solve's diagnostics) plus
+per-observation raw pseudorange residuals for the distribution analyses.
 """
 
 from __future__ import annotations
@@ -158,11 +158,17 @@ def run_estimator(ds: Dataset, cfg: RunConfig) -> RunResult:
         t0 = time.perf_counter()
         if cfg.family == "ekf":
             state = stepper.step(meas)
-            solve_time = time.perf_counter() - t0
+            diagnostics = {"solve_time": time.perf_counter() - t0}
         else:
             result = stepper.step(meas)
             state = result.state
-            solve_time = result.solve_time
+            diagnostics = {
+                "solve_time": result.solve_time,
+                "iterations": result.iterations,
+                "cost": result.cost,
+                "converged": result.converged,
+                "message": result.message,
+            }
 
         if cfg.coupling == "lc":
             residual = (
@@ -186,7 +192,7 @@ def run_estimator(ds: Dataset, cfg: RunConfig) -> RunResult:
                 truth_pos=ds.truth_pos[k].copy(),
                 err_2d=_err2d(ds, state, k),
                 residual=residual,
-                solve_time=solve_time,
+                **diagnostics,
             )
         )
 

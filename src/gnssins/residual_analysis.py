@@ -24,7 +24,9 @@ from .types import POS, StateLayout
 
 @dataclass
 class EpochRecord:
-    """One epoch of estimator output paired with truth."""
+    """One epoch of estimator output paired with truth, and the solve's
+    diagnostics: LM iterations, final cost, converged flag and stop reason.
+    A filter epoch solves nothing iteratively; it keeps the defaults."""
 
     epoch: float
     est_pos: np.ndarray
@@ -32,6 +34,10 @@ class EpochRecord:
     err_2d: float
     residual: float
     solve_time: float
+    iterations: int = 0
+    cost: float = math.nan
+    converged: bool = True
+    message: str = ""
 
 
 def error_2d(est: np.ndarray, truth: np.ndarray, ref: Geodetic) -> float:
@@ -165,7 +171,8 @@ def match_components(model: GmmModel, target_means: Sequence[float]) -> list[Gmm
 
 
 def summarize(records: Sequence[EpochRecord]) -> dict:
-    """Mean and population std of the 2D error plus the summed solve time."""
+    """Mean and population std of the 2D error, the summed solve time and the
+    number of epochs whose solve did not converge."""
     if not records:
         raise ValueError("no records to summarize")
     errs = np.array([r.err_2d for r in records])
@@ -174,4 +181,5 @@ def summarize(records: Sequence[EpochRecord]) -> dict:
         "std_err": float(np.std(errs)),
         "total_time": float(sum(r.solve_time for r in records)),
         "epochs": len(records),
+        "unconverged": sum(not r.converged for r in records),
     }

@@ -67,7 +67,16 @@ class TestSimulate:
             assert ta.shape == tb.shape
             assert np.abs(ta - tb).max() <= 1e-6
 
-    @pytest.mark.parametrize("edit", [{"nlos_recieve_prob": 0.5}, {"waypoints": None}])
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"nlos_recieve_prob": 0.5},
+            {"waypoints": None},
+            {"duration_s": "60"},
+            {"n_satellites": "14"},
+            {"n_satellites": True},
+        ],
+    )
     def test_bad_scenario_keys_exit_1(self, tmp_path, edit):
         cfg = {**config_to_dict(noise_free_config()), **edit}
         cfg = {k: v for k, v in cfg.items() if v is not None}
@@ -98,6 +107,21 @@ class TestRun:
         assert summary["estimator"] == "fgo-tc"
         assert summary["epochs"] == 25
         assert summary["mean_err_m"] < 1.0
+
+    def test_epochs_csv_carries_solver_diagnostics(self, dataset_dir, tmp_path):
+        out = tmp_path / "diag"
+        run_cli(
+            "run", "--dataset", str(dataset_dir), "--estimator", "fgo-tc",
+            "--window", "5", "--out", str(out),
+        )
+        rows = np.genfromtxt(
+            out / "epochs.csv", delimiter=",", names=True, dtype=None, encoding="utf-8"
+        )
+        summary = json.loads((out / "summary.json").read_text())
+        assert rows["message"][0] == "initialized"
+        assert all(rows["message"][1:])
+        assert np.all(rows["iterations"] >= 0) and np.all(np.isfinite(rows["cost"]))
+        assert summary["unconverged_epochs"] == int(np.sum(rows["converged"] == 0)) == 0
 
     def test_summary_matches_epochs_csv(self, dataset_dir, tmp_path):
         out = tmp_path / "run2"

@@ -16,6 +16,7 @@ from gnssins.harness import (
     run_estimator,
     sweep_windows,
 )
+from gnssins.nls_solver import LmConfig
 from gnssins.types import Constellation, StateLayout
 
 
@@ -58,6 +59,32 @@ class TestRunEstimator:
     def test_unknown_estimator_rejected(self):
         with pytest.raises(ValueError):
             RunConfig(estimator="ukf-tc")
+
+
+class TestSolveDiagnostics:
+    def test_fgo_records_carry_the_solve(self, noise_free_ds):
+        result = run_estimator(noise_free_ds, RunConfig(estimator="fgo-tc", window=5))
+        first, rest = result.records[0], result.records[1:]
+        assert (first.iterations, first.message) == (0, "initialized")
+        assert all(r.converged and r.message and np.isfinite(r.cost) for r in rest)
+        assert sum(r.iterations for r in rest) > 0
+        assert result.summary["unconverged"] == 0
+
+    def test_unconverged_epochs_are_counted(self, noise_free_ds):
+        # no stop test can pass, so every solve ends on its one iteration
+        lm = LmConfig(max_iters=1, tol=0.0, gtol=0.0)
+        result = run_estimator(noise_free_ds, RunConfig(estimator="fgo-tc", window=5, lm=lm))
+        unconverged = [r for r in result.records if not r.converged]
+        assert unconverged
+        assert all(r.message == "max iterations reached" for r in unconverged)
+        assert result.summary["unconverged"] == len(unconverged)
+
+    @pytest.mark.parametrize("estimator", ["ekf-lc", "ekf-tc"])
+    def test_filter_records_report_no_iterations(self, noise_free_ds, estimator):
+        result = run_estimator(noise_free_ds, RunConfig(estimator=estimator))
+        for r in result.records:
+            assert r.iterations == 0 and r.converged and np.isnan(r.cost)
+        assert result.summary["unconverged"] == 0
 
 
 def test_compare_runs_all(noise_free_ds):
