@@ -324,7 +324,6 @@ class FactorWindow:
         self.pseudorange = np.empty(0)
         self.clock_col = np.empty(0, dtype=int)
         self.pr_var = np.empty(0)
-        self.bandwidth = -1
         self._ab_linear = np.zeros((0, 0))
         self._tri = np.triu_indices(d)
         # the upper triangle of a (d + 1)-square block, flattened
@@ -403,7 +402,7 @@ class FactorWindow:
 
         # shift the band by the dropped slot's columns; the band grows from
         # dim to 2 * dim rows when the second slot arrives
-        u = self.bandwidth = min(2 * d, n * d) - 1
+        u = min(2 * d, n * d) - 1
         old = self._ab_linear[:, lo * d :]
         self._ab_linear = np.zeros((u + 1, n * d))
         self._ab_linear[u + 1 - old.shape[0] :, : old.shape[1]] = old
