@@ -740,7 +740,7 @@ class FgoEstimator:
             entry = self._entry(meas, state, np.zeros(3))
             self.entries.append(entry)
             return FgoStepResult(
-                entry.state.copy(), time.perf_counter() - t0, 0, 0.0, True, "initialized"
+                entry.state.copy(), time.perf_counter() - t0, 0, math.nan, True, "initialized"
             )
 
         prev = self.entries[-1]

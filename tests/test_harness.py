@@ -65,7 +65,7 @@ class TestSolveDiagnostics:
     def test_fgo_records_carry_the_solve(self, noise_free_ds):
         result = run_estimator(noise_free_ds, RunConfig(estimator="fgo-tc", window=5))
         first, rest = result.records[0], result.records[1:]
-        assert (first.iterations, first.message) == (0, "initialized")
+        assert (first.iterations, first.message) == (0, "initialized") and np.isnan(first.cost)
         assert all(r.converged and r.message and np.isfinite(r.cost) for r in rest)
         assert sum(r.iterations for r in rest) > 0
         assert result.summary["unconverged"] == 0
