@@ -233,12 +233,14 @@ class EpochEntry:
     :func:`build_window` to stack: satellite ECEF positions, measured ranges
     and the state column of each row's clock bias. Their variances are
     ``pr_sigma2``; an LC epoch's fix row is ``meas.fix_pos`` with variances
-    ``fix_cov``.
+    ``fix_cov``. ``first`` marks the trajectory's first epoch, the one a
+    window anchors with the filter's initial covariance.
     """
 
     meas: EpochMeasurements
     state: np.ndarray
     accel_ecef: np.ndarray
+    first: bool = False
     fix_cov: Optional[np.ndarray] = None
     pr_sigma2: Optional[np.ndarray] = None
     sat_pos: np.ndarray = field(default_factory=lambda: np.empty((0, 3)))
@@ -277,18 +279,22 @@ class FactorWindow:
     INS on velocity, clock walk on the clocks), so they are stacked as one
     ``dim``-row edge residual with the constant Jacobians ``jac_prev`` and the
     identity. Their share of ``J^T J`` is kept in upper band storage with
-    bandwidth ``2 * dim - 1`` (``J^T J`` is block-tridiagonal); only the
-    pseudorange rows are relinearized, each slot's by one batched product
-    over the slots' rows zero-padded to the widest slot.
+    ``dim`` super-diagonals: ``J^T J`` is block-tridiagonal, and the edge's
+    off-diagonal block ``jac_prev^T Omega`` has no entry right of the
+    diagonal of its ``dim``-square block because ``jac_prev`` is upper
+    triangular (each edge row depends only on the same or later columns of
+    the previous state: position on velocity). Only the pseudorange rows are
+    relinearized, each slot's by one batched product over the slots' rows
+    zero-padded to the widest slot.
 
     The window is persistent. A new one has no slots; :meth:`push` appends an
-    epoch's slot, its edge to the previous slot and its fix or pseudorange
-    rows, drops slot 0 with its rows and edge when asked, and shifts the band
-    by ``dim`` columns. Of the linear band it computes only the new edge's
-    block and the diagonal blocks of the last two slots; :meth:`anchor` then
-    pins slot 0 with the prior and recomputes that slot's diagonal block.
-    Each diagonal block is summed in one order wherever it is computed: the
-    prior or the edge into the slot, then the edge out of it, then the fix.
+    epoch's slot, its edge to the previous slot and its fix (LC) or
+    pseudorange rows (TC), drops slot 0 with its rows and edge when asked, and
+    shifts the band by ``dim`` columns. Of the linear band it writes only the
+    new edge's block; :meth:`anchor` then pins slot 0 with the prior and
+    writes the diagonal blocks of slot 0 and of the last two slots, the only
+    ones the slide changed. Each diagonal block is summed in one order: the
+    edge out of the slot, then the prior or the edge into it, then the fix.
     :func:`build_window` drives both.
 
     The window provides what :func:`nls_solver.solve_lm` needs
@@ -307,30 +313,44 @@ class FactorWindow:
         self.n = 0
         self.edge_var = default_process_noise(layout) * cfg.cov_scale
         self.edge_w = 1.0 / np.sqrt(self.edge_var)
+        self._edge_w2 = self.edge_w**2
         self._per_edge = 3 if layout.has_clock else 2
         # per edge: slot k-1 to slot k is edge k-1
         self.dt = np.empty(0)
         self.accel = np.empty((0, 3))
+        self.accel_dt = np.empty((0, 3))
         self.jac_prev = np.empty((0, d, d))
-        # per fix, slots ascending
+        # per fix, slots ascending; a TC window keeps none
         self.fix_epoch = np.empty(0, dtype=int)
         self.fix_pos = np.empty((0, 3))
         self.fix_var = np.empty((0, 3))
-        # per slot: the squared fix weights, zero without a fix
+        self.fix_w = np.empty((0, 3))
+        # per slot (LC only): the squared fix weights, zero without a fix
         self._slot_fix_w2 = np.empty((0, 3))
-        # per pseudorange row, grouped by slot
-        self.pr_count = np.empty(0, dtype=int)
+        # per pseudorange row, grouped by slot; an LC window keeps none
+        self.pr_count = self.pr_start = self.pr_epoch = np.empty(0, dtype=int)
         self.sat_pos = np.empty((0, 3))
         self.pseudorange = np.empty(0)
         self.clock_col = np.empty(0, dtype=int)
         self.pr_var = np.empty(0)
-        self._ab_linear = np.zeros((0, 0))
-        self._tri = np.triu_indices(d)
-        # the upper triangle of a (d + 1)-square block, flattened
-        self._tri_aug = self._tri[0] * (d + 1) + self._tri[1]
-        # row minus column, and column, of each entry of a flattened d-square block
-        a, b = np.divmod(np.arange(d * d), d)
-        self._block_rc = (a - b, b)
+        self.pr_w = np.empty(0)
+        self._ab_linear = np.zeros((d + 1, 0))
+        # slots past 0 whose diagonal block pushes changed since the last anchor
+        self._stale: set[int] = set()
+        self._diag = np.arange(d)
+        self._jac_eye = -np.eye(d)
+        # the diagonal of jac_prev's position-on-velocity block
+        self._pos_vel = (self._diag[POS], self._diag[VEL])
+        # the upper triangle of a d-square and of a (d + 1)-square block,
+        # flattened, and its band row and column within a slot's columns
+        t0, t1 = np.triu_indices(d)
+        self._tri = t0 * d + t1
+        self._tri_aug = t0 * (d + 1) + t1
+        self._tri_band = (d + t0 - t1, t1)
+        # the lower triangle (row >= column) of a d-square block: where
+        # jac_prev^T Omega can be nonzero; its band row is row minus column
+        self._low = np.tril_indices(d)
+        self._diag_flat = np.empty((0, t0.size), dtype=int)
 
     @property
     def state_dims(self) -> list[int]:
@@ -360,89 +380,97 @@ class FactorWindow:
             dt = float(entry.meas.dt)
             if dt <= 0:
                 raise ValueError("dt must be positive")
-            jac = -np.eye(d)
-            jac[POS, VEL] = -dt * np.eye(3)
+            jac = self._jac_eye.copy()
+            jac[self._pos_vel] = -dt
             self.dt = np.append(self.dt[lo:], dt)
             self.accel = np.concatenate((self.accel[lo:], [entry.accel_ecef]))
+            self.accel_dt = np.concatenate((self.accel_dt[lo:], [entry.accel_ecef * dt]))
             self.jac_prev = np.concatenate((self.jac_prev[lo:], [jac]))
-        self.accel_dt = self.accel * self.dt[:, None]
 
-        cut = np.count_nonzero(self.fix_epoch < lo)
-        fixed = entry.fix_cov is not None
-        self.fix_epoch = np.concatenate((self.fix_epoch[cut:] - lo, np.full(int(fixed), n - 1)))
-        self.fix_pos = np.concatenate(
-            (self.fix_pos[cut:], np.reshape(entry.meas.fix_pos if fixed else [], (-1, 3)))
-        )
-        self.fix_var = np.concatenate(
-            (self.fix_var[cut:], np.reshape(entry.fix_cov * scale if fixed else [], (-1, 3)))
-        )
-        self.fix_w = 1.0 / np.sqrt(self.fix_var)
-        self._slot_fix_w2 = np.concatenate(
-            (self._slot_fix_w2[lo:], self.fix_w[-1:] ** 2 if fixed else np.zeros((1, 3)))
-        )
+        if self.cfg.mode == "lc":
+            cut = np.count_nonzero(self.fix_epoch < lo)
+            fixed = entry.fix_cov is not None
+            var = np.reshape(entry.fix_cov * scale if fixed else [], (-1, 3))
+            w = 1.0 / np.sqrt(var)
+            self.fix_epoch = np.concatenate(
+                (self.fix_epoch[cut:] - lo, np.full(int(fixed), n - 1))
+            )
+            self.fix_pos = np.concatenate(
+                (self.fix_pos[cut:], np.reshape(entry.meas.fix_pos if fixed else [], (-1, 3)))
+            )
+            self.fix_var = np.concatenate((self.fix_var[cut:], var))
+            self.fix_w = np.concatenate((self.fix_w[cut:], w))
+            self._slot_fix_w2 = np.concatenate(
+                (self._slot_fix_w2[lo:], w**2 if fixed else np.zeros((1, 3)))
+            )
+        else:
+            cut = int(self.pr_count[:lo].sum())
+            rows = entry.pseudorange.size
+            var = entry.pr_sigma2 * scale if rows else np.empty(0)
+            self.pr_count = np.append(self.pr_count[lo:], rows)
+            self.sat_pos = np.concatenate((self.sat_pos[cut:], entry.sat_pos))
+            self.pseudorange = np.concatenate((self.pseudorange[cut:], entry.pseudorange))
+            self.clock_col = np.concatenate((self.clock_col[cut:], entry.clock_col))
+            self.pr_var = np.concatenate((self.pr_var[cut:], var))
+            self.pr_w = np.concatenate((self.pr_w[cut:], 1.0 / np.sqrt(var)))
+            self.pr_start = np.cumsum(self.pr_count) - self.pr_count
+            self.pr_epoch = np.repeat(np.arange(n), self.pr_count)
+            # row i sits at row pr_epoch[i] * width + (its rank in its slot)
+            # of the slots' rows zero-padded to the widest slot
+            self._pr_width = int(self.pr_count.max())
+            self._pr_row = (
+                self.pr_epoch * self._pr_width
+                + np.arange(self.pseudorange.size)
+                - self.pr_start[self.pr_epoch]
+            )
 
-        cut = int(self.pr_count[:lo].sum())
-        rows = entry.pseudorange.size
-        self.pr_count = np.append(self.pr_count[lo:], rows)
-        self.sat_pos = np.concatenate((self.sat_pos[cut:], entry.sat_pos))
-        self.pseudorange = np.concatenate((self.pseudorange[cut:], entry.pseudorange))
-        self.clock_col = np.concatenate((self.clock_col[cut:], entry.clock_col))
-        self.pr_var = np.concatenate((self.pr_var[cut:], entry.pr_sigma2 * scale if rows else []))
-        self.pr_w = 1.0 / np.sqrt(self.pr_var)
-        self.pr_start = np.cumsum(self.pr_count) - self.pr_count
-        self.pr_epoch = np.repeat(np.arange(n), self.pr_count)
-        # row i sits at row pr_epoch[i] * width + (its rank in its slot) of
-        # the slots' rows zero-padded to the widest slot
-        self._pr_width = int(self.pr_count.max())
-        self._pr_row = (
-            self.pr_epoch * self._pr_width
-            + np.arange(self.pseudorange.size)
-            - self.pr_start[self.pr_epoch]
-        )
-
-        # shift the band by the dropped slot's columns; the band grows from
-        # dim to 2 * dim rows when the second slot arrives
-        u = min(2 * d, n * d) - 1
+        # shift the band by the dropped slot's columns
         old = self._ab_linear[:, lo * d :]
-        self._ab_linear = np.zeros((u + 1, n * d))
-        self._ab_linear[u + 1 - old.shape[0] :, : old.shape[1]] = old
+        self._ab_linear = np.zeros((d + 1, n * d))
+        self._ab_linear[:, : old.shape[1]] = old
         if drop:
             # the dropped edge's block sat in the new slot 0's columns
             self._ab_linear[:, :d] = 0.0
-        # flat band positions of every slot's diagonal block: slot 0's
-        # pattern, offset by dim columns per slot
-        flat = self._ab_linear.reshape(-1)
-        t0, t1 = self._tri
-        self._diag_flat = (u + t0 - t1) * (n * d) + t1 + d * np.arange(n)[:, None]
+        if self._diag_flat.shape[0] != n:
+            # flat band positions of every slot's diagonal block (slot 0's
+            # pattern, offset by dim columns per slot) and of the newest
+            # edge's block; where each diagonal block's upper triangle sits
+            # in a stack of n (d + 1)-square blocks
+            row, col = self._tri_band
+            slot = np.arange(n)[:, None]
+            self._diag_flat = row * (n * d) + col + d * slot
+            self._prod_tri = (slot * (d + 1) ** 2 + self._tri_aug).ravel()
+            a, b = self._low
+            self._edge_flat = (a - b) * (n * d) + b + (n - 1) * d
         if n > 1:
-            # the new edge's off-diagonal block, J_prev^T Omega, right above
-            # the new slot's diagonal block
-            r, c = self._block_rc
-            flat[(u - d + r) * (n * d) + c + (n - 1) * d] = (jac.T * self.edge_w**2).ravel()
+            # the new edge's off-diagonal block, J_prev^T Omega, in the new
+            # slot's columns above its diagonal block
+            a, b = self._low
+            self._ab_linear.reshape(-1)[self._edge_flat] = (jac.T * self._edge_w2)[a, b]
         # the new slot and the one before it, which gained an edge out
-        self._write_diag(np.arange(max(n - 2, 1), n), self.edge_w**2)
+        self._stale = {k - lo for k in self._stale if k > lo} | set(range(max(n - 2, 1), n))
 
     def anchor(self, value: np.ndarray, var: np.ndarray) -> None:
         """Pin slot 0 with a prior at ``value`` with variances ``var`` (before
-        ``cov_scale``), and start from the slots' stored states."""
+        ``cov_scale``), write the diagonal blocks the slide changed, and start
+        from the slots' stored states."""
         self.prior_value = np.array(value, dtype=float)
         self.prior_var = var * self.cfg.cov_scale
         self.prior_w = 1.0 / np.sqrt(self.prior_var)
-        self._write_diag(np.zeros(1, dtype=int), self.prior_w**2)
-        self.initial_values = np.concatenate([e.state for e in self.entries])
-
-    def _write_diag(self, slots: np.ndarray, into: np.ndarray) -> None:
-        """Write the linear share of the diagonal blocks of ``slots``
-        (ascending) into the band: ``into`` (the prior or the edge into the
-        slot, on the diagonal), then the edge out of it, then the fix."""
-        d, n = self.dim, self.n
+        d, diag = self.dim, self._diag
+        slots = np.array([0, *sorted(self._stale)])
+        self._stale = set()
         hd = np.zeros((slots.size, d, d))
-        hd[:, np.arange(d), np.arange(d)] = into
-        out = slots < n - 1
-        jac = self.jac_prev[slots[out]]
-        hd[out] += np.einsum("kri,r,krj->kij", jac, self.edge_w**2, jac)
-        hd[:, np.arange(3), np.arange(3)] += self._slot_fix_w2[slots]
-        self._ab_linear.reshape(-1)[self._diag_flat[slots]] = hd[:, self._tri[0], self._tri[1]]
+        # slots ascend, so those with an edge out come first
+        jac = self.jac_prev[slots[slots < self.n - 1]]
+        hd[: len(jac)] = np.matmul(jac.transpose(0, 2, 1) * self._edge_w2, jac)
+        hd[0, diag, diag] += self.prior_w**2
+        hd[1:, diag, diag] += self._edge_w2
+        if self._slot_fix_w2.size:
+            hd[:, diag[:3], diag[:3]] += self._slot_fix_w2[slots]
+        upper = hd.reshape(slots.size, -1).take(self._tri, axis=1)
+        self._ab_linear.reshape(-1)[self._diag_flat[slots]] = upper
+        self.initial_values = np.concatenate([e.state for e in self.entries])
 
     def _whitened(self, values: np.ndarray, jacobian: bool = False):
         """Whitened residuals (prior, edges, fixes, pseudoranges) and, if
@@ -453,8 +481,10 @@ class FactorWindow:
         edge[:, POS] -= x[:-1, VEL] * self.dt[:, None]
         edge[:, VEL] -= self.accel_dt
         edge *= self.edge_w
-        fix = self.fix_w * (self.fix_pos - x[self.fix_epoch, 0:3])
-        # an LC window has no rows to price
+        # a TC window has no fixes, and an LC window no pseudoranges, to price
+        fix = self.fix_pos
+        if fix.size:
+            fix = self.fix_w * (fix - x[self.fix_epoch, 0:3])
         pr, jac = self.pseudorange, None
         if pr.size:
             pr, jac = pseudorange_rows(
@@ -464,13 +494,15 @@ class FactorWindow:
 
     @staticmethod
     def _cost(residuals) -> float:
-        cost = 0.0
-        labels = ("prior", "motion/ins/clock_walk", "gnss_fix", "pseudorange")
-        for label, rw in zip(labels, residuals):
-            part = float(np.vdot(rw, rw))
-            if not np.isfinite(part):
-                raise EvaluationError(f"non-finite residual in {label} factors")
-            cost += part
+        prior, edge, fix, pr = residuals
+        cost = float(
+            np.vdot(prior, prior) + np.vdot(edge, edge) + np.vdot(fix, fix) + np.vdot(pr, pr)
+        )
+        if not math.isfinite(cost):
+            labels = ("prior", "motion/ins/clock_walk", "gnss_fix", "pseudorange")
+            for label, rw in zip(labels, residuals):
+                if not math.isfinite(np.vdot(rw, rw)):
+                    raise EvaluationError(f"non-finite residual in {label} factors")
         return cost
 
     def cost(self, values: np.ndarray) -> float:
@@ -486,19 +518,19 @@ class FactorWindow:
         g[0] += self.prior_w * prior
         q = self.edge_w * edge
         g[1:] += q
-        g[:-1] += np.einsum("kri,kr->ki", self.jac_prev, q)
-        g[self.fix_epoch, 0:3] -= self.fix_w * fix
+        g[:-1] += np.matmul(q[:, None], self.jac_prev)[:, 0]
+        if fix.size:
+            g[self.fix_epoch, 0:3] -= self.fix_w * fix
         ab = self._ab_linear.copy()
         if pr.size:
             # each slot's whitened rows [J | r], zero-padded to the widest
             # slot: one batched product gives every slot's J^T J and J^T r
             rows = np.zeros((n * self._pr_width, d + 1))
-            rows[self._pr_row, :d] = jac * self.pr_w[:, None]
-            rows[self._pr_row, d] = pr
+            rows[self._pr_row] = np.concatenate((jac * self.pr_w[:, None], pr[:, None]), axis=1)
             rows = rows.reshape(n, self._pr_width, d + 1)
             prod = np.matmul(rows.transpose(0, 2, 1), rows)
             g += prod[:, :d, d]
-            ab.reshape(-1)[self._diag_flat] += prod.reshape(n, -1)[:, self._tri_aug]
+            ab.reshape(-1)[self._diag_flat.ravel()] += prod.take(self._prod_tri)
         return ab, g.ravel(), cost
 
     def _block(self, i: int) -> ResidualBlock:
@@ -564,11 +596,11 @@ def build_window(
         new = entries[-1:]
     for entry in new:
         window.push(entry, drop=window.n == n_states)
-    # the very first trajectory state carries the filter's initial
-    # covariance; once the window has slid past it, the anchor re-pins the
-    # oldest state at its previously optimized value with the tight sliding
-    # prior, whose bias and clock variances are one epoch of process noise
-    if base == 0:
+    # the trajectory's first state carries the filter's initial covariance;
+    # once the window has slid past it, the anchor re-pins the oldest state at
+    # its previously optimized value with the tight sliding prior, whose bias
+    # and clock variances are one epoch of process noise
+    if entries[base].first:
         anchor_var = np.diag(initial_covariance(layout))
     else:
         anchor_var = default_process_noise(layout)
@@ -706,7 +738,11 @@ class FgoStepResult:
 
 
 class FgoEstimator:
-    """Sliding-window estimator; feed epochs in time order via :meth:`step`."""
+    """Sliding-window estimator; feed epochs in time order via :meth:`step`.
+
+    ``entries`` holds the epochs the next slide reads: the current window's
+    (the newest W + 1) for a finite window, every epoch in batch mode.
+    """
 
     def __init__(self, cfg: FgoConfig, layout: StateLayout):
         if cfg.mode == "tc" and not layout.has_clock:
@@ -738,6 +774,7 @@ class FgoEstimator:
         if not self.entries:
             state = initial_state(meas, self.cfg.mode, self.layout, self.cfg.weighting)
             entry = self._entry(meas, state, np.zeros(3))
+            entry.first = True
             self.entries.append(entry)
             return FgoStepResult(
                 entry.state.copy(), time.perf_counter() - t0, 0, math.nan, True, "initialized"
@@ -771,11 +808,11 @@ class FgoEstimator:
         try:
             report = solve_lm(window, self.cfg.lm)
         except SolverError as exc:
-            raise SolverError(f"epoch {len(self.entries) - 1} (t={meas.t}): {exc}") from exc
-        solution = window.split(report.values)
-        n_states = len(solution)
-        for i in range(n_states):
-            self.entries[len(self.entries) - n_states + i].state = solution[i].copy()
+            raise SolverError(f"epoch at t={meas.t}: {exc}") from exc
+        for entry, state in zip(window.entries, report.values.reshape(window.n, -1)):
+            entry.state = state
+        if self.cfg.window_size is not None:
+            del self.entries[: -window.n]
         return FgoStepResult(
             self.entries[-1].state.copy(),
             time.perf_counter() - t0,

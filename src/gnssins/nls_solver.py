@@ -3,8 +3,9 @@
 :func:`solve_lm` works on any problem that, at a point ``x``, returns its
 whitened normal equations ``(H, g, cost)`` from ``normal_equations(x)``, with
 ``H = J^T J`` in upper band storage and ``g = J^T r``, and its cost alone from
-``cost(x)``. Every damped system is solved with one banded Cholesky
-factorization, whose bandwidth comes from the problem's structure.
+``cost(x)``. Every damped system is solved by one LAPACK call, a banded
+Cholesky factorization and solve, whose bandwidth is the number of rows the
+problem's band holds.
 
 :class:`NlsProblem` is the general form: state slots plus residual blocks;
 each block binds a few slots to a residual function, optional analytic
@@ -23,14 +24,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy
-import scipy.linalg
+from scipy.linalg.lapack import dpbsv
 
 
 def _single_thread_banded_lapack() -> None:
     """Run scipy's bundled OpenBLAS, which ``solve_damped`` uses, on one thread.
 
     The bands solved here are a few hundred columns wide. On the default pool
-    (one thread per CPU) ``cholesky_banded`` runs several times slower, and a
+    (one thread per CPU) the banded Cholesky runs several times slower, and a
     cold process can stall for tenths of a second per epoch. Environment
     variables are read only when the library loads, which may already have
     happened, so the pool is set through the library's own call. A build
@@ -208,8 +209,8 @@ def total_cost(problem, values: np.ndarray) -> float:
 
 
 def upper_band(h_mat: np.ndarray, bandwidth: int) -> np.ndarray:
-    """Upper band storage of a symmetric matrix, as ``scipy.linalg.cholesky_banded``
-    takes it: ``ab[bandwidth + i - j, j] = h_mat[i, j]`` for ``i <= j``."""
+    """Upper band storage of a symmetric matrix, as LAPACK's ``dpbsv`` takes
+    it: ``ab[bandwidth + i - j, j] = h_mat[i, j]`` for ``i <= j``."""
     n = h_mat.shape[0]
     ab = np.zeros((bandwidth + 1, n))
     for k in range(bandwidth + 1):
@@ -261,30 +262,32 @@ def _block_jacobians(block: ResidualBlock, states: list[np.ndarray]) -> list[np.
 
 
 def solve_damped(ab: np.ndarray, diag: np.ndarray, lam: float, g: np.ndarray):
-    """Solve (H + lam*diag) delta = -g for H in upper band storage.
+    """Solve (H + lam*diag) delta = -g for H in upper band storage, with
+    ``ab.shape[0] - 1`` super-diagonals, by one LAPACK ``dpbsv`` call (banded
+    Cholesky factorization, then the two triangular solves).
 
     Returns None when the damped matrix is not positive definite.
     """
-    damped = ab.copy()
+    # LAPACK reads the band column by column; a copy in that order is the
+    # only one made
+    damped = np.array(ab, order="F")
     damped[-1] += lam * diag
-    try:
-        factor = scipy.linalg.cholesky_banded(damped, overwrite_ab=True, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        return None
-    return scipy.linalg.cho_solve_banded((factor, False), -g, check_finite=False)
+    _, delta, info = dpbsv(damped, -g, overwrite_ab=1, overwrite_b=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpbsv")
+    return None if info > 0 else delta
 
 
 def _gradient_converged(g: np.ndarray, diag: np.ndarray, cost: float, gtol: float) -> bool:
-    """MINPACK's scale-free gradient test (see ``LmConfig.gtol``).
+    """MINPACK's scale-free gradient test (see ``LmConfig.gtol``), squared:
+    ``g_i^2 <= gtol^2 * H_ii * cost`` for every column.
 
     Columns with ``H_ii == 0`` touch no residual, so their ``g_i`` is zero
-    too; they are left out of the maximum.
+    too and they pass.
     """
     if cost <= 0.0:
         return True
-    live = diag > 0.0
-    cosines = np.abs(g[live]) / np.sqrt(diag[live] * cost)
-    return bool(np.all(cosines <= gtol))
+    return bool(np.all(g * g <= (gtol * gtol * cost) * diag))
 
 
 def solve_lm(problem, cfg: Optional[LmConfig] = None) -> SolveReport:

@@ -415,7 +415,7 @@ class TestArrayWindowMatchesOracle:
             pr_noise=rng.normal(scale=3.0, size=(n_epochs, 8)),
             fix_noise=rng.normal(scale=3.0, size=(n_epochs, 3)),
         )
-        est = FgoEstimator(FgoConfig(mode=mode, window_size=2), layout)
+        est = FgoEstimator(FgoConfig(mode=mode, window_size=BATCH), layout)
         for e in epochs:
             est.step(e)
         cfg = FgoConfig(mode=mode, window_size=window, cov_scale=cov_scale)
@@ -426,8 +426,14 @@ class TestArrayWindowMatchesOracle:
         oracle = NlsProblem(w.state_dims, list(w.blocks), x)
         ab, g, cost = w.normal_equations(x)
         ab_ref, g_ref, cost_ref = oracle.normal_equations(x)
-        assert ab.shape == ab_ref.shape == (2 * layout.dim, w.total_dim)
-        assert close(ab, ab_ref)
+        # the oracle's band follows the widest block span (2 * dim - 1
+        # super-diagonals); the window keeps dim, because jac_prev is upper
+        # triangular and so the edge block has nothing further out
+        d = layout.dim
+        assert ab.shape == (d + 1, w.total_dim)
+        assert ab_ref.shape == (2 * d, w.total_dim)
+        assert not ab_ref[: 2 * d - (d + 1)].any()
+        assert close(ab, ab_ref[-(d + 1) :])
         assert close(g, g_ref)
         assert cost == pytest.approx(cost_ref, rel=1e-9)
         assert w.cost(x) == pytest.approx(oracle.cost(x), rel=1e-9)
@@ -471,7 +477,7 @@ class TestSlidingWindow:
             e.sats = e.sats[: int(rng.integers(0, 9))]
             if rng.random() < 0.3:
                 e.fix_pos = e.fix_hdop = None
-        est = FgoEstimator(FgoConfig(mode=mode, window_size=2), layout)
+        est = FgoEstimator(FgoConfig(mode=mode, window_size=BATCH), layout)
         for e in epochs:
             est.step(e)
         cfg = FgoConfig(mode=mode, window_size=window, cov_scale=cov_scale)
@@ -498,6 +504,26 @@ class TestSlidingWindow:
         window = build_window(est.entries[:2], cfg, TC)
         with pytest.raises(ValueError, match="epoch before the newest"):
             build_window(est.entries, cfg, TC, window)
+
+    @pytest.mark.parametrize("mode", ["tc", "lc"])
+    @pytest.mark.parametrize("window", [1, 3, BATCH])
+    def test_estimator_keeps_only_the_history_it_slides(self, mode, window):
+        layout = TC if mode == "tc" else LC
+        epochs, _ = toy_epochs(8)
+        est = FgoEstimator(FgoConfig(mode=mode, window_size=window), layout)
+        for k, e in enumerate(epochs, start=1):
+            est.step(e)
+            kept = k if window is BATCH else min(k, window + 1)
+            assert len(est.entries) == kept
+            assert [x.first for x in est.entries] == [k == kept] + [False] * (kept - 1)
+        # the kept history rebuilds the estimator's own window, anchored at
+        # the sliding prior once the first epoch has left it
+        cfg = FgoConfig(mode=mode, window_size=window)
+        ref = build_window(est.entries, cfg, layout)
+        assert ref.entries == est._window.entries
+        assert np.array_equal(ref.prior_var, est._window.prior_var)
+        x = ref.initial_values
+        assert np.array_equal(ref.normal_equations(x)[0], est._window.normal_equations(x)[0])
 
     def test_lc_window_never_prices_pseudoranges(self, monkeypatch):
         epochs, _ = toy_epochs(4)

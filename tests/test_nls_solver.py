@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gnssins.nls_solver import (
     EvaluationError,
@@ -8,9 +10,11 @@ from gnssins.nls_solver import (
     ResidualBlock,
     SolverError,
     numeric_jacobian,
+    solve_damped,
     solve_lm,
     sqrt_info_from_cov_diag,
     total_cost,
+    upper_band,
 )
 
 
@@ -301,6 +305,51 @@ class TestSolveLm:
         report = solve_lm(problem)
         expected = closed_form(problem, mats, 80, 9)
         assert np.allclose(report.values, expected, atol=1e-8)
+
+
+class TestSolveDamped:
+    """The banded damped solve against a dense solve of the same system."""
+
+    @staticmethod
+    def random_band(rng, n, u):
+        # H = L L^T with L lower triangular of bandwidth u has bandwidth u
+        low = np.tril(rng.normal(scale=0.3, size=(n, n)))
+        low[np.tril_indices(n, -u - 1)] = 0.0
+        low[np.diag_indices(n)] = rng.uniform(1.0, 2.0, size=n)
+        return low @ low.T
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 30),
+        u=st.integers(0, 6),
+        lam=st.sampled_from([0.0, 1e-6, 1e-2, 1.0, 1e3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_solve_on_spd_bands(self, n, u, lam, seed):
+        rng = np.random.default_rng(seed)
+        h = self.random_band(rng, n, u)
+        g = rng.normal(size=n)
+        ab = upper_band(h, u)
+        before = ab.copy()
+        delta = solve_damped(ab, ab[-1], lam, g)
+        expected = np.linalg.solve(h + lam * np.diag(np.diag(h)), -g)
+        assert np.abs(delta - expected).max() <= 1e-10 * np.abs(expected).max()
+        assert np.array_equal(ab, before)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(1, 30),
+        u=st.integers(0, 6),
+        lam=st.sampled_from([0.0, 1e-6, 1e-2, 1.0, 1e3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_indefinite_band_returns_none(self, n, u, lam, seed):
+        rng = np.random.default_rng(seed)
+        h = self.random_band(rng, n, u)
+        k = int(rng.integers(0, n))
+        h[k, k] = -rng.uniform(0.1, 10.0)
+        ab = upper_band(h, u)
+        assert solve_damped(ab, ab[-1], lam, rng.normal(size=n)) is None
 
 
 def test_sqrt_info_matches_inverse_covariance():
