@@ -18,6 +18,7 @@ from .noise_models import (
     SatObservation,
     ins_cov,
     motion_model_cov,
+    pseudorange_jacobian,
     pseudorange_rows,
     stack_pseudoranges,
 )
@@ -159,5 +160,6 @@ def update_tc(
     if not sats:
         raise ValueError("empty satellite list")
     arrays = stack_pseudoranges(sats, b.layout.clock_index)
-    innovation, jac = pseudorange_rows(*arrays, 0, b.mean[None, :], jacobian=True)
+    innovation, unit = pseudorange_rows(*arrays, b.mean)
+    jac = pseudorange_jacobian(unit, arrays[2], b.layout.dim)
     return _kalman_update(b, -jac, innovation, r_diag)

@@ -12,14 +12,23 @@ The edges use the filter's per-epoch process noise and the trajectory's first
 state the filter's initial covariance (:mod:`ekf`), so the two families share
 one set of noise constants. Once the window slides, the anchor's position and
 velocity variances depend on the coupling (:data:`SLIDING_ANCHOR_VAR`). Both
-families start from :func:`initial_state` and seed velocity from
-:func:`position_seed`.
+families start from :func:`initial_state`, seed velocity from
+:func:`position_seed` and weight LC fixes by :func:`fix_hdop`.
+
+The estimator keeps one :class:`FactorWindow` and slides it an epoch at a
+time. Its per-slot arrays live in fixed-capacity slot buffers (Sibley et al.,
+*Sliding Window Filter*, 2010), so a slide writes one slot and moves no
+others, and the pseudorange rows are padded per slot so that each slot's
+state is broadcast over its rows. Each point the solver visits is priced
+once: the linearization at an accepted trial reuses the residuals its cost
+computed.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 from typing import Optional
@@ -34,6 +43,7 @@ from .noise_models import (
     WeightingParams,
     compute_hdop,
     lc_fix_covariance,
+    pseudorange_jacobian,
     pseudorange_rows,
     stack_pseudoranges,
     tc_covariance,
@@ -243,7 +253,7 @@ class EpochEntry:
     first: bool = False
     fix_cov: Optional[np.ndarray] = None
     pr_sigma2: Optional[np.ndarray] = None
-    sat_pos: np.ndarray = field(default_factory=lambda: np.empty((0, 3)))
+    sat_pos: np.ndarray = field(default_factory=lambda: np.empty((3, 0)))
     pseudorange: np.ndarray = field(default_factory=lambda: np.empty(0))
     clock_col: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
 
@@ -268,8 +278,25 @@ class _LazyBlocks(Sequence):
         return self._make(i)
 
 
+# what a padding pseudorange row holds: zero weight (infinite variance), any
+# state column for its clock, and a satellite about 1e9 km from the Earth, so
+# that no receiver state the solver reaches gives it a zero range
+_PR_PAD = {
+    "sat_pos": 1.0e12, "pseudorange": 0.0, "clock_col": 9, "pr_var": np.inf, "pr_w": 0.0
+}
+
+
+# slot buffers that slot k holds for the edge into it, live from slot 1 on
+_EDGE_BUFFERS = ("dt", "accel", "accel_dt", "edge_block")
+
+
+def _slot_view(name: str, doc: str) -> property:
+    """The live slots' part of the slot buffer ``name``."""
+    return property(lambda self: self._live[name], doc=doc)
+
+
 class FactorWindow:
-    """The NLS problem of one window, held as stacked arrays and slid one
+    """The NLS problem of one window, held in slot-major buffers and slid one
     epoch at a time.
 
     Slot ``k`` is the ``k``-th in-window epoch. Every factor except the
@@ -277,25 +304,49 @@ class FactorWindow:
     INS and clock-walk factors between consecutive slots. The latter three
     give one residual entry per state column (motion on position and bias,
     INS on velocity, clock walk on the clocks), so they are stacked as one
-    ``dim``-row edge residual with the constant Jacobians ``jac_prev`` and the
+    ``dim``-row edge residual with the constant Jacobians ``J_prev`` and the
     identity. Their share of ``J^T J`` is kept in upper band storage with
     ``dim`` super-diagonals: ``J^T J`` is block-tridiagonal, and the edge's
-    off-diagonal block ``jac_prev^T Omega`` has no entry right of the
-    diagonal of its ``dim``-square block because ``jac_prev`` is upper
+    off-diagonal block ``J_prev^T Omega`` has no entry right of the
+    diagonal of its ``dim``-square block because ``J_prev`` is upper
     triangular (each edge row depends only on the same or later columns of
-    the previous state: position on velocity). Only the pseudorange rows are
-    relinearized, each slot's by one batched product over the slots' rows
-    zero-padded to the widest slot.
+    the previous state: position on velocity).
 
-    The window is persistent. A new one has no slots; :meth:`push` appends an
-    epoch's slot, its edge to the previous slot and its fix (LC) or
-    pseudorange rows (TC), drops slot 0 with its rows and edge when asked, and
-    shifts the band by ``dim`` columns. Of the linear band it writes only the
-    new edge's block; :meth:`anchor` then pins slot 0 with the prior and
-    writes the diagonal blocks of slot 0 and of the last two slots, the only
-    ones the slide changed. Each diagonal block is summed in one order: the
-    edge out of the slot, then the prior or the edge into it, then the fix.
+    **Slot buffers.** Every per-slot array lives in a preallocated buffer
+    whose first axis is the buffer slot, and the live window is the view of
+    ``n`` consecutive buffer slots from ``_start``: the edge into each slot
+    (``dt``, ``accel``, ``accel_dt``, and ``edge_block``, the edge's share
+    of the previous slot's diagonal block), the LC fix (``fix_pos``,
+    ``fix_var``, ``fix_w``; infinite variance and zero weight without a
+    fix), the TC pseudorange rows and the linear band's columns. A finite
+    window has room for 2 (W + 1) slots, a batch window doubles its room when
+    full. :meth:`push` drops slot 0 by advancing the view and writes only the
+    new slot and its edge; when the view reaches the end of the buffers, the
+    live slots move to the front, at most once every W + 1 pushes.
+    :meth:`anchor` then pins slot 0 with the first or the sliding prior and
+    writes the diagonal blocks the slide changed: slot 0's and those of the
+    last two slots. Each diagonal block is summed in one order: the edge out
+    of the slot, then the prior or the edge into it, then the fix.
     :func:`build_window` drives both.
+
+    **Pseudorange rows** are padded per slot to the widest slot so far, M
+    (at least 2), with zero weight on the padding; M grows only when a slot
+    exceeds it. Satellite coordinates sit before the rows (``(slots, 3,
+    M)``), so the range equation runs along the rows.
+    :func:`noise_models.pseudorange_rows` broadcasts each slot's state over
+    its rows. The normal equations take each row's compact Jacobian and
+    residual ``[w u | -w e_clock | w r]`` (the unit line of sight on
+    position, -1 on its clock column; 3 + C + 1 columns for C clocks), whose
+    constant clock part is written once, at push. One batched product gives
+    every slot's ``J^T J`` on its position and clock columns and its ``J^T
+    r``, and the upper triangle goes into the band. No sum depends on M, so
+    a slid window and one built from scratch agree bit for bit.
+
+    **One evaluation per point.** :meth:`cost` keeps the whitened residuals
+    and unit line-of-sight rows of the point it priced, and
+    :meth:`normal_equations` at an equal point (by value) reuses them: the
+    LM solver's accepted trial is the next point it linearizes. :meth:`push`
+    and :meth:`anchor` clear what was kept.
 
     The window provides what :func:`nls_solver.solve_lm` needs
     (``initial_values``, ``normal_equations``, ``cost``) and what callers of
@@ -305,52 +356,119 @@ class FactorWindow:
     then the fixes, then the pseudoranges.
     """
 
+    dt = _slot_view("dt", "time step of the edge into each slot past 0")
+    accel = _slot_view("accel", "ECEF specific force of each edge")
+    accel_dt = _slot_view("accel_dt", "velocity increment of each edge")
+    edge_block = _slot_view("edge_block", "each edge's J_prev^T Omega J_prev, upper triangle")
+    fix_pos = _slot_view("fix_pos", "LC fix per slot (zero without one)")
+    fix_var = _slot_view("fix_var", "LC fix variances (infinite without a fix)")
+    fix_w = _slot_view("fix_w", "LC fix weights (zero without a fix)")
+    pr_count = _slot_view("pr_count", "pseudorange rows per slot")
+    sat_pos = _slot_view("sat_pos", "satellite ECEF, one column per padded row")
+    pseudorange = _slot_view("pseudorange", "measured range per padded row")
+    clock_col = _slot_view("clock_col", "state column of each row's clock bias")
+    pr_var = _slot_view("pr_var", "pseudorange variances (infinite on padding)")
+    pr_w = _slot_view("pr_w", "pseudorange weights (zero on padding)")
+
+    @property
+    def pr_clock(self) -> np.ndarray:
+        """The padded rows' constant compact clock part, ``-w e_clock``."""
+        return self._live["pr_rows"][:, 3:-1]
+
     def __init__(self, cfg: FgoConfig, layout: StateLayout) -> None:
         self.cfg = cfg
         self.layout = layout
         d = self.dim = layout.dim
-        self.entries: list[EpochEntry] = []
+        self.entries: deque[EpochEntry] = deque()
         self.n = 0
+        self._start = 0
         self.edge_var = default_process_noise(layout) * cfg.cov_scale
         self.edge_w = 1.0 / np.sqrt(self.edge_var)
         self._edge_w2 = self.edge_w**2
         self._per_edge = 3 if layout.has_clock else 2
-        # per edge: slot k-1 to slot k is edge k-1
-        self.dt = np.empty(0)
-        self.accel = np.empty((0, 3))
-        self.accel_dt = np.empty((0, 3))
-        self.jac_prev = np.empty((0, d, d))
-        # per fix, slots ascending; a TC window keeps none
-        self.fix_epoch = np.empty(0, dtype=int)
-        self.fix_pos = np.empty((0, 3))
-        self.fix_var = np.empty((0, 3))
-        self.fix_w = np.empty((0, 3))
-        # per slot (LC only): the squared fix weights, zero without a fix
-        self._slot_fix_w2 = np.empty((0, 3))
-        # per pseudorange row, grouped by slot; an LC window keeps none
-        self.pr_count = self.pr_start = self.pr_epoch = np.empty(0, dtype=int)
-        self.sat_pos = np.empty((0, 3))
-        self.pseudorange = np.empty(0)
-        self.clock_col = np.empty(0, dtype=int)
-        self.pr_var = np.empty(0)
-        self.pr_w = np.empty(0)
-        self._ab_linear = np.zeros((d + 1, 0))
+        self._tc = cfg.mode == "tc"
+        cap = 8 if cfg.window_size is None else 2 * (cfg.window_size + 1)
+        self._buf = {
+            "dt": np.empty(cap),
+            "accel": np.empty((cap, 3)),
+            "accel_dt": np.empty((cap, 3)),
+            # band columns slot by slot: column c of a slot holds its d + 1
+            # band rows, so a live window is d + 1 rows in column order
+            "band": np.zeros((cap, d, d + 1)),
+            # the upper triangle of J^T Omega J of the edge into each slot:
+            # its share of the previous slot's diagonal block
+            "edge_block": np.empty((cap, d * (d + 1) // 2)),
+        }
+        if self._tc:
+            self._buf["pr_count"] = np.zeros(cap, dtype=int)
+            # at least two rows per slot, so that sums down the slot axis
+            # never run over a single column, which numpy sums in another order
+            self._buf.update(self._pr_buffers(cap, 2))
+        else:
+            self._buf.update(
+                fix_pos=np.zeros((cap, 3)),
+                fix_var=np.full((cap, 3), np.inf),
+                fix_w=np.zeros((cap, 3)),
+            )
         # slots past 0 whose diagonal block pushes changed since the last anchor
         self._stale: set[int] = set()
-        self._diag = np.arange(d)
+        self._kept = None  # (point, whitened residuals, unit rows, cost) of the last pricing
         self._jac_eye = -np.eye(d)
-        # the diagonal of jac_prev's position-on-velocity block
-        self._pos_vel = (self._diag[POS], self._diag[VEL])
-        # the upper triangle of a d-square and of a (d + 1)-square block,
-        # flattened, and its band row and column within a slot's columns
+        # the diagonal of J_prev's position-on-velocity block
+        diag = np.arange(d)
+        self._pos_vel = (diag[POS], diag[VEL])
+        # the upper triangle of a d-square block, flattened, and where each
+        # entry sits in its slot's band columns (band row d + row - column)
         t0, t1 = np.triu_indices(d)
         self._tri = t0 * d + t1
-        self._tri_aug = t0 * (d + 1) + t1
-        self._tri_band = (d + t0 - t1, t1)
+        self._tri_band = t1 * (d + 1) + d + t0 - t1
+        tri_diag = np.flatnonzero(t0 == t1)
+        self._pos_diag = tri_diag[POS]
+
+        def diagonal(values):
+            block = np.zeros(t0.size)
+            block[tri_diag] = values
+            return block
+
+        self._edge_diag = diagonal(self._edge_w2)
+        # slot 0's two priors, with weights and their share of its diagonal
+        # block: the trajectory's first state carries the filter's initial
+        # covariance; once the window has slid past it, the oldest state is
+        # re-pinned at its previously optimized value with the tight sliding
+        # prior, whose bias and clock variances are one epoch of process noise
+        sliding = default_process_noise(layout)
+        sliding[POS], sliding[VEL] = SLIDING_ANCHOR_VAR[cfg.mode]
+        self._priors = {}
+        for first, var in ((True, np.diag(initial_covariance(layout))), (False, sliding)):
+            var = var * cfg.cov_scale
+            w = 1.0 / np.sqrt(var)
+            self._priors[first] = (var, w, diagonal(w**2))
         # the lower triangle (row >= column) of a d-square block: where
-        # jac_prev^T Omega can be nonzero; its band row is row minus column
+        # J_prev^T Omega can be nonzero, in the later slot's band columns
+        # at band row row - column
         self._low = np.tril_indices(d)
-        self._diag_flat = np.empty((0, t0.size), dtype=int)
+        self._edge_band = self._low[1] * (d + 1) + self._low[0] - self._low[1]
+        self._slot_band = d * (d + 1)
+        if self._tc:
+            # state columns of the compact rows' Jacobian part: position, clocks
+            self._clock = layout.clock_slice()
+            compact = np.r_[0:3, np.arange(d)[self._clock]]
+            c0, c1 = np.triu_indices(compact.size)
+            self._compact_tri = c0 * (compact.size + 1) + c1
+            s0, s1 = compact[c0], compact[c1]
+            self._compact_band = s1 * (d + 1) + d + s0 - s1
+        self._scatter_n = -1
+        self._view()
+
+    def _pr_buffers(self, cap: int, width: int) -> dict[str, np.ndarray]:
+        """Pseudorange slot buffers of ``width`` rows per slot, all padding."""
+        n_clock = self.dim - 9
+        out = {name: np.full((cap, width), fill) for name, fill in _PR_PAD.items()}
+        out["sat_pos"] = np.full((cap, 3, width), _PR_PAD["sat_pos"])
+        # each row's [w u | -w e_clock | w r] as a column: the clock part is
+        # written at push, u and r by normal_equations
+        out["pr_rows"] = np.zeros((cap, 3 + n_clock + 1, width))
+        return out
 
     @property
     def state_dims(self) -> list[int]:
@@ -362,142 +480,164 @@ class FactorWindow:
 
     @property
     def blocks(self) -> Sequence[ResidualBlock]:
-        count = 1 + (self.n - 1) * self._per_edge + self.fix_epoch.size + self.pseudorange.size
+        count = 1 + (self.n - 1) * self._per_edge
+        if self._tc:
+            count += int(self.pr_count.sum())
+        else:
+            count += int(np.isfinite(self.fix_var[:, 0]).sum())
         return _LazyBlocks(count, self._block)
 
     def split(self, values: np.ndarray) -> list[np.ndarray]:
         return list(np.asarray(values).reshape(self.n, self.dim))
 
+    def _view(self) -> None:
+        """Take the live slots' views of every slot buffer."""
+        lo, hi = self._start, self._start + self.n
+        self._live = {
+            name: arr[lo + (name in _EDGE_BUFFERS) : hi] for name, arr in self._buf.items()
+        }
+
+    def _make_room(self) -> None:
+        """Free the buffer slot after the view: move the live slots to the
+        front, or double the buffers when they already start there."""
+        buf, lo, n = self._buf, self._start, self.n
+        for name, arr in buf.items():
+            if lo:
+                arr[:n] = arr[lo : lo + n]
+            else:
+                buf[name] = np.zeros((2 * len(arr),) + arr.shape[1:], dtype=arr.dtype)
+                buf[name][:n] = arr[:n]
+        self._start = 0
+
+    def _widen(self, width: int) -> None:
+        """Pad every slot's pseudorange rows to ``width``."""
+        buf = self._buf
+        old = buf["pr_w"].shape[1]
+        for name, arr in self._pr_buffers(len(buf["dt"]), width).items():
+            arr[..., :old] = buf[name]
+            buf[name] = arr
+
     def push(self, entry: EpochEntry, drop: bool) -> None:
         """Append ``entry`` as the newest slot; with ``drop``, first remove
         slot 0 with its rows and its edge to slot 1. Call :meth:`anchor`
         before solving."""
-        d, scale = self.dim, self.cfg.cov_scale
-        lo = int(drop)
-        self.entries = self.entries[lo:] + [entry]
-        n = self.n = len(self.entries)
-        if n > 1:
+        scale, buf = self.cfg.cov_scale, self._buf
+        self._kept = None
+        if drop:
+            self.entries.popleft()
+            self._start += 1
+            self.n -= 1
+            self._stale = {k - 1 for k in self._stale if k > 1}
+        if self._start + self.n == len(buf["dt"]):
+            self._make_room()
+        self.entries.append(entry)
+        p = self._start + self.n
+        self.n += 1
+        band = buf["band"].reshape(len(buf["band"]), -1)
+        if drop:
+            # the dropped edge's block sat in the new slot 0's columns
+            band[self._start, self._edge_band] = 0.0
+        # a window's first slot has no edge into it, and its buffer columns
+        # are still zero
+        if self.n > 1:
             dt = float(entry.meas.dt)
             if dt <= 0:
                 raise ValueError("dt must be positive")
             jac = self._jac_eye.copy()
             jac[self._pos_vel] = -dt
-            self.dt = np.append(self.dt[lo:], dt)
-            self.accel = np.concatenate((self.accel[lo:], [entry.accel_ecef]))
-            self.accel_dt = np.concatenate((self.accel_dt[lo:], [entry.accel_ecef * dt]))
-            self.jac_prev = np.concatenate((self.jac_prev[lo:], [jac]))
-
-        if self.cfg.mode == "lc":
-            cut = np.count_nonzero(self.fix_epoch < lo)
-            fixed = entry.fix_cov is not None
-            var = np.reshape(entry.fix_cov * scale if fixed else [], (-1, 3))
-            w = 1.0 / np.sqrt(var)
-            self.fix_epoch = np.concatenate(
-                (self.fix_epoch[cut:] - lo, np.full(int(fixed), n - 1))
-            )
-            self.fix_pos = np.concatenate(
-                (self.fix_pos[cut:], np.reshape(entry.meas.fix_pos if fixed else [], (-1, 3)))
-            )
-            self.fix_var = np.concatenate((self.fix_var[cut:], var))
-            self.fix_w = np.concatenate((self.fix_w[cut:], w))
-            self._slot_fix_w2 = np.concatenate(
-                (self._slot_fix_w2[lo:], w**2 if fixed else np.zeros((1, 3)))
-            )
-        else:
-            cut = int(self.pr_count[:lo].sum())
-            rows = entry.pseudorange.size
-            var = entry.pr_sigma2 * scale if rows else np.empty(0)
-            self.pr_count = np.append(self.pr_count[lo:], rows)
-            self.sat_pos = np.concatenate((self.sat_pos[cut:], entry.sat_pos))
-            self.pseudorange = np.concatenate((self.pseudorange[cut:], entry.pseudorange))
-            self.clock_col = np.concatenate((self.clock_col[cut:], entry.clock_col))
-            self.pr_var = np.concatenate((self.pr_var[cut:], var))
-            self.pr_w = np.concatenate((self.pr_w[cut:], 1.0 / np.sqrt(var)))
-            self.pr_start = np.cumsum(self.pr_count) - self.pr_count
-            self.pr_epoch = np.repeat(np.arange(n), self.pr_count)
-            # row i sits at row pr_epoch[i] * width + (its rank in its slot)
-            # of the slots' rows zero-padded to the widest slot
-            self._pr_width = int(self.pr_count.max())
-            self._pr_row = (
-                self.pr_epoch * self._pr_width
-                + np.arange(self.pseudorange.size)
-                - self.pr_start[self.pr_epoch]
-            )
-
-        # shift the band by the dropped slot's columns
-        old = self._ab_linear[:, lo * d :]
-        self._ab_linear = np.zeros((d + 1, n * d))
-        self._ab_linear[:, : old.shape[1]] = old
-        if drop:
-            # the dropped edge's block sat in the new slot 0's columns
-            self._ab_linear[:, :d] = 0.0
-        if self._diag_flat.shape[0] != n:
-            # flat band positions of every slot's diagonal block (slot 0's
-            # pattern, offset by dim columns per slot) and of the newest
-            # edge's block; where each diagonal block's upper triangle sits
-            # in a stack of n (d + 1)-square blocks
-            row, col = self._tri_band
-            slot = np.arange(n)[:, None]
-            self._diag_flat = row * (n * d) + col + d * slot
-            self._prod_tri = (slot * (d + 1) ** 2 + self._tri_aug).ravel()
-            a, b = self._low
-            self._edge_flat = (a - b) * (n * d) + b + (n - 1) * d
-        if n > 1:
+            buf["dt"][p] = dt
+            buf["accel"][p] = entry.accel_ecef
+            buf["accel_dt"][p] = entry.accel_ecef * dt
             # the new edge's off-diagonal block, J_prev^T Omega, in the new
             # slot's columns above its diagonal block
-            a, b = self._low
-            self._ab_linear.reshape(-1)[self._edge_flat] = (jac.T * self._edge_w2)[a, b]
-        # the new slot and the one before it, which gained an edge out
-        self._stale = {k - lo for k in self._stale if k > lo} | set(range(max(n - 2, 1), n))
+            jw = jac.T * self._edge_w2
+            band[p, self._edge_band] = jw[self._low]
+            buf["edge_block"][p] = np.matmul(jw, jac).take(self._tri)
 
-    def anchor(self, value: np.ndarray, var: np.ndarray) -> None:
-        """Pin slot 0 with a prior at ``value`` with variances ``var`` (before
-        ``cov_scale``), write the diagonal blocks the slide changed, and start
-        from the slots' stored states."""
+        if self._tc:
+            rows = entry.pseudorange.size
+            if rows > buf["pr_w"].shape[1]:
+                self._widen(rows)
+            var = entry.pr_sigma2 * scale if rows else np.empty(0)
+            w = 1.0 / np.sqrt(var)
+            buf["pr_count"][p] = rows
+            for name, value in (
+                ("sat_pos", entry.sat_pos),
+                ("pseudorange", entry.pseudorange),
+                ("clock_col", entry.clock_col),
+                ("pr_var", var),
+                ("pr_w", w),
+            ):
+                buf[name][p, ..., :rows] = value
+                buf[name][p, ..., rows:] = _PR_PAD[name]
+            clock = buf["pr_rows"][p, 3:-1]
+            clock[:] = 0.0
+            clock[entry.clock_col - self._clock.start, np.arange(rows)] = -w
+        else:
+            fixed = entry.fix_cov is not None
+            var = entry.fix_cov * scale if fixed else np.inf
+            buf["fix_pos"][p] = entry.meas.fix_pos if fixed else 0.0
+            buf["fix_var"][p] = var
+            buf["fix_w"][p] = 1.0 / np.sqrt(var)
+        # the new slot and the one before it, which gained an edge out
+        self._stale |= set(range(max(self.n - 2, 1), self.n))
+        self._view()
+
+    def anchor(self, value: np.ndarray, first: bool) -> None:
+        """Pin slot 0 at ``value`` with the first or the sliding prior, write
+        the diagonal blocks the slide changed, and start from the slots'
+        stored states."""
+        self._kept = None
         self.prior_value = np.array(value, dtype=float)
-        self.prior_var = var * self.cfg.cov_scale
-        self.prior_w = 1.0 / np.sqrt(self.prior_var)
-        d, diag = self.dim, self._diag
+        self.prior_var, self.prior_w, prior_block = self._priors[first]
         slots = np.array([0, *sorted(self._stale)])
         self._stale = set()
-        hd = np.zeros((slots.size, d, d))
+        at = self._start + slots
         # slots ascend, so those with an edge out come first
-        jac = self.jac_prev[slots[slots < self.n - 1]]
-        hd[: len(jac)] = np.matmul(jac.transpose(0, 2, 1) * self._edge_w2, jac)
-        hd[0, diag, diag] += self.prior_w**2
-        hd[1:, diag, diag] += self._edge_w2
-        if self._slot_fix_w2.size:
-            hd[:, diag[:3], diag[:3]] += self._slot_fix_w2[slots]
-        upper = hd.reshape(slots.size, -1).take(self._tri, axis=1)
-        self._ab_linear.reshape(-1)[self._diag_flat[slots]] = upper
+        blocks = np.zeros((slots.size, self._edge_diag.size))
+        n_out = np.count_nonzero(slots < self.n - 1)
+        blocks[:n_out] = self._buf["edge_block"][at[:n_out] + 1]
+        blocks[0] += prior_block
+        blocks[1:] += self._edge_diag
+        if not self._tc:
+            blocks[:, self._pos_diag] += self._buf["fix_w"][at] ** 2
+        band = self._buf["band"]
+        band.reshape(len(band), -1)[at[:, None], self._tri_band] = blocks
         self.initial_values = np.concatenate([e.state for e in self.entries])
 
-    def _whitened(self, values: np.ndarray, jacobian: bool = False):
-        """Whitened residuals (prior, edges, fixes, pseudoranges) and, if
-        ``jacobian``, the raw pseudorange Jacobian rows."""
-        x = np.asarray(values, dtype=float).reshape(self.n, self.dim)
+    def _whitened(self, x: np.ndarray):
+        """Whitened residuals (prior, edges, fixes, pseudoranges) at the
+        ``(n, dim)`` states ``x``, and the pseudorange rows' unit line of
+        sight (None without rows)."""
+        live = self._live
         prior = self.prior_w * (x[0] - self.prior_value)
         edge = x[1:] - x[:-1]
-        edge[:, POS] -= x[:-1, VEL] * self.dt[:, None]
-        edge[:, VEL] -= self.accel_dt
+        edge[:, POS] -= x[:-1, VEL] * live["dt"][:, None]
+        edge[:, VEL] -= live["accel_dt"]
         edge *= self.edge_w
         # a TC window has no fixes, and an LC window no pseudoranges, to price
-        fix = self.fix_pos
-        if fix.size:
-            fix = self.fix_w * (fix - x[self.fix_epoch, 0:3])
-        pr, jac = self.pseudorange, None
-        if pr.size:
-            pr, jac = pseudorange_rows(
-                self.sat_pos, self.pseudorange, self.clock_col, self.pr_epoch, x, jacobian
+        fix = pr = np.empty(0)
+        unit = None
+        if not self._tc:
+            fix = live["fix_w"] * (live["fix_pos"] - x[:, 0:3])
+        else:
+            pr, unit = pseudorange_rows(
+                live["sat_pos"], live["pseudorange"], live["clock_col"], x
             )
-        return (prior, edge, fix, self.pr_w * pr), jac
+            pr *= live["pr_w"]
+        return (prior, edge, fix, pr), unit
 
     @staticmethod
     def _cost(residuals) -> float:
         prior, edge, fix, pr = residuals
-        cost = float(
-            np.vdot(prior, prior) + np.vdot(edge, edge) + np.vdot(fix, fix) + np.vdot(pr, pr)
-        )
+        # a TC window has no fixes, and an LC window no pseudoranges, to sum
+        cost = float(np.vdot(prior, prior) + np.vdot(edge, edge))
+        if fix.size:
+            cost += float(np.vdot(fix, fix))
+        if pr.size:
+            # the padded rows are summed down the slots, then across in
+            # order: padding adds exact zeros wherever M ends
+            cost += sum(np.einsum("ij,ij->j", pr, pr).tolist())
         if not math.isfinite(cost):
             labels = ("prior", "motion/ins/clock_walk", "gnss_fix", "pseudorange")
             for label, rw in zip(labels, residuals):
@@ -505,33 +645,53 @@ class FactorWindow:
                     raise EvaluationError(f"non-finite residual in {label} factors")
         return cost
 
+    def _priced(self, values: np.ndarray):
+        """Whitened residuals, unit rows and cost at ``values``, reusing the
+        last pricing when it was at an equal point."""
+        x = np.asarray(values, dtype=float)
+        kept = self._kept
+        if kept is not None and kept[0].shape == x.shape and (kept[0] == x).all():
+            return kept[1:]
+        residuals, unit = self._whitened(x.reshape(self.n, self.dim))
+        cost = self._cost(residuals)
+        self._kept = (x.copy(), residuals, unit, cost)
+        return residuals, unit, cost
+
     def cost(self, values: np.ndarray) -> float:
         """Sum of squared whitened residuals over all factors."""
-        return self._cost(self._whitened(values)[0])
+        return self._priced(values)[2]
 
     def normal_equations(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         """Whitened J^T J (upper band storage), J^T r and cost at ``values``."""
-        (prior, edge, fix, pr), jac = self._whitened(values, jacobian=True)
-        cost = self._cost((prior, edge, fix, pr))
-        n, d = self.n, self.dim
+        (prior, edge, fix, pr), unit, cost = self._priced(values)
+        n, d, live = self.n, self.dim, self._live
         g = np.zeros((n, d))
         g[0] += self.prior_w * prior
         q = self.edge_w * edge
         g[1:] += q
-        g[:-1] += np.matmul(q[:, None], self.jac_prev)[:, 0]
+        # q J_prev: J_prev is -I with -dt on position over velocity
+        back = -q
+        back[:, VEL] -= q[:, POS] * live["dt"][:, None]
+        g[:-1] += back
         if fix.size:
-            g[self.fix_epoch, 0:3] -= self.fix_w * fix
-        ab = self._ab_linear.copy()
-        if pr.size:
-            # each slot's whitened rows [J | r], zero-padded to the widest
-            # slot: one batched product gives every slot's J^T J and J^T r
-            rows = np.zeros((n * self._pr_width, d + 1))
-            rows[self._pr_row] = np.concatenate((jac * self.pr_w[:, None], pr[:, None]), axis=1)
-            rows = rows.reshape(n, self._pr_width, d + 1)
-            prod = np.matmul(rows.transpose(0, 2, 1), rows)
-            g += prod[:, :d, d]
-            ab.reshape(-1)[self._diag_flat.ravel()] += prod.take(self._prod_tri)
-        return ab, g.ravel(), cost
+            g[:, 0:3] -= live["fix_w"] * fix
+        band = live["band"].copy()
+        if unit is not None:
+            rows = live["pr_rows"]
+            np.multiply(unit, live["pr_w"][:, None], out=rows[:, 0:3])
+            rows[:, -1] = pr
+            prod = np.matmul(rows, rows.transpose(0, 2, 1))
+            g[:, POS] += prod[:, 0:3, -1]
+            g[:, self._clock] += prod[:, 3:-1, -1]
+            if self._scatter_n != n:
+                # where each slot's compact upper triangle sits in the
+                # product stack and in the live band
+                slot = np.arange(n)[:, None]
+                self._scatter_prod = (slot * rows.shape[1] ** 2 + self._compact_tri).ravel()
+                self._scatter_band = (slot * self._slot_band + self._compact_band).ravel()
+                self._scatter_n = n
+            band.reshape(-1)[self._scatter_band] += prod.take(self._scatter_prod)
+        return band.reshape(n * d, d + 1).T, g.ravel(), cost
 
     def _block(self, i: int) -> ResidualBlock:
         """The ``i``-th factor as a per-block oracle :class:`ResidualBlock`."""
@@ -550,11 +710,12 @@ class FactorWindow:
                 return ins_factor(k - 1, k, self.accel[edge], dt, edge_var[VEL], layout)
             return clock_walk_factor(k - 1, k, math.sqrt(edge_var[9]), layout)
         i -= n_edge_blocks
-        if i < self.fix_epoch.size:
-            return gnss_fix_factor(int(self.fix_epoch[i]), self.fix_pos[i], self.fix_var[i], layout)
-        i -= self.fix_epoch.size
-        k = int(self.pr_epoch[i])
-        j = i - int(self.pr_start[k])
+        if not self._tc:
+            k = int(np.flatnonzero(np.isfinite(self.fix_var[:, 0]))[i])
+            return gnss_fix_factor(k, self.fix_pos[k], self.fix_var[k], layout)
+        ends = np.cumsum(self.pr_count)
+        k = int(np.searchsorted(ends, i, side="right"))
+        j = i - int(ends[k] - self.pr_count[k])
         entry = self.entries[k]
         return pseudorange_factor(k, entry.meas.sats[j], entry.pr_sigma2[j] * scale, layout)
 
@@ -596,16 +757,7 @@ def build_window(
         new = entries[-1:]
     for entry in new:
         window.push(entry, drop=window.n == n_states)
-    # the trajectory's first state carries the filter's initial covariance;
-    # once the window has slid past it, the anchor re-pins the oldest state at
-    # its previously optimized value with the tight sliding prior, whose bias
-    # and clock variances are one epoch of process noise
-    if entries[base].first:
-        anchor_var = np.diag(initial_covariance(layout))
-    else:
-        anchor_var = default_process_noise(layout)
-        anchor_var[POS], anchor_var[VEL] = SLIDING_ANCHOR_VAR[cfg.mode]
-    window.anchor(entries[base].state, anchor_var)
+    window.anchor(entries[base].state, entries[base].first)
     return window
 
 
@@ -613,7 +765,7 @@ class EpochWls:
     """Single-epoch position/clock WLS as stacked arrays.
 
     The unknowns are ECEF position and one clock bias per constellation in
-    ``constellations``; row ``i`` is satellite ``sat_pos[i]`` with range
+    ``constellations``; row ``i`` is satellite ``sat_pos[:, i]`` with range
     ``pseudorange[i]``, clock column ``clock_col[i]`` and weight ``w[i]``
     (inverse standard deviation). Provides what :func:`nls_solver.solve_lm`
     needs (``initial_values``, ``normal_equations``, ``cost``).
@@ -640,16 +792,14 @@ class EpochWls:
         self._tri = np.triu_indices(self.dim)
         self._band_at = (self.dim - 1 + self._tri[0] - self._tri[1], self._tri[1])
 
-    def _whitened(self, values: np.ndarray, jacobian: bool = False):
-        x = np.asarray(values, dtype=float).reshape(1, self.dim)
-        resid, jac = pseudorange_rows(
-            self.sat_pos, self.pseudorange, self.clock_col, 0, x, jacobian
-        )
+    def _whitened(self, values: np.ndarray):
+        x = np.asarray(values, dtype=float)
+        resid, unit = pseudorange_rows(self.sat_pos, self.pseudorange, self.clock_col, x)
         rw = self.w * resid
         cost = float(rw @ rw)
         if not np.isfinite(cost):
             raise EvaluationError("non-finite residual in single-epoch pseudoranges")
-        return rw, cost, jac
+        return rw, cost, unit
 
     def cost(self, values: np.ndarray) -> float:
         """Sum of squared whitened pseudorange residuals."""
@@ -657,8 +807,8 @@ class EpochWls:
 
     def normal_equations(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         """Whitened J^T J (upper band storage, full bandwidth), J^T r and cost."""
-        rw, cost, jac = self._whitened(values, jacobian=True)
-        jw = jac * self.w[:, None]
+        rw, cost, unit = self._whitened(values)
+        jw = pseudorange_jacobian(unit, self.clock_col, self.dim) * self.w[:, None]
         ab = np.zeros((self.dim, self.dim))
         ab[self._band_at] = (jw.T @ jw)[self._tri]
         return ab, jw.T @ rw, cost
@@ -727,6 +877,15 @@ def position_seed(
     return pos
 
 
+def fix_hdop(meas: EpochMeasurements, receiver: np.ndarray) -> float:
+    """HDOP that weights the epoch's LC fix, for both estimator families:
+    the epoch's own, else computed from its satellites at ``receiver`` (the
+    predicted position)."""
+    if meas.fix_hdop is not None:
+        return meas.fix_hdop
+    return compute_hdop(meas.sats, receiver)
+
+
 @dataclass
 class FgoStepResult:
     state: np.ndarray
@@ -758,9 +917,7 @@ class FgoEstimator:
         """Epoch record with its measurement variances and, for TC, its pseudorange rows."""
         entry = EpochEntry(meas, state, accel_ecef)
         if self.cfg.mode == "lc" and meas.fix_available:
-            hdop = meas.fix_hdop
-            if hdop is None:
-                hdop = compute_hdop(meas.sats, state[POS])
+            hdop = fix_hdop(meas, state[POS])
             entry.fix_cov = lc_fix_covariance(hdop, self.cfg.weighting.s_user)
         if self.cfg.mode == "tc" and meas.sats:
             entry.pr_sigma2 = tc_covariance(meas.sats, self.cfg.weighting)

@@ -18,7 +18,14 @@ from . import ekf
 from .canyon_sim import Dataset, generate_lc_fixes
 # single_epoch_wls is not called here; it stays imported only because the
 # benchmark tracer wraps harness.single_epoch_wls as a call site
-from .fgo import FgoConfig, FgoEstimator, initial_state, position_seed, single_epoch_wls
+from .fgo import (
+    FgoConfig,
+    FgoEstimator,
+    fix_hdop,
+    initial_state,
+    position_seed,
+    single_epoch_wls,
+)
 from .frames import body_accel_to_ecef, ecef_to_geodetic
 from .noise_models import WeightingParams, lc_fix_covariance, tc_covariance
 from .nls_solver import LmConfig
@@ -116,7 +123,8 @@ class _EkfRunner:
         belief = ekf.predict(self.belief, accel_ecef, meas.dt, self.process_noise)
         if self.coupling == "lc":
             if meas.fix_available:
-                r = lc_fix_covariance(meas.fix_hdop, self.cfg.weighting.s_user)
+                hdop = fix_hdop(meas, belief.mean[POS])
+                r = lc_fix_covariance(hdop, self.cfg.weighting.s_user)
                 belief = ekf.update_lc(belief, meas.fix_pos, r)
         else:
             if meas.sats:
@@ -170,20 +178,17 @@ def run_estimator(ds: Dataset, cfg: RunConfig) -> RunResult:
                 "message": result.message,
             }
 
+        residual = float("nan")
         if cfg.coupling == "lc":
-            residual = (
-                lc_residual(meas.fix_pos, state) if meas.fix_available else float("nan")
-            )
-        else:
-            residual = (
-                tc_residual(meas.sats, state, layout) if meas.sats else float("nan")
-            )
-            if meas.sats:
-                raw = pseudorange_residuals(meas.sats, state, layout)
-                for sat, value in zip(meas.sats, raw):
-                    obs_residuals.append(
-                        ObsResidual(meas.t, sat.sat_id, sat.constellation, float(value), sat.nlos_truth)
-                    )
+            if meas.fix_available:
+                residual = lc_residual(meas.fix_pos, state)
+        elif meas.sats:
+            raw = pseudorange_residuals(meas.sats, state, layout)
+            residual = tc_residual(raw)
+            for sat, value in zip(meas.sats, raw.tolist()):
+                obs_residuals.append(
+                    ObsResidual(meas.t, sat.sat_id, sat.constellation, value, sat.nlos_truth)
+                )
 
         records.append(
             EpochRecord(

@@ -84,45 +84,53 @@ class SatObservation:
 def stack_pseudoranges(
     sats: Sequence[SatObservation], clock_index: Callable[[Constellation], int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Satellite positions ``(m, 3)``, pseudoranges and state clock columns of ``sats``.
+    """Satellite positions ``(3, m)`` (one column per satellite), pseudoranges
+    and state clock columns of ``sats``.
 
     ``clock_index`` maps a constellation to the state column of its clock bias.
     """
-    sat_pos = np.array([s.sat_pos for s in sats], dtype=float).reshape(-1, 3)
+    sat_pos = np.array([s.sat_pos for s in sats], dtype=float).reshape(-1, 3).T.copy()
     pseudorange = np.array([s.pseudorange for s in sats], dtype=float)
     clock_col = np.array([clock_index(s.constellation) for s in sats], dtype=int)
     return sat_pos, pseudorange, clock_col
 
 
 def pseudorange_rows(
-    sat_pos: np.ndarray,
-    pseudorange: np.ndarray,
-    clock_col: np.ndarray,
-    slot,
-    x: np.ndarray,
-    jacobian: bool,
-):
-    """Stacked pseudorange model: row ``i`` measures satellite ``sat_pos[i]``
-    from state ``x[slot[i]]`` (``x`` is ``(slots, dim)``; a scalar ``slot``
-    applies to every row), with its clock bias in column ``clock_col[i]``.
+    sat_pos: np.ndarray, pseudorange: np.ndarray, clock_col: np.ndarray, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked pseudorange model: row ``i`` measures the satellite at ECEF
+    ``sat_pos[..., :, i]`` with range ``pseudorange[i]`` from the state whose
+    clock bias sits in column ``clock_col[i]``.
 
-    Returns the raw residuals ``pseudorange - range - clock`` and, if
-    ``jacobian``, their Jacobian rows with respect to each row's own state:
-    the line-of-sight unit vector on position and -1 on the clock (None
-    otherwise). Raises GeometryError when a satellite coincides with its
-    receiver.
+    Two layouts share the code: rows ``(m,)`` (satellites ``(3, m)``) from one
+    state ``x`` of shape ``(dim,)``, or rows padded per slot to ``(slots, M)``
+    (satellites ``(slots, 3, M)``) from one state per slot, ``x`` of shape
+    ``(slots, dim)``; each slot's state is broadcast over its rows. The
+    coordinates sit before the rows, so every operation runs along the rows.
+
+    Returns the raw residuals ``pseudorange - range - clock`` and the unit
+    lines of sight (receiver to satellite), shaped like ``sat_pos``. These
+    are the residuals' Jacobian on position; on the clock column it is -1
+    (:func:`pseudorange_jacobian`). Raises GeometryError when a satellite
+    coincides with its receiver.
     """
-    los = sat_pos - x[slot, 0:3]
-    rng = np.sqrt(np.einsum("ij,ij->i", los, los))
-    if (rng == 0.0).any():
+    los = sat_pos - x[..., 0:3, None]
+    rng = np.sqrt(np.einsum("...ij,...ij->...j", los, los))
+    if not rng.all():
         raise GeometryError("a satellite coincides with the receiver")
-    resid = pseudorange - rng - x[slot, clock_col]
-    jac = None
-    if jacobian:
-        jac = np.zeros((rng.size, x.shape[1]))
-        jac[:, 0:3] = los / rng[:, None]
-        jac[np.arange(rng.size), clock_col] = -1.0
-    return resid, jac
+    # each row's clock bias, read from its own slot's state
+    clock = x[clock_col] if x.ndim == 1 else x[np.arange(len(x))[:, None], clock_col]
+    return pseudorange - rng - clock, los / rng[..., None, :]
+
+
+def pseudorange_jacobian(unit: np.ndarray, clock_col: np.ndarray, dim: int) -> np.ndarray:
+    """Full ``(m, dim)`` Jacobian rows of single-state pseudorange residuals
+    from their ``(3, m)`` unit lines of sight (:func:`pseudorange_rows`)."""
+    m = unit.shape[1]
+    jac = np.zeros((m, dim))
+    jac[:, 0:3] = unit.T
+    jac[np.arange(m), clock_col] = -1.0
+    return jac
 
 
 def lc_fix_covariance(hdop: float, s_user: float) -> np.ndarray:

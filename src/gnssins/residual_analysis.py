@@ -58,14 +58,15 @@ def pseudorange_residuals(
 ) -> np.ndarray:
     """Raw (unwhitened) pseudorange residuals at the optimized state."""
     arrays = stack_pseudoranges(sats, layout.clock_index)
-    return pseudorange_rows(*arrays, 0, np.asarray(state, dtype=float)[None, :], jacobian=False)[0]
+    return pseudorange_rows(*arrays, np.asarray(state, dtype=float))[0]
 
 
-def tc_residual(sats: Sequence[SatObservation], state: np.ndarray, layout: StateLayout) -> float:
-    """Signed mean of the raw pseudorange residuals."""
-    if not sats:
-        raise ValueError("empty satellite list")
-    return float(np.mean(pseudorange_residuals(sats, state, layout)))
+def tc_residual(residuals: np.ndarray) -> float:
+    """Signed mean of an epoch's raw pseudorange residuals
+    (:func:`pseudorange_residuals`)."""
+    if len(residuals) == 0:
+        raise ValueError("no pseudorange residuals")
+    return float(residuals.sum()) / len(residuals)
 
 
 @dataclass(frozen=True)

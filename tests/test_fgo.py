@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import TOY_CLOCKS, toy_epochs
+from gnssins import fgo
 from gnssins.fgo import (
     BATCH,
     EpochWls,
@@ -446,10 +447,36 @@ class TestArrayWindowMatchesOracle:
 
 
 WINDOW_ARRAYS = (
-    "initial_values", "prior_value", "prior_var", "dt", "accel", "accel_dt", "jac_prev",
-    "fix_epoch", "fix_pos", "fix_var", "pr_count", "pr_start", "pr_epoch", "sat_pos",
-    "pseudorange", "clock_col", "pr_w",
+    "initial_values", "prior_value", "prior_var", "dt", "accel", "accel_dt", "edge_block",
 )
+LC_ARRAYS = ("fix_pos", "fix_var", "fix_w")
+# padded per slot to the widest slot the window has seen, which a window
+# slid past a wide slot keeps and a scratch build may not have
+PADDED_ARRAYS = {
+    "sat_pos": 1.0e12, "pseudorange": 0.0, "clock_col": 9, "pr_var": np.inf, "pr_w": 0.0,
+    "pr_clock": 0.0,
+}
+
+
+def assert_same_window(slid, ref):
+    """Every live-slot array of ``slid`` equals ``ref``'s bit for bit; padded
+    rows beyond ``ref``'s width hold the padding."""
+    assert slid.entries == ref.entries
+    assert len(slid.blocks) == len(ref.blocks)
+    tc = slid.cfg.mode == "tc"
+    for name in WINDOW_ARRAYS + (("pr_count",) if tc else LC_ARRAYS):
+        assert np.array_equal(getattr(slid, name), getattr(ref, name)), name
+    if tc:
+        width = ref.pr_w.shape[1]
+        for name, padding in PADDED_ARRAYS.items():
+            got = getattr(slid, name)
+            assert np.array_equal(got[..., :width], getattr(ref, name)), name
+            assert np.all(got[..., width:] == padding), name
+
+
+def assert_same_equations(got, want):
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
 
 
 class TestSlidingWindow:
@@ -465,35 +492,103 @@ class TestSlidingWindow:
     def test_slide_equals_scratch_build(self, mode, window, cov_scale, seed):
         rng = np.random.default_rng(seed)
         layout = TC if mode == "tc" else LC
-        n_epochs = int(rng.integers(2, 11))
+        # window 4 moves its 5 slots to the front of its 10-slot buffers at
+        # epochs 11, 17 and 23, window 1 every 3 epochs; batch grows its 8
+        # slots to 32
+        n_epochs = 23 if window == 4 else int(rng.integers(17, 22))
         epochs, _ = toy_epochs(
             n_epochs,
             pr_noise=rng.normal(scale=3.0, size=(n_epochs, 8)),
             fix_noise=rng.normal(scale=3.0, size=(n_epochs, 3)),
         )
-        # after the two start-up epochs, vary the rows per slot: 0 to 8
-        # satellites, and LC fixes that may be missing
-        for e in epochs[2:]:
-            e.sats = e.sats[: int(rng.integers(0, 9))]
-            if rng.random() < 0.3:
+        # the first epoch has the fewest rows the start-up solve takes, the
+        # later ones 0 to 8 satellites and LC fixes that may be missing, and
+        # one late epoch all 8: the padding widens at least once, and a
+        # window slid past a wide slot stays wider than a scratch build
+        counts = rng.integers(0, 9, size=n_epochs)
+        counts[0], counts[-3] = 5, 8
+        for k, e in enumerate(epochs):
+            e.sats = e.sats[: counts[k]]
+            if k > 1 and rng.random() < 0.3:
                 e.fix_pos = e.fix_hdop = None
         est = FgoEstimator(FgoConfig(mode=mode, window_size=BATCH), layout)
         for e in epochs:
             est.step(e)
         cfg = FgoConfig(mode=mode, window_size=window, cov_scale=cov_scale)
-        slid = None
+        slid, x_before = None, None
+        compactions, widths = 0, set()
         for k in range(1, n_epochs + 1):
             entries = est.entries[:k]
+            start = None if slid is None else slid._start
             slid = build_window(entries, cfg, layout, slid)
+            if start is not None and slid._start < start:
+                compactions += 1
             ref = build_window(entries, cfg, layout)
-            assert slid.entries == ref.entries
-            assert len(slid.blocks) == len(ref.blocks)
-            for name in WINDOW_ARRAYS:
-                assert np.array_equal(getattr(slid, name), getattr(ref, name)), name
+            assert_same_window(slid, ref)
+            if mode == "tc":
+                widths.add(slid.pr_w.shape[1])
             x = ref.initial_values + rng.normal(scale=2.0, size=ref.total_dim)
-            for got, want in zip(slid.normal_equations(x), ref.normal_equations(x)):
-                assert np.array_equal(got, want)
+            if x_before is not None and x_before.shape == x.shape:
+                # priced before the slide, at the point linearized after it
+                x = x_before
+            assert_same_equations(slid.normal_equations(x), ref.normal_equations(x))
             assert slid.cost(x) == ref.cost(x)
+            x_before = x.copy()
+            slid.cost(x_before)
+        if window == BATCH:
+            assert len(slid._buf["dt"]) == 32
+        else:
+            assert compactions >= 3
+        if mode == "tc":
+            assert len(widths) > 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        mode=st.sampled_from(["tc", "lc"]),
+        window=st.sampled_from([1, 4, BATCH]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_pricing_per_point(self, mode, window, seed):
+        rng = np.random.default_rng(seed)
+        layout = TC if mode == "tc" else LC
+        n_epochs = int(rng.integers(2, 9))
+        epochs, _ = toy_epochs(n_epochs, pr_noise=rng.normal(scale=3.0, size=(n_epochs, 8)))
+        est = FgoEstimator(FgoConfig(mode=mode, window_size=BATCH), layout)
+        for e in epochs:
+            est.step(e)
+        cfg = FgoConfig(mode=mode, window_size=window)
+        w = build_window(est.entries, cfg, layout)
+        x = w.initial_values + rng.normal(scale=2.0, size=w.total_dim)
+        fresh = build_window(est.entries, cfg, layout).normal_equations(x)
+
+        calls = []
+        kernel = fgo.pseudorange_rows
+
+        def counted(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fgo, "pseudorange_rows", counted)
+            # an equal point, not the same object, reuses the pricing
+            cost = w.cost(x)
+            assert_same_equations(w.normal_equations(x.copy()), fresh)
+            assert fresh[2] == cost
+            assert len(calls) == int(mode == "tc")
+            # a point one ulp away is priced anew, and so is the first again
+            y = x.copy()
+            i = int(rng.integers(y.size))
+            y[i] = np.nextafter(y[i], np.inf)
+            w.cost(y)
+            assert_same_equations(w.normal_equations(x), fresh)
+            assert len(calls) == 3 * int(mode == "tc")
+        # anchoring anew, as each slide does, drops the kept point
+        first = est.entries[-w.n].first
+        w.cost(x)
+        w.anchor(w.prior_value + 1.0, first)
+        moved = build_window(est.entries, cfg, layout)
+        moved.anchor(moved.prior_value + 1.0, first)
+        assert_same_equations(w.normal_equations(x), moved.normal_equations(x))
 
     def test_slides_only_the_window_of_the_previous_epoch(self):
         epochs, _ = toy_epochs(4)

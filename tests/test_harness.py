@@ -6,8 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import toy_epochs
-from gnssins.canyon_sim import generate_lc_fixes, noise_free_config, simulate
-from gnssins.fgo import FgoConfig, FgoEstimator
+from gnssins.canyon_sim import (
+    default_canyon_config,
+    generate_lc_fixes,
+    noise_free_config,
+    simulate,
+)
+from gnssins.fgo import FgoConfig, FgoEstimator, fix_hdop
 from gnssins.harness import (
     ESTIMATORS,
     RunConfig,
@@ -16,6 +21,7 @@ from gnssins.harness import (
     run_estimator,
     sweep_windows,
 )
+from gnssins.noise_models import compute_hdop
 from gnssins.nls_solver import LmConfig
 from gnssins.types import Constellation, StateLayout
 
@@ -55,6 +61,23 @@ class TestRunEstimator:
         repeated = replace(noise_free_ds, epochs=epochs[:5] + [epochs[4]] + epochs[5:])
         with pytest.raises(ValueError, match="strictly increasing time order"):
             run_estimator(repeated, RunConfig(estimator=estimator, window=10))
+
+    @pytest.mark.parametrize("estimator", ["ekf-lc", "fgo-lc"])
+    def test_fixes_without_hdop_weighted_from_geometry(self, estimator):
+        ds = simulate(replace(default_canyon_config(99), duration_s=20.0))
+        generate_lc_fixes(ds.epochs)
+        with_hdop = run_estimator(ds, RunConfig(estimator=estimator))
+        fixed = [e for e in ds.epochs if e.fix_available]
+        assert fixed
+        for e in fixed:
+            e.fix_hdop = None
+        result = run_estimator(ds, RunConfig(estimator=estimator))
+        assert len(result.records) == ds.n_epochs
+        for r in result.records:
+            assert np.isfinite(r.est_pos).all() and np.isfinite(r.err_2d)
+        # HDOP from the satellites at the predicted position is close to the
+        # generator's own, so the run stays close to the one with HDOP
+        assert abs(result.summary["mean_err"] - with_hdop.summary["mean_err"]) < 1.0
 
     def test_unknown_estimator_rejected(self):
         with pytest.raises(ValueError):
@@ -138,3 +161,11 @@ def test_families_share_the_first_state(coupling, seed, n_sats):
     ekf_state = runner.step(epochs[0])
     fgo_state = FgoEstimator(FgoConfig(mode=coupling), layout).step(epochs[0]).state
     assert np.array_equal(ekf_state, fgo_state)
+
+
+def test_fix_hdop_prefers_the_epochs_own():
+    epochs, truth = toy_epochs(1)
+    meas = epochs[0]
+    assert fix_hdop(meas, truth[0]) == meas.fix_hdop
+    meas.fix_hdop = None
+    assert fix_hdop(meas, truth[0]) == compute_hdop(meas.sats, truth[0])

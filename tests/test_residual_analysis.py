@@ -87,12 +87,14 @@ class TestResiduals:
         state[9] = 5.0
         sat_pos = np.array([1.0e7, 0.0, 0.0])
         sat = self.make_sat(sat_pos, 1.0e7 + 5.0)
-        assert tc_residual([sat], state, TC) == pytest.approx(0.0, abs=1e-9)
+        raw = pseudorange_residuals([sat], state, TC)
+        assert tc_residual(raw) == pytest.approx(0.0, abs=1e-9)
 
     def test_tc_residual_single_excess(self):
         state = TC.zeros()
         sat = self.make_sat(np.array([1.0e7, 0.0, 0.0]), 1.0e7 + 7.0)
-        assert tc_residual([sat], state, TC) == pytest.approx(7.0, abs=1e-9)
+        raw = pseudorange_residuals([sat], state, TC)
+        assert tc_residual(raw) == pytest.approx(7.0, abs=1e-9)
 
     def test_tc_residual_signed_mean(self):
         state = TC.zeros()
@@ -100,8 +102,9 @@ class TestResiduals:
             self.make_sat(np.array([1.0e7, 0.0, 0.0]), 1.0e7 + 4.0),
             self.make_sat(np.array([0.0, 1.0e7, 0.0]), 1.0e7 - 2.0),
         ]
-        assert tc_residual(sats, state, TC) == pytest.approx(1.0, abs=1e-9)
-        assert np.allclose(pseudorange_residuals(sats, state, TC), [4.0, -2.0])
+        raw = pseudorange_residuals(sats, state, TC)
+        assert np.allclose(raw, [4.0, -2.0])
+        assert tc_residual(raw) == pytest.approx(1.0, abs=1e-9)
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_sats=st.integers(1, 12))
@@ -128,7 +131,7 @@ class TestResiduals:
 
     def test_tc_residual_empty(self):
         with pytest.raises(ValueError):
-            tc_residual([], TC.zeros(), TC)
+            tc_residual(pseudorange_residuals([], TC.zeros(), TC))
 
 
 class TestFitGmm:
