@@ -7,6 +7,16 @@ whitened normal equations ``(H, g, cost)`` from ``normal_equations(x)``, with
 Cholesky factorization and solve, whose bandwidth is the number of rows the
 problem's band holds.
 
+That routine, ``dpbsv``, is bound once, at import, with ctypes. It comes from
+the OpenBLAS that scipy bundles (``scipy.libs/libscipy_openblas*.so``), found
+from scipy's install location without importing scipy, so that importing
+this module does not load ``scipy.linalg`` and the packages it brings. The
+same handle caps that library's thread pool at one thread. An install
+without the bundled library takes the routine's address from
+``scipy.linalg.cython_lapack`` instead, and pays for importing it. Both are
+called the same way, through a per-thread workspace of buffers that are
+reused from call to call.
+
 :class:`NlsProblem` is the general form: state slots plus residual blocks;
 each block binds a few slots to a residual function, optional analytic
 Jacobians and a whitening matrix (inverse Cholesky factor of the block
@@ -18,17 +28,22 @@ provides the same interface from stacked arrays.
 from __future__ import annotations
 
 import ctypes
+import importlib.util
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy
-from scipy.linalg.lapack import dpbsv
+
+# dpbsv(uplo, n, kd, nrhs, ab, ldab, b, ldb, info), every argument passed by
+# address and no hidden string length, as scipy's cython_lapack declares it
+_DPBSV_TYPE = ctypes.CFUNCTYPE(None, *(ctypes.c_void_p,) * 9)
 
 
-def _single_thread_banded_lapack() -> None:
-    """Run scipy's bundled OpenBLAS, which ``solve_damped`` uses, on one thread.
+def _bundled_dpbsv():
+    """``dpbsv`` from scipy's bundled OpenBLAS, run on one thread; None
+    when scipy bundles no OpenBLAS.
 
     The bands solved here are a few hundred columns wide. On the default pool
     (one thread per CPU) the banded Cholesky runs several times slower, and a
@@ -37,15 +52,40 @@ def _single_thread_banded_lapack() -> None:
     happened, so the pool is set through the library's own call. A build
     without that call keeps its default.
     """
-    libs = Path(scipy.__file__).parent.parent / "scipy.libs"
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or spec.origin is None:
+        return None
+    libs = Path(spec.origin).parent.parent / "scipy.libs"
     for path in sorted(libs.glob("libscipy_openblas*.so*")):
         try:
-            ctypes.CDLL(str(path)).scipy_openblas_set_num_threads(1)
+            lib = ctypes.CDLL(str(path))
+            dpbsv = _DPBSV_TYPE(("scipy_dpbsv_", lib))
         except (OSError, AttributeError):
             continue
+        try:
+            ctypes.CFUNCTYPE(None, ctypes.c_int)(("scipy_openblas_set_num_threads", lib))(1)
+        except AttributeError:
+            pass
+        return dpbsv
+    return None
 
 
-_single_thread_banded_lapack()
+def _capsule_dpbsv():
+    """``dpbsv`` from ``scipy.linalg.cython_lapack``, which exports each
+    routine's address in a capsule named after its C signature."""
+    from scipy.linalg.cython_lapack import __pyx_capi__
+
+    capsule = __pyx_capi__["dpbsv"]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi)
+    )
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi)
+    )
+    return _DPBSV_TYPE(get_pointer(capsule, get_name(capsule)))
+
+
+_DPBSV = _bundled_dpbsv() or _capsule_dpbsv()
 
 
 class EvaluationError(ValueError):
@@ -261,21 +301,89 @@ def _block_jacobians(block: ResidualBlock, states: list[np.ndarray]) -> list[np.
     return out
 
 
+class _Workspace:
+    """The buffers a ``dpbsv`` call reads and writes, for bands of ``rows``
+    rows and up to ``capacity`` columns, and the argument tuple that points
+    LAPACK at them.
+
+    A band of ``n`` columns uses the first ``n`` columns of the band buffer:
+    in column-major order they are contiguous and keep the leading dimension,
+    so a band that grows (a batch graph, a window filling up) changes only
+    the values of ``n`` and ``ldb``.
+    """
+
+    def __init__(self, rows: int, capacity: int):
+        self.rows = rows
+        self.capacity = capacity
+        self.band = np.empty((rows, capacity), order="F")
+        self.rhs_buffer = np.empty(capacity)
+        self.n = ctypes.c_int(-1)
+        self.ldb = ctypes.c_int()
+        self.info = ctypes.c_int()
+        # uplo, kd, nrhs and ldab never change; kept so their addresses stay valid
+        self._fixed = (
+            ctypes.c_char(b"U"), ctypes.c_int(rows - 1), ctypes.c_int(1), ctypes.c_int(rows)
+        )
+        uplo, kd, nrhs, ldab = (ctypes.addressof(c) for c in self._fixed)
+        self.args = tuple(
+            ctypes.c_void_p(address)
+            for address in (
+                uplo, ctypes.addressof(self.n), kd, nrhs, self.band.ctypes.data, ldab,
+                self.rhs_buffer.ctypes.data, ctypes.addressof(self.ldb),
+                ctypes.addressof(self.info),
+            )
+        )
+
+    def use(self, n: int) -> None:
+        """Point the views and the arguments at the first ``n`` columns."""
+        self.n.value = n
+        self.ldb.value = max(n, 1)
+        self.damped = self.band[:, :n]
+        self.diagonal = self.damped[-1]
+        self.rhs = self.rhs_buffer[:n]
+
+
+# one workspace per thread: LAPACK runs without the interpreter lock, so
+# threads sharing buffers would overwrite each other's band mid-solve
+_local = threading.local()
+
+
+def _workspace(shape: tuple[int, ...]) -> _Workspace:
+    """The calling thread's workspace, fitted to a band of ``shape``.
+
+    One is enough: a run solves bands of one shape over and over (the
+    window's, or a single epoch's), and a batch band only grows. A band
+    wider than the buffers doubles them.
+    """
+    rows, n = shape
+    ws = getattr(_local, "workspace", None)
+    if ws is None or ws.rows != rows or ws.capacity < n:
+        grown = 2 * ws.capacity if ws is not None and ws.rows == rows else 0
+        ws = _local.workspace = _Workspace(rows, max(n, grown))
+    if ws.n.value != n:
+        ws.use(n)
+    return ws
+
+
 def solve_damped(ab: np.ndarray, diag: np.ndarray, lam: float, g: np.ndarray):
     """Solve (H + lam*diag) delta = -g for H in upper band storage, with
     ``ab.shape[0] - 1`` super-diagonals, by one LAPACK ``dpbsv`` call (banded
     Cholesky factorization, then the two triangular solves).
 
-    Returns None when the damped matrix is not positive definite.
+    Returns None when the damped matrix is not positive definite, and raises
+    ValueError when ``diag`` or ``g`` does not match the band's columns.
     """
-    # LAPACK reads the band column by column; a copy in that order is the
-    # only one made
-    damped = np.array(ab, order="F")
-    damped[-1] += lam * diag
-    _, delta, info = dpbsv(damped, -g, overwrite_ab=1, overwrite_b=1)
+    ws = _workspace(ab.shape)
+    if g.shape != ws.rhs.shape or diag.shape != ws.rhs.shape:
+        raise ValueError(f"band has {ws.rhs.size} columns, diag {diag.shape} and g {g.shape}")
+    ws.damped[...] = ab
+    ws.diagonal += lam * diag
+    np.negative(g, out=ws.rhs)
+    _DPBSV(*ws.args)
+    info = ws.info.value
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dpbsv")
-    return None if info > 0 else delta
+    return None if info > 0 else ws.rhs.copy()
 
 
 def _gradient_converged(g: np.ndarray, diag: np.ndarray, cost: float, gtol: float) -> bool:

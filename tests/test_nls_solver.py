@@ -1,8 +1,13 @@
+import sys
+import threading
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gnssins import nls_solver
 from gnssins.nls_solver import (
     EvaluationError,
     LmConfig,
@@ -350,6 +355,97 @@ class TestSolveDamped:
         h[k, k] = -rng.uniform(0.1, 10.0)
         ab = upper_band(h, u)
         assert solve_damped(ab, ab[-1], lam, rng.normal(size=n)) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 30),
+        u=st.integers(0, 6),
+        lam=st.sampled_from([0.0, 1e-6, 1e-2, 1.0, 1e3]),
+        indefinite=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bundled_and_capsule_bindings_agree(self, n, u, lam, indefinite, seed):
+        bundled = nls_solver._bundled_dpbsv()
+        if bundled is None:
+            pytest.skip("scipy bundles no OpenBLAS, so only the capsule binding exists")
+        rng = np.random.default_rng(seed)
+        h = self.random_band(rng, n, u)
+        if indefinite:
+            k = int(rng.integers(0, n))
+            h[k, k] = -rng.uniform(0.1, 10.0)
+        ab = upper_band(h, u)
+        g = rng.normal(size=n)
+        deltas = []
+        for routine in (bundled, nls_solver._capsule_dpbsv()):
+            with mock.patch.object(nls_solver, "_DPBSV", routine):
+                deltas.append(solve_damped(ab, ab[-1], lam, g))
+        if deltas[0] is None or deltas[1] is None:
+            assert deltas[0] is None and deltas[1] is None
+            assert indefinite
+        else:
+            assert deltas[0].tobytes() == deltas[1].tobytes()
+
+    def test_solution_not_aliased_to_the_workspace(self):
+        rng = np.random.default_rng(3)
+        ab = upper_band(self.random_band(rng, 12, 3), 3)
+        first = solve_damped(ab, ab[-1], 1e-3, rng.normal(size=12))
+        kept = first.copy()
+        second = solve_damped(ab, ab[-1], 1e-3, rng.normal(size=12))
+        assert np.array_equal(first, kept)
+        assert not np.array_equal(first, second)
+
+    def test_band_shape_changes_between_calls(self):
+        rng = np.random.default_rng(4)
+        # a batch band growing by one 11-dimensional state per epoch, a
+        # narrower band of the same bandwidth, then a single-epoch WLS band of
+        # 5 columns (position and two clocks) and a window band again
+        shapes = [(11 * k, 11) for k in range(1, 6)] + [(33, 11), (5, 4), (5, 4), (22, 11)]
+        for n, u in shapes:
+            h = self.random_band(rng, n, u)
+            g = rng.normal(size=n)
+            ab = upper_band(h, u)
+            delta = solve_damped(ab, ab[-1], 1e-2, g)
+            expected = np.linalg.solve(h + 1e-2 * np.diag(np.diag(h)), -g)
+            assert np.abs(delta - expected).max() <= 1e-10 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("length", [1, 9, 11])
+    def test_mismatched_gradient_raises(self, length):
+        rng = np.random.default_rng(5)
+        ab = upper_band(self.random_band(rng, 10, 2), 2)
+        with pytest.raises(ValueError):
+            solve_damped(ab, ab[-1], 1e-3, rng.normal(size=length))
+        with pytest.raises(ValueError):
+            solve_damped(ab, rng.normal(size=length), 1e-3, rng.normal(size=10))
+
+    def test_threads_solve_concurrently(self):
+        rng = np.random.default_rng(6)
+        cases = []
+        # bands of one shape, which one shared workspace would serve
+        for _ in range(6):
+            ab = upper_band(self.random_band(rng, 200, 11), 11)
+            g = rng.normal(size=200)
+            cases.append((ab, g, solve_damped(ab, ab[-1], 1e-3, g)))
+        failures = []
+
+        def worker(ab, g, expected):
+            for _ in range(150):
+                delta = solve_damped(ab, ab[-1], 1e-3, g)
+                if delta is None or not np.array_equal(delta, expected):
+                    failures.append(ab.shape)
+                    return
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=case) for case in cases]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
 
 
 def test_sqrt_info_matches_inverse_covariance():
