@@ -21,7 +21,8 @@ time. Its per-slot arrays live in fixed-capacity slot buffers (Sibley et al.,
 others, and the pseudorange rows are padded per slot so that each slot's
 state is broadcast over its rows. Each point the solver visits is priced
 once: the linearization at an accepted trial reuses the residuals its cost
-computed.
+computed, and after a slide only the new slot, its edge and the prior are
+priced while the carried slots still sit at their last pricing.
 """
 
 from __future__ import annotations
@@ -287,12 +288,16 @@ _PR_PAD = {
 
 
 # slot buffers that slot k holds for the edge into it, live from slot 1 on
-_EDGE_BUFFERS = ("dt", "accel", "accel_dt", "edge_block")
+_EDGE_BUFFERS = ("dt", "accel", "edge_sub", "edge_block", "edge_res")
+
+# the residuals a TC window has no fixes for, and an LC window no pseudoranges
+_NONE = np.empty(0)
+_NONE.flags.writeable = False
 
 
 def _slot_view(name: str, doc: str) -> property:
     """The live slots' part of the slot buffer ``name``."""
-    return property(lambda self: self._live[name], doc=doc)
+    return property(lambda self: self._slot(name), doc=doc)
 
 
 class FactorWindow:
@@ -315,19 +320,21 @@ class FactorWindow:
     **Slot buffers.** Every per-slot array lives in a preallocated buffer
     whose first axis is the buffer slot, and the live window is the view of
     ``n`` consecutive buffer slots from ``_start``: the edge into each slot
-    (``dt``, ``accel``, ``accel_dt``, and ``edge_block``, the edge's share
-    of the previous slot's diagonal block), the LC fix (``fix_pos``,
-    ``fix_var``, ``fix_w``; infinite variance and zero weight without a
-    fix), the TC pseudorange rows and the linear band's columns. A finite
-    window has room for 2 (W + 1) slots, a batch window doubles its room when
-    full. :meth:`push` drops slot 0 by advancing the view and writes only the
-    new slot and its edge; when the view reaches the end of the buffers, the
-    live slots move to the front, at most once every W + 1 pushes.
-    :meth:`anchor` then pins slot 0 with the first or the sliding prior and
-    writes the diagonal blocks the slide changed: slot 0's and those of the
-    last two slots. Each diagonal block is summed in one order: the edge out
-    of the slot, then the prior or the edge into it, then the fix.
-    :func:`build_window` drives both.
+    (``dt``, ``accel``, what its residual takes from the state difference,
+    and ``edge_block``, the edge's share of the previous slot's diagonal
+    block), the LC fix (``fix_pos``, ``fix_var``, ``fix_w``; infinite
+    variance and zero weight without a fix), the TC pseudorange rows, the
+    linear band's columns and the last pricing (below). A finite window has
+    room for 2 (W + 1) slots, a batch window doubles its room when full.
+    :meth:`push` drops slot 0 by advancing the view and writes only the new
+    slot and its edge; when the view reaches the end of the buffers, the live
+    slots move to the front, at most once every W + 1 pushes. The edge's
+    band entries and diagonal share depend only on its ``dt``, so they are
+    computed again only when ``dt`` changes. :meth:`anchor` then pins slot 0
+    with the first or the sliding prior and writes the diagonal blocks the
+    slide changed: slot 0's and those of the last two slots. Each diagonal
+    block is summed in one order: the edge out of the slot, then the prior or
+    the edge into it, then the fix. :func:`build_window` drives both.
 
     **Pseudorange rows** are padded per slot to the widest slot so far, M
     (at least 2), with zero weight on the padding; M grows only when a slot
@@ -342,11 +349,22 @@ class FactorWindow:
     r``, and the upper triangle goes into the band. No sum depends on M, so
     a slid window and one built from scratch agree bit for bit.
 
-    **One evaluation per point.** :meth:`cost` keeps the whitened residuals
-    and unit line-of-sight rows of the point it priced, and
-    :meth:`normal_equations` at an equal point (by value) reuses them: the
-    LM solver's accepted trial is the next point it linearizes. :meth:`push`
-    and :meth:`anchor` clear what was kept.
+    **One evaluation per point.** The last pricing is kept per slot, beside
+    the slot buffers: each slot's state (``point``), the whitened residual of
+    the edge into it, and its whitened fix residual or its pseudorange rows'
+    compact rows ``[w u | -w e_clock | w r]``. :meth:`cost` and
+    :meth:`normal_equations` at a point equal to the kept one (by value)
+    reuse it: the LM solver's accepted trial is the next point it
+    linearizes. A slide keeps the pricing of the slots it carries. When their
+    states still equal the kept point, as they do after a solve whose last
+    trial was accepted, the first pricing after it computes only the new
+    slot, the new edge and the prior (not re-evaluating factors whose
+    variables have not changed, as iSAM2 does: Kaess et al., IJRR 2012);
+    otherwise it prices every slot. Every residual is computed slot by slot
+    and row by row, so a carried pricing equals a fresh one bit for bit.
+    :meth:`newest_residuals` hands on the newest slot's raw pseudorange
+    residuals from the last pricing, so that the caller scoring the epoch
+    need not evaluate them again.
 
     The window provides what :func:`nls_solver.solve_lm` needs
     (``initial_values``, ``normal_equations``, ``cost``) and what callers of
@@ -356,9 +374,7 @@ class FactorWindow:
     then the fixes, then the pseudoranges.
     """
 
-    dt = _slot_view("dt", "time step of the edge into each slot past 0")
     accel = _slot_view("accel", "ECEF specific force of each edge")
-    accel_dt = _slot_view("accel_dt", "velocity increment of each edge")
     edge_block = _slot_view("edge_block", "each edge's J_prev^T Omega J_prev, upper triangle")
     fix_pos = _slot_view("fix_pos", "LC fix per slot (zero without one)")
     fix_var = _slot_view("fix_var", "LC fix variances (infinite without a fix)")
@@ -371,9 +387,19 @@ class FactorWindow:
     pr_w = _slot_view("pr_w", "pseudorange weights (zero on padding)")
 
     @property
+    def dt(self) -> np.ndarray:
+        """Time step of the edge into each slot past 0."""
+        return self._slot("dt")[:, 0]
+
+    @property
+    def accel_dt(self) -> np.ndarray:
+        """Velocity increment of each edge."""
+        return self._slot("edge_sub")[:, VEL]
+
+    @property
     def pr_clock(self) -> np.ndarray:
         """The padded rows' constant compact clock part, ``-w e_clock``."""
-        return self._live["pr_rows"][:, 3:-1]
+        return self._slot("pr_rows")[:, 3:-1]
 
     def __init__(self, cfg: FgoConfig, layout: StateLayout) -> None:
         self.cfg = cfg
@@ -389,30 +415,57 @@ class FactorWindow:
         self._tc = cfg.mode == "tc"
         cap = 8 if cfg.window_size is None else 2 * (cfg.window_size + 1)
         self._buf = {
-            "dt": np.empty(cap),
+            # a column, so that it broadcasts over an edge's state columns
+            "dt": np.empty((cap, 1)),
             "accel": np.empty((cap, 3)),
-            "accel_dt": np.empty((cap, 3)),
+            # what the edge residual takes from the state difference: the
+            # velocity increment a dt, written at push, on velocity, and
+            # v dt of the last pricing on position
+            "edge_sub": np.zeros((cap, d)),
             # band columns slot by slot: column c of a slot holds its d + 1
             # band rows, so a live window is d + 1 rows in column order
             "band": np.zeros((cap, d, d + 1)),
             # the upper triangle of J^T Omega J of the edge into each slot:
             # its share of the previous slot's diagonal block
             "edge_block": np.empty((cap, d * (d + 1) // 2)),
+            # the last pricing: each slot's state and whitened edge residual
+            "point": np.zeros((cap, d)),
+            "edge_res": np.zeros((cap, d)),
         }
         if self._tc:
             self._buf["pr_count"] = np.zeros(cap, dtype=int)
             # at least two rows per slot, so that sums down the slot axis
             # never run over a single column, which numpy sums in another order
             self._buf.update(self._pr_buffers(cap, 2))
+            hot = ("sat_pos", "pseudorange", "pr_w", "pr_rows")
         else:
             self._buf.update(
                 fix_pos=np.zeros((cap, 3)),
                 fix_var=np.full((cap, 3), np.inf),
                 fix_w=np.zeros((cap, 3)),
+                # the last pricing's whitened fix residuals
+                fix_res=np.zeros((cap, 3)),
             )
-        # slots past 0 whose diagonal block pushes changed since the last anchor
-        self._stale: set[int] = set()
-        self._kept = None  # (point, whitened residuals, unit rows, cost) of the last pricing
+            hot = ("fix_pos", "fix_w", "fix_res")
+        # the buffers that pricing and the normal equations read, each with
+        # whether it is an edge buffer; a slide takes their live views
+        self._hot = tuple(
+            (name, name in _EDGE_BUFFERS)
+            for name in ("dt", "edge_sub", "edge_res", "band", "point") + hot
+        )
+        # the first slot past 0 whose diagonal block pushes changed since the
+        # last anchor; n when there is none
+        self._stale_from = 1
+        # the leading slots whose kept pricing is at their state in "point",
+        # and the cost of the last pricing (None once a slide or an anchor
+        # has changed the window since)
+        self._carried = 0
+        self._kept_cost: Optional[float] = None
+        # the raw residuals of the newest slot's rows at the last pricing
+        self._newest_raw = _NONE
+        # the last edge terms pushed: dt, the J_prev^T Omega band entries
+        # and the edge block
+        self._edge_terms: tuple = (None, None, None)
         self._jac_eye = -np.eye(d)
         # the diagonal of J_prev's position-on-velocity block
         diag = np.arange(d)
@@ -452,12 +505,14 @@ class FactorWindow:
         if self._tc:
             # state columns of the compact rows' Jacobian part: position, clocks
             self._clock = layout.clock_slice()
-            compact = np.r_[0:3, np.arange(d)[self._clock]]
+            compact = self._compact = np.r_[0:3, np.arange(d)[self._clock]]
             c0, c1 = np.triu_indices(compact.size)
             self._compact_tri = c0 * (compact.size + 1) + c1
             s0, s1 = compact[c0], compact[c1]
             self._compact_band = s1 * (d + 1) + d + s0 - s1
         self._scatter_n = -1
+        # the first flattened index of each slot's state, as a column
+        self._slot_at = np.empty((0, 1), dtype=int)
         self._view()
 
     def _pr_buffers(self, cap: int, width: int) -> dict[str, np.ndarray]:
@@ -466,7 +521,7 @@ class FactorWindow:
         out = {name: np.full((cap, width), fill) for name, fill in _PR_PAD.items()}
         out["sat_pos"] = np.full((cap, 3, width), _PR_PAD["sat_pos"])
         # each row's [w u | -w e_clock | w r] as a column: the clock part is
-        # written at push, u and r by normal_equations
+        # written at push, u and r by each pricing
         out["pr_rows"] = np.zeros((cap, 3 + n_clock + 1, width))
         return out
 
@@ -490,12 +545,20 @@ class FactorWindow:
     def split(self, values: np.ndarray) -> list[np.ndarray]:
         return list(np.asarray(values).reshape(self.n, self.dim))
 
+    def _slot(self, name: str) -> np.ndarray:
+        """The live slots' part of the slot buffer ``name``."""
+        lo = self._start + (name in _EDGE_BUFFERS)
+        return self._buf[name][lo : self._start + self.n]
+
     def _view(self) -> None:
-        """Take the live slots' views of every slot buffer."""
-        lo, hi = self._start, self._start + self.n
-        self._live = {
-            name: arr[lo + (name in _EDGE_BUFFERS) : hi] for name, arr in self._buf.items()
-        }
+        """Take the live slots' views of the buffers that pricing reads and,
+        for TC, where each padded row's clock sits in the flattened states."""
+        lo, hi, buf = self._start, self._start + self.n, self._buf
+        self._live = {name: buf[name][lo + edge : hi] for name, edge in self._hot}
+        if self._tc:
+            if len(self._slot_at) < self.n:
+                self._slot_at = np.arange(0, len(buf["dt"]) * self.dim, self.dim)[:, None]
+            self._clock_at = buf["clock_col"][lo:hi] + self._slot_at[: self.n]
 
     def _make_room(self) -> None:
         """Free the buffer slot after the view: move the live slots to the
@@ -510,24 +573,27 @@ class FactorWindow:
         self._start = 0
 
     def _widen(self, width: int) -> None:
-        """Pad every slot's pseudorange rows to ``width``."""
+        """Pad every slot's pseudorange rows to ``width``. The kept pricing
+        has no residuals for the new padding, so none of it is carried."""
         buf = self._buf
         old = buf["pr_w"].shape[1]
         for name, arr in self._pr_buffers(len(buf["dt"]), width).items():
             arr[..., :old] = buf[name]
             buf[name] = arr
+        self._carried = 0
 
     def push(self, entry: EpochEntry, drop: bool) -> None:
         """Append ``entry`` as the newest slot; with ``drop``, first remove
         slot 0 with its rows and its edge to slot 1. Call :meth:`anchor`
         before solving."""
         scale, buf = self.cfg.cov_scale, self._buf
-        self._kept = None
+        self._kept_cost = None
         if drop:
             self.entries.popleft()
             self._start += 1
             self.n -= 1
-            self._stale = {k - 1 for k in self._stale if k > 1}
+            self._stale_from = max(self._stale_from - 1, 1)
+            self._carried = max(self._carried - 1, 0)
         if self._start + self.n == len(buf["dt"]):
             self._make_room()
         self.entries.append(entry)
@@ -543,16 +609,18 @@ class FactorWindow:
             dt = float(entry.meas.dt)
             if dt <= 0:
                 raise ValueError("dt must be positive")
-            jac = self._jac_eye.copy()
-            jac[self._pos_vel] = -dt
+            if dt != self._edge_terms[0]:
+                jac = self._jac_eye.copy()
+                jac[self._pos_vel] = -dt
+                # the edge's off-diagonal block, J_prev^T Omega, which sits
+                # in the new slot's columns above its diagonal block, and its
+                # share of the previous slot's diagonal block
+                jw = jac.T * self._edge_w2
+                self._edge_terms = (dt, jw[self._low], np.matmul(jw, jac).take(self._tri))
+            _, band[p, self._edge_band], buf["edge_block"][p] = self._edge_terms
             buf["dt"][p] = dt
             buf["accel"][p] = entry.accel_ecef
-            buf["accel_dt"][p] = entry.accel_ecef * dt
-            # the new edge's off-diagonal block, J_prev^T Omega, in the new
-            # slot's columns above its diagonal block
-            jw = jac.T * self._edge_w2
-            band[p, self._edge_band] = jw[self._low]
-            buf["edge_block"][p] = np.matmul(jw, jac).take(self._tri)
+            buf["edge_sub"][p, VEL] = entry.accel_ecef * dt
 
         if self._tc:
             rows = entry.pseudorange.size
@@ -580,52 +648,70 @@ class FactorWindow:
             buf["fix_var"][p] = var
             buf["fix_w"][p] = 1.0 / np.sqrt(var)
         # the new slot and the one before it, which gained an edge out
-        self._stale |= set(range(max(self.n - 2, 1), self.n))
+        self._stale_from = min(self._stale_from, max(self.n - 2, 1))
         self._view()
 
     def anchor(self, value: np.ndarray, first: bool) -> None:
         """Pin slot 0 at ``value`` with the first or the sliding prior, write
         the diagonal blocks the slide changed, and start from the slots'
         stored states."""
-        self._kept = None
+        self._kept_cost = None
         self.prior_value = np.array(value, dtype=float)
         self.prior_var, self.prior_w, prior_block = self._priors[first]
-        slots = np.array([0, *sorted(self._stale)])
-        self._stale = set()
-        at = self._start + slots
-        # slots ascend, so those with an edge out come first
-        blocks = np.zeros((slots.size, self._edge_diag.size))
-        n_out = np.count_nonzero(slots < self.n - 1)
-        blocks[:n_out] = self._buf["edge_block"][at[:n_out] + 1]
+        n, lo, stale = self.n, self._start, self._stale_from
+        self._stale_from = n
+        # slot 0's block, then those of slots stale to n - 1; those with an
+        # edge out come first
+        edge_block = self._buf["edge_block"]
+        blocks = np.zeros((1 + n - stale, self._edge_diag.size))
+        if n > 1:
+            blocks[0] = edge_block[lo + 1]
+        blocks[1 : n - stale] = edge_block[lo + stale + 1 : lo + n]
         blocks[0] += prior_block
         blocks[1:] += self._edge_diag
         if not self._tc:
-            blocks[:, self._pos_diag] += self._buf["fix_w"][at] ** 2
+            fix_w = self._buf["fix_w"]
+            blocks[0, self._pos_diag] += fix_w[lo] ** 2
+            blocks[1:, self._pos_diag] += fix_w[lo + stale : lo + n] ** 2
         band = self._buf["band"]
-        band.reshape(len(band), -1)[at[:, None], self._tri_band] = blocks
+        band = band.reshape(len(band), -1)
+        band[lo, self._tri_band] = blocks[0]
+        band[lo + stale : lo + n, self._tri_band] = blocks[1:]
         self.initial_values = np.concatenate([e.state for e in self.entries])
 
-    def _whitened(self, x: np.ndarray):
-        """Whitened residuals (prior, edges, fixes, pseudoranges) at the
-        ``(n, dim)`` states ``x``, and the pseudorange rows' unit line of
-        sight (None without rows)."""
-        live = self._live
-        prior = self.prior_w * (x[0] - self.prior_value)
-        edge = x[1:] - x[:-1]
-        edge[:, POS] -= x[:-1, VEL] * live["dt"][:, None]
-        edge[:, VEL] -= live["accel_dt"]
+    def _whitened(self, x: np.ndarray, first: int = 0):
+        """Price the ``(n, dim)`` states ``x`` from slot ``first`` on.
+
+        Writes the pricing of those slots and of the edges into them into
+        the slot buffers, and the prior's, and returns the window's whitened
+        residuals (prior, edges, fixes, pseudoranges) at ``x``; those of
+        slots before ``first`` must already be kept at ``x``.
+        """
+        live, k = self._live, first
+        live["point"][k:] = x[k:]
+        prior = self._prior_res = self.prior_w * (x[0] - self.prior_value)
+        e = max(k - 1, 0)
+        edge, sub = live["edge_res"][e:], live["edge_sub"][e:]
+        np.multiply(x[e:-1, VEL], live["dt"][e:], out=sub[:, POS])
+        np.subtract(x[e + 1 :], x[e:-1], out=edge)
+        edge -= sub
         edge *= self.edge_w
-        # a TC window has no fixes, and an LC window no pseudoranges, to price
-        fix = pr = np.empty(0)
-        unit = None
         if not self._tc:
-            fix = live["fix_w"] * (live["fix_pos"] - x[:, 0:3])
-        else:
-            pr, unit = pseudorange_rows(
-                live["sat_pos"], live["pseudorange"], live["clock_col"], x
+            fix = live["fix_res"][k:]
+            np.subtract(live["fix_pos"][k:], x[k:, 0:3], out=fix)
+            fix *= live["fix_w"][k:]
+            return prior, live["edge_res"], live["fix_res"], _NONE
+        if k < self.n:
+            at = self._clock_at[k:]
+            raw, unit = pseudorange_rows(
+                live["sat_pos"][k:], live["pseudorange"][k:], at - k * self.dim if k else at, x[k:]
             )
-            pr *= live["pr_w"]
-        return (prior, edge, fix, pr), unit
+            # the newest slot's raw residuals, which only the caller reads
+            self._newest_raw = raw[-1]
+            rows, w = live["pr_rows"][k:], live["pr_w"][k:]
+            np.multiply(unit, w[:, None], out=rows[:, 0:3])
+            np.multiply(raw, w, out=rows[:, -1])
+        return prior, live["edge_res"], _NONE, live["pr_rows"][:, -1]
 
     @staticmethod
     def _cost(residuals) -> float:
@@ -645,44 +731,47 @@ class FactorWindow:
                     raise EvaluationError(f"non-finite residual in {label} factors")
         return cost
 
-    def _priced(self, values: np.ndarray):
-        """Whitened residuals, unit rows and cost at ``values``, reusing the
-        last pricing when it was at an equal point."""
-        x = np.asarray(values, dtype=float)
-        kept = self._kept
-        if kept is not None and kept[0].shape == x.shape and (kept[0] == x).all():
-            return kept[1:]
-        residuals, unit = self._whitened(x.reshape(self.n, self.dim))
-        cost = self._cost(residuals)
-        self._kept = (x.copy(), residuals, unit, cost)
-        return residuals, unit, cost
+    def _priced(self, values: np.ndarray) -> float:
+        """Cost at ``values``, with the slot buffers holding its pricing.
+
+        The leading carried slots are not priced again when every one of
+        them is at its state in ``values``; a point equal to the last one
+        priced is not priced at all.
+        """
+        x = np.asarray(values, dtype=float).reshape(self.n, self.dim)
+        k = self._carried
+        if k and np.count_nonzero(self._live["point"][:k] != x[:k]):
+            k = 0
+        if k < self.n or self._kept_cost is None:
+            # until the pricing completes, only the slots before k are kept
+            self._carried, self._kept_cost = k, None
+            cost = self._cost(self._whitened(x, k))
+            self._carried, self._kept_cost = self.n, cost
+        return self._kept_cost
 
     def cost(self, values: np.ndarray) -> float:
         """Sum of squared whitened residuals over all factors."""
-        return self._priced(values)[2]
+        return self._priced(values)
 
     def normal_equations(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         """Whitened J^T J (upper band storage), J^T r and cost at ``values``."""
-        (prior, edge, fix, pr), unit, cost = self._priced(values)
+        cost = self._priced(values)
         n, d, live = self.n, self.dim, self._live
         g = np.zeros((n, d))
-        g[0] += self.prior_w * prior
-        q = self.edge_w * edge
+        g[0] += self.prior_w * self._prior_res
+        q = self.edge_w * live["edge_res"]
         g[1:] += q
         # q J_prev: J_prev is -I with -dt on position over velocity
         back = -q
-        back[:, VEL] -= q[:, POS] * live["dt"][:, None]
+        back[:, VEL] -= q[:, POS] * live["dt"]
         g[:-1] += back
-        if fix.size:
-            g[:, 0:3] -= live["fix_w"] * fix
+        if not self._tc:
+            g[:, 0:3] -= live["fix_w"] * live["fix_res"]
         band = live["band"].copy()
-        if unit is not None:
+        if self._tc:
             rows = live["pr_rows"]
-            np.multiply(unit, live["pr_w"][:, None], out=rows[:, 0:3])
-            rows[:, -1] = pr
             prod = np.matmul(rows, rows.transpose(0, 2, 1))
-            g[:, POS] += prod[:, 0:3, -1]
-            g[:, self._clock] += prod[:, 3:-1, -1]
+            g[:, self._compact] += prod[:, :-1, -1]
             if self._scatter_n != n:
                 # where each slot's compact upper triangle sits in the
                 # product stack and in the live band
@@ -692,6 +781,16 @@ class FactorWindow:
                 self._scatter_n = n
             band.reshape(-1)[self._scatter_band] += prod.take(self._scatter_prod)
         return band.reshape(n * d, d + 1).T, g.ravel(), cost
+
+    def newest_residuals(self, values: np.ndarray) -> Optional[np.ndarray]:
+        """Raw pseudorange residuals of the newest slot's rows at ``values``,
+        read from the last pricing; None for an LC window, or when that
+        pricing was not at the newest slot's state in ``values``."""
+        if not self._tc or self._carried < self.n:
+            return None
+        if np.count_nonzero(self._live["point"][-1] != np.asarray(values)[-self.dim :]):
+            return None
+        return self._newest_raw[: self.entries[-1].pseudorange.size].copy()
 
     def _block(self, i: int) -> ResidualBlock:
         """The ``i``-th factor as a per-block oracle :class:`ResidualBlock`."""
@@ -894,6 +993,10 @@ class FgoStepResult:
     cost: float
     converged: bool
     message: str  # the solve's stop reason (``SolveReport.message``)
+    # the newest epoch's raw pseudorange residuals at ``state``, in the order
+    # of its satellites, from the window's last pricing; None for LC, at
+    # start-up, or when that pricing was at another state (a rejected trial)
+    residuals: Optional[np.ndarray] = None
 
 
 class FgoEstimator:
@@ -977,6 +1080,7 @@ class FgoEstimator:
             report.cost,
             report.converged,
             report.message,
+            window.newest_residuals(report.values),
         )
 
     @property

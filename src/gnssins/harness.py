@@ -165,11 +165,13 @@ def run_estimator(ds: Dataset, cfg: RunConfig) -> RunResult:
     for k, meas in enumerate(ds.epochs):
         t0 = time.perf_counter()
         if cfg.family == "ekf":
-            state = stepper.step(meas)
+            state, raw = stepper.step(meas), None
             diagnostics = {"solve_time": time.perf_counter() - t0}
         else:
             result = stepper.step(meas)
-            state = result.state
+            # a TC window hands on its last pricing of the epoch's rows when
+            # that was at the returned state
+            state, raw = result.state, result.residuals
             diagnostics = {
                 "solve_time": result.solve_time,
                 "iterations": result.iterations,
@@ -183,7 +185,8 @@ def run_estimator(ds: Dataset, cfg: RunConfig) -> RunResult:
             if meas.fix_available:
                 residual = lc_residual(meas.fix_pos, state)
         elif meas.sats:
-            raw = pseudorange_residuals(meas.sats, state, layout)
+            if raw is None:
+                raw = pseudorange_residuals(meas.sats, state, layout)
             residual = tc_residual(raw)
             for sat, value in zip(meas.sats, raw.tolist()):
                 obs_residuals.append(

@@ -395,7 +395,7 @@ def _gradient_converged(g: np.ndarray, diag: np.ndarray, cost: float, gtol: floa
     """
     if cost <= 0.0:
         return True
-    return bool(np.all(g * g <= (gtol * gtol * cost) * diag))
+    return bool((g * g <= (gtol * gtol * cost) * diag).all())
 
 
 def solve_lm(problem, cfg: Optional[LmConfig] = None) -> SolveReport:
@@ -428,7 +428,7 @@ def solve_lm(problem, cfg: Optional[LmConfig] = None) -> SolveReport:
     of the covariances.
     """
     cfg = cfg or LmConfig()
-    x = problem.initial_values.astype(float).copy()
+    x = np.array(problem.initial_values, dtype=float)
     lam = cfg.lambda0
     ab, g, cost = problem.normal_equations(x)
     diag = ab[-1]

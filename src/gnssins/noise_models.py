@@ -100,13 +100,15 @@ def pseudorange_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stacked pseudorange model: row ``i`` measures the satellite at ECEF
     ``sat_pos[..., :, i]`` with range ``pseudorange[i]`` from the state whose
-    clock bias sits in column ``clock_col[i]``.
+    clock bias is ``x.flat[clock_col[i]]``.
 
     Two layouts share the code: rows ``(m,)`` (satellites ``(3, m)``) from one
-    state ``x`` of shape ``(dim,)``, or rows padded per slot to ``(slots, M)``
-    (satellites ``(slots, 3, M)``) from one state per slot, ``x`` of shape
-    ``(slots, dim)``; each slot's state is broadcast over its rows. The
-    coordinates sit before the rows, so every operation runs along the rows.
+    state ``x`` of shape ``(dim,)``, where ``clock_col`` holds state columns,
+    or rows padded per slot to ``(slots, M)`` (satellites ``(slots, 3, M)``)
+    from one state per slot, ``x`` of shape ``(slots, dim)``, where a row of
+    slot ``k`` has its clock at ``k * dim + column``; each slot's state is
+    broadcast over its rows. The coordinates sit before the rows, so every
+    operation runs along the rows.
 
     Returns the raw residuals ``pseudorange - range - clock`` and the unit
     lines of sight (receiver to satellite), shaped like ``sat_pos``. These
@@ -116,11 +118,10 @@ def pseudorange_rows(
     """
     los = sat_pos - x[..., 0:3, None]
     rng = np.sqrt(np.einsum("...ij,...ij->...j", los, los))
-    if not rng.all():
+    if np.count_nonzero(rng) < rng.size:
         raise GeometryError("a satellite coincides with the receiver")
-    # each row's clock bias, read from its own slot's state
-    clock = x[clock_col] if x.ndim == 1 else x[np.arange(len(x))[:, None], clock_col]
-    return pseudorange - rng - clock, los / rng[..., None, :]
+    los /= rng[..., None, :]
+    return pseudorange - rng - x.take(clock_col), los
 
 
 def pseudorange_jacobian(unit: np.ndarray, clock_col: np.ndarray, dim: int) -> np.ndarray:

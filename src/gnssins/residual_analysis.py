@@ -10,6 +10,7 @@ expectation-maximization with deterministic quantile initialization.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -40,11 +41,18 @@ class EpochRecord:
     message: str = ""
 
 
+@functools.lru_cache(maxsize=1)
+def _ecef_to_enu(ref: Geodetic) -> np.ndarray:
+    """Rotation from ECEF to ENU at ``ref``, read-only. A run scores every
+    epoch at its dataset's one reference, so the last one is kept."""
+    rotation = rotation_global_from_local(ref).T
+    rotation.flags.writeable = False
+    return rotation
+
+
 def error_2d(est: np.ndarray, truth: np.ndarray, ref: Geodetic) -> float:
     """Horizontal (east/north) position error in the ENU frame at ``ref``."""
-    delta = rotation_global_from_local(ref).T @ (
-        np.asarray(est, dtype=float) - np.asarray(truth, dtype=float)
-    )
+    delta = _ecef_to_enu(ref) @ (np.asarray(est, dtype=float) - np.asarray(truth, dtype=float))
     return float(math.hypot(delta[0], delta[1]))
 
 

@@ -590,6 +590,84 @@ class TestSlidingWindow:
         moved.anchor(moved.prior_value + 1.0, first)
         assert_same_equations(w.normal_equations(x), moved.normal_equations(x))
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        mode=st.sampled_from(["tc", "lc"]),
+        window=st.sampled_from([1, 4, BATCH]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_carried_pricing_equals_fresh(self, mode, window, seed):
+        rng = np.random.default_rng(seed)
+        layout = TC if mode == "tc" else LC
+        n_epochs = int(rng.integers(9, 14))
+        epochs, _ = toy_epochs(
+            n_epochs,
+            pr_noise=rng.normal(scale=3.0, size=(n_epochs, 8)),
+            fix_noise=rng.normal(scale=3.0, size=(n_epochs, 3)),
+        )
+        # 0 to 6 satellites per epoch after the first, which has 6, and one
+        # late epoch with all 8: that slide alone widens the rows of every slot
+        counts = rng.integers(0, 7, size=n_epochs)
+        counts[0], counts[-3] = 6, 8
+        for k, e in enumerate(epochs):
+            e.sats = e.sats[: counts[k]]
+            if k > 1 and rng.random() < 0.3:
+                e.fix_pos = e.fix_hdop = None
+        est = FgoEstimator(FgoConfig(mode=mode, window_size=BATCH), layout)
+        for e in epochs:
+            est.step(e)
+        cfg = FgoConfig(mode=mode, window_size=window)
+
+        calls = []
+        kernel = fgo.pseudorange_rows
+
+        def counted(sat_pos, *args):
+            calls.append(len(sat_pos))
+            return kernel(sat_pos, *args)
+
+        slid, accepted, outcomes = None, False, set()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fgo, "pseudorange_rows", counted)
+            for k in range(1, n_epochs + 1):
+                entries = est.entries[:k]
+                width = None if slid is None or mode == "lc" else slid.pr_w.shape[1]
+                slid = build_window(entries, cfg, layout, slid)
+                ref = build_window(entries, cfg, layout)
+                n, d = slid.n, slid.dim
+                # the solve starts from the stored states, at which the last
+                # solve's accepted point left the carried slots
+                x = ref.initial_values
+                widened = width is not None and slid.pr_w.shape[1] > width
+                carried = k > 1 and accepted and not widened
+                calls.clear()
+                cost = slid.cost(x)
+                if mode == "tc":
+                    assert calls == ([1] if carried else [n])
+                    if k > 1:
+                        outcomes.add("carried" if carried else "widened" if widened else "rejected")
+                assert_same_equations(slid.normal_equations(x), ref.normal_equations(x))
+                # pricing from slot n prices the prior alone and returns the
+                # kept residuals; then every slot is priced afresh
+                kept = [r.copy() for r in slid._whitened(x.reshape(n, d), n)]
+                fresh = slid._whitened(x.reshape(n, d))
+                for a, b in zip(kept, fresh):
+                    assert a.tobytes() == b.tobytes()
+                assert cost == slid._cost(fresh) == ref.cost(x)
+                if k % 3 == 2:
+                    # anchoring at a moved prior prices the prior alone
+                    first = entries[-n].first
+                    slid.anchor(slid.prior_value + 1.0, first)
+                    ref.anchor(ref.prior_value + 1.0, first)
+                    calls.clear()
+                    assert_same_equations(slid.normal_equations(x), ref.normal_equations(x))
+                    assert calls == []
+                accepted = k % 3 != 1
+                if not accepted:
+                    # the solve ended on a rejected trial, away from x
+                    slid.cost(x + rng.normal(scale=2.0, size=x.size))
+        if mode == "tc":
+            assert outcomes == {"carried", "widened", "rejected"}
+
     def test_slides_only_the_window_of_the_previous_epoch(self):
         epochs, _ = toy_epochs(4)
         est = FgoEstimator(FgoConfig(mode="tc", window_size=BATCH), TC)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import toy_epochs
+from gnssins import fgo, harness
 from gnssins.canyon_sim import (
     default_canyon_config,
     generate_lc_fixes,
@@ -18,9 +19,11 @@ from gnssins.harness import (
     RunConfig,
     _EkfRunner,
     compare,
+    dataset_layout,
     run_estimator,
     sweep_windows,
 )
+from gnssins.residual_analysis import pseudorange_residuals, tc_residual
 from gnssins.noise_models import compute_hdop
 from gnssins.nls_solver import LmConfig
 from gnssins.types import Constellation, StateLayout
@@ -31,6 +34,11 @@ def noise_free_ds():
     ds = simulate(noise_free_config(duration_s=30.0))
     generate_lc_fixes(ds.epochs)
     return ds
+
+
+@pytest.fixture(scope="module")
+def noisy_ds():
+    return simulate(replace(default_canyon_config(99), duration_s=40.0))
 
 
 class TestRunEstimator:
@@ -169,3 +177,80 @@ def test_fix_hdop_prefers_the_epochs_own():
     assert fix_hdop(meas, truth[0]) == meas.fix_hdop
     meas.fix_hdop = None
     assert fix_hdop(meas, truth[0]) == compute_hdop(meas.sats, truth[0])
+
+
+def scored_tc_run(ds, window, monkeypatch):
+    """A fgo-tc run with each step's result and the harness's own
+    pseudorange evaluations recorded."""
+    steps, evaluated = [], []
+    step, evaluate = FgoEstimator.step, harness.pseudorange_residuals
+
+    def recorded_step(self, meas):
+        steps.append(step(self, meas))
+        return steps[-1]
+
+    def recorded_evaluate(sats, state, layout):
+        evaluated.append(state)
+        return evaluate(sats, state, layout)
+
+    monkeypatch.setattr(FgoEstimator, "step", recorded_step)
+    monkeypatch.setattr(harness, "pseudorange_residuals", recorded_evaluate)
+    result = run_estimator(ds, RunConfig(estimator="fgo-tc", window=window))
+    return result, steps, evaluated
+
+
+def assert_scored_at_the_returned_state(ds, result, steps):
+    """Every TC epoch's residual column and per-observation residuals equal
+    the residuals evaluated afresh at the step's returned state, bit for bit."""
+    layout = dataset_layout(ds)
+    obs = iter(result.obs_residuals)
+    for meas, record, step in zip(ds.epochs, result.records, steps):
+        if not meas.sats:
+            assert np.isnan(record.residual)
+            continue
+        raw = pseudorange_residuals(meas.sats, step.state, layout)
+        assert record.residual == tc_residual(raw)
+        for sat, value in zip(meas.sats, raw.tolist()):
+            o = next(obs)
+            assert (o.epoch, o.sat_id, o.residual) == (meas.t, sat.sat_id, value)
+    assert next(obs, None) is None
+
+
+@pytest.mark.parametrize("window", [1, 30, None])
+@pytest.mark.parametrize("data", ["noise_free_ds", "noisy_ds"])
+def test_fgo_tc_scores_the_window_residuals(request, monkeypatch, data, window):
+    ds = request.getfixturevalue(data)
+    result, steps, evaluated = scored_tc_run(ds, window, monkeypatch)
+    assert_scored_at_the_returned_state(ds, result, steps)
+    # the harness evaluates only the epochs whose step handed on no residuals:
+    # the first, and those whose solve's last pricing was a rejected trial
+    fallback = [s.state for m, s in zip(ds.epochs, steps) if m.sats and s.residuals is None]
+    assert len(evaluated) == len(fallback)
+    assert all(np.array_equal(a, b) for a, b in zip(evaluated, fallback))
+    assert steps[0].residuals is None
+    if data == "noisy_ds":
+        # noise-free solves end on rejected steps of negligible size; noisy
+        # ones often on an accepted step, whose pricing the window hands on
+        assert len(fallback) < len(steps)
+
+
+def test_rejected_last_trial_falls_back_to_evaluation(noisy_ds, monkeypatch):
+    reference = run_estimator(noisy_ds, RunConfig(estimator="fgo-tc", window=30))
+    solve = fgo.solve_lm
+
+    def solve_then_reject(window, lm):
+        # price a trial away from the solution, as a rejected last step does
+        report = solve(window, lm)
+        window.cost(report.values + 1.0)
+        return report
+
+    monkeypatch.setattr(fgo, "solve_lm", solve_then_reject)
+    result, steps, evaluated = scored_tc_run(noisy_ds, 30, monkeypatch)
+    assert all(s.residuals is None for s in steps)
+    assert len(evaluated) == sum(1 for m in noisy_ds.epochs if m.sats)
+    assert_scored_at_the_returned_state(noisy_ds, result, steps)
+    for a, b in zip(result.records, reference.records):
+        assert a.residual == b.residual or (np.isnan(a.residual) and np.isnan(b.residual))
+    assert [(o.sat_id, o.residual) for o in result.obs_residuals] == [
+        (o.sat_id, o.residual) for o in reference.obs_residuals
+    ]
