@@ -185,10 +185,6 @@ class SimConfig:
                 floor = max(floor, interval.block_floor_deg)
         return floor
 
-    def nlos_bias_component(self, constellation: Constellation) -> GmmComponent:
-        model = self.nlos_model[constellation.value]
-        return max(model.components, key=lambda c: c.mean)
-
 
 # ---------------------------------------------------------------------------
 # Trajectory

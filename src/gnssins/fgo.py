@@ -64,6 +64,7 @@ from .types import (
     Constellation,
     EpochMeasurements,
     StateLayout,
+    StepResult,
     constellations_present,
 )
 
@@ -89,6 +90,8 @@ class FgoConfig:
             raise ValueError(f"mode must be 'lc' or 'tc', got {self.mode!r}")
         if self.window_size is not None and self.window_size < 1:
             raise ValueError("window_size must be >= 1 (or None for batch)")
+        if not (math.isfinite(self.cov_scale) and self.cov_scale > 0):
+            raise ValueError(f"cov_scale must be finite and > 0, got {self.cov_scale!r}")
 
 
 def motion_factor(
@@ -282,9 +285,7 @@ class _LazyBlocks(Sequence):
 # what a padding pseudorange row holds: zero weight (infinite variance), any
 # state column for its clock, and a satellite about 1e9 km from the Earth, so
 # that no receiver state the solver reaches gives it a zero range
-_PR_PAD = {
-    "sat_pos": 1.0e12, "pseudorange": 0.0, "clock_col": 9, "pr_var": np.inf, "pr_w": 0.0
-}
+_PR_PAD = {"sat_pos": 1.0e12, "pseudorange": 0.0, "clock_col": 9, "pr_w": 0.0}
 
 
 # slot buffers that slot k holds for the edge into it, live from slot 1 on
@@ -383,7 +384,6 @@ class FactorWindow:
     sat_pos = _slot_view("sat_pos", "satellite ECEF, one column per padded row")
     pseudorange = _slot_view("pseudorange", "measured range per padded row")
     clock_col = _slot_view("clock_col", "state column of each row's clock bias")
-    pr_var = _slot_view("pr_var", "pseudorange variances (infinite on padding)")
     pr_w = _slot_view("pr_w", "pseudorange weights (zero on padding)")
 
     @property
@@ -626,14 +626,12 @@ class FactorWindow:
             rows = entry.pseudorange.size
             if rows > buf["pr_w"].shape[1]:
                 self._widen(rows)
-            var = entry.pr_sigma2 * scale if rows else np.empty(0)
-            w = 1.0 / np.sqrt(var)
+            w = 1.0 / np.sqrt(entry.pr_sigma2 * scale) if rows else np.empty(0)
             buf["pr_count"][p] = rows
             for name, value in (
                 ("sat_pos", entry.sat_pos),
                 ("pseudorange", entry.pseudorange),
                 ("clock_col", entry.clock_col),
-                ("pr_var", var),
                 ("pr_w", w),
             ):
                 buf[name][p, ..., :rows] = value
@@ -985,20 +983,6 @@ def fix_hdop(meas: EpochMeasurements, receiver: np.ndarray) -> float:
     return compute_hdop(meas.sats, receiver)
 
 
-@dataclass
-class FgoStepResult:
-    state: np.ndarray
-    solve_time: float
-    iterations: int
-    cost: float
-    converged: bool
-    message: str  # the solve's stop reason (``SolveReport.message``)
-    # the newest epoch's raw pseudorange residuals at ``state``, in the order
-    # of its satellites, from the window's last pricing; None for LC, at
-    # start-up, or when that pricing was at another state (a rejected trial)
-    residuals: Optional[np.ndarray] = None
-
-
 class FgoEstimator:
     """Sliding-window estimator; feed epochs in time order via :meth:`step`.
 
@@ -1029,16 +1013,17 @@ class FgoEstimator:
             )
         return entry
 
-    def step(self, meas: EpochMeasurements) -> FgoStepResult:
+    def step(self, meas: EpochMeasurements) -> StepResult:
+        """Slide the window by ``meas`` and solve it. The result's residuals come
+        from the window's last pricing: None for LC, at start-up, or when that
+        pricing was at another state (a rejected trial)."""
         t0 = time.perf_counter()
         if not self.entries:
             state = initial_state(meas, self.cfg.mode, self.layout, self.cfg.weighting)
             entry = self._entry(meas, state, np.zeros(3))
             entry.first = True
             self.entries.append(entry)
-            return FgoStepResult(
-                entry.state.copy(), time.perf_counter() - t0, 0, math.nan, True, "initialized"
-            )
+            return StepResult(entry.state.copy(), time.perf_counter() - t0, message="initialized")
 
         prev = self.entries[-1]
         if meas.t <= prev.meas.t:
@@ -1073,7 +1058,7 @@ class FgoEstimator:
             entry.state = state
         if self.cfg.window_size is not None:
             del self.entries[: -window.n]
-        return FgoStepResult(
+        return StepResult(
             self.entries[-1].state.copy(),
             time.perf_counter() - t0,
             report.iterations,
@@ -1082,9 +1067,3 @@ class FgoEstimator:
             report.message,
             window.newest_residuals(report.values),
         )
-
-    @property
-    def current_state(self) -> np.ndarray:
-        if not self.entries:
-            raise ValueError("estimator not initialized")
-        return self.entries[-1].state.copy()

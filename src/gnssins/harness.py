@@ -1,13 +1,16 @@
 """Run the four estimator variants over a dataset and collect metrics.
 
-The four configurations are 'ekf-lc', 'ekf-tc', 'fgo-lc' and 'fgo-tc'. Each
-run yields one record per GNSS epoch (estimate, 2D error, GNSS residual,
-solve time and, for the factor graph, the LM solve's diagnostics) plus
-per-observation raw pseudorange residuals for the distribution analyses.
+The four configurations are 'ekf-lc', 'ekf-tc', 'fgo-lc' and 'fgo-tc'. Both
+families' steppers (:class:`_EkfRunner`, :class:`fgo.FgoEstimator`) return a
+:class:`types.StepResult` per epoch. Each run yields one record per GNSS
+epoch (estimate, 2D error, GNSS residual, and the step's solve time and
+diagnostics) plus per-observation raw pseudorange residuals for the
+distribution analyses.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
@@ -36,7 +39,7 @@ from .residual_analysis import (
     summarize,
     tc_residual,
 )
-from .types import BIAS, POS, VEL, Constellation, EpochMeasurements, StateLayout
+from .types import BIAS, POS, VEL, Constellation, EpochMeasurements, StateLayout, StepResult
 
 ESTIMATORS = ("ekf-lc", "ekf-tc", "fgo-lc", "fgo-tc")
 
@@ -58,6 +61,8 @@ class RunConfig:
             raise ValueError(
                 f"unknown estimator {self.estimator!r}; expected one of {ESTIMATORS}"
             )
+        if not (math.isfinite(self.cov_scale) and self.cov_scale > 0):
+            raise ValueError(f"cov_scale must be finite and > 0, got {self.cov_scale!r}")
 
     @property
     def family(self) -> str:
@@ -90,25 +95,32 @@ def dataset_layout(ds: Dataset) -> StateLayout:
 
 
 class _EkfRunner:
-    """Per-epoch EKF loop shared by the LC and TC variants."""
+    """Per-epoch EKF loop shared by the LC and TC variants. ``cfg.cov_scale``
+    scales the initial, process and measurement noise alike: the gain, and so
+    the estimate, stays and the covariance scales (criterion 9's counterpart)."""
 
-    def __init__(self, coupling: str, layout: StateLayout, cfg: RunConfig):
-        self.coupling = coupling
+    def __init__(self, cfg: RunConfig, layout: StateLayout):
+        self.coupling = cfg.coupling
         self.layout = layout
         self.cfg = cfg
         self.belief: Optional[ekf.BeliefState] = None
-        self.process_noise = ekf.accumulated_process_noise(layout, cfg.ekf_predict_steps)
+        self.process_noise = (
+            ekf.accumulated_process_noise(layout, cfg.ekf_predict_steps) * cfg.cov_scale
+        )
         self._vel_seeded = False
         self._t_prev = -np.inf
 
-    def step(self, meas: EpochMeasurements) -> np.ndarray:
+    def step(self, meas: EpochMeasurements) -> StepResult:
+        t0 = time.perf_counter()
         if meas.t <= self._t_prev:
             raise ValueError("epochs must arrive in strictly increasing time order")
         self._t_prev = meas.t
+        scale = self.cfg.cov_scale
         if self.belief is None:
             mean = initial_state(meas, self.coupling, self.layout, self.cfg.weighting)
-            self.belief = ekf.BeliefState(mean, ekf.initial_covariance(self.layout), self.layout)
-            return mean.copy()
+            cov = ekf.initial_covariance(self.layout) * scale
+            self.belief = ekf.BeliefState(mean, cov, self.layout)
+            return StepResult(mean.copy(), time.perf_counter() - t0)
         if not self._vel_seeded:
             # receiver-style two-point velocity seed: difference the first
             # two position solutions instead of starting blind from zero
@@ -124,19 +136,33 @@ class _EkfRunner:
         if self.coupling == "lc":
             if meas.fix_available:
                 hdop = fix_hdop(meas, belief.mean[POS])
-                r = lc_fix_covariance(hdop, self.cfg.weighting.s_user)
+                r = lc_fix_covariance(hdop, self.cfg.weighting.s_user) * scale
                 belief = ekf.update_lc(belief, meas.fix_pos, r)
         else:
             if meas.sats:
-                r = tc_covariance(meas.sats, self.cfg.weighting)
+                r = tc_covariance(meas.sats, self.cfg.weighting) * scale
                 belief = ekf.update_tc(belief, meas.sats, r)
         self.belief = belief
-        return belief.mean.copy()
+        return StepResult(belief.mean.copy(), time.perf_counter() - t0)
 
 
 def _ensure_fixes(ds: Dataset, weighting: WeightingParams) -> None:
     if not any(e.fix_available for e in ds.epochs):
         generate_lc_fixes(ds.epochs, weighting)
+
+
+def make_stepper(cfg: RunConfig, layout: StateLayout) -> _EkfRunner | FgoEstimator:
+    """The estimator ``cfg`` names; feed it epochs in time order via ``step``."""
+    if cfg.family == "ekf":
+        return _EkfRunner(cfg, layout)
+    fgo_cfg = FgoConfig(
+        mode=cfg.coupling,
+        window_size=cfg.window,
+        weighting=cfg.weighting,
+        cov_scale=cfg.cov_scale,
+        lm=cfg.lm,
+    )
+    return FgoEstimator(fgo_cfg, layout)
 
 
 def run_estimator(ds: Dataset, cfg: RunConfig) -> RunResult:
@@ -146,40 +172,15 @@ def run_estimator(ds: Dataset, cfg: RunConfig) -> RunResult:
         _ensure_fixes(ds, cfg.weighting)
     else:
         layout = dataset_layout(ds)
-
-    stepper: object
-    if cfg.family == "ekf":
-        stepper = _EkfRunner(cfg.coupling, layout, cfg)
-    else:
-        fgo_cfg = FgoConfig(
-            mode=cfg.coupling,
-            window_size=cfg.window,
-            weighting=cfg.weighting,
-            cov_scale=cfg.cov_scale,
-            lm=cfg.lm,
-        )
-        stepper = FgoEstimator(fgo_cfg, layout)
+    stepper = make_stepper(cfg, layout)
 
     records: list[EpochRecord] = []
     obs_residuals: list[ObsResidual] = []
     for k, meas in enumerate(ds.epochs):
-        t0 = time.perf_counter()
-        if cfg.family == "ekf":
-            state, raw = stepper.step(meas), None
-            diagnostics = {"solve_time": time.perf_counter() - t0}
-        else:
-            result = stepper.step(meas)
-            # a TC window hands on its last pricing of the epoch's rows when
-            # that was at the returned state
-            state, raw = result.state, result.residuals
-            diagnostics = {
-                "solve_time": result.solve_time,
-                "iterations": result.iterations,
-                "cost": result.cost,
-                "converged": result.converged,
-                "message": result.message,
-            }
-
+        result = stepper.step(meas)
+        # a TC window hands on its last pricing of the epoch's rows when that
+        # was at the returned state
+        state, raw = result.state, result.residuals
         residual = float("nan")
         if cfg.coupling == "lc":
             if meas.fix_available:
@@ -200,7 +201,11 @@ def run_estimator(ds: Dataset, cfg: RunConfig) -> RunResult:
                 truth_pos=ds.truth_pos[k].copy(),
                 err_2d=_err2d(ds, state, k),
                 residual=residual,
-                **diagnostics,
+                solve_time=result.solve_time,
+                iterations=result.iterations,
+                cost=result.cost,
+                converged=result.converged,
+                message=result.message,
             )
         )
 

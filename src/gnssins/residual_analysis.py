@@ -26,8 +26,8 @@ from .types import POS, StateLayout
 @dataclass
 class EpochRecord:
     """One epoch of estimator output paired with truth, and the solve's
-    diagnostics: LM iterations, final cost, converged flag and stop reason.
-    A filter epoch solves nothing iteratively; it keeps the defaults."""
+    diagnostics: LM iterations, final cost, converged flag and stop reason,
+    taken from the epoch's :class:`types.StepResult` (a filter's defaults)."""
 
     epoch: float
     est_pos: np.ndarray
@@ -90,20 +90,6 @@ class GmmModel:
 
     components: tuple[GmmComponent, ...]
     ll_trace: list[float] = field(default_factory=list)
-
-    def pdf(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        total = np.zeros_like(x, dtype=float)
-        for c in self.components:
-            total += (
-                c.weight
-                / (c.std * math.sqrt(2.0 * math.pi))
-                * np.exp(-0.5 * ((x - c.mean) / c.std) ** 2)
-            )
-        return total
-
-    def log_likelihood(self, samples: np.ndarray) -> float:
-        return float(np.sum(np.log(self.pdf(np.asarray(samples, dtype=float)))))
 
 
 @dataclass(frozen=True)

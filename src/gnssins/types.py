@@ -1,8 +1,10 @@
-"""Shared estimation types: constellations, state layout and epoch inputs."""
+"""Shared estimation types: constellations, state layout, epoch inputs and
+the per-epoch result both estimator families return."""
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -77,6 +79,23 @@ class EpochMeasurements:
     @property
     def fix_available(self) -> bool:
         return self.fix_pos is not None
+
+
+@dataclass
+class StepResult:
+    """One epoch's estimate from either family's ``step``, with the solve's
+    diagnostics: LM iterations, final cost, converged flag and stop reason.
+    The defaults are a filter step's, which solves nothing iteratively."""
+
+    state: np.ndarray
+    solve_time: float  # seconds spent in the whole step
+    iterations: int = 0
+    cost: float = math.nan
+    converged: bool = True
+    message: str = ""
+    # the newest epoch's raw pseudorange residuals at ``state``, in the order
+    # of its satellites, when the step already has them; None otherwise
+    residuals: Optional[np.ndarray] = None
 
 
 def constellations_present(sats: Sequence) -> tuple[Constellation, ...]:

@@ -453,8 +453,7 @@ LC_ARRAYS = ("fix_pos", "fix_var", "fix_w")
 # padded per slot to the widest slot the window has seen, which a window
 # slid past a wide slot keeps and a scratch build may not have
 PADDED_ARRAYS = {
-    "sat_pos": 1.0e12, "pseudorange": 0.0, "clock_col": 9, "pr_var": np.inf, "pr_w": 0.0,
-    "pr_clock": 0.0,
+    "sat_pos": 1.0e12, "pseudorange": 0.0, "clock_col": 9, "pr_w": 0.0, "pr_clock": 0.0,
 }
 
 

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -20,13 +21,14 @@ from gnssins.harness import (
     _EkfRunner,
     compare,
     dataset_layout,
+    make_stepper,
     run_estimator,
     sweep_windows,
 )
 from gnssins.residual_analysis import pseudorange_residuals, tc_residual
 from gnssins.noise_models import compute_hdop
 from gnssins.nls_solver import LmConfig
-from gnssins.types import Constellation, StateLayout
+from gnssins.types import POS, Constellation, StateLayout, StepResult
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +92,52 @@ class TestRunEstimator:
     def test_unknown_estimator_rejected(self):
         with pytest.raises(ValueError):
             RunConfig(estimator="ukf-tc")
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("config", [RunConfig, FgoConfig])
+    def test_cov_scale_must_be_finite_and_positive(self, config, value):
+        with pytest.raises(ValueError, match="cov_scale"):
+            config(cov_scale=value)
+
+
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+def test_stepping_directly_gives_the_records(noise_free_ds, estimator):
+    # one step contract: the records are the stepper's StepResults, whatever
+    # the family
+    cfg = RunConfig(estimator=estimator, window=10)
+    records = run_estimator(noise_free_ds, cfg).records
+    layout = StateLayout() if cfg.coupling == "lc" else dataset_layout(noise_free_ds)
+    stepper = make_stepper(cfg, layout)
+    for meas, record in zip(noise_free_ds.epochs, records):
+        result = stepper.step(meas)
+        assert isinstance(result, StepResult)
+        assert np.array_equal(result.state[POS], record.est_pos)
+        diagnostics = ("iterations", "converged", "message")
+        assert [getattr(result, f) for f in diagnostics] == [getattr(record, f) for f in diagnostics]
+        assert result.cost == record.cost or (math.isnan(result.cost) and math.isnan(record.cost))
+        for t in (result.solve_time, record.solve_time):
+            assert math.isfinite(t) and t >= 0.0
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    estimator=st.sampled_from(["ekf-lc", "ekf-tc"]),
+    scale=st.sampled_from([0.1, 10.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_filter_covariance_scales_with_cov_scale(estimator, scale, seed):
+    # scaling the initial, process and measurement noise alike leaves the
+    # gain unchanged: the same estimates, and every covariance scaled
+    ds = simulate(replace(default_canyon_config(seed), duration_s=20.0))
+    generate_lc_fixes(ds.epochs)
+    layout = StateLayout() if estimator == "ekf-lc" else dataset_layout(ds)
+    base = _EkfRunner(RunConfig(estimator=estimator), layout)
+    scaled = _EkfRunner(RunConfig(estimator=estimator, cov_scale=scale), layout)
+    for meas in ds.epochs:
+        a, b = base.step(meas), scaled.step(meas)
+        assert np.max(np.abs(a.state[POS] - b.state[POS])) <= 1e-6
+        want = scale * base.belief.cov
+        assert np.linalg.norm(scaled.belief.cov - want) <= 1e-9 * np.linalg.norm(want)
 
 
 class TestSolveDiagnostics:
@@ -165,10 +213,14 @@ def test_families_share_the_first_state(coupling, seed, n_sats):
     layout = StateLayout()
     if coupling == "tc":
         layout = StateLayout((Constellation.GPS, Constellation.BEIDOU))
-    runner = _EkfRunner(coupling, layout, RunConfig(estimator=f"ekf-{coupling}"))
-    ekf_state = runner.step(epochs[0])
-    fgo_state = FgoEstimator(FgoConfig(mode=coupling), layout).step(epochs[0]).state
-    assert np.array_equal(ekf_state, fgo_state)
+    runner = _EkfRunner(RunConfig(estimator=f"ekf-{coupling}"), layout)
+    ekf_first = runner.step(epochs[0])
+    fgo_first = FgoEstimator(FgoConfig(mode=coupling), layout).step(epochs[0])
+    assert isinstance(ekf_first, StepResult) and isinstance(fgo_first, StepResult)
+    assert np.array_equal(ekf_first.state, fgo_first.state)
+    # neither solves anything iteratively at start-up
+    for first in (ekf_first, fgo_first):
+        assert (first.iterations, first.converged) == (0, True) and math.isnan(first.cost)
 
 
 def test_fix_hdop_prefers_the_epochs_own():
