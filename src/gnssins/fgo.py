@@ -15,10 +15,11 @@ velocity variances depend on the coupling (:data:`SLIDING_ANCHOR_VAR`). Both
 families start from :func:`initial_state`, seed velocity from
 :func:`position_seed` and weight LC fixes by :func:`fix_hdop`.
 
-The estimator keeps one :class:`FactorWindow` and slides it an epoch at a
-time. Its per-slot arrays live in fixed-capacity slot buffers (Sibley et al.,
-*Sliding Window Filter*, 2010), so a slide writes one slot and moves no
-others, and the pseudorange rows are padded per slot so that each slot's
+The estimator keeps one :class:`FactorWindow`, its only epoch history, and
+:func:`build_window` slides it an epoch at a time. Its per-slot arrays live
+in fixed-capacity slot buffers (Sibley et al., *Sliding Window Filter*,
+2010), so a slide writes one slot and moves no others, and the pseudorange
+rows are padded per slot so that each slot's
 state is broadcast over its rows. Each point the solver visits is priced
 once: the linearization at an accepted trial reuses the residuals its cost
 computed, and after a slide only the new slot, its edge and the prior are
@@ -32,7 +33,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from collections.abc import Sequence
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -68,30 +69,17 @@ from .types import (
     constellations_present,
 )
 
-BATCH = None  # window_size value meaning "keep all epochs"
+if TYPE_CHECKING:
+    # harness imports this module, so the config is imported for typing only
+    from .harness import RunConfig
+
+BATCH = None  # RunConfig.window value meaning "keep all epochs"
 
 # position and velocity variances of the sliding anchor, by coupling. The
 # anchor approximates the marginal of the state being cut off; fix-level (LC)
 # information leaves a far wider marginal than pseudorange-level (TC)
 # information does
 SLIDING_ANCHOR_VAR = {"lc": (25.0, 1.0), "tc": (1.0, 0.1)}
-
-
-@dataclass
-class FgoConfig:
-    mode: str = "tc"  # "lc" or "tc"
-    window_size: Optional[int] = 30  # epochs; None (BATCH) keeps everything
-    weighting: WeightingParams = field(default_factory=WeightingParams)
-    cov_scale: float = 1.0
-    lm: LmConfig = field(default_factory=LmConfig)
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("lc", "tc"):
-            raise ValueError(f"mode must be 'lc' or 'tc', got {self.mode!r}")
-        if self.window_size is not None and self.window_size < 1:
-            raise ValueError("window_size must be >= 1 (or None for batch)")
-        if not (math.isfinite(self.cov_scale) and self.cov_scale > 0):
-            raise ValueError(f"cov_scale must be finite and > 0, got {self.cov_scale!r}")
 
 
 def motion_factor(
@@ -241,14 +229,15 @@ def clock_walk_factor(
 
 @dataclass
 class EpochEntry:
-    """Internal per-epoch record kept by the estimator.
+    """Internal per-epoch record, kept in the estimator's window.
 
     A TC epoch also keeps its pseudorange rows as arrays, ready for
-    :func:`build_window` to stack: satellite ECEF positions, measured ranges
-    and the state column of each row's clock bias. Their variances are
-    ``pr_sigma2``; an LC epoch's fix row is ``meas.fix_pos`` with variances
-    ``fix_cov``. ``first`` marks the trajectory's first epoch, the one a
-    window anchors with the filter's initial covariance.
+    :meth:`FactorWindow.push` to write into its slot: satellite ECEF
+    positions, measured ranges and the state column of each row's clock
+    bias. Their variances are ``pr_sigma2``; an LC epoch's fix row is
+    ``meas.fix_pos`` with variances ``fix_cov``. ``first`` marks the
+    trajectory's first epoch, the one a window anchors with the filter's
+    initial covariance.
     """
 
     meas: EpochMeasurements
@@ -289,7 +278,7 @@ _PR_PAD = {"sat_pos": 1.0e12, "pseudorange": 0.0, "clock_col": 9, "pr_w": 0.0}
 
 
 # slot buffers that slot k holds for the edge into it, live from slot 1 on
-_EDGE_BUFFERS = ("dt", "accel", "edge_sub", "edge_block", "edge_res")
+_EDGE_BUFFERS = ("dt", "edge_sub", "edge_block", "edge_res")
 
 # the residuals a TC window has no fixes for, and an LC window no pseudoranges
 _NONE = np.empty(0)
@@ -305,11 +294,12 @@ class FactorWindow:
     """The NLS problem of one window, held in slot-major buffers and slid one
     epoch at a time.
 
-    Slot ``k`` is the ``k``-th in-window epoch. Every factor except the
-    pseudorange is linear: the prior on slot 0, the LC fixes, and the motion,
-    INS and clock-walk factors between consecutive slots. The latter three
-    give one residual entry per state column (motion on position and bias,
-    INS on velocity, clock walk on the clocks), so they are stacked as one
+    Slot ``k`` is the ``k``-th in-window epoch, whose :class:`EpochEntry`
+    is ``entries[k]``. Every factor except the pseudorange is linear: the
+    prior on slot 0, the LC fixes, and the motion, INS and clock-walk factors
+    between consecutive slots. The latter three give one residual entry per
+    state column (motion on position and bias, INS on velocity, clock walk
+    on the clocks), so they are stacked as one
     ``dim``-row edge residual with the constant Jacobians ``J_prev`` and the
     identity. Their share of ``J^T J`` is kept in upper band storage with
     ``dim`` super-diagonals: ``J^T J`` is block-tridiagonal, and the edge's
@@ -321,11 +311,11 @@ class FactorWindow:
     **Slot buffers.** Every per-slot array lives in a preallocated buffer
     whose first axis is the buffer slot, and the live window is the view of
     ``n`` consecutive buffer slots from ``_start``: the edge into each slot
-    (``dt``, ``accel``, what its residual takes from the state difference,
-    and ``edge_block``, the edge's share of the previous slot's diagonal
-    block), the LC fix (``fix_pos``, ``fix_var``, ``fix_w``; infinite
-    variance and zero weight without a fix), the TC pseudorange rows, the
-    linear band's columns and the last pricing (below). A finite window has
+    (``dt``, what its residual takes from the state difference, and
+    ``edge_block``, the edge's share of the previous slot's diagonal block),
+    the LC fix (``fix_pos``, ``fix_var``, ``fix_w``; infinite variance and
+    zero weight without a fix), the TC pseudorange rows, the linear band's
+    columns and the last pricing (below). A finite window has
     room for 2 (W + 1) slots, a batch window doubles its room when full.
     :meth:`push` drops slot 0 by advancing the view and writes only the new
     slot and its edge; when the view reaches the end of the buffers, the live
@@ -335,7 +325,8 @@ class FactorWindow:
     with the first or the sliding prior and writes the diagonal blocks the
     slide changed: slot 0's and those of the last two slots. Each diagonal
     block is summed in one order: the edge out of the slot, then the prior or
-    the edge into it, then the fix. :func:`build_window` drives both.
+    the edge into it, then the fix. :func:`build_window` slides the window
+    by one push and one anchor.
 
     **Pseudorange rows** are padded per slot to the widest slot so far, M
     (at least 2), with zero weight on the padding; M grows only when a slot
@@ -348,7 +339,7 @@ class FactorWindow:
     constant clock part is written once, at push. One batched product gives
     every slot's ``J^T J`` on its position and clock columns and its ``J^T
     r``, and the upper triangle goes into the band. No sum depends on M, so
-    a slid window and one built from scratch agree bit for bit.
+    the same slots give the same sums whatever width the rows have reached.
 
     **One evaluation per point.** The last pricing is kept per slot, beside
     the slot buffers: each slot's state (``point``), the whitened residual of
@@ -375,7 +366,6 @@ class FactorWindow:
     then the fixes, then the pseudoranges.
     """
 
-    accel = _slot_view("accel", "ECEF specific force of each edge")
     edge_block = _slot_view("edge_block", "each edge's J_prev^T Omega J_prev, upper triangle")
     fix_pos = _slot_view("fix_pos", "LC fix per slot (zero without one)")
     fix_var = _slot_view("fix_var", "LC fix variances (infinite without a fix)")
@@ -401,7 +391,7 @@ class FactorWindow:
         """The padded rows' constant compact clock part, ``-w e_clock``."""
         return self._slot("pr_rows")[:, 3:-1]
 
-    def __init__(self, cfg: FgoConfig, layout: StateLayout) -> None:
+    def __init__(self, cfg: RunConfig, layout: StateLayout) -> None:
         self.cfg = cfg
         self.layout = layout
         d = self.dim = layout.dim
@@ -412,12 +402,11 @@ class FactorWindow:
         self.edge_w = 1.0 / np.sqrt(self.edge_var)
         self._edge_w2 = self.edge_w**2
         self._per_edge = 3 if layout.has_clock else 2
-        self._tc = cfg.mode == "tc"
-        cap = 8 if cfg.window_size is None else 2 * (cfg.window_size + 1)
+        self._tc = cfg.coupling == "tc"
+        cap = 8 if cfg.window is None else 2 * (cfg.window + 1)
         self._buf = {
             # a column, so that it broadcasts over an edge's state columns
             "dt": np.empty((cap, 1)),
-            "accel": np.empty((cap, 3)),
             # what the edge residual takes from the state difference: the
             # velocity increment a dt, written at push, on velocity, and
             # v dt of the last pricing on position
@@ -490,7 +479,7 @@ class FactorWindow:
         # re-pinned at its previously optimized value with the tight sliding
         # prior, whose bias and clock variances are one epoch of process noise
         sliding = default_process_noise(layout)
-        sliding[POS], sliding[VEL] = SLIDING_ANCHOR_VAR[cfg.mode]
+        sliding[POS], sliding[VEL] = SLIDING_ANCHOR_VAR[cfg.coupling]
         self._priors = {}
         for first, var in ((True, np.diag(initial_covariance(layout))), (False, sliding)):
             var = var * cfg.cov_scale
@@ -619,7 +608,6 @@ class FactorWindow:
                 self._edge_terms = (dt, jw[self._low], np.matmul(jw, jac).take(self._tri))
             _, band[p, self._edge_band], buf["edge_block"][p] = self._edge_terms
             buf["dt"][p] = dt
-            buf["accel"][p] = entry.accel_ecef
             buf["edge_sub"][p, VEL] = entry.accel_ecef * dt
 
         if self._tc:
@@ -788,7 +776,7 @@ class FactorWindow:
             return None
         if np.count_nonzero(self._live["point"][-1] != np.asarray(values)[-self.dim :]):
             return None
-        return self._newest_raw[: self.entries[-1].pseudorange.size].copy()
+        return self._newest_raw[: self.pr_count[-1]].copy()
 
     def _block(self, i: int) -> ResidualBlock:
         """The ``i``-th factor as a per-block oracle :class:`ResidualBlock`."""
@@ -804,7 +792,7 @@ class FactorWindow:
                 motion_var = np.concatenate((edge_var[POS], edge_var[BIAS]))
                 return motion_factor(k - 1, k, dt, motion_var, layout)
             if kind == 1:
-                return ins_factor(k - 1, k, self.accel[edge], dt, edge_var[VEL], layout)
+                return ins_factor(k - 1, k, self.entries[k].accel_ecef, dt, edge_var[VEL], layout)
             return clock_walk_factor(k - 1, k, math.sqrt(edge_var[9]), layout)
         i -= n_edge_blocks
         if not self._tc:
@@ -817,44 +805,20 @@ class FactorWindow:
         return pseudorange_factor(k, entry.meas.sats[j], entry.pr_sigma2[j] * scale, layout)
 
 
-def build_window(
-    entries: Sequence[EpochEntry],
-    cfg: FgoConfig,
-    layout: StateLayout,
-    window: Optional[FactorWindow] = None,
-) -> FactorWindow:
-    """The :class:`FactorWindow` over the newest epochs of ``entries``.
+def build_window(window: FactorWindow, entry: EpochEntry) -> FactorWindow:
+    """Slide ``window`` by the newest epoch, ``entry``, and return it.
 
     A finite window of size W keeps the newest W + 1 states (the current
     epoch plus W historical ones, so window size 1 optimizes the current and
-    last epochs jointly); batch keeps every epoch. Each in-graph epoch
-    contributes its GNSS rows, consecutive epochs are linked by motion, INS
-    and (TC) clock-walk factors, and the oldest state carries a prior at its
-    stored estimate.
-
-    ``window``, when given, is the one built for ``entries[:-1]``: it is slid
-    in place by the newest epoch, dropping its oldest when full, and
-    returned. Without it the window is built by the same slide, one epoch at
-    a time from an empty window, so both give the same arrays.
+    last epochs jointly), so once it holds W + 1 the oldest slot is dropped;
+    batch keeps every epoch. Each in-graph epoch contributes its GNSS rows,
+    consecutive epochs are linked by motion, INS and (TC) clock-walk factors,
+    and the oldest state carries a prior at its stored estimate.
     """
-    if not entries:
-        raise ValueError("empty epoch history")
-    n_avail = len(entries)
-    if cfg.window_size is None:
-        n_states = n_avail
-    else:
-        n_states = min(cfg.window_size + 1, n_avail)
-    base = n_avail - n_states
-    if window is None:
-        window = FactorWindow(cfg, layout)
-        new = entries[base:]
-    else:
-        if n_avail < 2 or not window.entries or window.entries[-1] is not entries[-2]:
-            raise ValueError("the window to slide must end at the epoch before the newest")
-        new = entries[-1:]
-    for entry in new:
-        window.push(entry, drop=window.n == n_states)
-    window.anchor(entries[base].state, entries[base].first)
+    size = window.cfg.window
+    window.push(entry, drop=size is not None and window.n == size + 1)
+    oldest = window.entries[0]
+    window.anchor(oldest.state, oldest.first)
     return window
 
 
@@ -986,27 +950,27 @@ def fix_hdop(meas: EpochMeasurements, receiver: np.ndarray) -> float:
 class FgoEstimator:
     """Sliding-window estimator; feed epochs in time order via :meth:`step`.
 
-    ``entries`` holds the epochs the next slide reads: the current window's
-    (the newest W + 1) for a finite window, every epoch in batch mode.
+    ``window`` is the estimator's only history: it holds the epochs the next
+    slide reads, the newest W + 1 for a finite window and every epoch in
+    batch mode.
     """
 
-    def __init__(self, cfg: FgoConfig, layout: StateLayout):
-        if cfg.mode == "tc" and not layout.has_clock:
+    def __init__(self, cfg: RunConfig, layout: StateLayout):
+        if cfg.coupling == "tc" and not layout.has_clock:
             raise ValueError("tightly coupled mode needs clock states in the layout")
         self.cfg = cfg
         self.layout = layout
-        self.entries: list[EpochEntry] = []
-        self._window: Optional[FactorWindow] = None
+        self.window = FactorWindow(cfg, layout)
 
     def _entry(
         self, meas: EpochMeasurements, state: np.ndarray, accel_ecef: np.ndarray
     ) -> EpochEntry:
         """Epoch record with its measurement variances and, for TC, its pseudorange rows."""
         entry = EpochEntry(meas, state, accel_ecef)
-        if self.cfg.mode == "lc" and meas.fix_available:
+        if self.cfg.coupling == "lc" and meas.fix_available:
             hdop = fix_hdop(meas, state[POS])
             entry.fix_cov = lc_fix_covariance(hdop, self.cfg.weighting.s_user)
-        if self.cfg.mode == "tc" and meas.sats:
+        if self.cfg.coupling == "tc" and meas.sats:
             entry.pr_sigma2 = tc_covariance(meas.sats, self.cfg.weighting)
             entry.sat_pos, entry.pseudorange, entry.clock_col = stack_pseudoranges(
                 meas.sats, self.layout.clock_index
@@ -1018,14 +982,15 @@ class FgoEstimator:
         from the window's last pricing: None for LC, at start-up, or when that
         pricing was at another state (a rejected trial)."""
         t0 = time.perf_counter()
-        if not self.entries:
-            state = initial_state(meas, self.cfg.mode, self.layout, self.cfg.weighting)
+        window, coupling = self.window, self.cfg.coupling
+        if not window.n:
+            state = initial_state(meas, coupling, self.layout, self.cfg.weighting)
             entry = self._entry(meas, state, np.zeros(3))
             entry.first = True
-            self.entries.append(entry)
+            window.push(entry, drop=False)
             return StepResult(entry.state.copy(), time.perf_counter() - t0, message="initialized")
 
-        prev = self.entries[-1]
+        prev = window.entries[-1]
         if meas.t <= prev.meas.t:
             raise ValueError("epochs must arrive in strictly increasing time order")
         geo = ecef_to_geodetic(prev.state[POS])
@@ -1035,31 +1000,28 @@ class FgoEstimator:
         state = prev.state.copy()
         state[POS] = prev.state[POS] + prev.state[VEL] * meas.dt
         state[VEL] = prev.state[VEL] + accel_ecef * meas.dt
-        if len(self.entries) == 1:
+        if window.n == 1:
             # two-point velocity seed: difference the first two position
             # solutions. Updating the stored first state matters because the
             # anchor prior pins its value, which otherwise stays at zero.
-            seed = position_seed(meas, self.cfg.mode, self.cfg.weighting, prev.state[POS])
+            seed = position_seed(meas, coupling, self.cfg.weighting, prev.state[POS])
             if seed is not None:
                 vel_seed = (seed - prev.state[POS]) / meas.dt
                 prev.state[VEL] = vel_seed.copy()
                 state[VEL] = vel_seed
                 state[POS] = seed
-        self.entries.append(self._entry(meas, state, accel_ecef))
 
         # looked up on the module at call time, once per epoch, so a tracer
         # that wraps fgo.build_window sees every window
-        window = self._window = build_window(self.entries, self.cfg, self.layout, self._window)
+        build_window(window, self._entry(meas, state, accel_ecef))
         try:
             report = solve_lm(window, self.cfg.lm)
         except SolverError as exc:
             raise SolverError(f"epoch at t={meas.t}: {exc}") from exc
         for entry, state in zip(window.entries, report.values.reshape(window.n, -1)):
             entry.state = state
-        if self.cfg.window_size is not None:
-            del self.entries[: -window.n]
         return StepResult(
-            self.entries[-1].state.copy(),
+            window.entries[-1].state.copy(),
             time.perf_counter() - t0,
             report.iterations,
             report.cost,

@@ -1,15 +1,16 @@
 """Run the four estimator variants over a dataset and collect metrics.
 
 The four configurations are 'ekf-lc', 'ekf-tc', 'fgo-lc' and 'fgo-tc'. Both
-families' steppers (:class:`_EkfRunner`, :class:`fgo.FgoEstimator`) return a
-:class:`types.StepResult` per epoch. Each run yields one record per GNSS
-epoch (estimate, 2D error, GNSS residual, and the step's solve time and
-diagnostics) plus per-observation raw pseudorange residuals for the
-distribution analyses.
+families' steppers (:class:`_EkfRunner`, :class:`fgo.FgoEstimator`) take one
+:class:`RunConfig` and return a :class:`types.StepResult` per epoch. Each run
+yields one record per GNSS epoch (estimate, 2D error, GNSS residual, and the
+step's solve time and diagnostics) plus per-observation raw pseudorange
+residuals for the distribution analyses.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -21,14 +22,7 @@ from . import ekf
 from .canyon_sim import Dataset, generate_lc_fixes
 # single_epoch_wls is not called here; it stays imported only because the
 # benchmark tracer wraps harness.single_epoch_wls as a call site
-from .fgo import (
-    FgoConfig,
-    FgoEstimator,
-    fix_hdop,
-    initial_state,
-    position_seed,
-    single_epoch_wls,
-)
+from .fgo import FgoEstimator, fix_hdop, initial_state, position_seed, single_epoch_wls
 from .frames import body_accel_to_ecef, ecef_to_geodetic
 from .noise_models import WeightingParams, lc_fix_covariance, tc_covariance
 from .nls_solver import LmConfig
@@ -61,6 +55,8 @@ class RunConfig:
             raise ValueError(
                 f"unknown estimator {self.estimator!r}; expected one of {ESTIMATORS}"
             )
+        if self.window is not None and self.window < 1:
+            raise ValueError(f"window must be >= 1 (or None for batch), got {self.window!r}")
         if not (math.isfinite(self.cov_scale) and self.cov_scale > 0):
             raise ValueError(f"cov_scale must be finite and > 0, got {self.cov_scale!r}")
 
@@ -146,37 +142,36 @@ class _EkfRunner:
         return StepResult(belief.mean.copy(), time.perf_counter() - t0)
 
 
-def _ensure_fixes(ds: Dataset, weighting: WeightingParams) -> None:
-    if not any(e.fix_available for e in ds.epochs):
-        generate_lc_fixes(ds.epochs, weighting)
+def _lc_epochs(ds: Dataset, weighting: WeightingParams) -> list[EpochMeasurements]:
+    """The dataset's epochs when any carries an LC fix; else shallow copies
+    given fixes generated with ``weighting``, so ``ds`` itself stays as it was."""
+    if any(e.fix_available for e in ds.epochs):
+        return ds.epochs
+    epochs = [copy.copy(e) for e in ds.epochs]
+    generate_lc_fixes(epochs, weighting)
+    return epochs
 
 
 def make_stepper(cfg: RunConfig, layout: StateLayout) -> _EkfRunner | FgoEstimator:
     """The estimator ``cfg`` names; feed it epochs in time order via ``step``."""
     if cfg.family == "ekf":
         return _EkfRunner(cfg, layout)
-    fgo_cfg = FgoConfig(
-        mode=cfg.coupling,
-        window_size=cfg.window,
-        weighting=cfg.weighting,
-        cov_scale=cfg.cov_scale,
-        lm=cfg.lm,
-    )
-    return FgoEstimator(fgo_cfg, layout)
+    return FgoEstimator(cfg, layout)
 
 
 def run_estimator(ds: Dataset, cfg: RunConfig) -> RunResult:
     """Run one estimator over the dataset and collect per-epoch records."""
+    epochs = ds.epochs
     if cfg.coupling == "lc":
         layout = StateLayout()
-        _ensure_fixes(ds, cfg.weighting)
+        epochs = _lc_epochs(ds, cfg.weighting)
     else:
         layout = dataset_layout(ds)
     stepper = make_stepper(cfg, layout)
 
     records: list[EpochRecord] = []
     obs_residuals: list[ObsResidual] = []
-    for k, meas in enumerate(ds.epochs):
+    for k, meas in enumerate(epochs):
         result = stepper.step(meas)
         # a TC window hands on its last pricing of the epoch's rows when that
         # was at the returned state

@@ -10,7 +10,7 @@ from gnssins import fgo
 from gnssins.fgo import (
     BATCH,
     EpochWls,
-    FgoConfig,
+    FactorWindow,
     FgoEstimator,
     build_window,
     clock_walk_factor,
@@ -21,6 +21,7 @@ from gnssins.fgo import (
     pseudorange_factor,
     single_epoch_wls,
 )
+from gnssins.harness import RunConfig
 from gnssins.noise_models import (
     GeometryError,
     SatObservation,
@@ -314,15 +315,30 @@ class TestStackedWlsMatchesClosureBlocks:
                 single_epoch_wls(sats, weighting, initial, lm)
 
 
+def batch_history(epochs, mode, layout):
+    """Every epoch's entry, as a batch estimator leaves them."""
+    est = FgoEstimator(RunConfig(estimator=f"fgo-{mode}", window=BATCH), layout)
+    for e in epochs:
+        est.step(e)
+    return list(est.window.entries)
+
+
+def scratch_window(history, cfg, layout):
+    """A fresh window over the newest W + 1 entries of ``history`` (all of
+    them in batch), pushed in order and anchored at the oldest."""
+    kept = history if cfg.window is None else history[-(cfg.window + 1) :]
+    window = FactorWindow(cfg, layout)
+    for entry in kept:
+        window.push(entry, drop=False)
+    window.anchor(kept[0].state, kept[0].first)
+    return window
+
+
 class TestBuildWindow:
     def setup_entries(self, n, mode="tc"):
         epochs, _ = toy_epochs(n)
-        cfg = FgoConfig(mode=mode, window_size=BATCH)
         layout = TC if mode == "tc" else LC
-        est = FgoEstimator(cfg, layout)
-        for e in epochs:
-            est.step(e)
-        return est.entries, layout
+        return batch_history(epochs, mode, layout), layout
 
     def count(self, problem, label):
         return sum(1 for b in problem.blocks if b.label.startswith(label))
@@ -330,8 +346,8 @@ class TestBuildWindow:
     def test_window_one_structure(self):
         # window size 1 jointly optimizes the current and last epochs
         entries, layout = self.setup_entries(5)
-        cfg = FgoConfig(mode="tc", window_size=1)
-        problem = build_window(entries, cfg, layout)
+        cfg = RunConfig(estimator="fgo-tc", window=1)
+        problem = scratch_window(entries, cfg, layout)
         assert len(problem.state_dims) == 2
         assert self.count(problem, "prior") == 1
         assert self.count(problem, "motion") == 1
@@ -342,8 +358,8 @@ class TestBuildWindow:
 
     def test_batch_structure(self):
         entries, layout = self.setup_entries(6)
-        cfg = FgoConfig(mode="tc", window_size=BATCH)
-        problem = build_window(entries, cfg, layout)
+        cfg = RunConfig(estimator="fgo-tc", window=BATCH)
+        problem = scratch_window(entries, cfg, layout)
         assert len(problem.state_dims) == 6
         assert self.count(problem, "motion") == 5
         assert self.count(problem, "ins") == 5
@@ -354,8 +370,8 @@ class TestBuildWindow:
         # with W in-graph states: (W-1) motion + (W-1) INS + all satellite
         # factors of those epochs + 1 prior
         entries, layout = self.setup_entries(8)
-        cfg = FgoConfig(mode="tc", window_size=4)
-        problem = build_window(entries, cfg, layout)
+        cfg = RunConfig(estimator="fgo-tc", window=4)
+        problem = scratch_window(entries, cfg, layout)
         n_states = len(problem.state_dims)
         assert n_states == 5
         n_sats = sum(len(e.meas.sats) for e in entries[len(entries) - n_states :])
@@ -366,14 +382,10 @@ class TestBuildWindow:
     def test_motion_equals_ins_count_invariant(self):
         entries, layout = self.setup_entries(10)
         for w in (1, 3, 7, BATCH):
-            problem = build_window(entries, FgoConfig(mode="tc", window_size=w), layout)
+            problem = scratch_window(entries, RunConfig(estimator="fgo-tc", window=w), layout)
             n_states = len(problem.state_dims)
             assert self.count(problem, "motion") == n_states - 1
             assert self.count(problem, "ins") == n_states - 1
-
-    def test_empty_history_errors(self):
-        with pytest.raises(ValueError):
-            build_window([], FgoConfig(), TC)
 
 
 def dense_from_band(ab):
@@ -416,11 +428,9 @@ class TestArrayWindowMatchesOracle:
             pr_noise=rng.normal(scale=3.0, size=(n_epochs, 8)),
             fix_noise=rng.normal(scale=3.0, size=(n_epochs, 3)),
         )
-        est = FgoEstimator(FgoConfig(mode=mode, window_size=BATCH), layout)
-        for e in epochs:
-            est.step(e)
-        cfg = FgoConfig(mode=mode, window_size=window, cov_scale=cov_scale)
-        w = build_window(est.entries, cfg, layout)
+        history = batch_history(epochs, mode, layout)
+        cfg = RunConfig(estimator=f"fgo-{mode}", window=window, cov_scale=cov_scale)
+        w = scratch_window(history, cfg, layout)
         assert (len(w.state_dims) < n_epochs) == (slid and window is not BATCH)
 
         x = w.initial_values + rng.normal(scale=2.0, size=w.total_dim)
@@ -446,9 +456,7 @@ class TestArrayWindowMatchesOracle:
         assert close(delta, expected)
 
 
-WINDOW_ARRAYS = (
-    "initial_values", "prior_value", "prior_var", "dt", "accel", "accel_dt", "edge_block",
-)
+WINDOW_ARRAYS = ("initial_values", "prior_value", "prior_var", "dt", "accel_dt", "edge_block")
 LC_ARRAYS = ("fix_pos", "fix_var", "fix_w")
 # padded per slot to the widest slot the window has seen, which a window
 # slid past a wide slot keeps and a scratch build may not have
@@ -462,7 +470,7 @@ def assert_same_window(slid, ref):
     rows beyond ``ref``'s width hold the padding."""
     assert slid.entries == ref.entries
     assert len(slid.blocks) == len(ref.blocks)
-    tc = slid.cfg.mode == "tc"
+    tc = slid.cfg.coupling == "tc"
     for name in WINDOW_ARRAYS + (("pr_count",) if tc else LC_ARRAYS):
         assert np.array_equal(getattr(slid, name), getattr(ref, name)), name
     if tc:
@@ -479,7 +487,7 @@ def assert_same_equations(got, want):
 
 
 class TestSlidingWindow:
-    """A window slid one epoch at a time against one built from scratch."""
+    """A window slid one epoch at a time against one pushed full afresh."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -510,19 +518,16 @@ class TestSlidingWindow:
             e.sats = e.sats[: counts[k]]
             if k > 1 and rng.random() < 0.3:
                 e.fix_pos = e.fix_hdop = None
-        est = FgoEstimator(FgoConfig(mode=mode, window_size=BATCH), layout)
-        for e in epochs:
-            est.step(e)
-        cfg = FgoConfig(mode=mode, window_size=window, cov_scale=cov_scale)
-        slid, x_before = None, None
+        history = batch_history(epochs, mode, layout)
+        cfg = RunConfig(estimator=f"fgo-{mode}", window=window, cov_scale=cov_scale)
+        slid, x_before = FactorWindow(cfg, layout), None
         compactions, widths = 0, set()
         for k in range(1, n_epochs + 1):
-            entries = est.entries[:k]
-            start = None if slid is None else slid._start
-            slid = build_window(entries, cfg, layout, slid)
-            if start is not None and slid._start < start:
+            start = slid._start
+            assert build_window(slid, history[k - 1]) is slid
+            if slid._start < start:
                 compactions += 1
-            ref = build_window(entries, cfg, layout)
+            ref = scratch_window(history[:k], cfg, layout)
             assert_same_window(slid, ref)
             if mode == "tc":
                 widths.add(slid.pr_w.shape[1])
@@ -552,13 +557,11 @@ class TestSlidingWindow:
         layout = TC if mode == "tc" else LC
         n_epochs = int(rng.integers(2, 9))
         epochs, _ = toy_epochs(n_epochs, pr_noise=rng.normal(scale=3.0, size=(n_epochs, 8)))
-        est = FgoEstimator(FgoConfig(mode=mode, window_size=BATCH), layout)
-        for e in epochs:
-            est.step(e)
-        cfg = FgoConfig(mode=mode, window_size=window)
-        w = build_window(est.entries, cfg, layout)
+        history = batch_history(epochs, mode, layout)
+        cfg = RunConfig(estimator=f"fgo-{mode}", window=window)
+        w = scratch_window(history, cfg, layout)
         x = w.initial_values + rng.normal(scale=2.0, size=w.total_dim)
-        fresh = build_window(est.entries, cfg, layout).normal_equations(x)
+        fresh = scratch_window(history, cfg, layout).normal_equations(x)
 
         calls = []
         kernel = fgo.pseudorange_rows
@@ -582,10 +585,10 @@ class TestSlidingWindow:
             assert_same_equations(w.normal_equations(x), fresh)
             assert len(calls) == 3 * int(mode == "tc")
         # anchoring anew, as each slide does, drops the kept point
-        first = est.entries[-w.n].first
+        first = history[-w.n].first
         w.cost(x)
         w.anchor(w.prior_value + 1.0, first)
-        moved = build_window(est.entries, cfg, layout)
+        moved = scratch_window(history, cfg, layout)
         moved.anchor(moved.prior_value + 1.0, first)
         assert_same_equations(w.normal_equations(x), moved.normal_equations(x))
 
@@ -612,10 +615,8 @@ class TestSlidingWindow:
             e.sats = e.sats[: counts[k]]
             if k > 1 and rng.random() < 0.3:
                 e.fix_pos = e.fix_hdop = None
-        est = FgoEstimator(FgoConfig(mode=mode, window_size=BATCH), layout)
-        for e in epochs:
-            est.step(e)
-        cfg = FgoConfig(mode=mode, window_size=window)
+        history = batch_history(epochs, mode, layout)
+        cfg = RunConfig(estimator=f"fgo-{mode}", window=window)
 
         calls = []
         kernel = fgo.pseudorange_rows
@@ -624,14 +625,14 @@ class TestSlidingWindow:
             calls.append(len(sat_pos))
             return kernel(sat_pos, *args)
 
-        slid, accepted, outcomes = None, False, set()
+        slid, accepted, outcomes = FactorWindow(cfg, layout), False, set()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fgo, "pseudorange_rows", counted)
             for k in range(1, n_epochs + 1):
-                entries = est.entries[:k]
-                width = None if slid is None or mode == "lc" else slid.pr_w.shape[1]
-                slid = build_window(entries, cfg, layout, slid)
-                ref = build_window(entries, cfg, layout)
+                entries = history[:k]
+                width = None if k == 1 or mode == "lc" else slid.pr_w.shape[1]
+                build_window(slid, entries[-1])
+                ref = scratch_window(entries, cfg, layout)
                 n, d = slid.n, slid.dim
                 # the solve starts from the stored states, at which the last
                 # solve's accepted point left the carried slots
@@ -667,39 +668,31 @@ class TestSlidingWindow:
         if mode == "tc":
             assert outcomes == {"carried", "widened", "rejected"}
 
-    def test_slides_only_the_window_of_the_previous_epoch(self):
-        epochs, _ = toy_epochs(4)
-        est = FgoEstimator(FgoConfig(mode="tc", window_size=BATCH), TC)
-        for e in epochs:
-            est.step(e)
-        cfg = FgoConfig(mode="tc", window_size=2)
-        window = build_window(est.entries[:2], cfg, TC)
-        with pytest.raises(ValueError, match="epoch before the newest"):
-            build_window(est.entries, cfg, TC, window)
-
     @pytest.mark.parametrize("mode", ["tc", "lc"])
     @pytest.mark.parametrize("window", [1, 3, BATCH])
     def test_estimator_keeps_only_the_history_it_slides(self, mode, window):
         layout = TC if mode == "tc" else LC
         epochs, _ = toy_epochs(8)
-        est = FgoEstimator(FgoConfig(mode=mode, window_size=window), layout)
+        cfg = RunConfig(estimator=f"fgo-{mode}", window=window)
+        est = FgoEstimator(cfg, layout)
         for k, e in enumerate(epochs, start=1):
             est.step(e)
             kept = k if window is BATCH else min(k, window + 1)
-            assert len(est.entries) == kept
-            assert [x.first for x in est.entries] == [k == kept] + [False] * (kept - 1)
+            entries = list(est.window.entries)
+            assert len(entries) == kept
+            assert [x.first for x in entries] == [k == kept] + [False] * (kept - 1)
         # the kept history rebuilds the estimator's own window, anchored at
         # the sliding prior once the first epoch has left it
-        cfg = FgoConfig(mode=mode, window_size=window)
-        ref = build_window(est.entries, cfg, layout)
-        assert ref.entries == est._window.entries
-        assert np.array_equal(ref.prior_var, est._window.prior_var)
+        ref = scratch_window(entries, cfg, layout)
+        assert ref.entries == est.window.entries
+        assert np.array_equal(ref.prior_var, est.window.prior_var)
         x = ref.initial_values
-        assert np.array_equal(ref.normal_equations(x)[0], est._window.normal_equations(x)[0])
+        assert np.array_equal(ref.normal_equations(x)[0], est.window.normal_equations(x)[0])
 
     def test_lc_window_never_prices_pseudoranges(self, monkeypatch):
         epochs, _ = toy_epochs(4)
-        est = FgoEstimator(FgoConfig(mode="lc", window_size=2), LC)
+        cfg = RunConfig(estimator="fgo-lc", window=2)
+        est = FgoEstimator(cfg, LC)
         for e in epochs:
             est.step(e)
 
@@ -707,7 +700,7 @@ class TestSlidingWindow:
             raise AssertionError("pseudorange kernel called on a window without rows")
 
         monkeypatch.setattr("gnssins.fgo.pseudorange_rows", no_rows)
-        window = build_window(est.entries, FgoConfig(mode="lc", window_size=2), LC)
+        window = scratch_window(list(est.window.entries), cfg, LC)
         window.normal_equations(window.initial_values)
         window.cost(window.initial_values)
 
@@ -715,7 +708,7 @@ class TestSlidingWindow:
 class TestFgoEstimator:
     def test_noise_free_convergence_tc(self):
         epochs, truth = toy_epochs(12)
-        est = FgoEstimator(FgoConfig(mode="tc", window_size=5), TC)
+        est = FgoEstimator(RunConfig(estimator="fgo-tc", window=5), TC)
         errs = [np.linalg.norm(est.step(e).state[0:3] - t) for e, t in zip(epochs, truth)]
         assert errs[-1] < 1e-3
         assert max(errs[10:]) < 1e-3  # converged after startup
@@ -724,7 +717,7 @@ class TestFgoEstimator:
         # LC velocity is observed only through fix differences, so the
         # window must span enough epochs to dominate the sliding prior
         epochs, truth = toy_epochs(20)
-        est = FgoEstimator(FgoConfig(mode="lc", window_size=30), LC)
+        est = FgoEstimator(RunConfig(estimator="fgo-lc", window=30), LC)
         errs = [np.linalg.norm(est.step(e).state[0:3] - t) for e, t in zip(epochs, truth)]
         assert errs[-1] < 1e-3
 
@@ -732,8 +725,8 @@ class TestFgoEstimator:
         # once the startup transient decays there are no outliers to
         # distinguish the windows, so both solve the same consistent problem
         epochs, _ = toy_epochs(100)
-        est1 = FgoEstimator(FgoConfig(mode="tc", window_size=1), TC)
-        est2 = FgoEstimator(FgoConfig(mode="tc", window_size=BATCH), TC)
+        est1 = FgoEstimator(RunConfig(estimator="fgo-tc", window=1), TC)
+        est2 = FgoEstimator(RunConfig(estimator="fgo-tc", window=BATCH), TC)
         for e in epochs:
             s1 = est1.step(e).state
             s2 = est2.step(e).state
@@ -744,8 +737,8 @@ class TestFgoEstimator:
         noise = rng.normal(scale=2.0, size=(10, 8))
         epochs1, _ = toy_epochs(10, pr_noise=noise)
         epochs2, _ = toy_epochs(10, pr_noise=noise)
-        est1 = FgoEstimator(FgoConfig(mode="tc", window_size=3), TC)
-        est2 = FgoEstimator(FgoConfig(mode="tc", window_size=3), TC)
+        est1 = FgoEstimator(RunConfig(estimator="fgo-tc", window=3), TC)
+        est2 = FgoEstimator(RunConfig(estimator="fgo-tc", window=3), TC)
         for e1, e2 in zip(epochs1, epochs2):
             s1 = est1.step(e1).state
             s2 = est2.step(e2).state
@@ -757,7 +750,7 @@ class TestFgoEstimator:
         results = []
         for scale in (1.0, 10.0):
             epochs, _ = toy_epochs(12, pr_noise=noise)
-            est = FgoEstimator(FgoConfig(mode="tc", window_size=4, cov_scale=scale), TC)
+            est = FgoEstimator(RunConfig(estimator="fgo-tc", window=4, cov_scale=scale), TC)
             results.append([est.step(e).state[0:3].copy() for e in epochs])
         for a, b in zip(results[0], results[1]):
             assert np.linalg.norm(a - b) < 1e-6
@@ -770,7 +763,7 @@ class TestFgoEstimator:
         finals = []
         for n in (noise, mutated):
             epochs, _ = toy_epochs(60, pr_noise=n)
-            est = FgoEstimator(FgoConfig(mode="tc", window_size=3), TC)
+            est = FgoEstimator(RunConfig(estimator="fgo-tc", window=3), TC)
             for e in epochs:
                 result = est.step(e)
             finals.append(result.state[0:3])
@@ -778,7 +771,7 @@ class TestFgoEstimator:
 
     def test_epochs_must_increase(self):
         epochs, _ = toy_epochs(2)
-        est = FgoEstimator(FgoConfig(mode="tc", window_size=1), TC)
+        est = FgoEstimator(RunConfig(estimator="fgo-tc", window=1), TC)
         est.step(epochs[0])
         est.step(epochs[1])
         with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ from gnssins.canyon_sim import (
     noise_free_config,
     simulate,
 )
-from gnssins.fgo import FgoConfig, FgoEstimator, fix_hdop
+from gnssins.fgo import FgoEstimator, fix_hdop
 from gnssins.harness import (
     ESTIMATORS,
     RunConfig,
@@ -26,7 +26,7 @@ from gnssins.harness import (
     sweep_windows,
 )
 from gnssins.residual_analysis import pseudorange_residuals, tc_residual
-from gnssins.noise_models import compute_hdop
+from gnssins.noise_models import WeightingParams, compute_hdop
 from gnssins.nls_solver import LmConfig
 from gnssins.types import POS, Constellation, StateLayout, StepResult
 
@@ -94,10 +94,16 @@ class TestRunEstimator:
             RunConfig(estimator="ukf-tc")
 
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
-    @pytest.mark.parametrize("config", [RunConfig, FgoConfig])
+    @pytest.mark.parametrize("config", [RunConfig])
     def test_cov_scale_must_be_finite_and_positive(self, config, value):
         with pytest.raises(ValueError, match="cov_scale"):
             config(cov_scale=value)
+
+    @pytest.mark.parametrize("window", [0, -1])
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    def test_window_must_be_at_least_one(self, estimator, window):
+        with pytest.raises(ValueError, match="window"):
+            RunConfig(estimator=estimator, window=window)
 
 
 @pytest.mark.parametrize("estimator", ESTIMATORS)
@@ -215,12 +221,36 @@ def test_families_share_the_first_state(coupling, seed, n_sats):
         layout = StateLayout((Constellation.GPS, Constellation.BEIDOU))
     runner = _EkfRunner(RunConfig(estimator=f"ekf-{coupling}"), layout)
     ekf_first = runner.step(epochs[0])
-    fgo_first = FgoEstimator(FgoConfig(mode=coupling), layout).step(epochs[0])
+    fgo_first = FgoEstimator(RunConfig(estimator=f"fgo-{coupling}"), layout).step(epochs[0])
     assert isinstance(ekf_first, StepResult) and isinstance(fgo_first, StepResult)
     assert np.array_equal(ekf_first.state, fgo_first.state)
     # neither solves anything iteratively at start-up
     for first in (ekf_first, fgo_first):
         assert (first.iterations, first.converged) == (0, True) and math.isnan(first.cost)
+
+
+def test_lc_run_leaves_a_dataset_without_fixes_untouched():
+    # an LC run generates fixes with its own weighting into copies of the
+    # epochs, so an earlier run with another weighting cannot change a later one
+    cfg = replace(default_canyon_config(99), duration_s=60.0)
+    fresh = run_estimator(simulate(cfg), RunConfig(estimator="ekf-lc"))
+    ds = simulate(cfg)
+    wide = WeightingParams(T=22.5)
+    run_estimator(ds, RunConfig(estimator="ekf-lc", weighting=wide))
+    assert not any(e.fix_available for e in ds.epochs)
+    again = run_estimator(ds, RunConfig(estimator="ekf-lc"))
+    assert [r.est_pos.tobytes() for r in again.records] == [
+        r.est_pos.tobytes() for r in fresh.records
+    ]
+    # fixes the dataset already carries are used as they are, whatever the
+    # run's own weighting
+    generate_lc_fixes(ds.epochs, wide)
+    carried = run_estimator(ds, RunConfig(estimator="ekf-lc"))
+    own = run_estimator(simulate(cfg), RunConfig(estimator="ekf-lc", weighting=wide))
+    assert [r.est_pos.tobytes() for r in carried.records] == [
+        r.est_pos.tobytes() for r in own.records
+    ]
+    assert carried.summary["mean_err"] != fresh.summary["mean_err"]
 
 
 def test_fix_hdop_prefers_the_epochs_own():

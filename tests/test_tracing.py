@@ -74,4 +74,10 @@ def test_tracer_sees_every_layer_and_restores(tracing):
         assert "ekf.predict" in names, run.attrs
         assert any(n.startswith("frames.") for n in names), run.attrs
         assert any(n.startswith("noise_models.") for n in names), run.attrs
+    # one slide per epoch after the first, looked up on the module: a window
+    # slid some other way would read fgo.build_window.calls as 0
+    spans = descendants(tracer.spans, runs[2], skip=None)
+    builds = [s for s in spans if s.name == "fgo.build_window"]
+    assert len(builds) == len(ds.epochs) - 1 == 9
+    assert all(s.attrs["blocks"] > 0 and s.attrs["dim"] > 0 for s in builds)
     assert all(getattr(owner, attr) is fn for (owner, attr), fn in zip(sites, originals))
