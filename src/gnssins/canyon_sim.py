@@ -159,6 +159,12 @@ class SimConfig:
             raise ValueError("duration must be positive")
         if self.imu_rate_hz <= 0 or self.gnss_rate_hz <= 0:
             raise ValueError("rates must be positive")
+        # each epoch averages the IMU samples since the last one, so a whole
+        # number of them must fall between epochs
+        ratio = self.imu_rate_hz / self.gnss_rate_hz
+        steps = round(ratio) if math.isfinite(ratio) else 0
+        if steps < 1 or abs(ratio - steps) > 1e-9 * ratio:
+            raise ValueError(f"imu_rate_hz / gnss_rate_hz must be a positive integer, got {ratio!r}")
         if self.los_sigma_m < 0:
             raise ValueError("los_sigma must be non-negative")
         if len(self.waypoints) < 2:

@@ -16,14 +16,16 @@ families start from :func:`initial_state`, seed velocity from
 :func:`position_seed` and weight LC fixes by :func:`fix_hdop`.
 
 The estimator keeps one :class:`FactorWindow`, its only epoch history, and
-:func:`build_window` slides it an epoch at a time. Its per-slot arrays live
-in fixed-capacity slot buffers (Sibley et al., *Sliding Window Filter*,
-2010), so a slide writes one slot and moves no others, and the pseudorange
-rows are padded per slot so that each slot's
-state is broadcast over its rows. Each point the solver visits is priced
-once: the linearization at an accepted trial reuses the residuals its cost
-computed, and after a slide only the new slot, its edge and the prior are
-priced while the carried slots still sit at their last pricing.
+:func:`build_window` slides it an epoch at a time. Its per-slot arrays, each
+slot's state estimate among them, live in fixed-capacity slot buffers
+(Sibley et al., *Sliding Window Filter*, 2010), read through the live view
+``FactorWindow.slots``, so a slide writes one slot and moves no others, and
+the pseudorange rows are padded per slot so that each slot's state is
+broadcast over its rows. Each anchor rewrites every diagonal block of the
+linear band in one pass. Each point the solver visits is priced once: the
+linearization at an accepted trial reuses the residuals its cost computed,
+and after a slide only the new slot, its edge and the prior are priced
+while the carried slots still sit at their last pricing.
 """
 
 from __future__ import annotations
@@ -229,7 +231,9 @@ def clock_walk_factor(
 
 @dataclass
 class EpochEntry:
-    """Internal per-epoch record, kept in the estimator's window.
+    """Internal per-epoch record of an epoch's inputs, kept in the
+    estimator's window; the epoch's state estimate lives in the window's
+    ``state`` slot buffer.
 
     A TC epoch also keeps its pseudorange rows as arrays, ready for
     :meth:`FactorWindow.push` to write into its slot: satellite ECEF
@@ -241,7 +245,6 @@ class EpochEntry:
     """
 
     meas: EpochMeasurements
-    state: np.ndarray
     accel_ecef: np.ndarray
     first: bool = False
     fix_cov: Optional[np.ndarray] = None
@@ -261,9 +264,7 @@ class _LazyBlocks(Sequence):
     def __len__(self) -> int:
         return self._length
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self._make(j) for j in range(*i.indices(self._length))]
+    def __getitem__(self, i: int):
         if i < 0:
             i += self._length
         if not 0 <= i < self._length:
@@ -285,11 +286,6 @@ _NONE = np.empty(0)
 _NONE.flags.writeable = False
 
 
-def _slot_view(name: str, doc: str) -> property:
-    """The live slots' part of the slot buffer ``name``."""
-    return property(lambda self: self._slot(name), doc=doc)
-
-
 class FactorWindow:
     """The NLS problem of one window, held in slot-major buffers and slid one
     epoch at a time.
@@ -309,24 +305,27 @@ class FactorWindow:
     the previous state: position on velocity).
 
     **Slot buffers.** Every per-slot array lives in a preallocated buffer
-    whose first axis is the buffer slot, and the live window is the view of
-    ``n`` consecutive buffer slots from ``_start``: the edge into each slot
-    (``dt``, what its residual takes from the state difference, and
-    ``edge_block``, the edge's share of the previous slot's diagonal block),
-    the LC fix (``fix_pos``, ``fix_var``, ``fix_w``; infinite variance and
-    zero weight without a fix), the TC pseudorange rows, the linear band's
-    columns and the last pricing (below). A finite window has
-    room for 2 (W + 1) slots, a batch window doubles its room when full.
-    :meth:`push` drops slot 0 by advancing the view and writes only the new
-    slot and its edge; when the view reaches the end of the buffers, the live
-    slots move to the front, at most once every W + 1 pushes. The edge's
-    band entries and diagonal share depend only on its ``dt``, so they are
-    computed again only when ``dt`` changes. :meth:`anchor` then pins slot 0
-    with the first or the sliding prior and writes the diagonal blocks the
-    slide changed: slot 0's and those of the last two slots. Each diagonal
-    block is summed in one order: the edge out of the slot, then the prior or
-    the edge into it, then the fix. :func:`build_window` slides the window
-    by one push and one anchor.
+    whose first axis is the buffer slot: the slot's state estimate
+    (``state``), the edge into it (``dt``, what its residual takes from the
+    state difference, and ``edge_block``, the edge's share of the previous
+    slot's diagonal block), the LC fix (``fix_pos``, ``fix_var``, ``fix_w``;
+    infinite variance and zero weight without a fix), the TC pseudorange
+    rows, the linear band's columns and the last pricing (below). The live
+    window is ``n`` consecutive buffer slots from ``_start``, and ``slots``
+    maps each buffer's name to its live view, taken anew after every push;
+    an edge buffer's view starts at slot 1, since slot 0 has no edge into
+    it. A finite window has room for 2 (W + 1) slots, a batch window
+    doubles its room when full. :meth:`push` drops slot 0 by advancing the
+    view and writes only the new slot, its state and its edge; when the view
+    reaches the end of the buffers, the live slots move to the front, at
+    most once every W + 1 pushes. The edge's band entries and diagonal share
+    depend only on its ``dt``, so they are computed again only when ``dt``
+    changes. :meth:`anchor` then pins slot 0 with the first or the sliding
+    prior and rewrites every diagonal block in one pass, each summed in one
+    order: the edge out of the slot, then the prior or the edge into it,
+    then the fix. The solve starts from the ``state`` rows, and the
+    estimator writes its solution back into them. :func:`build_window`
+    slides the window by one push and one anchor.
 
     **Pseudorange rows** are padded per slot to the widest slot so far, M
     (at least 2), with zero weight on the padding; M grows only when a slot
@@ -360,36 +359,11 @@ class FactorWindow:
 
     The window provides what :func:`nls_solver.solve_lm` needs
     (``initial_values``, ``normal_equations``, ``cost``) and what callers of
-    an :class:`NlsProblem` read (``state_dims``, ``total_dim``, ``split``).
+    an :class:`NlsProblem` read (``state_dims``, ``total_dim``).
     ``blocks`` lists the same factors as :class:`ResidualBlock` objects, built
     only when indexed: the prior, then motion, INS and clock walk per edge,
     then the fixes, then the pseudoranges.
     """
-
-    edge_block = _slot_view("edge_block", "each edge's J_prev^T Omega J_prev, upper triangle")
-    fix_pos = _slot_view("fix_pos", "LC fix per slot (zero without one)")
-    fix_var = _slot_view("fix_var", "LC fix variances (infinite without a fix)")
-    fix_w = _slot_view("fix_w", "LC fix weights (zero without a fix)")
-    pr_count = _slot_view("pr_count", "pseudorange rows per slot")
-    sat_pos = _slot_view("sat_pos", "satellite ECEF, one column per padded row")
-    pseudorange = _slot_view("pseudorange", "measured range per padded row")
-    clock_col = _slot_view("clock_col", "state column of each row's clock bias")
-    pr_w = _slot_view("pr_w", "pseudorange weights (zero on padding)")
-
-    @property
-    def dt(self) -> np.ndarray:
-        """Time step of the edge into each slot past 0."""
-        return self._slot("dt")[:, 0]
-
-    @property
-    def accel_dt(self) -> np.ndarray:
-        """Velocity increment of each edge."""
-        return self._slot("edge_sub")[:, VEL]
-
-    @property
-    def pr_clock(self) -> np.ndarray:
-        """The padded rows' constant compact clock part, ``-w e_clock``."""
-        return self._slot("pr_rows")[:, 3:-1]
 
     def __init__(self, cfg: RunConfig, layout: StateLayout) -> None:
         self.cfg = cfg
@@ -405,6 +379,8 @@ class FactorWindow:
         self._tc = cfg.coupling == "tc"
         cap = 8 if cfg.window is None else 2 * (cfg.window + 1)
         self._buf = {
+            # each slot's state estimate, where every solve starts
+            "state": np.zeros((cap, d)),
             # a column, so that it broadcasts over an edge's state columns
             "dt": np.empty((cap, 1)),
             # what the edge residual takes from the state difference: the
@@ -426,7 +402,6 @@ class FactorWindow:
             # at least two rows per slot, so that sums down the slot axis
             # never run over a single column, which numpy sums in another order
             self._buf.update(self._pr_buffers(cap, 2))
-            hot = ("sat_pos", "pseudorange", "pr_w", "pr_rows")
         else:
             self._buf.update(
                 fix_pos=np.zeros((cap, 3)),
@@ -435,16 +410,6 @@ class FactorWindow:
                 # the last pricing's whitened fix residuals
                 fix_res=np.zeros((cap, 3)),
             )
-            hot = ("fix_pos", "fix_w", "fix_res")
-        # the buffers that pricing and the normal equations read, each with
-        # whether it is an edge buffer; a slide takes their live views
-        self._hot = tuple(
-            (name, name in _EDGE_BUFFERS)
-            for name in ("dt", "edge_sub", "edge_res", "band", "point") + hot
-        )
-        # the first slot past 0 whose diagonal block pushes changed since the
-        # last anchor; n when there is none
-        self._stale_from = 1
         # the leading slots whose kept pricing is at their state in "point",
         # and the cost of the last pricing (None once a slide or an anchor
         # has changed the window since)
@@ -526,24 +491,16 @@ class FactorWindow:
     def blocks(self) -> Sequence[ResidualBlock]:
         count = 1 + (self.n - 1) * self._per_edge
         if self._tc:
-            count += int(self.pr_count.sum())
+            count += int(self.slots["pr_count"].sum())
         else:
-            count += int(np.isfinite(self.fix_var[:, 0]).sum())
+            count += int(np.isfinite(self.slots["fix_var"][:, 0]).sum())
         return _LazyBlocks(count, self._block)
 
-    def split(self, values: np.ndarray) -> list[np.ndarray]:
-        return list(np.asarray(values).reshape(self.n, self.dim))
-
-    def _slot(self, name: str) -> np.ndarray:
-        """The live slots' part of the slot buffer ``name``."""
-        lo = self._start + (name in _EDGE_BUFFERS)
-        return self._buf[name][lo : self._start + self.n]
-
     def _view(self) -> None:
-        """Take the live slots' views of the buffers that pricing reads and,
+        """Take the live slots' view of every slot buffer into ``slots`` and,
         for TC, where each padded row's clock sits in the flattened states."""
         lo, hi, buf = self._start, self._start + self.n, self._buf
-        self._live = {name: buf[name][lo + edge : hi] for name, edge in self._hot}
+        self.slots = {name: arr[lo + (name in _EDGE_BUFFERS) : hi] for name, arr in buf.items()}
         if self._tc:
             if len(self._slot_at) < self.n:
                 self._slot_at = np.arange(0, len(buf["dt"]) * self.dim, self.dim)[:, None]
@@ -571,23 +528,23 @@ class FactorWindow:
             buf[name] = arr
         self._carried = 0
 
-    def push(self, entry: EpochEntry, drop: bool) -> None:
-        """Append ``entry`` as the newest slot; with ``drop``, first remove
-        slot 0 with its rows and its edge to slot 1. Call :meth:`anchor`
-        before solving."""
+    def push(self, entry: EpochEntry, state: np.ndarray, drop: bool) -> None:
+        """Append ``entry`` as the newest slot, estimated at ``state``; with
+        ``drop``, first remove slot 0 with its rows and its edge to slot 1.
+        Call :meth:`anchor` before solving."""
         scale, buf = self.cfg.cov_scale, self._buf
         self._kept_cost = None
         if drop:
             self.entries.popleft()
             self._start += 1
             self.n -= 1
-            self._stale_from = max(self._stale_from - 1, 1)
             self._carried = max(self._carried - 1, 0)
         if self._start + self.n == len(buf["dt"]):
             self._make_room()
         self.entries.append(entry)
         p = self._start + self.n
         self.n += 1
+        buf["state"][p] = state
         band = buf["band"].reshape(len(buf["band"]), -1)
         if drop:
             # the dropped edge's block sat in the new slot 0's columns
@@ -633,37 +590,24 @@ class FactorWindow:
             buf["fix_pos"][p] = entry.meas.fix_pos if fixed else 0.0
             buf["fix_var"][p] = var
             buf["fix_w"][p] = 1.0 / np.sqrt(var)
-        # the new slot and the one before it, which gained an edge out
-        self._stale_from = min(self._stale_from, max(self.n - 2, 1))
         self._view()
 
     def anchor(self, value: np.ndarray, first: bool) -> None:
-        """Pin slot 0 at ``value`` with the first or the sliding prior, write
-        the diagonal blocks the slide changed, and start from the slots'
-        stored states."""
+        """Pin slot 0 at ``value`` with the first or the sliding prior,
+        rewrite every diagonal block, and start from the slots' states."""
         self._kept_cost = None
         self.prior_value = np.array(value, dtype=float)
         self.prior_var, self.prior_w, prior_block = self._priors[first]
-        n, lo, stale = self.n, self._start, self._stale_from
-        self._stale_from = n
-        # slot 0's block, then those of slots stale to n - 1; those with an
-        # edge out come first
-        edge_block = self._buf["edge_block"]
-        blocks = np.zeros((1 + n - stale, self._edge_diag.size))
-        if n > 1:
-            blocks[0] = edge_block[lo + 1]
-        blocks[1 : n - stale] = edge_block[lo + stale + 1 : lo + n]
+        slots = self.slots
+        # every slot but the last has an edge out
+        blocks = np.zeros((self.n, self._edge_diag.size))
+        blocks[:-1] = slots["edge_block"]
         blocks[0] += prior_block
         blocks[1:] += self._edge_diag
         if not self._tc:
-            fix_w = self._buf["fix_w"]
-            blocks[0, self._pos_diag] += fix_w[lo] ** 2
-            blocks[1:, self._pos_diag] += fix_w[lo + stale : lo + n] ** 2
-        band = self._buf["band"]
-        band = band.reshape(len(band), -1)
-        band[lo, self._tri_band] = blocks[0]
-        band[lo + stale : lo + n, self._tri_band] = blocks[1:]
-        self.initial_values = np.concatenate([e.state for e in self.entries])
+            blocks[:, self._pos_diag] += slots["fix_w"] ** 2
+        slots["band"].reshape(self.n, -1)[:, self._tri_band] = blocks
+        self.initial_values = slots["state"].flatten()
 
     def _whitened(self, x: np.ndarray, first: int = 0):
         """Price the ``(n, dim)`` states ``x`` from slot ``first`` on.
@@ -673,31 +617,31 @@ class FactorWindow:
         residuals (prior, edges, fixes, pseudoranges) at ``x``; those of
         slots before ``first`` must already be kept at ``x``.
         """
-        live, k = self._live, first
-        live["point"][k:] = x[k:]
+        slots, k = self.slots, first
+        slots["point"][k:] = x[k:]
         prior = self._prior_res = self.prior_w * (x[0] - self.prior_value)
         e = max(k - 1, 0)
-        edge, sub = live["edge_res"][e:], live["edge_sub"][e:]
-        np.multiply(x[e:-1, VEL], live["dt"][e:], out=sub[:, POS])
+        edge, sub = slots["edge_res"][e:], slots["edge_sub"][e:]
+        np.multiply(x[e:-1, VEL], slots["dt"][e:], out=sub[:, POS])
         np.subtract(x[e + 1 :], x[e:-1], out=edge)
         edge -= sub
         edge *= self.edge_w
         if not self._tc:
-            fix = live["fix_res"][k:]
-            np.subtract(live["fix_pos"][k:], x[k:, 0:3], out=fix)
-            fix *= live["fix_w"][k:]
-            return prior, live["edge_res"], live["fix_res"], _NONE
+            fix = slots["fix_res"][k:]
+            np.subtract(slots["fix_pos"][k:], x[k:, 0:3], out=fix)
+            fix *= slots["fix_w"][k:]
+            return prior, slots["edge_res"], slots["fix_res"], _NONE
         if k < self.n:
             at = self._clock_at[k:]
             raw, unit = pseudorange_rows(
-                live["sat_pos"][k:], live["pseudorange"][k:], at - k * self.dim if k else at, x[k:]
+                slots["sat_pos"][k:], slots["pseudorange"][k:], at - k * self.dim if k else at, x[k:]
             )
             # the newest slot's raw residuals, which only the caller reads
             self._newest_raw = raw[-1]
-            rows, w = live["pr_rows"][k:], live["pr_w"][k:]
+            rows, w = slots["pr_rows"][k:], slots["pr_w"][k:]
             np.multiply(unit, w[:, None], out=rows[:, 0:3])
             np.multiply(raw, w, out=rows[:, -1])
-        return prior, live["edge_res"], _NONE, live["pr_rows"][:, -1]
+        return prior, slots["edge_res"], _NONE, slots["pr_rows"][:, -1]
 
     @staticmethod
     def _cost(residuals) -> float:
@@ -726,7 +670,7 @@ class FactorWindow:
         """
         x = np.asarray(values, dtype=float).reshape(self.n, self.dim)
         k = self._carried
-        if k and np.count_nonzero(self._live["point"][:k] != x[:k]):
+        if k and np.count_nonzero(self.slots["point"][:k] != x[:k]):
             k = 0
         if k < self.n or self._kept_cost is None:
             # until the pricing completes, only the slots before k are kept
@@ -742,20 +686,20 @@ class FactorWindow:
     def normal_equations(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         """Whitened J^T J (upper band storage), J^T r and cost at ``values``."""
         cost = self._priced(values)
-        n, d, live = self.n, self.dim, self._live
+        n, d, slots = self.n, self.dim, self.slots
         g = np.zeros((n, d))
         g[0] += self.prior_w * self._prior_res
-        q = self.edge_w * live["edge_res"]
+        q = self.edge_w * slots["edge_res"]
         g[1:] += q
         # q J_prev: J_prev is -I with -dt on position over velocity
         back = -q
-        back[:, VEL] -= q[:, POS] * live["dt"]
+        back[:, VEL] -= q[:, POS] * slots["dt"]
         g[:-1] += back
         if not self._tc:
-            g[:, 0:3] -= live["fix_w"] * live["fix_res"]
-        band = live["band"].copy()
+            g[:, 0:3] -= slots["fix_w"] * slots["fix_res"]
+        band = slots["band"].copy()
         if self._tc:
-            rows = live["pr_rows"]
+            rows = slots["pr_rows"]
             prod = np.matmul(rows, rows.transpose(0, 2, 1))
             g[:, self._compact] += prod[:, :-1, -1]
             if self._scatter_n != n:
@@ -774,20 +718,20 @@ class FactorWindow:
         pricing was not at the newest slot's state in ``values``."""
         if not self._tc or self._carried < self.n:
             return None
-        if np.count_nonzero(self._live["point"][-1] != np.asarray(values)[-self.dim :]):
+        if np.count_nonzero(self.slots["point"][-1] != np.asarray(values)[-self.dim :]):
             return None
-        return self._newest_raw[: self.pr_count[-1]].copy()
+        return self._newest_raw[: self.slots["pr_count"][-1]].copy()
 
     def _block(self, i: int) -> ResidualBlock:
         """The ``i``-th factor as a per-block oracle :class:`ResidualBlock`."""
-        layout, edge_var, scale = self.layout, self.edge_var, self.cfg.cov_scale
+        layout, edge_var, scale, slots = self.layout, self.edge_var, self.cfg.cov_scale, self.slots
         if i == 0:
             return prior_factor(0, self.prior_value, self.prior_var, layout)
         i -= 1
         n_edge_blocks = (self.n - 1) * self._per_edge
         if i < n_edge_blocks:
             edge, kind = divmod(i, self._per_edge)
-            k, dt = edge + 1, self.dt[edge]
+            k, dt = edge + 1, slots["dt"][edge, 0]
             if kind == 0:
                 motion_var = np.concatenate((edge_var[POS], edge_var[BIAS]))
                 return motion_factor(k - 1, k, dt, motion_var, layout)
@@ -796,17 +740,19 @@ class FactorWindow:
             return clock_walk_factor(k - 1, k, math.sqrt(edge_var[9]), layout)
         i -= n_edge_blocks
         if not self._tc:
-            k = int(np.flatnonzero(np.isfinite(self.fix_var[:, 0]))[i])
-            return gnss_fix_factor(k, self.fix_pos[k], self.fix_var[k], layout)
-        ends = np.cumsum(self.pr_count)
+            k = int(np.flatnonzero(np.isfinite(slots["fix_var"][:, 0]))[i])
+            return gnss_fix_factor(k, slots["fix_pos"][k], slots["fix_var"][k], layout)
+        count = slots["pr_count"]
+        ends = np.cumsum(count)
         k = int(np.searchsorted(ends, i, side="right"))
-        j = i - int(ends[k] - self.pr_count[k])
+        j = i - int(ends[k] - count[k])
         entry = self.entries[k]
         return pseudorange_factor(k, entry.meas.sats[j], entry.pr_sigma2[j] * scale, layout)
 
 
-def build_window(window: FactorWindow, entry: EpochEntry) -> FactorWindow:
-    """Slide ``window`` by the newest epoch, ``entry``, and return it.
+def build_window(window: FactorWindow, entry: EpochEntry, state: np.ndarray) -> FactorWindow:
+    """Slide ``window`` by the newest epoch, ``entry``, predicted at
+    ``state``, and return it.
 
     A finite window of size W keeps the newest W + 1 states (the current
     epoch plus W historical ones, so window size 1 optimizes the current and
@@ -816,9 +762,8 @@ def build_window(window: FactorWindow, entry: EpochEntry) -> FactorWindow:
     and the oldest state carries a prior at its stored estimate.
     """
     size = window.cfg.window
-    window.push(entry, drop=size is not None and window.n == size + 1)
-    oldest = window.entries[0]
-    window.anchor(oldest.state, oldest.first)
+    window.push(entry, state, drop=size is not None and window.n == size + 1)
+    window.anchor(window.slots["state"][0], window.entries[0].first)
     return window
 
 
@@ -965,8 +910,9 @@ class FgoEstimator:
     def _entry(
         self, meas: EpochMeasurements, state: np.ndarray, accel_ecef: np.ndarray
     ) -> EpochEntry:
-        """Epoch record with its measurement variances and, for TC, its pseudorange rows."""
-        entry = EpochEntry(meas, state, accel_ecef)
+        """Epoch record with its measurement variances and, for TC, its
+        pseudorange rows; a fix without HDOP is weighted at ``state``."""
+        entry = EpochEntry(meas, accel_ecef)
         if self.cfg.coupling == "lc" and meas.fix_available:
             hdop = fix_hdop(meas, state[POS])
             entry.fix_cov = lc_fix_covariance(hdop, self.cfg.weighting.s_user)
@@ -987,41 +933,38 @@ class FgoEstimator:
             state = initial_state(meas, coupling, self.layout, self.cfg.weighting)
             entry = self._entry(meas, state, np.zeros(3))
             entry.first = True
-            window.push(entry, drop=False)
-            return StepResult(entry.state.copy(), time.perf_counter() - t0, message="initialized")
+            window.push(entry, state, drop=False)
+            return StepResult(state.copy(), time.perf_counter() - t0, message="initialized")
 
-        prev = window.entries[-1]
-        if meas.t <= prev.meas.t:
+        if meas.t <= window.entries[-1].meas.t:
             raise ValueError("epochs must arrive in strictly increasing time order")
-        geo = ecef_to_geodetic(prev.state[POS])
-        accel_ecef = body_accel_to_ecef(
-            meas.accel_body_mean, prev.state[BIAS], meas.attitude, geo
-        )
-        state = prev.state.copy()
-        state[POS] = prev.state[POS] + prev.state[VEL] * meas.dt
-        state[VEL] = prev.state[VEL] + accel_ecef * meas.dt
+        prev = window.slots["state"][-1]
+        geo = ecef_to_geodetic(prev[POS])
+        accel_ecef = body_accel_to_ecef(meas.accel_body_mean, prev[BIAS], meas.attitude, geo)
+        state = prev.copy()
+        state[POS] = prev[POS] + prev[VEL] * meas.dt
+        state[VEL] = prev[VEL] + accel_ecef * meas.dt
         if window.n == 1:
             # two-point velocity seed: difference the first two position
             # solutions. Updating the stored first state matters because the
             # anchor prior pins its value, which otherwise stays at zero.
-            seed = position_seed(meas, coupling, self.cfg.weighting, prev.state[POS])
+            seed = position_seed(meas, coupling, self.cfg.weighting, prev[POS])
             if seed is not None:
-                vel_seed = (seed - prev.state[POS]) / meas.dt
-                prev.state[VEL] = vel_seed.copy()
-                state[VEL] = vel_seed
+                state[VEL] = (seed - prev[POS]) / meas.dt
                 state[POS] = seed
+                prev[VEL] = state[VEL]
 
         # looked up on the module at call time, once per epoch, so a tracer
         # that wraps fgo.build_window sees every window
-        build_window(window, self._entry(meas, state, accel_ecef))
+        build_window(window, self._entry(meas, state, accel_ecef), state)
         try:
             report = solve_lm(window, self.cfg.lm)
         except SolverError as exc:
             raise SolverError(f"epoch at t={meas.t}: {exc}") from exc
-        for entry, state in zip(window.entries, report.values.reshape(window.n, -1)):
-            entry.state = state
+        states = window.slots["state"]
+        states[:] = report.values.reshape(states.shape)
         return StepResult(
-            window.entries[-1].state.copy(),
+            states[-1].copy(),
             time.perf_counter() - t0,
             report.iterations,
             report.cost,

@@ -108,30 +108,31 @@ def ecef_to_geodetic(p: np.ndarray, max_iters: int = 10, tol: float = 1e-12) -> 
     # steps anywhere near the Earth's surface.
     lat = math.atan2(z, r * (1.0 - WGS84_E2))
     for _ in range(max_iters):
-        sphi = math.sin(lat)
-        n = WGS84_A / math.sqrt(1.0 - WGS84_E2 * sphi * sphi)
-        if abs(lat) < math.pi / 4:
-            height = r / math.cos(lat) - n
-        else:
-            height = z / sphi - n * (1.0 - WGS84_E2)
+        n, height = _height(lat, r, z)
         new_lat = math.atan2(z, r * (1.0 - WGS84_E2 * n / (n + height)))
         if abs(new_lat - lat) < tol:
             lat = new_lat
             break
         lat = new_lat
-    sphi = math.sin(lat)
-    n = WGS84_A / math.sqrt(1.0 - WGS84_E2 * sphi * sphi)
-    if abs(lat) < math.pi / 4:
-        height = r / math.cos(lat) - n
-    else:
-        height = z / sphi - n * (1.0 - WGS84_E2)
+    _, height = _height(lat, r, z)
     lat = min(max(lat, -math.pi / 2), math.pi / 2)
     return Geodetic(lat, lon, height)
 
 
+def _height(lat: float, r: float, z: float) -> tuple[float, float]:
+    """Prime-vertical radius and ellipsoidal height at latitude ``lat`` of
+    the point at distance ``r`` from the polar axis and height ``z`` above
+    the equator: the cosine form below 45 degrees, the sine form above."""
+    sphi = math.sin(lat)
+    n = WGS84_A / math.sqrt(1.0 - WGS84_E2 * sphi * sphi)
+    if abs(lat) < math.pi / 4:
+        return n, r / math.cos(lat) - n
+    return n, z / sphi - n * (1.0 - WGS84_E2)
+
+
 def _height_array(lat: np.ndarray, r: np.ndarray, z: np.ndarray):
     """Prime-vertical radius and ellipsoidal height at latitudes ``lat``, with
-    the same branch on ``|lat| < pi/4`` as :func:`ecef_to_geodetic`."""
+    the same branch on ``|lat| < pi/4`` as :func:`_height`."""
     sphi = np.sin(lat)
     n = WGS84_A / np.sqrt(1.0 - WGS84_E2 * sphi * sphi)
     low = np.abs(lat) < math.pi / 4

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
@@ -55,8 +56,9 @@ class RunConfig:
             raise ValueError(
                 f"unknown estimator {self.estimator!r}; expected one of {ESTIMATORS}"
             )
-        if self.window is not None and self.window < 1:
-            raise ValueError(f"window must be >= 1 (or None for batch), got {self.window!r}")
+        w = self.window
+        if w is not None and (isinstance(w, bool) or not isinstance(w, numbers.Integral) or w < 1):
+            raise ValueError(f"window must be an integer >= 1 (or None for batch), got {w!r}")
         if not (math.isfinite(self.cov_scale) and self.cov_scale > 0):
             raise ValueError(f"cov_scale must be finite and > 0, got {self.cov_scale!r}")
 

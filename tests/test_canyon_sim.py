@@ -426,13 +426,18 @@ _WAYPOINT = st.builds(
     _floats(-100.0, 1000.0),
     _floats(0.5, 30.0),
 )
-CONFIG_CHANGES = st.fixed_dictionaries(
+# SimConfig takes only an IMU rate that is a whole multiple of the GNSS rate,
+# so the two are drawn together
+_RATES = st.builds(
+    lambda gnss, steps: {"gnss_rate_hz": gnss, "imu_rate_hz": gnss * steps},
+    _floats(0.1, 10.0),
+    st.integers(1, 400),
+)
+_FIELD_CHANGES = st.fixed_dictionaries(
     {},
     optional={
         "waypoints": st.lists(_WAYPOINT, min_size=2, max_size=4),
         "duration_s": _floats(1.0, 600.0),
-        "imu_rate_hz": _floats(1.0, 400.0),
-        "gnss_rate_hz": _floats(0.1, 10.0),
         "los_sigma_m": _floats(0.0, 10.0),
         "nlos_model": st.dictionaries(_CONSTELLATION, _GMM, min_size=1),
         "canyon_sectors": st.lists(
@@ -460,6 +465,9 @@ CONFIG_CHANGES = st.fixed_dictionaries(
         "max_accel": _floats(0.1, 5.0),
         "seed": st.integers(0, 2**32 - 1),
     },
+)
+CONFIG_CHANGES = st.builds(
+    lambda changes, rates: {**changes, **rates}, _FIELD_CHANGES, st.one_of(st.just({}), _RATES)
 )
 
 
@@ -596,3 +604,35 @@ def test_invalid_configs_rejected():
             waypoints=[Waypoint(ref, 5.0), Waypoint(Geodetic.from_degrees(22.4, 114.2), 5.0)],
             canyon_sectors=[MaskSector(0, 90, 95.0)],
         )
+
+
+@pytest.mark.parametrize(
+    "imu_rate, gnss_rate, accepted",
+    [
+        (100.0, 1.0, True),
+        (10.0, 10.0, True),
+        (3.0, 0.3, True),
+        (100.0, 100.0 / 3.0, True),
+        (1.0, 2.0, False),
+        (100.0, 3.0, False),
+        (100.0, 1.0 + 1e-6, False),
+    ],
+)
+def test_imu_rate_must_be_a_whole_multiple_of_the_gnss_rate(imu_rate, gnss_rate, accepted):
+    # each epoch averages the IMU samples since the last one: at 1 Hz IMU and
+    # 2 Hz GNSS an epoch has none, at 100 and 3 Hz it averaged 33 of them
+    # and the sample windows drifted from the epochs
+    base = replace(noise_free_config(duration_s=10.0), accel_noise_sigma=0.1)
+    if not accepted:
+        with pytest.raises(ValueError, match="imu_rate_hz / gnss_rate_hz"):
+            replace(base, imu_rate_hz=imu_rate, gnss_rate_hz=gnss_rate)
+        return
+    ds = simulate(replace(base, imu_rate_hz=imu_rate, gnss_rate_hz=gnss_rate))
+    steps = round(imu_rate / gnss_rate)
+    for k, epoch in enumerate(ds.epochs[1:], start=1):
+        # the samples since the last epoch, the newest taken at this epoch
+        hi = k * steps
+        assert hi <= len(ds.imu_accel)
+        assert hi / imu_rate == pytest.approx(epoch.t, abs=1e-9)
+        assert np.array_equal(epoch.accel_body_mean, ds.imu_accel[hi - steps : hi].mean(axis=0))
+        assert np.isfinite(epoch.accel_body_mean).all()

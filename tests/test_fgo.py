@@ -40,7 +40,7 @@ from gnssins.nls_solver import (
     solve_lm,
     sqrt_info_from_cov_diag,
 )
-from gnssins.types import Constellation, StateLayout
+from gnssins.types import VEL, Constellation, StateLayout
 
 TC = StateLayout((Constellation.GPS, Constellation.BEIDOU))
 LC = StateLayout()
@@ -315,27 +315,34 @@ class TestStackedWlsMatchesClosureBlocks:
                 single_epoch_wls(sats, weighting, initial, lm)
 
 
+def window_history(window):
+    """The window's epochs as (entry, state) pairs, oldest first."""
+    return list(zip(window.entries, window.slots["state"].copy()))
+
+
 def batch_history(epochs, mode, layout):
-    """Every epoch's entry, as a batch estimator leaves them."""
+    """Every epoch's entry and state, as a batch estimator leaves them."""
     est = FgoEstimator(RunConfig(estimator=f"fgo-{mode}", window=BATCH), layout)
     for e in epochs:
         est.step(e)
-    return list(est.window.entries)
+    return window_history(est.window)
 
 
 def scratch_window(history, cfg, layout):
-    """A fresh window over the newest W + 1 entries of ``history`` (all of
-    them in batch), pushed in order and anchored at the oldest."""
+    """A fresh window over the newest W + 1 (entry, state) pairs of
+    ``history`` (all of them in batch), pushed in order and anchored at the
+    oldest."""
     kept = history if cfg.window is None else history[-(cfg.window + 1) :]
     window = FactorWindow(cfg, layout)
-    for entry in kept:
-        window.push(entry, drop=False)
-    window.anchor(kept[0].state, kept[0].first)
+    for entry, state in kept:
+        window.push(entry, state, drop=False)
+    oldest, state = kept[0]
+    window.anchor(state, oldest.first)
     return window
 
 
 class TestBuildWindow:
-    def setup_entries(self, n, mode="tc"):
+    def setup_history(self, n, mode="tc"):
         epochs, _ = toy_epochs(n)
         layout = TC if mode == "tc" else LC
         return batch_history(epochs, mode, layout), layout
@@ -345,44 +352,44 @@ class TestBuildWindow:
 
     def test_window_one_structure(self):
         # window size 1 jointly optimizes the current and last epochs
-        entries, layout = self.setup_entries(5)
+        history, layout = self.setup_history(5)
         cfg = RunConfig(estimator="fgo-tc", window=1)
-        problem = scratch_window(entries, cfg, layout)
+        problem = scratch_window(history, cfg, layout)
         assert len(problem.state_dims) == 2
         assert self.count(problem, "prior") == 1
         assert self.count(problem, "motion") == 1
         assert self.count(problem, "ins") == 1
         gnss = [b for b in problem.blocks if b.label.startswith("pseudorange")]
-        assert len(gnss) == len(entries[-1].meas.sats) + len(entries[-2].meas.sats)
+        assert len(gnss) == len(history[-1][0].meas.sats) + len(history[-2][0].meas.sats)
         assert {b.state_indices[0] for b in gnss} == {0, 1}
 
     def test_batch_structure(self):
-        entries, layout = self.setup_entries(6)
+        history, layout = self.setup_history(6)
         cfg = RunConfig(estimator="fgo-tc", window=BATCH)
-        problem = scratch_window(entries, cfg, layout)
+        problem = scratch_window(history, cfg, layout)
         assert len(problem.state_dims) == 6
         assert self.count(problem, "motion") == 5
         assert self.count(problem, "ins") == 5
-        assert self.count(problem, "pseudorange") == sum(len(e.meas.sats) for e in entries)
+        assert self.count(problem, "pseudorange") == sum(len(e.meas.sats) for e, _ in history)
         assert self.count(problem, "prior") == 1
 
     def test_tc_factor_count_formula(self):
         # with W in-graph states: (W-1) motion + (W-1) INS + all satellite
         # factors of those epochs + 1 prior
-        entries, layout = self.setup_entries(8)
+        history, layout = self.setup_history(8)
         cfg = RunConfig(estimator="fgo-tc", window=4)
-        problem = scratch_window(entries, cfg, layout)
+        problem = scratch_window(history, cfg, layout)
         n_states = len(problem.state_dims)
         assert n_states == 5
-        n_sats = sum(len(e.meas.sats) for e in entries[len(entries) - n_states :])
+        n_sats = sum(len(e.meas.sats) for e, _ in history[len(history) - n_states :])
         expected = (n_states - 1) * 2 + n_sats + 1
         non_clock = [b for b in problem.blocks if b.label != "clock_walk"]
         assert len(non_clock) == expected
 
     def test_motion_equals_ins_count_invariant(self):
-        entries, layout = self.setup_entries(10)
+        history, layout = self.setup_history(10)
         for w in (1, 3, 7, BATCH):
-            problem = scratch_window(entries, RunConfig(estimator="fgo-tc", window=w), layout)
+            problem = scratch_window(history, RunConfig(estimator="fgo-tc", window=w), layout)
             n_states = len(problem.state_dims)
             assert self.count(problem, "motion") == n_states - 1
             assert self.count(problem, "ins") == n_states - 1
@@ -456,28 +463,43 @@ class TestArrayWindowMatchesOracle:
         assert close(delta, expected)
 
 
-WINDOW_ARRAYS = ("initial_values", "prior_value", "prior_var", "dt", "accel_dt", "edge_block")
-LC_ARRAYS = ("fix_pos", "fix_var", "fix_w")
+WINDOW_ARRAYS = ("initial_values", "prior_value", "prior_var")
+# slot buffers, each with the columns a push writes (those of edge_sub not
+# on velocity hold the last pricing)
+SLOT_ARRAYS = {"state": ..., "dt": ..., "edge_sub": VEL, "edge_block": ...}
+LC_ARRAYS = {"fix_pos": ..., "fix_var": ..., "fix_w": ...}
 # padded per slot to the widest slot the window has seen, which a window
-# slid past a wide slot keeps and a scratch build may not have
+# slid past a wide slot keeps and a scratch build may not have; of the
+# compact rows, the constant clock part written at push
 PADDED_ARRAYS = {
-    "sat_pos": 1.0e12, "pseudorange": 0.0, "clock_col": 9, "pr_w": 0.0, "pr_clock": 0.0,
+    "sat_pos": (..., 1.0e12),
+    "pseudorange": (..., 0.0),
+    "clock_col": (..., 9),
+    "pr_w": (..., 0.0),
+    "pr_rows": (slice(3, -1), 0.0),
 }
 
 
 def assert_same_window(slid, ref):
-    """Every live-slot array of ``slid`` equals ``ref``'s bit for bit; padded
-    rows beyond ``ref``'s width hold the padding."""
+    """``slid.slots`` is the live view of every slot buffer, and every
+    live-slot array of ``slid`` equals ``ref``'s bit for bit; padded rows
+    beyond ``ref``'s width hold the padding."""
     assert slid.entries == ref.entries
     assert len(slid.blocks) == len(ref.blocks)
-    tc = slid.cfg.coupling == "tc"
-    for name in WINDOW_ARRAYS + (("pr_count",) if tc else LC_ARRAYS):
+    assert slid.slots.keys() == slid._buf.keys()
+    for name, view in slid.slots.items():
+        assert view.base is slid._buf[name], name
+        assert len(view) == slid.n - (name in fgo._EDGE_BUFFERS), name
+    for name in WINDOW_ARRAYS:
         assert np.array_equal(getattr(slid, name), getattr(ref, name)), name
+    tc = slid.cfg.coupling == "tc"
+    for name, cols in (SLOT_ARRAYS | ({"pr_count": ...} if tc else LC_ARRAYS)).items():
+        assert np.array_equal(slid.slots[name][:, cols], ref.slots[name][:, cols]), name
     if tc:
-        width = ref.pr_w.shape[1]
-        for name, padding in PADDED_ARRAYS.items():
-            got = getattr(slid, name)
-            assert np.array_equal(got[..., :width], getattr(ref, name)), name
+        width = ref.slots["pr_w"].shape[1]
+        for name, (cols, padding) in PADDED_ARRAYS.items():
+            got = slid.slots[name][:, cols]
+            assert np.array_equal(got[..., :width], ref.slots[name][:, cols]), name
             assert np.all(got[..., width:] == padding), name
 
 
@@ -524,13 +546,13 @@ class TestSlidingWindow:
         compactions, widths = 0, set()
         for k in range(1, n_epochs + 1):
             start = slid._start
-            assert build_window(slid, history[k - 1]) is slid
+            assert build_window(slid, *history[k - 1]) is slid
             if slid._start < start:
                 compactions += 1
             ref = scratch_window(history[:k], cfg, layout)
             assert_same_window(slid, ref)
             if mode == "tc":
-                widths.add(slid.pr_w.shape[1])
+                widths.add(slid.slots["pr_w"].shape[1])
             x = ref.initial_values + rng.normal(scale=2.0, size=ref.total_dim)
             if x_before is not None and x_before.shape == x.shape:
                 # priced before the slide, at the point linearized after it
@@ -585,7 +607,7 @@ class TestSlidingWindow:
             assert_same_equations(w.normal_equations(x), fresh)
             assert len(calls) == 3 * int(mode == "tc")
         # anchoring anew, as each slide does, drops the kept point
-        first = history[-w.n].first
+        first = history[-w.n][0].first
         w.cost(x)
         w.anchor(w.prior_value + 1.0, first)
         moved = scratch_window(history, cfg, layout)
@@ -630,14 +652,14 @@ class TestSlidingWindow:
             mp.setattr(fgo, "pseudorange_rows", counted)
             for k in range(1, n_epochs + 1):
                 entries = history[:k]
-                width = None if k == 1 or mode == "lc" else slid.pr_w.shape[1]
-                build_window(slid, entries[-1])
+                width = None if k == 1 or mode == "lc" else slid.slots["pr_w"].shape[1]
+                build_window(slid, *entries[-1])
                 ref = scratch_window(entries, cfg, layout)
                 n, d = slid.n, slid.dim
                 # the solve starts from the stored states, at which the last
                 # solve's accepted point left the carried slots
                 x = ref.initial_values
-                widened = width is not None and slid.pr_w.shape[1] > width
+                widened = width is not None and slid.slots["pr_w"].shape[1] > width
                 carried = k > 1 and accepted and not widened
                 calls.clear()
                 cost = slid.cost(x)
@@ -655,7 +677,7 @@ class TestSlidingWindow:
                 assert cost == slid._cost(fresh) == ref.cost(x)
                 if k % 3 == 2:
                     # anchoring at a moved prior prices the prior alone
-                    first = entries[-n].first
+                    first = entries[-n][0].first
                     slid.anchor(slid.prior_value + 1.0, first)
                     ref.anchor(ref.prior_value + 1.0, first)
                     calls.clear()
@@ -683,7 +705,7 @@ class TestSlidingWindow:
             assert [x.first for x in entries] == [k == kept] + [False] * (kept - 1)
         # the kept history rebuilds the estimator's own window, anchored at
         # the sliding prior once the first epoch has left it
-        ref = scratch_window(entries, cfg, layout)
+        ref = scratch_window(window_history(est.window), cfg, layout)
         assert ref.entries == est.window.entries
         assert np.array_equal(ref.prior_var, est.window.prior_var)
         x = ref.initial_values
@@ -700,7 +722,7 @@ class TestSlidingWindow:
             raise AssertionError("pseudorange kernel called on a window without rows")
 
         monkeypatch.setattr("gnssins.fgo.pseudorange_rows", no_rows)
-        window = scratch_window(list(est.window.entries), cfg, LC)
+        window = scratch_window(window_history(est.window), cfg, LC)
         window.normal_equations(window.initial_values)
         window.cost(window.initial_values)
 

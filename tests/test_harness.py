@@ -99,7 +99,7 @@ class TestRunEstimator:
         with pytest.raises(ValueError, match="cov_scale"):
             config(cov_scale=value)
 
-    @pytest.mark.parametrize("window", [0, -1])
+    @pytest.mark.parametrize("window", [0, -1, 2.5, 30.0, True, "30"])
     @pytest.mark.parametrize("estimator", ESTIMATORS)
     def test_window_must_be_at_least_one(self, estimator, window):
         with pytest.raises(ValueError, match="window"):
