@@ -22,7 +22,7 @@ from .noise_models import (
     pseudorange_rows,
     stack_pseudoranges,
 )
-from .types import BIAS, POS, VEL, StateLayout
+from .types import BIAS, POS, VEL, StateLayout, is_count
 
 CLOCK_RW_SIGMA = 5.0  # receiver clock random walk, meters per epoch
 
@@ -66,14 +66,17 @@ def accumulated_process_noise(
     steps: int,
     dt_total: float = 1.0,
 ) -> np.ndarray:
-    """Process noise for one epoch predicted as ``steps`` sub-predictions.
+    """Process noise for one epoch of ``dt_total`` seconds predicted as
+    ``steps`` sub-predictions; ``steps`` must be an integer >= 1.
 
     Filtering at the INS rate re-applies the per-prediction noise every
     sample; velocity noise injected early in the epoch also integrates into
     position, producing position/velocity cross terms.
     """
+    if not is_count(steps):
+        raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
     q = default_process_noise(layout)
-    n = max(int(steps), 1)
+    n = int(steps)
     dt_s = dt_total / n
     qp, qv = q[POS], q[VEL]
     out = np.diag(q * n)

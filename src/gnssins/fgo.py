@@ -16,16 +16,18 @@ families start from :func:`initial_state`, seed velocity from
 :func:`position_seed` and weight LC fixes by :func:`fix_hdop`.
 
 The estimator keeps one :class:`FactorWindow`, its only epoch history, and
-:func:`build_window` slides it an epoch at a time. Its per-slot arrays, each
-slot's state estimate among them, live in fixed-capacity slot buffers
-(Sibley et al., *Sliding Window Filter*, 2010), read through the live view
-``FactorWindow.slots``, so a slide writes one slot and moves no others, and
-the pseudorange rows are padded per slot so that each slot's state is
-broadcast over its rows. Each anchor rewrites every diagonal block of the
-linear band in one pass. Each point the solver visits is priced once: the
-linearization at an accepted trial reuses the residuals its cost computed,
-and after a slide only the new slot, its edge and the prior are priced
-while the carried slots still sit at their last pricing.
+:func:`build_window` slides it an epoch at a time. The window builds each
+slot straight from the epoch's measurements, and decides alone when its
+oldest slot drops and which prior pins the oldest slot. Its per-slot
+arrays, each slot's state estimate among them, live in fixed-capacity slot
+buffers (Sibley et al., *Sliding Window Filter*, 2010), read through the
+live view ``FactorWindow.slots``, so a slide writes one slot and moves no
+others, and the pseudorange rows are padded per slot so that each slot's
+state is broadcast over its rows. Each anchor rewrites every diagonal
+block of the linear band in one pass. Each point the solver visits is
+priced once: the linearization at an accepted trial reuses the residuals
+its cost computed, and after a slide only the new slot, its edge and the
+prior are priced while the carried slots still sit at their last pricing.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, field
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, Optional
 
@@ -229,31 +230,6 @@ def clock_walk_factor(
     )
 
 
-@dataclass
-class EpochEntry:
-    """Internal per-epoch record of an epoch's inputs, kept in the
-    estimator's window; the epoch's state estimate lives in the window's
-    ``state`` slot buffer.
-
-    A TC epoch also keeps its pseudorange rows as arrays, ready for
-    :meth:`FactorWindow.push` to write into its slot: satellite ECEF
-    positions, measured ranges and the state column of each row's clock
-    bias. Their variances are ``pr_sigma2``; an LC epoch's fix row is
-    ``meas.fix_pos`` with variances ``fix_cov``. ``first`` marks the
-    trajectory's first epoch, the one a window anchors with the filter's
-    initial covariance.
-    """
-
-    meas: EpochMeasurements
-    accel_ecef: np.ndarray
-    first: bool = False
-    fix_cov: Optional[np.ndarray] = None
-    pr_sigma2: Optional[np.ndarray] = None
-    sat_pos: np.ndarray = field(default_factory=lambda: np.empty((3, 0)))
-    pseudorange: np.ndarray = field(default_factory=lambda: np.empty(0))
-    clock_col: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
-
-
 class _LazyBlocks(Sequence):
     """Read-only sequence of ``length`` items, each built by ``make(i)`` when indexed."""
 
@@ -272,9 +248,10 @@ class _LazyBlocks(Sequence):
         return self._make(i)
 
 
-# what a padding pseudorange row holds: zero weight (infinite variance), any
-# state column for its clock, and a satellite about 1e9 km from the Earth, so
-# that no receiver state the solver reaches gives it a zero range
+# what a padding pseudorange row holds, in the order of the arrays of
+# stack_pseudoranges and then the weight: a satellite about 1e9 km from the
+# Earth, so that no receiver state the solver reaches gives it a zero range,
+# any state column for its clock, and zero weight (infinite variance)
 _PR_PAD = {"sat_pos": 1.0e12, "pseudorange": 0.0, "clock_col": 9, "pr_w": 0.0}
 
 
@@ -290,12 +267,13 @@ class FactorWindow:
     """The NLS problem of one window, held in slot-major buffers and slid one
     epoch at a time.
 
-    Slot ``k`` is the ``k``-th in-window epoch, whose :class:`EpochEntry`
-    is ``entries[k]``. Every factor except the pseudorange is linear: the
-    prior on slot 0, the LC fixes, and the motion, INS and clock-walk factors
-    between consecutive slots. The latter three give one residual entry per
-    state column (motion on position and bias, INS on velocity, clock walk
-    on the clocks), so they are stacked as one
+    Slot ``k`` is the ``k``-th in-window epoch, whose measurements are
+    ``epochs[k]``; :meth:`push` turns an epoch into its slot, weighting its
+    rows as it writes them. Every factor except the pseudorange is linear:
+    the prior on slot 0, the LC fixes, and the motion, INS and clock-walk
+    factors between consecutive slots. The latter three give one residual
+    entry per state column (motion on position and bias, INS on velocity,
+    clock walk on the clocks), so they are stacked as one
     ``dim``-row edge residual with the constant Jacobians ``J_prev`` and the
     identity. Their share of ``J^T J`` is kept in upper band storage with
     ``dim`` super-diagonals: ``J^T J`` is block-tridiagonal, and the edge's
@@ -315,17 +293,19 @@ class FactorWindow:
     maps each buffer's name to its live view, taken anew after every push;
     an edge buffer's view starts at slot 1, since slot 0 has no edge into
     it. A finite window has room for 2 (W + 1) slots, a batch window
-    doubles its room when full. :meth:`push` drops slot 0 by advancing the
-    view and writes only the new slot, its state and its edge; when the view
-    reaches the end of the buffers, the live slots move to the front, at
-    most once every W + 1 pushes. The edge's band entries and diagonal share
-    depend only on its ``dt``, so they are computed again only when ``dt``
-    changes. :meth:`anchor` then pins slot 0 with the first or the sliding
-    prior and rewrites every diagonal block in one pass, each summed in one
-    order: the edge out of the slot, then the prior or the edge into it,
-    then the fix. The solve starts from the ``state`` rows, and the
-    estimator writes its solution back into them. :func:`build_window`
-    slides the window by one push and one anchor.
+    doubles its room when full. :meth:`push` writes only the new slot, its
+    state and its edge; once a finite window holds W + 1 slots, it first
+    drops slot 0 by advancing the view, and the window is ``slid`` from
+    then on. When the view reaches the end of the buffers, the live slots
+    move to the front, at most once every W + 1 pushes. The edge's band
+    entries and diagonal share depend only on its ``dt``, so they are
+    computed again only when ``dt`` changes. :meth:`anchor` then pins slot
+    0 at its own state, with the first prior until the window has slid and
+    the sliding prior after, and rewrites every diagonal block in one pass,
+    each summed in one order: the edge out of the slot, then the prior or
+    the edge into it, then the fix. The solve starts from the ``state``
+    rows, and the estimator writes its solution back into them.
+    :func:`build_window` slides the window by one push and one anchor.
 
     **Pseudorange rows** are padded per slot to the widest slot so far, M
     (at least 2), with zero weight on the padding; M grows only when a slot
@@ -369,7 +349,10 @@ class FactorWindow:
         self.cfg = cfg
         self.layout = layout
         d = self.dim = layout.dim
-        self.entries: deque[EpochEntry] = deque()
+        self.epochs: deque[EpochMeasurements] = deque()
+        # whether the window has dropped a slot, so that slot 0 is no longer
+        # the trajectory's first epoch
+        self.slid = False
         self.n = 0
         self._start = 0
         self.edge_var = default_process_noise(layout) * cfg.cov_scale
@@ -446,10 +429,10 @@ class FactorWindow:
         sliding = default_process_noise(layout)
         sliding[POS], sliding[VEL] = SLIDING_ANCHOR_VAR[cfg.coupling]
         self._priors = {}
-        for first, var in ((True, np.diag(initial_covariance(layout))), (False, sliding)):
+        for slid, var in ((False, np.diag(initial_covariance(layout))), (True, sliding)):
             var = var * cfg.cov_scale
             w = 1.0 / np.sqrt(var)
-            self._priors[first] = (var, w, diagonal(w**2))
+            self._priors[slid] = (var, w, diagonal(w**2))
         # the lower triangle (row >= column) of a d-square block: where
         # J_prev^T Omega can be nonzero, in the later slot's band columns
         # at band row row - column
@@ -528,20 +511,23 @@ class FactorWindow:
             buf[name] = arr
         self._carried = 0
 
-    def push(self, entry: EpochEntry, state: np.ndarray, drop: bool) -> None:
-        """Append ``entry`` as the newest slot, estimated at ``state``; with
-        ``drop``, first remove slot 0 with its rows and its edge to slot 1.
-        Call :meth:`anchor` before solving."""
-        scale, buf = self.cfg.cov_scale, self._buf
+    def push(self, meas: EpochMeasurements, state: np.ndarray, accel_ecef: np.ndarray) -> None:
+        """Append the epoch ``meas`` as the newest slot, estimated at ``state``
+        and reached with the ECEF specific force ``accel_ecef``, weighting an
+        LC fix by its HDOP at ``state``. A full finite window (W + 1 slots)
+        first drops slot 0 and is slid. Call :meth:`anchor` before solving."""
+        cfg, buf, scale = self.cfg, self._buf, self.cfg.cov_scale
         self._kept_cost = None
+        drop = cfg.window is not None and self.n == cfg.window + 1
         if drop:
-            self.entries.popleft()
+            self.epochs.popleft()
+            self.slid = True
             self._start += 1
             self.n -= 1
             self._carried = max(self._carried - 1, 0)
         if self._start + self.n == len(buf["dt"]):
             self._make_room()
-        self.entries.append(entry)
+        self.epochs.append(meas)
         p = self._start + self.n
         self.n += 1
         buf["state"][p] = state
@@ -552,7 +538,7 @@ class FactorWindow:
         # a window's first slot has no edge into it, and its buffer columns
         # are still zero
         if self.n > 1:
-            dt = float(entry.meas.dt)
+            dt = float(meas.dt)
             if dt <= 0:
                 raise ValueError("dt must be positive")
             if dt != self._edge_terms[0]:
@@ -565,40 +551,40 @@ class FactorWindow:
                 self._edge_terms = (dt, jw[self._low], np.matmul(jw, jac).take(self._tri))
             _, band[p, self._edge_band], buf["edge_block"][p] = self._edge_terms
             buf["dt"][p] = dt
-            buf["edge_sub"][p, VEL] = entry.accel_ecef * dt
+            buf["edge_sub"][p, VEL] = accel_ecef * dt
 
         if self._tc:
-            rows = entry.pseudorange.size
+            rows = len(meas.sats)
             if rows > buf["pr_w"].shape[1]:
                 self._widen(rows)
-            w = 1.0 / np.sqrt(entry.pr_sigma2 * scale) if rows else np.empty(0)
             buf["pr_count"][p] = rows
-            for name, value in (
-                ("sat_pos", entry.sat_pos),
-                ("pseudorange", entry.pseudorange),
-                ("clock_col", entry.clock_col),
-                ("pr_w", w),
-            ):
-                buf[name][p, ..., :rows] = value
-                buf[name][p, ..., rows:] = _PR_PAD[name]
             clock = buf["pr_rows"][p, 3:-1]
             clock[:] = 0.0
-            clock[entry.clock_col - self._clock.start, np.arange(rows)] = -w
+            if rows:
+                w = 1.0 / np.sqrt(tc_covariance(meas.sats, cfg.weighting) * scale)
+                stacked = stack_pseudoranges(meas.sats, self.layout.clock_index)
+                for name, value in zip(_PR_PAD, (*stacked, w)):
+                    buf[name][p, ..., :rows] = value
+                clock[stacked[2] - self._clock.start, np.arange(rows)] = -w
+            for name, fill in _PR_PAD.items():
+                buf[name][p, ..., rows:] = fill
         else:
-            fixed = entry.fix_cov is not None
-            var = entry.fix_cov * scale if fixed else np.inf
-            buf["fix_pos"][p] = entry.meas.fix_pos if fixed else 0.0
+            fixed, var = meas.fix_available, np.inf
+            if fixed:
+                var = lc_fix_covariance(fix_hdop(meas, state[POS]), cfg.weighting.s_user) * scale
+            buf["fix_pos"][p] = meas.fix_pos if fixed else 0.0
             buf["fix_var"][p] = var
             buf["fix_w"][p] = 1.0 / np.sqrt(var)
         self._view()
 
-    def anchor(self, value: np.ndarray, first: bool) -> None:
-        """Pin slot 0 at ``value`` with the first or the sliding prior,
-        rewrite every diagonal block, and start from the slots' states."""
+    def anchor(self) -> None:
+        """Pin slot 0 at its own state, with the first prior until the window
+        has slid and the sliding prior after, rewrite every diagonal block,
+        and start from the slots' states."""
         self._kept_cost = None
-        self.prior_value = np.array(value, dtype=float)
-        self.prior_var, self.prior_w, prior_block = self._priors[first]
         slots = self.slots
+        self.prior_value = slots["state"][0].copy()
+        self.prior_var, self.prior_w, prior_block = self._priors[self.slid]
         # every slot but the last has an edge out
         blocks = np.zeros((self.n, self._edge_diag.size))
         blocks[:-1] = slots["edge_block"]
@@ -661,13 +647,11 @@ class FactorWindow:
                     raise EvaluationError(f"non-finite residual in {label} factors")
         return cost
 
-    def _priced(self, values: np.ndarray) -> float:
-        """Cost at ``values``, with the slot buffers holding its pricing.
-
-        The leading carried slots are not priced again when every one of
-        them is at its state in ``values``; a point equal to the last one
-        priced is not priced at all.
-        """
+    def cost(self, values: np.ndarray) -> float:
+        """Sum of squared whitened residuals at ``values``, with the slot
+        buffers holding its pricing. The leading carried slots are not priced
+        again when every one of them is at its state in ``values``; a point
+        equal to the last one priced is not priced at all."""
         x = np.asarray(values, dtype=float).reshape(self.n, self.dim)
         k = self._carried
         if k and np.count_nonzero(self.slots["point"][:k] != x[:k]):
@@ -679,13 +663,9 @@ class FactorWindow:
             self._carried, self._kept_cost = self.n, cost
         return self._kept_cost
 
-    def cost(self, values: np.ndarray) -> float:
-        """Sum of squared whitened residuals over all factors."""
-        return self._priced(values)
-
     def normal_equations(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         """Whitened J^T J (upper band storage), J^T r and cost at ``values``."""
-        cost = self._priced(values)
+        cost = self.cost(values)
         n, d, slots = self.n, self.dim, self.slots
         g = np.zeros((n, d))
         g[0] += self.prior_w * self._prior_res
@@ -724,7 +704,7 @@ class FactorWindow:
 
     def _block(self, i: int) -> ResidualBlock:
         """The ``i``-th factor as a per-block oracle :class:`ResidualBlock`."""
-        layout, edge_var, scale, slots = self.layout, self.edge_var, self.cfg.cov_scale, self.slots
+        layout, edge_var, slots = self.layout, self.edge_var, self.slots
         if i == 0:
             return prior_factor(0, self.prior_value, self.prior_var, layout)
         i -= 1
@@ -736,7 +716,8 @@ class FactorWindow:
                 motion_var = np.concatenate((edge_var[POS], edge_var[BIAS]))
                 return motion_factor(k - 1, k, dt, motion_var, layout)
             if kind == 1:
-                return ins_factor(k - 1, k, self.entries[k].accel_ecef, dt, edge_var[VEL], layout)
+                accel = slots["edge_sub"][edge, VEL] / dt
+                return ins_factor(k - 1, k, accel, dt, edge_var[VEL], layout)
             return clock_walk_factor(k - 1, k, math.sqrt(edge_var[9]), layout)
         i -= n_edge_blocks
         if not self._tc:
@@ -746,24 +727,26 @@ class FactorWindow:
         ends = np.cumsum(count)
         k = int(np.searchsorted(ends, i, side="right"))
         j = i - int(ends[k] - count[k])
-        entry = self.entries[k]
-        return pseudorange_factor(k, entry.meas.sats[j], entry.pr_sigma2[j] * scale, layout)
+        sats = self.epochs[k].sats
+        sigma2 = tc_covariance(sats, self.cfg.weighting)[j] * self.cfg.cov_scale
+        return pseudorange_factor(k, sats[j], sigma2, layout)
 
 
-def build_window(window: FactorWindow, entry: EpochEntry, state: np.ndarray) -> FactorWindow:
-    """Slide ``window`` by the newest epoch, ``entry``, predicted at
-    ``state``, and return it.
+def build_window(
+    window: FactorWindow, meas: EpochMeasurements, state: np.ndarray, accel_ecef: np.ndarray
+) -> FactorWindow:
+    """Slide ``window`` by the newest epoch ``meas``, predicted at ``state``
+    with the ECEF specific force ``accel_ecef``, and return it.
 
     A finite window of size W keeps the newest W + 1 states (the current
     epoch plus W historical ones, so window size 1 optimizes the current and
-    last epochs jointly), so once it holds W + 1 the oldest slot is dropped;
-    batch keeps every epoch. Each in-graph epoch contributes its GNSS rows,
-    consecutive epochs are linked by motion, INS and (TC) clock-walk factors,
-    and the oldest state carries a prior at its stored estimate.
+    last epochs jointly), so the push drops the oldest slot once it holds
+    W + 1; batch keeps every epoch. Each in-graph epoch contributes its GNSS
+    rows, consecutive epochs are linked by motion, INS and (TC) clock-walk
+    factors, and the oldest state carries a prior at its stored estimate.
     """
-    size = window.cfg.window
-    window.push(entry, state, drop=size is not None and window.n == size + 1)
-    window.anchor(window.slots["state"][0], window.entries[0].first)
+    window.push(meas, state, accel_ecef)
+    window.anchor()
     return window
 
 
@@ -907,22 +890,6 @@ class FgoEstimator:
         self.layout = layout
         self.window = FactorWindow(cfg, layout)
 
-    def _entry(
-        self, meas: EpochMeasurements, state: np.ndarray, accel_ecef: np.ndarray
-    ) -> EpochEntry:
-        """Epoch record with its measurement variances and, for TC, its
-        pseudorange rows; a fix without HDOP is weighted at ``state``."""
-        entry = EpochEntry(meas, accel_ecef)
-        if self.cfg.coupling == "lc" and meas.fix_available:
-            hdop = fix_hdop(meas, state[POS])
-            entry.fix_cov = lc_fix_covariance(hdop, self.cfg.weighting.s_user)
-        if self.cfg.coupling == "tc" and meas.sats:
-            entry.pr_sigma2 = tc_covariance(meas.sats, self.cfg.weighting)
-            entry.sat_pos, entry.pseudorange, entry.clock_col = stack_pseudoranges(
-                meas.sats, self.layout.clock_index
-            )
-        return entry
-
     def step(self, meas: EpochMeasurements) -> StepResult:
         """Slide the window by ``meas`` and solve it. The result's residuals come
         from the window's last pricing: None for LC, at start-up, or when that
@@ -931,12 +898,10 @@ class FgoEstimator:
         window, coupling = self.window, self.cfg.coupling
         if not window.n:
             state = initial_state(meas, coupling, self.layout, self.cfg.weighting)
-            entry = self._entry(meas, state, np.zeros(3))
-            entry.first = True
-            window.push(entry, state, drop=False)
+            window.push(meas, state, np.zeros(3))
             return StepResult(state.copy(), time.perf_counter() - t0, message="initialized")
 
-        if meas.t <= window.entries[-1].meas.t:
+        if meas.t <= window.epochs[-1].t:
             raise ValueError("epochs must arrive in strictly increasing time order")
         prev = window.slots["state"][-1]
         geo = ecef_to_geodetic(prev[POS])
@@ -956,7 +921,7 @@ class FgoEstimator:
 
         # looked up on the module at call time, once per epoch, so a tracer
         # that wraps fgo.build_window sees every window
-        build_window(window, self._entry(meas, state, accel_ecef), state)
+        build_window(window, meas, state, accel_ecef)
         try:
             report = solve_lm(window, self.cfg.lm)
         except SolverError as exc:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import copy
 import math
-import numbers
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
@@ -34,7 +33,7 @@ from .residual_analysis import (
     summarize,
     tc_residual,
 )
-from .types import BIAS, POS, VEL, Constellation, EpochMeasurements, StateLayout, StepResult
+from .types import BIAS, POS, VEL, Constellation, EpochMeasurements, StateLayout, StepResult, is_count
 
 ESTIMATORS = ("ekf-lc", "ekf-tc", "fgo-lc", "fgo-tc")
 
@@ -46,8 +45,8 @@ class RunConfig:
     weighting: WeightingParams = field(default_factory=WeightingParams)
     cov_scale: float = 1.0
     # the EKF predicts as INS measurements arrive, so per-epoch process noise
-    # accumulates over imu_rate/gnss_rate prediction steps; the factor graph
-    # applies its covariances once per epoch
+    # accumulates over imu_rate/gnss_rate prediction steps spanning the
+    # epoch; the factor graph applies its covariances once per epoch
     ekf_predict_steps: int = 100
     lm: LmConfig = field(default_factory=LmConfig)
 
@@ -57,8 +56,12 @@ class RunConfig:
                 f"unknown estimator {self.estimator!r}; expected one of {ESTIMATORS}"
             )
         w = self.window
-        if w is not None and (isinstance(w, bool) or not isinstance(w, numbers.Integral) or w < 1):
+        if w is not None and not is_count(w):
             raise ValueError(f"window must be an integer >= 1 (or None for batch), got {w!r}")
+        if not is_count(self.ekf_predict_steps):
+            raise ValueError(
+                f"ekf_predict_steps must be an integer >= 1, got {self.ekf_predict_steps!r}"
+            )
         if not (math.isfinite(self.cov_scale) and self.cov_scale > 0):
             raise ValueError(f"cov_scale must be finite and > 0, got {self.cov_scale!r}")
 
@@ -102,9 +105,9 @@ class _EkfRunner:
         self.layout = layout
         self.cfg = cfg
         self.belief: Optional[ekf.BeliefState] = None
-        self.process_noise = (
-            ekf.accumulated_process_noise(layout, cfg.ekf_predict_steps) * cfg.cov_scale
-        )
+        # (dt, process noise) of the last epoch length seen: the noise is
+        # accumulated again only when an epoch's dt differs
+        self._noise: tuple = (None, None)
         self._vel_seeded = False
         self._t_prev = -np.inf
 
@@ -130,7 +133,10 @@ class _EkfRunner:
         accel_ecef = body_accel_to_ecef(
             meas.accel_body_mean, self.belief.mean[BIAS], meas.attitude, geo
         )
-        belief = ekf.predict(self.belief, accel_ecef, meas.dt, self.process_noise)
+        if meas.dt != self._noise[0]:
+            q = ekf.accumulated_process_noise(self.layout, self.cfg.ekf_predict_steps, meas.dt)
+            self._noise = (meas.dt, q * scale)
+        belief = ekf.predict(self.belief, accel_ecef, meas.dt, self._noise[1])
         if self.coupling == "lc":
             if meas.fix_available:
                 hdop = fix_hdop(meas, belief.mean[POS])

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -23,6 +24,11 @@ class Constellation(enum.Enum):
             if c.value.lower() == name.lower() or c.name.lower() == name.lower():
                 return c
         raise ValueError(f"unknown constellation {name!r}")
+
+
+def is_count(value) -> bool:
+    """Whether ``value`` is an integer >= 1; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
 
 
 POS = slice(0, 3)

@@ -289,3 +289,12 @@ def test_accumulated_process_noise_matches_stepwise():
 
     one = accumulated_process_noise(layout, 1, dt_total)
     assert np.allclose(one, q, atol=1e-12)
+
+
+@pytest.mark.parametrize("steps", [0, -3, 2.5, 100.0, True])
+def test_accumulated_process_noise_rejects_a_step_count_below_one(steps):
+    # none of these runs as some other count of steps
+    from gnssins.ekf import accumulated_process_noise
+
+    with pytest.raises(ValueError, match=f"steps.*{steps!r}"):
+        accumulated_process_noise(TC, steps)

@@ -21,6 +21,7 @@ from gnssins.fgo import (
     pseudorange_factor,
     single_epoch_wls,
 )
+from gnssins.ekf import default_process_noise, initial_covariance
 from gnssins.harness import RunConfig
 from gnssins.noise_models import (
     GeometryError,
@@ -315,29 +316,45 @@ class TestStackedWlsMatchesClosureBlocks:
                 single_epoch_wls(sats, weighting, initial, lm)
 
 
-def window_history(window):
-    """The window's epochs as (entry, state) pairs, oldest first."""
-    return list(zip(window.entries, window.slots["state"].copy()))
+def record_forces(est):
+    """Wrap the push of ``est``'s window so that it records the specific
+    force of every epoch pushed; returns the list it fills."""
+    forces, push = [], est.window.push
+
+    def recorded(meas, state, accel_ecef):
+        forces.append(accel_ecef)
+        push(meas, state, accel_ecef)
+
+    est.window.push = recorded
+    return forces
+
+
+def window_history(window, forces):
+    """The window's epochs as (measurements, state, specific force) triples,
+    oldest first; ``forces`` holds those of every epoch pushed so far."""
+    return list(zip(window.epochs, window.slots["state"].copy(), forces[-window.n :]))
 
 
 def batch_history(epochs, mode, layout):
-    """Every epoch's entry and state, as a batch estimator leaves them."""
+    """Every epoch's triple, as a batch estimator leaves them."""
     est = FgoEstimator(RunConfig(estimator=f"fgo-{mode}", window=BATCH), layout)
+    forces = record_forces(est)
     for e in epochs:
         est.step(e)
-    return window_history(est.window)
+    return window_history(est.window, forces)
 
 
-def scratch_window(history, cfg, layout):
-    """A fresh window over the newest W + 1 (entry, state) pairs of
-    ``history`` (all of them in batch), pushed in order and anchored at the
-    oldest."""
+def scratch_window(history, cfg, layout, slid=None):
+    """A fresh window over the newest W + 1 triples of ``history`` (all of
+    them in batch), pushed in order and anchored at the oldest. It is slid
+    when it leaves out the first epoch of ``history``, which by default is
+    the trajectory's first; ``slid`` says so for any other history."""
     kept = history if cfg.window is None else history[-(cfg.window + 1) :]
     window = FactorWindow(cfg, layout)
-    for entry, state in kept:
-        window.push(entry, state, drop=False)
-    oldest, state = kept[0]
-    window.anchor(state, oldest.first)
+    for triple in kept:
+        window.push(*triple)
+    window.slid = len(kept) < len(history) if slid is None else slid
+    window.anchor()
     return window
 
 
@@ -360,7 +377,7 @@ class TestBuildWindow:
         assert self.count(problem, "motion") == 1
         assert self.count(problem, "ins") == 1
         gnss = [b for b in problem.blocks if b.label.startswith("pseudorange")]
-        assert len(gnss) == len(history[-1][0].meas.sats) + len(history[-2][0].meas.sats)
+        assert len(gnss) == len(history[-1][0].sats) + len(history[-2][0].sats)
         assert {b.state_indices[0] for b in gnss} == {0, 1}
 
     def test_batch_structure(self):
@@ -370,7 +387,7 @@ class TestBuildWindow:
         assert len(problem.state_dims) == 6
         assert self.count(problem, "motion") == 5
         assert self.count(problem, "ins") == 5
-        assert self.count(problem, "pseudorange") == sum(len(e.meas.sats) for e, _ in history)
+        assert self.count(problem, "pseudorange") == sum(len(e.sats) for e, _, _ in history)
         assert self.count(problem, "prior") == 1
 
     def test_tc_factor_count_formula(self):
@@ -381,7 +398,7 @@ class TestBuildWindow:
         problem = scratch_window(history, cfg, layout)
         n_states = len(problem.state_dims)
         assert n_states == 5
-        n_sats = sum(len(e.meas.sats) for e, _ in history[len(history) - n_states :])
+        n_sats = sum(len(e.sats) for e, _, _ in history[len(history) - n_states :])
         expected = (n_states - 1) * 2 + n_sats + 1
         non_clock = [b for b in problem.blocks if b.label != "clock_walk"]
         assert len(non_clock) == expected
@@ -484,7 +501,7 @@ def assert_same_window(slid, ref):
     """``slid.slots`` is the live view of every slot buffer, and every
     live-slot array of ``slid`` equals ``ref``'s bit for bit; padded rows
     beyond ``ref``'s width hold the padding."""
-    assert slid.entries == ref.entries
+    assert slid.epochs == ref.epochs and slid.slid == ref.slid
     assert len(slid.blocks) == len(ref.blocks)
     assert slid.slots.keys() == slid._buf.keys()
     for name, view in slid.slots.items():
@@ -607,11 +624,11 @@ class TestSlidingWindow:
             assert_same_equations(w.normal_equations(x), fresh)
             assert len(calls) == 3 * int(mode == "tc")
         # anchoring anew, as each slide does, drops the kept point
-        first = history[-w.n][0].first
         w.cost(x)
-        w.anchor(w.prior_value + 1.0, first)
         moved = scratch_window(history, cfg, layout)
-        moved.anchor(moved.prior_value + 1.0, first)
+        for window in (w, moved):
+            window.slots["state"][0] += 1.0
+            window.anchor()
         assert_same_equations(w.normal_equations(x), moved.normal_equations(x))
 
     @settings(max_examples=30, deadline=None)
@@ -651,10 +668,9 @@ class TestSlidingWindow:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fgo, "pseudorange_rows", counted)
             for k in range(1, n_epochs + 1):
-                entries = history[:k]
                 width = None if k == 1 or mode == "lc" else slid.slots["pr_w"].shape[1]
-                build_window(slid, *entries[-1])
-                ref = scratch_window(entries, cfg, layout)
+                build_window(slid, *history[k - 1])
+                ref = scratch_window(history[:k], cfg, layout)
                 n, d = slid.n, slid.dim
                 # the solve starts from the stored states, at which the last
                 # solve's accepted point left the carried slots
@@ -676,13 +692,15 @@ class TestSlidingWindow:
                     assert a.tobytes() == b.tobytes()
                 assert cost == slid._cost(fresh) == ref.cost(x)
                 if k % 3 == 2:
-                    # anchoring at a moved prior prices the prior alone
-                    first = entries[-n][0].first
-                    slid.anchor(slid.prior_value + 1.0, first)
-                    ref.anchor(ref.prior_value + 1.0, first)
+                    # anchoring at a moved slot 0 prices the prior alone
+                    row = slid.slots["state"][0].copy()
+                    for window in (slid, ref):
+                        window.slots["state"][0] += 1.0
+                        window.anchor()
                     calls.clear()
                     assert_same_equations(slid.normal_equations(x), ref.normal_equations(x))
                     assert calls == []
+                    slid.slots["state"][0] = row
                 accepted = k % 3 != 1
                 if not accepted:
                     # the solve ended on a rejected trial, away from x
@@ -697,24 +715,50 @@ class TestSlidingWindow:
         epochs, _ = toy_epochs(8)
         cfg = RunConfig(estimator=f"fgo-{mode}", window=window)
         est = FgoEstimator(cfg, layout)
+        forces = record_forces(est)
         for k, e in enumerate(epochs, start=1):
             est.step(e)
             kept = k if window is BATCH else min(k, window + 1)
-            entries = list(est.window.entries)
-            assert len(entries) == kept
-            assert [x.first for x in entries] == [k == kept] + [False] * (kept - 1)
+            assert list(est.window.epochs) == epochs[k - kept : k]
+            assert est.window.slid == (k > kept)
         # the kept history rebuilds the estimator's own window, anchored at
         # the sliding prior once the first epoch has left it
-        ref = scratch_window(window_history(est.window), cfg, layout)
-        assert ref.entries == est.window.entries
+        history = window_history(est.window, forces)
+        ref = scratch_window(history, cfg, layout, slid=len(epochs) > kept)
+        assert ref.epochs == est.window.epochs and ref.slid == est.window.slid
         assert np.array_equal(ref.prior_var, est.window.prior_var)
         x = ref.initial_values
         assert np.array_equal(ref.normal_equations(x)[0], est.window.normal_equations(x)[0])
+
+    @pytest.mark.parametrize("mode", ["tc", "lc"])
+    @pytest.mark.parametrize("window", [1, 3, BATCH])
+    def test_bare_window_drops_and_switches_prior(self, mode, window):
+        # a window alone, no estimator: it drops slot 0 once it holds W + 1
+        # and pins slot 0 with the sliding prior exactly from that drop on
+        layout = TC if mode == "tc" else LC
+        n_epochs = 6 if window is BATCH else window + 2
+        epochs, truth = toy_epochs(n_epochs)
+        w = FactorWindow(RunConfig(estimator=f"fgo-{mode}", window=window), layout)
+        sliding = default_process_noise(layout)
+        sliding[0:3], sliding[3:6] = fgo.SLIDING_ANCHOR_VAR[mode]
+        priors = {False: np.diag(initial_covariance(layout)), True: sliding}
+        for k, (e, pos) in enumerate(zip(epochs, truth), start=1):
+            state = layout.zeros()
+            state[0:3] = pos
+            w.push(e, state, np.zeros(3))
+            w.anchor()
+            kept = k if window is BATCH else min(k, window + 1)
+            assert list(w.epochs) == epochs[k - kept : k]
+            assert w.slid == (k > kept)
+            assert np.array_equal(w.prior_var, priors[k > kept])
+            assert np.array_equal(w.prior_value, w.slots["state"][0])
+        assert w.slid == (window is not BATCH)
 
     def test_lc_window_never_prices_pseudoranges(self, monkeypatch):
         epochs, _ = toy_epochs(4)
         cfg = RunConfig(estimator="fgo-lc", window=2)
         est = FgoEstimator(cfg, LC)
+        forces = record_forces(est)
         for e in epochs:
             est.step(e)
 
@@ -722,7 +766,7 @@ class TestSlidingWindow:
             raise AssertionError("pseudorange kernel called on a window without rows")
 
         monkeypatch.setattr("gnssins.fgo.pseudorange_rows", no_rows)
-        window = scratch_window(window_history(est.window), cfg, LC)
+        window = scratch_window(window_history(est.window, forces), cfg, LC, slid=True)
         window.normal_equations(window.initial_values)
         window.cost(window.initial_values)
 

@@ -105,6 +105,11 @@ class TestRunEstimator:
         with pytest.raises(ValueError, match="window"):
             RunConfig(estimator=estimator, window=window)
 
+    @pytest.mark.parametrize("steps", [0, -3, 2.5, 100.0, True, "100"])
+    def test_ekf_predict_steps_must_be_at_least_one(self, steps):
+        with pytest.raises(ValueError, match=f"ekf_predict_steps.*{steps!r}"):
+            RunConfig(estimator="ekf-lc", ekf_predict_steps=steps)
+
 
 @pytest.mark.parametrize("estimator", ESTIMATORS)
 def test_stepping_directly_gives_the_records(noise_free_ds, estimator):
@@ -144,6 +149,35 @@ def test_filter_covariance_scales_with_cov_scale(estimator, scale, seed):
         assert np.max(np.abs(a.state[POS] - b.state[POS])) <= 1e-6
         want = scale * base.belief.cov
         assert np.linalg.norm(scaled.belief.cov - want) <= 1e-9 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("estimator", ["ekf-lc", "ekf-tc"])
+def test_filter_process_noise_spans_each_epoch(estimator, monkeypatch):
+    # at 2 Hz the sub-steps split half a second, not one; the noise is
+    # accumulated once for the run's one epoch length
+    ds = simulate(replace(default_canyon_config(99), duration_s=5.0, gnss_rate_hz=2.0))
+    layout = StateLayout() if estimator == "ekf-lc" else dataset_layout(ds)
+    noises, accumulated = [], []
+    predict, accumulate = harness.ekf.predict, harness.ekf.accumulated_process_noise
+
+    def recorded(belief, accel, dt, noise):
+        noises.append((dt, noise))
+        return predict(belief, accel, dt, noise)
+
+    def counted(*args):
+        accumulated.append(args)
+        return accumulate(*args)
+
+    monkeypatch.setattr(harness.ekf, "predict", recorded)
+    monkeypatch.setattr(harness.ekf, "accumulated_process_noise", counted)
+    run_estimator(ds, RunConfig(estimator=estimator, cov_scale=3.0))
+    want = accumulate(layout, 100, 0.5) * 3.0
+    assert len(noises) == len(ds.epochs) - 1 and accumulated == [(layout, 100, 0.5)]
+    for dt, noise in noises:
+        assert dt == 0.5 and np.array_equal(noise, want)
+    # the velocity noise integrates into position over 100 steps of 5 ms
+    assert want[0, 0] / 3.0 == pytest.approx(9.185, abs=1e-3)
+    assert want[0, 3] / 3.0 == pytest.approx(0.557, abs=1e-3)
 
 
 class TestSolveDiagnostics:
