@@ -32,6 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import fgo
 from .frames import (
     EulerAngles,
     Geodetic,
@@ -177,7 +178,7 @@ class SimConfig:
     def ref(self) -> Geodetic:
         return self.waypoints[0].geo
 
-    def mask_elevation_deg(self, az_deg: float, t: float) -> float:
+    def mask_elevation_deg(self, az_deg: float) -> float:
         mask = self.open_sky_min_elevation_deg
         for sector in self.canyon_sectors:
             if sector.contains(az_deg):
@@ -535,7 +536,7 @@ def simulate(cfg: SimConfig) -> Dataset:
         ):
             if el < HARD_HORIZON_RAD:
                 continue
-            mask_deg = cfg.mask_elevation_deg(math.degrees(az), t)
+            mask_deg = cfg.mask_elevation_deg(math.degrees(az))
             el_deg = math.degrees(el)
             if el_deg < floor_deg:
                 continue  # dense cover blocks everything below the floor
@@ -603,8 +604,6 @@ def generate_lc_fixes(
     fix-unavailable. Fixes inherit whatever corruption the pseudoranges
     carry, like a real receiver's output would.
     """
-    from .fgo import single_epoch_wls  # local import to avoid a cycle
-
     weighting = weighting or WeightingParams()
     previous: Optional[np.ndarray] = None
     for epoch in epochs:
@@ -614,7 +613,8 @@ def generate_lc_fixes(
         if len(epoch.sats) < 3 + len(consts) + 1:
             continue
         try:
-            pos, _ = single_epoch_wls(epoch.sats, weighting, initial=previous)
+            # via the module, so a tracer wrapping fgo.single_epoch_wls sees set-up
+            pos, _ = fgo.single_epoch_wls(epoch.sats, weighting, initial=previous)
             hdop = compute_hdop(epoch.sats, pos)
         except (GeometryError, ValueError):
             continue

@@ -81,16 +81,27 @@ def _write_epochs_csv(path: Path, result: RunResult) -> None:
     )
 
 
-def _summary_dict(result: RunResult, window: Optional[int]) -> dict:
+SUMMARY_COLUMNS = ["window", "mean_err_m", "std_err_m", "total_time_s"]
+
+
+def _summary_dict(estimator: str, window: Optional[int | str], summary: dict) -> dict:
+    """A row of summary.json, compare.* and sweep.*: a run's summary, named with units."""
     return {
-        "estimator": result.estimator,
+        "estimator": estimator,
         "window": "batch" if window is None else window,
-        "mean_err_m": result.summary["mean_err"],
-        "std_err_m": result.summary["std_err"],
-        "total_time_s": result.summary["total_time"],
-        "epochs": result.summary["epochs"],
-        "unconverged_epochs": result.summary["unconverged"],
+        "mean_err_m": summary["mean_err"],
+        "std_err_m": summary["std_err"],
+        "total_time_s": summary["total_time"],
+        "epochs": summary["epochs"],
+        "unconverged_epochs": summary["unconverged"],
     }
+
+
+def _write_table(out: Path, name: str, columns: list[str], rows: list[dict]) -> None:
+    """``<name>.csv`` with ``columns`` of the summary rows, ``<name>.json`` with all of them."""
+    write_csv(out / f"{name}.csv", columns, ([r[c] for c in columns] for r in rows))
+    with open(out / f"{name}.json", "w") as fh:
+        json.dump(rows, fh, indent=2)
 
 
 def _load_dataset(args: argparse.Namespace) -> Dataset:
@@ -116,7 +127,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             ),
         )
     with open(out / "summary.json", "w") as fh:
-        json.dump(_summary_dict(result, cfg.window), fh, indent=2)
+        json.dump(_summary_dict(result.estimator, cfg.window, result.summary), fh, indent=2)
     s = result.summary
     print(
         f"{args.estimator}: mean 2D error {s['mean_err']:.3f} m, "
@@ -134,13 +145,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     results = compare(ds, names, RunConfig(window=args.window))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = [_summary_dict(result, args.window) for result in results.values()]
+    rows = [_summary_dict(name, args.window, result.summary) for name, result in results.items()]
     for name, result in results.items():
         _write_epochs_csv(out / f"epochs_{name}.csv", result)
-    columns = ["estimator", "window", "mean_err_m", "std_err_m", "total_time_s"]
-    write_csv(out / "compare.csv", columns, ([r[c] for c in columns] for r in rows))
-    with open(out / "compare.json", "w") as fh:
-        json.dump(rows, fh, indent=2)
+    _write_table(out, "compare", ["estimator", *SUMMARY_COLUMNS], rows)
     width = max(len(r["estimator"]) for r in rows)
     for r in rows:
         print(
@@ -153,19 +161,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     ds = _load_dataset(args)
     sizes = [_parse_window(s.strip()) for s in args.sizes.split(",")]
-    rows = sweep_windows(ds, sizes)
+    rows = [_summary_dict("fgo-tc", r["window"], r) for r in sweep_windows(ds, sizes)]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    columns = ["window", "mean_err", "std_err", "total_time"]
-    write_csv(
-        out / "sweep.csv",
-        ["window", "mean_err_m", "std_err_m", "total_time_s"],
-        ([r[c] for c in columns] for r in rows),
-    )
-    with open(out / "sweep.json", "w") as fh:
-        json.dump(rows, fh, indent=2)
+    _write_table(out, "sweep", SUMMARY_COLUMNS, rows)
     for r in rows:
-        print(f"window {str(r['window']):>5}  mean {r['mean_err']:8.3f} m  std {r['std_err']:8.3f} m")
+        print(f"window {str(r['window']):>5}  mean {r['mean_err_m']:8.3f} m  std {r['std_err_m']:8.3f} m")
     return 0
 
 

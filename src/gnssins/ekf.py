@@ -61,11 +61,7 @@ def default_process_noise(layout: StateLayout) -> np.ndarray:
     return q
 
 
-def accumulated_process_noise(
-    layout: StateLayout,
-    steps: int,
-    dt_total: float = 1.0,
-) -> np.ndarray:
+def accumulated_process_noise(layout: StateLayout, steps: int, dt_total: float) -> np.ndarray:
     """Process noise for one epoch of ``dt_total`` seconds predicted as
     ``steps`` sub-predictions; ``steps`` must be an integer >= 1.
 

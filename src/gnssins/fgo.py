@@ -43,6 +43,7 @@ import numpy as np
 from .ekf import default_process_noise, initial_covariance
 from .frames import body_accel_to_ecef, ecef_to_geodetic
 from .noise_models import (
+    SINGULAR_COND,
     GeometryError,
     SatObservation,
     WeightingParams,
@@ -794,13 +795,18 @@ class EpochWls:
         """Sum of squared whitened pseudorange residuals."""
         return self._whitened(values)[1]
 
-    def normal_equations(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        """Whitened J^T J (upper band storage, full bandwidth), J^T r and cost."""
+    def _gram(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """Whitened J^T J (a full matrix), J^T r and cost."""
         rw, cost, unit = self._whitened(values)
         jw = pseudorange_jacobian(unit, self.clock_col, self.dim) * self.w[:, None]
+        return jw.T @ jw, jw.T @ rw, cost
+
+    def normal_equations(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """Whitened J^T J (upper band storage, full bandwidth), J^T r and cost."""
+        jtj, g, cost = self._gram(values)
         ab = np.zeros((self.dim, self.dim))
-        ab[self._band_at] = (jw.T @ jw)[self._tri]
-        return ab, jw.T @ rw, cost
+        ab[self._band_at] = jtj[self._tri]
+        return ab, g, cost
 
 
 def single_epoch_wls(
@@ -812,13 +818,17 @@ def single_epoch_wls(
     """Weighted least-squares position/clock solve from one epoch of pseudoranges.
 
     Returns the ECEF position and one clock bias per constellation present.
-    Raises GeometryError when there are too few satellites for the unknowns
-    or the solve does not converge.
+    Raises GeometryError when there are too few satellites for the unknowns,
+    the solve does not converge, or it stops where J^T J is singular.
     """
     problem = EpochWls(sats, weighting, initial)
     report = solve_lm(problem, lm or LmConfig())
     if not report.converged:
         raise GeometryError(f"single-epoch solve did not converge: {report.message}")
+    # from a far start (the Earth's centre) LM can stop "converged" where
+    # J^T J is singular; no fix is unique there
+    if np.linalg.cond(problem._gram(report.values)[0]) > SINGULAR_COND:
+        raise GeometryError("single-epoch solve stopped at singular geometry")
     pos = report.values[0:3].copy()
     clocks = {c: float(report.values[3 + i]) for i, c in enumerate(problem.constellations)}
     return pos, clocks

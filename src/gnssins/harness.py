@@ -3,9 +3,10 @@
 The four configurations are 'ekf-lc', 'ekf-tc', 'fgo-lc' and 'fgo-tc'. Both
 families' steppers (:class:`_EkfRunner`, :class:`fgo.FgoEstimator`) take one
 :class:`RunConfig` and return a :class:`types.StepResult` per epoch. Each run
-yields one record per GNSS epoch (estimate, 2D error, GNSS residual, and the
-step's solve time and diagnostics) plus per-observation raw pseudorange
-residuals for the distribution analyses.
+yields one :class:`residual_analysis.EpochRecord` per GNSS epoch, which is
+that step's whole result plus its score (truth, 2D error, GNSS residual),
+and the per-observation raw pseudorange residuals for the distribution
+analyses.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import ekf
+from . import ekf, residual_analysis
 from .canyon_sim import Dataset, generate_lc_fixes
 # single_epoch_wls is not called here; it stays imported only because the
 # benchmark tracer wraps harness.single_epoch_wls as a call site
@@ -197,30 +198,21 @@ def run_estimator(ds: Dataset, cfg: RunConfig) -> RunResult:
                     ObsResidual(meas.t, sat.sat_id, sat.constellation, value, sat.nlos_truth)
                 )
 
+        # looked up at call time, so a caller that replaces
+        # residual_analysis.error_2d (a tracer or a timing probe) sees every call
+        err_2d = residual_analysis.error_2d(state[POS], ds.truth_pos[k], ds.ref)
+        # a copy of the step's fields: the step's own result stays as it was
         records.append(
             EpochRecord(
+                **{**vars(result), "residuals": raw},
                 epoch=meas.t,
-                est_pos=state[POS].copy(),
                 truth_pos=ds.truth_pos[k].copy(),
-                err_2d=_err2d(ds, state, k),
+                err_2d=err_2d,
                 residual=residual,
-                solve_time=result.solve_time,
-                iterations=result.iterations,
-                cost=result.cost,
-                converged=result.converged,
-                message=result.message,
             )
         )
 
     return RunResult(cfg.estimator, records, obs_residuals, summarize(records))
-
-
-def _err2d(ds: Dataset, state: np.ndarray, k: int) -> float:
-    # looked up at call time, so a caller that replaces
-    # residual_analysis.error_2d (a tracer or a timing probe) sees every call
-    from .residual_analysis import error_2d
-
-    return error_2d(state[POS], ds.truth_pos[k], ds.ref)
 
 
 def compare(

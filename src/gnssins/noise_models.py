@@ -26,6 +26,9 @@ class GeometryError(ValueError):
     """Satellite geometry too degenerate for the requested computation."""
 
 
+SINGULAR_COND = 1e12  # a matrix whose condition number exceeds this is singular
+
+
 @dataclass(frozen=True)
 class WeightingParams:
     """Elevation/SNR weighting constants plus the LC range-error scale.
@@ -161,7 +164,7 @@ def compute_hdop(sats: Sequence[SatObservation], receiver: np.ndarray) -> float:
     g[:, :3] = (los / rng[:, None]) @ enu_rot.T
     g[np.arange(len(sats)), [3 + consts.index(s.constellation) for s in sats]] = 1.0
     gtg = g.T @ g
-    if np.linalg.cond(gtg) > 1e12:
+    if np.linalg.cond(gtg) > SINGULAR_COND:
         raise GeometryError("singular satellite geometry")
     cov = np.linalg.inv(gtg)
     return math.sqrt(cov[0, 0] + cov[1, 1])

@@ -14,31 +14,30 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .frames import Geodetic, rotation_global_from_local
 from .noise_models import SatObservation, pseudorange_rows, stack_pseudoranges
-from .types import POS, StateLayout
+from .types import POS, StateLayout, StepResult
 
 
-@dataclass
-class EpochRecord:
-    """One epoch of estimator output paired with truth, and the solve's
-    diagnostics: LM iterations, final cost, converged flag and stop reason,
-    taken from the epoch's :class:`types.StepResult` (a filter's defaults)."""
+@dataclass(kw_only=True)
+class EpochRecord(StepResult):
+    """One epoch's whole :class:`types.StepResult` scored against truth, so a
+    field added to ``StepResult`` reaches the records. ``residuals`` holds the
+    epoch's raw pseudorange residuals at ``state`` (None for LC); ``residual``
+    is its scalar GNSS residual, NaN when the epoch had nothing to score."""
 
     epoch: float
-    est_pos: np.ndarray
     truth_pos: np.ndarray
     err_2d: float
     residual: float
-    solve_time: float
-    iterations: int = 0
-    cost: float = math.nan
-    converged: bool = True
-    message: str = ""
+
+    @property
+    def est_pos(self) -> np.ndarray:
+        return self.state[POS]
 
 
 @functools.lru_cache(maxsize=1)
@@ -92,25 +91,22 @@ class GmmModel:
     ll_trace: list[float] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class GmmConfig:
-    tol: float = 1e-6
-    max_iters: int = 200
-    std_floor: float = 1e-3
+GMM_TOL = 1e-6  # EM stops once the log-likelihood moves less than this
+GMM_MAX_ITERS = 200
+GMM_STD_FLOOR = 1e-3  # no component's standard deviation falls below this
 
 
 def _log_gaussian(x: np.ndarray, mean: float, std: float) -> np.ndarray:
     return -0.5 * ((x - mean) / std) ** 2 - math.log(std) - 0.5 * math.log(2.0 * math.pi)
 
 
-def fit_gmm(samples: Iterable[float], k: int, cfg: Optional[GmmConfig] = None) -> GmmModel:
+def fit_gmm(samples: Iterable[float], k: int) -> GmmModel:
     """Fit a k-component Gaussian mixture by EM.
 
     Initialization is deterministic: means at the k mid-quantiles, a shared
     global standard deviation and uniform weights. Component standard
-    deviations are floored at ``cfg.std_floor``.
+    deviations are floored at ``GMM_STD_FLOOR``.
     """
-    cfg = cfg or GmmConfig()
     x = np.sort(np.asarray(list(samples), dtype=float))
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -119,11 +115,11 @@ def fit_gmm(samples: Iterable[float], k: int, cfg: Optional[GmmConfig] = None) -
     n = x.size
 
     means = np.quantile(x, [(i + 0.5) / k for i in range(k)])
-    stds = np.full(k, max(float(np.std(x)), cfg.std_floor))
+    stds = np.full(k, max(float(np.std(x)), GMM_STD_FLOOR))
     weights = np.full(k, 1.0 / k)
 
     trace: list[float] = []
-    for _ in range(cfg.max_iters):
+    for _ in range(GMM_MAX_ITERS):
         # E step in log space
         log_resp = np.stack(
             [math.log(weights[j]) + _log_gaussian(x, means[j], stds[j]) for j in range(k)]
@@ -138,9 +134,9 @@ def fit_gmm(samples: Iterable[float], k: int, cfg: Optional[GmmConfig] = None) -
         weights = nj / n
         means = (resp @ x) / nj
         var = (resp @ (x**2)) / nj - means**2
-        stds = np.maximum(np.sqrt(np.maximum(var, 0.0)), cfg.std_floor)
+        stds = np.maximum(np.sqrt(np.maximum(var, 0.0)), GMM_STD_FLOOR)
 
-        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < cfg.tol:
+        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < GMM_TOL:
             break
 
     order = np.argsort(means)

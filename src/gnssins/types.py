@@ -91,7 +91,8 @@ class EpochMeasurements:
 class StepResult:
     """One epoch's estimate from either family's ``step``, with the solve's
     diagnostics: LM iterations, final cost, converged flag and stop reason.
-    The defaults are a filter step's, which solves nothing iteratively."""
+    The defaults are a filter step's, which solves nothing iteratively.
+    A run's records (:class:`residual_analysis.EpochRecord`) extend it."""
 
     state: np.ndarray
     solve_time: float  # seconds spent in the whole step

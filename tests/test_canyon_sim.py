@@ -192,7 +192,7 @@ class TestSimulate:
         cfg = small_canyon()
         for k, epoch in enumerate(ds.epochs):
             for sat in epoch.sats:
-                mask = cfg.mask_elevation_deg(math.degrees(sat.azimuth), epoch.t)
+                mask = cfg.mask_elevation_deg(math.degrees(sat.azimuth))
                 if sat.nlos_truth:
                     assert math.degrees(sat.elevation) < mask
                 else:
@@ -304,7 +304,7 @@ def scalar_observations(cfg, ds):
             az, el = azimuth_elevation(sat_pos, ds.truth_pos[k])
             if el < HARD_HORIZON_RAD:
                 continue
-            mask_deg = cfg.mask_elevation_deg(math.degrees(az), t)
+            mask_deg = cfg.mask_elevation_deg(math.degrees(az))
             el_deg = math.degrees(el)
             if el_deg < cfg.block_floor_deg(t):
                 continue

@@ -180,6 +180,10 @@ class TestCompareSweepGmm:
         assert code == 0
         rows = json.loads((out / "sweep.json").read_text())
         assert [r["window"] for r in rows] == [1, 5, "batch"]
+        # the keys of summary.json and compare.json
+        keys = ["estimator", "window", "mean_err_m", "std_err_m", "total_time_s", "epochs",
+                "unconverged_epochs"]
+        assert all(list(r) == keys and r["estimator"] == "fgo-tc" for r in rows)
 
     def test_fit_gmm_on_residuals(self, dataset_dir, tmp_path):
         run_dir = tmp_path / "run_gmm"
@@ -209,7 +213,6 @@ class TestCompareSweepGmm:
 
 def test_usage_error_exit_code():
     assert run_cli("run", "--estimator", "fgo-tc") == 2
-    assert run_cli() == 2 if False else True  # argparse requires a subcommand
 
 
 def test_missing_subcommand_is_usage_error():

@@ -297,4 +297,4 @@ def test_accumulated_process_noise_rejects_a_step_count_below_one(steps):
     from gnssins.ekf import accumulated_process_noise
 
     with pytest.raises(ValueError, match=f"steps.*{steps!r}"):
-        accumulated_process_noise(TC, steps)
+        accumulated_process_noise(TC, steps, 1.0)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import TOY_CLOCKS, toy_epochs
@@ -24,6 +24,7 @@ from gnssins.fgo import (
 from gnssins.ekf import default_process_noise, initial_covariance
 from gnssins.harness import RunConfig
 from gnssins.noise_models import (
+    SINGULAR_COND,
     GeometryError,
     SatObservation,
     WeightingParams,
@@ -241,6 +242,11 @@ def solve_or_geometry_error(problem, lm):
         return GeometryError
 
 
+def singular(problem, x):
+    """Whether ``problem``'s J^T J at ``x`` is singular by ``compute_hdop``'s bound."""
+    return np.linalg.cond(dense_from_band(problem.normal_equations(x)[0])) > SINGULAR_COND
+
+
 def gradient_cosine(problem, x):
     """The largest cosine of ``LmConfig.gtol``'s gradient test at ``x``."""
     ab, g, cost = problem.normal_equations(x)
@@ -256,6 +262,8 @@ class TestStackedWlsMatchesClosureBlocks:
         max_iters=st.sampled_from([1, 2, 100]),
         seed=st.integers(0, 2**32 - 1),
     )
+    # from the Earth's centre both solves stop where J^T J is singular
+    @example(n_sats=4, mixed=False, start="none", max_iters=100, seed=5416)
     def test_same_equations_solution_and_errors(self, n_sats, mixed, start, max_iters, seed):
         rng = np.random.default_rng(seed)
         epochs, truth = toy_epochs(1, pr_noise=rng.normal(scale=3.0, size=(1, 8)))
@@ -303,6 +311,12 @@ class TestStackedWlsMatchesClosureBlocks:
             # holds; only a cosine within rounding of gtol may decide it apart
             assert max_iters < 100
             assert lm.gtol / 3 < gradient_cosine(oracle, ref.values) < 3 * lm.gtol
+            return
+        if ref.converged and singular(oracle, ref.values):
+            # no unique solution: the two solves may stop apart (6 mm at the
+            # pinned example), and the WLS must refuse to return either
+            with pytest.raises(GeometryError, match="singular"):
+                single_epoch_wls(sats, weighting, initial, lm)
             return
         # iterates of a cut solve are mid-path, where the large first steps
         # from the Earth's centre magnify rounding (measured up to 3e-10)

@@ -122,7 +122,10 @@ def test_stepping_directly_gives_the_records(noise_free_ds, estimator):
     for meas, record in zip(noise_free_ds.epochs, records):
         result = stepper.step(meas)
         assert isinstance(result, StepResult)
+        assert np.array_equal(result.state, record.state)
         assert np.array_equal(result.state[POS], record.est_pos)
+        if cfg.coupling == "lc":
+            assert record.residuals is None
         diagnostics = ("iterations", "converged", "message")
         assert [getattr(result, f) for f in diagnostics] == [getattr(record, f) for f in diagnostics]
         assert result.cost == record.cost or (math.isnan(result.cost) and math.isnan(record.cost))
@@ -326,6 +329,7 @@ def assert_scored_at_the_returned_state(ds, result, steps):
             continue
         raw = pseudorange_residuals(meas.sats, step.state, layout)
         assert record.residual == tc_residual(raw)
+        assert np.array_equal(record.residuals, raw)
         for sat, value in zip(meas.sats, raw.tolist()):
             o = next(obs)
             assert (o.epoch, o.sat_id, o.residual) == (meas.t, sat.sat_id, value)

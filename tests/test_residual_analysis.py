@@ -10,7 +10,7 @@ from gnssins.frames import Geodetic, geodetic_to_ecef, rotation_global_from_loca
 from gnssins.noise_models import SatObservation
 from gnssins.residual_analysis import (
     EpochRecord,
-    GmmConfig,
+    GMM_STD_FLOOR,
     error_2d,
     fit_gmm,
     lc_residual,
@@ -194,8 +194,8 @@ class TestFitGmm:
 
     def test_std_floor_applied(self):
         samples = np.array([0.0, 0.0, 0.0, 1e-9, 5.0])
-        model = fit_gmm(samples, 2, GmmConfig(std_floor=1e-3))
-        assert all(c.std >= 1e-3 for c in model.components)
+        model = fit_gmm(samples, 2)
+        assert all(c.std >= GMM_STD_FLOOR for c in model.components)
 
     def test_too_few_distinct_samples(self):
         with pytest.raises(ValueError):
@@ -206,7 +206,10 @@ class TestSummarize:
     def make_records(self, errs, times=None):
         times = times if times is not None else [0.0] * len(errs)
         return [
-            EpochRecord(float(i), np.zeros(3), np.zeros(3), e, 0.0, t)
+            EpochRecord(
+                state=np.zeros(9), solve_time=t, epoch=float(i), truth_pos=np.zeros(3), err_2d=e,
+                residual=0.0,
+            )
             for i, (e, t) in enumerate(zip(errs, times))
         ]
 
@@ -242,7 +245,10 @@ def test_window_sweep_rows(monkeypatch):
         assert cfg.estimator == "fgo-tc"
         n = 5 if cfg.window is None else int(cfg.window)
         records = [
-            EpochRecord(float(i), np.zeros(3), np.zeros(3), float(n), 0.0, 0.001)
+            EpochRecord(
+                state=np.zeros(9), solve_time=0.001, epoch=float(i), truth_pos=np.zeros(3),
+                err_2d=float(n), residual=0.0,
+            )
             for i in range(10)
         ]
         return harness.RunResult(cfg.estimator, records, [], summarize(records))
