@@ -43,8 +43,7 @@ from .frames import (
     global_to_local_array,
     rotation_global_from_local,
 )
-from .noise_models import GeometryError, SatObservation, WeightingParams, compute_hdop
-from .residual_analysis import GmmComponent, GmmModel
+from .noise_models import GmmComponent, GmmModel, SatObservation, WeightingParams, compute_hdop
 from .types import Constellation, EpochMeasurements
 
 MEO_RADIUS_M = 26_560e3
@@ -600,7 +599,8 @@ def generate_lc_fixes(
 ) -> None:
     """Fill per-epoch LC fixes by single-epoch weighted least squares.
 
-    Epochs with too few satellites (or degenerate geometry) are left
+    Epochs with too few satellites to overdetermine a fix
+    (:func:`fgo.overdetermined`) or with degenerate geometry are left
     fix-unavailable. Fixes inherit whatever corruption the pseudoranges
     carry, like a real receiver's output would.
     """
@@ -609,14 +609,13 @@ def generate_lc_fixes(
     for epoch in epochs:
         epoch.fix_pos = None
         epoch.fix_hdop = None
-        consts = {s.constellation for s in epoch.sats}
-        if len(epoch.sats) < 3 + len(consts) + 1:
+        if not fgo.overdetermined(epoch.sats):
             continue
         try:
             # via the module, so a tracer wrapping fgo.single_epoch_wls sees set-up
             pos, _ = fgo.single_epoch_wls(epoch.sats, weighting, initial=previous)
             hdop = compute_hdop(epoch.sats, pos)
-        except (GeometryError, ValueError):
+        except ValueError:  # GeometryError among them
             continue
         epoch.fix_pos = pos
         epoch.fix_hdop = hdop
@@ -921,8 +920,15 @@ def read_dataset(in_dir: Path) -> Dataset:
             )
         )
 
-    rate = imu_t.size / (truth_t.size * dt) if truth_t.size else 100.0
-    samples_per_epoch = int(round(rate * dt))
+    # epoch k averages the IMU rows since epoch k - 1, as simulate writes
+    # them: the same number per epoch, the last of them at epoch k's time
+    n = truth_t.size
+    samples_per_epoch = imu_t.size // n if n else 0
+    if n and (samples_per_epoch < 1 or samples_per_epoch * n != imu_t.size):
+        raise ValueError(f"imu.csv: {imu_t.size} rows do not split evenly into {n} epochs")
+    ends = imu_t[samples_per_epoch * np.arange(1, n) - 1]
+    if not np.all(np.abs(ends - truth_t[1:]) <= 1e-6 * dt):
+        raise ValueError("imu.csv: an epoch's last IMU sample is not at the epoch's time")
     epochs = [
         _assemble_epoch(k, float(t), dt, sats_by_epoch[k], imu_accel, imu_attitude, samples_per_epoch)
         for k, t in enumerate(truth_t)

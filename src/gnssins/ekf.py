@@ -3,7 +3,9 @@
 The state is position, velocity and accelerometer bias in ECEF, plus one
 receiver clock bias per constellation in the tightly coupled variant. The
 prediction follows a constant-velocity model driven by the epoch's ECEF
-specific force; bias and clock biases propagate as constants.
+specific force; bias and clock biases propagate as constants. The process
+noise and the initial covariance come from :mod:`noise_models`, which the
+factor graph reads too.
 """
 
 from __future__ import annotations
@@ -16,15 +18,13 @@ import numpy as np
 from .noise_models import (
     GeometryError,
     SatObservation,
-    ins_cov,
-    motion_model_cov,
+    default_process_noise,
+    initial_covariance,  # the filter's callers start it from ekf.initial_covariance
     pseudorange_jacobian,
     pseudorange_rows,
     stack_pseudoranges,
 )
-from .types import BIAS, POS, VEL, StateLayout, is_count
-
-CLOCK_RW_SIGMA = 5.0  # receiver clock random walk, meters per epoch
+from .types import POS, VEL, StateLayout, is_count
 
 
 @dataclass
@@ -41,24 +41,6 @@ class BeliefState:
         n = self.layout.dim
         if self.mean.shape != (n,) or self.cov.shape != (n, n):
             raise ValueError("belief dimensions do not match layout")
-
-
-def default_process_noise(layout: StateLayout) -> np.ndarray:
-    """Per-epoch process noise diagonal.
-
-    Position and bias blocks are the motion-model factor variances, the
-    velocity block the INS factor variances, and clock biases random-walk
-    with ``CLOCK_RW_SIGMA`` meters per epoch. The factor graph's edges use
-    this same diagonal.
-    """
-    mm = motion_model_cov()
-    q = np.empty(layout.dim)
-    q[POS] = mm[:3]
-    q[VEL] = ins_cov()
-    q[BIAS] = mm[3:]
-    if layout.has_clock:
-        q[layout.clock_slice()] = CLOCK_RW_SIGMA**2
-    return q
 
 
 def accumulated_process_noise(layout: StateLayout, steps: int, dt_total: float) -> np.ndarray:
@@ -85,17 +67,6 @@ def accumulated_process_noise(layout: StateLayout, steps: int, dt_total: float) 
         out[axis, 3 + axis] += qv[axis] * dt_s * sum_k
         out[3 + axis, axis] += qv[axis] * dt_s * sum_k
     return out
-
-
-def initial_covariance(layout: StateLayout) -> np.ndarray:
-    """Diagonal covariance for a freshly initialized filter."""
-    p = np.empty(layout.dim)
-    p[POS] = 100.0
-    p[VEL] = 10.0
-    p[BIAS] = 1e-2
-    if layout.has_clock:
-        p[layout.clock_slice()] = 100.0**2
-    return np.diag(p)
 
 
 def _symmetrize(p: np.ndarray) -> np.ndarray:

@@ -8,12 +8,14 @@ one pseudorange factor per satellite (TC). The oldest in-window state is
 anchored with a prior at its previously optimized value; window size 1 keeps
 the current and last epochs only, while batch mode keeps everything.
 
-The edges use the filter's per-epoch process noise and the trajectory's first
-state the filter's initial covariance (:mod:`ekf`), so the two families share
-one set of noise constants. Once the window slides, the anchor's position and
-velocity variances depend on the coupling (:data:`SLIDING_ANCHOR_VAR`). Both
-families start from :func:`initial_state`, seed velocity from
-:func:`position_seed` and weight LC fixes by :func:`fix_hdop`.
+The edges carry the per-epoch process noise the filter predicts with, and the
+trajectory's first state the filter's initial covariance; both come from
+:mod:`noise_models`, so the two families share one set of noise constants.
+Once the window slides, the anchor's position and velocity variances depend
+on the coupling (:data:`SLIDING_ANCHOR_VAR`). Both families start from
+:func:`initial_state`, seed velocity from :func:`position_seed` and weight LC
+fixes by :func:`fix_hdop`; the seed, like the simulator's LC fixes, is taken
+only from an :func:`overdetermined` epoch.
 
 The estimator keeps one :class:`FactorWindow`, its only epoch history, and
 :func:`build_window` slides it an epoch at a time. The window builds each
@@ -40,7 +42,6 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .ekf import default_process_noise, initial_covariance
 from .frames import body_accel_to_ecef, ecef_to_geodetic
 from .noise_models import (
     SINGULAR_COND,
@@ -48,6 +49,8 @@ from .noise_models import (
     SatObservation,
     WeightingParams,
     compute_hdop,
+    default_process_noise,
+    initial_covariance,
     lc_fix_covariance,
     pseudorange_jacobian,
     pseudorange_rows,
@@ -540,8 +543,6 @@ class FactorWindow:
         # are still zero
         if self.n > 1:
             dt = float(meas.dt)
-            if dt <= 0:
-                raise ValueError("dt must be positive")
             if dt != self._edge_terms[0]:
                 jac = self._jac_eye.copy()
                 jac[self._pos_vel] = -dt
@@ -834,6 +835,14 @@ def single_epoch_wls(
     return pos, clocks
 
 
+def overdetermined(sats: Sequence[SatObservation]) -> bool:
+    """Whether one epoch's satellites outnumber the unknowns of its fix, a
+    position and one clock per constellation. An exactly determined epoch can
+    converge to another root of the range equations, so a fix or a velocity
+    seed is taken only from an overdetermined one."""
+    return len(sats) > 3 + len(constellations_present(sats))
+
+
 def initial_state(
     meas: EpochMeasurements, mode: str, layout: StateLayout, weighting: WeightingParams
 ) -> np.ndarray:
@@ -862,12 +871,12 @@ def position_seed(
 ) -> Optional[np.ndarray]:
     """Position of the second epoch for the two-point velocity seed.
 
-    The LC fix, or for TC a single-epoch WLS started at ``prev_pos`` when at
-    least five satellites are in view; None when the epoch gives neither.
+    The LC fix, or for TC a single-epoch WLS started at ``prev_pos`` when the
+    epoch is :func:`overdetermined`; None when the epoch gives neither.
     """
     if mode == "lc":
         return np.asarray(meas.fix_pos, dtype=float) if meas.fix_available else None
-    if len(meas.sats) < 5:
+    if not overdetermined(meas.sats):
         return None
     try:
         pos, _ = single_epoch_wls(meas.sats, weighting, initial=prev_pos)

@@ -115,24 +115,6 @@ class ResidualBlock:
 
     def __post_init__(self) -> None:
         self.sqrt_info = np.asarray(self.sqrt_info, dtype=float)
-        # diagonal whitening is by far the common case; cache the diagonal
-        # so the solver can whiten with elementwise products
-        if self.sqrt_info.ndim == 2 and np.count_nonzero(
-            self.sqrt_info - np.diag(np.diagonal(self.sqrt_info))
-        ) == 0:
-            self._diag_info = np.diagonal(self.sqrt_info).copy()
-        else:
-            self._diag_info = None
-
-    def whiten_residual(self, r: np.ndarray) -> np.ndarray:
-        if self._diag_info is not None:
-            return self._diag_info * r
-        return self.sqrt_info @ r
-
-    def whiten_jacobian(self, j: np.ndarray) -> np.ndarray:
-        if self._diag_info is not None:
-            return self._diag_info[:, None] * j
-        return self.sqrt_info @ j
 
 
 @dataclass
@@ -174,7 +156,7 @@ class NlsProblem:
         parts = self.split(values)
         cost = 0.0
         for block in self.blocks:
-            rw = block.whiten_residual(block.fn(*[parts[i] for i in block.state_indices]))
+            rw = block.sqrt_info @ block.fn(*[parts[i] for i in block.state_indices])
             cost += float(rw @ rw)
         if not np.isfinite(cost):
             _raise_nonfinite(self, parts)
@@ -190,9 +172,9 @@ class NlsProblem:
         for block in self.blocks:
             states = [parts[i] for i in block.state_indices]
             jacs = _block_jacobians(block, states)
-            rw = block.whiten_residual(block.fn(*states))
+            rw = block.sqrt_info @ block.fn(*states)
             cost += float(rw @ rw)
-            jws = [block.whiten_jacobian(j) for j in jacs]
+            jws = [block.sqrt_info @ j for j in jacs]
             for a, ia in enumerate(block.state_indices):
                 sl_a = slice(self.offsets[ia], self.offsets[ia + 1])
                 g[sl_a] += jws[a].T @ rw

@@ -1,9 +1,12 @@
-"""Measurement covariance models.
+"""The noise model both estimator families read.
 
 Loosely coupled position fixes are weighted by HDOP times a user-equivalent
 range error; tightly coupled pseudoranges are weighted per satellite from
 elevation and SNR. The process-side factor covariances (motion model, INS)
-are fixed diagonals taken from the inertial unit specification.
+are fixed diagonals taken from the inertial unit specification. Both
+estimator families read the per-epoch process noise and the first state's
+covariance from here, and the NLOS error is a :class:`GmmModel` that the
+simulator draws from and the residual analysis fits.
 
 The pseudorange model itself, :func:`pseudorange_rows`, lives here too, next
 to the observation type it reads, so that the filter, the factor graph and
@@ -13,13 +16,13 @@ the residual analysis all evaluate the same one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .frames import ecef_to_geodetic, rotation_global_from_local
-from .types import Constellation, constellations_present
+from .types import BIAS, POS, VEL, Constellation, StateLayout, constellations_present
 
 
 class GeometryError(ValueError):
@@ -27,6 +30,7 @@ class GeometryError(ValueError):
 
 
 SINGULAR_COND = 1e12  # a matrix whose condition number exceeds this is singular
+CLOCK_RW_SIGMA = 5.0  # receiver clock random walk, meters per epoch
 
 
 @dataclass(frozen=True)
@@ -207,3 +211,47 @@ def motion_model_cov() -> np.ndarray:
 def ins_cov() -> np.ndarray:
     """INS velocity-factor variances ((m/s)^2)."""
     return np.array([0.15**2] * 3)
+
+
+def default_process_noise(layout: StateLayout) -> np.ndarray:
+    """Per-epoch process noise diagonal.
+
+    Position and bias blocks are the motion-model factor variances, the
+    velocity block the INS factor variances, and clock biases random-walk
+    with ``CLOCK_RW_SIGMA`` meters per epoch. The filter predicts with this
+    diagonal and the factor graph's edges carry it.
+    """
+    mm = motion_model_cov()
+    q = np.empty(layout.dim)
+    q[POS] = mm[:3]
+    q[VEL] = ins_cov()
+    q[BIAS] = mm[3:]
+    if layout.has_clock:
+        q[layout.clock_slice()] = CLOCK_RW_SIGMA**2
+    return q
+
+
+def initial_covariance(layout: StateLayout) -> np.ndarray:
+    """Diagonal covariance of a trajectory's first state, for both families."""
+    p = np.empty(layout.dim)
+    p[POS] = 100.0
+    p[VEL] = 10.0
+    p[BIAS] = 1e-2
+    if layout.has_clock:
+        p[layout.clock_slice()] = 100.0**2
+    return np.diag(p)
+
+
+@dataclass(frozen=True)
+class GmmComponent:
+    weight: float
+    mean: float
+    std: float
+
+
+@dataclass
+class GmmModel:
+    """Weighted 1-D Gaussian mixture, components sorted by mean."""
+
+    components: tuple[GmmComponent, ...]
+    ll_trace: list[float] = field(default_factory=list)

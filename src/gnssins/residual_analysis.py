@@ -4,8 +4,9 @@ The 2D error follows the evaluation convention of scoring only the east and
 north components in the local frame. Residuals compare measurements with the
 optimized state: the LC residual is the norm of the position innovation, the
 TC residual the signed mean of raw pseudorange residuals. Residual and error
-samples are characterized with a 1-D Gaussian mixture fitted by
-expectation-maximization with deterministic quantile initialization.
+samples are characterized with a 1-D Gaussian mixture (the
+:class:`noise_models.GmmModel` the simulator draws NLOS errors from) fitted
+by expectation-maximization with deterministic quantile initialization.
 """
 
 from __future__ import annotations
@@ -13,13 +14,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .frames import Geodetic, rotation_global_from_local
-from .noise_models import SatObservation, pseudorange_rows, stack_pseudoranges
+from .noise_models import GmmComponent, GmmModel, SatObservation, pseudorange_rows, stack_pseudoranges
 from .types import POS, StateLayout, StepResult
 
 
@@ -74,21 +75,6 @@ def tc_residual(residuals: np.ndarray) -> float:
     if len(residuals) == 0:
         raise ValueError("no pseudorange residuals")
     return float(residuals.sum()) / len(residuals)
-
-
-@dataclass(frozen=True)
-class GmmComponent:
-    weight: float
-    mean: float
-    std: float
-
-
-@dataclass
-class GmmModel:
-    """Weighted 1-D Gaussian mixture, components sorted by mean."""
-
-    components: tuple[GmmComponent, ...]
-    ll_trace: list[float] = field(default_factory=list)
 
 
 GMM_TOL = 1e-6  # EM stops once the log-likelihood moves less than this

@@ -71,7 +71,9 @@ class EpochMeasurements:
     ``accel_body_mean`` is the epoch-averaged raw specific force in the body
     frame (bias not removed); ``attitude`` is the AHRS attitude for the epoch.
     ``sats`` drive tightly coupled updates; ``fix_pos``/``fix_hdop`` drive
-    loosely coupled updates and are None when no fix is available.
+    loosely coupled updates and are None when no fix is available. A
+    non-finite input, or a ``dt`` or fix HDOP that is not positive, is
+    rejected here, naming the epoch's time.
     """
 
     t: float
@@ -81,6 +83,28 @@ class EpochMeasurements:
     sats: list = field(default_factory=list)
     fix_pos: Optional[np.ndarray] = None
     fix_hdop: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        where = f"epoch at t={self.t}"
+        if not math.isfinite(self.t):
+            raise ValueError(f"{where}: non-finite time")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"{where}: dt {self.dt} is not finite and positive")
+        self.accel_body_mean = np.asarray(self.accel_body_mean, dtype=float)
+        if self.accel_body_mean.shape != (3,) or not np.isfinite(self.accel_body_mean).all():
+            raise ValueError(
+                f"{where}: specific force {self.accel_body_mean} is not three finite numbers"
+            )
+        att = self.attitude
+        if not all(map(math.isfinite, (att.yaw, att.pitch, att.roll))):
+            raise ValueError(f"{where}: non-finite attitude {att}")
+        if self.fix_pos is None:
+            return
+        self.fix_pos = np.asarray(self.fix_pos, dtype=float)
+        if self.fix_pos.shape != (3,) or not np.isfinite(self.fix_pos).all():
+            raise ValueError(f"{where}: fix {self.fix_pos} is not three finite numbers")
+        if self.fix_hdop is not None and not (math.isfinite(self.fix_hdop) and self.fix_hdop > 0):
+            raise ValueError(f"{where}: fix HDOP {self.fix_hdop} is not finite and positive")
 
     @property
     def fix_available(self) -> bool:

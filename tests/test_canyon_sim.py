@@ -544,6 +544,28 @@ class TestPersistence:
         out = str(tmp_path / "run")
         assert main(["run", "--dataset", str(tmp_path), "--estimator", "ekf-tc", "--out", out]) == 1
 
+    @pytest.mark.parametrize("dropped", [2, 5])
+    def test_imu_rows_must_split_into_the_epochs(self, tmp_path, dropped):
+        # 5 epochs of 100 rows each: 498 rows give no whole share per epoch,
+        # and 495 give 99 per epoch, whose shares end off the epochs' times
+        write_dataset(simulate(small_canyon(seed=5, duration=5.0)), tmp_path)
+        lines = (tmp_path / "imu.csv").read_text().splitlines()
+        assert len(lines) == 1 + 500
+        (tmp_path / "imu.csv").write_text("\n".join(lines[:-dropped]) + "\n")
+        with pytest.raises(ValueError, match="imu.csv"):
+            read_dataset(tmp_path)
+
+    def test_nan_imu_sample_rejected_on_read(self, tmp_path):
+        write_dataset(simulate(small_canyon(seed=5, duration=5.0)), tmp_path)
+        lines = (tmp_path / "imu.csv").read_text().splitlines()
+        # row 150 is sample 149, which epoch 2 averages
+        row = lines[150].split(",")
+        row[lines[0].split(",").index("fy")] = "nan"
+        lines[150] = ",".join(row)
+        (tmp_path / "imu.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="t=2.0: specific force"):
+            read_dataset(tmp_path)
+
     def test_gnss_row_must_match_an_epoch(self, tmp_path):
         write_dataset(simulate(small_canyon(seed=5, duration=5.0)), tmp_path)
         with open(tmp_path / "gnss.csv") as fh:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import TOY_CLOCKS, toy_epochs
 from gnssins import fgo
+from gnssins.canyon_sim import generate_lc_fixes
 from gnssins.fgo import (
     BATCH,
     EpochWls,
@@ -42,7 +44,7 @@ from gnssins.nls_solver import (
     solve_lm,
     sqrt_info_from_cov_diag,
 )
-from gnssins.types import VEL, Constellation, StateLayout
+from gnssins.types import VEL, Constellation, StateLayout, constellations_present
 
 TC = StateLayout((Constellation.GPS, Constellation.BEIDOU))
 LC = StateLayout()
@@ -194,6 +196,28 @@ class TestSingleEpochWls:
         epochs, _ = toy_epochs(1)
         with pytest.raises(GeometryError):
             single_epoch_wls(epochs[0].sats[:4], WeightingParams())
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_exactly_determined_epoch_gives_no_seed_and_no_fix(mixed):
+    """Five satellites overdetermine a GPS-only fix (4 unknowns) but exactly
+    determine a GPS+BeiDou one (5 unknowns), which can converge to another
+    root; neither the velocity seed nor the simulator's LC fix takes it."""
+    same_clock = {c: TOY_CLOCKS[Constellation.GPS] for c in TOY_CLOCKS}
+    epochs, truth = toy_epochs(2, clock_offsets=same_clock, n_sats=5)
+    if not mixed:
+        for e in epochs:
+            e.sats = [dataclasses.replace(s, constellation=Constellation.GPS) for s in e.sats]
+    assert len(constellations_present(epochs[1].sats)) == (2 if mixed else 1)
+    assert fgo.overdetermined(epochs[1].sats) is not mixed
+    seed = fgo.position_seed(epochs[1], "tc", WeightingParams(), truth[0])
+    generate_lc_fixes(epochs)
+    if mixed:
+        assert seed is None
+        assert not any(e.fix_available for e in epochs)
+    else:
+        assert np.linalg.norm(seed - truth[1]) < 1e-6
+        assert all(np.linalg.norm(e.fix_pos - x) < 1e-6 for e, x in zip(epochs, truth))
 
 
 def closure_wls_problem(sats, weighting, initial=None):

@@ -1,10 +1,16 @@
-"""Importing gnssins must not load scipy.linalg and the packages it brings.
+"""What importing gnssins loads, and which of its modules import which.
 
+Importing gnssins must not load scipy.linalg and the packages it brings.
 ``nls_solver`` calls LAPACK's ``dpbsv`` in scipy's bundled OpenBLAS through
 ctypes. Importing ``scipy.linalg`` instead would add about a quarter of a
 second and a few hundred modules to every process start.
+
+Both estimator families and the simulator read their noise model from
+``noise_models``: the factor graph takes nothing from the filter, and the
+simulator nothing from the residual analysis.
 """
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -29,3 +35,28 @@ def test_import_loads_no_scipy_linalg():
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True
     )
     assert done.stdout.split() == []
+
+
+def gnssins_imports(source: Path) -> set[str]:
+    """The gnssins modules that ``source`` imports, by their name in the package."""
+    names = set()
+    for node in ast.walk(ast.parse(source.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            # spelled absolute: "from . import x" is "from gnssins import x"
+            base = f"gnssins{'.' + node.module if node.module else ''}" if node.level else node.module
+            modules = [f"{base}.{alias.name}" for alias in node.names] if base == "gnssins" else [base]
+        elif isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        else:
+            continue
+        names.update(m.split(".")[1] for m in modules if m.startswith("gnssins."))
+    return names
+
+
+@pytest.mark.parametrize(
+    "module, forbidden", [("fgo", "ekf"), ("canyon_sim", "residual_analysis")]
+)
+def test_layering(module, forbidden):
+    imports = gnssins_imports(Path(gnssins.__file__).parent / f"{module}.py")
+    assert "noise_models" in imports
+    assert forbidden not in imports

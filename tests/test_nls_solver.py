@@ -454,3 +454,53 @@ def test_sqrt_info_matches_inverse_covariance():
     assert np.allclose(s.T @ s, np.diag(1.0 / var), atol=1e-10)
     with pytest.raises(ValueError):
         sqrt_info_from_cov_diag(np.array([1.0, -1.0]))
+
+
+def dense_from_upper_band(ab):
+    u, n = ab.shape[0] - 1, ab.shape[1]
+    h = np.zeros((n, n))
+    for k in range(u + 1):
+        h += np.diag(ab[u - k, k:], k)
+    return h + np.triu(h, 1).T
+
+
+def relative_gap(actual, expected):
+    return np.linalg.norm(np.asarray(actual) - expected) / np.linalg.norm(expected)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_full_sqrt_info_whitens_like_whitening_by_hand(seed):
+    """A block whose sqrt_info is a full matrix gives the cost and normal
+    equations of the same block whitened inside its residual and Jacobian."""
+    rng = np.random.default_rng(seed)
+    dims, m = [2, 3], 4
+    blocks, by_hand = [], []
+    for idx in ((0,), (1,), (0, 1)):
+        mats = [rng.normal(size=(m, dims[i])) for i in idx]
+        target = rng.normal(size=m)
+        a = rng.normal(size=(m, m))
+        sqrt_info = np.linalg.cholesky(np.linalg.inv(a @ a.T + m * np.eye(m))).T
+        assert np.count_nonzero(np.triu(sqrt_info, 1)) > 0
+
+        def fn(*xs, mats=mats, target=target):
+            return sum(mat @ x for mat, x in zip(mats, xs)) - target
+
+        blocks.append(ResidualBlock(idx, m, fn, sqrt_info, jac=lambda *xs, mats=mats: mats))
+        by_hand.append(
+            ResidualBlock(
+                idx,
+                m,
+                lambda *xs, fn=fn, s=sqrt_info: s @ fn(*xs),
+                np.eye(m),
+                jac=lambda *xs, mats=mats, s=sqrt_info: [s @ mat for mat in mats],
+            )
+        )
+    x = rng.normal(size=sum(dims))
+    full = NlsProblem(dims, blocks, x)
+    hand = NlsProblem(dims, by_hand, x)
+    assert full.cost(x) == pytest.approx(hand.cost(x), rel=1e-12)
+    (ab, g, cost), (ab_hand, g_hand, cost_hand) = full.normal_equations(x), hand.normal_equations(x)
+    assert cost == pytest.approx(cost_hand, rel=1e-12)
+    assert relative_gap(dense_from_upper_band(ab), dense_from_upper_band(ab_hand)) <= 1e-12
+    assert relative_gap(g, g_hand) <= 1e-12
