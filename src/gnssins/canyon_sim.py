@@ -816,24 +816,16 @@ def write_dataset(ds: Dataset, out_dir: Path) -> None:
         ["t", "x", "y", "z", "vx", "vy", "vz"]
         + [f"clk_{n}" for n in clock_names]
         + ["yaw", "pitch", "roll"],
-        (
-            [float(ds.truth_t[k])]
-            + [float(v) for v in ds.truth_pos[k]]
-            + [float(v) for v in ds.truth_vel[k]]
-            + [float(ds.truth_clocks[n][k]) for n in clock_names]
-            + [float(v) for v in ds.truth_attitude[k]]
-            for k in range(ds.n_epochs)
+        np.column_stack(
+            [ds.truth_t, ds.truth_pos, ds.truth_vel]
+            + [ds.truth_clocks[n] for n in clock_names]
+            + [ds.truth_attitude]
         ),
     )
     write_csv(
         out_dir / "imu.csv",
         ["t", "fx", "fy", "fz", "yaw", "pitch", "roll"],
-        (
-            [float(ds.imu_t[i])]
-            + [float(v) for v in ds.imu_accel[i]]
-            + [float(v) for v in ds.imu_attitude[i]]
-            for i in range(ds.imu_t.size)
-        ),
+        np.column_stack([ds.imu_t, ds.imu_accel, ds.imu_attitude]),
     )
     write_csv(
         out_dir / "gnss.csv",

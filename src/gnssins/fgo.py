@@ -21,22 +21,21 @@ The estimator keeps one :class:`FactorWindow`, its only epoch history, and
 :func:`build_window` slides it an epoch at a time. The window builds each
 slot straight from the epoch's measurements, and decides alone when its
 oldest slot drops and which prior pins the oldest slot. Its per-slot
-arrays, each slot's state estimate among them, live in fixed-capacity slot
-buffers (Sibley et al., *Sliding Window Filter*, 2010), read through the
-live view ``FactorWindow.slots``, so a slide writes one slot and moves no
-others, and the pseudorange rows are padded per slot so that each slot's
-state is broadcast over its rows. Each anchor rewrites every diagonal
-block of the linear band in one pass. Each point the solver visits is
-priced once: the linearization at an accepted trial reuses the residuals
-its cost computed, and after a slide only the new slot, its edge and the
-prior are priced while the carried slots still sit at their last pricing.
+data, each slot's epoch and state estimate among them, live in
+fixed-capacity slot buffers (Sibley et al., *Sliding Window Filter*, 2010),
+read through the live view ``FactorWindow.slots``, so a slide writes one
+slot and moves no others, and the pseudorange rows are padded per slot so
+that each slot's state is broadcast over its rows. Each anchor rewrites
+every diagonal block of the linear band in one pass. Each point the solver
+visits is priced once: the linearization at an accepted trial reuses the
+residuals its cost computed, and after a slide only the new slot, its edge
+and the prior are priced while the carried slots sit at their last pricing.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from collections import deque
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, Optional
 
@@ -272,26 +271,26 @@ class FactorWindow:
     """The NLS problem of one window, held in slot-major buffers and slid one
     epoch at a time.
 
-    Slot ``k`` is the ``k``-th in-window epoch, whose measurements are
-    ``epochs[k]``; :meth:`push` turns an epoch into its slot, weighting its
-    rows as it writes them. Every factor except the pseudorange is linear:
-    the prior on slot 0, the LC fixes, and the motion, INS and clock-walk
-    factors between consecutive slots. The latter three give one residual
-    entry per state column (motion on position and bias, INS on velocity,
-    clock walk on the clocks), so they are stacked as one
-    ``dim``-row edge residual with the constant Jacobians ``J_prev`` and the
-    identity. Their share of ``J^T J`` is kept in upper band storage with
+    Slot ``k`` is the ``k``-th in-window epoch; :meth:`push` turns an epoch
+    into its slot, weighting its rows as it writes them. Every factor except
+    the pseudorange is linear: the prior on slot 0, the LC fixes, and the
+    motion, INS and clock-walk factors between consecutive slots. The
+    latter three give one residual entry per state column (motion on
+    position and bias, INS on velocity, clock walk on the clocks), so they
+    are stacked as one ``dim``-row edge residual with the constant Jacobians
+    ``J_prev`` and the identity. Their share of ``J^T J`` is kept in upper band storage with
     ``dim`` super-diagonals: ``J^T J`` is block-tridiagonal, and the edge's
     off-diagonal block ``J_prev^T Omega`` has no entry right of the
     diagonal of its ``dim``-square block because ``J_prev`` is upper
     triangular (each edge row depends only on the same or later columns of
     the previous state: position on velocity).
 
-    **Slot buffers.** Every per-slot array lives in a preallocated buffer
-    whose first axis is the buffer slot: the slot's state estimate
-    (``state``), the edge into it (``dt``, what its residual takes from the
-    state difference, and ``edge_block``, the edge's share of the previous
-    slot's diagonal block), the LC fix (``fix_pos``, ``fix_var``, ``fix_w``;
+    **Slot buffers.** Every per-slot datum lives in a preallocated buffer
+    whose first axis is the buffer slot: the slot's epoch (``meas``, an
+    object buffer), its state estimate (``state``), the edge into it
+    (``dt``, what its residual takes from the state difference, and
+    ``edge_block``, the edge's share of the previous slot's diagonal
+    block), the LC fix (``fix_pos``, ``fix_var``, ``fix_w``;
     infinite variance and zero weight without a fix), the TC pseudorange
     rows, the linear band's columns and the last pricing (below). The live
     window is ``n`` consecutive buffer slots from ``_start``, and ``slots``
@@ -325,26 +324,29 @@ class FactorWindow:
     r``, and the upper triangle goes into the band. No sum depends on M, so
     the same slots give the same sums whatever width the rows have reached.
 
-    **One evaluation per point.** The last pricing is kept per slot, beside
-    the slot buffers: each slot's state (``point``), the whitened residual of
-    the edge into it, and its whitened fix residual or its pseudorange rows'
-    compact rows ``[w u | -w e_clock | w r]``. :meth:`cost` and
-    :meth:`normal_equations` at a point equal to the kept one (by value)
-    reuse it: the LM solver's accepted trial is the next point it
-    linearizes. A slide keeps the pricing of the slots it carries. When their
+    **One evaluation per point.** The last pricing is kept in the slot
+    buffers: each slot's state (``point``), the whitened residual of the
+    edge into it, and its whitened fix residual or its pseudorange rows'
+    compact rows ``[w u | -w e_clock | w r]``. A slot's kept pricing stands
+    exactly while its ``point`` row and every earlier one equal the point
+    asked for; a row holds NaN from its slot's push, a widening or the
+    start of a pricing from its slot until a pricing of it completes.
+    :meth:`cost` prices from the first slot whose row differs, so a point
+    equal to the kept one (by value) is not priced again: the LM solver's
+    accepted trial is the next point it linearizes. When the carried slots'
     states still equal the kept point, as they do after a solve whose last
-    trial was accepted, the first pricing after it computes only the new
-    slot, the new edge and the prior (not re-evaluating factors whose
-    variables have not changed, as iSAM2 does: Kaess et al., IJRR 2012);
-    otherwise it prices every slot. Every residual is computed slot by slot
-    and row by row, so a carried pricing equals a fresh one bit for bit.
+    trial was accepted, the first pricing after a slide computes only the
+    new slot, the new edge and the prior (not re-evaluating factors whose
+    variables have not changed, as iSAM2 does: Kaess et al., IJRR 2012).
+    Every residual is computed slot by slot and row by row, so a carried
+    pricing equals a fresh one bit for bit.
     :meth:`newest_residuals` hands on the newest slot's raw pseudorange
     residuals from the last pricing, so that the caller scoring the epoch
     need not evaluate them again.
 
     The window provides what :func:`nls_solver.solve_lm` needs
     (``initial_values``, ``normal_equations``, ``cost``) and what callers of
-    an :class:`NlsProblem` read (``state_dims``, ``total_dim``).
+    an :class:`NlsProblem` read (``total_dim``).
     ``blocks`` lists the same factors as :class:`ResidualBlock` objects, built
     only when indexed: the prior, then motion, INS and clock walk per edge,
     then the fixes, then the pseudoranges.
@@ -354,7 +356,6 @@ class FactorWindow:
         self.cfg = cfg
         self.layout = layout
         d = self.dim = layout.dim
-        self.epochs: deque[EpochMeasurements] = deque()
         # whether the window has dropped a slot, so that slot 0 is no longer
         # the trajectory's first epoch
         self.slid = False
@@ -367,6 +368,8 @@ class FactorWindow:
         self._tc = cfg.coupling == "tc"
         cap = 8 if cfg.window is None else 2 * (cfg.window + 1)
         self._buf = {
+            # each slot's epoch, from which push built the slot
+            "meas": np.empty(cap, dtype=object),
             # each slot's state estimate, where every solve starts
             "state": np.zeros((cap, d)),
             # a column, so that it broadcasts over an edge's state columns
@@ -382,11 +385,10 @@ class FactorWindow:
             # its share of the previous slot's diagonal block
             "edge_block": np.empty((cap, d * (d + 1) // 2)),
             # the last pricing: each slot's state and whitened edge residual
-            "point": np.zeros((cap, d)),
+            "point": np.full((cap, d), np.nan),
             "edge_res": np.zeros((cap, d)),
         }
         if self._tc:
-            self._buf["pr_count"] = np.zeros(cap, dtype=int)
             # at least two rows per slot, so that sums down the slot axis
             # never run over a single column, which numpy sums in another order
             self._buf.update(self._pr_buffers(cap, 2))
@@ -398,10 +400,8 @@ class FactorWindow:
                 # the last pricing's whitened fix residuals
                 fix_res=np.zeros((cap, 3)),
             )
-        # the leading slots whose kept pricing is at their state in "point",
-        # and the cost of the last pricing (None once a slide or an anchor
-        # has changed the window since)
-        self._carried = 0
+        # the cost of the last pricing (None while a pricing runs, and once a
+        # slide or an anchor has changed the window since)
         self._kept_cost: Optional[float] = None
         # the raw residuals of the newest slot's rows at the last pricing
         self._newest_raw = _NONE
@@ -468,10 +468,6 @@ class FactorWindow:
         return out
 
     @property
-    def state_dims(self) -> list[int]:
-        return [self.dim] * self.n
-
-    @property
     def total_dim(self) -> int:
         return self.n * self.dim
 
@@ -479,7 +475,7 @@ class FactorWindow:
     def blocks(self) -> Sequence[ResidualBlock]:
         count = 1 + (self.n - 1) * self._per_edge
         if self._tc:
-            count += int(self.slots["pr_count"].sum())
+            count += sum(len(meas.sats) for meas in self.slots["meas"])
         else:
             count += int(np.isfinite(self.slots["fix_var"][:, 0]).sum())
         return _LazyBlocks(count, self._block)
@@ -508,13 +504,13 @@ class FactorWindow:
 
     def _widen(self, width: int) -> None:
         """Pad every slot's pseudorange rows to ``width``. The kept pricing
-        has no residuals for the new padding, so none of it is carried."""
+        has no residuals for the new padding, so no slot is left priced."""
         buf = self._buf
         old = buf["pr_w"].shape[1]
         for name, arr in self._pr_buffers(len(buf["dt"]), width).items():
             arr[..., :old] = buf[name]
             buf[name] = arr
-        self._carried = 0
+        buf["point"][:] = np.nan
 
     def push(self, meas: EpochMeasurements, state: np.ndarray, accel_ecef: np.ndarray) -> None:
         """Append the epoch ``meas`` as the newest slot, estimated at ``state``
@@ -525,17 +521,16 @@ class FactorWindow:
         self._kept_cost = None
         drop = cfg.window is not None and self.n == cfg.window + 1
         if drop:
-            self.epochs.popleft()
             self.slid = True
             self._start += 1
             self.n -= 1
-            self._carried = max(self._carried - 1, 0)
         if self._start + self.n == len(buf["dt"]):
             self._make_room()
-        self.epochs.append(meas)
         p = self._start + self.n
         self.n += 1
+        buf["meas"][p] = meas
         buf["state"][p] = state
+        buf["point"][p] = np.nan
         band = buf["band"].reshape(len(buf["band"]), -1)
         if drop:
             # the dropped edge's block sat in the new slot 0's columns
@@ -560,7 +555,6 @@ class FactorWindow:
             rows = len(meas.sats)
             if rows > buf["pr_w"].shape[1]:
                 self._widen(rows)
-            buf["pr_count"][p] = rows
             clock = buf["pr_rows"][p, 3:-1]
             clock[:] = 0.0
             if rows:
@@ -604,10 +598,13 @@ class FactorWindow:
         Writes the pricing of those slots and of the edges into them into
         the slot buffers, and the prior's, and returns the window's whitened
         residuals (prior, edges, fixes, pseudoranges) at ``x``; those of
-        slots before ``first`` must already be kept at ``x``.
+        slots before ``first`` must already be kept at ``x``. Slot ``first``
+        reads unpriced until the ``point`` rows are written, last.
         """
         slots, k = self.slots, first
-        slots["point"][k:] = x[k:]
+        point = slots["point"]
+        if k < self.n:
+            point[k, 0] = np.nan
         prior = self._prior_res = self.prior_w * (x[0] - self.prior_value)
         e = max(k - 1, 0)
         edge, sub = slots["edge_res"][e:], slots["edge_sub"][e:]
@@ -619,8 +616,7 @@ class FactorWindow:
             fix = slots["fix_res"][k:]
             np.subtract(slots["fix_pos"][k:], x[k:, 0:3], out=fix)
             fix *= slots["fix_w"][k:]
-            return prior, slots["edge_res"], slots["fix_res"], _NONE
-        if k < self.n:
+        elif k < self.n:
             at = self._clock_at[k:]
             raw, unit = pseudorange_rows(
                 slots["sat_pos"][k:], slots["pseudorange"][k:], at - k * self.dim if k else at, x[k:]
@@ -630,7 +626,10 @@ class FactorWindow:
             rows, w = slots["pr_rows"][k:], slots["pr_w"][k:]
             np.multiply(unit, w[:, None], out=rows[:, 0:3])
             np.multiply(raw, w, out=rows[:, -1])
-        return prior, slots["edge_res"], _NONE, slots["pr_rows"][:, -1]
+        point[k:] = x[k:]
+        if self._tc:
+            return prior, slots["edge_res"], _NONE, slots["pr_rows"][:, -1]
+        return prior, slots["edge_res"], slots["fix_res"], _NONE
 
     @staticmethod
     def _cost(residuals) -> float:
@@ -652,18 +651,17 @@ class FactorWindow:
 
     def cost(self, values: np.ndarray) -> float:
         """Sum of squared whitened residuals at ``values``, with the slot
-        buffers holding its pricing. The leading carried slots are not priced
-        again when every one of them is at its state in ``values``; a point
-        equal to the last one priced is not priced at all."""
+        buffers holding its pricing. Slots are priced from the first whose
+        ``point`` row differs from its state in ``values``; a point equal to
+        the last one priced is not priced at all."""
         x = np.asarray(values, dtype=float).reshape(self.n, self.dim)
-        k = self._carried
-        if k and np.count_nonzero(self.slots["point"][:k] != x[:k]):
-            k = 0
+        differ = (self.slots["point"] != x).ravel()
+        first = int(differ.argmax())
+        k = first // self.dim if differ[first] else self.n
         if k < self.n or self._kept_cost is None:
-            # until the pricing completes, only the slots before k are kept
-            self._carried, self._kept_cost = k, None
-            cost = self._cost(self._whitened(x, k))
-            self._carried, self._kept_cost = self.n, cost
+            # cleared first, so that a pricing that raises keeps no cost
+            self._kept_cost = None
+            self._kept_cost = self._cost(self._whitened(x, k))
         return self._kept_cost
 
     def normal_equations(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -699,11 +697,11 @@ class FactorWindow:
         """Raw pseudorange residuals of the newest slot's rows at ``values``,
         read from the last pricing; None for an LC window, or when that
         pricing was not at the newest slot's state in ``values``."""
-        if not self._tc or self._carried < self.n:
+        if not self._tc or self._kept_cost is None:
             return None
         if np.count_nonzero(self.slots["point"][-1] != np.asarray(values)[-self.dim :]):
             return None
-        return self._newest_raw[: self.slots["pr_count"][-1]].copy()
+        return self._newest_raw[: len(self.slots["meas"][-1].sats)].copy()
 
     def _block(self, i: int) -> ResidualBlock:
         """The ``i``-th factor as a per-block oracle :class:`ResidualBlock`."""
@@ -726,11 +724,10 @@ class FactorWindow:
         if not self._tc:
             k = int(np.flatnonzero(np.isfinite(slots["fix_var"][:, 0]))[i])
             return gnss_fix_factor(k, slots["fix_pos"][k], slots["fix_var"][k], layout)
-        count = slots["pr_count"]
-        ends = np.cumsum(count)
+        ends = np.cumsum([len(meas.sats) for meas in slots["meas"]])
         k = int(np.searchsorted(ends, i, side="right"))
-        j = i - int(ends[k] - count[k])
-        sats = self.epochs[k].sats
+        sats = slots["meas"][k].sats
+        j = i - int(ends[k]) + len(sats)
         sigma2 = tc_covariance(sats, self.cfg.weighting)[j] * self.cfg.cov_scale
         return pseudorange_factor(k, sats[j], sigma2, layout)
 
@@ -916,7 +913,7 @@ class FgoEstimator:
             window.push(meas, state, np.zeros(3))
             return StepResult(state.copy(), time.perf_counter() - t0, message="initialized")
 
-        if meas.t <= window.epochs[-1].t:
+        if meas.t <= window.slots["meas"][-1].t:
             raise ValueError("epochs must arrive in strictly increasing time order")
         prev = window.slots["state"][-1]
         geo = ecef_to_geodetic(prev[POS])

@@ -133,7 +133,10 @@ def ecef_to_geodetic(p: np.ndarray) -> Geodetic:
     if r * r + z * z < MIN_RADIUS_M**2:
         raise ValueError("an ECEF point this near the Earth's centre has no exact geodetic image")
     lat, height = _latitude_height(r, z, math.atan2)
-    return Geodetic(lat, math.atan2(y, x), height)
+    lon = math.atan2(y, x)
+    # atan2 gives -pi on the antimeridian for y = -0.0 and for any y too
+    # small to move it; Geodetic takes that longitude as pi
+    return Geodetic(lat, math.pi if lon == -math.pi else lon, height)
 
 
 def ecef_to_geodetic_array(p: np.ndarray):
@@ -148,7 +151,9 @@ def ecef_to_geodetic_array(p: np.ndarray):
     if np.any(r * r + z * z < MIN_RADIUS_M**2):
         raise ValueError("an ECEF point this near the Earth's centre has no exact geodetic image")
     lat, height = _latitude_height(r, z, np.arctan2)
-    return lat, np.arctan2(y, x), height
+    lon = np.arctan2(y, x)
+    lon[lon == -np.pi] = np.pi
+    return lat, lon, height
 
 
 def global_to_local_array(lat: np.ndarray, lon: np.ndarray, v: np.ndarray) -> np.ndarray:

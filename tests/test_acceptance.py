@@ -404,3 +404,23 @@ def test_criterion_10_relative_timing(canyon_results):
         + ", ".join(f"{k} {v:.2f}s" for k, v in sorted(times.items()))
         + " (fgo-tc > fgo-lc > ekf)",
     )
+
+
+# the north star: mean 2D error in m on the default canyon (seed 99), at
+# window 30 and, for fgo-tc, in batch
+NORTH_STAR_M = {
+    "ekf-lc": 8.487904,
+    "ekf-tc": 7.982316,
+    "fgo-lc": 6.828921,
+    "fgo-tc": 4.728058,
+    "fgo-tc batch": 4.711543,
+}
+
+
+def test_north_star_means(canyon, canyon_results):
+    """Not a criterion: pins the means a change must reproduce or table."""
+    means = {k: v.summary["mean_err"] for k, v in canyon_results.items() if k != "_wall_time"}
+    batch = run_estimator(canyon, RunConfig(estimator="fgo-tc", window=None))
+    means["fgo-tc batch"] = batch.summary["mean_err"]
+    for name, pinned in NORTH_STAR_M.items():
+        assert abs(means[name] - pinned) <= 1e-4, f"{name}: {means[name]:.6f} m, pinned at {pinned} m"

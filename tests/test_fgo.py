@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 
@@ -370,7 +371,7 @@ def record_forces(est):
 def window_history(window, forces):
     """The window's epochs as (measurements, state, specific force) triples,
     oldest first; ``forces`` holds those of every epoch pushed so far."""
-    return list(zip(window.epochs, window.slots["state"].copy(), forces[-window.n :]))
+    return list(zip(window.slots["meas"], window.slots["state"].copy(), forces[-window.n :]))
 
 
 def batch_history(epochs, mode, layout):
@@ -410,7 +411,7 @@ class TestBuildWindow:
         history, layout = self.setup_history(5)
         cfg = RunConfig(estimator="fgo-tc", window=1)
         problem = scratch_window(history, cfg, layout)
-        assert len(problem.state_dims) == 2
+        assert problem.n == 2
         assert self.count(problem, "prior") == 1
         assert self.count(problem, "motion") == 1
         assert self.count(problem, "ins") == 1
@@ -422,7 +423,7 @@ class TestBuildWindow:
         history, layout = self.setup_history(6)
         cfg = RunConfig(estimator="fgo-tc", window=BATCH)
         problem = scratch_window(history, cfg, layout)
-        assert len(problem.state_dims) == 6
+        assert problem.n == 6
         assert self.count(problem, "motion") == 5
         assert self.count(problem, "ins") == 5
         assert self.count(problem, "pseudorange") == sum(len(e.sats) for e, _, _ in history)
@@ -434,7 +435,7 @@ class TestBuildWindow:
         history, layout = self.setup_history(8)
         cfg = RunConfig(estimator="fgo-tc", window=4)
         problem = scratch_window(history, cfg, layout)
-        n_states = len(problem.state_dims)
+        n_states = problem.n
         assert n_states == 5
         n_sats = sum(len(e.sats) for e, _, _ in history[len(history) - n_states :])
         expected = (n_states - 1) * 2 + n_sats + 1
@@ -445,7 +446,7 @@ class TestBuildWindow:
         history, layout = self.setup_history(10)
         for w in (1, 3, 7, BATCH):
             problem = scratch_window(history, RunConfig(estimator="fgo-tc", window=w), layout)
-            n_states = len(problem.state_dims)
+            n_states = problem.n
             assert self.count(problem, "motion") == n_states - 1
             assert self.count(problem, "ins") == n_states - 1
 
@@ -493,10 +494,10 @@ class TestArrayWindowMatchesOracle:
         history = batch_history(epochs, mode, layout)
         cfg = RunConfig(estimator=f"fgo-{mode}", window=window, cov_scale=cov_scale)
         w = scratch_window(history, cfg, layout)
-        assert (len(w.state_dims) < n_epochs) == (slid and window is not BATCH)
+        assert (w.n < n_epochs) == (slid and window is not BATCH)
 
         x = w.initial_values + rng.normal(scale=2.0, size=w.total_dim)
-        oracle = NlsProblem(w.state_dims, list(w.blocks), x)
+        oracle = NlsProblem([w.dim] * w.n, list(w.blocks), x)
         ab, g, cost = w.normal_equations(x)
         ab_ref, g_ref, cost_ref = oracle.normal_equations(x)
         # the oracle's band follows the widest block span (2 * dim - 1
@@ -539,7 +540,7 @@ def assert_same_window(slid, ref):
     """``slid.slots`` is the live view of every slot buffer, and every
     live-slot array of ``slid`` equals ``ref``'s bit for bit; padded rows
     beyond ``ref``'s width hold the padding."""
-    assert slid.epochs == ref.epochs and slid.slid == ref.slid
+    assert list(slid.slots["meas"]) == list(ref.slots["meas"]) and slid.slid == ref.slid
     assert len(slid.blocks) == len(ref.blocks)
     assert slid.slots.keys() == slid._buf.keys()
     for name, view in slid.slots.items():
@@ -548,7 +549,7 @@ def assert_same_window(slid, ref):
     for name in WINDOW_ARRAYS:
         assert np.array_equal(getattr(slid, name), getattr(ref, name)), name
     tc = slid.cfg.coupling == "tc"
-    for name, cols in (SLOT_ARRAYS | ({"pr_count": ...} if tc else LC_ARRAYS)).items():
+    for name, cols in (SLOT_ARRAYS | ({} if tc else LC_ARRAYS)).items():
         assert np.array_equal(slid.slots[name][:, cols], ref.slots[name][:, cols]), name
     if tc:
         width = ref.slots["pr_w"].shape[1]
@@ -746,6 +747,87 @@ class TestSlidingWindow:
         if mode == "tc":
             assert outcomes == {"carried", "widened", "rejected"}
 
+    @settings(max_examples=30, deadline=None)
+    @given(window=st.sampled_from([1, 4, BATCH]), seed=st.integers(0, 2**32 - 1))
+    def test_pricing_that_raises_leaves_nothing_priced(self, window, seed):
+        rng = np.random.default_rng(seed)
+        n_epochs = int(rng.integers(2, 9))
+        epochs, _ = toy_epochs(n_epochs, pr_noise=rng.normal(scale=3.0, size=(n_epochs, 8)))
+        history = batch_history(epochs, "tc", TC)
+        cfg = RunConfig(estimator="fgo-tc", window=window)
+        start = scratch_window(history, cfg, TC)
+        n, d = start.n, start.dim
+        before = start.initial_values + rng.normal(scale=2.0, size=n * d)
+        # moved from a drawn slot on: the failed pricing starts there, and
+        # rewrites the edge into that slot before its pseudoranges raise
+        x = before.reshape(n, d).copy()
+        x[int(rng.integers(n)) :] += rng.normal(scale=2.0, size=d)
+        x = x.ravel()
+
+        def raises(*args):
+            raise GeometryError("pricing interrupted")
+
+        # after the failed pricing, the point it failed at or the one before
+        for point in (x, before):
+            w = scratch_window(history, cfg, TC)
+            w.cost(before)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(fgo, "pseudorange_rows", raises)
+                with pytest.raises(GeometryError):
+                    w.cost(x)
+            assert w.newest_residuals(x) is None
+            fresh = scratch_window(history, cfg, TC)
+            assert_same_equations(w.normal_equations(point), fresh.normal_equations(point))
+            assert w.cost(point) == fresh.cost(point)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        mode=st.sampled_from(["tc", "lc"]),
+        window=st.sampled_from([1, 4]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stale_point_row_does_not_price_a_new_slot(self, mode, window, seed):
+        # a finite window reuses its buffer slots; each epoch is pushed at the
+        # state its buffer slot's point row still holds from an earlier pricing
+        rng = np.random.default_rng(seed)
+        layout = TC if mode == "tc" else LC
+        n_epochs = 4 * (window + 1)
+        epochs, _ = toy_epochs(
+            n_epochs,
+            pr_noise=rng.normal(scale=3.0, size=(n_epochs, 8)),
+            fix_noise=rng.normal(scale=3.0, size=(n_epochs, 3)),
+        )
+        cfg = RunConfig(estimator=f"fgo-{mode}", window=window)
+
+        calls = []
+        kernel = fgo.pseudorange_rows
+
+        def counted(sat_pos, *args):
+            calls.append(len(sat_pos))
+            return kernel(sat_pos, *args)
+
+        w, pushed, reused = FactorWindow(cfg, layout), [], 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fgo, "pseudorange_rows", counted)
+            for meas, state, force in batch_history(epochs, mode, layout):
+                trial = copy.deepcopy(w)
+                trial.push(meas, state, force)
+                stale = w._buf["point"][trial._start + trial.n - 1].copy()
+                if not np.isnan(stale).any():
+                    state, reused = stale, reused + 1
+                pushed.append((meas, state, force))
+                build_window(w, meas, state, force)
+                # the carried slots sit at their kept point, and the new one
+                # at the point its buffer slot last held
+                x = w.initial_values
+                calls.clear()
+                got = w.normal_equations(x)
+                if mode == "tc":
+                    assert calls == [1]
+                ref = scratch_window(pushed, cfg, layout)
+                assert_same_equations(got, ref.normal_equations(x))
+        assert reused > 0
+
     @pytest.mark.parametrize("mode", ["tc", "lc"])
     @pytest.mark.parametrize("window", [1, 3, BATCH])
     def test_estimator_keeps_only_the_history_it_slides(self, mode, window):
@@ -757,13 +839,14 @@ class TestSlidingWindow:
         for k, e in enumerate(epochs, start=1):
             est.step(e)
             kept = k if window is BATCH else min(k, window + 1)
-            assert list(est.window.epochs) == epochs[k - kept : k]
+            assert list(est.window.slots["meas"]) == epochs[k - kept : k]
             assert est.window.slid == (k > kept)
         # the kept history rebuilds the estimator's own window, anchored at
         # the sliding prior once the first epoch has left it
         history = window_history(est.window, forces)
         ref = scratch_window(history, cfg, layout, slid=len(epochs) > kept)
-        assert ref.epochs == est.window.epochs and ref.slid == est.window.slid
+        assert list(ref.slots["meas"]) == list(est.window.slots["meas"])
+        assert ref.slid == est.window.slid
         assert np.array_equal(ref.prior_var, est.window.prior_var)
         x = ref.initial_values
         assert np.array_equal(ref.normal_equations(x)[0], est.window.normal_equations(x)[0])
@@ -786,7 +869,7 @@ class TestSlidingWindow:
             w.push(e, state, np.zeros(3))
             w.anchor()
             kept = k if window is BATCH else min(k, window + 1)
-            assert list(w.epochs) == epochs[k - kept : k]
+            assert list(w.slots["meas"]) == epochs[k - kept : k]
             assert w.slid == (k > kept)
             assert np.array_equal(w.prior_var, priors[k > kept])
             assert np.array_equal(w.prior_value, w.slots["state"][0])

@@ -206,6 +206,18 @@ def test_points_near_the_centre_rejected_in_both_forms(p):
         ecef_to_geodetic_array(np.array([[WGS84_A, 0.0, 0.0], p]))
 
 
+@pytest.mark.parametrize("y", [-0.0, 0.0, -1e-300])
+def test_antimeridian_longitude_is_pi_in_both_forms(y):
+    """atan2 gives -pi for y = -0.0 and for a y too small to move it; the
+    longitude range (-pi, pi] takes the antimeridian as pi."""
+    p = np.array([-WGS84_A, y, 0.0])
+    geo = ecef_to_geodetic(p)
+    lat, lon, height = ecef_to_geodetic_array(p[None])
+    assert geo.lon == lon[0] == math.pi
+    assert (lat[0], height[0]) == pytest.approx((geo.lat, geo.height), abs=1e-9)
+    assert np.linalg.norm(geodetic_to_ecef(geo) - p) <= 1e-8
+
+
 def test_guard_admits_points_just_outside_it():
     p = np.array([0.0, MIN_RADIUS_M * 1.001, 0.0])
     geo = ecef_to_geodetic(p)
