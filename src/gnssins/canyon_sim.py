@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, astuple, dataclass, field, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -165,8 +166,16 @@ class SimConfig:
         steps = round(ratio) if math.isfinite(ratio) else 0
         if steps < 1 or abs(ratio - steps) > 1e-9 * ratio:
             raise ValueError(f"imu_rate_hz / gnss_rate_hz must be a positive integer, got {ratio!r}")
-        if self.los_sigma_m < 0:
-            raise ValueError("los_sigma must be non-negative")
+        non_negative = ("seed", "los_sigma_m", "accel_noise_sigma", "attitude_noise_deg",
+                        "nlos_depth_deg", "snr_los.sigma", "snr_nlos.sigma", "n_satellites",
+                        "n_high_satellites")
+        for name, value in zip(non_negative, attrgetter(*non_negative)(self)):
+            if not value >= 0:
+                raise ValueError(f"{name} must be non-negative, got {value!r}")
+        if not self.max_accel > 0:
+            raise ValueError(f"max_accel must be positive, got {self.max_accel!r}")
+        if not 0.0 <= self.nlos_receive_prob <= 1.0:
+            raise ValueError(f"nlos_receive_prob must lie in [0, 1], got {self.nlos_receive_prob!r}")
         if len(self.waypoints) < 2:
             raise ValueError("need at least two waypoints")
         for s in self.canyon_sectors:

@@ -40,6 +40,17 @@ def _parse_window(text: str) -> Optional[int]:
     return value
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no less than ``low``."""
+
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text}")
+        return int(text)
+
+    return integer
+
+
 def _parse_sizes(text: str) -> list[Optional[int]]:
     return [_parse_window(s.strip()) for s in text.split(",")]
 
@@ -226,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a synthetic dataset")
     p.add_argument("--config", help="simulation config JSON")
     p.add_argument("--preset", choices=["canyon", "noise-free"], default="canyon")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_int_at_least(0), default=None)
     p.add_argument("--out", required=True, help="output dataset directory")
     p.set_defaults(func=cmd_simulate)
 
@@ -253,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit-gmm", help="fit a Gaussian mixture to a CSV column")
     p.add_argument("--csv", required=True)
     p.add_argument("--column", default="residual_m")
-    p.add_argument("-k", type=int, default=3)
+    p.add_argument("-k", type=_int_at_least(1), default=3)
     p.add_argument("--epoch-min", type=float, default=None)
     p.add_argument("--epoch-max", type=float, default=None)
     p.add_argument("--out", default=None)

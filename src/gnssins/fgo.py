@@ -28,8 +28,8 @@ slot and moves no others, and the pseudorange rows are padded per slot so
 that each slot's state is broadcast over its rows. Each anchor rewrites
 every diagonal block of the linear band in one pass. Each point the solver
 visits is priced once: the linearization at an accepted trial reuses the
-residuals its cost computed, and after a slide only the new slot, its edge
-and the prior are priced while the carried slots sit at their last pricing.
+residuals its cost computed. A pricing covers every slot, so the first one
+after a slide prices the whole window anew.
 """
 
 from __future__ import annotations
@@ -219,7 +219,7 @@ def clock_walk_factor(
 ) -> ResidualBlock:
     """Random-walk link between consecutive clock biases, one per constellation."""
     sl = layout.clock_slice()
-    n_clock = layout.dim - 9
+    n_clock = len(layout.constellations)
     j_prev = np.zeros((n_clock, layout.dim))
     j_prev[:, sl] = -np.eye(n_clock)
     j_cur = np.zeros((n_clock, layout.dim))
@@ -324,22 +324,17 @@ class FactorWindow:
     r``, and the upper triangle goes into the band. No sum depends on M, so
     the same slots give the same sums whatever width the rows have reached.
 
-    **One evaluation per point.** The last pricing is kept in the slot
-    buffers: each slot's state (``point``), the whitened residual of the
-    edge into it, and its whitened fix residual or its pseudorange rows'
-    compact rows ``[w u | -w e_clock | w r]``. A slot's kept pricing stands
-    exactly while its ``point`` row and every earlier one equal the point
-    asked for; a row holds NaN from its slot's push, a widening or the
-    start of a pricing from its slot until a pricing of it completes.
-    :meth:`cost` prices from the first slot whose row differs, so a point
-    equal to the kept one (by value) is not priced again: the LM solver's
-    accepted trial is the next point it linearizes. When the carried slots'
-    states still equal the kept point, as they do after a solve whose last
-    trial was accepted, the first pricing after a slide computes only the
-    new slot, the new edge and the prior (not re-evaluating factors whose
-    variables have not changed, as iSAM2 does: Kaess et al., IJRR 2012).
-    Every residual is computed slot by slot and row by row, so a carried
-    pricing equals a fresh one bit for bit.
+    **One evaluation per point.** The last pricing is kept: the point it
+    priced and its cost, and in the slot buffers the whitened residual of
+    each edge and each slot's whitened fix residual or its pseudorange
+    rows' compact rows ``[w u | -w e_clock | w r]``. :meth:`cost` prices
+    every slot or none: a point equal (by value) to the kept one is not
+    priced again, so the LM solver's accepted trial is the next point it
+    linearizes. A push or an anchor drops the kept cost, so the first
+    pricing after a slide prices every slot, carried ones included. Pricing
+    only the factors whose variables changed, as iSAM2 does (Kaess et al.,
+    IJRR 2012), would save little here: a pricing's cost is its numpy calls
+    more than its slots.
     :meth:`newest_residuals` hands on the newest slot's raw pseudorange
     residuals from the last pricing, so that the caller scoring the epoch
     need not evaluate them again.
@@ -384,8 +379,7 @@ class FactorWindow:
             # the upper triangle of J^T Omega J of the edge into each slot:
             # its share of the previous slot's diagonal block
             "edge_block": np.empty((cap, d * (d + 1) // 2)),
-            # the last pricing: each slot's state and whitened edge residual
-            "point": np.full((cap, d), np.nan),
+            # the last pricing's whitened edge residuals
             "edge_res": np.zeros((cap, d)),
         }
         if self._tc:
@@ -400,8 +394,10 @@ class FactorWindow:
                 # the last pricing's whitened fix residuals
                 fix_res=np.zeros((cap, 3)),
             )
-        # the cost of the last pricing (None while a pricing runs, and once a
-        # slide or an anchor has changed the window since)
+        # the point and cost of the last pricing (the cost None while a
+        # pricing runs, and once a slide or an anchor has changed the window
+        # since)
+        self._kept_point: Optional[np.ndarray] = None
         self._kept_cost: Optional[float] = None
         # the raw residuals of the newest slot's rows at the last pricing
         self._newest_raw = _NONE
@@ -459,7 +455,7 @@ class FactorWindow:
 
     def _pr_buffers(self, cap: int, width: int) -> dict[str, np.ndarray]:
         """Pseudorange slot buffers of ``width`` rows per slot, all padding."""
-        n_clock = self.dim - 9
+        n_clock = len(self.layout.constellations)
         out = {name: np.full((cap, width), fill) for name, fill in _PR_PAD.items()}
         out["sat_pos"] = np.full((cap, 3, width), _PR_PAD["sat_pos"])
         # each row's [w u | -w e_clock | w r] as a column: the clock part is
@@ -503,14 +499,12 @@ class FactorWindow:
         self._start = 0
 
     def _widen(self, width: int) -> None:
-        """Pad every slot's pseudorange rows to ``width``. The kept pricing
-        has no residuals for the new padding, so no slot is left priced."""
+        """Pad every slot's pseudorange rows to ``width``."""
         buf = self._buf
         old = buf["pr_w"].shape[1]
         for name, arr in self._pr_buffers(len(buf["dt"]), width).items():
             arr[..., :old] = buf[name]
             buf[name] = arr
-        buf["point"][:] = np.nan
 
     def push(self, meas: EpochMeasurements, state: np.ndarray, accel_ecef: np.ndarray) -> None:
         """Append the epoch ``meas`` as the newest slot, estimated at ``state``
@@ -530,7 +524,6 @@ class FactorWindow:
         self.n += 1
         buf["meas"][p] = meas
         buf["state"][p] = state
-        buf["point"][p] = np.nan
         band = buf["band"].reshape(len(buf["band"]), -1)
         if drop:
             # the dropped edge's block sat in the new slot 0's columns
@@ -592,44 +585,32 @@ class FactorWindow:
         slots["band"].reshape(self.n, -1)[:, self._tri_band] = blocks
         self.initial_values = slots["state"].flatten()
 
-    def _whitened(self, x: np.ndarray, first: int = 0):
-        """Price the ``(n, dim)`` states ``x`` from slot ``first`` on.
+    def _whitened(self, x: np.ndarray):
+        """Price the ``(n, dim)`` states ``x``.
 
-        Writes the pricing of those slots and of the edges into them into
-        the slot buffers, and the prior's, and returns the window's whitened
-        residuals (prior, edges, fixes, pseudoranges) at ``x``; those of
-        slots before ``first`` must already be kept at ``x``. Slot ``first``
-        reads unpriced until the ``point`` rows are written, last.
+        Writes the pricing of every slot and of the edges into them into the
+        slot buffers, and the prior's, and returns the window's whitened
+        residuals (prior, edges, fixes, pseudoranges) at ``x``.
         """
-        slots, k = self.slots, first
-        point = slots["point"]
-        if k < self.n:
-            point[k, 0] = np.nan
+        slots = self.slots
         prior = self._prior_res = self.prior_w * (x[0] - self.prior_value)
-        e = max(k - 1, 0)
-        edge, sub = slots["edge_res"][e:], slots["edge_sub"][e:]
-        np.multiply(x[e:-1, VEL], slots["dt"][e:], out=sub[:, POS])
-        np.subtract(x[e + 1 :], x[e:-1], out=edge)
+        edge, sub = slots["edge_res"], slots["edge_sub"]
+        np.multiply(x[:-1, VEL], slots["dt"], out=sub[:, POS])
+        np.subtract(x[1:], x[:-1], out=edge)
         edge -= sub
         edge *= self.edge_w
         if not self._tc:
-            fix = slots["fix_res"][k:]
-            np.subtract(slots["fix_pos"][k:], x[k:, 0:3], out=fix)
-            fix *= slots["fix_w"][k:]
-        elif k < self.n:
-            at = self._clock_at[k:]
-            raw, unit = pseudorange_rows(
-                slots["sat_pos"][k:], slots["pseudorange"][k:], at - k * self.dim if k else at, x[k:]
-            )
-            # the newest slot's raw residuals, which only the caller reads
-            self._newest_raw = raw[-1]
-            rows, w = slots["pr_rows"][k:], slots["pr_w"][k:]
-            np.multiply(unit, w[:, None], out=rows[:, 0:3])
-            np.multiply(raw, w, out=rows[:, -1])
-        point[k:] = x[k:]
-        if self._tc:
-            return prior, slots["edge_res"], _NONE, slots["pr_rows"][:, -1]
-        return prior, slots["edge_res"], slots["fix_res"], _NONE
+            fix = slots["fix_res"]
+            np.subtract(slots["fix_pos"], x[:, 0:3], out=fix)
+            fix *= slots["fix_w"]
+            return prior, edge, fix, _NONE
+        raw, unit = pseudorange_rows(slots["sat_pos"], slots["pseudorange"], self._clock_at, x)
+        # the newest slot's raw residuals, which only the caller reads
+        self._newest_raw = raw[-1]
+        rows, w = slots["pr_rows"], slots["pr_w"]
+        np.multiply(unit, w[:, None], out=rows[:, 0:3])
+        np.multiply(raw, w, out=rows[:, -1])
+        return prior, edge, _NONE, rows[:, -1]
 
     @staticmethod
     def _cost(residuals) -> float:
@@ -651,17 +632,14 @@ class FactorWindow:
 
     def cost(self, values: np.ndarray) -> float:
         """Sum of squared whitened residuals at ``values``, with the slot
-        buffers holding its pricing. Slots are priced from the first whose
-        ``point`` row differs from its state in ``values``; a point equal to
-        the last one priced is not priced at all."""
+        buffers holding its pricing. Every slot is priced, unless ``values``
+        equals the point last priced: then none is."""
         x = np.asarray(values, dtype=float).reshape(self.n, self.dim)
-        differ = (self.slots["point"] != x).ravel()
-        first = int(differ.argmax())
-        k = first // self.dim if differ[first] else self.n
-        if k < self.n or self._kept_cost is None:
+        if self._kept_cost is None or not np.array_equal(x, self._kept_point):
             # cleared first, so that a pricing that raises keeps no cost
             self._kept_cost = None
-            self._kept_cost = self._cost(self._whitened(x, k))
+            cost = self._cost(self._whitened(x))
+            self._kept_point, self._kept_cost = x.copy(), cost
         return self._kept_cost
 
     def normal_equations(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -699,7 +677,7 @@ class FactorWindow:
         pricing was not at the newest slot's state in ``values``."""
         if not self._tc or self._kept_cost is None:
             return None
-        if np.count_nonzero(self.slots["point"][-1] != np.asarray(values)[-self.dim :]):
+        if not np.array_equal(self._kept_point[-1], np.asarray(values)[-self.dim :]):
             return None
         return self._newest_raw[: len(self.slots["meas"][-1].sats)].copy()
 
@@ -719,7 +697,8 @@ class FactorWindow:
             if kind == 1:
                 accel = slots["edge_sub"][edge, VEL] / dt
                 return ins_factor(k - 1, k, accel, dt, edge_var[VEL], layout)
-            return clock_walk_factor(k - 1, k, math.sqrt(edge_var[9]), layout)
+            clock_var = edge_var[layout.clock_slice().start]
+            return clock_walk_factor(k - 1, k, math.sqrt(clock_var), layout)
         i -= n_edge_blocks
         if not self._tc:
             k = int(np.flatnonzero(np.isfinite(slots["fix_var"][:, 0]))[i])

@@ -643,6 +643,29 @@ def test_invalid_configs_rejected():
             waypoints=[Waypoint(ref, 5.0), Waypoint(Geodetic.from_degrees(22.4, 114.2), 5.0)],
             canyon_sectors=[MaskSector(0, 90, 95.0)],
         )
+    # each out-of-range scenario value is named: none is simulated silently
+    # (a noise-free IMU, every masked satellite received, no tracks) or fails
+    # deep inside the simulator
+    base = noise_free_config(duration_s=10.0)
+    for name, value in [
+        ("seed", -1),
+        ("los_sigma_m", -0.5),
+        ("max_accel", 0.0),
+        ("max_accel", -1.5),
+        ("accel_noise_sigma", -0.1),
+        ("attitude_noise_deg", -0.1),
+        ("nlos_depth_deg", -1.0),
+        ("nlos_receive_prob", 1.5),
+        ("nlos_receive_prob", -0.1),
+        ("nlos_receive_prob", float("nan")),
+        ("n_satellites", -1),
+        ("n_high_satellites", -1),
+    ]:
+        with pytest.raises(ValueError, match=name):
+            replace(base, **{name: value})
+    for name in ("snr_los", "snr_nlos"):
+        with pytest.raises(ValueError, match=f"{name}.sigma"):
+            replace(base, **{name: SnrModel(40.0, -1.0)})
 
 
 @pytest.mark.parametrize(

@@ -93,6 +93,31 @@ class TestSimulate:
         code = run_cli("simulate", "--config", str(bad), "--out", str(tmp_path / "out"))
         assert code == 1
 
+    def test_out_of_range_scenario_value_exits_1(self, tmp_path, capsys):
+        # once a ZeroDivisionError traceback from the trajectory builder
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**config_to_dict(noise_free_config()), "max_accel": 0}))
+        code = run_cli("simulate", "--config", str(bad), "--out", str(tmp_path / "out"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines() == [err.splitlines()[-1]]
+        assert err.startswith("error:") and "max_accel" in err
+
+    @pytest.mark.parametrize("seed", ["-1", "abc", "1.5"])
+    def test_bad_seed_is_usage_error(self, tmp_path, capsys, seed):
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--preset", "noise-free", "--seed", seed, "--out", str(out)) == 2
+        assert_usage_error(capsys.readouterr().err, "--seed")
+        assert not out.exists()
+
+
+def assert_usage_error(err, option):
+    """argparse's usage error, one ``error:`` line naming ``option``, last."""
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
+    assert option in err.splitlines()[-1]
+
 
 class TestRun:
     def test_run_outputs(self, dataset_dir, tmp_path):
@@ -191,10 +216,7 @@ class TestCompareSweepGmm:
         out = tmp_path / "sweep"
         code = run_cli("sweep", "--dataset", str(dataset_dir), "--sizes", sizes, "--out", str(out))
         assert code == 2
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
-        assert "--sizes" in err.splitlines()[-1]
+        assert_usage_error(capsys.readouterr().err, "--sizes")
         assert not list(tmp_path.rglob("sweep.*"))
 
     def test_fit_gmm_on_residuals(self, dataset_dir, tmp_path):
@@ -213,6 +235,54 @@ class TestCompareSweepGmm:
         assert len(model["components"]) == 2
         weights = sum(c["weight"] for c in model["components"])
         assert weights == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("k", ["0", "-2", "two"])
+    def test_bad_component_count_is_usage_error(self, dataset_dir, tmp_path, capsys, k):
+        out = tmp_path / "gmm"
+        code = run_cli(
+            "fit-gmm", "--csv", str(dataset_dir / "gnss.csv"), "--column", "range_error_m",
+            "-k", k, "--out", str(out),
+        )
+        assert code == 2
+        assert_usage_error(capsys.readouterr().err, "-k")
+        assert not out.exists()
+
+    def test_fit_gmm_epoch_filter(self, dataset_dir, tmp_path):
+        run_dir = tmp_path / "run"
+        assert run_cli(
+            "run", "--dataset", str(dataset_dir), "--estimator", "fgo-tc",
+            "--window", "5", "--out", str(run_dir),
+        ) == 0
+        sweep_dir = tmp_path / "sweep"
+        assert run_cli(
+            "sweep", "--dataset", str(dataset_dir), "--sizes", "1", "--out", str(sweep_dir)
+        ) == 0
+        # a run's residuals.csv keys its rows by "epoch", a dataset's gnss.csv by "t"
+        for csv, column, key in [
+            (run_dir / "residuals.csv", "residual_m", "epoch"),
+            (dataset_dir / "gnss.csv", "range_error_m", "t"),
+        ]:
+            table = np.genfromtxt(csv, delimiter=",", names=True)
+            values, epochs = table[column], table[key]
+            for lo, hi in [(5.0, 15.0), (None, 9.0), (12.0, None)]:
+                out = tmp_path / f"gmm_{key}_{lo}_{hi}"
+                argv = ["fit-gmm", "--csv", str(csv), "--column", column, "-k", "1", "--out", str(out)]
+                kept = np.isfinite(values)
+                if lo is not None:
+                    argv += ["--epoch-min", str(lo)]
+                    kept &= epochs >= lo
+                if hi is not None:
+                    argv += ["--epoch-max", str(hi)]
+                    kept &= epochs <= hi
+                assert run_cli(*argv) == 0
+                samples = json.loads((out / "gmm.json").read_text())["samples"]
+                assert 0 < samples == int(kept.sum()) < np.isfinite(values).sum()
+        # sweep.csv has neither column to filter by
+        code = run_cli(
+            "fit-gmm", "--csv", str(sweep_dir / "sweep.csv"), "--column", "mean_err_m",
+            "--epoch-min", "1",
+        )
+        assert code == 2
 
     def test_fit_gmm_missing_column(self, dataset_dir, tmp_path):
         run_dir = tmp_path / "run_gmm2"
