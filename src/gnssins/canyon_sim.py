@@ -13,8 +13,9 @@ elevation: satellites above the mask are LOS, satellites within
 is blocked entirely. Optional deep intervals raise every mask for a time
 span to emulate driving under dense high-rise cover.
 
-Geometry is computed in bulk: the IMU specific force for all samples at
-once, and satellite positions, azimuths, elevations and ranges for the whole
+Everything else is computed once, in bulk: the trajectory at the IMU sample
+edges, each epoch's IMU input (``_epoch_imu``), truth attitude and clocks, and
+satellite positions, azimuths, elevations and ranges for the whole
 epochs-by-tracks grid (``satellite_ecef_grid``, ``azimuth_elevation_grid``;
 their per-pair scalar references live in the tests).
 The per-(epoch, track) loop then only applies the masks and draws the noise,
@@ -93,7 +94,7 @@ class ClockModel:
     bias_m: float
     drift_mps: float
 
-    def at(self, t: float) -> float:
+    def at(self, t):
         return self.bias_m + self.drift_mps * t
 
 
@@ -160,6 +161,12 @@ class SimConfig:
             raise ValueError("duration must be positive")
         if self.imu_rate_hz <= 0 or self.gnss_rate_hz <= 0:
             raise ValueError("rates must be positive")
+        # simulate's epoch count; a scenario without an epoch has no dataset
+        epochs = self.duration_s * self.gnss_rate_hz
+        if not (math.isfinite(epochs) and round(epochs) >= 1):
+            raise ValueError(
+                f"duration_s {self.duration_s!r} at {self.gnss_rate_hz!r} Hz gives no GNSS epoch"
+            )
         # each epoch averages the IMU samples since the last one, so a whole
         # number of them must fall between epochs
         ratio = self.imu_rate_hz / self.gnss_rate_hz
@@ -274,13 +281,12 @@ def build_trajectory(cfg: SimConfig) -> list[TrajectoryPiece]:
 
 
 def eval_trajectory(pieces: Sequence[TrajectoryPiece], t: np.ndarray):
-    """Exact ENU position/velocity/acceleration at the given times."""
+    """Exact ENU position and velocity at the given times."""
     t = np.asarray(t, dtype=float)
     starts = np.array([p.t0 for p in pieces])
     idx = np.clip(np.searchsorted(starts, t, side="right") - 1, 0, len(pieces) - 1)
     pos = np.empty((t.size, 3))
     vel = np.empty((t.size, 3))
-    acc = np.empty((t.size, 3))
     for i, piece in enumerate(pieces):
         sel = idx == i
         if not np.any(sel):
@@ -288,8 +294,7 @@ def eval_trajectory(pieces: Sequence[TrajectoryPiece], t: np.ndarray):
         s = (t[sel] - piece.t0)[:, None]
         pos[sel] = piece.p0 + piece.v0 * s + 0.5 * piece.accel * s**2
         vel[sel] = piece.v0 + piece.accel * s
-        acc[sel] = piece.accel
-    return pos, vel, acc
+    return pos, vel
 
 
 # ---------------------------------------------------------------------------
@@ -440,16 +445,16 @@ def _draw_nlos_bias(rng: np.random.Generator, model: GmmModel) -> float:
 def _imu_truth(pieces, imu_t: np.ndarray, rate_hz: float, ref: Geodetic):
     """True yaw and body-frame specific force (no bias, no noise) per IMU sample.
 
-    The specific force is the mean ENU acceleration over the sample, from
-    exact velocity differences, taken into the sample's local frame and then
-    into the body frame by the true yaw (pitch and roll are zero).
+    One trajectory pass at the sample edges ``[0, imu_t]``. The specific force
+    is the mean ENU acceleration over each sample, from exact velocity
+    differences, taken into the sample's local frame and then into the body
+    frame by the true yaw (pitch and roll are zero).
     """
-    edges = np.concatenate(([0.0], imu_t))
-    accel_enu = np.diff(eval_trajectory(pieces, edges)[1], axis=0) * rate_hz
-    pos_mid, vel_mid, _ = eval_trajectory(pieces, imu_t)
-    yaw = np.arctan2(vel_mid[:, 0], vel_mid[:, 1])
+    pos, vel = eval_trajectory(pieces, np.concatenate(([0.0], imu_t)))
+    accel_enu = np.diff(vel, axis=0) * rate_hz
+    yaw = np.arctan2(vel[1:, 0], vel[1:, 1])
     rot_ref = rotation_global_from_local(ref)
-    lat, lon, _ = ecef_to_geodetic_array(geodetic_to_ecef(ref) + pos_mid @ rot_ref.T)
+    lat, lon, _ = ecef_to_geodetic_array(geodetic_to_ecef(ref) + pos[1:] @ rot_ref.T)
     a_local = global_to_local_array(lat, lon, accel_enu @ rot_ref.T)
     cy, sy = np.cos(yaw), np.sin(yaw)
     force = np.column_stack(
@@ -462,26 +467,16 @@ def _imu_truth(pieces, imu_t: np.ndarray, rate_hz: float, ref: Geodetic):
     return yaw, force
 
 
-def _assemble_epoch(
-    k: int,
-    t: float,
-    dt: float,
-    sats: list[SatObservation],
-    imu_accel: np.ndarray,
-    imu_attitude: np.ndarray,
-    samples_per_epoch: int,
-) -> EpochMeasurements:
-    """Epoch ``k`` with the mean specific force of the IMU samples since epoch
-    ``k - 1`` and the attitude of the last of them (at epoch 0: zero force
-    and the first sample's attitude)."""
-    if k == 0:
-        accel_mean, attitude = np.zeros(3), imu_attitude[0]
-    else:
-        lo, hi = (k - 1) * samples_per_epoch, k * samples_per_epoch
-        accel_mean, attitude = imu_accel[lo:hi].mean(axis=0), imu_attitude[hi - 1]
-    return EpochMeasurements(
-        t=t, dt=dt, accel_body_mean=accel_mean, attitude=EulerAngles(*attitude), sats=sats
-    )
+def _epoch_imu(imu_accel: np.ndarray, samples_per_epoch: int, *sampled: np.ndarray):
+    """Each epoch's mean specific force over the IMU samples since the epoch
+    before, then each per-sample array of ``sampled`` at the last of them, the
+    sample at the epoch's time. Epoch 0 takes zero force and the first sample.
+    The samples come in whole epochs, the last epoch's after its time."""
+    n_epochs = len(imu_accel) // samples_per_epoch
+    accel = np.zeros((n_epochs, 3))
+    accel[1:] = imu_accel.reshape(n_epochs, samples_per_epoch, 3)[:-1].mean(axis=1)
+    last = np.maximum(samples_per_epoch * np.arange(n_epochs) - 1, 0)
+    return (accel, *(a[last] for a in sampled))
 
 
 def simulate(cfg: SimConfig) -> Dataset:
@@ -499,7 +494,7 @@ def simulate(cfg: SimConfig) -> Dataset:
     n_imu = n_epochs * samples_per_epoch
     imu_t = np.arange(1, n_imu + 1) / cfg.imu_rate_hz
 
-    pos_e, vel_e, _ = eval_trajectory(pieces, epoch_t)
+    pos_e, vel_e = eval_trajectory(pieces, epoch_t)
     truth_pos = ref_ecef + (rot_ref @ pos_e.T).T
     truth_vel = (rot_ref @ vel_e.T).T
 
@@ -514,11 +509,10 @@ def simulate(cfg: SimConfig) -> Dataset:
     if cfg.accel_noise_sigma > 0:
         imu_accel += rng.normal(0.0, cfg.accel_noise_sigma, size=(n_imu, 3))
 
+    epoch_accel, epoch_att, epoch_yaw = _epoch_imu(imu_accel, samples_per_epoch, imu_attitude, yaw_true)
+    truth_attitude = np.column_stack((epoch_yaw, np.zeros((n_epochs, 2))))
     tracks = generate_constellation(cfg, rng)
-    clock_series = {
-        name: np.array([model.at(t) for t in epoch_t])
-        for name, model in cfg.clock_models.items()
-    }
+    clock_series = {name: model.at(epoch_t) for name, model in cfg.clock_models.items()}
 
     # geometry of every (epoch, track) pair up front; the loop below only
     # applies the masks and draws, and its (epoch, track) order fixes the
@@ -529,11 +523,8 @@ def simulate(cfg: SimConfig) -> Dataset:
     range_grid = np.sqrt(np.einsum("...i,...i->...", los, los))
 
     epochs: list[EpochMeasurements] = []
-    truth_attitude = np.zeros((n_epochs, 3))
     for k in range(n_epochs):
         t = float(epoch_t[k])
-        truth_attitude[k] = [yaw_true[max(k * samples_per_epoch - 1, 0)], 0.0, 0.0]
-
         floor_deg = cfg.block_floor_deg(t)
         sats: list[SatObservation] = []
         for j, (track, az, el, rho) in enumerate(
@@ -582,9 +573,8 @@ def simulate(cfg: SimConfig) -> Dataset:
                 )
             )
 
-        epochs.append(
-            _assemble_epoch(k, t, 1.0 / cfg.gnss_rate_hz, sats, imu_accel, imu_attitude, samples_per_epoch)
-        )
+        attitude = EulerAngles(*epoch_att[k])
+        epochs.append(EpochMeasurements(t, 1.0 / cfg.gnss_rate_hz, epoch_accel[k], attitude, sats))
 
     return Dataset(
         ref=ref,
@@ -771,10 +761,21 @@ def config_to_dict(cfg: SimConfig) -> dict:
     return out
 
 
+def _non_numbers(value) -> list:
+    """The leaves of a nested JSON value (lists and object values) that are
+    not numbers; a bool counts as none."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [leaf for item in value for leaf in _non_numbers(item)]
+    return [] if isinstance(value, (int, float)) and not isinstance(value, bool) else [value]
+
+
 def config_from_dict(data: dict) -> SimConfig:
     """Inverse of :func:`config_to_dict`. An absent key takes ``SimConfig``'s
-    default; ``waypoints`` is required, and an unknown key or a numeric field
-    whose value is not a number (a bool counts as none) is an error."""
+    default; ``waypoints`` is required, and an unknown key, a numeric field
+    whose value is not a number (a bool counts as none) or a nested value
+    holding anything but numbers is an error."""
     if not isinstance(data, dict):
         raise ValueError("a scenario must be a JSON object")
     unknown = sorted(set(data) - {f.name for f in fields(SimConfig)})
@@ -791,6 +792,8 @@ def config_from_dict(data: dict) -> SimConfig:
             if isinstance(value, bool) or not isinstance(value, kinds):
                 kind = "an integer" if kinds is int else "a number"
                 raise ValueError(f"scenario key {name!r} must be {kind}, got {value!r}")
+        elif bad := _non_numbers(value):
+            raise ValueError(f"scenario key {name!r} must hold only numbers, got {bad[0]!r}")
         try:
             kwargs[name] = _JSON_CODECS[name][1](value) if name in _JSON_CODECS else value
         except (KeyError, TypeError) as exc:
@@ -873,19 +876,41 @@ def write_dataset(ds: Dataset, out_dir: Path) -> None:
     )
 
 
+def read_csv(path: Path) -> dict[str, np.ndarray]:
+    """A headered CSV as text, one array of cells per column: ids stay as
+    written, and a file with no rows still has its header."""
+    table = np.loadtxt(path, delimiter=",", dtype=str, ndmin=2, encoding="utf-8")
+    return dict(zip(table[0].tolist(), table[1:].T))
+
+
+def _read_numbers(path: Path, required: Sequence[str]) -> dict[str, np.ndarray]:
+    """Every column of a headered CSV as floats. A missing ``required`` column
+    or a cell that is not a number is an error that names the file and column."""
+    numbers = {}
+    for name, cells in read_csv(path).items():
+        try:
+            numbers[name] = cells.astype(float)
+        except ValueError:
+            raise ValueError(f"{path.name}: column {name!r} holds a cell that is not a number") from None
+    missing = [name for name in required if name not in numbers]
+    if missing:
+        raise ValueError(f"{path.name}: no column {missing[0]!r}")
+    return numbers
+
+
 def read_dataset(in_dir: Path) -> Dataset:
     """Rebuild a Dataset from the three CSV files."""
     in_dir = Path(in_dir)
-    truth = np.genfromtxt(in_dir / "truth.csv", delimiter=",", names=True)
-    truth = np.atleast_1d(truth)
-    clock_names = [n[4:] for n in truth.dtype.names if n.startswith("clk_")]
+    truth = _read_numbers(in_dir / "truth.csv", "t x y z vx vy vz yaw pitch roll".split())
     truth_t = truth["t"]
+    if not truth_t.size:
+        raise ValueError("truth.csv has no rows")
     truth_pos = np.column_stack([truth["x"], truth["y"], truth["z"]])
     truth_vel = np.column_stack([truth["vx"], truth["vy"], truth["vz"]])
-    truth_clocks = {n: truth[f"clk_{n}"] for n in clock_names}
+    truth_clocks = {n[4:]: truth[n] for n in truth if n.startswith("clk_")}
     truth_attitude = np.column_stack([truth["yaw"], truth["pitch"], truth["roll"]])
 
-    imu = np.atleast_1d(np.genfromtxt(in_dir / "imu.csv", delimiter=",", names=True))
+    imu = _read_numbers(in_dir / "imu.csv", "t fx fy fz yaw pitch roll".split())
     imu_t = imu["t"]
     imu_accel = np.column_stack([imu["fx"], imu["fy"], imu["fz"]])
     imu_attitude = np.column_stack([imu["yaw"], imu["pitch"], imu["roll"]])
@@ -894,9 +919,7 @@ def read_dataset(in_dir: Path) -> Dataset:
     if not (dt > 0 and np.all(np.abs(np.diff(truth_t) - dt) <= 1e-6 * dt)):
         raise ValueError("truth.csv times must increase at one constant step")
 
-    # read as text: ids stay as written, and a file with no rows still has its header
-    table = np.loadtxt(in_dir / "gnss.csv", delimiter=",", dtype=str, ndmin=2, encoding="utf-8")
-    gnss = dict(zip(table[0], table[1:].T))
+    gnss = read_csv(in_dir / "gnss.csv")
     gnss_t = gnss["t"].astype(float)
     epoch_of = np.minimum(np.searchsorted(truth_t, gnss_t), truth_t.size - 1)
     unmatched = truth_t[epoch_of] != gnss_t
@@ -921,16 +944,22 @@ def read_dataset(in_dir: Path) -> Dataset:
     # epoch k averages the IMU rows since epoch k - 1, as simulate writes
     # them: the same number per epoch, the last of them at epoch k's time
     n = truth_t.size
-    samples_per_epoch = imu_t.size // n if n else 0
-    if n and (samples_per_epoch < 1 or samples_per_epoch * n != imu_t.size):
+    samples_per_epoch = imu_t.size // n
+    if samples_per_epoch < 1 or samples_per_epoch * n != imu_t.size:
         raise ValueError(f"imu.csv: {imu_t.size} rows do not split evenly into {n} epochs")
     ends = imu_t[samples_per_epoch * np.arange(1, n) - 1]
     if not np.all(np.abs(ends - truth_t[1:]) <= 1e-6 * dt):
         raise ValueError("imu.csv: an epoch's last IMU sample is not at the epoch's time")
+    epoch_accel, epoch_attitude = _epoch_imu(imu_accel, samples_per_epoch, imu_attitude)
     epochs = [
-        _assemble_epoch(k, float(t), dt, sats_by_epoch[k], imu_accel, imu_attitude, samples_per_epoch)
-        for k, t in enumerate(truth_t)
+        EpochMeasurements(float(t), dt, accel, EulerAngles(*att), sats)
+        for t, accel, att, sats in zip(truth_t, epoch_accel, epoch_attitude, sats_by_epoch)
     ]
+    # after the epochs, which name a non-finite IMU input by its time
+    for path, columns in (("truth.csv", truth), ("imu.csv", imu)):
+        for name, values in columns.items():
+            if not np.isfinite(values).all():
+                raise ValueError(f"{path}: column {name!r} holds a value that is not finite")
 
     ref = ecef_to_geodetic(truth_pos[0])
     return Dataset(

@@ -21,6 +21,7 @@ from .canyon_sim import (
     generate_lc_fixes,
     load_config,
     noise_free_config,
+    read_csv,
     read_dataset,
     simulate,
     write_csv,
@@ -184,21 +185,26 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _numeric_column(table: dict, name: str, path: str) -> np.ndarray:
+    """Column ``name`` of a text table as floats (a ``nan`` cell converts);
+    a column that is missing or holds text is a usage error."""
+    if name not in table:
+        raise UsageError(f"column {name!r} not in {path} (have {tuple(table)})")
+    try:
+        return table[name].astype(float)
+    except ValueError:
+        raise UsageError(f"column {name!r} of {path} is not numeric") from None
+
+
 def cmd_fit_gmm(args: argparse.Namespace) -> int:
-    data = np.genfromtxt(args.csv, delimiter=",", names=True)
-    data = np.atleast_1d(data)
-    if args.column not in (data.dtype.names or ()):
-        raise UsageError(
-            f"column {args.column!r} not in {args.csv} (have {data.dtype.names})"
-        )
-    values = np.asarray(data[args.column], dtype=float)
+    # as text, so that only the columns used must be numbers
+    table = read_csv(Path(args.csv))
+    values = _numeric_column(table, args.column, args.csv)
     if args.epoch_min is not None or args.epoch_max is not None:
-        if "t" in data.dtype.names:
-            epochs = data["t"]
-        elif "epoch" in data.dtype.names:
-            epochs = data["epoch"]
-        else:
+        key = next((k for k in ("t", "epoch") if k in table), None)
+        if key is None:
             raise UsageError("no epoch/t column available for filtering")
+        epochs = _numeric_column(table, key, args.csv)
         mask = np.ones(values.size, dtype=bool)
         if args.epoch_min is not None:
             mask &= epochs >= args.epoch_min

@@ -79,7 +79,7 @@ class TestTrajectory:
         cfg = noise_free_config()
         pieces = build_trajectory(cfg)
         t = np.linspace(1.0, 20.0, 50)
-        _, vel, _ = eval_trajectory(pieces, t)
+        _, vel = eval_trajectory(pieces, t)
         speeds = np.linalg.norm(vel, axis=1)
         assert np.allclose(speeds, cfg.waypoints[0].speed, atol=1e-9)
 
@@ -104,9 +104,9 @@ class TestTrajectory:
         pieces = build_trajectory(cfg)
         h = 1e-3
         for t in (3.0, 11.0, 17.0, 29.0):
-            (p_minus,), _, _ = (x for x in eval_trajectory(pieces, np.array([t - h])))
-            (p_plus,), _, _ = (x for x in eval_trajectory(pieces, np.array([t + h])))
-            _, (v,), _ = eval_trajectory(pieces, np.array([t]))
+            (p_minus,), _ = (x for x in eval_trajectory(pieces, np.array([t - h])))
+            (p_plus,), _ = (x for x in eval_trajectory(pieces, np.array([t + h])))
+            _, (v,) = eval_trajectory(pieces, np.array([t]))
             fd = (p_plus - p_minus) / (2 * h)
             assert np.linalg.norm(fd - v) < 1e-3
 
@@ -114,14 +114,38 @@ class TestTrajectory:
         cfg = small_canyon(duration=200.0)
         pieces = build_trajectory(cfg)
         for a, b in zip(pieces, pieces[1:]):
-            _, (v_end,), _ = eval_trajectory([a], np.array([a.t0 + a.duration]))
-            _, (v_start,), _ = eval_trajectory([b], np.array([b.t0]))
+            _, (v_end,) = eval_trajectory([a], np.array([a.t0 + a.duration]))
+            _, (v_start,) = eval_trajectory([b], np.array([b.t0]))
             assert np.allclose(v_end, v_start, atol=1e-9)
 
     def test_acceleration_bounded(self):
         cfg = small_canyon(duration=250.0)
         for p in build_trajectory(cfg):
             assert np.linalg.norm(p.accel) <= cfg.max_accel + 1e-9
+
+    def test_route_shorter_than_the_run_extends_its_last_leg(self):
+        # the noise-free route is 500 m at 8 m/s, so it ends at 62.5 s of 90
+        cfg = noise_free_config(duration_s=90.0)
+        pieces = build_trajectory(cfg)
+        last = pieces[-1]
+        assert last.t0 == pytest.approx(62.5) and last.t0 + last.duration == pytest.approx(90.0)
+        assert np.array_equal(last.accel, np.zeros(3))
+        leg = pieces[-2].v0
+        assert np.array_equal(last.v0, leg) and np.linalg.norm(leg) == pytest.approx(8.0)
+        ds = simulate(cfg)
+        after = ds.truth_t > 62.5
+        assert after.sum() == 27
+        rot = rotation_global_from_local(cfg.ref)
+        assert np.abs(ds.truth_vel[after] - rot @ leg).max() <= 1e-9
+        steps = np.diff(ds.truth_pos[after], axis=0)
+        assert np.abs(steps - rot @ leg).max() <= 1e-6
+        # the IMU sees the same straight run past the route's end: no force,
+        # the last leg's heading
+        imu_after = ds.imu_t > 62.5
+        assert np.abs(ds.imu_accel[imu_after]).max() <= 1e-9
+        heading = math.atan2(leg[0], leg[1])
+        assert np.abs(ds.imu_attitude[imu_after, 0] - heading).max() <= 1e-12
+        assert np.abs(ds.truth_attitude[after, 0] - heading).max() <= 1e-12
 
     def test_coincident_waypoints_rejected(self):
         ref = Geodetic.from_degrees(22.3, 114.2, 5.0)
@@ -378,9 +402,9 @@ class TestBulkGeometryMatchesScalar:
         ds = simulate(cfg)
         _, att_noise, acc_noise = replay_imu_noise(cfg)
         pieces = build_trajectory(cfg)
-        _, vel_edges, _ = eval_trajectory(pieces, np.concatenate(([0.0], ds.imu_t)))
+        _, vel_edges = eval_trajectory(pieces, np.concatenate(([0.0], ds.imu_t)))
         accel_enu = np.diff(vel_edges, axis=0) * cfg.imu_rate_hz
-        pos_mid, vel_mid, _ = eval_trajectory(pieces, ds.imu_t)
+        pos_mid, vel_mid = eval_trajectory(pieces, ds.imu_t)
         yaw = np.arctan2(vel_mid[:, 0], vel_mid[:, 1])
         rot_ref = rotation_global_from_local(cfg.ref)
         ref_ecef = geodetic_to_ecef(cfg.ref)
@@ -466,9 +490,11 @@ _FIELD_CHANGES = st.fixed_dictionaries(
         "seed": st.integers(0, 2**32 - 1),
     },
 )
+# only scenarios with a GNSS epoch (both presets run at least 60 s);
+# test_invalid_configs_rejected covers the rest
 CONFIG_CHANGES = st.builds(
     lambda changes, rates: {**changes, **rates}, _FIELD_CHANGES, st.one_of(st.just({}), _RATES)
-)
+).filter(lambda c: round(c.get("duration_s", 60.0) * c.get("gnss_rate_hz", 1.0)) >= 1)
 
 
 class TestPersistence:
@@ -583,6 +609,22 @@ class TestPersistence:
         with pytest.raises(ValueError, match="t=2.0: specific force"):
             read_dataset(tmp_path)
 
+    @pytest.mark.parametrize(
+        "name, column, cell",
+        [("truth.csv", "x", "nan"), ("imu.csv", "pitch", "inf"), ("imu.csv", "t", "abc")],
+    )
+    def test_cell_that_is_not_a_finite_number_rejected_on_read(self, tmp_path, name, column, cell):
+        # a sample's pitch that no epoch takes, and every truth value, is
+        # checked by its column (tests/test_cli.py runs text cells end to end)
+        write_dataset(simulate(small_canyon(seed=5, duration=5.0)), tmp_path)
+        lines = (tmp_path / name).read_text().splitlines()
+        row = lines[2].split(",")
+        row[lines[0].split(",").index(column)] = cell
+        lines[2] = ",".join(row)
+        (tmp_path / name).write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"{name}: column '{column}'"):
+            read_dataset(tmp_path)
+
     def test_gnss_row_must_match_an_epoch(self, tmp_path):
         write_dataset(simulate(small_canyon(seed=5, duration=5.0)), tmp_path)
         with open(tmp_path / "gnss.csv") as fh:
@@ -660,6 +702,9 @@ def test_invalid_configs_rejected():
         ("nlos_receive_prob", float("nan")),
         ("n_satellites", -1),
         ("n_high_satellites", -1),
+        # no GNSS epoch at 1 Hz: simulate rounds both to 0 epochs
+        ("duration_s", 0.4),
+        ("duration_s", 0.5),
     ]:
         with pytest.raises(ValueError, match=name):
             replace(base, **{name: value})

@@ -75,14 +75,30 @@ class TestSimulate:
             {"duration_s": "60"},
             {"n_satellites": "14"},
             {"n_satellites": True},
+            # a string inside a nested value: the first four once ended in a
+            # TypeError traceback inside simulate, the last simulated
+            {"deep_intervals": [[1, 2, "x"]]},
+            {"canyon_sectors": [[25.0, "a", 62.0]]},
+            {"clock_models": {"GPS": {"bias_m": "1", "drift_mps": 0}}},
+            {"snr_los": {"mean": "48", "sigma": 2}},
+            {"nlos_model": {"GPS": [[0.5, "1.5", 3.0]]}},
+            list,  # the whole scenario inside a JSON list
         ],
     )
-    def test_bad_scenario_keys_exit_1(self, tmp_path, edit):
-        cfg = {**config_to_dict(noise_free_config()), **edit}
-        cfg = {k: v for k, v in cfg.items() if v is not None}
+    def test_bad_scenario_keys_exit_1(self, tmp_path, capsys, edit):
+        cfg = config_to_dict(noise_free_config())
+        if edit is list:
+            cfg = [cfg]
+        else:
+            cfg = {k: v for k, v in {**cfg, **edit}.items() if v is not None}
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(cfg))
         assert run_cli("simulate", "--config", str(bad), "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        if edit is not list:
+            assert next(iter(edit)) in err
 
     def test_invalid_config_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -170,6 +186,31 @@ class TestRun:
         r2 = np.genfromtxt(tmp_path / "r2" / "epochs.csv", delimiter=",", names=True)
         for col in ("est_x", "est_y", "est_z", "err_2d_m", "residual_m"):
             assert np.array_equal(r1[col], r2[col])
+
+    @pytest.mark.parametrize(
+        "name, column", [("truth.csv", None), ("truth.csv", "x"), ("imu.csv", "fy")]
+    )
+    def test_unreadable_dataset_exits_1(self, dataset_dir, tmp_path, capsys, name, column):
+        # a truth.csv without rows once ended in an IndexError traceback, and
+        # a text cell in truth.csv ran and wrote a NaN mean error
+        ds = tmp_path / "ds"
+        ds.mkdir()
+        for f in ("truth.csv", "imu.csv", "gnss.csv"):
+            (ds / f).write_bytes((dataset_dir / f).read_bytes())
+        lines = (ds / name).read_text().splitlines()
+        if column is None:
+            lines = lines[:1]  # the header alone
+        else:
+            row = lines[1].split(",")
+            row[lines[0].split(",").index(column)] = "abc"
+            lines[1] = ",".join(row)
+        (ds / name).write_text("\n".join(lines) + "\n")
+        out = tmp_path / "run"
+        assert run_cli("run", "--dataset", str(ds), "--estimator", "fgo-tc", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error:") and len(err.splitlines()) == 1 and name in err
+        assert not out.exists()
 
     def test_batch_window(self, dataset_dir, tmp_path):
         code = run_cli(
@@ -283,6 +324,13 @@ class TestCompareSweepGmm:
             "--epoch-min", "1",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("column", ["sat_id", "constellation"])
+    def test_fit_gmm_text_column_is_usage_error(self, dataset_dir, capsys, column):
+        # once read as all NaN: "need at least 3 distinct samples, got 0", exit 1
+        code = run_cli("fit-gmm", "--csv", str(dataset_dir / "gnss.csv"), "--column", column)
+        assert code == 2
+        assert_usage_error(capsys.readouterr().err, column)
 
     def test_fit_gmm_missing_column(self, dataset_dir, tmp_path):
         run_dir = tmp_path / "run_gmm2"

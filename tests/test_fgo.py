@@ -36,9 +36,11 @@ from gnssins.noise_models import (
     tc_covariance,
 )
 from gnssins.nls_solver import (
+    EvaluationError,
     LmConfig,
     NlsProblem,
     ResidualBlock,
+    SolverError,
     numeric_jacobian,
     solve_damped,
     solve_lm,
@@ -755,6 +757,24 @@ class TestSlidingWindow:
             assert np.array_equal(w.prior_value, w.slots["state"][0])
         assert w.slid == (window is not BATCH)
 
+    @pytest.mark.parametrize("mode", ["tc", "lc"])
+    @pytest.mark.parametrize(
+        "slot, label", [(0, "prior"), (-1, "motion/ins/clock_walk")]
+    )
+    def test_nonfinite_state_names_its_factors(self, mode, slot, label):
+        # slot 0 enters the prior first; any later slot only its edges
+        layout = TC if mode == "tc" else LC
+        epochs, _ = toy_epochs(4)
+        cfg = RunConfig(estimator=f"fgo-{mode}", window=3)
+        w = scratch_window(batch_history(epochs, mode, layout), cfg, layout)
+        x = w.initial_values.reshape(w.n, w.dim).copy()
+        w.cost(x.ravel())
+        x[slot, 0] = np.nan
+        with pytest.raises(EvaluationError, match=f"non-finite residual in {label} factors"):
+            w.cost(x.ravel())
+        assert w._kept_cost is None
+        assert w.newest_residuals(x.ravel()) is None
+
     def test_lc_window_never_prices_pseudoranges(self, monkeypatch):
         epochs, _ = toy_epochs(4)
         cfg = RunConfig(estimator="fgo-lc", window=2)
@@ -835,6 +855,20 @@ class TestFgoEstimator:
                 result = est.step(e)
             finals.append(result.state[0:3])
         assert np.linalg.norm(finals[0] - finals[1]) < 1e-4
+
+    def test_solver_error_names_the_epoch(self, monkeypatch):
+        epochs, _ = toy_epochs(3)
+        est = FgoEstimator(RunConfig(estimator="fgo-tc", window=2), TC)
+        est.step(epochs[0])
+        est.step(epochs[1])
+
+        def singular(problem, cfg):
+            raise SolverError("normal equations singular up to lambda=1e+10")
+
+        monkeypatch.setattr(fgo, "solve_lm", singular)
+        with pytest.raises(SolverError, match=r"^epoch at t=2.0: normal equations singular") as info:
+            est.step(epochs[2])
+        assert isinstance(info.value.__cause__, SolverError)
 
     def test_epochs_must_increase(self):
         epochs, _ = toy_epochs(2)

@@ -269,6 +269,29 @@ class TestSolveLm:
         assert problem.trials == 1 and report.iterations == 1
         assert np.array_equal(report.values, problem.initial_values)
 
+    def test_damping_past_maximum_stops_unconverged(self):
+        # every trial step raises the cost by 1e-3 of it, far above tol: the
+        # damping grows tenfold per trial until it passes lambda_max
+        class RisingProblem:
+            initial_values = np.zeros(2)
+            trials = 0
+
+            def normal_equations(self, x):
+                return np.ones((1, 2)), np.array([1.0, -2.0]), 10.0
+
+            def cost(self, x):
+                self.trials += 1
+                return 10.0 * (1.0 + 1e-3)
+
+        problem = RisingProblem()
+        cfg = LmConfig()
+        report = solve_lm(problem, cfg)
+        assert not report.converged
+        assert report.message == "damping exceeded maximum without improvement"
+        assert report.iterations == 1 and report.cost_trace == [10.0]
+        assert problem.trials == round(np.log10(cfg.lambda_max / cfg.lambda0)) + 1
+        assert np.array_equal(report.values, problem.initial_values)
+
     def test_no_linearization_after_the_final_step(self):
         # one curved residual next to a large constant one: the first
         # accepted step lowers the cost by far less than tol of it, which
