@@ -188,6 +188,22 @@ class SimConfig:
         for s in self.canyon_sectors:
             if not 0.0 <= s.min_elevation_deg < 90.0:
                 raise ValueError("mask elevations must lie in [0, 90)")
+        # a model for each constellation generate_constellation draws, and no other
+        names = {c.value for c in Constellation}
+        for key in ("clock_models", "nlos_model"):
+            got = sorted(map(str, getattr(self, key)))
+            if set(got) != names:
+                raise ValueError(f"{key} must name exactly {sorted(names)}, got {got}")
+        for name, model in self.nlos_model.items():
+            weights = [c.weight for c in model.components]
+            stds = [c.std for c in model.components]
+            if not (all(w >= 0 for w in weights) and 0 < sum(weights) < math.inf):
+                raise ValueError(
+                    f"nlos_model[{name!r}] weights must be non-negative with a positive sum,"
+                    f" got {weights}"
+                )
+            if not all(s >= 0 for s in stds):
+                raise ValueError(f"nlos_model[{name!r}] stds must be non-negative, got {stds}")
 
     @property
     def ref(self) -> Geodetic:
@@ -819,15 +835,23 @@ def write_csv(path: Path, header: Sequence[str], rows) -> None:
             fh.write(",".join(CSV_FLOAT % v if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
+# Each dataset file's columns, in the order written. truth.csv also carries one
+# clk_<constellation> column per clock model, between the velocity and the attitude.
+TRUTH_COLUMNS = ("t", "x", "y", "z", "vx", "vy", "vz", "yaw", "pitch", "roll")
+IMU_COLUMNS = ("t", "fx", "fy", "fz", "yaw", "pitch", "roll")
+GNSS_COLUMNS = (
+    "t", "sat_id", "constellation", "sat_x", "sat_y", "sat_z", "pseudorange_m", "snr_dbhz",
+    "elevation_rad", "azimuth_rad", "nlos", "range_error_m",
+)
+
+
 def write_dataset(ds: Dataset, out_dir: Path) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     clock_names = sorted(ds.truth_clocks)
     write_csv(
         out_dir / "truth.csv",
-        ["t", "x", "y", "z", "vx", "vy", "vz"]
-        + [f"clk_{n}" for n in clock_names]
-        + ["yaw", "pitch", "roll"],
+        [*TRUTH_COLUMNS[:7], *(f"clk_{n}" for n in clock_names), *TRUTH_COLUMNS[7:]],
         np.column_stack(
             [ds.truth_t, ds.truth_pos, ds.truth_vel]
             + [ds.truth_clocks[n] for n in clock_names]
@@ -836,40 +860,16 @@ def write_dataset(ds: Dataset, out_dir: Path) -> None:
     )
     write_csv(
         out_dir / "imu.csv",
-        ["t", "fx", "fy", "fz", "yaw", "pitch", "roll"],
+        IMU_COLUMNS,
         np.column_stack([ds.imu_t, ds.imu_accel, ds.imu_attitude]),
     )
     write_csv(
         out_dir / "gnss.csv",
-        [
-            "t",
-            "sat_id",
-            "constellation",
-            "sat_x",
-            "sat_y",
-            "sat_z",
-            "pseudorange_m",
-            "snr_dbhz",
-            "elevation_rad",
-            "azimuth_rad",
-            "nlos",
-            "range_error_m",
-        ],
+        GNSS_COLUMNS,
         (
-            [
-                float(e.t),
-                s.sat_id,
-                s.constellation.value,
-                float(s.sat_pos[0]),
-                float(s.sat_pos[1]),
-                float(s.sat_pos[2]),
-                float(s.pseudorange),
-                float(s.snr),
-                float(s.elevation),
-                float(s.azimuth),
-                int(bool(s.nlos_truth)),
-                float(ds.range_error(k, s)),
-            ]
+            [float(e.t), s.sat_id, s.constellation.value, *map(float, s.sat_pos)]
+            + [float(v) for v in (s.pseudorange, s.snr, s.elevation, s.azimuth)]
+            + [int(bool(s.nlos_truth)), float(ds.range_error(k, s))]
             for k, e in enumerate(ds.epochs)
             for s in e.sats
         ),
@@ -878,30 +878,42 @@ def write_dataset(ds: Dataset, out_dir: Path) -> None:
 
 def read_csv(path: Path) -> dict[str, np.ndarray]:
     """A headered CSV as text, one array of cells per column: ids stay as
-    written, and a file with no rows still has its header."""
-    table = np.loadtxt(path, delimiter=",", dtype=str, ndmin=2, encoding="utf-8")
+    written, and a file with no rows still has its header. An empty file or a
+    row of another length is an error that names the file."""
+    text = path.read_text(encoding="utf-8")
+    if not text.strip():
+        raise ValueError(f"{path.name}: empty file, no header")
+    try:
+        table = np.loadtxt(text.splitlines(), delimiter=",", dtype=str, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path.name}: {exc}") from None
     return dict(zip(table[0].tolist(), table[1:].T))
 
 
-def _read_numbers(path: Path, required: Sequence[str]) -> dict[str, np.ndarray]:
-    """Every column of a headered CSV as floats. A missing ``required`` column
-    or a cell that is not a number is an error that names the file and column."""
-    numbers = {}
-    for name, cells in read_csv(path).items():
-        try:
-            numbers[name] = cells.astype(float)
-        except ValueError:
-            raise ValueError(f"{path.name}: column {name!r} holds a cell that is not a number") from None
-    missing = [name for name in required if name not in numbers]
-    if missing:
-        raise ValueError(f"{path.name}: no column {missing[0]!r}")
-    return numbers
+def table_column(table: dict[str, np.ndarray], name: str, path: Path, dtype=float) -> np.ndarray:
+    """Column ``name`` of a :func:`read_csv` table as ``dtype``, floats by
+    default (a ``nan`` cell converts). A missing column or a cell that is not
+    a number is an error that names the file and the column."""
+    if name not in table:
+        raise ValueError(f"{path.name}: no column {name!r}")
+    try:
+        return table[name].astype(dtype)
+    except ValueError:
+        raise ValueError(f"{path.name}: column {name!r} holds a cell that is not a number") from None
+
+
+def _read_columns(path: Path, names: Sequence[str], text: Sequence[str] = ()) -> dict[str, np.ndarray]:
+    """The columns ``names`` of a dataset file and any ``clk_`` columns it
+    has, as floats but for the ``text`` columns."""
+    table = read_csv(path)
+    names = (*names, *(n for n in table if n.startswith("clk_")))
+    return {n: table_column(table, n, path, str if n in text else float) for n in names}
 
 
 def read_dataset(in_dir: Path) -> Dataset:
     """Rebuild a Dataset from the three CSV files."""
     in_dir = Path(in_dir)
-    truth = _read_numbers(in_dir / "truth.csv", "t x y z vx vy vz yaw pitch roll".split())
+    truth = _read_columns(in_dir / "truth.csv", TRUTH_COLUMNS)
     truth_t = truth["t"]
     if not truth_t.size:
         raise ValueError("truth.csv has no rows")
@@ -910,7 +922,7 @@ def read_dataset(in_dir: Path) -> Dataset:
     truth_clocks = {n[4:]: truth[n] for n in truth if n.startswith("clk_")}
     truth_attitude = np.column_stack([truth["yaw"], truth["pitch"], truth["roll"]])
 
-    imu = _read_numbers(in_dir / "imu.csv", "t fx fy fz yaw pitch roll".split())
+    imu = _read_columns(in_dir / "imu.csv", IMU_COLUMNS)
     imu_t = imu["t"]
     imu_accel = np.column_stack([imu["fx"], imu["fy"], imu["fz"]])
     imu_attitude = np.column_stack([imu["yaw"], imu["pitch"], imu["roll"]])
@@ -919,27 +931,28 @@ def read_dataset(in_dir: Path) -> Dataset:
     if not (dt > 0 and np.all(np.abs(np.diff(truth_t) - dt) <= 1e-6 * dt)):
         raise ValueError("truth.csv times must increase at one constant step")
 
-    gnss = read_csv(in_dir / "gnss.csv")
-    gnss_t = gnss["t"].astype(float)
+    gnss = _read_columns(in_dir / "gnss.csv", GNSS_COLUMNS, text=("sat_id", "constellation"))
+    gnss_t = gnss["t"]
     epoch_of = np.minimum(np.searchsorted(truth_t, gnss_t), truth_t.size - 1)
     unmatched = truth_t[epoch_of] != gnss_t
     if np.any(unmatched):
         raise ValueError(f"gnss.csv time {gnss_t[unmatched][0]:g} matches no epoch of truth.csv")
-    sat_pos = np.column_stack([gnss["sat_x"], gnss["sat_y"], gnss["sat_z"]]).astype(float)
+    try:
+        constellations = [Constellation.from_name(c) for c in gnss["constellation"].tolist()]
+    except ValueError as exc:
+        raise ValueError(f"gnss.csv: column 'constellation' holds {exc}") from None
+    if not np.isin(gnss["nlos"], (0.0, 1.0)).all():
+        raise ValueError("gnss.csv: column 'nlos' holds a value other than 0 or 1")
     sats_by_epoch: list[list[SatObservation]] = [[] for _ in truth_t]
-    for i, k in enumerate(epoch_of.tolist()):
-        sats_by_epoch[k].append(
-            SatObservation(
-                sat_id=str(gnss["sat_id"][i]),
-                constellation=Constellation.from_name(str(gnss["constellation"][i])),
-                sat_pos=sat_pos[i],
-                pseudorange=float(gnss["pseudorange_m"][i]),
-                snr=float(gnss["snr_dbhz"][i]),
-                elevation=float(gnss["elevation_rad"][i]),
-                azimuth=float(gnss["azimuth_rad"][i]),
-                nlos_truth=bool(int(gnss["nlos"][i])),
-            )
-        )
+    for k, *sat in zip(  # then SatObservation's fields, in order
+        epoch_of.tolist(),
+        gnss["sat_id"].tolist(),
+        constellations,
+        np.column_stack([gnss["sat_x"], gnss["sat_y"], gnss["sat_z"]]),
+        *(gnss[n].tolist() for n in ("pseudorange_m", "snr_dbhz", "elevation_rad", "azimuth_rad")),
+        (gnss["nlos"] == 1.0).tolist(),
+    ):
+        sats_by_epoch[k].append(SatObservation(*sat))
 
     # epoch k averages the IMU rows since epoch k - 1, as simulate writes
     # them: the same number per epoch, the last of them at epoch k's time

@@ -24,6 +24,7 @@ from .canyon_sim import (
     read_csv,
     read_dataset,
     simulate,
+    table_column,
     write_csv,
     write_dataset,
 )
@@ -185,26 +186,24 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _numeric_column(table: dict, name: str, path: str) -> np.ndarray:
-    """Column ``name`` of a text table as floats (a ``nan`` cell converts);
-    a column that is missing or holds text is a usage error."""
-    if name not in table:
-        raise UsageError(f"column {name!r} not in {path} (have {tuple(table)})")
+def _numeric_column(table: dict, name: str, path: Path) -> np.ndarray:
+    """:func:`table_column`, with a column that is missing or holds text a usage error."""
     try:
-        return table[name].astype(float)
-    except ValueError:
-        raise UsageError(f"column {name!r} of {path} is not numeric") from None
+        return table_column(table, name, path)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def cmd_fit_gmm(args: argparse.Namespace) -> int:
     # as text, so that only the columns used must be numbers
-    table = read_csv(Path(args.csv))
-    values = _numeric_column(table, args.column, args.csv)
+    path = Path(args.csv)
+    table = read_csv(path)
+    values = _numeric_column(table, args.column, path)
     if args.epoch_min is not None or args.epoch_max is not None:
         key = next((k for k in ("t", "epoch") if k in table), None)
         if key is None:
             raise UsageError("no epoch/t column available for filtering")
-        epochs = _numeric_column(table, key, args.csv)
+        epochs = _numeric_column(table, key, path)
         mask = np.ones(values.size, dtype=bool)
         if args.epoch_min is not None:
             mask &= epochs >= args.epoch_min

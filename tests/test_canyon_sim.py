@@ -8,8 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnssins.canyon_sim import (
+    GNSS_COLUMNS,
     HARD_HORIZON_RAD,
+    IMU_COLUMNS,
     MEO_RADIUS_M,
+    TRUTH_COLUMNS,
     ClockModel,
     DeepInterval,
     MaskSector,
@@ -437,12 +440,12 @@ def _floats(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
 
-_CONSTELLATION = st.sampled_from(["GPS", "BeiDou"])
 _GMM = st.lists(
     st.builds(GmmComponent, _floats(0.01, 1.0), _floats(-5.0, 60.0), _floats(0.1, 20.0)),
     min_size=1,
     max_size=3,
 ).map(lambda comps: GmmModel(tuple(comps)))
+_CLOCK = st.builds(ClockModel, _floats(-1e3, 1e3), _floats(-5.0, 5.0))
 _WAYPOINT = st.builds(
     lambda lat, lon, h, v: Waypoint(Geodetic.from_degrees(lat, lon, h), v),
     _floats(-80.0, 80.0),
@@ -463,7 +466,8 @@ _FIELD_CHANGES = st.fixed_dictionaries(
         "waypoints": st.lists(_WAYPOINT, min_size=2, max_size=4),
         "duration_s": _floats(1.0, 600.0),
         "los_sigma_m": _floats(0.0, 10.0),
-        "nlos_model": st.dictionaries(_CONSTELLATION, _GMM, min_size=1),
+        # SimConfig requires this and clock_models to name exactly GPS and BeiDou
+        "nlos_model": st.fixed_dictionaries({"GPS": _GMM, "BeiDou": _GMM}),
         "canyon_sectors": st.lists(
             st.builds(MaskSector, _floats(0.0, 360.0), _floats(0.0, 360.0), _floats(0.0, 89.9)),
             max_size=3,
@@ -479,9 +483,7 @@ _FIELD_CHANGES = st.fixed_dictionaries(
         "accel_bias_true": st.lists(_floats(-0.1, 0.1), min_size=3, max_size=3).map(np.array),
         "accel_noise_sigma": _floats(0.0, 1.0),
         "attitude_noise_deg": _floats(0.0, 1.0),
-        "clock_models": st.dictionaries(
-            _CONSTELLATION, st.builds(ClockModel, _floats(-1e3, 1e3), _floats(-5.0, 5.0)), min_size=1
-        ),
+        "clock_models": st.fixed_dictionaries({"GPS": _CLOCK, "BeiDou": _CLOCK}),
         "snr_los": st.builds(SnrModel, _floats(25.0, 55.0), _floats(0.0, 5.0)),
         "snr_nlos": st.builds(SnrModel, _floats(25.0, 55.0), _floats(0.0, 5.0)),
         "n_satellites": st.integers(4, 30),
@@ -625,6 +627,32 @@ class TestPersistence:
         with pytest.raises(ValueError, match=f"{name}: column '{column}'"):
             read_dataset(tmp_path)
 
+    @pytest.mark.parametrize(
+        "name, columns, column",
+        [
+            pytest.param(name, columns, column, id=f"{name}-{column}")
+            for name, columns in (
+                ("truth.csv", TRUTH_COLUMNS),
+                ("imu.csv", IMU_COLUMNS),
+                ("gnss.csv", GNSS_COLUMNS),
+            )
+            for column in columns
+        ],
+    )
+    def test_every_column_is_written_and_required(self, tmp_path, name, columns, column):
+        write_dataset(simulate(small_canyon(seed=5, duration=5.0)), tmp_path)
+        lines = (tmp_path / name).read_text().splitlines()
+        header = lines[0].split(",")
+        if name == "truth.csv":
+            columns = (*columns[:7], "clk_BeiDou", "clk_GPS", *columns[7:])
+        assert tuple(header) == columns
+        i = header.index(column)
+        rows = [line.split(",") for line in lines]
+        dropped = [",".join(cells[:i] + cells[i + 1:]) for cells in rows]
+        (tmp_path / name).write_text("\n".join(dropped) + "\n")
+        with pytest.raises(ValueError, match=f"{name}: no column '{column}'"):
+            read_dataset(tmp_path)
+
     def test_gnss_row_must_match_an_epoch(self, tmp_path):
         write_dataset(simulate(small_canyon(seed=5, duration=5.0)), tmp_path)
         with open(tmp_path / "gnss.csv") as fh:
@@ -711,6 +739,26 @@ def test_invalid_configs_rejected():
     for name in ("snr_los", "snr_nlos"):
         with pytest.raises(ValueError, match=f"{name}.sigma"):
             replace(base, **{name: SnrModel(40.0, -1.0)})
+    # a model for each simulated constellation, and no other; once a KeyError
+    # inside simulate, or a clk_Galileo column written silently, and a bad
+    # mixture failed inside numpy
+    gps, beidou = base.clock_models["GPS"], base.nlos_model["BeiDou"]
+    for name, models in [
+        ("clock_models", {"GPS": gps}),
+        ("clock_models", {**base.clock_models, "Galileo": gps}),
+        ("nlos_model", {"GPS": beidou}),
+        *(
+            ("nlos_model", {"GPS": GmmModel(components), "BeiDou": beidou})
+            for components in [
+                (),
+                (GmmComponent(-0.5, 1.0, 1.0), GmmComponent(1.0, 5.0, 2.0)),
+                (GmmComponent(0.0, 1.0, 1.0),),
+                (GmmComponent(1.0, 1.0, -1.0),),
+            ]
+        ),
+    ]:
+        with pytest.raises(ValueError, match=name):
+            replace(base, **{name: models})
 
 
 @pytest.mark.parametrize(

@@ -83,6 +83,21 @@ class TestSimulate:
             {"snr_los": {"mean": "48", "sigma": 2}},
             {"nlos_model": {"GPS": [[0.5, "1.5", 3.0]]}},
             list,  # the whole scenario inside a JSON list
+            # a model for each simulated constellation, and no other: the first
+            # once ended in a KeyError traceback inside simulate, the second
+            # wrote a clk_Galileo column, and the noise-free preset simulated
+            # the bad mixtures (it draws no NLOS bias)
+            {"clock_models": {"GPS": {"bias_m": 120.0, "drift_mps": 0.0}}},
+            {
+                "clock_models": dict.fromkeys(
+                    ("GPS", "BeiDou", "Galileo"), {"bias_m": 1.0, "drift_mps": 0.0}
+                )
+            },
+            {"nlos_model": {"GPS": [[1.0, 5.0, 2.0]]}},
+            {"nlos_model": {"GPS": [], "BeiDou": [[1, 5, 2]]}},
+            {"nlos_model": {"GPS": [[-0.5, 1.0, 1.0], [1.0, 5.0, 2.0]], "BeiDou": [[1, 5, 2]]}},
+            {"nlos_model": {"GPS": [[0.0, 1.0, 1.0]], "BeiDou": [[1, 5, 2]]}},
+            {"nlos_model": {"GPS": [[1.0, 1.0, -1.0]], "BeiDou": [[1, 5, 2]]}},
         ],
     )
     def test_bad_scenario_keys_exit_1(self, tmp_path, capsys, edit):
@@ -126,6 +141,17 @@ class TestSimulate:
         assert run_cli("simulate", "--preset", "noise-free", "--seed", seed, "--out", str(out)) == 2
         assert_usage_error(capsys.readouterr().err, "--seed")
         assert not out.exists()
+
+
+def set_cell(column, cell):
+    """An edit of a CSV's lines that puts ``cell`` in ``column`` of the first row."""
+
+    def edit(lines):
+        row = lines[1].split(",")
+        row[lines[0].split(",").index(column)] = cell
+        return [lines[0], ",".join(row), *lines[2:]]
+
+    return edit
 
 
 def assert_usage_error(err, option):
@@ -188,28 +214,50 @@ class TestRun:
             assert np.array_equal(r1[col], r2[col])
 
     @pytest.mark.parametrize(
-        "name, column", [("truth.csv", None), ("truth.csv", "x"), ("imu.csv", "fy")]
+        "name, column, edit",
+        [
+            pytest.param("truth.csv", None, lambda lines: lines[:1], id="truth.csv-None"),
+            pytest.param("truth.csv", "x", set_cell("x", "abc"), id="truth.csv-x"),
+            pytest.param("imu.csv", "fy", set_cell("fy", "abc"), id="imu.csv-fy"),
+            pytest.param(
+                "gnss.csv", "sat_x", lambda lines: [lines[0].replace("sat_x", "sat_q"), *lines[1:]],
+                id="gnss.csv-renamed-sat_x",
+            ),
+            pytest.param(
+                "gnss.csv", "pseudorange_m", set_cell("pseudorange_m", "abc"),
+                id="gnss.csv-pseudorange_m",
+            ),
+            pytest.param(
+                "gnss.csv", "constellation", set_cell("constellation", "Galileo"),
+                id="gnss.csv-constellation",
+            ),
+            pytest.param("gnss.csv", "nlos", set_cell("nlos", "2"), id="gnss.csv-nlos"),
+            pytest.param("gnss.csv", None, lambda lines: [], id="gnss.csv-empty"),
+            pytest.param("truth.csv", None, lambda lines: [], id="truth.csv-empty"),
+            pytest.param(
+                "imu.csv", None, lambda lines: [lines[0], lines[1].rsplit(",", 1)[0], *lines[2:]],
+                id="imu.csv-short-row",
+            ),
+        ],
     )
-    def test_unreadable_dataset_exits_1(self, dataset_dir, tmp_path, capsys, name, column):
-        # a truth.csv without rows once ended in an IndexError traceback, and
-        # a text cell in truth.csv ran and wrote a NaN mean error
+    @pytest.mark.filterwarnings("error")
+    def test_unreadable_dataset_exits_1(self, dataset_dir, tmp_path, capsys, name, column, edit):
+        # once: a truth.csv without rows, an empty file (after a numpy warning)
+        # or a renamed gnss.csv column ended in a traceback; a text cell in
+        # truth.csv and nlos 2 ran; a text cell in gnss.csv, an unknown
+        # constellation and a short row gave an error that named no file
         ds = tmp_path / "ds"
         ds.mkdir()
         for f in ("truth.csv", "imu.csv", "gnss.csv"):
             (ds / f).write_bytes((dataset_dir / f).read_bytes())
-        lines = (ds / name).read_text().splitlines()
-        if column is None:
-            lines = lines[:1]  # the header alone
-        else:
-            row = lines[1].split(",")
-            row[lines[0].split(",").index(column)] = "abc"
-            lines[1] = ",".join(row)
-        (ds / name).write_text("\n".join(lines) + "\n")
+        lines = edit((ds / name).read_text().splitlines())
+        (ds / name).write_text("".join(line + "\n" for line in lines))
         out = tmp_path / "run"
         assert run_cli("run", "--dataset", str(ds), "--estimator", "fgo-tc", "--out", str(out)) == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith("error:") and len(err.splitlines()) == 1 and name in err
+        assert column is None or repr(column) in err
         assert not out.exists()
 
     def test_batch_window(self, dataset_dir, tmp_path):
@@ -331,6 +379,16 @@ class TestCompareSweepGmm:
         code = run_cli("fit-gmm", "--csv", str(dataset_dir / "gnss.csv"), "--column", column)
         assert code == 2
         assert_usage_error(capsys.readouterr().err, column)
+
+    @pytest.mark.filterwarnings("error")
+    def test_fit_gmm_empty_file_exits_1(self, tmp_path, capsys):
+        # once a numpy warning, then an IndexError traceback
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        assert run_cli("fit-gmm", "--csv", str(empty)) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error:") and len(err.splitlines()) == 1 and "empty.csv" in err
 
     def test_fit_gmm_missing_column(self, dataset_dir, tmp_path):
         run_dir = tmp_path / "run_gmm2"
