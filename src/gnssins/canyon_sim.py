@@ -418,7 +418,6 @@ class Dataset:
     imu_t: np.ndarray
     imu_accel: np.ndarray
     imu_attitude: np.ndarray
-    constellations: tuple[Constellation, ...] = (Constellation.GPS, Constellation.BEIDOU)
 
     @property
     def n_epochs(self) -> int:
@@ -910,6 +909,13 @@ def _read_columns(path: Path, names: Sequence[str], text: Sequence[str] = ()) ->
     return {n: table_column(table, n, path, str if n in text else float) for n in names}
 
 
+def _check_finite(path: str, columns: dict[str, np.ndarray]) -> None:
+    """Reject a numeric column of ``path`` with a value that is not finite."""
+    for name, values in columns.items():
+        if values.dtype.kind == "f" and not np.isfinite(values).all():
+            raise ValueError(f"{path}: column {name!r} holds a value that is not finite")
+
+
 def read_dataset(in_dir: Path) -> Dataset:
     """Rebuild a Dataset from the three CSV files."""
     in_dir = Path(in_dir)
@@ -932,6 +938,7 @@ def read_dataset(in_dir: Path) -> Dataset:
         raise ValueError("truth.csv times must increase at one constant step")
 
     gnss = _read_columns(in_dir / "gnss.csv", GNSS_COLUMNS, text=("sat_id", "constellation"))
+    _check_finite("gnss.csv", gnss)
     gnss_t = gnss["t"]
     epoch_of = np.minimum(np.searchsorted(truth_t, gnss_t), truth_t.size - 1)
     unmatched = truth_t[epoch_of] != gnss_t
@@ -969,10 +976,8 @@ def read_dataset(in_dir: Path) -> Dataset:
         for t, accel, att, sats in zip(truth_t, epoch_accel, epoch_attitude, sats_by_epoch)
     ]
     # after the epochs, which name a non-finite IMU input by its time
-    for path, columns in (("truth.csv", truth), ("imu.csv", imu)):
-        for name, values in columns.items():
-            if not np.isfinite(values).all():
-                raise ValueError(f"{path}: column {name!r} holds a value that is not finite")
+    _check_finite("truth.csv", truth)
+    _check_finite("imu.csv", imu)
 
     ref = ecef_to_geodetic(truth_pos[0])
     return Dataset(

@@ -25,7 +25,7 @@ data, each slot's epoch and state estimate among them, live in
 fixed-capacity slot buffers (Sibley et al., *Sliding Window Filter*, 2010),
 read through the live view ``FactorWindow.slots``, so a slide writes one
 slot and moves no others, and the pseudorange rows are padded per slot so
-that each slot's state is broadcast over its rows. Each anchor rewrites
+that each slot's state is broadcast over its rows. Each push rewrites
 every diagonal block of the linear band in one pass. Each point the solver
 visits is priced once: the linearization at an accepted trial reuses the
 residuals its cost computed. A pricing covers every slot, so the first one
@@ -303,13 +303,13 @@ class FactorWindow:
     then on. When the view reaches the end of the buffers, the live slots
     move to the front, at most once every W + 1 pushes. The edge's band
     entries and diagonal share depend only on its ``dt``, so they are
-    computed again only when ``dt`` changes. :meth:`anchor` then pins slot
-    0 at its own state, with the first prior until the window has slid and
-    the sliding prior after, and rewrites every diagonal block in one pass,
+    computed again only when ``dt`` changes. The push then pins slot 0 at
+    its own state, with the first prior until the window has slid and the
+    sliding prior after, and rewrites every diagonal block in one pass,
     each summed in one order: the edge out of the slot, then the prior or
-    the edge into it, then the fix. The solve starts from the ``state``
-    rows, and the estimator writes its solution back into them.
-    :func:`build_window` slides the window by one push and one anchor.
+    the edge into it, then the fix. One push leaves the window ready to
+    solve. The solve starts from the ``state`` rows, and the estimator
+    writes its solution back into them. :func:`build_window` is that push.
 
     **Pseudorange rows** are padded per slot to the widest slot so far, M
     (at least 2), with zero weight on the padding; M grows only when a slot
@@ -330,11 +330,11 @@ class FactorWindow:
     rows' compact rows ``[w u | -w e_clock | w r]``. :meth:`cost` prices
     every slot or none: a point equal (by value) to the kept one is not
     priced again, so the LM solver's accepted trial is the next point it
-    linearizes. A push or an anchor drops the kept cost, so the first
-    pricing after a slide prices every slot, carried ones included. Pricing
-    only the factors whose variables changed, as iSAM2 does (Kaess et al.,
-    IJRR 2012), would save little here: a pricing's cost is its numpy calls
-    more than its slots.
+    linearizes. A push drops the kept cost, so the first pricing after a
+    slide prices every slot, carried ones included. Pricing only the
+    factors whose variables changed, as iSAM2 does (Kaess et al., IJRR
+    2012), would save little here: a pricing's cost is its numpy calls more
+    than its slots.
     :meth:`newest_residuals` hands on the newest slot's raw pseudorange
     residuals from the last pricing, so that the caller scoring the epoch
     need not evaluate them again.
@@ -395,8 +395,7 @@ class FactorWindow:
                 fix_res=np.zeros((cap, 3)),
             )
         # the point and cost of the last pricing (the cost None while a
-        # pricing runs, and once a slide or an anchor has changed the window
-        # since)
+        # pricing runs, and once a push has changed the window since)
         self._kept_point: Optional[np.ndarray] = None
         self._kept_cost: Optional[float] = None
         # the raw residuals of the newest slot's rows at the last pricing
@@ -510,7 +509,8 @@ class FactorWindow:
         """Append the epoch ``meas`` as the newest slot, estimated at ``state``
         and reached with the ECEF specific force ``accel_ecef``, weighting an
         LC fix by its HDOP at ``state``. A full finite window (W + 1 slots)
-        first drops slot 0 and is slid. Call :meth:`anchor` before solving."""
+        first drops slot 0 and is slid. Then pin slot 0 at its own state, so
+        that the window is ready to solve from the slots' states."""
         cfg, buf, scale = self.cfg, self._buf, self.cfg.cov_scale
         self._kept_cost = None
         drop = cfg.window is not None and self.n == cfg.window + 1
@@ -567,11 +567,7 @@ class FactorWindow:
             buf["fix_w"][p] = 1.0 / np.sqrt(var)
         self._view()
 
-    def anchor(self) -> None:
-        """Pin slot 0 at its own state, with the first prior until the window
-        has slid and the sliding prior after, rewrite every diagonal block,
-        and start from the slots' states."""
-        self._kept_cost = None
+        # pin slot 0 and rewrite every diagonal block
         slots = self.slots
         self.prior_value = slots["state"][0].copy()
         self.prior_var, self.prior_w, prior_block = self._priors[self.slid]
@@ -725,7 +721,6 @@ def build_window(
     factors, and the oldest state carries a prior at its stored estimate.
     """
     window.push(meas, state, accel_ecef)
-    window.anchor()
     return window
 
 

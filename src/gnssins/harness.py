@@ -4,9 +4,11 @@ The four configurations are 'ekf-lc', 'ekf-tc', 'fgo-lc' and 'fgo-tc'. Both
 families' steppers (:class:`_EkfRunner`, :class:`fgo.FgoEstimator`) take one
 :class:`RunConfig` and return a :class:`types.StepResult` per epoch. Each run
 yields one :class:`residual_analysis.EpochRecord` per GNSS epoch, which is
-that step's whole result plus its score (truth, 2D error, GNSS residual),
-and the per-observation raw pseudorange residuals for the distribution
-analyses.
+that step's whole result plus its score (truth, 2D error, GNSS residual).
+A TC epoch's record keeps its raw pseudorange residuals, one per satellite
+in the epoch's order, the one store the distribution analyses and
+``residuals.csv`` read; they are None for an LC epoch and for an epoch
+without satellites.
 """
 
 from __future__ import annotations
@@ -76,24 +78,14 @@ class RunConfig:
 
 
 @dataclass
-class ObsResidual:
-    epoch: float
-    sat_id: str
-    constellation: Constellation
-    residual: float
-    nlos: Optional[bool]
-
-
-@dataclass
 class RunResult:
     estimator: str
     records: list[EpochRecord]
-    obs_residuals: list[ObsResidual]
     summary: dict
 
 
-def dataset_layout(ds: Dataset) -> StateLayout:
-    return StateLayout(tuple(ds.constellations))
+# the state of a TC run: one clock per constellation, whichever a dataset holds
+TC_LAYOUT = StateLayout(tuple(Constellation))
 
 
 class _EkfRunner:
@@ -170,33 +162,26 @@ def make_stepper(cfg: RunConfig, layout: StateLayout) -> _EkfRunner | FgoEstimat
 
 def run_estimator(ds: Dataset, cfg: RunConfig) -> RunResult:
     """Run one estimator over the dataset and collect per-epoch records."""
-    epochs = ds.epochs
+    epochs, layout = ds.epochs, TC_LAYOUT
     if cfg.coupling == "lc":
-        layout = StateLayout()
-        epochs = _lc_epochs(ds, cfg.weighting)
-    else:
-        layout = dataset_layout(ds)
+        epochs, layout = _lc_epochs(ds, cfg.weighting), StateLayout()
     stepper = make_stepper(cfg, layout)
 
     records: list[EpochRecord] = []
-    obs_residuals: list[ObsResidual] = []
     for k, meas in enumerate(epochs):
         result = stepper.step(meas)
-        # a TC window hands on its last pricing of the epoch's rows when that
-        # was at the returned state
-        state, raw = result.state, result.residuals
+        state, raw = result.state, None
         residual = float("nan")
         if cfg.coupling == "lc":
             if meas.fix_available:
                 residual = lc_residual(meas.fix_pos, state)
         elif meas.sats:
+            # a TC window hands on its last pricing of the epoch's rows when
+            # that was at the returned state
+            raw = result.residuals
             if raw is None:
                 raw = pseudorange_residuals(meas.sats, state, layout)
             residual = tc_residual(raw)
-            for sat, value in zip(meas.sats, raw.tolist()):
-                obs_residuals.append(
-                    ObsResidual(meas.t, sat.sat_id, sat.constellation, value, sat.nlos_truth)
-                )
 
         # looked up at call time, so a caller that replaces
         # residual_analysis.error_2d (a tracer or a timing probe) sees every call
@@ -212,7 +197,7 @@ def run_estimator(ds: Dataset, cfg: RunConfig) -> RunResult:
             )
         )
 
-    return RunResult(cfg.estimator, records, obs_residuals, summarize(records))
+    return RunResult(cfg.estimator, records, summarize(records))
 
 
 def compare(

@@ -28,8 +28,10 @@ from .types import POS, StateLayout, StepResult
 class EpochRecord(StepResult):
     """One epoch's whole :class:`types.StepResult` scored against truth, so a
     field added to ``StepResult`` reaches the records. ``residuals`` holds the
-    epoch's raw pseudorange residuals at ``state`` (None for LC); ``residual``
-    is its scalar GNSS residual, NaN when the epoch had nothing to score."""
+    epoch's raw pseudorange residuals at ``state``, one per satellite in the
+    epoch's order (None for LC and for an epoch without satellites);
+    ``residual`` is its scalar GNSS residual, NaN when the epoch had nothing
+    to score."""
 
     epoch: float
     truth_pos: np.ndarray

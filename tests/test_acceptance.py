@@ -306,7 +306,7 @@ def test_criterion_07_gmm_suite(canyon, canyon_results):
     # NLOS window
     cfg = default_canyon_config()
     target = max(cfg.nlos_model["GPS"].components, key=lambda c: c.mean).mean
-    obs = canyon_results["fgo-tc"].obs_residuals
+    records = canyon_results["fgo-tc"].records
     nlos_per_epoch = {e.t: sum(1 for s in e.sats if s.nlos_truth) for e in canyon.epochs}
     wlen = 60
     best_c, best_n = wlen, -1
@@ -315,8 +315,9 @@ def test_criterion_07_gmm_suite(canyon, canyon_results):
         if n > best_n:
             best_n, best_c = n, center
     window_samples = np.array(
-        [o.residual for o in obs
-         if best_c - wlen < o.epoch <= best_c and o.constellation is Constellation.GPS]
+        [value for e, r in zip(canyon.epochs, records)
+         if best_c - wlen < e.t <= best_c and r.residuals is not None
+         for s, value in zip(e.sats, r.residuals) if s.constellation is Constellation.GPS]
     )
     canyon_fit = fit_gmm(window_samples, 3)
     tail = max(canyon_fit.components, key=lambda c: c.mean)

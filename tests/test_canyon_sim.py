@@ -613,11 +613,18 @@ class TestPersistence:
 
     @pytest.mark.parametrize(
         "name, column, cell",
-        [("truth.csv", "x", "nan"), ("imu.csv", "pitch", "inf"), ("imu.csv", "t", "abc")],
+        [
+            ("truth.csv", "x", "nan"),
+            ("imu.csv", "pitch", "inf"),
+            ("imu.csv", "t", "abc"),
+            ("gnss.csv", "pseudorange_m", "nan"),
+            ("gnss.csv", "sat_y", "-inf"),
+        ],
     )
     def test_cell_that_is_not_a_finite_number_rejected_on_read(self, tmp_path, name, column, cell):
-        # a sample's pitch that no epoch takes, and every truth value, is
-        # checked by its column (tests/test_cli.py runs text cells end to end)
+        # a sample's pitch that no epoch takes, every truth value and every
+        # gnss.csv number, before its satellite is built, is checked by its
+        # column (tests/test_cli.py runs text cells end to end)
         write_dataset(simulate(small_canyon(seed=5, duration=5.0)), tmp_path)
         lines = (tmp_path / name).read_text().splitlines()
         row = lines[2].split(",")

@@ -6,8 +6,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gnssins.canyon_sim import config_to_dict, noise_free_config
+from gnssins.canyon_sim import (
+    CSV_FLOAT,
+    config_to_dict,
+    generate_lc_fixes,
+    noise_free_config,
+    read_csv,
+    read_dataset,
+)
 from gnssins.cli import main
+from gnssins.harness import TC_LAYOUT, RunConfig, run_estimator
+from gnssins.residual_analysis import pseudorange_residuals
 
 
 def run_cli(*argv):
@@ -232,6 +241,11 @@ class TestRun:
                 id="gnss.csv-constellation",
             ),
             pytest.param("gnss.csv", "nlos", set_cell("nlos", "2"), id="gnss.csv-nlos"),
+            pytest.param(
+                "gnss.csv", "pseudorange_m", set_cell("pseudorange_m", "nan"),
+                id="gnss.csv-pseudorange_m-nan",
+            ),
+            pytest.param("gnss.csv", "snr_dbhz", set_cell("snr_dbhz", "inf"), id="gnss.csv-snr_dbhz-inf"),
             pytest.param("gnss.csv", None, lambda lines: [], id="gnss.csv-empty"),
             pytest.param("truth.csv", None, lambda lines: [], id="truth.csv-empty"),
             pytest.param(
@@ -259,6 +273,40 @@ class TestRun:
         assert err.startswith("error:") and len(err.splitlines()) == 1 and name in err
         assert column is None or repr(column) in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("estimator", ["fgo-tc", "ekf-tc"])
+    def test_residuals_csv_holds_every_observation(self, dataset_dir, tmp_path, estimator):
+        # three epochs without satellites, which add no rows
+        ds_dir = tmp_path / "ds"
+        ds_dir.mkdir()
+        for f in ("truth.csv", "imu.csv", "gnss.csv"):
+            (ds_dir / f).write_bytes((dataset_dir / f).read_bytes())
+        lines = (ds_dir / "gnss.csv").read_text().splitlines()
+        emptied = sorted({line.split(",")[0] for line in lines[1:]}, key=float)[3:6]
+        kept = [line for line in lines if line.split(",")[0] not in emptied]
+        (ds_dir / "gnss.csv").write_text("".join(line + "\n" for line in kept))
+        out = tmp_path / "run"
+        code = run_cli(
+            "run", "--dataset", str(ds_dir), "--estimator", estimator,
+            "--window", "5", "--out", str(out),
+        )
+        assert code == 0
+        rows, gnss = read_csv(out / "residuals.csv"), read_csv(ds_dir / "gnss.csv")
+        # each gnss.csv observation once, in the file's order
+        for column, source in (("epoch", "t"), ("sat_id",) * 2, ("constellation",) * 2, ("nlos",) * 2):
+            assert rows[column].tolist() == gnss[source].tolist()
+        # at the state of each epoch's record, which epochs.csv holds
+        ds = read_dataset(ds_dir)
+        generate_lc_fixes(ds.epochs)
+        records = run_estimator(ds, RunConfig(estimator=estimator, window=5)).records
+        est_x = read_csv(out / "epochs.csv")["est_x"].tolist()
+        assert est_x == [CSV_FLOAT % float(r.state[0]) for r in records]
+        assert rows["residual_m"].tolist() == [
+            CSV_FLOAT % value
+            for meas, r in zip(ds.epochs, records)
+            for value in pseudorange_residuals(meas.sats, r.state, TC_LAYOUT).tolist()
+        ]
+        assert sum(not meas.sats for meas in ds.epochs) == 3
 
     def test_batch_window(self, dataset_dir, tmp_path):
         code = run_cli(

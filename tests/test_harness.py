@@ -1,3 +1,4 @@
+import copy
 import math
 from dataclasses import replace
 
@@ -19,8 +20,8 @@ from gnssins.harness import (
     ESTIMATORS,
     RunConfig,
     _EkfRunner,
+    TC_LAYOUT,
     compare,
-    dataset_layout,
     make_stepper,
     run_estimator,
     sweep_windows,
@@ -53,11 +54,13 @@ class TestRunEstimator:
         result = run_estimator(noise_free_ds, RunConfig(estimator="fgo-tc", window=5))
         assert len(result.records) == noise_free_ds.n_epochs
         assert all(r.err_2d >= 0 for r in result.records)
-        assert result.obs_residuals  # TC runs emit per-observation residuals
+        # TC records keep one residual per satellite
+        for meas, r in zip(noise_free_ds.epochs, result.records):
+            assert len(meas.sats) == len(r.residuals) > 0
 
     def test_lc_runs_have_no_obs_residuals(self, noise_free_ds):
         result = run_estimator(noise_free_ds, RunConfig(estimator="ekf-lc"))
-        assert result.obs_residuals == []
+        assert all(r.residuals is None for r in result.records)
 
     def test_deterministic_estimates(self, noise_free_ds):
         r1 = run_estimator(noise_free_ds, RunConfig(estimator="fgo-tc", window=5))
@@ -117,7 +120,7 @@ def test_stepping_directly_gives_the_records(noise_free_ds, estimator):
     # the family
     cfg = RunConfig(estimator=estimator, window=10)
     records = run_estimator(noise_free_ds, cfg).records
-    layout = StateLayout() if cfg.coupling == "lc" else dataset_layout(noise_free_ds)
+    layout = StateLayout() if cfg.coupling == "lc" else TC_LAYOUT
     stepper = make_stepper(cfg, layout)
     for meas, record in zip(noise_free_ds.epochs, records):
         result = stepper.step(meas)
@@ -144,7 +147,7 @@ def test_filter_covariance_scales_with_cov_scale(estimator, scale, seed):
     # gain unchanged: the same estimates, and every covariance scaled
     ds = simulate(replace(default_canyon_config(seed), duration_s=20.0))
     generate_lc_fixes(ds.epochs)
-    layout = StateLayout() if estimator == "ekf-lc" else dataset_layout(ds)
+    layout = StateLayout() if estimator == "ekf-lc" else TC_LAYOUT
     base = _EkfRunner(RunConfig(estimator=estimator), layout)
     scaled = _EkfRunner(RunConfig(estimator=estimator, cov_scale=scale), layout)
     for meas in ds.epochs:
@@ -159,7 +162,7 @@ def test_filter_process_noise_spans_each_epoch(estimator, monkeypatch):
     # at 2 Hz the sub-steps split half a second, not one; the noise is
     # accumulated once for the run's one epoch length
     ds = simulate(replace(default_canyon_config(99), duration_s=5.0, gnss_rate_hz=2.0))
-    layout = StateLayout() if estimator == "ekf-lc" else dataset_layout(ds)
+    layout = StateLayout() if estimator == "ekf-lc" else TC_LAYOUT
     noises, accumulated = [], []
     predict, accumulate = harness.ekf.predict, harness.ekf.accumulated_process_noise
 
@@ -321,19 +324,13 @@ def scored_tc_run(ds, window, monkeypatch):
 def assert_scored_at_the_returned_state(ds, result, steps):
     """Every TC epoch's residual column and per-observation residuals equal
     the residuals evaluated afresh at the step's returned state, bit for bit."""
-    layout = dataset_layout(ds)
-    obs = iter(result.obs_residuals)
     for meas, record, step in zip(ds.epochs, result.records, steps):
         if not meas.sats:
-            assert np.isnan(record.residual)
+            assert np.isnan(record.residual) and record.residuals is None
             continue
-        raw = pseudorange_residuals(meas.sats, step.state, layout)
+        raw = pseudorange_residuals(meas.sats, step.state, TC_LAYOUT)
         assert record.residual == tc_residual(raw)
         assert np.array_equal(record.residuals, raw)
-        for sat, value in zip(meas.sats, raw.tolist()):
-            o = next(obs)
-            assert (o.epoch, o.sat_id, o.residual) == (meas.t, sat.sat_id, value)
-    assert next(obs, None) is None
 
 
 @pytest.mark.parametrize("window", [1, 30, None])
@@ -371,6 +368,22 @@ def test_rejected_last_trial_falls_back_to_evaluation(noisy_ds, monkeypatch):
     assert_scored_at_the_returned_state(noisy_ds, result, steps)
     for a, b in zip(result.records, reference.records):
         assert a.residual == b.residual or (np.isnan(a.residual) and np.isnan(b.residual))
-    assert [(o.sat_id, o.residual) for o in result.obs_residuals] == [
-        (o.sat_id, o.residual) for o in reference.obs_residuals
-    ]
+        assert (a.residuals is None and b.residuals is None) or np.array_equal(a.residuals, b.residuals)
+
+
+@pytest.mark.parametrize("window", [1, 30, None])
+@pytest.mark.parametrize("estimator", ["ekf-tc", "fgo-tc"])
+def test_epoch_without_satellites_records_no_residuals(noisy_ds, estimator, window):
+    # an fgo-tc window once handed on an empty array for such an epoch when
+    # its last pricing was at the returned state, and None otherwise
+    epochs = [copy.copy(e) for e in noisy_ds.epochs]
+    emptied = (3, 10, 11, 20, 30, 38)
+    for k in emptied:
+        epochs[k].sats = []
+    ds = replace(noisy_ds, epochs=epochs)
+    result = run_estimator(ds, RunConfig(estimator=estimator, window=window))
+    for k, (meas, record) in enumerate(zip(epochs, result.records)):
+        if k in emptied:
+            assert record.residuals is None and np.isnan(record.residual)
+        else:
+            assert len(record.residuals) == len(meas.sats) > 0

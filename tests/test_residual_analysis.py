@@ -251,7 +251,7 @@ def test_window_sweep_rows(monkeypatch):
             )
             for i in range(10)
         ]
-        return harness.RunResult(cfg.estimator, records, [], summarize(records))
+        return harness.RunResult(cfg.estimator, records, summarize(records))
 
     monkeypatch.setattr(harness, "run_estimator", fake_run)
     rows = harness.sweep_windows(None, [1, 3, None])
