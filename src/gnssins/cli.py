@@ -134,15 +134,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_epochs_csv(out / "epochs.csv", result)
-    # one row per satellite of every epoch that has residuals, so none for LC
-    rows = [
+    # one row per satellite of every epoch that has residuals, so only the
+    # header for LC, which also replaces an earlier run's file
+    rows = (
         [float(r.epoch), s.sat_id, s.constellation.value, value, int(bool(s.nlos_truth))]
         for meas, r in zip(ds.epochs, result.records)
         if r.residuals is not None
         for s, value in zip(meas.sats, r.residuals.tolist())
-    ]
-    if rows:
-        write_csv(out / "residuals.csv", "epoch,sat_id,constellation,residual_m,nlos".split(","), rows)
+    )
+    write_csv(out / "residuals.csv", "epoch,sat_id,constellation,residual_m,nlos".split(","), rows)
     with open(out / "summary.json", "w") as fh:
         json.dump(_summary_dict(result.estimator, cfg.window, result.summary), fh, indent=2)
     s = result.summary

@@ -262,9 +262,25 @@ _PR_PAD = {"sat_pos": 1.0e12, "pseudorange": 0.0, "clock_col": 9, "pr_w": 0.0}
 # slot buffers that slot k holds for the edge into it, live from slot 1 on
 _EDGE_BUFFERS = ("dt", "edge_sub", "edge_block", "edge_res")
 
-# the residuals a TC window has no fixes for, and an LC window no pseudoranges
-_NONE = np.empty(0)
-_NONE.flags.writeable = False
+
+def _band_at(r, c, shift: int, dim: int):
+    """Where entry (r, c) of a ``dim``-square block sits in a slot's band
+    columns, flattened: column c, band row ``shift + r - c``. ``shift`` is
+    ``dim`` for the slot's diagonal block and 0 for the block above it."""
+    return c * (dim + 1) + shift + r - c
+
+
+def _band_columns(block: np.ndarray, shift: int) -> np.ndarray:
+    """The square ``block`` as a slot's ``(d, d + 1)`` band columns, placed
+    by :func:`_band_at`. Entries that fall outside band rows 0 to d are left
+    out: below the diagonal block's diagonal, which symmetry gives, and
+    above the block above's, where ``J_prev^T Omega`` is zero."""
+    d = len(block)
+    r, c = np.indices(block.shape).reshape(2, -1)
+    inside = (shift + r - c >= 0) & (shift + r - c <= d)
+    columns = np.zeros(d * (d + 1))
+    columns[_band_at(r, c, shift, d)[inside]] = block.ravel()[inside]
+    return columns.reshape(d, d + 1)
 
 
 class FactorWindow:
@@ -278,38 +294,45 @@ class FactorWindow:
     latter three give one residual entry per state column (motion on
     position and bias, INS on velocity, clock walk on the clocks), so they
     are stacked as one ``dim``-row edge residual with the constant Jacobians
-    ``J_prev`` and the identity. Their share of ``J^T J`` is kept in upper band storage with
-    ``dim`` super-diagonals: ``J^T J`` is block-tridiagonal, and the edge's
+    ``J_prev`` and the identity. ``J^T J`` is kept in upper band storage with
+    ``dim`` super-diagonals: it is block-tridiagonal, and the edge's
     off-diagonal block ``J_prev^T Omega`` has no entry right of the
     diagonal of its ``dim``-square block because ``J_prev`` is upper
     triangular (each edge row depends only on the same or later columns of
-    the previous state: position on velocity).
+    the previous state: position on velocity). Each slot holds its ``dim``
+    band columns of ``dim + 1`` band rows, and every block is kept in that
+    layout, placed by one rule (:func:`_band_at`): entry (r, c) sits in
+    column c at band row ``shift + r - c``, with shift ``dim`` for the
+    slot's diagonal block and 0 for ``J_prev^T Omega`` of the edge into
+    it, the block above; the two fill disjoint band rows.
 
     **Slot buffers.** Every per-slot datum lives in a preallocated buffer
     whose first axis is the buffer slot: the slot's epoch (``meas``, an
     object buffer), its state estimate (``state``), the edge into it
     (``dt``, what its residual takes from the state difference, and
     ``edge_block``, the edge's share of the previous slot's diagonal
-    block), the LC fix (``fix_pos``, ``fix_var``, ``fix_w``;
-    infinite variance and zero weight without a fix), the TC pseudorange
-    rows, the linear band's columns and the last pricing (below). The live
-    window is ``n`` consecutive buffer slots from ``_start``, and ``slots``
-    maps each buffer's name to its live view, taken anew after every push;
-    an edge buffer's view starts at slot 1, since slot 0 has no edge into
-    it. A finite window has room for 2 (W + 1) slots, a batch window
-    doubles its room when full. :meth:`push` writes only the new slot, its
-    state and its edge; once a finite window holds W + 1 slots, it first
-    drops slot 0 by advancing the view, and the window is ``slid`` from
-    then on. When the view reaches the end of the buffers, the live slots
-    move to the front, at most once every W + 1 pushes. The edge's band
-    entries and diagonal share depend only on its ``dt``, so they are
-    computed again only when ``dt`` changes. The push then pins slot 0 at
-    its own state, with the first prior until the window has slid and the
-    sliding prior after, and rewrites every diagonal block in one pass,
-    each summed in one order: the edge out of the slot, then the prior or
-    the edge into it, then the fix. One push leaves the window ready to
-    solve. The solve starts from the ``state`` rows, and the estimator
-    writes its solution back into them. :func:`build_window` is that push.
+    block), the LC fix (``fix_pos``, and ``fix_w``, zero without a fix),
+    the TC pseudorange rows, the band columns and the last pricing (below).
+    The live window is ``n`` consecutive buffer slots from ``_start``, and
+    ``slots`` maps each buffer's name to its live view, taken anew after
+    every push; an edge buffer's view starts at slot 1, since slot 0 has no
+    edge into it. A finite window has room for 2 (W + 1) slots, a batch
+    window doubles its room when full. :meth:`push` writes only the new
+    slot, its state and its edge; once a finite window holds W + 1 slots,
+    it first drops slot 0 by advancing the view, and the window is
+    ``slid`` from then on. When the view reaches the end of the buffers,
+    the live slots move to the front, at most once every W + 1 pushes. The
+    edge's ``J_prev^T Omega``, written into the new slot's columns, and its
+    diagonal share depend only on its ``dt``, so they are built again only
+    when ``dt`` changes. The push then pins slot 0 at its own state, with
+    the first prior until the window has slid and the sliding prior after,
+    and rebuilds every diagonal block in whole-array operations, slot 0's
+    columns zeroed since no block sits above them. Each block is summed in
+    one order: the edge out of the slot, then the prior or the edge into
+    it, then the fix, whose weights are slice adds on the diagonal (band
+    row ``dim``). One push leaves the window ready to solve. The solve
+    starts from the ``state`` rows, and the estimator writes its solution
+    back into them. :func:`build_window` is that push.
 
     **Pseudorange rows** are padded per slot to the widest slot so far, M
     (at least 2), with zero weight on the padding; M grows only when a slot
@@ -321,8 +344,9 @@ class FactorWindow:
     position, -1 on its clock column; 3 + C + 1 columns for C clocks), whose
     constant clock part is written once, at push. One batched product gives
     every slot's ``J^T J`` on its position and clock columns and its ``J^T
-    r``, and the upper triangle goes into the band. No sum depends on M, so
-    the same slots give the same sums whatever width the rows have reached.
+    r``, and the upper triangle is added to its diagonal block. No sum
+    depends on M, so the same slots give the same sums whatever width the
+    rows have reached.
 
     **One evaluation per point.** The last pricing is kept: the point it
     priced and its cost, and in the slot buffers the whitened residual of
@@ -356,8 +380,7 @@ class FactorWindow:
         self.slid = False
         self.n = 0
         self._start = 0
-        self.edge_var = default_process_noise(layout) * cfg.cov_scale
-        self.edge_w = 1.0 / np.sqrt(self.edge_var)
+        self.edge_w = 1.0 / np.sqrt(default_process_noise(layout) * cfg.cov_scale)
         self._edge_w2 = self.edge_w**2
         self._per_edge = 3 if layout.has_clock else 2
         self._tc = cfg.coupling == "tc"
@@ -376,9 +399,9 @@ class FactorWindow:
             # band columns slot by slot: column c of a slot holds its d + 1
             # band rows, so a live window is d + 1 rows in column order
             "band": np.zeros((cap, d, d + 1)),
-            # the upper triangle of J^T Omega J of the edge into each slot:
-            # its share of the previous slot's diagonal block
-            "edge_block": np.empty((cap, d * (d + 1) // 2)),
+            # J^T Omega J of the edge into each slot, its share of the
+            # previous slot's diagonal block, as that slot's band columns
+            "edge_block": np.empty((cap, d, d + 1)),
             # the last pricing's whitened edge residuals
             "edge_res": np.zeros((cap, d)),
         }
@@ -389,7 +412,6 @@ class FactorWindow:
         else:
             self._buf.update(
                 fix_pos=np.zeros((cap, 3)),
-                fix_var=np.full((cap, 3), np.inf),
                 fix_w=np.zeros((cap, 3)),
                 # the last pricing's whitened fix residuals
                 fix_res=np.zeros((cap, 3)),
@@ -399,45 +421,23 @@ class FactorWindow:
         self._kept_point: Optional[np.ndarray] = None
         self._kept_cost: Optional[float] = None
         # the raw residuals of the newest slot's rows at the last pricing
-        self._newest_raw = _NONE
-        # the last edge terms pushed: dt, the J_prev^T Omega band entries
-        # and the edge block
+        self._newest_raw: Optional[np.ndarray] = None
+        # the last edge terms pushed: dt, then J_prev^T Omega and the edge
+        # block as band columns
         self._edge_terms: tuple = (None, None, None)
-        self._jac_eye = -np.eye(d)
-        # the diagonal of J_prev's position-on-velocity block
-        diag = np.arange(d)
-        self._pos_vel = (diag[POS], diag[VEL])
-        # the upper triangle of a d-square block, flattened, and where each
-        # entry sits in its slot's band columns (band row d + row - column)
-        t0, t1 = np.triu_indices(d)
-        self._tri = t0 * d + t1
-        self._tri_band = t1 * (d + 1) + d + t0 - t1
-        tri_diag = np.flatnonzero(t0 == t1)
-        self._pos_diag = tri_diag[POS]
-
-        def diagonal(values):
-            block = np.zeros(t0.size)
-            block[tri_diag] = values
-            return block
-
-        self._edge_diag = diagonal(self._edge_w2)
-        # slot 0's two priors, with weights and their share of its diagonal
-        # block: the trajectory's first state carries the filter's initial
-        # covariance; once the window has slid past it, the oldest state is
-        # re-pinned at its previously optimized value with the tight sliding
-        # prior, whose bias and clock variances are one epoch of process noise
+        # where a slot's diagonal block sits in its band columns
+        self._diag_region = _band_columns(np.ones((d, d)), d) != 0
+        # slot 0's two priors, with weights: the trajectory's first state
+        # carries the filter's initial covariance; once the window has slid
+        # past it, the oldest state is re-pinned at its previously optimized
+        # value with the tight sliding prior, whose bias and clock variances
+        # are one epoch of process noise
         sliding = default_process_noise(layout)
         sliding[POS], sliding[VEL] = SLIDING_ANCHOR_VAR[cfg.coupling]
         self._priors = {}
         for slid, var in ((False, np.diag(initial_covariance(layout))), (True, sliding)):
             var = var * cfg.cov_scale
-            w = 1.0 / np.sqrt(var)
-            self._priors[slid] = (var, w, diagonal(w**2))
-        # the lower triangle (row >= column) of a d-square block: where
-        # J_prev^T Omega can be nonzero, in the later slot's band columns
-        # at band row row - column
-        self._low = np.tril_indices(d)
-        self._edge_band = self._low[1] * (d + 1) + self._low[0] - self._low[1]
+            self._priors[slid] = (var, 1.0 / np.sqrt(var))
         self._slot_band = d * (d + 1)
         if self._tc:
             # state columns of the compact rows' Jacobian part: position, clocks
@@ -445,8 +445,7 @@ class FactorWindow:
             compact = self._compact = np.r_[0:3, np.arange(d)[self._clock]]
             c0, c1 = np.triu_indices(compact.size)
             self._compact_tri = c0 * (compact.size + 1) + c1
-            s0, s1 = compact[c0], compact[c1]
-            self._compact_band = s1 * (d + 1) + d + s0 - s1
+            self._compact_band = _band_at(compact[c0], compact[c1], d, d)
         self._scatter_n = -1
         # the first flattened index of each slot's state, as a column
         self._slot_at = np.empty((0, 1), dtype=int)
@@ -472,7 +471,7 @@ class FactorWindow:
         if self._tc:
             count += sum(len(meas.sats) for meas in self.slots["meas"])
         else:
-            count += int(np.isfinite(self.slots["fix_var"][:, 0]).sum())
+            count += int((self.slots["fix_w"][:, 0] > 0).sum())
         return _LazyBlocks(count, self._block)
 
     def _view(self) -> None:
@@ -524,23 +523,18 @@ class FactorWindow:
         self.n += 1
         buf["meas"][p] = meas
         buf["state"][p] = state
-        band = buf["band"].reshape(len(buf["band"]), -1)
-        if drop:
-            # the dropped edge's block sat in the new slot 0's columns
-            band[self._start, self._edge_band] = 0.0
-        # a window's first slot has no edge into it, and its buffer columns
-        # are still zero
+        # a window's first slot has no edge into it
         if self.n > 1:
             dt = float(meas.dt)
             if dt != self._edge_terms[0]:
-                jac = self._jac_eye.copy()
-                jac[self._pos_vel] = -dt
+                jac = -np.eye(self.dim)
+                jac[POS, VEL] = -dt * np.eye(3)
                 # the edge's off-diagonal block, J_prev^T Omega, which sits
                 # in the new slot's columns above its diagonal block, and its
                 # share of the previous slot's diagonal block
                 jw = jac.T * self._edge_w2
-                self._edge_terms = (dt, jw[self._low], np.matmul(jw, jac).take(self._tri))
-            _, band[p, self._edge_band], buf["edge_block"][p] = self._edge_terms
+                self._edge_terms = (dt, _band_columns(jw, 0), _band_columns(jw @ jac, self.dim))
+            _, buf["band"][p], buf["edge_block"][p] = self._edge_terms
             buf["dt"][p] = dt
             buf["edge_sub"][p, VEL] = accel_ecef * dt
 
@@ -559,26 +553,30 @@ class FactorWindow:
             for name, fill in _PR_PAD.items():
                 buf[name][p, ..., rows:] = fill
         else:
-            fixed, var = meas.fix_available, np.inf
+            fixed, w = meas.fix_available, 0.0
             if fixed:
                 var = lc_fix_covariance(fix_hdop(meas, state[POS]), cfg.weighting.s_user) * scale
+                w = 1.0 / np.sqrt(var)
             buf["fix_pos"][p] = meas.fix_pos if fixed else 0.0
-            buf["fix_var"][p] = var
-            buf["fix_w"][p] = 1.0 / np.sqrt(var)
+            buf["fix_w"][p] = w
         self._view()
 
         # pin slot 0 and rewrite every diagonal block
         slots = self.slots
         self.prior_value = slots["state"][0].copy()
-        self.prior_var, self.prior_w, prior_block = self._priors[self.slid]
+        self.prior_var, self.prior_w = self._priors[self.slid]
+        band = slots["band"]
+        # no block sits above slot 0, though a drop leaves the dropped
+        # edge's there; the other slots keep theirs
+        band[0] = 0.0
+        band[1:, self._diag_region] = 0.0
         # every slot but the last has an edge out
-        blocks = np.zeros((self.n, self._edge_diag.size))
-        blocks[:-1] = slots["edge_block"]
-        blocks[0] += prior_block
-        blocks[1:] += self._edge_diag
+        band[:-1] += slots["edge_block"]
+        diagonal = band[:, :, self.dim]
+        diagonal[0] += self.prior_w**2
+        diagonal[1:] += self._edge_w2
         if not self._tc:
-            blocks[:, self._pos_diag] += slots["fix_w"] ** 2
-        slots["band"].reshape(self.n, -1)[:, self._tri_band] = blocks
+            diagonal[:, POS] += slots["fix_w"] ** 2
         self.initial_values = slots["state"].flatten()
 
     def _whitened(self, x: np.ndarray):
@@ -586,7 +584,8 @@ class FactorWindow:
 
         Writes the pricing of every slot and of the edges into them into the
         slot buffers, and the prior's, and returns the window's whitened
-        residuals (prior, edges, fixes, pseudoranges) at ``x``.
+        residuals (prior, edges, GNSS: the LC fixes or the TC pseudorange
+        rows) at ``x``.
         """
         slots = self.slots
         prior = self._prior_res = self.prior_w * (x[0] - self.prior_value)
@@ -599,28 +598,26 @@ class FactorWindow:
             fix = slots["fix_res"]
             np.subtract(slots["fix_pos"], x[:, 0:3], out=fix)
             fix *= slots["fix_w"]
-            return prior, edge, fix, _NONE
+            return prior, edge, fix
         raw, unit = pseudorange_rows(slots["sat_pos"], slots["pseudorange"], self._clock_at, x)
         # the newest slot's raw residuals, which only the caller reads
         self._newest_raw = raw[-1]
         rows, w = slots["pr_rows"], slots["pr_w"]
         np.multiply(unit, w[:, None], out=rows[:, 0:3])
         np.multiply(raw, w, out=rows[:, -1])
-        return prior, edge, _NONE, rows[:, -1]
+        return prior, edge, rows[:, -1]
 
-    @staticmethod
-    def _cost(residuals) -> float:
-        prior, edge, fix, pr = residuals
-        # a TC window has no fixes, and an LC window no pseudoranges, to sum
+    def _cost(self, residuals) -> float:
+        prior, edge, gnss = residuals
         cost = float(np.vdot(prior, prior) + np.vdot(edge, edge))
-        if fix.size:
-            cost += float(np.vdot(fix, fix))
-        if pr.size:
+        if self._tc:
             # the padded rows are summed down the slots, then across in
             # order: padding adds exact zeros wherever M ends
-            cost += sum(np.einsum("ij,ij->j", pr, pr).tolist())
+            cost += sum(np.einsum("ij,ij->j", gnss, gnss).tolist())
+        else:
+            cost += float(np.vdot(gnss, gnss))
         if not math.isfinite(cost):
-            labels = ("prior", "motion/ins/clock_walk", "gnss_fix", "pseudorange")
+            labels = ("prior", "motion/ins/clock_walk", "pseudorange" if self._tc else "gnss_fix")
             for label, rw in zip(labels, residuals):
                 if not math.isfinite(np.vdot(rw, rw)):
                     raise EvaluationError(f"non-finite residual in {label} factors")
@@ -679,7 +676,7 @@ class FactorWindow:
 
     def _block(self, i: int) -> ResidualBlock:
         """The ``i``-th factor as a per-block oracle :class:`ResidualBlock`."""
-        layout, edge_var, slots = self.layout, self.edge_var, self.slots
+        layout, edge_var, slots = self.layout, self.edge_w**-2, self.slots
         if i == 0:
             return prior_factor(0, self.prior_value, self.prior_var, layout)
         i -= 1
@@ -697,8 +694,8 @@ class FactorWindow:
             return clock_walk_factor(k - 1, k, math.sqrt(clock_var), layout)
         i -= n_edge_blocks
         if not self._tc:
-            k = int(np.flatnonzero(np.isfinite(slots["fix_var"][:, 0]))[i])
-            return gnss_fix_factor(k, slots["fix_pos"][k], slots["fix_var"][k], layout)
+            k = int(np.flatnonzero(slots["fix_w"][:, 0] > 0)[i])
+            return gnss_fix_factor(k, slots["fix_pos"][k], slots["fix_w"][k] ** -2, layout)
         ends = np.cumsum([len(meas.sats) for meas in slots["meas"]])
         k = int(np.searchsorted(ends, i, side="right"))
         sats = slots["meas"][k].sats

@@ -308,6 +308,19 @@ class TestRun:
         ]
         assert sum(not meas.sats for meas in ds.epochs) == 3
 
+    def test_lc_run_replaces_earlier_residuals(self, dataset_dir, tmp_path):
+        # once, an LC run wrote no residuals.csv, so a directory reused after
+        # a TC run kept that run's rows
+        out, header = tmp_path / "run", "epoch,sat_id,constellation,residual_m,nlos\n"
+        gnss_lines = (dataset_dir / "gnss.csv").read_text().count("\n")
+        for estimator, lines in (("fgo-tc", gnss_lines), ("ekf-lc", 1)):
+            code = run_cli(
+                "run", "--dataset", str(dataset_dir), "--estimator", estimator, "--out", str(out)
+            )
+            assert code == 0
+            text = (out / "residuals.csv").read_text()
+            assert text.startswith(header) and text.count("\n") == lines
+
     def test_batch_window(self, dataset_dir, tmp_path):
         code = run_cli(
             "run", "--dataset", str(dataset_dir), "--estimator", "fgo-tc",

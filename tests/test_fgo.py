@@ -45,6 +45,7 @@ from gnssins.nls_solver import (
     solve_damped,
     solve_lm,
     sqrt_info_from_cov_diag,
+    upper_band,
 )
 from gnssins.types import VEL, Constellation, StateLayout, constellations_present
 
@@ -444,6 +445,21 @@ class TestBuildWindow:
         non_clock = [b for b in problem.blocks if b.label != "clock_walk"]
         assert len(non_clock) == expected
 
+    @pytest.mark.parametrize("window", [1, 4, BATCH])
+    def test_lc_factor_count_formula(self, window):
+        # 1 prior + (n - 1) motion + (n - 1) INS + one fix per slot that has
+        # one: the count fgo.window.blocks_mean reads for an LC run
+        epochs, _ = toy_epochs(8)
+        for k in (2, 5, 6):
+            epochs[k].fix_pos = epochs[k].fix_hdop = None
+        history = batch_history(epochs, "lc", LC)
+        problem = scratch_window(history, RunConfig(estimator="fgo-lc", window=window), LC)
+        fixed = [k for k, (e, _, _) in enumerate(history[-problem.n :]) if e.fix_available]
+        assert 0 < len(fixed) < problem.n
+        assert len(problem.blocks) == 1 + 2 * (problem.n - 1) + len(fixed)
+        fixes = [b for b in problem.blocks if b.label == "gnss_fix"]
+        assert [b.state_indices[0] for b in fixes] == fixed
+
     def test_motion_equals_ins_count_invariant(self):
         history, layout = self.setup_history(10)
         for w in (1, 3, 7, BATCH):
@@ -451,6 +467,23 @@ class TestBuildWindow:
             n_states = problem.n
             assert self.count(problem, "motion") == n_states - 1
             assert self.count(problem, "ins") == n_states - 1
+
+
+class TestBandPlacement:
+    """The one rule that places a block in a slot's band columns, against
+    nls_solver.upper_band of a whole matrix. The whole-window oracle cannot
+    see an entry misplaced where the window's blocks happen to be zero."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(d=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_dense_blocks_land_where_upper_band_puts_them(self, d, seed):
+        b = np.random.default_rng(seed).normal(size=(d, d))
+        z = np.zeros((d, d))
+        # the second slot's d columns, each with its d + 1 band rows
+        diagonal = upper_band(np.block([[z, z], [z, b]]), d)[:, d:].T
+        above = upper_band(np.block([[z, b], [b.T, z]]), d)[:, d:].T
+        assert np.array_equal(fgo._band_columns(b, d), diagonal)
+        assert np.array_equal(fgo._band_columns(b, 0), above)
 
 
 def dense_from_band(ab):
@@ -525,7 +558,7 @@ WINDOW_ARRAYS = ("initial_values", "prior_value", "prior_var")
 # slot buffers, each with the columns a push writes (those of edge_sub not
 # on velocity hold the last pricing)
 SLOT_ARRAYS = {"state": ..., "dt": ..., "edge_sub": VEL, "edge_block": ...}
-LC_ARRAYS = {"fix_pos": ..., "fix_var": ..., "fix_w": ...}
+LC_ARRAYS = {"fix_pos": ..., "fix_w": ...}
 # padded per slot to the widest slot the window has seen, which a window
 # slid past a wide slot keeps and a scratch build may not have; of the
 # compact rows, the constant clock part written at push
