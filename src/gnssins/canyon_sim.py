@@ -13,14 +13,14 @@ elevation: satellites above the mask are LOS, satellites within
 is blocked entirely. Optional deep intervals raise every mask for a time
 span to emulate driving under dense high-rise cover.
 
-Everything else is computed once, in bulk: the trajectory at the IMU sample
-edges, each epoch's IMU input (``_epoch_imu``), truth attitude and clocks, and
-satellite positions, azimuths, elevations and ranges for the whole
-epochs-by-tracks grid (``satellite_ecef_grid``, ``azimuth_elevation_grid``;
-their per-pair scalar references live in the tests).
-The per-(epoch, track) loop then only applies the masks and draws the noise,
-in the same order as a per-pair computation would, so a seed gives the
-same random draws and the same dataset up to rounding.
+Everything but the random draws is computed once, in bulk: the trajectory at
+the IMU sample edges, each epoch's IMU input (``_epoch_imu``), truth attitude
+and clocks, the satellite geometry of the whole epochs-by-tracks grid
+(``satellite_ecef_grid``, ``azimuth_elevation_grid``) and which of its pairs
+are LOS or NLOS candidates; their per-pair scalar references live in the
+tests. The loop over the visible pairs then only draws (whether a candidate
+is received, then the noise), in the (epoch, track) order of a per-pair
+computation, so a seed gives the same draws and the same dataset.
 """
 
 from __future__ import annotations
@@ -69,24 +69,24 @@ class MaskSector:
     az_max_deg: float
     min_elevation_deg: float
 
-    def contains(self, az_deg: float) -> bool:
-        az = az_deg % 360.0
+    def contains(self, az_deg) -> np.ndarray:
+        """Whether each azimuth lies clockwise from ``az_min_deg`` to
+        ``az_max_deg``, ends included, all modulo 360 (so it may wrap past north)."""
+        az = np.mod(az_deg, 360.0)
         lo, hi = self.az_min_deg % 360.0, self.az_max_deg % 360.0
         if lo <= hi:
-            return lo <= az <= hi
-        return az >= lo or az <= hi
+            return (lo <= az) & (az <= hi)
+        return (az >= lo) | (az <= hi)
 
 
 @dataclass(frozen=True)
 class DeepInterval:
-    """Time span of dense high-rise cover blocking everything below a floor."""
+    """Time span ``[t_start, t_end)`` of dense high-rise cover blocking
+    everything below a floor."""
 
     t_start: float
     t_end: float
     block_floor_deg: float
-
-    def active(self, t: float) -> bool:
-        return self.t_start <= t < self.t_end
 
 
 @dataclass(frozen=True)
@@ -187,7 +187,14 @@ class SimConfig:
             raise ValueError("need at least two waypoints")
         for s in self.canyon_sectors:
             if not 0.0 <= s.min_elevation_deg < 90.0:
-                raise ValueError("mask elevations must lie in [0, 90)")
+                raise ValueError(f"canyon_sectors mask elevations must lie in [0, 90), got {s}")
+            # equal ends would mask one azimuth; open_sky_min_elevation_deg masks all round
+            lo, hi = s.az_min_deg % 360.0, s.az_max_deg % 360.0
+            if lo == hi or not math.isfinite(lo + hi):
+                raise ValueError(f"canyon_sectors ends must be finite and differ modulo 360, got {s}")
+        for d in self.deep_intervals:
+            if not d.t_end > d.t_start or math.isnan(d.block_floor_deg):
+                raise ValueError(f"deep_intervals must end after they start, with a numeric floor, got {d}")
         # a model for each constellation generate_constellation draws, and no other
         names = {c.value for c in Constellation}
         for key in ("clock_models", "nlos_model"):
@@ -209,18 +216,21 @@ class SimConfig:
     def ref(self) -> Geodetic:
         return self.waypoints[0].geo
 
-    def mask_elevation_deg(self, az_deg: float) -> float:
-        mask = self.open_sky_min_elevation_deg
+    def mask_elevation_deg(self, az_deg) -> np.ndarray:
+        """Line-of-sight mask elevation at each azimuth: the highest sector
+        containing it, or the open-sky mask, capped at 89 degrees."""
+        mask = np.full(np.shape(az_deg), self.open_sky_min_elevation_deg)
         for sector in self.canyon_sectors:
-            if sector.contains(az_deg):
-                mask = max(mask, sector.min_elevation_deg)
-        return min(mask, 89.0)
+            mask = np.where(sector.contains(az_deg), np.maximum(mask, sector.min_elevation_deg), mask)
+        return np.minimum(mask, 89.0)
 
-    def block_floor_deg(self, t: float) -> float:
-        floor = 0.0
-        for interval in self.deep_intervals:
-            if interval.active(t):
-                floor = max(floor, interval.block_floor_deg)
+    def block_floor_deg(self, t) -> np.ndarray:
+        """Elevation below which deep cover blocks everything at each time:
+        the highest floor of the intervals active then, 0 outside them."""
+        floor = np.zeros(np.shape(t))
+        for d in self.deep_intervals:
+            active = (d.t_start <= t) & (t < d.t_end)
+            floor = np.where(active, np.maximum(floor, d.block_floor_deg), floor)
         return floor
 
 
@@ -328,11 +338,6 @@ class SatTrack:
     el_amp_deg: float
     el_omega: float
     el_phase: float
-
-    def az_el_deg(self, t: float) -> tuple[float, float]:
-        az = (self.az0_deg + self.az_rate_deg * t) % 360.0
-        el = self.el_center_deg + self.el_amp_deg * math.sin(self.el_omega * t + self.el_phase)
-        return az, el
 
 
 def generate_constellation(cfg: SimConfig, rng: np.random.Generator) -> list[SatTrack]:
@@ -529,68 +534,60 @@ def simulate(cfg: SimConfig) -> Dataset:
     tracks = generate_constellation(cfg, rng)
     clock_series = {name: model.at(epoch_t) for name, model in cfg.clock_models.items()}
 
-    # geometry of every (epoch, track) pair up front; the loop below only
-    # applies the masks and draws, and its (epoch, track) order fixes the
-    # sequence of random draws
+    # geometry and visibility of every (epoch, track) pair up front: a pair
+    # above the horizon and the deep-cover floor is LOS at or above its mask,
+    # and an NLOS candidate no more than nlos_depth_deg below it
     sat_grid = satellite_ecef_grid(tracks, epoch_t, ref)
     az_grid, el_grid = azimuth_elevation_grid(sat_grid, truth_pos)
-    los = sat_grid - truth_pos[:, None, :]
-    range_grid = np.sqrt(np.einsum("...i,...i->...", los, los))
+    offset = sat_grid - truth_pos[:, None, :]
+    range_grid = np.sqrt(np.einsum("...i,...i->...", offset, offset))
+    el_deg = np.degrees(el_grid)
+    mask_deg = cfg.mask_elevation_deg(np.degrees(az_grid))
+    seen = (el_grid >= HARD_HORIZON_RAD) & (el_deg >= cfg.block_floor_deg(epoch_t)[:, None])
+    los = seen & (el_deg >= mask_deg)
+    candidate = seen & ~los & (el_deg >= mask_deg - cfg.nlos_depth_deg)
 
-    epochs: list[EpochMeasurements] = []
-    for k in range(n_epochs):
-        t = float(epoch_t[k])
-        floor_deg = cfg.block_floor_deg(t)
-        sats: list[SatObservation] = []
-        for j, (track, az, el, rho) in enumerate(
-            zip(tracks, az_grid[k].tolist(), el_grid[k].tolist(), range_grid[k].tolist())
-        ):
-            if el < HARD_HORIZON_RAD:
-                continue
-            mask_deg = cfg.mask_elevation_deg(math.degrees(az))
-            el_deg = math.degrees(el)
-            if el_deg < floor_deg:
-                continue  # dense cover blocks everything below the floor
-            if el_deg >= mask_deg:
-                nlos = False
-            elif el_deg >= mask_deg - cfg.nlos_depth_deg:
-                # reflections flicker with receiver motion: a masked satellite
-                # is only intermittently received, and then with a bias
-                if rng.uniform() >= cfg.nlos_receive_prob:
-                    continue
-                nlos = True
-            else:
-                continue  # blocked outright
-            name = track.constellation.value
-            rho += clock_series[name][k]
-            if cfg.los_sigma_m > 0:
-                rho += rng.normal(0.0, cfg.los_sigma_m)
-            snr_shift = 0.0
-            if nlos:
-                bias = _draw_nlos_bias(rng, cfg.nlos_model[name])
-                rho += bias
-                snr_model = cfg.snr_nlos
-                # deeper reflections arrive weaker
-                snr_shift = -cfg.snr_bias_slope_db_per_m * bias
-            else:
-                snr_model = cfg.snr_los
-            snr = min(max(rng.normal(snr_model.mean + snr_shift, snr_model.sigma), 25.0), 55.0)
-            sats.append(
-                SatObservation(
-                    sat_id=track.sat_id,
-                    constellation=track.constellation,
-                    sat_pos=sat_grid[k, j],
-                    pseudorange=rho,
-                    snr=snr,
-                    elevation=el,
-                    azimuth=az,
-                    nlos_truth=nlos,
-                )
+    # the loop only draws, visiting the pairs in (epoch, track) order, which
+    # fixes the sequence of random draws
+    sats: list[list[SatObservation]] = [[] for _ in epoch_t]
+    ks, js = np.nonzero(los | candidate)
+    for k, j, nlos in zip(ks.tolist(), js.tolist(), candidate[ks, js].tolist()):
+        # reflections flicker with receiver motion: a masked satellite is only
+        # intermittently received, and then with a bias
+        if nlos and rng.uniform() >= cfg.nlos_receive_prob:
+            continue
+        track = tracks[j]
+        name = track.constellation.value
+        rho = range_grid.item(k, j) + clock_series[name][k]
+        if cfg.los_sigma_m > 0:
+            rho += rng.normal(0.0, cfg.los_sigma_m)
+        snr_shift = 0.0
+        if nlos:
+            bias = _draw_nlos_bias(rng, cfg.nlos_model[name])
+            rho += bias
+            snr_model = cfg.snr_nlos
+            # deeper reflections arrive weaker
+            snr_shift = -cfg.snr_bias_slope_db_per_m * bias
+        else:
+            snr_model = cfg.snr_los
+        snr = min(max(rng.normal(snr_model.mean + snr_shift, snr_model.sigma), 25.0), 55.0)
+        sats[k].append(
+            SatObservation(
+                sat_id=track.sat_id,
+                constellation=track.constellation,
+                sat_pos=sat_grid[k, j],
+                pseudorange=rho,
+                snr=snr,
+                elevation=el_grid.item(k, j),
+                azimuth=az_grid.item(k, j),
+                nlos_truth=nlos,
             )
+        )
 
-        attitude = EulerAngles(*epoch_att[k])
-        epochs.append(EpochMeasurements(t, 1.0 / cfg.gnss_rate_hz, epoch_accel[k], attitude, sats))
-
+    epochs = [
+        EpochMeasurements(t, 1.0 / cfg.gnss_rate_hz, accel, EulerAngles(*att), epoch_sats)
+        for t, accel, att, epoch_sats in zip(epoch_t.tolist(), epoch_accel, epoch_att, sats)
+    ]
     return Dataset(
         ref=ref,
         epochs=epochs,

@@ -427,17 +427,17 @@ class FactorWindow:
         self._edge_terms: tuple = (None, None, None)
         # where a slot's diagonal block sits in its band columns
         self._diag_region = _band_columns(np.ones((d, d)), d) != 0
-        # slot 0's two priors, with weights: the trajectory's first state
+        # slot 0's two prior weights: the trajectory's first state
         # carries the filter's initial covariance; once the window has slid
         # past it, the oldest state is re-pinned at its previously optimized
         # value with the tight sliding prior, whose bias and clock variances
         # are one epoch of process noise
         sliding = default_process_noise(layout)
         sliding[POS], sliding[VEL] = SLIDING_ANCHOR_VAR[cfg.coupling]
-        self._priors = {}
-        for slid, var in ((False, np.diag(initial_covariance(layout))), (True, sliding)):
-            var = var * cfg.cov_scale
-            self._priors[slid] = (var, 1.0 / np.sqrt(var))
+        self._priors = {
+            slid: 1.0 / np.sqrt(var * cfg.cov_scale)
+            for slid, var in ((False, np.diag(initial_covariance(layout))), (True, sliding))
+        }
         self._slot_band = d * (d + 1)
         if self._tc:
             # state columns of the compact rows' Jacobian part: position, clocks
@@ -564,7 +564,7 @@ class FactorWindow:
         # pin slot 0 and rewrite every diagonal block
         slots = self.slots
         self.prior_value = slots["state"][0].copy()
-        self.prior_var, self.prior_w = self._priors[self.slid]
+        self.prior_w = self._priors[self.slid]
         band = slots["band"]
         # no block sits above slot 0, though a drop leaves the dropped
         # edge's there; the other slots keep theirs
@@ -678,7 +678,7 @@ class FactorWindow:
         """The ``i``-th factor as a per-block oracle :class:`ResidualBlock`."""
         layout, edge_var, slots = self.layout, self.edge_w**-2, self.slots
         if i == 0:
-            return prior_factor(0, self.prior_value, self.prior_var, layout)
+            return prior_factor(0, self.prior_value, self.prior_w**-2, layout)
         i -= 1
         n_edge_blocks = (self.n - 1) * self._per_edge
         if i < n_edge_blocks:

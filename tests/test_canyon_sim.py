@@ -46,10 +46,17 @@ from gnssins.residual_analysis import GmmComponent, GmmModel
 from gnssins.types import Constellation
 
 
+def az_el_deg(track: SatTrack, t: float) -> tuple[float, float]:
+    """A track's azimuth and elevation (degrees) at time ``t``."""
+    az = (track.az0_deg + track.az_rate_deg * t) % 360.0
+    el = track.el_center_deg + track.el_amp_deg * math.sin(track.el_omega * t + track.el_phase)
+    return az, el
+
+
 def satellite_ecef(track: SatTrack, t: float, ref: Geodetic) -> np.ndarray:
     """Scalar oracle of ``satellite_ecef_grid``: ECEF position on the MEO shell
     along the track's az/el at ``ref``."""
-    az_deg, el_deg = track.az_el_deg(t)
+    az_deg, el_deg = az_el_deg(track, t)
     az, el = math.radians(az_deg), math.radians(el_deg)
     u_enu = np.array(
         [math.sin(az) * math.cos(el), math.cos(az) * math.cos(el), math.sin(el)]
@@ -70,6 +77,53 @@ def azimuth_elevation(sat_pos: np.ndarray, receiver: np.ndarray) -> tuple[float,
     el = math.asin(enu[2] / rng)
     az = math.atan2(enu[0], enu[1]) % (2.0 * math.pi)
     return az, el
+
+
+def sector_contains(sector: MaskSector, az_deg: float) -> bool:
+    """Scalar oracle of ``MaskSector.contains``."""
+    az = az_deg % 360.0
+    lo, hi = sector.az_min_deg % 360.0, sector.az_max_deg % 360.0
+    if lo <= hi:
+        return lo <= az <= hi
+    return az >= lo or az <= hi
+
+
+def mask_elevation(cfg: SimConfig, az_deg: float) -> float:
+    """Scalar oracle of ``SimConfig.mask_elevation_deg``."""
+    mask = cfg.open_sky_min_elevation_deg
+    for sector in cfg.canyon_sectors:
+        if sector_contains(sector, az_deg):
+            mask = max(mask, sector.min_elevation_deg)
+    return min(mask, 89.0)
+
+
+def block_floor(cfg: SimConfig, t: float) -> float:
+    """Scalar oracle of ``SimConfig.block_floor_deg``."""
+    floor = 0.0
+    for interval in cfg.deep_intervals:
+        if interval.t_start <= t < interval.t_end:
+            floor = max(floor, interval.block_floor_deg)
+    return floor
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _sectors(lo, hi):
+    """Mask sectors with ends in [lo, hi] that differ modulo 360, as SimConfig requires."""
+    return st.builds(MaskSector, _floats(lo, hi), _floats(lo, hi), _floats(0.0, 89.9)).filter(
+        lambda s: s.az_min_deg % 360.0 != s.az_max_deg % 360.0
+    )
+
+
+# deep intervals that end after they start, as SimConfig requires
+_INTERVAL = st.builds(
+    lambda start, span, floor: DeepInterval(start, start + span, floor),
+    _floats(0.0, 300.0),
+    _floats(0.1, 300.0),
+    _floats(0.0, 89.0),
+)
 
 
 def small_canyon(seed=3, duration=40.0):
@@ -165,7 +219,7 @@ class TestConstellation:
         assert len(tracks) == cfg.n_satellites
         for track in tracks:
             for t in np.linspace(0, 300, 31):
-                _, el = track.az_el_deg(t)
+                _, el = az_el_deg(track, t)
                 assert 0.0 < el <= 90.0
 
     def test_az_el_round_trip(self):
@@ -176,7 +230,7 @@ class TestConstellation:
         for track in tracks[:6]:
             pos = satellite_ecef(track, 100.0, cfg.ref)
             az, el = azimuth_elevation(pos, receiver)
-            az_t, el_t = track.az_el_deg(100.0)
+            az_t, el_t = az_el_deg(track, 100.0)
             assert math.degrees(el) == pytest.approx(el_t, abs=0.1)
             assert math.degrees(az) % 360 == pytest.approx(az_t % 360, abs=0.1)
 
@@ -316,32 +370,41 @@ def replay_imu_noise(cfg):
     return rng, att, acc
 
 
-def scalar_observations(cfg, ds):
-    """Per-epoch (sat_id, nlos, snr, pseudorange, sat_pos, elevation, azimuth)
-    from the scalar geometry, one (epoch, track) pair at a time, drawing from
-    the generator in the order ``simulate`` must keep."""
-    rng, _, _ = replay_imu_noise(cfg)
-    tracks = generate_constellation(cfg, rng)
+def scalar_visible(cfg, ds, tracks):
+    """Per epoch, the (track, sat_pos, azimuth, elevation, nlos) of each pair
+    that is LOS (nlos False) or an NLOS candidate (nlos True), from the scalar
+    geometry and the scalar rule, one (epoch, track) pair at a time."""
     out = []
-    for k, t in enumerate(ds.truth_t):
-        t = float(t)
-        obs = []
+    for k, t in enumerate(ds.truth_t.tolist()):
+        pairs = []
         for track in tracks:
             sat_pos = satellite_ecef(track, t, cfg.ref)
             az, el = azimuth_elevation(sat_pos, ds.truth_pos[k])
             if el < HARD_HORIZON_RAD:
                 continue
-            mask_deg = cfg.mask_elevation_deg(math.degrees(az))
+            mask_deg = mask_elevation(cfg, math.degrees(az))
             el_deg = math.degrees(el)
-            if el_deg < cfg.block_floor_deg(t):
-                continue
+            if el_deg < block_floor(cfg, t):
+                continue  # dense cover blocks everything below the floor
             if el_deg >= mask_deg:
-                nlos = False
+                pairs.append((track, sat_pos, az, el, False))
             elif el_deg >= mask_deg - cfg.nlos_depth_deg:
-                if rng.uniform() >= cfg.nlos_receive_prob:
-                    continue
-                nlos = True
-            else:
+                pairs.append((track, sat_pos, az, el, True))
+        out.append(pairs)
+    return out
+
+
+def scalar_observations(cfg, ds):
+    """Per-epoch (sat_id, nlos, snr, pseudorange, sat_pos, elevation, azimuth)
+    from :func:`scalar_visible`, drawing from the generator in the order
+    ``simulate`` must keep."""
+    rng, _, _ = replay_imu_noise(cfg)
+    tracks = generate_constellation(cfg, rng)
+    out = []
+    for k, pairs in enumerate(scalar_visible(cfg, ds, tracks)):
+        obs = []
+        for track, sat_pos, az, el, nlos in pairs:
+            if nlos and rng.uniform() >= cfg.nlos_receive_prob:
                 continue
             name = track.constellation.value
             rho = float(np.linalg.norm(sat_pos - ds.truth_pos[k])) + ds.truth_clocks[name][k]
@@ -372,18 +435,24 @@ def angle_gap(a, b):
 
 
 class TestBulkGeometryMatchesScalar:
-    """``simulate`` computes its geometry in bulk; the scalar functions are the oracle."""
+    """``simulate`` computes its geometry and visibility in bulk; the scalar
+    functions are the oracle."""
 
     @settings(max_examples=8, deadline=None)
     @given(
         seed=st.integers(0, 2**16),
         duration=st.sampled_from([12.0, 30.0]),
         deep=st.booleans(),
+        # a sector that wraps past north, over the canyon's own sectors
+        wrap=st.none()
+        | st.builds(MaskSector, _floats(200.0, 359.0), _floats(1.0, 160.0), _floats(20.0, 80.0)),
     )
-    def test_observations_match_scalar_loop(self, seed, duration, deep):
+    def test_observations_match_scalar_loop(self, seed, duration, deep, wrap):
         cfg = turning_canyon(seed, duration)
         if deep:
             cfg.deep_intervals = [DeepInterval(4.0, 9.0, 60.0)]
+        if wrap:
+            cfg = replace(cfg, canyon_sectors=[*cfg.canyon_sectors, wrap])
         ds = simulate(cfg)
         expected = scalar_observations(cfg, ds)
         for epoch, ref_obs in zip(ds.epochs, expected):
@@ -394,6 +463,57 @@ class TestBulkGeometryMatchesScalar:
                 assert np.abs(sat.sat_pos - sat_pos).max() <= 1e-6
                 assert abs(sat.elevation - el) <= 1e-9
                 assert angle_gap(sat.azimuth, az) <= 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sectors=st.lists(_sectors(-360.0, 720.0), max_size=4),
+        intervals=st.lists(_INTERVAL, max_size=4),
+        open_sky=_floats(0.0, 95.0),
+        az=st.lists(_floats(-720.0, 720.0), max_size=8),
+        t=st.lists(_floats(-10.0, 700.0), max_size=8),
+    )
+    def test_mask_and_floor_match_scalar_rule(self, sectors, intervals, open_sky, az, t):
+        cfg = replace(
+            noise_free_config(duration_s=10.0),
+            canyon_sectors=sectors,
+            deep_intervals=intervals,
+            open_sky_min_elevation_deg=open_sky,
+        )
+        # every sector end, also a turn either side of it, and every interval edge
+        ends = [s.az_min_deg for s in sectors] + [s.az_max_deg for s in sectors]
+        az = np.array(az + [e + turn for e in ends for turn in (-360.0, 0.0, 360.0)])
+        t = np.array(t + [d.t_start for d in intervals] + [d.t_end for d in intervals])
+        mask = cfg.mask_elevation_deg(az[None, :])
+        assert mask.shape == (1, az.size)
+        assert np.array_equal(mask[0], [mask_elevation(cfg, a) for a in az.tolist()])
+        assert np.array_equal(cfg.block_floor_deg(t), [block_floor(cfg, x) for x in t.tolist()])
+
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 2**16), prob=_floats(0.0, 1.0), deep=st.booleans())
+    def test_los_pairs_do_not_depend_on_receive_prob(self, seed, prob, deep):
+        cfg = turning_canyon(seed, 12.0)
+        if deep:
+            cfg.deep_intervals = [DeepInterval(4.0, 9.0, 60.0)]
+        tracks = generate_constellation(cfg, replay_imu_noise(cfg)[0])
+        visible = scalar_visible(cfg, simulate(cfg), tracks)
+        los = [[p[0].sat_id for p in pairs if not p[-1]] for pairs in visible]
+        candidates = [[p[0].sat_id for p in pairs if p[-1]] for pairs in visible]
+        assert any(candidates)
+
+        def received(p):
+            epochs = simulate(replace(cfg, nlos_receive_prob=p)).epochs
+            return (
+                [[s.sat_id for s in e.sats if not s.nlos_truth] for e in epochs],
+                [[s.sat_id for s in e.sats if s.nlos_truth] for e in epochs],
+            )
+
+        runs = {p: received(p) for p in (0.0, prob, 1.0)}
+        for got_los, got_nlos in runs.values():
+            assert got_los == los
+            # the NLOS satellites received are candidates, in track order
+            assert got_nlos == [[i for i in c if i in g] for g, c in zip(got_nlos, candidates)]
+        assert runs[0.0][1] == [[] for _ in visible]
+        assert runs[1.0][1] == candidates
 
     @settings(max_examples=8, deadline=None)
     @given(
@@ -436,10 +556,6 @@ class TestLcFixes:
         assert not any(e.fix_available for e in ds.epochs)
 
 
-def _floats(lo, hi):
-    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
-
-
 _GMM = st.lists(
     st.builds(GmmComponent, _floats(0.01, 1.0), _floats(-5.0, 60.0), _floats(0.1, 20.0)),
     min_size=1,
@@ -468,18 +584,12 @@ _FIELD_CHANGES = st.fixed_dictionaries(
         "los_sigma_m": _floats(0.0, 10.0),
         # SimConfig requires this and clock_models to name exactly GPS and BeiDou
         "nlos_model": st.fixed_dictionaries({"GPS": _GMM, "BeiDou": _GMM}),
-        "canyon_sectors": st.lists(
-            st.builds(MaskSector, _floats(0.0, 360.0), _floats(0.0, 360.0), _floats(0.0, 89.9)),
-            max_size=3,
-        ),
+        "canyon_sectors": st.lists(_sectors(0.0, 360.0), max_size=3),
         "open_sky_min_elevation_deg": _floats(0.0, 30.0),
         "nlos_depth_deg": _floats(0.0, 60.0),
         "nlos_receive_prob": _floats(0.0, 1.0),
         "snr_bias_slope_db_per_m": _floats(0.0, 2.0),
-        "deep_intervals": st.lists(
-            st.builds(DeepInterval, _floats(0.0, 300.0), _floats(0.0, 300.0), _floats(0.0, 89.0)),
-            max_size=3,
-        ),
+        "deep_intervals": st.lists(_INTERVAL, max_size=3),
         "accel_bias_true": st.lists(_floats(-0.1, 0.1), min_size=3, max_size=3).map(np.array),
         "accel_noise_sigma": _floats(0.0, 1.0),
         "attitude_noise_deg": _floats(0.0, 1.0),
@@ -740,6 +850,15 @@ def test_invalid_configs_rejected():
         # no GNSS epoch at 1 Hz: simulate rounds both to 0 epochs
         ("duration_s", 0.4),
         ("duration_s", 0.5),
+        # a sector whose ends are equal modulo 360 masked one azimuth, and an
+        # interval that does not end after it starts blocked nothing
+        ("canyon_sectors", [MaskSector(0.0, 360.0, 62.0)]),
+        ("canyon_sectors", [MaskSector(-10.0, 350.0, 62.0)]),
+        ("canyon_sectors", [MaskSector(25.0, 155.0, 62.0), MaskSector(40.0, 40.0, 62.0)]),
+        ("canyon_sectors", [MaskSector(float("nan"), 30.0, 62.0)]),
+        ("deep_intervals", [DeepInterval(50.0, 50.0, 60.0)]),
+        ("deep_intervals", [DeepInterval(60.0, 40.0, 60.0)]),
+        ("deep_intervals", [DeepInterval(40.0, 60.0, float("nan"))]),
     ]:
         with pytest.raises(ValueError, match=name):
             replace(base, **{name: value})

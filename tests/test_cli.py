@@ -107,6 +107,12 @@ class TestSimulate:
             {"nlos_model": {"GPS": [[-0.5, 1.0, 1.0], [1.0, 5.0, 2.0]], "BeiDou": [[1, 5, 2]]}},
             {"nlos_model": {"GPS": [[0.0, 1.0, 1.0]], "BeiDou": [[1, 5, 2]]}},
             {"nlos_model": {"GPS": [[1.0, 1.0, -1.0]], "BeiDou": [[1, 5, 2]]}},
+            # a sector whose ends are equal modulo 360 masked one azimuth, and
+            # an interval that does not end after it starts blocked nothing
+            {"canyon_sectors": [[0, 360, 62]]},
+            {"canyon_sectors": [[-10, 350, 62]]},
+            {"deep_intervals": [[50, 50, 60]]},
+            {"deep_intervals": [[60, 40, 60]]},
         ],
     )
     def test_bad_scenario_keys_exit_1(self, tmp_path, capsys, edit):

@@ -554,7 +554,7 @@ class TestArrayWindowMatchesOracle:
         assert close(delta, expected)
 
 
-WINDOW_ARRAYS = ("initial_values", "prior_value", "prior_var")
+WINDOW_ARRAYS = ("initial_values", "prior_value", "prior_w")
 # slot buffers, each with the columns a push writes (those of edge_sub not
 # on velocity hold the last pricing)
 SLOT_ARRAYS = {"state": ..., "dt": ..., "edge_sub": VEL, "edge_block": ...}
@@ -756,7 +756,7 @@ class TestSlidingWindow:
         ref = scratch_window(history, cfg, layout, slid=len(epochs) > kept)
         assert list(ref.slots["meas"]) == list(est.window.slots["meas"])
         assert ref.slid == est.window.slid
-        assert np.array_equal(ref.prior_var, est.window.prior_var)
+        assert np.array_equal(ref.prior_w, est.window.prior_w)
         x = ref.initial_values
         assert np.array_equal(ref.normal_equations(x)[0], est.window.normal_equations(x)[0])
 
@@ -771,7 +771,8 @@ class TestSlidingWindow:
         w = FactorWindow(RunConfig(estimator=f"fgo-{mode}", window=window), layout)
         sliding = default_process_noise(layout)
         sliding[0:3], sliding[3:6] = fgo.SLIDING_ANCHOR_VAR[mode]
-        priors = {False: np.diag(initial_covariance(layout)), True: sliding}
+        # the weights, whitening each prior variance
+        priors = {False: 1.0 / np.sqrt(np.diag(initial_covariance(layout))), True: 1.0 / np.sqrt(sliding)}
         for k, (e, pos) in enumerate(zip(epochs, truth), start=1):
             state = layout.zeros()
             state[0:3] = pos
@@ -779,7 +780,7 @@ class TestSlidingWindow:
             kept = k if window is BATCH else min(k, window + 1)
             assert list(w.slots["meas"]) == epochs[k - kept : k]
             assert w.slid == (k > kept)
-            assert np.array_equal(w.prior_var, priors[k > kept])
+            assert np.array_equal(w.prior_w, priors[k > kept])
             assert np.array_equal(w.prior_value, w.slots["state"][0])
         assert w.slid == (window is not BATCH)
 
