@@ -46,7 +46,7 @@ from .frames import (
     rotation_global_from_local,
 )
 from .noise_models import GmmComponent, GmmModel, SatObservation, WeightingParams, compute_hdop
-from .types import Constellation, EpochMeasurements
+from .types import Constellation, EpochMeasurements, check_numbers
 
 MEO_RADIUS_M = 26_560e3
 HARD_HORIZON_RAD = math.radians(5.0)
@@ -156,12 +156,15 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_numbers(self)
         self.accel_bias_true = np.asarray(self.accel_bias_true, dtype=float)
-        if self.duration_s <= 0:
-            raise ValueError("duration must be positive")
-        if self.imu_rate_hz <= 0 or self.gnss_rate_hz <= 0:
-            raise ValueError("rates must be positive")
-        # simulate's epoch count; a scenario without an epoch has no dataset
+        if self.accel_bias_true.shape != (3,):
+            raise ValueError(f"accel_bias_true must hold three numbers, got {self.accel_bias_true}")
+        positive = ("duration_s", "imu_rate_hz", "gnss_rate_hz", "max_accel")
+        for name, value in zip(positive, attrgetter(*positive)(self)):
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
+        # simulate's epoch count (it may overflow); a scenario without an epoch has no dataset
         epochs = self.duration_s * self.gnss_rate_hz
         if not (math.isfinite(epochs) and round(epochs) >= 1):
             raise ValueError(
@@ -177,24 +180,23 @@ class SimConfig:
                         "nlos_depth_deg", "snr_los.sigma", "snr_nlos.sigma", "n_satellites",
                         "n_high_satellites")
         for name, value in zip(non_negative, attrgetter(*non_negative)(self)):
-            if not value >= 0:
+            if value < 0:
                 raise ValueError(f"{name} must be non-negative, got {value!r}")
-        if not self.max_accel > 0:
-            raise ValueError(f"max_accel must be positive, got {self.max_accel!r}")
         if not 0.0 <= self.nlos_receive_prob <= 1.0:
             raise ValueError(f"nlos_receive_prob must lie in [0, 1], got {self.nlos_receive_prob!r}")
+        if not 0.0 <= (sky := self.open_sky_min_elevation_deg) < 90.0:
+            raise ValueError(f"open_sky_min_elevation_deg must lie in [0, 90), got {sky!r}")
         if len(self.waypoints) < 2:
             raise ValueError("need at least two waypoints")
         for s in self.canyon_sectors:
             if not 0.0 <= s.min_elevation_deg < 90.0:
                 raise ValueError(f"canyon_sectors mask elevations must lie in [0, 90), got {s}")
             # equal ends would mask one azimuth; open_sky_min_elevation_deg masks all round
-            lo, hi = s.az_min_deg % 360.0, s.az_max_deg % 360.0
-            if lo == hi or not math.isfinite(lo + hi):
-                raise ValueError(f"canyon_sectors ends must be finite and differ modulo 360, got {s}")
+            if s.az_min_deg % 360.0 == s.az_max_deg % 360.0:
+                raise ValueError(f"canyon_sectors ends must differ modulo 360, got {s}")
         for d in self.deep_intervals:
-            if not d.t_end > d.t_start or math.isnan(d.block_floor_deg):
-                raise ValueError(f"deep_intervals must end after they start, with a numeric floor, got {d}")
+            if d.t_end <= d.t_start:
+                raise ValueError(f"deep_intervals must end after they start, got {d}")
         # a model for each constellation generate_constellation draws, and no other
         names = {c.value for c in Constellation}
         for key in ("clock_models", "nlos_model"):
@@ -204,13 +206,11 @@ class SimConfig:
         for name, model in self.nlos_model.items():
             weights = [c.weight for c in model.components]
             stds = [c.std for c in model.components]
-            if not (all(w >= 0 for w in weights) and 0 < sum(weights) < math.inf):
+            if min(weights + stds, default=0) < 0 or not 0 < sum(weights) < math.inf:
                 raise ValueError(
-                    f"nlos_model[{name!r}] weights must be non-negative with a positive sum,"
-                    f" got {weights}"
+                    f"nlos_model[{name!r}] needs non-negative weights with a positive sum and"
+                    f" non-negative stds, got weights {weights} and stds {stds}"
                 )
-            if not all(s >= 0 for s in stds):
-                raise ValueError(f"nlos_model[{name!r}] stds must be non-negative, got {stds}")
 
     @property
     def ref(self) -> Geodetic:
@@ -716,6 +716,13 @@ def noise_free_config(seed: int = 1, duration_s: float = 60.0) -> SimConfig:
 # ---------------------------------------------------------------------------
 
 
+def _waypoint_from_json(w: dict) -> Waypoint:
+    degrees = w["lat_deg"], w["lon_deg"]
+    if any(isinstance(d, bool) for d in degrees):  # math.radians would make it a float
+        raise TypeError(f"waypoint degrees must be numbers, got {degrees}")
+    return Waypoint(Geodetic.from_degrees(*degrees, w.get("height_m", 0.0)), w["speed_mps"])
+
+
 # JSON form of the SimConfig fields that are not plain numbers, as
 # (encode, decode); every other field is written as it is
 _JSON_CODECS = {
@@ -729,13 +736,7 @@ _JSON_CODECS = {
             }
             for w in ws
         ],
-        lambda ws: [
-            Waypoint(
-                Geodetic.from_degrees(w["lat_deg"], w["lon_deg"], w.get("height_m", 0.0)),
-                w["speed_mps"],
-            )
-            for w in ws
-        ],
+        lambda ws: list(map(_waypoint_from_json, ws)),
     ),
     "nlos_model": (
         lambda models: {
@@ -754,7 +755,8 @@ _JSON_CODECS = {
         lambda spans: [list(astuple(d)) for d in spans],
         lambda spans: [DeepInterval(*d) for d in spans],
     ),
-    "accel_bias_true": (lambda a: list(map(float, a)), np.array),
+    # SimConfig converts it to an array once it has checked its numbers
+    "accel_bias_true": (lambda a: list(map(float, a)), list),
     "clock_models": (
         lambda models: {name: asdict(m) for name, m in models.items()},
         lambda models: {name: ClockModel(**m) for name, m in models.items()},
@@ -773,21 +775,11 @@ def config_to_dict(cfg: SimConfig) -> dict:
     return out
 
 
-def _non_numbers(value) -> list:
-    """The leaves of a nested JSON value (lists and object values) that are
-    not numbers; a bool counts as none."""
-    if isinstance(value, dict):
-        value = list(value.values())
-    if isinstance(value, list):
-        return [leaf for item in value for leaf in _non_numbers(item)]
-    return [] if isinstance(value, (int, float)) and not isinstance(value, bool) else [value]
-
-
 def config_from_dict(data: dict) -> SimConfig:
     """Inverse of :func:`config_to_dict`. An absent key takes ``SimConfig``'s
-    default; ``waypoints`` is required, and an unknown key, a numeric field
-    whose value is not a number (a bool counts as none) or a nested value
-    holding anything but numbers is an error."""
+    default; ``waypoints`` is required, and an unknown key or a value its
+    field cannot be built from is an error naming the key. ``SimConfig``
+    itself checks every number (see :func:`types.check_numbers`) and range."""
     if not isinstance(data, dict):
         raise ValueError("a scenario must be a JSON object")
     unknown = sorted(set(data) - {f.name for f in fields(SimConfig)})
@@ -795,20 +787,11 @@ def config_from_dict(data: dict) -> SimConfig:
         raise ValueError(f"unknown scenario keys: {', '.join(unknown)}")
     if "waypoints" not in data:
         raise ValueError("a scenario needs 'waypoints'")
-    # fields() gives the annotations as strings (postponed evaluation)
-    numeric = {f.name: f.type for f in fields(SimConfig) if f.type in ("float", "int")}
     kwargs = {}
     for name, value in data.items():
-        if name in numeric:
-            kinds = int if numeric[name] == "int" else (int, float)
-            if isinstance(value, bool) or not isinstance(value, kinds):
-                kind = "an integer" if kinds is int else "a number"
-                raise ValueError(f"scenario key {name!r} must be {kind}, got {value!r}")
-        elif bad := _non_numbers(value):
-            raise ValueError(f"scenario key {name!r} must hold only numbers, got {bad[0]!r}")
         try:
             kwargs[name] = _JSON_CODECS[name][1](value) if name in _JSON_CODECS else value
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed scenario key {name!r}: {exc!r}") from exc
     return SimConfig(**kwargs)
 

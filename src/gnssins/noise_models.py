@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .frames import ecef_to_geodetic, rotation_global_from_local
-from .types import BIAS, POS, VEL, Constellation, StateLayout, constellations_present
+from .types import BIAS, POS, VEL, Constellation, StateLayout, check_numbers, constellations_present
 
 
 class GeometryError(ValueError):
@@ -49,6 +49,7 @@ class WeightingParams:
     s_user: float = 10.0
 
     def __post_init__(self) -> None:
+        check_numbers(self)
         if self.big_f == self.T:
             raise ValueError("F and T must differ")
         if self.a <= 0:

@@ -468,7 +468,7 @@ class TestBulkGeometryMatchesScalar:
     @given(
         sectors=st.lists(_sectors(-360.0, 720.0), max_size=4),
         intervals=st.lists(_INTERVAL, max_size=4),
-        open_sky=_floats(0.0, 95.0),
+        open_sky=_floats(0.0, 89.9),  # SimConfig takes [0, 90)
         az=st.lists(_floats(-720.0, 720.0), max_size=8),
         t=st.lists(_floats(-10.0, 700.0), max_size=8),
     )
@@ -609,6 +609,14 @@ CONFIG_CHANGES = st.builds(
 ).filter(lambda c: round(c.get("duration_s", 60.0) * c.get("gnss_rate_hz", 1.0)) >= 1)
 
 
+def numeric_leaves(value, path=()) -> list:
+    """The paths (keys and indices) to the numbers of a JSON value."""
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        return [leaf for key, item in items for leaf in numeric_leaves(item, (*path, key))]
+    return [path]
+
+
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         ds = simulate(small_canyon(seed=5, duration=15.0))
@@ -674,6 +682,26 @@ class TestPersistence:
         data = json.loads(json.dumps(config_to_dict(cfg)))
         assert list(data) == [f.name for f in fields(SimConfig)]
         assert_same_config(config_from_dict(data), cfg)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        preset=st.sampled_from([default_canyon_config, noise_free_config]),
+        changes=CONFIG_CHANGES,
+        bad=st.sampled_from([math.nan, math.inf, -math.inf, True, "1", None, {}, []]),
+        data=st.data(),
+    )
+    def test_a_bad_number_is_rejected_naming_its_key(self, preset, changes, bad, data):
+        # once a NaN in most keys failed deep inside simulate or was taken,
+        # and an object inside a nested value ended in a TypeError
+        scenario = json.loads(json.dumps(config_to_dict(replace(preset(), **changes))))
+        path = data.draw(st.sampled_from(numeric_leaves(scenario)))
+        *parents, leaf = path
+        node = scenario
+        for step in parents:
+            node = node[step]
+        node[leaf] = bad
+        with pytest.raises(ValueError, match=path[0]):
+            config_from_dict(scenario)
 
     def test_waypoints_alone_take_simconfig_defaults(self):
         data = {"waypoints": config_to_dict(noise_free_config())["waypoints"]}
@@ -859,6 +887,21 @@ def test_invalid_configs_rejected():
         ("deep_intervals", [DeepInterval(50.0, 50.0, 60.0)]),
         ("deep_intervals", [DeepInterval(60.0, 40.0, 60.0)]),
         ("deep_intervals", [DeepInterval(40.0, 60.0, float("nan"))]),
+        # every number is finite, an integer where the field is an int: each
+        # of these was taken, or failed deep inside the simulator
+        ("open_sky_min_elevation_deg", float("nan")),
+        ("open_sky_min_elevation_deg", -1.0),
+        ("open_sky_min_elevation_deg", 90.0),
+        ("waypoints", [base.waypoints[0], replace(base.waypoints[1], speed=float("nan"))]),
+        ("snr_los", SnrModel(float("nan"), 2.0)),
+        ("clock_models", {**base.clock_models, "GPS": ClockModel(math.inf, 0.0)}),
+        ("nlos_model", {**base.nlos_model, "GPS": GmmModel((GmmComponent(1.0, math.nan, 1.0),))}),
+        ("deep_intervals", [DeepInterval(40.0, 60.0, math.inf)]),
+        ("max_accel", math.inf),
+        ("n_satellites", 14.0),
+        ("n_high_satellites", 5.0),
+        ("seed", 1.0),
+        ("seed", True),
     ]:
         with pytest.raises(ValueError, match=name):
             replace(base, **{name: value})

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -113,6 +114,17 @@ class TestSimulate:
             {"canyon_sectors": [[-10, 350, 62]]},
             {"deep_intervals": [[50, 50, 60]]},
             {"deep_intervals": [[60, 40, 60]]},
+            # every number is finite: an object in a sector once ended in a
+            # TypeError traceback, a NaN open-sky mask simulated no
+            # observation, and a NaN speed was simulated
+            {"canyon_sectors": [[{"a": 1}, 30, 40]]},
+            {"open_sky_min_elevation_deg": math.nan},
+            {
+                "waypoints": [
+                    {"lat_deg": 22.32, "lon_deg": 114.17, "speed_mps": 8.0},
+                    {"lat_deg": 22.33, "lon_deg": 114.17, "speed_mps": math.nan},
+                ]
+            },
         ],
     )
     def test_bad_scenario_keys_exit_1(self, tmp_path, capsys, edit):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -290,3 +291,12 @@ def test_weighting_params_validation():
         WeightingParams(a=-1.0)
     with pytest.raises(ValueError):
         WeightingParams(s_user=0.0)
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(WeightingParams)])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_weighting_params_reject_non_finite(name, value):
+    # a NaN s_user once failed as a NaN latitude deep in an ekf-lc run, and a
+    # NaN T as an EvaluationError from the single-epoch WLS
+    with pytest.raises(ValueError, match=name):
+        WeightingParams(**{name: value})
