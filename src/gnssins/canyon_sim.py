@@ -13,8 +13,10 @@ elevation: satellites above the mask are LOS, satellites within
 is blocked entirely. Optional deep intervals raise every mask for a time
 span to emulate driving under dense high-rise cover.
 
-Everything but the random draws is computed once, in bulk: the trajectory at
-the IMU sample edges, each epoch's IMU input (``_epoch_imu``), truth attitude
+``SimConfig`` derives the run's shape (epoch count, IMU samples per epoch,
+trajectory) once, as it is checked; ``simulate`` only reads it. Everything
+else but the random draws is computed once, in bulk: the trajectory at the
+IMU sample edges, each epoch's IMU input (``_epoch_imu``), truth attitude
 and clocks, the satellite geometry of the whole epochs-by-tracks grid
 (``satellite_ecef_grid``, ``azimuth_elevation_grid``) and which of its pairs
 are LOS or NLOS candidates; their per-pair scalar references live in the
@@ -55,12 +57,12 @@ CSV_FLOAT = "%.12g"
 
 @dataclass(frozen=True)
 class Waypoint:
+    """A point of the route. The leg that leaves it runs at its ``speed`` (m/s);
+    the last waypoint's speed is checked and written but never read, as the
+    run goes on at the last leg's velocity once the route ends."""
+
     geo: Geodetic
     speed: float
-
-    def __post_init__(self) -> None:
-        if self.speed <= 0:
-            raise ValueError("waypoint speed must be positive")
 
 
 @dataclass(frozen=True)
@@ -125,8 +127,13 @@ def _default_nlos_models() -> dict:
     }
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
+    """One scenario, checked whole when made and frozen (``dataclasses.replace``
+    makes a checked copy). It then derives the run's shape once, as plain
+    attributes, not fields: ``n_epochs``, ``samples_per_epoch`` (IMU samples
+    per GNSS epoch) and ``trajectory`` (:func:`build_trajectory`'s pieces)."""
+
     waypoints: list[Waypoint]
     duration_s: float = 300.0
     imu_rate_hz: float = 100.0
@@ -157,7 +164,7 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         check_numbers(self)
-        self.accel_bias_true = np.asarray(self.accel_bias_true, dtype=float)
+        object.__setattr__(self, "accel_bias_true", np.asarray(self.accel_bias_true, dtype=float))
         if self.accel_bias_true.shape != (3,):
             raise ValueError(f"accel_bias_true must hold three numbers, got {self.accel_bias_true}")
         positive = ("duration_s", "imu_rate_hz", "gnss_rate_hz", "max_accel")
@@ -176,6 +183,8 @@ class SimConfig:
         steps = round(ratio) if math.isfinite(ratio) else 0
         if steps < 1 or abs(ratio - steps) > 1e-9 * ratio:
             raise ValueError(f"imu_rate_hz / gnss_rate_hz must be a positive integer, got {ratio!r}")
+        if round(epochs) * steps > np.iinfo(np.intp).max:  # simulate's IMU sample count
+            raise ValueError(f"duration_s {self.duration_s!r} gives too many IMU samples to index")
         non_negative = ("seed", "los_sigma_m", "accel_noise_sigma", "attitude_noise_deg",
                         "nlos_depth_deg", "snr_los.sigma", "snr_nlos.sigma", "n_satellites",
                         "n_high_satellites")
@@ -188,6 +197,8 @@ class SimConfig:
             raise ValueError(f"open_sky_min_elevation_deg must lie in [0, 90), got {sky!r}")
         if len(self.waypoints) < 2:
             raise ValueError("need at least two waypoints")
+        if min(speeds := [w.speed for w in self.waypoints]) <= 0:
+            raise ValueError(f"waypoints speeds must be positive, got {speeds}")
         for s in self.canyon_sectors:
             if not 0.0 <= s.min_elevation_deg < 90.0:
                 raise ValueError(f"canyon_sectors mask elevations must lie in [0, 90), got {s}")
@@ -211,6 +222,9 @@ class SimConfig:
                     f"nlos_model[{name!r}] needs non-negative weights with a positive sum and"
                     f" non-negative stds, got weights {weights} and stds {stds}"
                 )
+        object.__setattr__(self, "n_epochs", round(epochs))
+        object.__setattr__(self, "samples_per_epoch", steps)
+        object.__setattr__(self, "trajectory", build_trajectory(self))
 
     @property
     def ref(self) -> Geodetic:
@@ -251,9 +265,13 @@ class TrajectoryPiece:
 def build_trajectory(cfg: SimConfig) -> list[TrajectoryPiece]:
     """Piecewise constant-velocity legs joined by constant-acceleration blends.
 
-    Each blend replaces the waypoint corner: it starts half a blend early on
-    the incoming leg and lands exactly on the outgoing leg, which keeps
-    position and velocity continuous with bounded acceleration.
+    Each leg runs at the speed of the waypoint it leaves, so the last
+    waypoint's speed is never read; after the route ends the run continues
+    at the last leg's velocity. Each blend replaces the waypoint corner: it
+    starts half a blend early on the incoming leg and lands exactly on the
+    outgoing leg, which keeps position and velocity continuous with bounded
+    acceleration. Coincident waypoints, or a leg too short for its blends,
+    are an error naming ``waypoints`` (and ``max_accel``, which sets them).
     """
     ref = cfg.ref
     ref_ecef = geodetic_to_ecef(ref)
@@ -267,7 +285,7 @@ def build_trajectory(cfg: SimConfig) -> list[TrajectoryPiece]:
         d = b - a
         length = float(np.linalg.norm(d))
         if length < 1e-9:
-            raise ValueError("coincident waypoints")
+            raise ValueError(f"waypoints {len(lengths)} and {len(lengths) + 1} coincide")
         directions.append(d / length)
         lengths.append(length)
 
@@ -286,7 +304,9 @@ def build_trajectory(cfg: SimConfig) -> list[TrajectoryPiece]:
         cut_out = speeds[i] * blends[i] / 2.0 if i < len(blends) else 0.0
         cruise_len = length - cut_in - cut_out
         if cruise_len < 0:
-            raise ValueError(f"leg {i} too short for its corner blends")
+            raise ValueError(
+                f"max_accel {cfg.max_accel!r} makes corner blends longer than waypoints leg {i}"
+            )
         cruise_dur = cruise_len / speeds[i]
         if cruise_dur > 0:
             pieces.append(TrajectoryPiece(t, cruise_dur, pos.copy(), v.copy(), np.zeros(3)))
@@ -500,25 +520,21 @@ def _epoch_imu(imu_accel: np.ndarray, samples_per_epoch: int, *sampled: np.ndarr
 
 
 def simulate(cfg: SimConfig) -> Dataset:
-    """Generate a complete dataset for the configuration."""
+    """Generate a complete dataset for the configuration, in the shape it derived."""
     rng = np.random.default_rng(cfg.seed)
-    ref = cfg.ref
+    ref, n_epochs, samples_per_epoch = cfg.ref, cfg.n_epochs, cfg.samples_per_epoch
     rot_ref = rotation_global_from_local(ref)
     ref_ecef = geodetic_to_ecef(ref)
-    pieces = build_trajectory(cfg)
-
-    n_epochs = int(round(cfg.duration_s * cfg.gnss_rate_hz))
     epoch_t = np.arange(n_epochs) / cfg.gnss_rate_hz
     # whole epochs of IMU samples, so that the dataset reads back at any duration
-    samples_per_epoch = int(round(cfg.imu_rate_hz / cfg.gnss_rate_hz))
     n_imu = n_epochs * samples_per_epoch
     imu_t = np.arange(1, n_imu + 1) / cfg.imu_rate_hz
 
-    pos_e, vel_e = eval_trajectory(pieces, epoch_t)
+    pos_e, vel_e = eval_trajectory(cfg.trajectory, epoch_t)
     truth_pos = ref_ecef + (rot_ref @ pos_e.T).T
     truth_vel = (rot_ref @ vel_e.T).T
 
-    yaw_true, imu_accel = _imu_truth(pieces, imu_t, cfg.imu_rate_hz, ref)
+    yaw_true, imu_accel = _imu_truth(cfg.trajectory, imu_t, cfg.imu_rate_hz, ref)
     att_noise = math.radians(cfg.attitude_noise_deg)
     imu_attitude = np.zeros((n_imu, 3))
     imu_attitude[:, 0] = yaw_true

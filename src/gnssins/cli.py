@@ -289,7 +289,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, SolverError) as exc:
+    except (ValueError, OSError, SolverError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

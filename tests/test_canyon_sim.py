@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -205,10 +205,50 @@ class TestTrajectory:
         assert np.abs(ds.truth_attitude[after, 0] - heading).max() <= 1e-12
 
     def test_coincident_waypoints_rejected(self):
+        # once accepted here, and rejected inside simulate without naming a key
         ref = Geodetic.from_degrees(22.3, 114.2, 5.0)
-        cfg_kwargs = dict(waypoints=[Waypoint(ref, 5.0), Waypoint(ref, 5.0)], duration_s=10.0)
-        with pytest.raises(ValueError):
-            build_trajectory(SimConfig(**cfg_kwargs))
+        with pytest.raises(ValueError, match="waypoints"):
+            SimConfig(waypoints=[Waypoint(ref, 5.0), Waypoint(ref, 5.0)], duration_s=10.0)
+
+
+class TestScenarioShape:
+    """A ``SimConfig`` is the one judge of a scenario: it derives the run's
+    shape once, and every scenario it accepts simulates in that shape."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # ENU offsets (m) and speeds (m/s): equal offsets give zero-length legs,
+        # and a small max_accel gives blends longer than their legs
+        route=st.lists(
+            st.tuples(_floats(-300.0, 300.0), _floats(-300.0, 300.0), _floats(0.5, 30.0)),
+            min_size=2,
+            max_size=5,
+        ),
+        duration=_floats(1.0, 20.0),
+        max_accel=_floats(0.001, 5.0),
+    )
+    def test_every_accepted_scenario_simulates(self, route, duration, max_accel):
+        ref = Geodetic.from_degrees(22.32, 114.17, 5.0)
+        waypoints = [
+            Waypoint(ecef_to_geodetic(enu_to_ecef(ref, np.array([e, n, 0.0]))), v)
+            for e, n, v in route
+        ]
+        try:
+            cfg = SimConfig(waypoints, duration, imu_rate_hz=10.0, max_accel=max_accel)
+        except ValueError as exc:
+            assert "waypoints" in str(exc) or "max_accel" in str(exc), exc
+            return
+        ds = simulate(cfg)
+        assert ds.n_epochs == cfg.n_epochs
+        assert ds.imu_t.size == cfg.n_epochs * cfg.samples_per_epoch
+
+    def test_a_scenario_cannot_be_changed(self):
+        # a field assigned after construction once bypassed every check
+        cfg = noise_free_config(duration_s=10.0)
+        derived = ["n_epochs", "samples_per_epoch", "trajectory"]
+        for name in [f.name for f in fields(SimConfig)] + derived:
+            with pytest.raises(FrozenInstanceError):
+                setattr(cfg, name, getattr(cfg, name))
 
 
 class TestConstellation:
@@ -450,7 +490,7 @@ class TestBulkGeometryMatchesScalar:
     def test_observations_match_scalar_loop(self, seed, duration, deep, wrap):
         cfg = turning_canyon(seed, duration)
         if deep:
-            cfg.deep_intervals = [DeepInterval(4.0, 9.0, 60.0)]
+            cfg = replace(cfg, deep_intervals=[DeepInterval(4.0, 9.0, 60.0)])
         if wrap:
             cfg = replace(cfg, canyon_sectors=[*cfg.canyon_sectors, wrap])
         ds = simulate(cfg)
@@ -493,7 +533,7 @@ class TestBulkGeometryMatchesScalar:
     def test_los_pairs_do_not_depend_on_receive_prob(self, seed, prob, deep):
         cfg = turning_canyon(seed, 12.0)
         if deep:
-            cfg.deep_intervals = [DeepInterval(4.0, 9.0, 60.0)]
+            cfg = replace(cfg, deep_intervals=[DeepInterval(4.0, 9.0, 60.0)])
         tracks = generate_constellation(cfg, replay_imu_noise(cfg)[0])
         visible = scalar_visible(cfg, simulate(cfg), tracks)
         los = [[p[0].sat_id for p in pairs if not p[-1]] for pairs in visible]
@@ -569,6 +609,16 @@ _WAYPOINT = st.builds(
     _floats(-100.0, 1000.0),
     _floats(0.5, 30.0),
 )
+
+
+def _legs_fit(waypoints) -> bool:
+    """Whether every leg is over 10 km, which fits the corner blends of any
+    speed and max_accel drawn here: a blend lasts at most 60 m/s / 0.2 m/s²,
+    so it cuts at most 30 m/s · 150 s = 4.5 km off each end of a leg."""
+    ecef = [geodetic_to_ecef(w.geo) for w in waypoints]
+    return all(np.linalg.norm(b - a) > 10e3 for a, b in zip(ecef, ecef[1:]))
+
+
 # SimConfig takes only an IMU rate that is a whole multiple of the GNSS rate,
 # so the two are drawn together
 _RATES = st.builds(
@@ -579,7 +629,9 @@ _RATES = st.builds(
 _FIELD_CHANGES = st.fixed_dictionaries(
     {},
     optional={
-        "waypoints": st.lists(_WAYPOINT, min_size=2, max_size=4),
+        # routes whose legs fit their blends; test_every_accepted_scenario_simulates
+        # covers the rest
+        "waypoints": st.lists(_WAYPOINT, min_size=2, max_size=4).filter(_legs_fit),
         "duration_s": _floats(1.0, 600.0),
         "los_sigma_m": _floats(0.0, 10.0),
         # SimConfig requires this and clock_models to name exactly GPS and BeiDou
@@ -598,7 +650,8 @@ _FIELD_CHANGES = st.fixed_dictionaries(
         "snr_nlos": st.builds(SnrModel, _floats(25.0, 55.0), _floats(0.0, 5.0)),
         "n_satellites": st.integers(4, 30),
         "n_high_satellites": st.integers(0, 10),
-        "max_accel": _floats(0.1, 5.0),
+        # the default canyon's 700 m leg fits its 90° corner blends from 0.13
+        "max_accel": _floats(0.2, 5.0),
         "seed": st.integers(0, 2**32 - 1),
     },
 )
@@ -893,6 +946,7 @@ def test_invalid_configs_rejected():
         ("open_sky_min_elevation_deg", -1.0),
         ("open_sky_min_elevation_deg", 90.0),
         ("waypoints", [base.waypoints[0], replace(base.waypoints[1], speed=float("nan"))]),
+        ("waypoints", [base.waypoints[0], replace(base.waypoints[1], speed=0.0)]),
         ("snr_los", SnrModel(float("nan"), 2.0)),
         ("clock_models", {**base.clock_models, "GPS": ClockModel(math.inf, 0.0)}),
         ("nlos_model", {**base.nlos_model, "GPS": GmmModel((GmmComponent(1.0, math.nan, 1.0),))}),

@@ -20,6 +20,10 @@ from gnssins.harness import TC_LAYOUT, RunConfig, run_estimator
 from gnssins.residual_analysis import pseudorange_residuals
 
 
+# the noise-free preset's two waypoints, as sim_config.json writes them
+ROUTE = config_to_dict(noise_free_config())["waypoints"]
+
+
 def run_cli(*argv):
     return main(list(argv))
 
@@ -125,6 +129,11 @@ class TestSimulate:
                     {"lat_deg": 22.33, "lon_deg": 114.17, "speed_mps": math.nan},
                 ]
             },
+            # a route back to its start, whose corner blends at this max_accel
+            # outrun its legs, and a run with more IMU samples than numpy can
+            # index: errors inside simulate that named neither key
+            {"max_accel": 0.001, "waypoints": [*ROUTE, ROUTE[0]]},
+            {"duration_s": 1e308},
         ],
     )
     def test_bad_scenario_keys_exit_1(self, tmp_path, capsys, edit):
@@ -141,6 +150,15 @@ class TestSimulate:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         if edit is not list:
             assert next(iter(edit)) in err
+
+    def test_run_too_large_to_allocate_exits_1(self, tmp_path, capsys):
+        # 1e15 epochs pass every scenario check, and numpy cannot allocate
+        # them: once a 16-line MemoryError traceback
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**config_to_dict(noise_free_config()), "duration_s": 1e15}))
+        assert run_cli("simulate", "--config", str(bad), "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
     def test_invalid_config_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
