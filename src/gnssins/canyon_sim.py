@@ -27,12 +27,14 @@ computation, so a seed gives the same draws and the same dataset.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import asdict, astuple, dataclass, field, fields
 from operator import attrgetter
 from pathlib import Path
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -47,7 +49,15 @@ from .frames import (
     global_to_local_array,
     rotation_global_from_local,
 )
-from .noise_models import GmmComponent, GmmModel, SatObservation, WeightingParams, compute_hdop
+from .nls_solver import LmConfig, SolverError
+from .noise_models import (
+    GmmComponent,
+    GmmModel,
+    SatObservation,
+    WeightingParams,
+    compute_hdop,
+    hdop_array,
+)
 from .types import Constellation, EpochMeasurements, check_numbers
 
 MEO_RADIUS_M = 26_560e3
@@ -130,26 +140,29 @@ def _default_nlos_models() -> dict:
 @dataclass(frozen=True)
 class SimConfig:
     """One scenario, checked whole when made and frozen (``dataclasses.replace``
-    makes a checked copy). It then derives the run's shape once, as plain
-    attributes, not fields: ``n_epochs``, ``samples_per_epoch`` (IMU samples
-    per GNSS epoch) and ``trajectory`` (:func:`build_trajectory`'s pieces)."""
+    makes a checked copy). Its containers are stored immutable: the sequences
+    as tuples, the model dicts as read-only mappings of a copy, and
+    ``accel_bias_true`` as a read-only array copy, so no edit can slip past
+    the checks. It then derives the run's shape once, as plain attributes,
+    not fields: ``n_epochs``, ``samples_per_epoch`` (IMU samples per GNSS
+    epoch) and ``trajectory`` (:func:`build_trajectory`'s pieces)."""
 
-    waypoints: list[Waypoint]
+    waypoints: Sequence[Waypoint]
     duration_s: float = 300.0
     imu_rate_hz: float = 100.0
     gnss_rate_hz: float = 1.0
     los_sigma_m: float = 2.0
-    nlos_model: dict = field(default_factory=_default_nlos_models)
-    canyon_sectors: list[MaskSector] = field(default_factory=list)
+    nlos_model: Mapping[str, GmmModel] = field(default_factory=_default_nlos_models)
+    canyon_sectors: Sequence[MaskSector] = ()
     open_sky_min_elevation_deg: float = 10.0
     nlos_depth_deg: float = 30.0
     nlos_receive_prob: float = 1.0  # chance a masked satellite is received at all
     snr_bias_slope_db_per_m: float = 0.0  # SNR drop per meter of NLOS bias
-    deep_intervals: list[DeepInterval] = field(default_factory=list)
+    deep_intervals: Sequence[DeepInterval] = ()
     accel_bias_true: np.ndarray = field(default_factory=lambda: np.zeros(3))
     accel_noise_sigma: float = 0.0
     attitude_noise_deg: float = 0.0
-    clock_models: dict = field(
+    clock_models: Mapping[str, ClockModel] = field(
         default_factory=lambda: {
             "GPS": ClockModel(120.0, 0.0),
             "BeiDou": ClockModel(95.0, 0.0),
@@ -164,7 +177,13 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         check_numbers(self)
-        object.__setattr__(self, "accel_bias_true", np.asarray(self.accel_bias_true, dtype=float))
+        for name in ("waypoints", "canyon_sectors", "deep_intervals"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        for name in ("nlos_model", "clock_models"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+        bias = np.array(self.accel_bias_true, dtype=float)
+        bias.setflags(write=False)
+        object.__setattr__(self, "accel_bias_true", bias)
         if self.accel_bias_true.shape != (3,):
             raise ValueError(f"accel_bias_true must hold three numbers, got {self.accel_bias_true}")
         positive = ("duration_s", "imu_rate_hz", "gnss_rate_hz", "max_accel")
@@ -473,12 +492,22 @@ def _truncated_positive_normal(rng: np.random.Generator, mean: float, std: float
     return 0.0
 
 
-def _draw_nlos_bias(rng: np.random.Generator, model: GmmModel) -> float:
-    """Positive bias from the full mixture: most reflections add a few
-    meters, the long-tail component adds tens."""
+def _component_cdf(model: GmmModel) -> list[float]:
+    """Cumulative weights of the mixture's components, normalised as numpy's
+    ``Generator.choice`` normalises its ``p``: ``bisect_right(cdf,
+    rng.random())`` then picks the component that ``rng.choice(n,
+    p=weights / weights.sum())`` picks, from the same draw."""
     weights = np.array([c.weight for c in model.components])
-    idx = rng.choice(len(weights), p=weights / weights.sum())
-    comp = model.components[idx]
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def _draw_nlos_bias(rng: np.random.Generator, model: GmmModel, cdf: Sequence[float]) -> float:
+    """Positive bias from the full mixture, whose :func:`_component_cdf` is
+    ``cdf``: most reflections add a few meters, the long-tail component adds
+    tens."""
+    comp = model.components[bisect.bisect_right(cdf, rng.random())]
     return _truncated_positive_normal(rng, comp.mean, comp.std)
 
 
@@ -566,6 +595,7 @@ def simulate(cfg: SimConfig) -> Dataset:
     # the loop only draws, visiting the pairs in (epoch, track) order, which
     # fixes the sequence of random draws
     sats: list[list[SatObservation]] = [[] for _ in epoch_t]
+    cdfs = {name: _component_cdf(model) for name, model in cfg.nlos_model.items()}
     ks, js = np.nonzero(los | candidate)
     for k, j, nlos in zip(ks.tolist(), js.tolist(), candidate[ks, js].tolist()):
         # reflections flicker with receiver motion: a masked satellite is only
@@ -579,7 +609,7 @@ def simulate(cfg: SimConfig) -> Dataset:
             rho += rng.normal(0.0, cfg.los_sigma_m)
         snr_shift = 0.0
         if nlos:
-            bias = _draw_nlos_bias(rng, cfg.nlos_model[name])
+            bias = _draw_nlos_bias(rng, cfg.nlos_model[name], cdfs[name])
             rho += bias
             snr_model = cfg.snr_nlos
             # deeper reflections arrive weaker
@@ -627,23 +657,62 @@ def generate_lc_fixes(
     (:func:`fgo.overdetermined`) or with degenerate geometry are left
     fix-unavailable. Fixes inherit whatever corruption the pseudoranges
     carry, like a real receiver's output would.
+
+    The first overdetermined epoch is solved alone from the Earth's centre
+    (:func:`fgo.single_epoch_wls`), after it the next, until one gives a
+    fix. Every later overdetermined epoch starts from that fix, and all are
+    solved at once, as one :class:`fgo.EpochWls` stack in one LM solve. An
+    epoch takes its fix from the stack only if its own gradient-cosine test
+    holds against its own cost, its J^T J is not singular, and its HDOP
+    geometry is not (:meth:`fgo.EpochWls.solved`,
+    :func:`noise_models.hdop_array`). Any other is solved alone, as the
+    first, from where the stacked solve left it, and every one is solved
+    alone from the first fix if the stacked solve raises.
     """
     weighting = weighting or WeightingParams()
-    previous: Optional[np.ndarray] = None
+    lm = LmConfig()
     for epoch in epochs:
         epoch.fix_pos = None
         epoch.fix_hdop = None
-        if not fgo.overdetermined(epoch.sats):
-            continue
-        try:
-            # via the module, so a tracer wrapping fgo.single_epoch_wls sees set-up
-            pos, _ = fgo.single_epoch_wls(epoch.sats, weighting, initial=previous)
-            hdop = compute_hdop(epoch.sats, pos)
-        except ValueError:  # GeometryError among them
-            continue
-        epoch.fix_pos = pos
-        epoch.fix_hdop = hdop
-        previous = pos
+    pending = [epoch for epoch in epochs if fgo.overdetermined(epoch.sats)]
+    start = None
+    while pending and start is None:
+        start = _solve_alone(pending.pop(0), weighting, None)
+    if not pending:
+        return
+    try:
+        problem = fgo.EpochWls([epoch.sats for epoch in pending], weighting, start)
+        # via the module, so a tracer wrapping fgo.solve_lm sees the stacked solve
+        values = fgo.solve_lm(problem, lm).values
+        fixes = values.reshape(len(pending), problem.dim)[:, 0:3]
+        hdops = hdop_array(problem.sat_pos, problem.clocks, fixes)
+        solved = problem.solved(values, lm.gtol) & np.isfinite(hdops)
+    except (ValueError, SolverError):  # GeometryError among them
+        fixes = np.broadcast_to(start, (len(pending), 3))
+        solved = np.zeros(len(pending), dtype=bool)
+    for k, epoch in enumerate(pending):
+        if solved[k]:
+            epoch.fix_pos = fixes[k].copy()
+            epoch.fix_hdop = float(hdops[k])
+        else:
+            _solve_alone(epoch, weighting, fixes[k])
+
+
+def _solve_alone(
+    epoch: EpochMeasurements, weighting: WeightingParams, initial: Optional[np.ndarray]
+) -> Optional[np.ndarray]:
+    """Give ``epoch`` the fix of its own WLS started at ``initial``, and its
+    HDOP there; returns the fix, or None, leaving the epoch without one, when
+    its geometry gives none."""
+    try:
+        # via the module, so a tracer wrapping fgo.single_epoch_wls sees set-up
+        pos, _ = fgo.single_epoch_wls(epoch.sats, weighting, initial=initial)
+        hdop = compute_hdop(epoch.sats, pos)
+    except ValueError:  # GeometryError among them
+        return None
+    epoch.fix_pos = pos
+    epoch.fix_hdop = hdop
+    return pos
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,6 @@ import numpy as np
 
 from .frames import body_accel_to_ecef, ecef_to_geodetic
 from .noise_models import (
-    SINGULAR_COND,
     GeometryError,
     SatObservation,
     WeightingParams,
@@ -51,7 +50,7 @@ from .noise_models import (
     default_process_noise,
     initial_covariance,
     lc_fix_covariance,
-    pseudorange_jacobian,
+    nonsingular,
     pseudorange_rows,
     stack_pseudoranges,
     tc_covariance,
@@ -722,56 +721,110 @@ def build_window(
 
 
 class EpochWls:
-    """Single-epoch position/clock WLS as stacked arrays.
+    """Single-epoch position/clock WLS of a stack of epochs, as one problem.
 
-    The unknowns are ECEF position and one clock bias per constellation in
-    ``constellations``; row ``i`` is satellite ``sat_pos[:, i]`` with range
-    ``pseudorange[i]``, clock column ``clock_col[i]`` and weight ``w[i]``
-    (inverse standard deviation). Provides what :func:`nls_solver.solve_lm`
-    needs (``initial_values``, ``normal_equations``, ``cost``).
+    ``epochs`` holds each epoch's satellites. Epoch ``k``'s unknowns are its
+    ECEF position and one clock bias per constellation in ``constellations``,
+    those present in any epoch, so the values are ``(E, 3 + C)``, flattened;
+    they start at ``initial`` (one position, or one per epoch) or at the
+    Earth's centre, with zero clocks. Each epoch's rows are padded to the
+    widest epoch's M with zero weight, in the padded layout of
+    :func:`noise_models.pseudorange_rows`: satellite ``sat_pos[k, :, i]``
+    with range ``pseudorange[k, i]``, weight ``w[k, i]`` (inverse standard
+    deviation) and its clock one-hot in ``clocks[k, i]``. No epoch shares an
+    unknown with another, so ``J^T J`` is block-diagonal, a band with
+    ``2 + C`` super-diagonals. A clock of a constellation the epoch lacks
+    touches none of its rows: its column holds a unit diagonal and a zero
+    gradient, so the band stays positive definite and the clock stays where
+    it started. Provides what :func:`nls_solver.solve_lm` needs
+    (``initial_values``, ``normal_equations``, ``cost``); one epoch is
+    :func:`single_epoch_wls`'s problem. Raises GeometryError when an epoch
+    has fewer satellites than its own unknowns.
     """
 
     def __init__(
         self,
-        sats: Sequence[SatObservation],
+        epochs: Sequence[Sequence[SatObservation]],
         weighting: WeightingParams,
         initial: Optional[np.ndarray] = None,
     ) -> None:
+        sats = [sat for epoch in epochs for sat in epoch]
         self.constellations = constellations_present(sats)
-        self.dim = 3 + len(self.constellations)
-        if len(sats) < self.dim:
-            raise GeometryError(f"{len(sats)} satellites cannot determine {self.dim} unknowns")
-        self.sat_pos, self.pseudorange, self.clock_col = stack_pseudoranges(
+        d = self.dim = 3 + len(self.constellations)
+        counts = np.array([len(epoch) for epoch in epochs])
+        e, m = len(epochs), int(counts.max())
+        # each satellite's epoch and row in the padded layout
+        k = np.repeat(np.arange(e), counts)
+        i = np.arange(len(sats)) - np.repeat(counts.cumsum() - counts, counts)
+        sat_pos, pseudorange, clock_col = stack_pseudoranges(
             sats, lambda c: 3 + self.constellations.index(c)
         )
-        self.w = 1.0 / np.sqrt(tc_covariance(sats, weighting))
-        self.initial_values = np.zeros(self.dim)
+        self.sat_pos = np.full((e, 3, m), _PR_PAD["sat_pos"])
+        self.sat_pos[k, :, i] = sat_pos.T
+        col = np.full((e, m), 3)
+        col[k, i] = clock_col
+        real = np.arange(m) < counts[:, None]
+        self.clocks = (col[..., None] == np.arange(3, d)) & real[..., None]
+        # the columns each epoch's rows touch: its position and its own clocks
+        self.used = np.concatenate((np.ones((e, 3), dtype=bool), self.clocks.any(axis=1)), axis=1)
+        unknowns = self.used.sum(axis=1)
+        if (short := counts < unknowns).any():
+            n, u = counts[short][0], unknowns[short][0]
+            raise GeometryError(f"{n} satellites cannot determine {u} unknowns")
+        self.pseudorange = np.zeros((e, m))
+        self.pseudorange[k, i] = pseudorange
+        self.w = np.zeros((e, m))
+        self.w[k, i] = 1.0 / np.sqrt(tc_covariance(sats, weighting))
+        # where each row's clock sits in the flattened values
+        self.clock_col = col + d * np.arange(e)[:, None]
+        # each row's Jacobian on its epoch's clocks, -1 on its own
+        self._clock_jac = -self.clocks.astype(float)
+        start = np.zeros((e, d))
         if initial is not None:
-            self.initial_values[0:3] = np.asarray(initial, dtype=float)
+            start[:, 0:3] = initial
+        self.initial_values = start.ravel()
 
     def _whitened(self, values: np.ndarray):
-        x = np.asarray(values, dtype=float)
+        x = np.asarray(values, dtype=float).reshape(-1, self.dim)
         resid, unit = pseudorange_rows(self.sat_pos, self.pseudorange, self.clock_col, x)
         rw = self.w * resid
-        cost = float(rw @ rw)
+        cost = float(rw.ravel() @ rw.ravel())
         if not np.isfinite(cost):
             raise EvaluationError("non-finite residual in single-epoch pseudoranges")
         return rw, cost, unit
 
     def cost(self, values: np.ndarray) -> float:
-        """Sum of squared whitened pseudorange residuals."""
+        """Sum of squared whitened pseudorange residuals over every epoch."""
         return self._whitened(values)[1]
 
-    def _gram(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        """Whitened J^T J (a full matrix), J^T r and cost."""
+    def _gram(self, values: np.ndarray):
+        """Each epoch's whitened J^T J (``(E, dim, dim)``, a unit diagonal on
+        the clocks it lacks) and J^T r, its whitened residuals and the cost."""
         rw, cost, unit = self._whitened(values)
-        jw = pseudorange_jacobian(unit, self.clock_col, self.dim) * self.w[:, None]
-        return jw.T @ jw, jw.T @ rw, cost
+        jw = np.concatenate((unit.transpose(0, 2, 1), self._clock_jac), axis=2)
+        jw *= self.w[..., None]
+        jwt = jw.transpose(0, 2, 1)
+        gram = jwt @ jw
+        gram.reshape(len(gram), -1)[:, :: self.dim + 1] += ~self.used
+        return gram, (jwt @ rw[..., None])[..., 0], rw, cost
 
     def normal_equations(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        """Whitened J^T J (upper band storage, full bandwidth), J^T r and cost."""
-        jtj, g, cost = self._gram(values)
-        return upper_band(jtj, self.dim - 1), g, cost
+        """Whitened J^T J (upper band storage, ``dim - 1`` super-diagonals),
+        J^T r and cost."""
+        gram, g, _, cost = self._gram(values)
+        return upper_band(gram, self.dim - 1), g.ravel(), cost
+
+    def solved(self, values: np.ndarray, gtol: Optional[float] = None) -> np.ndarray:
+        """Per epoch, whether ``values`` fix it: its J^T J over the columns it
+        uses passes :func:`noise_models.nonsingular` and, given ``gtol``,
+        ``LmConfig.gtol``'s gradient-cosine test holds against its own cost."""
+        gram, g, rw, _ = self._gram(values)
+        ok = nonsingular(gram, self.used)
+        if gtol is not None:
+            cost = np.einsum("km,km->k", rw, rw)
+            diag = np.diagonal(gram, axis1=1, axis2=2)
+            ok &= (cost <= 0.0) | (g * g <= (gtol * gtol * cost[:, None]) * diag).all(axis=1)
+        return ok
 
 
 def single_epoch_wls(
@@ -780,19 +833,20 @@ def single_epoch_wls(
     initial: Optional[np.ndarray] = None,
     lm: Optional[LmConfig] = None,
 ) -> tuple[np.ndarray, dict[Constellation, float]]:
-    """Weighted least-squares position/clock solve from one epoch of pseudoranges.
+    """Weighted least-squares position/clock solve from one epoch of
+    pseudoranges: the :class:`EpochWls` of that one epoch.
 
     Returns the ECEF position and one clock bias per constellation present.
     Raises GeometryError when there are too few satellites for the unknowns,
     the solve does not converge, or it stops where J^T J is singular.
     """
-    problem = EpochWls(sats, weighting, initial)
+    problem = EpochWls([sats], weighting, initial)
     report = solve_lm(problem, lm or LmConfig())
     if not report.converged:
         raise GeometryError(f"single-epoch solve did not converge: {report.message}")
     # from a far start (the Earth's centre) LM can stop "converged" where
     # J^T J is singular; no fix is unique there
-    if np.linalg.cond(problem._gram(report.values)[0]) > SINGULAR_COND:
+    if not problem.solved(report.values)[0]:
         raise GeometryError("single-epoch solve stopped at singular geometry")
     pos = report.values[0:3].copy()
     clocks = {c: float(report.values[3 + i]) for i, c in enumerate(problem.constellations)}

@@ -8,14 +8,15 @@ Cholesky factorization and solve, whose bandwidth is the number of rows the
 problem's band holds.
 
 That routine, ``dpbsv``, is bound once, at import, with ctypes. It comes from
-the OpenBLAS that scipy bundles (``scipy.libs/libscipy_openblas*.so``), found
-from scipy's install location without importing scipy, so that importing
-this module does not load ``scipy.linalg`` and the packages it brings. The
-same handle caps that library's thread pool at one thread. An install
-without the bundled library takes the routine's address from
-``scipy.linalg.cython_lapack`` instead, and pays for importing it. Both are
-called the same way, through a per-thread workspace of buffers that are
-reused from call to call.
+the OpenBLAS that numpy bundles (``numpy.libs/libscipy_openblas64_*.so``,
+built with 64-bit integers), which importing numpy has already loaded, so
+the process holds one BLAS library and this module does not load
+``scipy.linalg`` and the packages it brings. The same handle caps that
+library's thread pool at one thread, numpy's own BLAS calls included. An
+install without the bundled library takes the routine's address from
+``scipy.linalg.cython_lapack`` instead, with 32-bit integers, and pays for
+importing it. Both are called the same way, through a per-thread workspace
+of buffers that are reused from call to call.
 
 :class:`NlsProblem` is the general form: state slots plus residual blocks;
 each block binds a few slots to a residual function, optional analytic
@@ -28,11 +29,10 @@ provides the same interface from stacked arrays.
 from __future__ import annotations
 
 import ctypes
-import importlib.util
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -41,36 +41,41 @@ import numpy as np
 _DPBSV_TYPE = ctypes.CFUNCTYPE(None, *(ctypes.c_void_p,) * 9)
 
 
-def _bundled_dpbsv():
-    """``dpbsv`` from scipy's bundled OpenBLAS, run on one thread; None
-    when scipy bundles no OpenBLAS.
+class _Routine(NamedTuple):
+    """A bound ``dpbsv`` and the ctypes integer its integer arguments are."""
+
+    call: Callable
+    integer: type
+
+
+def _bundled_dpbsv() -> Optional[_Routine]:
+    """``dpbsv`` from numpy's bundled OpenBLAS, run on one thread; None when
+    numpy bundles no OpenBLAS.
 
     The bands solved here are a few hundred columns wide. On the default pool
     (one thread per CPU) the banded Cholesky runs several times slower, and a
     cold process can stall for tenths of a second per epoch. Environment
-    variables are read only when the library loads, which may already have
-    happened, so the pool is set through the library's own call. A build
-    without that call keeps its default.
+    variables are read only when the library loads, which importing numpy
+    has done, so the pool is set through the library's own call; numpy's
+    matrix products then run on one thread too. A build without that call
+    keeps its default.
     """
-    spec = importlib.util.find_spec("scipy")
-    if spec is None or spec.origin is None:
-        return None
-    libs = Path(spec.origin).parent.parent / "scipy.libs"
-    for path in sorted(libs.glob("libscipy_openblas*.so*")):
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so*")):
         try:
             lib = ctypes.CDLL(str(path))
-            dpbsv = _DPBSV_TYPE(("scipy_dpbsv_", lib))
+            dpbsv = _DPBSV_TYPE(("scipy_dpbsv_64_", lib))
         except (OSError, AttributeError):
             continue
         try:
-            ctypes.CFUNCTYPE(None, ctypes.c_int)(("scipy_openblas_set_num_threads", lib))(1)
+            ctypes.CFUNCTYPE(None, ctypes.c_int)(("scipy_openblas_set_num_threads64_", lib))(1)
         except AttributeError:
             pass
-        return dpbsv
+        return _Routine(dpbsv, ctypes.c_int64)
     return None
 
 
-def _capsule_dpbsv():
+def _capsule_dpbsv() -> _Routine:
     """``dpbsv`` from ``scipy.linalg.cython_lapack``, which exports each
     routine's address in a capsule named after its C signature."""
     from scipy.linalg.cython_lapack import __pyx_capi__
@@ -82,7 +87,7 @@ def _capsule_dpbsv():
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", ctypes.pythonapi)
     )
-    return _DPBSV_TYPE(get_pointer(capsule, get_name(capsule)))
+    return _Routine(_DPBSV_TYPE(get_pointer(capsule, get_name(capsule))), ctypes.c_int)
 
 
 _DPBSV = _bundled_dpbsv() or _capsule_dpbsv()
@@ -232,12 +237,17 @@ def total_cost(problem, values: np.ndarray) -> float:
 
 def upper_band(h_mat: np.ndarray, bandwidth: int) -> np.ndarray:
     """Upper band storage of a symmetric matrix, as LAPACK's ``dpbsv`` takes
-    it: ``ab[bandwidth + i - j, j] = h_mat[i, j]`` for ``i <= j``."""
-    n = h_mat.shape[0]
-    ab = np.zeros((bandwidth + 1, n))
+    it: ``ab[bandwidth + i - j, j] = h_mat[i, j]`` for ``i <= j``.
+
+    A stack of ``n``-square matrices (``(..., n, n)``) gives the band of their
+    block-diagonal matrix, in stack order; its entries between blocks are
+    zero as long as ``bandwidth < n``.
+    """
+    n = h_mat.shape[-1]
+    ab = np.zeros((bandwidth + 1, *h_mat.shape[:-2], n))
     for k in range(bandwidth + 1):
-        ab[bandwidth - k, k:] = np.diagonal(h_mat, k)
-    return ab
+        ab[bandwidth - k, ..., k:] = np.diagonal(h_mat, k, axis1=-2, axis2=-1)
+    return ab.reshape(bandwidth + 1, -1)
 
 
 def _raise_nonfinite(problem: NlsProblem, parts: list[np.ndarray]) -> None:
@@ -294,18 +304,18 @@ class _Workspace:
     the values of ``n`` and ``ldb``.
     """
 
-    def __init__(self, rows: int, capacity: int):
+    def __init__(self, rows: int, capacity: int, routine: _Routine):
         self.rows = rows
         self.capacity = capacity
+        self.routine = routine
         self.band = np.empty((rows, capacity), order="F")
         self.rhs_buffer = np.empty(capacity)
-        self.n = ctypes.c_int(-1)
-        self.ldb = ctypes.c_int()
-        self.info = ctypes.c_int()
+        integer = routine.integer
+        self.n = integer(-1)
+        self.ldb = integer()
+        self.info = integer()
         # uplo, kd, nrhs and ldab never change; kept so their addresses stay valid
-        self._fixed = (
-            ctypes.c_char(b"U"), ctypes.c_int(rows - 1), ctypes.c_int(1), ctypes.c_int(rows)
-        )
+        self._fixed = (ctypes.c_char(b"U"), integer(rows - 1), integer(1), integer(rows))
         uplo, kd, nrhs, ldab = (ctypes.addressof(c) for c in self._fixed)
         self.args = tuple(
             ctypes.c_void_p(address)
@@ -331,7 +341,7 @@ _local = threading.local()
 
 
 def _workspace(shape: tuple[int, ...]) -> _Workspace:
-    """The calling thread's workspace, fitted to a band of ``shape``.
+    """The calling thread's workspace for ``_DPBSV``, fitted to a band of ``shape``.
 
     One is enough: a run solves bands of one shape over and over (the
     window's, or a single epoch's), and a batch band only grows. A band
@@ -339,9 +349,9 @@ def _workspace(shape: tuple[int, ...]) -> _Workspace:
     """
     rows, n = shape
     ws = getattr(_local, "workspace", None)
-    if ws is None or ws.rows != rows or ws.capacity < n:
+    if ws is None or ws.routine is not _DPBSV or ws.rows != rows or ws.capacity < n:
         grown = 2 * ws.capacity if ws is not None and ws.rows == rows else 0
-        ws = _local.workspace = _Workspace(rows, max(n, grown))
+        ws = _local.workspace = _Workspace(rows, max(n, grown), _DPBSV)
     if ws.n.value != n:
         ws.use(n)
     return ws
@@ -361,7 +371,7 @@ def solve_damped(ab: np.ndarray, diag: np.ndarray, lam: float, g: np.ndarray):
     ws.damped[...] = ab
     ws.diagonal += lam * diag
     np.negative(g, out=ws.rhs)
-    _DPBSV(*ws.args)
+    ws.routine.call(*ws.args)
     info = ws.info.value
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dpbsv")

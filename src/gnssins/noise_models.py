@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .frames import ecef_to_geodetic, rotation_global_from_local
+from .frames import ecef_to_geodetic_array, global_to_local_array
 from .types import BIAS, POS, VEL, Constellation, StateLayout, check_numbers, constellations_present
 
 
@@ -149,30 +149,71 @@ def lc_fix_covariance(hdop: float, s_user: float) -> np.ndarray:
     return np.full(3, (hdop * s_user) ** 2)
 
 
+def nonsingular(gram: np.ndarray, used: np.ndarray) -> np.ndarray:
+    """Whether each of a stack of symmetric matrices ``(E, n, n)``, restricted
+    to the rows and columns ``used`` marks for it (``(E, n)`` booleans), has a
+    condition number of at most :data:`SINGULAR_COND`. The matrices that use
+    the same columns are judged in one call."""
+    ok = np.zeros(len(gram), dtype=bool)
+    for pattern in set(map(tuple, used.tolist())):
+        group = (used == pattern).all(axis=1)
+        cols = np.flatnonzero(pattern)
+        ok[group] = np.linalg.cond(gram[group][:, cols[:, None], cols]) <= SINGULAR_COND
+    return ok
+
+
+def hdop_array(sat_pos: np.ndarray, clocks: np.ndarray, receiver: np.ndarray) -> np.ndarray:
+    """HDOP of each epoch of a stack, the array form of :func:`compute_hdop`.
+
+    Epoch ``k`` sees its satellites at ECEF ``sat_pos[k]`` (``(E, 3, M)``,
+    the padded layout of :func:`pseudorange_rows`) from ``receiver[k]``
+    (``(E, 3)``). ``clocks[k, i]`` (``(E, M, C)``) is row ``i``'s clock
+    column of the geometry matrix, one-hot, and all zero on a padding row.
+    An epoch's geometry matrix holds its rows' unit lines of sight in the ENU
+    frame at its receiver and the clock columns of the constellations it
+    sees. The HDOP is NaN where a satellite coincides with the receiver or
+    ``G^T G`` fails :func:`nonsingular`.
+    """
+    valid = clocks.any(axis=-1)
+    los = sat_pos - receiver[:, :, None]
+    rng = np.sqrt(np.einsum("...ij,...ij->...j", los, los))
+    at_receiver = (valid & (rng == 0.0)).any(axis=1)
+    rng[~valid | (rng == 0.0)] = 1.0
+    lat, lon, _ = ecef_to_geodetic_array(receiver)
+    enu = global_to_local_array(lat[:, None], lon[:, None], (los / rng[:, None]).transpose(0, 2, 1))
+    g = np.concatenate((enu * valid[..., None], clocks), axis=-1)
+    gtg = g.transpose(0, 2, 1) @ g
+    used = np.concatenate((np.ones((len(g), 3), dtype=bool), clocks.any(axis=1)), axis=1)
+    ok = ~at_receiver & nonsingular(gtg, used)
+    # a clock column the epoch lacks holds a unit diagonal, which leaves the
+    # inverse of the others as it is
+    gtg.reshape(len(g), -1)[:, :: g.shape[-1] + 1] += ~used
+    hdop = np.full(len(g), np.nan)
+    cov = np.linalg.inv(gtg[ok])
+    hdop[ok] = np.sqrt(cov[:, 0, 0] + cov[:, 1, 1])
+    return hdop
+
+
 def compute_hdop(sats: Sequence[SatObservation], receiver: np.ndarray) -> float:
     """Horizontal dilution of precision from the line-of-sight geometry.
 
     The geometry matrix holds unit line-of-sight vectors in the ENU frame at
-    the receiver, augmented with one clock column per constellation present.
+    the receiver, augmented with one clock column per constellation present
+    (:func:`hdop_array` of one epoch).
     """
     if len(sats) < 4:
         raise GeometryError(f"need at least 4 satellites, got {len(sats)}")
     receiver = np.asarray(receiver, dtype=float)
-    enu_rot = rotation_global_from_local(ecef_to_geodetic(receiver)).T
     consts = constellations_present(sats)
-    los = np.array([s.sat_pos for s in sats]) - receiver
-    rng = np.sqrt(np.einsum("ij,ij->i", los, los))
-    if np.any(rng == 0.0):
-        sat = sats[int(np.argmin(rng))]
-        raise GeometryError(f"satellite {sat.sat_id} coincides with receiver")
-    g = np.zeros((len(sats), 3 + len(consts)))
-    g[:, :3] = (los / rng[:, None]) @ enu_rot.T
-    g[np.arange(len(sats)), [3 + consts.index(s.constellation) for s in sats]] = 1.0
-    gtg = g.T @ g
-    if np.linalg.cond(gtg) > SINGULAR_COND:
+    sat_pos, _, clock_col = stack_pseudoranges(sats, consts.index)
+    hdop = float(hdop_array(sat_pos[None], np.eye(len(consts))[clock_col][None], receiver[None])[0])
+    if math.isnan(hdop):
+        rng = np.linalg.norm(sat_pos - receiver[:, None], axis=0)
+        if np.any(rng == 0.0):
+            sat = sats[int(np.argmin(rng))]
+            raise GeometryError(f"satellite {sat.sat_id} coincides with receiver")
         raise GeometryError("singular satellite geometry")
-    cov = np.linalg.inv(gtg)
-    return math.sqrt(cov[0, 0] + cov[1, 1])
+    return hdop
 
 
 def pseudorange_weight(el: float, snr: float, p: WeightingParams) -> float:
@@ -250,9 +291,10 @@ class GmmComponent:
     std: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class GmmModel:
-    """Weighted 1-D Gaussian mixture, components sorted by mean."""
+    """Weighted 1-D Gaussian mixture, components sorted by mean. Frozen, so
+    that a scenario's NLOS model cannot change after its checks."""
 
     components: tuple[GmmComponent, ...]
     ll_trace: list[float] = field(default_factory=list)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Optional, Sequence
 
@@ -35,15 +36,16 @@ def check_numbers(record, key: str = "") -> None:
     """Check every number of a record by its fields' annotations (strings): a
     ``float`` or ``int`` field holds one finite number of that kind, a bool
     being none; any other holds records, checked alike, or finite numbers,
-    alone or as the items of a list, tuple or array or the values of a dict.
-    A ValueError names the top-level field (``key`` inside one) at fault."""
+    alone or as the items of a list, tuple or array or the values of a
+    mapping. A ValueError names the top-level field (``key`` inside one) at
+    fault."""
     for f in fields(record):
         name, value = key or f.name, getattr(record, f.name)
         numeric = f.type in ("float", "int")
         kind, what = (numbers.Integral, "integers") if f.type == "int" else (numbers.Real, "finite numbers")
         items = [value]
-        if not numeric and isinstance(value, (list, tuple, dict, np.ndarray)):
-            items = value.values() if isinstance(value, dict) else value
+        if not numeric and isinstance(value, (list, tuple, Mapping, np.ndarray)):
+            items = value.values() if isinstance(value, Mapping) else value
         for item in items:
             if is_dataclass(item) and not numeric:
                 check_numbers(item, name)

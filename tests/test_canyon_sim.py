@@ -1,12 +1,14 @@
 import json
 import math
 from dataclasses import FrozenInstanceError, fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gnssins import fgo
 from gnssins.canyon_sim import (
     GNSS_COLUMNS,
     HARD_HORIZON_RAD,
@@ -20,6 +22,9 @@ from gnssins.canyon_sim import (
     SimConfig,
     SnrModel,
     Waypoint,
+    _component_cdf,
+    _draw_nlos_bias,
+    _truncated_positive_normal,
     build_trajectory,
     config_from_dict,
     config_to_dict,
@@ -249,6 +254,52 @@ class TestScenarioShape:
         for name in [f.name for f in fields(SimConfig)] + derived:
             with pytest.raises(FrozenInstanceError):
                 setattr(cfg, name, getattr(cfg, name))
+
+    def test_its_containers_cannot_be_edited(self):
+        # its lists, dicts and array could once be edited in place: the edit
+        # passed no check, simulate ran on the trajectory derived before it,
+        # and config_to_dict wrote a scenario file that no longer loaded
+        cfg = noise_free_config(duration_s=10.0)
+        with pytest.raises(AttributeError):
+            cfg.waypoints.append(Waypoint(cfg.waypoints[0].geo, -1.0))
+        with pytest.raises(AttributeError):
+            cfg.deep_intervals.append(DeepInterval(5.0, 1.0, math.nan))
+        with pytest.raises(AttributeError):
+            cfg.canyon_sectors.append(MaskSector(0.0, 90.0, 95.0))
+        with pytest.raises(TypeError):
+            cfg.nlos_model["GPS"] = GmmModel((GmmComponent(1.0, math.nan, 1.0),))
+        with pytest.raises(FrozenInstanceError):
+            cfg.nlos_model["GPS"].components = (GmmComponent(1.0, math.nan, 1.0),)
+        with pytest.raises(TypeError):
+            cfg.clock_models["BeiDou"] = ClockModel(math.inf, 0.0)
+        with pytest.raises(ValueError, match="read-only"):
+            cfg.accel_bias_true[0] = math.nan
+
+    def test_it_keeps_copies_of_what_it_was_made_from(self):
+        base = noise_free_config(duration_s=10.0)
+        waypoints, clocks, bias = list(base.waypoints), dict(base.clock_models), np.zeros(3)
+        cfg = SimConfig(waypoints, duration_s=10.0, clock_models=clocks, accel_bias_true=bias)
+        waypoints.append(Waypoint(waypoints[0].geo, -1.0))
+        clocks["GPS"] = ClockModel(math.inf, 0.0)
+        bias[0] = math.nan
+        assert len(cfg.waypoints) == 2
+        assert cfg.clock_models["GPS"] == base.clock_models["GPS"]
+        assert np.array_equal(cfg.accel_bias_true, np.zeros(3))
+
+    def test_its_scenario_file_reproduces_the_dataset(self, tmp_path):
+        # config_to_dict and config_from_dict take the immutable containers
+        # as they took lists and dicts: the noise-free preset's file reloads
+        # to the same scenario, which simulates the same bytes (its waypoints
+        # survive the trip through degrees)
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["simulate", "--preset", "noise-free", "--out", str(first)]) == 0
+        config = str(first / "sim_config.json")
+        assert main(["simulate", "--config", config, "--out", str(second)]) == 0
+        for name in ("truth.csv", "imu.csv", "gnss.csv", "sim_config.json"):
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+        cfg = noise_free_config()
+        assert_same_config(config_from_dict(json.loads((first / "sim_config.json").read_text())), cfg)
+        assert json.loads(json.dumps(config_to_dict(cfg))) == config_to_dict(cfg)
 
 
 class TestConstellation:
@@ -594,6 +645,41 @@ class TestLcFixes:
             epoch.sats = epoch.sats[:4]
         generate_lc_fixes(ds.epochs)
         assert not any(e.fix_available for e in ds.epochs)
+
+    def test_one_stacked_solve_on_the_default_canyon(self):
+        # the first fix is solved alone and every later epoch in one stack;
+        # an epoch that fails its checks in the stack is solved alone again
+        ds = simulate(default_canyon_config())
+        with (
+            mock.patch.object(fgo, "solve_lm", wraps=fgo.solve_lm) as solves,
+            mock.patch.object(fgo, "single_epoch_wls", wraps=fgo.single_epoch_wls) as alone,
+        ):
+            generate_lc_fixes(ds.epochs)
+        fallbacks = alone.call_count - 1
+        assert solves.call_count <= 2 + fallbacks
+        # no epoch of the default canyon falls back (none at seeds 99, 31 and 5)
+        assert fallbacks == 0
+        assert sum(e.fix_available for e in ds.epochs) == 180
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        weights=st.lists(st.sampled_from([0.0]) | _floats(0.01, 1.0), min_size=1, max_size=4).filter(
+            lambda w: sum(w) > 0
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_nlos_component_draws_match_generator_choice(self, weights, seed):
+        # simulate bisects a cdf built once per model where it called
+        # rng.choice per draw; numpy's choice is the reference, so that a
+        # change in how numpy draws fails here
+        model = GmmModel(tuple(GmmComponent(w, 10.0 * i, 1.0 + i) for i, w in enumerate(weights)))
+        cdf = _component_cdf(model)
+        ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        p = np.array(weights) / np.sum(weights)
+        for _ in range(50):
+            comp = model.components[reference.choice(len(p), p=p)]
+            want = _truncated_positive_normal(reference, comp.mean, comp.std)
+            assert _draw_nlos_bias(ours, model, cdf) == want
 
 
 _GMM = st.lists(

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import TOY_CLOCKS, toy_epochs
+from test_noise_models import hdop_per_satellite
 from gnssins import fgo
 from gnssins.canyon_sim import generate_lc_fixes
 from gnssins.fgo import (
@@ -30,6 +31,8 @@ from gnssins.noise_models import (
     GeometryError,
     SatObservation,
     WeightingParams,
+    compute_hdop,
+    hdop_array,
     ins_cov,
     lc_fix_covariance,
     motion_model_cov,
@@ -309,11 +312,11 @@ class TestStackedWlsMatchesClosureBlocks:
             oracle, consts = closure_wls_problem(sats, weighting, initial)
         except GeometryError:
             with pytest.raises(GeometryError):
-                EpochWls(sats, weighting, initial)
+                EpochWls([sats], weighting, initial)
             with pytest.raises(GeometryError):
                 single_epoch_wls(sats, weighting, initial)
             return
-        problem = EpochWls(sats, weighting, initial)
+        problem = EpochWls([sats], weighting, initial)
         assert problem.constellations == tuple(consts)
         assert np.array_equal(problem.initial_values, oracle.initial_values)
 
@@ -355,6 +358,121 @@ class TestStackedWlsMatchesClosureBlocks:
         else:
             with pytest.raises(GeometryError):
                 single_epoch_wls(sats, weighting, initial, lm)
+
+
+# what each drawn epoch of TestStackedFixes holds, and whether it gets a fix
+EPOCH_KINDS = {
+    "mixed": True,  # its 8 satellites, 4 GPS and 4 BeiDou
+    "gps": True,  # its 8 satellites, all GPS
+    "beidou": True,  # its 8 satellites, all BeiDou
+    "subset": True,  # 6 or 7 of its satellites, mixed
+    "exact": False,  # 5 mixed satellites: exactly determined, so no fix is taken
+    "singular": False,  # 5 GPS satellites at one position: J^T J has rank 2
+    "at_receiver": False,  # a satellite where every stacked solve starts
+}
+
+
+def fixes_one_by_one(epochs, weighting):
+    """The oracle of ``generate_lc_fixes``: each overdetermined epoch solved
+    alone by ``single_epoch_wls``, the first that gives a fix from the Earth's
+    centre and every later one from that fix, with ``compute_hdop`` at its
+    solution. Returns each epoch's (fix, HDOP), or None."""
+    out, start = [], None
+    for epoch in epochs:
+        fix = None
+        if fgo.overdetermined(epoch.sats):
+            try:
+                pos, _ = single_epoch_wls(epoch.sats, weighting, initial=start)
+                fix = pos, compute_hdop(epoch.sats, pos)
+            except GeometryError:
+                pass
+        if fix is not None and start is None:
+            start = fix[0]
+        out.append(fix)
+    return out
+
+
+class TestStackedFixes:
+    """``generate_lc_fixes`` solves its epochs as one ``EpochWls`` stack; each
+    epoch solved alone is the oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kinds=st.lists(st.sampled_from(sorted(EPOCH_KINDS)), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_fixes_as_each_epoch_alone(self, kinds, seed):
+        rng = np.random.default_rng(seed)
+        # one clock for both constellations, so that relabeled satellites stay consistent
+        same_clock = {c: TOY_CLOCKS[Constellation.GPS] for c in TOY_CLOCKS}
+        kinds = ["mixed", *kinds]  # the first fix, which every later epoch starts from
+        epochs, _ = toy_epochs(len(kinds), clock_offsets=same_clock, pr_noise=rng.normal(scale=3.0, size=(len(kinds), 8)))
+        weighting = WeightingParams()
+        first_fix, _ = single_epoch_wls(epochs[0].sats, weighting)
+        for epoch, kind in zip(epochs, kinds):
+            sats = epoch.sats
+            if kind in ("gps", "beidou"):
+                label = Constellation.GPS if kind == "gps" else Constellation.BEIDOU
+                sats = [dataclasses.replace(s, constellation=label) for s in sats]
+            elif kind == "subset":
+                sats = list(rng.permutation(sats)[: int(rng.integers(6, 8))])
+            elif kind == "exact":
+                sats = sats[:5]
+            elif kind == "singular":
+                sats = [
+                    dataclasses.replace(s, constellation=Constellation.GPS, sat_pos=sats[0].sat_pos)
+                    for s in sats[:5]
+                ]
+            elif kind == "at_receiver":
+                sats = [dataclasses.replace(sats[0], sat_pos=first_fix), *sats[1:]]
+            epoch.sats = sats
+        expected = fixes_one_by_one(epochs, weighting)
+
+        generate_lc_fixes(epochs, weighting)
+        assert [e.fix_available for e in epochs] == [EPOCH_KINDS[kind] for kind in kinds]
+        for epoch, want in zip(epochs, expected):
+            assert epoch.fix_available == (want is not None)
+            if want is None:
+                assert epoch.fix_hdop is None
+                continue
+            # a stacked fix passes LmConfig.gtol's cosine test, |g_i| <= gtol *
+            # sqrt(H_ii * cost), which puts it within about gtol * m * DOP^2 *
+            # noise of the exact WLS minimum (1e-6 m for 8 satellites, a DOP
+            # of 2 and 3 m of noise). A solve alone may stop earlier, on
+            # LmConfig.tol: at the worst epoch found (6 satellites, HDOP 2.8)
+            # it stopped 1.4e-6 m from the minimum and the stacked fix 1.6e-7
+            # m. A hypothesis search that maximised the gap over 3,000 draws
+            # found it at most 1.2e-6 m, so 1e-5 m leaves a margin of 8
+            assert np.linalg.norm(epoch.fix_pos - want[0]) <= 1e-5
+            assert epoch.fix_hdop == pytest.approx(want[1], rel=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kinds=st.lists(st.sampled_from(["mixed", "gps", "beidou", "subset"]), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_array_hdop_equals_the_scalar_one(self, kinds, seed):
+        rng = np.random.default_rng(seed)
+        epochs, truth = toy_epochs(len(kinds), pr_noise=rng.normal(scale=3.0, size=(len(kinds), 8)))
+        for epoch, kind in zip(epochs, kinds):
+            if kind == "subset":
+                epoch.sats = list(rng.permutation(epoch.sats)[: int(rng.integers(5, 8))])
+            elif kind != "mixed":
+                label = Constellation.GPS if kind == "gps" else Constellation.BEIDOU
+                epoch.sats = [dataclasses.replace(s, constellation=label) for s in epoch.sats]
+        receivers = np.array(truth) + rng.normal(scale=100.0, size=(len(kinds), 3))
+        stack = EpochWls([e.sats for e in epochs], WeightingParams())
+        hdops = hdop_array(stack.sat_pos, stack.clocks, receivers)
+        for epoch, receiver, hdop in zip(epochs, receivers, hdops):
+            try:
+                want = compute_hdop(epoch.sats, receiver)
+            except GeometryError:
+                assert math.isnan(hdop)
+                continue
+            # the stack orders an epoch's clock columns by the whole stack, and
+            # inverting G^T G magnifies that rounding by its condition number
+            _, cond = hdop_per_satellite(epoch.sats, receiver)
+            assert hdop == pytest.approx(want, rel=max(1e-12, np.finfo(float).eps * cond))
 
 
 def record_forces(est):

@@ -1,9 +1,10 @@
 """What importing gnssins loads, and which of its modules import which.
 
 Importing gnssins must not load scipy.linalg and the packages it brings.
-``nls_solver`` calls LAPACK's ``dpbsv`` in scipy's bundled OpenBLAS through
-ctypes. Importing ``scipy.linalg`` instead would add about a quarter of a
-second and a few hundred modules to every process start.
+``nls_solver`` calls LAPACK's ``dpbsv`` through ctypes in the OpenBLAS that
+numpy bundles and has already loaded, so the process holds one BLAS library.
+Importing ``scipy.linalg`` instead would add about a quarter of a second and
+a few hundred modules to every process start, and a second OpenBLAS.
 
 Both estimator families and the simulator read their noise model from
 ``noise_models``: the factor graph takes nothing from the filter, and the
@@ -23,18 +24,27 @@ from gnssins import nls_solver
 HEAVY = ("scipy.linalg", "numpy.f2py", "numpy.testing")
 
 
-def test_import_loads_no_scipy_linalg():
-    if nls_solver._bundled_dpbsv() is None:
-        pytest.skip("scipy bundles no OpenBLAS, so dpbsv comes from scipy.linalg.cython_lapack")
+def import_gnssins_and_print(expression: str) -> str:
+    """What a fresh interpreter prints for ``expression`` once it has imported gnssins."""
     src = str(Path(gnssins.__file__).resolve().parents[1])
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); import gnssins, gnssins.cli; "
-        f"print(' '.join(m for m in {HEAVY!r} if m in sys.modules))"
-    )
+    code = f"import sys; sys.path.insert(0, {src!r}); import gnssins, gnssins.cli; print({expression})"
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True
     )
-    assert done.stdout.split() == []
+    return done.stdout
+
+
+def test_import_loads_no_scipy_linalg():
+    if nls_solver._bundled_dpbsv() is None:
+        pytest.skip("numpy bundles no OpenBLAS, so dpbsv comes from scipy.linalg.cython_lapack")
+    assert import_gnssins_and_print(f"' '.join(m for m in {HEAVY!r} if m in sys.modules)").split() == []
+
+
+def test_one_openblas_per_process():
+    if nls_solver._bundled_dpbsv() is None or not Path("/proc/self/maps").exists():
+        pytest.skip("needs numpy's bundled OpenBLAS and /proc/self/maps")
+    mapped = "' '.join(sorted({l.split()[-1] for l in open('/proc/self/maps') if 'openblas' in l}))"
+    assert len(import_gnssins_and_print(mapped).split()) == 1
 
 
 def gnssins_imports(source: Path) -> set[str]:

@@ -390,7 +390,7 @@ class TestSolveDamped:
     def test_bundled_and_capsule_bindings_agree(self, n, u, lam, indefinite, seed):
         bundled = nls_solver._bundled_dpbsv()
         if bundled is None:
-            pytest.skip("scipy bundles no OpenBLAS, so only the capsule binding exists")
+            pytest.skip("numpy bundles no OpenBLAS, so only the capsule binding exists")
         rng = np.random.default_rng(seed)
         h = self.random_band(rng, n, u)
         if indefinite:

@@ -18,6 +18,7 @@ from gnssins.noise_models import (
     SatObservation,
     WeightingParams,
     compute_hdop,
+    hdop_array,
     ins_cov,
     lc_fix_covariance,
     motion_model_cov,
@@ -178,6 +179,54 @@ def test_hdop_matches_per_satellite_loop(n, mixed, coincident, seed):
     # is 1e-12 up to cond 4.5e3 and eps * cond for near-degenerate geometry
     rel = max(1e-12, np.finfo(float).eps * cond)
     assert compute_hdop(sats, receiver) == pytest.approx(expected, rel=rel)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(st.integers(3, 9), min_size=1, max_size=5),
+    kinds=st.lists(st.sampled_from(["gps", "beidou", "mixed", "coincident"]), min_size=5, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hdop_array_matches_each_epoch_alone(sizes, kinds, seed):
+    """A stack of epochs padded to the widest, each with its own constellations
+    (a clock column it lacks is all zero), gives each epoch's compute_hdop, or
+    NaN where that raises."""
+    rng = np.random.default_rng(seed)
+    union = (Constellation.GPS, Constellation.BEIDOU)
+    width = max(sizes)
+    receivers = geodetic_to_ecef(REF) + rng.normal(scale=50.0, size=(len(sizes), 3))
+    # padding rows sit at the receiver, where a real satellite makes the HDOP NaN
+    sat_pos = np.repeat(receivers[:, :, None], width, axis=2)
+    clocks = np.zeros((len(sizes), width, len(union)))
+    epochs = []
+    for k, (n, kind) in enumerate(zip(sizes, kinds)):
+        sats = [
+            make_sat(
+                rng.uniform(0, 360),
+                rng.uniform(5, 89),
+                constellation=Constellation.BEIDOU if kind == "beidou" or (kind == "mixed" and i % 2) else Constellation.GPS,
+                sat_id=f"S{i:02d}",
+            )
+            for i in range(n)
+        ]
+        if kind == "coincident":
+            sats[-1].sat_pos = receivers[k].copy()
+        for i, sat in enumerate(sats):
+            sat_pos[k, :, i] = sat.sat_pos
+            clocks[k, i, union.index(sat.constellation)] = 1.0
+        epochs.append(sats)
+    hdops = hdop_array(sat_pos, clocks, receivers)
+    for sats, receiver, hdop in zip(epochs, receivers, hdops):
+        try:
+            want = compute_hdop(sats, receiver)
+        except GeometryError:
+            assert math.isnan(hdop)
+            continue
+        # the same sums, but a BeiDou-only epoch's clock column sits second
+        # here, beside a unit diagonal, so the inverses round apart, magnified
+        # by the condition number (measured at most 0.22 * eps * cond)
+        _, cond = hdop_per_satellite(sats, receiver)
+        assert hdop == pytest.approx(want, rel=max(1e-12, np.finfo(float).eps * cond))
 
 
 class TestSatObservation:
