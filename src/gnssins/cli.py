@@ -98,7 +98,9 @@ def _write_epochs_csv(path: Path, result: RunResult) -> None:
     )
 
 
-SUMMARY_COLUMNS = ["window", "mean_err_m", "std_err_m", "total_time_s"]
+SUMMARY_COLUMNS = [
+    "window", "mean_err_m", "std_err_m", "total_time_s", "lm_iterations_per_epoch",
+]
 
 
 def _summary_dict(estimator: str, window: Optional[int | str], summary: dict) -> dict:
@@ -111,6 +113,7 @@ def _summary_dict(estimator: str, window: Optional[int | str], summary: dict) ->
         "total_time_s": summary["total_time"],
         "epochs": summary["epochs"],
         "unconverged_epochs": summary["unconverged"],
+        "lm_iterations_per_epoch": summary["mean_iterations"],
     }
 
 

@@ -51,7 +51,10 @@ class RunConfig:
     # accumulates over imu_rate/gnss_rate prediction steps spanning the
     # epoch; the factor graph applies its covariances once per epoch
     ekf_predict_steps: int = 100
-    lm: LmConfig = field(default_factory=LmConfig)
+    # every window solve starts warm, one INS step from its last solution, so
+    # its damping starts below LmConfig.gtol and its first step can pass the
+    # gradient test (see LmConfig.lambda0)
+    lm: LmConfig = field(default_factory=lambda: LmConfig(lambda0=1e-10))
 
     def __post_init__(self) -> None:
         if self.estimator not in ESTIMATORS:

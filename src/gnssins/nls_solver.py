@@ -200,10 +200,17 @@ class LmConfig:
     """
 
     lambda0: float = 1e-6
-    """Initial damping, relative to ``diag(J^T J)``. Small because windows
-    start warm: Madsen, Nielsen & Tingleff (2004, §3.2) recommend 1e-6 when
-    the initial guess is already good. A poor guess costs rejected steps
-    while the damping grows."""
+    """Initial damping, relative to ``diag(J^T J)``, set by how far the start
+    is trusted (Madsen, Nielsen & Tingleff 2004, §3.2). This default suits a
+    cold solve: :func:`fgo.single_epoch_wls`, which may start from the
+    Earth's centre, and the stacked LC fixes. A window solve starts warm,
+    one INS step from its last solution, and ``harness.RunConfig.lm`` gives
+    it 1e-10. At a linear problem's minimum, a step damped by ``lambda0``
+    leaves a gradient cosine of about ``lambda0`` times the step whitened by
+    ``sqrt(H_ii / cost)``, so only a ``lambda0`` below ``gtol`` lets the
+    first step pass the gradient test; from 1e-6, a solve needs a second
+    linearization. A poor guess costs rejected steps while the damping
+    grows."""
     lambda_max: float = 1e10
     """Damping ceiling; past it a step that cannot lower the cost ends the
     solve, and normal equations that stay singular raise SolverError."""
@@ -472,9 +479,11 @@ def solve_lm(problem, cfg: Optional[LmConfig] = None) -> SolveReport:
         rel_drop = (cost - new_cost) / max(cost, 1e-300)
         # drop the damping faster when the quadratic model matched the actual
         # decrease. A step damped by lam leaves about lam * cond(H) of the
-        # error of a linear problem, so the first (lambda0) and second
-        # (lambda0 / 100) steps reach the closed form to rounding when H is
-        # well conditioned, and the second then stops on tol
+        # error of a linear problem, and a gradient cosine of about lam times
+        # the whitened step: a warm start below gtol (a window's 1e-10) then
+        # stops on the gradient test after one step, and a cold one (1e-6)
+        # reaches the closed form on its second step (lam / 100), which
+        # then stops on tol
         predicted = float(delta @ (lam * diag * delta - g))
         ratio = (cost - new_cost) / predicted if predicted > 0 else 0.0
         cost = new_cost

@@ -150,8 +150,9 @@ def match_components(model: GmmModel, target_means: Sequence[float]) -> list[Gmm
 
 
 def summarize(records: Sequence[EpochRecord]) -> dict:
-    """Mean and population std of the 2D error, the summed solve time and the
-    number of epochs whose solve did not converge."""
+    """Mean and population std of the 2D error, the summed solve time, the
+    number of epochs whose solve did not converge and the mean LM iterations
+    per epoch (0 for a filter)."""
     if not records:
         raise ValueError("no records to summarize")
     errs = np.array([r.err_2d for r in records])
@@ -161,4 +162,5 @@ def summarize(records: Sequence[EpochRecord]) -> dict:
         "total_time": float(sum(r.solve_time for r in records)),
         "epochs": len(records),
         "unconverged": sum(not r.converged for r in records),
+        "mean_iterations": float(np.mean([r.iterations for r in records])),
     }

@@ -235,6 +235,9 @@ class TestRun:
         assert all(rows["message"][1:])
         assert np.all(rows["iterations"] >= 0) and np.all(np.isfinite(rows["cost"][1:]))
         assert summary["unconverged_epochs"] == int(np.sum(rows["converged"] == 0)) == 0
+        iterations = float(np.mean(rows["iterations"]))
+        assert summary["lm_iterations_per_epoch"] == pytest.approx(iterations, abs=1e-12)
+        assert summary["lm_iterations_per_epoch"] > 0
 
     def test_summary_matches_epochs_csv(self, dataset_dir, tmp_path):
         out = tmp_path / "run2"
@@ -245,6 +248,7 @@ class TestRun:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["mean_err_m"] == pytest.approx(float(np.mean(rows["err_2d_m"])), abs=1e-9)
         assert summary["std_err_m"] == pytest.approx(float(np.std(rows["err_2d_m"])), abs=1e-9)
+        assert summary["lm_iterations_per_epoch"] == 0.0
 
     def test_run_deterministic_estimates(self, dataset_dir, tmp_path):
         cols = None
@@ -393,7 +397,7 @@ class TestCompareSweepGmm:
         assert [r["window"] for r in rows] == [1, 5, "batch"]
         # the keys of summary.json and compare.json
         keys = ["estimator", "window", "mean_err_m", "std_err_m", "total_time_s", "epochs",
-                "unconverged_epochs"]
+                "unconverged_epochs", "lm_iterations_per_epoch"]
         assert all(list(r) == keys and r["estimator"] == "fgo-tc" for r in rows)
 
     @pytest.mark.parametrize("sizes", ["0", "-3", "abc", "1,,5"])

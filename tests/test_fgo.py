@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import TOY_CLOCKS, toy_epochs
 from test_noise_models import hdop_per_satellite
 from gnssins import fgo
-from gnssins.canyon_sim import generate_lc_fixes
+from gnssins.canyon_sim import default_canyon_config, generate_lc_fixes, simulate
 from gnssins.fgo import (
     BATCH,
     EpochWls,
@@ -25,7 +26,7 @@ from gnssins.fgo import (
     single_epoch_wls,
 )
 from gnssins.ekf import default_process_noise, initial_covariance
-from gnssins.harness import RunConfig
+from gnssins.harness import RunConfig, run_estimator
 from gnssins.noise_models import (
     SINGULAR_COND,
     GeometryError,
@@ -50,7 +51,7 @@ from gnssins.nls_solver import (
     sqrt_info_from_cov_diag,
     upper_band,
 )
-from gnssins.types import VEL, Constellation, StateLayout, constellations_present
+from gnssins.types import POS, VEL, Constellation, StateLayout, constellations_present
 
 TC = StateLayout((Constellation.GPS, Constellation.BEIDOU))
 LC = StateLayout()
@@ -1022,3 +1023,43 @@ class TestFgoEstimator:
         est.step(epochs[1])
         with pytest.raises(ValueError):
             est.step(epochs[1])
+
+
+@pytest.fixture(scope="module", params=[99, 31], ids=lambda seed: f"seed{seed}")
+def seeded_canyon(request):
+    """The default canyon, with its LC fixes, at the headline and a held-out seed."""
+    ds = simulate(default_canyon_config(request.param))
+    generate_lc_fixes(ds.epochs)
+    return ds
+
+
+class TestWarmWindowSolves:
+    """Every window solve starts one INS step from its last solution, under
+    ``RunConfig().lm``, whose initial damping is below ``gtol``."""
+
+    @pytest.mark.parametrize("window", [1, 30, BATCH])
+    def test_every_window_ends_at_its_minimum(self, seeded_canyon, window):
+        # the oracle solves the same window again from where the step left
+        # it, with damping and stop tests far tighter than any default
+        tight = LmConfig(lambda0=1e-12, tol=0.0, gtol=1e-13)
+        est = FgoEstimator(RunConfig(estimator="fgo-tc", window=window), TC)
+        for meas in seeded_canyon.epochs:
+            if est.step(meas).message == "initialized":
+                continue
+            states = est.window.slots["state"]
+            again = SimpleNamespace(
+                initial_values=states.flatten(),
+                normal_equations=est.window.normal_equations,
+                cost=est.window.cost,
+            )
+            polished = solve_lm(again, tight).values.reshape(states.shape)
+            gap = np.linalg.norm(polished[:, POS] - states[:, POS], axis=1).max()
+            assert gap <= 1e-4, f"epoch at t={meas.t}: {gap:.3g} m from its window's minimum"
+
+    @pytest.mark.parametrize("window", [30, BATCH])
+    def test_a_linear_window_takes_one_linearization(self, seeded_canyon, window):
+        # an LC window is linear, so one step from the warm start passes the
+        # gradient test; the first solve after start-up starts further away
+        records = run_estimator(seeded_canyon, RunConfig(estimator="fgo-lc", window=window)).records
+        slow = [(r.epoch, r.iterations) for r in records[2:] if r.iterations > 1 or not r.converged]
+        assert slow == []

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnssins import nls_solver
+from gnssins.harness import RunConfig
 from gnssins.nls_solver import (
     EvaluationError,
     LmConfig,
@@ -141,6 +142,29 @@ class TestSolveLm:
         assert report.converged
         assert report.iterations <= 2
         assert np.allclose(report.values, expected, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "seed, shape, atol",
+        [
+            (2, {}, 1e-9),
+            (3, {}, 1e-9),
+            (4, dict(n_states=4, n_blocks=10), 1e-9),
+            (5, dict(sigma2=1.0), 1e-9),
+            (5, dict(sigma2=10.0), 1e-9),
+            # one damped step leaves about lambda0 * cond(H) of the start's
+            # error, 1.6e-9 at these 720 unknowns
+            (6, dict(n_states=80, state_dim=9, n_blocks=200), 1e-8),
+        ],
+    )
+    def test_warm_damping_solves_a_linear_problem_in_one_step(self, seed, shape, atol):
+        # a window's damping starts below gtol, so the first step leaves a
+        # gradient that passes the test
+        problem, mats = linear_problem(np.random.default_rng(seed), **shape)
+        report = solve_lm(problem, RunConfig().lm)
+        assert report.converged and report.message == "gradient below gtol"
+        assert report.iterations == 1
+        expected = closed_form(problem, mats, len(problem.state_dims), problem.state_dims[0])
+        assert np.allclose(report.values, expected, rtol=0.0, atol=atol)
 
     def test_already_optimal_returns_input(self):
         rng = np.random.default_rng(3)

@@ -232,6 +232,14 @@ class TestSummarize:
         assert out["std_err"] == pytest.approx(float(np.std(errs)), abs=1e-12)
         assert out["total_time"] == pytest.approx(float(np.sum(times)), abs=1e-12)
 
+    def test_mean_iterations_is_the_records_mean(self):
+        records = self.make_records([1.0] * 5)
+        for record, n in zip(records, [0, 1, 2, 1, 3]):
+            record.iterations = n
+        assert summarize(records)["mean_iterations"] == pytest.approx(7 / 5, abs=1e-15)
+        # a filter's records read 0 iterations
+        assert summarize(self.make_records([1.0, 2.0]))["mean_iterations"] == 0.0
+
     def test_empty_errors(self):
         with pytest.raises(ValueError):
             summarize([])
