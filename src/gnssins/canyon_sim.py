@@ -49,13 +49,11 @@ from .frames import (
     global_to_local_array,
     rotation_global_from_local,
 )
-from .nls_solver import LmConfig, SolverError
 from .noise_models import (
     GmmComponent,
     GmmModel,
     SatObservation,
     WeightingParams,
-    compute_hdop,
     hdop_array,
 )
 from .types import Constellation, EpochMeasurements, check_numbers
@@ -648,6 +646,14 @@ def simulate(cfg: SimConfig) -> Dataset:
     )
 
 
+# The longest Gauss–Newton step (m) that finishes a stacked fix. A step s
+# leaves each row off its linear model by about s^2 / (2 rho), rho ~ 2e7 m the
+# satellite range: 2.5e-10 m at 0.1 m, under the 9.3e-10 m spacing of doubles
+# at the Earth's radius, so the fix is its epoch's minimum to rounding. The
+# largest step seen is 6.1e-5 m; a longer one means the stack stopped short.
+FIX_STEP_M = 0.1
+
+
 def generate_lc_fixes(
     epochs: Sequence[EpochMeasurements], weighting: Optional[WeightingParams] = None
 ) -> None:
@@ -658,61 +664,51 @@ def generate_lc_fixes(
     fix-unavailable. Fixes inherit whatever corruption the pseudoranges
     carry, like a real receiver's output would.
 
-    The first overdetermined epoch is solved alone from the Earth's centre
-    (:func:`fgo.single_epoch_wls`), after it the next, until one gives a
-    fix. Every later overdetermined epoch starts from that fix, and all are
-    solved at once, as one :class:`fgo.EpochWls` stack in one LM solve. An
-    epoch takes its fix from the stack only if its own gradient-cosine test
-    holds against its own cost, its J^T J is not singular, and its HDOP
-    geometry is not (:meth:`fgo.EpochWls.solved`,
-    :func:`noise_models.hdop_array`). Any other is solved alone, as the
-    first, from where the stacked solve left it, and every one is solved
-    alone from the first fix if the stacked solve raises.
+    The first overdetermined epoch that :func:`fgo.single_epoch_wls` can
+    solve from the Earth's centre gives the start. From it, that epoch and
+    every later overdetermined one are solved at once, as one
+    :class:`fgo.EpochWls` stack in one LM solve; an epoch with a satellite
+    exactly at the start is left out, since no row can be linearized there.
+    One batched Gauss–Newton step then finishes each epoch
+    (:meth:`fgo.EpochWls.newton_step`). An epoch takes its stepped position
+    as its fix, with its HDOP there (:func:`noise_models.hdop_array`), when
+    its J^T J is not singular, the HDOP is finite and the step is at most
+    :data:`FIX_STEP_M`. If the stacked solve raises, no stacked epoch gets a
+    fix.
     """
     weighting = weighting or WeightingParams()
-    lm = LmConfig()
     for epoch in epochs:
         epoch.fix_pos = None
         epoch.fix_hdop = None
     pending = [epoch for epoch in epochs if fgo.overdetermined(epoch.sats)]
     start = None
     while pending and start is None:
-        start = _solve_alone(pending.pop(0), weighting, None)
+        try:
+            # via the module, so a tracer wrapping fgo.single_epoch_wls sees set-up
+            start, _ = fgo.single_epoch_wls(pending[0].sats, weighting)
+        except ValueError:  # GeometryError among them
+            pending.pop(0)
     if not pending:
         return
     try:
         problem = fgo.EpochWls([epoch.sats for epoch in pending], weighting, start)
+        # a row is undefined with its satellite at the receiver, so an epoch
+        # with one at the start leaves the stack (never the start's own)
+        clear = ~(problem.sat_pos == start[:, None]).all(axis=1).any(axis=1)
+        if not clear.all():
+            pending = [epoch for epoch, c in zip(pending, clear) if c]
+            problem = fgo.EpochWls([epoch.sats for epoch in pending], weighting, start)
         # via the module, so a tracer wrapping fgo.solve_lm sees the stacked solve
-        values = fgo.solve_lm(problem, lm).values
-        fixes = values.reshape(len(pending), problem.dim)[:, 0:3]
+        values = fgo.solve_lm(problem).values
+        ok, step = problem.newton_step(values)
+        fixes = values.reshape(len(pending), problem.dim)[:, 0:3] + step[:, 0:3]
         hdops = hdop_array(problem.sat_pos, problem.clocks, fixes)
-        solved = problem.solved(values, lm.gtol) & np.isfinite(hdops)
-    except (ValueError, SolverError):  # GeometryError among them
-        fixes = np.broadcast_to(start, (len(pending), 3))
-        solved = np.zeros(len(pending), dtype=bool)
-    for k, epoch in enumerate(pending):
-        if solved[k]:
-            epoch.fix_pos = fixes[k].copy()
-            epoch.fix_hdop = float(hdops[k])
-        else:
-            _solve_alone(epoch, weighting, fixes[k])
-
-
-def _solve_alone(
-    epoch: EpochMeasurements, weighting: WeightingParams, initial: Optional[np.ndarray]
-) -> Optional[np.ndarray]:
-    """Give ``epoch`` the fix of its own WLS started at ``initial``, and its
-    HDOP there; returns the fix, or None, leaving the epoch without one, when
-    its geometry gives none."""
-    try:
-        # via the module, so a tracer wrapping fgo.single_epoch_wls sees set-up
-        pos, _ = fgo.single_epoch_wls(epoch.sats, weighting, initial=initial)
-        hdop = compute_hdop(epoch.sats, pos)
-    except ValueError:  # GeometryError among them
-        return None
-    epoch.fix_pos = pos
-    epoch.fix_hdop = hdop
-    return pos
+    except (ValueError, fgo.SolverError):  # GeometryError, EvaluationError among them
+        return
+    ok &= np.isfinite(hdops) & (np.linalg.norm(step[:, 0:3], axis=1) <= FIX_STEP_M)
+    for k in np.flatnonzero(ok):
+        pending[k].fix_pos = fixes[k]
+        pending[k].fix_hdop = float(hdops[k])
 
 
 # ---------------------------------------------------------------------------

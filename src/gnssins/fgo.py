@@ -738,8 +738,10 @@ class EpochWls:
     gradient, so the band stays positive definite and the clock stays where
     it started. Provides what :func:`nls_solver.solve_lm` needs
     (``initial_values``, ``normal_equations``, ``cost``); one epoch is
-    :func:`single_epoch_wls`'s problem. Raises GeometryError when an epoch
-    has fewer satellites than its own unknowns.
+    :func:`single_epoch_wls`'s problem. A solve stops on the whole stack's
+    tests; :meth:`newton_step` then judges each epoch and gives the step to
+    its own minimum. Raises GeometryError when an epoch has fewer satellites
+    than its own unknowns.
     """
 
     def __init__(
@@ -799,32 +801,30 @@ class EpochWls:
 
     def _gram(self, values: np.ndarray):
         """Each epoch's whitened J^T J (``(E, dim, dim)``, a unit diagonal on
-        the clocks it lacks) and J^T r, its whitened residuals and the cost."""
+        the clocks it lacks) and J^T r, and the cost."""
         rw, cost, unit = self._whitened(values)
         jw = np.concatenate((unit.transpose(0, 2, 1), self._clock_jac), axis=2)
         jw *= self.w[..., None]
         jwt = jw.transpose(0, 2, 1)
         gram = jwt @ jw
         gram.reshape(len(gram), -1)[:, :: self.dim + 1] += ~self.used
-        return gram, (jwt @ rw[..., None])[..., 0], rw, cost
+        return gram, (jwt @ rw[..., None])[..., 0], cost
 
     def normal_equations(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         """Whitened J^T J (upper band storage, ``dim - 1`` super-diagonals),
         J^T r and cost."""
-        gram, g, _, cost = self._gram(values)
+        gram, g, cost = self._gram(values)
         return upper_band(gram, self.dim - 1), g.ravel(), cost
 
-    def solved(self, values: np.ndarray, gtol: Optional[float] = None) -> np.ndarray:
-        """Per epoch, whether ``values`` fix it: its J^T J over the columns it
-        uses passes :func:`noise_models.nonsingular` and, given ``gtol``,
-        ``LmConfig.gtol``'s gradient-cosine test holds against its own cost."""
-        gram, g, rw, _ = self._gram(values)
+    def newton_step(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per epoch at ``values``, whether its J^T J over the columns it uses
+        passes :func:`noise_models.nonsingular`, and its undamped Gauss–Newton
+        step ``-(J^T J)^-1 J^T r`` (``(E, dim)``, zero where singular)."""
+        gram, g, _ = self._gram(values)
         ok = nonsingular(gram, self.used)
-        if gtol is not None:
-            cost = np.einsum("km,km->k", rw, rw)
-            diag = np.diagonal(gram, axis1=1, axis2=2)
-            ok &= (cost <= 0.0) | (g * g <= (gtol * gtol * cost[:, None]) * diag).all(axis=1)
-        return ok
+        step = np.zeros_like(g)
+        step[ok] = -np.linalg.solve(gram[ok], g[ok, :, None])[..., 0]
+        return ok, step
 
 
 def single_epoch_wls(
@@ -846,7 +846,7 @@ def single_epoch_wls(
         raise GeometryError(f"single-epoch solve did not converge: {report.message}")
     # from a far start (the Earth's centre) LM can stop "converged" where
     # J^T J is singular; no fix is unique there
-    if not problem.solved(report.values)[0]:
+    if not problem.newton_step(report.values)[0][0]:
         raise GeometryError("single-epoch solve stopped at singular geometry")
     pos = report.values[0:3].copy()
     clocks = {c: float(report.values[3 + i]) for i, c in enumerate(problem.constellations)}

@@ -47,6 +47,7 @@ from gnssins.frames import (
     rotation_local_from_body,
 )
 from gnssins.cli import main
+from gnssins.nls_solver import EvaluationError, SolverError
 from gnssins.residual_analysis import GmmComponent, GmmModel
 from gnssins.types import Constellation
 
@@ -646,20 +647,47 @@ class TestLcFixes:
         generate_lc_fixes(ds.epochs)
         assert not any(e.fix_available for e in ds.epochs)
 
-    def test_one_stacked_solve_on_the_default_canyon(self):
-        # the first fix is solved alone and every later epoch in one stack;
-        # an epoch that fails its checks in the stack is solved alone again
-        ds = simulate(default_canyon_config())
+    @pytest.mark.parametrize(
+        "cfg, fixed",
+        [
+            (default_canyon_config(), 180),
+            # every epoch's own cost is rounding noise
+            (noise_free_config(), 60),
+            # the stack stops on its gradient test against the whole stack's
+            # cost, short of the same test against one epoch's own
+            (replace(default_canyon_config(99), duration_s=100.0), 65),
+            (replace(default_canyon_config(31), duration_s=100.0), 65),
+        ],
+        ids=["default-canyon", "noise-free", "canyon-100s-seed-99", "canyon-100s-seed-31"],
+    )
+    def test_one_solve_alone_then_one_stack(self, cfg, fixed):
+        # the start is solved alone and every overdetermined epoch in one stack
+        ds = simulate(cfg)
         with (
             mock.patch.object(fgo, "solve_lm", wraps=fgo.solve_lm) as solves,
             mock.patch.object(fgo, "single_epoch_wls", wraps=fgo.single_epoch_wls) as alone,
         ):
             generate_lc_fixes(ds.epochs)
-        fallbacks = alone.call_count - 1
-        assert solves.call_count <= 2 + fallbacks
-        # no epoch of the default canyon falls back (none at seeds 99, 31 and 5)
-        assert fallbacks == 0
-        assert sum(e.fix_available for e in ds.epochs) == 180
+        assert (alone.call_count, solves.call_count) == (1, 2)
+        assert sum(e.fix_available for e in ds.epochs) == fixed
+
+    @pytest.mark.parametrize("error", [SolverError, EvaluationError])
+    def test_a_failed_stack_leaves_its_epochs_without_a_fix(self, error):
+        ds = simulate(noise_free_config(duration_s=10.0))
+        solve_lm = fgo.solve_lm
+
+        def failing(problem, cfg=None):
+            if len(problem.initial_values) > problem.dim:  # the stack, not the start
+                raise error("stacked solve failed")
+            return solve_lm(problem, cfg)
+
+        with (
+            mock.patch.object(fgo, "solve_lm", side_effect=failing) as solves,
+            mock.patch.object(fgo, "single_epoch_wls", wraps=fgo.single_epoch_wls) as alone,
+        ):
+            generate_lc_fixes(ds.epochs)
+        assert (alone.call_count, solves.call_count) == (1, 2)
+        assert all(e.fix_pos is None and e.fix_hdop is None for e in ds.epochs)
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -367,6 +367,7 @@ EPOCH_KINDS = {
     "gps": True,  # its 8 satellites, all GPS
     "beidou": True,  # its 8 satellites, all BeiDou
     "subset": True,  # 6 or 7 of its satellites, mixed
+    "noise_free": True,  # its 8 satellites, mixed, with no pseudorange noise
     "exact": False,  # 5 mixed satellites: exactly determined, so no fix is taken
     "singular": False,  # 5 GPS satellites at one position: J^T J has rank 2
     "at_receiver": False,  # a satellite where every stacked solve starts
@@ -407,7 +408,9 @@ class TestStackedFixes:
         # one clock for both constellations, so that relabeled satellites stay consistent
         same_clock = {c: TOY_CLOCKS[Constellation.GPS] for c in TOY_CLOCKS}
         kinds = ["mixed", *kinds]  # the first fix, which every later epoch starts from
-        epochs, _ = toy_epochs(len(kinds), clock_offsets=same_clock, pr_noise=rng.normal(scale=3.0, size=(len(kinds), 8)))
+        pr_noise = rng.normal(scale=3.0, size=(len(kinds), 8))
+        pr_noise[[kind == "noise_free" for kind in kinds]] = 0.0
+        epochs, _ = toy_epochs(len(kinds), clock_offsets=same_clock, pr_noise=pr_noise)
         weighting = WeightingParams()
         first_fix, _ = single_epoch_wls(epochs[0].sats, weighting)
         for epoch, kind in zip(epochs, kinds):
@@ -436,16 +439,26 @@ class TestStackedFixes:
             if want is None:
                 assert epoch.fix_hdop is None
                 continue
-            # a stacked fix passes LmConfig.gtol's cosine test, |g_i| <= gtol *
-            # sqrt(H_ii * cost), which puts it within about gtol * m * DOP^2 *
-            # noise of the exact WLS minimum (1e-6 m for 8 satellites, a DOP
-            # of 2 and 3 m of noise). A solve alone may stop earlier, on
+            # a stacked fix ends on one Gauss-Newton step, which leaves it
+            # about step^2 / range of the exact WLS minimum: at rounding for
+            # any step it is allowed. A solve alone may stop earlier, on
             # LmConfig.tol: at the worst epoch found (6 satellites, HDOP 2.8)
-            # it stopped 1.4e-6 m from the minimum and the stacked fix 1.6e-7
-            # m. A hypothesis search that maximised the gap over 3,000 draws
-            # found it at most 1.2e-6 m, so 1e-5 m leaves a margin of 8
+            # it stopped 1.4e-6 m from the minimum. A hypothesis search that
+            # maximised the gap over 3,000 draws found it at most 1.2e-6 m,
+            # so 1e-5 m leaves a margin of 8
             assert np.linalg.norm(epoch.fix_pos - want[0]) <= 1e-5
             assert epoch.fix_hdop == pytest.approx(want[1], rel=1e-9)
+
+    def test_newton_step_lands_on_each_epochs_minimum(self):
+        # noise-free epochs, whose minimum is the truth: from 1 m off it, one
+        # step leaves about (1 m)^2 / range = 5e-8 m times the DOP
+        epochs, truth = toy_epochs(3)
+        problem = EpochWls([e.sats for e in epochs], WeightingParams())
+        exact = np.column_stack((truth, np.tile([TOY_CLOCKS[c] for c in problem.constellations], (3, 1))))
+        start = exact + np.random.default_rng(0).normal(size=exact.shape)
+        ok, step = problem.newton_step(start.ravel())
+        assert ok.all()
+        assert np.abs(start + step - exact).max() <= 1e-6
 
     @settings(max_examples=60, deadline=None)
     @given(

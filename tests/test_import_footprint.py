@@ -8,7 +8,7 @@ a few hundred modules to every process start, and a second OpenBLAS.
 
 Both estimator families and the simulator read their noise model from
 ``noise_models``: the factor graph takes nothing from the filter, and the
-simulator nothing from the residual analysis.
+simulator nothing from the residual analysis nor the solver.
 """
 
 import ast
@@ -64,7 +64,8 @@ def gnssins_imports(source: Path) -> set[str]:
 
 
 @pytest.mark.parametrize(
-    "module, forbidden", [("fgo", "ekf"), ("canyon_sim", "residual_analysis")]
+    "module, forbidden",
+    [("fgo", "ekf"), ("canyon_sim", "residual_analysis"), ("canyon_sim", "nls_solver")],
 )
 def test_layering(module, forbidden):
     imports = gnssins_imports(Path(gnssins.__file__).parent / f"{module}.py")
