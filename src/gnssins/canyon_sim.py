@@ -646,14 +646,6 @@ def simulate(cfg: SimConfig) -> Dataset:
     )
 
 
-# The longest Gauss–Newton step (m) that finishes a stacked fix. A step s
-# leaves each row off its linear model by about s^2 / (2 rho), rho ~ 2e7 m the
-# satellite range: 2.5e-10 m at 0.1 m, under the 9.3e-10 m spacing of doubles
-# at the Earth's radius, so the fix is its epoch's minimum to rounding. The
-# largest step seen is 6.1e-5 m; a longer one means the stack stopped short.
-FIX_STEP_M = 0.1
-
-
 def generate_lc_fixes(
     epochs: Sequence[EpochMeasurements], weighting: Optional[WeightingParams] = None
 ) -> None:
@@ -664,51 +656,32 @@ def generate_lc_fixes(
     fix-unavailable. Fixes inherit whatever corruption the pseudoranges
     carry, like a real receiver's output would.
 
-    The first overdetermined epoch that :func:`fgo.single_epoch_wls` can
-    solve from the Earth's centre gives the start. From it, that epoch and
-    every later overdetermined one are solved at once, as one
-    :class:`fgo.EpochWls` stack in one LM solve; an epoch with a satellite
-    exactly at the start is left out, since no row can be linearized there.
-    One batched Gauss–Newton step then finishes each epoch
-    (:meth:`fgo.EpochWls.newton_step`). An epoch takes its stepped position
-    as its fix, with its HDOP there (:func:`noise_models.hdop_array`), when
-    its J^T J is not singular, the HDOP is finite and the step is at most
-    :data:`FIX_STEP_M`. If the stacked solve raises, no stacked epoch gets a
-    fix.
+    Every overdetermined epoch is solved from the Earth's centre in one
+    :class:`fgo.EpochWls` stack (:meth:`fgo.EpochWls.solve`). An epoch the
+    solve fixes takes its solution as its fix, with its HDOP there
+    (:func:`noise_models.hdop_array`), when that HDOP is finite. If the
+    solve raises, no epoch gets a fix.
     """
     weighting = weighting or WeightingParams()
     for epoch in epochs:
         epoch.fix_pos = None
         epoch.fix_hdop = None
     pending = [epoch for epoch in epochs if fgo.overdetermined(epoch.sats)]
-    start = None
-    while pending and start is None:
-        try:
-            # via the module, so a tracer wrapping fgo.single_epoch_wls sees set-up
-            start, _ = fgo.single_epoch_wls(pending[0].sats, weighting)
-        except ValueError:  # GeometryError among them
-            pending.pop(0)
     if not pending:
         return
     try:
-        problem = fgo.EpochWls([epoch.sats for epoch in pending], weighting, start)
-        # a row is undefined with its satellite at the receiver, so an epoch
-        # with one at the start leaves the stack (never the start's own)
-        clear = ~(problem.sat_pos == start[:, None]).all(axis=1).any(axis=1)
-        if not clear.all():
-            pending = [epoch for epoch, c in zip(pending, clear) if c]
-            problem = fgo.EpochWls([epoch.sats for epoch in pending], weighting, start)
-        # via the module, so a tracer wrapping fgo.solve_lm sees the stacked solve
-        values = fgo.solve_lm(problem).values
-        ok, step = problem.newton_step(values)
-        fixes = values.reshape(len(pending), problem.dim)[:, 0:3] + step[:, 0:3]
-        hdops = hdop_array(problem.sat_pos, problem.clocks, fixes)
-    except (ValueError, fgo.SolverError):  # GeometryError, EvaluationError among them
+        problem = fgo.EpochWls([epoch.sats for epoch in pending], weighting)
+        values, ok = problem.solve()
+    except ValueError:  # GeometryError and numpy's LinAlgError among them
         return
-    ok &= np.isfinite(hdops) & (np.linalg.norm(step[:, 0:3], axis=1) <= FIX_STEP_M)
-    for k in np.flatnonzero(ok):
-        pending[k].fix_pos = fixes[k]
-        pending[k].fix_hdop = float(hdops[k])
+    fixed = np.flatnonzero(ok)
+    if not fixed.size:  # hdop_array takes no empty stack
+        return
+    hdops = hdop_array(problem.sat_pos[fixed], problem.clocks[fixed], values[fixed, 0:3])
+    for k, hdop in zip(fixed, hdops):
+        if np.isfinite(hdop):
+            pending[k].fix_pos = values[k, 0:3]
+            pending[k].fix_hdop = float(hdop)
 
 
 # ---------------------------------------------------------------------------

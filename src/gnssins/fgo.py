@@ -15,7 +15,9 @@ Once the window slides, the anchor's position and velocity variances depend
 on the coupling (:data:`SLIDING_ANCHOR_VAR`). Both families start from
 :func:`initial_state`, seed velocity from :func:`position_seed` and weight LC
 fixes by :func:`fix_hdop`; the seed, like the simulator's LC fixes, is taken
-only from an :func:`overdetermined` epoch.
+only from an :func:`overdetermined` epoch. Every single-epoch WLS fix (the
+start, the seed and the simulator's LC fixes) is one batched Gauss–Newton
+solve of an :class:`EpochWls` stack; LM solves the windows only.
 
 The estimator keeps one :class:`FactorWindow`, its only epoch history, and
 :func:`build_window` slides it an epoch at a time. The window builds each
@@ -57,12 +59,10 @@ from .noise_models import (
 )
 from .nls_solver import (
     EvaluationError,
-    LmConfig,
     ResidualBlock,
     SolverError,
     solve_lm,
     sqrt_info_from_cov_diag,
-    upper_band,
 )
 from .types import (
     BIAS,
@@ -720,8 +720,17 @@ def build_window(
     return window
 
 
+# The longest Gauss–Newton position step (m) that ends a WLS solve. A step s
+# leaves each row off its linear model by about s^2 / (2 rho), rho ~ 2e7 m the
+# satellite range: 2.5e-10 m at 0.1 m, under the 9.3e-10 m spacing of doubles
+# at the Earth's radius, so the closing step lands on the minimum to rounding.
+FIX_STEP_M = 0.1
+WLS_MAX_ITERS = 20  # steps before the closing one; from the Earth's centre a canyon epoch takes 5
+
+
 class EpochWls:
-    """Single-epoch position/clock WLS of a stack of epochs, as one problem.
+    """Single-epoch position/clock WLS of a stack of epochs, solved as one
+    batch.
 
     ``epochs`` holds each epoch's satellites. Epoch ``k``'s unknowns are its
     ECEF position and one clock bias per constellation in ``constellations``,
@@ -732,16 +741,13 @@ class EpochWls:
     :func:`noise_models.pseudorange_rows`: satellite ``sat_pos[k, :, i]``
     with range ``pseudorange[k, i]``, weight ``w[k, i]`` (inverse standard
     deviation) and its clock one-hot in ``clocks[k, i]``. No epoch shares an
-    unknown with another, so ``J^T J`` is block-diagonal, a band with
-    ``2 + C`` super-diagonals. A clock of a constellation the epoch lacks
-    touches none of its rows: its column holds a unit diagonal and a zero
-    gradient, so the band stays positive definite and the clock stays where
-    it started. Provides what :func:`nls_solver.solve_lm` needs
-    (``initial_values``, ``normal_equations``, ``cost``); one epoch is
-    :func:`single_epoch_wls`'s problem. A solve stops on the whole stack's
-    tests; :meth:`newton_step` then judges each epoch and gives the step to
-    its own minimum. Raises GeometryError when an epoch has fewer satellites
-    than its own unknowns.
+    unknown with another, so each epoch has its own ``(3 + C)``-square
+    ``J^T J``, and :meth:`solve` takes every epoch's Gauss–Newton step in one
+    batched linear solve. A clock of a constellation the epoch lacks touches
+    none of its rows: its column holds a unit diagonal and a zero gradient,
+    so the clock stays where it started. One epoch is
+    :func:`single_epoch_wls`'s problem. Raises GeometryError when an epoch
+    has fewer satellites than its own unknowns.
     """
 
     def __init__(
@@ -786,71 +792,80 @@ class EpochWls:
             start[:, 0:3] = initial
         self.initial_values = start.ravel()
 
-    def _whitened(self, values: np.ndarray):
-        x = np.asarray(values, dtype=float).reshape(-1, self.dim)
-        resid, unit = pseudorange_rows(self.sat_pos, self.pseudorange, self.clock_col, x)
-        rw = self.w * resid
-        cost = float(rw.ravel() @ rw.ravel())
-        if not np.isfinite(cost):
-            raise EvaluationError("non-finite residual in single-epoch pseudoranges")
-        return rw, cost, unit
-
-    def cost(self, values: np.ndarray) -> float:
-        """Sum of squared whitened pseudorange residuals over every epoch."""
-        return self._whitened(values)[1]
-
     def _gram(self, values: np.ndarray):
         """Each epoch's whitened J^T J (``(E, dim, dim)``, a unit diagonal on
-        the clocks it lacks) and J^T r, and the cost."""
-        rw, cost, unit = self._whitened(values)
+        the clocks it lacks) and J^T r (``(E, dim)``) at ``values``."""
+        x = np.asarray(values, dtype=float).reshape(-1, self.dim)
+        resid, unit = pseudorange_rows(self.sat_pos, self.pseudorange, self.clock_col, x)
         jw = np.concatenate((unit.transpose(0, 2, 1), self._clock_jac), axis=2)
         jw *= self.w[..., None]
         jwt = jw.transpose(0, 2, 1)
         gram = jwt @ jw
         gram.reshape(len(gram), -1)[:, :: self.dim + 1] += ~self.used
-        return gram, (jwt @ rw[..., None])[..., 0], cost
+        return gram, (jwt @ (self.w * resid)[..., None])[..., 0]
 
-    def normal_equations(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        """Whitened J^T J (upper band storage, ``dim - 1`` super-diagonals),
-        J^T r and cost."""
-        gram, g, cost = self._gram(values)
-        return upper_band(gram, self.dim - 1), g.ravel(), cost
-
-    def newton_step(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def newton_step(
+        self, values: np.ndarray, ok: Optional[np.ndarray] = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Per epoch at ``values``, whether its J^T J over the columns it uses
-        passes :func:`noise_models.nonsingular`, and its undamped Gauss–Newton
-        step ``-(J^T J)^-1 J^T r`` (``(E, dim)``, zero where singular)."""
-        gram, g, _ = self._gram(values)
-        ok = nonsingular(gram, self.used)
+        passes :func:`noise_models.nonsingular` (or ``ok``, a verdict already
+        taken), and its undamped Gauss–Newton step ``-(J^T J)^-1 J^T r``
+        (``(E, dim)``, zero where not ok)."""
+        gram, g = self._gram(values)
+        if ok is None:
+            ok = nonsingular(gram, self.used)
         step = np.zeros_like(g)
-        step[ok] = -np.linalg.solve(gram[ok], g[ok, :, None])[..., 0]
+        try:
+            step[ok] = -np.linalg.solve(gram[ok], g[ok, :, None])[..., 0]
+        except np.linalg.LinAlgError:
+            # a diverging epoch's J^T J can round to exactly singular, which
+            # makes the batched solve raise for every epoch: judge them all
+            ok = ok & nonsingular(gram, self.used)
+            step[ok] = -np.linalg.solve(gram[ok], g[ok, :, None])[..., 0]
         return ok, step
+
+    def solve(self) -> tuple[np.ndarray, np.ndarray]:
+        """Batched Gauss–Newton from ``initial_values`` until every epoch's
+        last position step is at most :data:`FIX_STEP_M`, or for
+        :data:`WLS_MAX_ITERS` steps, then one closing step. Returns each
+        epoch's solution ``(E, dim)`` and whether it is a fix: its J^T J
+        passes :func:`noise_models.nonsingular` at the start (a singular
+        epoch takes no step, so that the batched solve does not raise) and
+        at the end, not on every step, where condition numbers would cost
+        more than the steps; and its closing position step is within the
+        bound."""
+        values = self.initial_values.reshape(-1, self.dim).copy()
+        live, step = self.newton_step(values)
+        for _ in range(WLS_MAX_ITERS):
+            values += step
+            if (np.linalg.norm(step[:, 0:3], axis=1) <= FIX_STEP_M).all():
+                break
+            live, step = self.newton_step(values, live)
+        ok, step = self.newton_step(values)
+        values += step
+        return values, live & ok & (np.linalg.norm(step[:, 0:3], axis=1) <= FIX_STEP_M)
 
 
 def single_epoch_wls(
     sats: Sequence[SatObservation],
     weighting: WeightingParams,
     initial: Optional[np.ndarray] = None,
-    lm: Optional[LmConfig] = None,
 ) -> tuple[np.ndarray, dict[Constellation, float]]:
     """Weighted least-squares position/clock solve from one epoch of
-    pseudoranges: the :class:`EpochWls` of that one epoch.
+    pseudoranges: :meth:`EpochWls.solve` of that one epoch, from ``initial``
+    or the Earth's centre.
 
     Returns the ECEF position and one clock bias per constellation present.
     Raises GeometryError when there are too few satellites for the unknowns,
-    the solve does not converge, or it stops where J^T J is singular.
+    or the epoch gives no fix: J^T J is singular, or the solve does not
+    converge.
     """
     problem = EpochWls([sats], weighting, initial)
-    report = solve_lm(problem, lm or LmConfig())
-    if not report.converged:
-        raise GeometryError(f"single-epoch solve did not converge: {report.message}")
-    # from a far start (the Earth's centre) LM can stop "converged" where
-    # J^T J is singular; no fix is unique there
-    if not problem.newton_step(report.values)[0][0]:
-        raise GeometryError("single-epoch solve stopped at singular geometry")
-    pos = report.values[0:3].copy()
-    clocks = {c: float(report.values[3 + i]) for i, c in enumerate(problem.constellations)}
-    return pos, clocks
+    values, ok = problem.solve()
+    if not ok[0]:
+        raise GeometryError("single-epoch solve found no fix: singular or unconverged")
+    clocks = {c: float(values[0, 3 + i]) for i, c in enumerate(problem.constellations)}
+    return values[0, 0:3].copy(), clocks
 
 
 def overdetermined(sats: Sequence[SatObservation]) -> bool:

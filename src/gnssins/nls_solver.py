@@ -202,10 +202,11 @@ class LmConfig:
     lambda0: float = 1e-6
     """Initial damping, relative to ``diag(J^T J)``, set by how far the start
     is trusted (Madsen, Nielsen & Tingleff 2004, §3.2). This default suits a
-    cold solve: :func:`fgo.single_epoch_wls`, which may start from the
-    Earth's centre, and the stacked LC fixes. A window solve starts warm,
-    one INS step from its last solution, and ``harness.RunConfig.lm`` gives
-    it 1e-10. At a linear problem's minimum, a step damped by ``lambda0``
+    cold solve, and no production solve is cold: the single-epoch WLS fixes,
+    which start from the Earth's centre, are solved by Gauss–Newton
+    (:meth:`fgo.EpochWls.solve`), not LM. A window solve starts warm, one INS
+    step from its last solution, and ``harness.RunConfig.lm`` gives it
+    1e-10. At a linear problem's minimum, a step damped by ``lambda0``
     leaves a gradient cosine of about ``lambda0`` times the step whitened by
     ``sqrt(H_ii / cost)``, so only a ``lambda0`` below ``gtol`` lets the
     first step pass the gradient test; from 1e-6, a solve needs a second

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .frames import ecef_to_geodetic_array, global_to_local_array
+from .frames import MIN_RADIUS_M, ecef_to_geodetic_array, global_to_local_array
 from .types import BIAS, POS, VEL, Constellation, StateLayout, check_numbers, constellations_present
 
 
@@ -76,6 +76,10 @@ class SatObservation:
         self.sat_pos = np.array(self.sat_pos, dtype=float)
         if not np.isfinite(self.sat_pos).all():
             raise ValueError(f"satellite {self.sat_id}: non-finite position {self.sat_pos}")
+        # no satellite orbits inside the Earth, where every WLS solve starts
+        if self.sat_pos @ self.sat_pos < MIN_RADIUS_M**2:
+            where = f"within {MIN_RADIUS_M / 1e3:g} km of the Earth's centre"
+            raise ValueError(f"satellite {self.sat_id}: position {self.sat_pos} {where}")
         if not (math.isfinite(self.pseudorange) and math.isfinite(self.snr)):
             raise ValueError(
                 f"satellite {self.sat_id}: non-finite pseudorange {self.pseudorange}"

@@ -47,7 +47,7 @@ from gnssins.frames import (
     rotation_local_from_body,
 )
 from gnssins.cli import main
-from gnssins.nls_solver import EvaluationError, SolverError
+from gnssins.noise_models import GeometryError
 from gnssins.residual_analysis import GmmComponent, GmmModel
 from gnssins.types import Constellation
 
@@ -653,40 +653,30 @@ class TestLcFixes:
             (default_canyon_config(), 180),
             # every epoch's own cost is rounding noise
             (noise_free_config(), 60),
-            # the stack stops on its gradient test against the whole stack's
-            # cost, short of the same test against one epoch's own
             (replace(default_canyon_config(99), duration_s=100.0), 65),
             (replace(default_canyon_config(31), duration_s=100.0), 65),
         ],
         ids=["default-canyon", "noise-free", "canyon-100s-seed-99", "canyon-100s-seed-31"],
     )
     def test_one_solve_alone_then_one_stack(self, cfg, fixed):
-        # the start is solved alone and every overdetermined epoch in one stack
+        # every overdetermined epoch is solved in one stack from the Earth's
+        # centre: no epoch alone, and no LM
         ds = simulate(cfg)
         with (
-            mock.patch.object(fgo, "solve_lm", wraps=fgo.solve_lm) as solves,
+            mock.patch.object(fgo, "solve_lm", wraps=fgo.solve_lm) as lm,
             mock.patch.object(fgo, "single_epoch_wls", wraps=fgo.single_epoch_wls) as alone,
+            mock.patch.object(fgo.EpochWls, "solve", autospec=True, side_effect=fgo.EpochWls.solve) as stack,
         ):
             generate_lc_fixes(ds.epochs)
-        assert (alone.call_count, solves.call_count) == (1, 2)
+        assert (alone.call_count, lm.call_count, stack.call_count) == (0, 0, 1)
         assert sum(e.fix_available for e in ds.epochs) == fixed
 
-    @pytest.mark.parametrize("error", [SolverError, EvaluationError])
+    @pytest.mark.parametrize("error", [GeometryError, np.linalg.LinAlgError])
     def test_a_failed_stack_leaves_its_epochs_without_a_fix(self, error):
         ds = simulate(noise_free_config(duration_s=10.0))
-        solve_lm = fgo.solve_lm
-
-        def failing(problem, cfg=None):
-            if len(problem.initial_values) > problem.dim:  # the stack, not the start
-                raise error("stacked solve failed")
-            return solve_lm(problem, cfg)
-
-        with (
-            mock.patch.object(fgo, "solve_lm", side_effect=failing) as solves,
-            mock.patch.object(fgo, "single_epoch_wls", wraps=fgo.single_epoch_wls) as alone,
-        ):
+        with mock.patch.object(fgo.EpochWls, "solve", side_effect=error("stacked solve failed")) as stack:
             generate_lc_fixes(ds.epochs)
-        assert (alone.call_count, solves.call_count) == (1, 2)
+        assert stack.call_count == 1
         assert all(e.fix_pos is None and e.fix_hdop is None for e in ds.epochs)
 
     @settings(max_examples=60, deadline=None)

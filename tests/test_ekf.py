@@ -252,8 +252,11 @@ class TestUpdateTc:
             assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
     def test_coincident_satellite_raises(self):
+        # the receiver moves to the satellite, since no satellite may sit at
+        # the Earth's centre
         b = make_belief(TC)
-        sat = make_sat([0.0, 0.0, 0.0])
+        b.mean[0:3] = [2.0e7, 0.0, 0.0]
+        sat = make_sat(b.mean[0:3])
         with pytest.raises(GeometryError):
             update_tc(b, [sat], np.ones(1))
 

@@ -3,10 +3,11 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gnssins.frames import (
+    MIN_RADIUS_M,
     Geodetic,
     ecef_to_geodetic,
     enu_to_ecef,
@@ -255,6 +256,21 @@ class TestSatObservation:
             fields[name] = bad
         with pytest.raises(ValueError):
             SatObservation(**fields)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        radius=st.floats(0.0, MIN_RADIUS_M, exclude_max=True),
+        direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: 0.1 < np.linalg.norm(v)),
+    )
+    @example(radius=0.0, direction=(1.0, 0.0, 0.0))
+    def test_position_inside_the_earth_rejected(self, radius, direction):
+        # every WLS solve starts at the Earth's centre, where a satellite's
+        # row is undefined, and no satellite orbits inside the Earth
+        sat_pos = radius * np.array(direction) / np.linalg.norm(direction)
+        assume(sat_pos @ sat_pos < MIN_RADIUS_M**2)
+        with pytest.raises(ValueError, match="satellite G01: .* of the Earth's centre"):
+            SatObservation(**dict(self.VALID, sat_pos=sat_pos))
+        SatObservation(**dict(self.VALID, sat_pos=[MIN_RADIUS_M, 0.0, 0.0]))
 
     def test_owns_its_position(self):
         grid = np.full((2, 3), 1.5e7)
