@@ -675,8 +675,6 @@ def generate_lc_fixes(
     except ValueError:  # GeometryError and numpy's LinAlgError among them
         return
     fixed = np.flatnonzero(ok)
-    if not fixed.size:  # hdop_array takes no empty stack
-        return
     hdops = hdop_array(problem.sat_pos[fixed], problem.clocks[fixed], values[fixed, 0:3])
     for k, hdop in zip(fixed, hdops):
         if np.isfinite(hdop):

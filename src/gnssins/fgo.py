@@ -13,11 +13,12 @@ trajectory's first state the filter's initial covariance; both come from
 :mod:`noise_models`, so the two families share one set of noise constants.
 Once the window slides, the anchor's position and velocity variances depend
 on the coupling (:data:`SLIDING_ANCHOR_VAR`). Both families start from
-:func:`initial_state`, seed velocity from :func:`position_seed` and weight LC
+:func:`initial_state`, seed velocity by :func:`seed_velocity` and weight LC
 fixes by :func:`fix_hdop`; the seed, like the simulator's LC fixes, is taken
 only from an :func:`overdetermined` epoch. Every single-epoch WLS fix (the
 start, the seed and the simulator's LC fixes) is one batched Gauss–Newton
-solve of an :class:`EpochWls` stack; LM solves the windows only.
+solve of an :class:`EpochWls` stack from the Earth's centre; LM solves the
+windows only.
 
 The estimator keeps one :class:`FactorWindow`, its only epoch history, and
 :func:`build_window` slides it an epoch at a time. The window builds each
@@ -233,24 +234,6 @@ def clock_walk_factor(
     )
 
 
-class _LazyBlocks(Sequence):
-    """Read-only sequence of ``length`` items, each built by ``make(i)`` when indexed."""
-
-    def __init__(self, length: int, make) -> None:
-        self._length = length
-        self._make = make
-
-    def __len__(self) -> int:
-        return self._length
-
-    def __getitem__(self, i: int):
-        if i < 0:
-            i += self._length
-        if not 0 <= i < self._length:
-            raise IndexError("block index out of range")
-        return self._make(i)
-
-
 # what a padding pseudorange row holds, in the order of the arrays of
 # stack_pseudoranges and then the weight: a satellite about 1e9 km from the
 # Earth, so that no receiver state the solver reaches gives it a zero range,
@@ -365,9 +348,10 @@ class FactorWindow:
     The window provides what :func:`nls_solver.solve_lm` needs
     (``initial_values``, ``normal_equations``, ``cost``) and what callers of
     an :class:`NlsProblem` read (``total_dim``).
-    ``blocks`` lists the same factors as :class:`ResidualBlock` objects, built
-    only when indexed: the prior, then motion, INS and clock walk per edge,
-    then the fixes, then the pseudoranges.
+    ``blocks`` gives each factor's kind: ``"prior"``, then ``"motion"``,
+    ``"ins"`` and (TC) ``"clock_walk"`` per edge, then ``"gnss_fix"`` per
+    LC fix or ``"pseudorange"`` per TC row. The factor functions above
+    (:func:`prior_factor`, ...) are the per-block form of each kind.
     """
 
     def __init__(self, cfg: RunConfig, layout: StateLayout) -> None:
@@ -465,13 +449,13 @@ class FactorWindow:
         return self.n * self.dim
 
     @property
-    def blocks(self) -> Sequence[ResidualBlock]:
-        count = 1 + (self.n - 1) * self._per_edge
+    def blocks(self) -> tuple[str, ...]:
+        edge = ("motion", "ins", "clock_walk")[: self._per_edge]
         if self._tc:
-            count += sum(len(meas.sats) for meas in self.slots["meas"])
+            gnss = ("pseudorange",) * sum(len(meas.sats) for meas in self.slots["meas"])
         else:
-            count += int((self.slots["fix_w"][:, 0] > 0).sum())
-        return _LazyBlocks(count, self._block)
+            gnss = ("gnss_fix",) * int((self.slots["fix_w"][:, 0] > 0).sum())
+        return ("prior", *edge * (self.n - 1), *gnss)
 
     def _view(self) -> None:
         """Take the live slots' view of every slot buffer into ``slots`` and,
@@ -673,35 +657,6 @@ class FactorWindow:
             return None
         return self._newest_raw[: len(self.slots["meas"][-1].sats)].copy()
 
-    def _block(self, i: int) -> ResidualBlock:
-        """The ``i``-th factor as a per-block oracle :class:`ResidualBlock`."""
-        layout, edge_var, slots = self.layout, self.edge_w**-2, self.slots
-        if i == 0:
-            return prior_factor(0, self.prior_value, self.prior_w**-2, layout)
-        i -= 1
-        n_edge_blocks = (self.n - 1) * self._per_edge
-        if i < n_edge_blocks:
-            edge, kind = divmod(i, self._per_edge)
-            k, dt = edge + 1, slots["dt"][edge, 0]
-            if kind == 0:
-                motion_var = np.concatenate((edge_var[POS], edge_var[BIAS]))
-                return motion_factor(k - 1, k, dt, motion_var, layout)
-            if kind == 1:
-                accel = slots["edge_sub"][edge, VEL] / dt
-                return ins_factor(k - 1, k, accel, dt, edge_var[VEL], layout)
-            clock_var = edge_var[layout.clock_slice().start]
-            return clock_walk_factor(k - 1, k, math.sqrt(clock_var), layout)
-        i -= n_edge_blocks
-        if not self._tc:
-            k = int(np.flatnonzero(slots["fix_w"][:, 0] > 0)[i])
-            return gnss_fix_factor(k, slots["fix_pos"][k], slots["fix_w"][k] ** -2, layout)
-        ends = np.cumsum([len(meas.sats) for meas in slots["meas"]])
-        k = int(np.searchsorted(ends, i, side="right"))
-        sats = slots["meas"][k].sats
-        j = i - int(ends[k]) + len(sats)
-        sigma2 = tc_covariance(sats, self.cfg.weighting)[j] * self.cfg.cov_scale
-        return pseudorange_factor(k, sats[j], sigma2, layout)
-
 
 def build_window(
     window: FactorWindow, meas: EpochMeasurements, state: np.ndarray, accel_ecef: np.ndarray
@@ -735,10 +690,9 @@ class EpochWls:
     ``epochs`` holds each epoch's satellites. Epoch ``k``'s unknowns are its
     ECEF position and one clock bias per constellation in ``constellations``,
     those present in any epoch, so the values are ``(E, 3 + C)``, flattened;
-    they start at ``initial`` (one position, or one per epoch) or at the
-    Earth's centre, with zero clocks. Each epoch's rows are padded to the
-    widest epoch's M with zero weight, in the padded layout of
-    :func:`noise_models.pseudorange_rows`: satellite ``sat_pos[k, :, i]``
+    every epoch starts at the Earth's centre, with zero clocks. Each epoch's
+    rows are padded to the widest epoch's M with zero weight, in the padded
+    layout of :func:`noise_models.pseudorange_rows`: satellite ``sat_pos[k, :, i]``
     with range ``pseudorange[k, i]``, weight ``w[k, i]`` (inverse standard
     deviation) and its clock one-hot in ``clocks[k, i]``. No epoch shares an
     unknown with another, so each epoch has its own ``(3 + C)``-square
@@ -746,16 +700,15 @@ class EpochWls:
     batched linear solve. A clock of a constellation the epoch lacks touches
     none of its rows: its column holds a unit diagonal and a zero gradient,
     so the clock stays where it started. One epoch is
-    :func:`single_epoch_wls`'s problem. Raises GeometryError when an epoch
-    has fewer satellites than its own unknowns.
+    :func:`single_epoch_wls`'s problem. Raises GeometryError when the stack
+    is empty or an epoch has fewer satellites than its own unknowns.
     """
 
     def __init__(
-        self,
-        epochs: Sequence[Sequence[SatObservation]],
-        weighting: WeightingParams,
-        initial: Optional[np.ndarray] = None,
+        self, epochs: Sequence[Sequence[SatObservation]], weighting: WeightingParams
     ) -> None:
+        if not epochs:
+            raise GeometryError("an empty stack of epochs has no fix to solve")
         sats = [sat for epoch in epochs for sat in epoch]
         self.constellations = constellations_present(sats)
         d = self.dim = 3 + len(self.constellations)
@@ -787,10 +740,7 @@ class EpochWls:
         self.clock_col = col + d * np.arange(e)[:, None]
         # each row's Jacobian on its epoch's clocks, -1 on its own
         self._clock_jac = -self.clocks.astype(float)
-        start = np.zeros((e, d))
-        if initial is not None:
-            start[:, 0:3] = initial
-        self.initial_values = start.ravel()
+        self.initial_values = np.zeros(e * d)
 
     def _gram(self, values: np.ndarray):
         """Each epoch's whitened J^T J (``(E, dim, dim)``, a unit diagonal on
@@ -847,20 +797,18 @@ class EpochWls:
 
 
 def single_epoch_wls(
-    sats: Sequence[SatObservation],
-    weighting: WeightingParams,
-    initial: Optional[np.ndarray] = None,
+    sats: Sequence[SatObservation], weighting: WeightingParams
 ) -> tuple[np.ndarray, dict[Constellation, float]]:
     """Weighted least-squares position/clock solve from one epoch of
-    pseudoranges: :meth:`EpochWls.solve` of that one epoch, from ``initial``
-    or the Earth's centre.
+    pseudoranges: :meth:`EpochWls.solve` of that one epoch, from the Earth's
+    centre.
 
     Returns the ECEF position and one clock bias per constellation present.
     Raises GeometryError when there are too few satellites for the unknowns,
     or the epoch gives no fix: J^T J is singular, or the solve does not
     converge.
     """
-    problem = EpochWls([sats], weighting, initial)
+    problem = EpochWls([sats], weighting)
     values, ok = problem.solve()
     if not ok[0]:
         raise GeometryError("single-epoch solve found no fix: singular or unconverged")
@@ -900,22 +848,35 @@ def initial_state(
 
 
 def position_seed(
-    meas: EpochMeasurements, mode: str, weighting: WeightingParams, prev_pos: np.ndarray
+    meas: EpochMeasurements, mode: str, weighting: WeightingParams
 ) -> Optional[np.ndarray]:
     """Position of the second epoch for the two-point velocity seed.
 
-    The LC fix, or for TC a single-epoch WLS started at ``prev_pos`` when the
-    epoch is :func:`overdetermined`; None when the epoch gives neither.
+    The LC fix, or for TC the single-epoch WLS solution when the epoch is
+    :func:`overdetermined`; None when the epoch gives neither.
     """
     if mode == "lc":
         return np.asarray(meas.fix_pos, dtype=float) if meas.fix_available else None
     if not overdetermined(meas.sats):
         return None
     try:
-        pos, _ = single_epoch_wls(meas.sats, weighting, initial=prev_pos)
+        pos, _ = single_epoch_wls(meas.sats, weighting)
     except GeometryError:
         return None
     return pos
+
+
+def seed_velocity(
+    first: np.ndarray, meas: EpochMeasurements, mode: str, weighting: WeightingParams
+) -> None:
+    """Two-point velocity seed, for both estimator families: write the
+    velocity from the first state ``first`` to the second epoch's
+    :func:`position_seed` into ``first``, before the second epoch is
+    predicted from it. Leaves ``first`` as it is when the epoch gives no
+    seed."""
+    seed = position_seed(meas, mode, weighting)
+    if seed is not None:
+        first[VEL] = (seed - first[POS]) / meas.dt
 
 
 def fix_hdop(meas: EpochMeasurements, receiver: np.ndarray) -> float:
@@ -956,20 +917,14 @@ class FgoEstimator:
         if meas.t <= window.slots["meas"][-1].t:
             raise ValueError("epochs must arrive in strictly increasing time order")
         prev = window.slots["state"][-1]
+        if window.n == 1:
+            # written into slot 0's own state, where the anchor prior pins it
+            seed_velocity(prev, meas, coupling, self.cfg.weighting)
         geo = ecef_to_geodetic(prev[POS])
         accel_ecef = body_accel_to_ecef(meas.accel_body_mean, prev[BIAS], meas.attitude, geo)
         state = prev.copy()
         state[POS] = prev[POS] + prev[VEL] * meas.dt
         state[VEL] = prev[VEL] + accel_ecef * meas.dt
-        if window.n == 1:
-            # two-point velocity seed: difference the first two position
-            # solutions. Updating the stored first state matters because the
-            # anchor prior pins its value, which otherwise stays at zero.
-            seed = position_seed(meas, coupling, self.cfg.weighting, prev[POS])
-            if seed is not None:
-                state[VEL] = (seed - prev[POS]) / meas.dt
-                state[POS] = seed
-                prev[VEL] = state[VEL]
 
         # looked up on the module at call time, once per epoch, so a tracer
         # that wraps fgo.build_window sees every window

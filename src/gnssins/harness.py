@@ -25,7 +25,7 @@ from . import ekf, residual_analysis
 from .canyon_sim import Dataset, generate_lc_fixes
 # single_epoch_wls is not called here; it stays imported only because the
 # benchmark tracer wraps harness.single_epoch_wls as a call site
-from .fgo import FgoEstimator, fix_hdop, initial_state, position_seed, single_epoch_wls
+from .fgo import FgoEstimator, fix_hdop, initial_state, seed_velocity, single_epoch_wls
 from .frames import body_accel_to_ecef, ecef_to_geodetic
 from .noise_models import WeightingParams, lc_fix_covariance, tc_covariance
 from .nls_solver import LmConfig
@@ -36,7 +36,7 @@ from .residual_analysis import (
     summarize,
     tc_residual,
 )
-from .types import BIAS, POS, VEL, Constellation, EpochMeasurements, StateLayout, StepResult, is_count
+from .types import BIAS, POS, Constellation, EpochMeasurements, StateLayout, StepResult, is_count
 
 ESTIMATORS = ("ekf-lc", "ekf-tc", "fgo-lc", "fgo-tc")
 
@@ -117,14 +117,10 @@ class _EkfRunner:
             mean = initial_state(meas, self.coupling, self.layout, self.cfg.weighting)
             cov = ekf.initial_covariance(self.layout) * scale
             self.belief = ekf.BeliefState(mean, cov, self.layout)
-            return StepResult(mean.copy(), time.perf_counter() - t0)
+            return StepResult(mean.copy(), time.perf_counter() - t0, message="initialized")
         if not self._vel_seeded:
-            # receiver-style two-point velocity seed: difference the first
-            # two position solutions instead of starting blind from zero
             self._vel_seeded = True
-            z = position_seed(meas, self.coupling, self.cfg.weighting, self.belief.mean[POS])
-            if z is not None:
-                self.belief.mean[VEL] = (z - self.belief.mean[POS]) / meas.dt
+            seed_velocity(self.belief.mean, meas, self.coupling, self.cfg.weighting)
         geo = ecef_to_geodetic(self.belief.mean[POS])
         accel_ecef = body_accel_to_ecef(
             meas.accel_body_mean, self.belief.mean[BIAS], meas.attitude, geo

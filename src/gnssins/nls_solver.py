@@ -245,17 +245,11 @@ def total_cost(problem, values: np.ndarray) -> float:
 
 def upper_band(h_mat: np.ndarray, bandwidth: int) -> np.ndarray:
     """Upper band storage of a symmetric matrix, as LAPACK's ``dpbsv`` takes
-    it: ``ab[bandwidth + i - j, j] = h_mat[i, j]`` for ``i <= j``.
-
-    A stack of ``n``-square matrices (``(..., n, n)``) gives the band of their
-    block-diagonal matrix, in stack order; its entries between blocks are
-    zero as long as ``bandwidth < n``.
-    """
-    n = h_mat.shape[-1]
-    ab = np.zeros((bandwidth + 1, *h_mat.shape[:-2], n))
+    it: ``ab[bandwidth + i - j, j] = h_mat[i, j]`` for ``i <= j``."""
+    ab = np.zeros((bandwidth + 1, len(h_mat)))
     for k in range(bandwidth + 1):
-        ab[bandwidth - k, ..., k:] = np.diagonal(h_mat, k, axis1=-2, axis2=-1)
-    return ab.reshape(bandwidth + 1, -1)
+        ab[bandwidth - k, k:] = np.diagonal(h_mat, k)
+    return ab
 
 
 def _raise_nonfinite(problem: NlsProblem, parts: list[np.ndarray]) -> None:

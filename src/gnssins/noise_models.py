@@ -191,7 +191,7 @@ def hdop_array(sat_pos: np.ndarray, clocks: np.ndarray, receiver: np.ndarray) ->
     ok = ~at_receiver & nonsingular(gtg, used)
     # a clock column the epoch lacks holds a unit diagonal, which leaves the
     # inverse of the others as it is
-    gtg.reshape(len(g), -1)[:, :: g.shape[-1] + 1] += ~used
+    gtg.reshape(len(g), g.shape[-1] ** 2)[:, :: g.shape[-1] + 1] += ~used
     hdop = np.full(len(g), np.nan)
     cov = np.linalg.inv(gtg[ok])
     hdop[ok] = np.sqrt(cov[:, 0, 0] + cov[:, 1, 1])

@@ -29,7 +29,7 @@ from gnssins.harness import (
 from gnssins.residual_analysis import pseudorange_residuals, tc_residual
 from gnssins.noise_models import WeightingParams, compute_hdop
 from gnssins.nls_solver import LmConfig
-from gnssins.types import POS, Constellation, StateLayout, StepResult
+from gnssins.types import POS, VEL, Constellation, StateLayout, StepResult
 
 
 @pytest.fixture(scope="module")
@@ -248,25 +248,45 @@ def test_sweep_windows_rows(noise_free_ds):
     n_sats=st.integers(5, 8),
 )
 def test_families_share_the_first_state(coupling, seed, n_sats):
-    # one initializer: the filter and the factor graph start from the same state
+    # one start-up: the filter and the factor graph start from the same state
+    # and seed its velocity alike from the second epoch
     rng = np.random.default_rng(seed)
     epochs, _ = toy_epochs(
-        1,
-        pr_noise=rng.normal(scale=3.0, size=(1, n_sats)),
-        fix_noise=rng.normal(scale=3.0, size=(1, 3)),
+        2,
+        pr_noise=rng.normal(scale=3.0, size=(2, n_sats)),
+        fix_noise=rng.normal(scale=3.0, size=(2, 3)),
         n_sats=n_sats,
     )
     layout = StateLayout()
     if coupling == "tc":
         layout = StateLayout((Constellation.GPS, Constellation.BEIDOU))
     runner = _EkfRunner(RunConfig(estimator=f"ekf-{coupling}"), layout)
+    est = FgoEstimator(RunConfig(estimator=f"fgo-{coupling}"), layout)
     ekf_first = runner.step(epochs[0])
-    fgo_first = FgoEstimator(RunConfig(estimator=f"fgo-{coupling}"), layout).step(epochs[0])
+    fgo_first = est.step(epochs[0])
     assert isinstance(ekf_first, StepResult) and isinstance(fgo_first, StepResult)
     assert np.array_equal(ekf_first.state, fgo_first.state)
-    # neither solves anything iteratively at start-up
+    # neither solves anything iteratively at start-up, and both say so alike
     for first in (ekf_first, fgo_first):
         assert (first.iterations, first.converged) == (0, True) and math.isnan(first.cost)
+        assert first.message == "initialized"
+
+    predicted_from = []
+    predict = harness.ekf.predict
+
+    def recorded(belief, *args):
+        predicted_from.append(belief.mean.copy())
+        return predict(belief, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness.ekf, "predict", recorded)
+        runner.step(epochs[1])
+    est.step(epochs[1])
+    # the filter predicts from the seeded first state, which the window's
+    # anchor pins
+    assert np.array_equal(predicted_from[0][VEL], est.window.prior_value[VEL])
+    seeded = fgo.position_seed(epochs[1], coupling, WeightingParams()) is not None
+    assert predicted_from[0][VEL].any() == seeded
 
 
 def test_lc_run_leaves_a_dataset_without_fixes_untouched():

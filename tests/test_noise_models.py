@@ -230,6 +230,12 @@ def test_hdop_array_matches_each_epoch_alone(sizes, kinds, seed):
         assert hdop == pytest.approx(want, rel=max(1e-12, np.finfo(float).eps * cond))
 
 
+@pytest.mark.parametrize("width, n_clock", [(4, 1), (8, 2)])
+def test_hdop_array_of_no_epochs_is_empty(width, n_clock):
+    hdops = hdop_array(np.zeros((0, 3, width)), np.zeros((0, width, n_clock)), np.zeros((0, 3)))
+    assert hdops.shape == (0,)
+
+
 class TestSatObservation:
     VALID = dict(
         sat_id="G01",
