@@ -2,10 +2,10 @@
 
 The state is position, velocity and accelerometer bias in ECEF, plus one
 receiver clock bias per constellation in the tightly coupled variant. The
-prediction follows a constant-velocity model driven by the epoch's ECEF
-specific force; bias and clock biases propagate as constants. The process
-noise and the initial covariance come from :mod:`noise_models`, which the
-factor graph reads too.
+prediction moves the state by :func:`noise_models.transition`, the one
+process model the factor graph's prediction and edges read too, with its
+Jacobian F; the process noise that pairs with it and the initial covariance
+come from :mod:`noise_models` as well.
 """
 
 from __future__ import annotations
@@ -23,8 +23,10 @@ from .noise_models import (
     pseudorange_jacobian,
     pseudorange_rows,
     stack_pseudoranges,
+    transition,
+    transition_jacobian,
 )
-from .types import POS, VEL, StateLayout, is_count
+from .types import POS, StateLayout, is_count
 
 
 @dataclass
@@ -53,20 +55,17 @@ def accumulated_process_noise(layout: StateLayout, steps: int, dt_total: float) 
     """
     if not is_count(steps):
         raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
-    q = default_process_noise(layout)
+    q = np.diag(default_process_noise(layout))
     n = int(steps)
     dt_s = dt_total / n
-    qp, qv = q[POS], q[VEL]
-    out = np.diag(q * n)
-    # sum over remaining-propagation of each injection:
-    # sum k^2 and sum k for k = 0..n-1
+    # noise injected k sub-steps before the epoch's end reaches it through
+    # F^k = I + k dt_s E (E = F(1) - I, E^2 = 0): sums of k and k^2, k < n
+    e = transition_jacobian(1.0, layout.dim) - np.eye(layout.dim)
+    eq = e @ q
     sum_k = n * (n - 1) / 2.0
     sum_k2 = (n - 1) * n * (2 * n - 1) / 6.0
-    for axis in range(3):
-        out[axis, axis] += qv[axis] * dt_s**2 * sum_k2
-        out[axis, 3 + axis] += qv[axis] * dt_s * sum_k
-        out[3 + axis, axis] += qv[axis] * dt_s * sum_k
-    return out
+    cross = eq * dt_s * sum_k
+    return q * n + eq @ e.T * dt_s**2 * sum_k2 + (cross + cross.T)
 
 
 def _symmetrize(p: np.ndarray) -> np.ndarray:
@@ -79,16 +78,12 @@ def predict(
     dt: float,
     process_noise: np.ndarray | None = None,
 ) -> BeliefState:
-    """Constant-velocity prediction with the epoch's ECEF specific force."""
+    """The mean moves by :func:`noise_models.transition` over ``dt`` and the
+    covariance to ``F P F^T + Q``, F its :func:`noise_models.transition_jacobian`."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    accel_ecef = np.asarray(accel_ecef, dtype=float)
-    n = b.layout.dim
-    f = np.eye(n)
-    f[0:3, 3:6] = dt * np.eye(3)
-    mean = b.mean.copy()
-    mean[POS] = b.mean[POS] + b.mean[VEL] * dt
-    mean[VEL] = b.mean[VEL] + accel_ecef * dt
+    f = transition_jacobian(dt, b.layout.dim)
+    mean = b.mean + transition(b.mean, accel_ecef, dt)
     q = default_process_noise(b.layout) if process_noise is None else np.asarray(process_noise)
     q_mat = np.diag(q) if q.ndim == 1 else q
     cov = _symmetrize(f @ b.cov @ f.T + q_mat)

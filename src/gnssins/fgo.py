@@ -8,9 +8,9 @@ one pseudorange factor per satellite (TC). The oldest in-window state is
 anchored with a prior at its previously optimized value; window size 1 keeps
 the current and last epochs only, while batch mode keeps everything.
 
-The edges carry the per-epoch process noise the filter predicts with, and the
-trajectory's first state the filter's initial covariance; both come from
-:mod:`noise_models`, so the two families share one set of noise constants.
+The edges move a state by the filter's process model and carry the per-epoch
+process noise it predicts with, and the trajectory's first state the filter's
+initial covariance: the two families share all three, from :mod:`noise_models`.
 Once the window slides, the anchor's position and velocity variances depend
 on the coupling (:data:`SLIDING_ANCHOR_VAR`). Both families start from
 :func:`initial_state`, seed velocity by :func:`seed_velocity` and weight LC
@@ -57,6 +57,8 @@ from .noise_models import (
     pseudorange_rows,
     stack_pseudoranges,
     tc_covariance,
+    transition,
+    transition_jacobian,
 )
 from .nls_solver import (
     EvaluationError,
@@ -242,7 +244,7 @@ _PR_PAD = {"sat_pos": 1.0e12, "pseudorange": 0.0, "clock_col": 9, "pr_w": 0.0}
 
 
 # slot buffers that slot k holds for the edge into it, live from slot 1 on
-_EDGE_BUFFERS = ("dt", "edge_sub", "edge_block", "edge_res")
+_EDGE_BUFFERS = ("dt", "accel", "edge_jac", "edge_sub", "edge_block", "edge_res")
 
 
 def _band_at(r, c, shift: int, dim: int):
@@ -275,26 +277,27 @@ class FactorWindow:
     motion, INS and clock-walk factors between consecutive slots. The
     latter three give one residual entry per state column (motion on
     position and bias, INS on velocity, clock walk on the clocks), so they
-    are stacked as one ``dim``-row edge residual with the constant Jacobians
-    ``J_prev`` and the identity. ``J^T J`` is kept in upper band storage with
-    ``dim`` super-diagonals: it is block-tridiagonal, and the edge's
-    off-diagonal block ``J_prev^T Omega`` has no entry right of the
-    diagonal of its ``dim``-square block because ``J_prev`` is upper
-    triangular (each edge row depends only on the same or later columns of
-    the previous state: position on velocity). Each slot holds its ``dim``
-    band columns of ``dim + 1`` band rows, and every block is kept in that
-    layout, placed by one rule (:func:`_band_at`): entry (r, c) sits in
-    column c at band row ``shift + r - c``, with shift ``dim`` for the
-    slot's diagonal block and 0 for ``J_prev^T Omega`` of the edge into
+    are stacked as one ``dim``-row edge residual ``(x_k - x_{k-1}) -
+    transition(x_{k-1}, a, dt)`` with the constant Jacobians ``J_prev = -F``
+    of the process model (:mod:`noise_models`) and the identity. ``J^T J``
+    is kept in upper band storage with ``dim`` super-diagonals: it is
+    block-tridiagonal, and the edge's off-diagonal block ``J_prev^T Omega``
+    has no entry right of the diagonal of its ``dim``-square block because
+    ``J_prev`` is upper triangular (each edge row depends only on the same or
+    later columns of the previous state: position on velocity). Each slot
+    holds its ``dim`` band columns of ``dim + 1`` band rows, and every block
+    is kept in that layout, placed by one rule (:func:`_band_at`): entry (r,
+    c) sits in column c at band row ``shift + r - c``, with shift ``dim`` for
+    the slot's diagonal block and 0 for ``J_prev^T Omega`` of the edge into
     it, the block above; the two fill disjoint band rows.
 
     **Slot buffers.** Every per-slot datum lives in a preallocated buffer
     whose first axis is the buffer slot: the slot's epoch (``meas``, an
     object buffer), its state estimate (``state``), the edge into it
-    (``dt``, what its residual takes from the state difference, and
-    ``edge_block``, the edge's share of the previous slot's diagonal
-    block), the LC fix (``fix_pos``, and ``fix_w``, zero without a fix),
-    the TC pseudorange rows, the band columns and the last pricing (below).
+    (``dt``, ``accel``, the specific force that drives it, ``edge_jac``, its
+    ``J_prev``, and ``edge_block``, the edge's share of the previous slot's
+    diagonal block), the LC fix (``fix_pos``, and ``fix_w``, zero without a
+    fix), the TC pseudorange rows, band columns and last pricing (below).
     The live window is ``n`` consecutive buffer slots from ``_start``, and
     ``slots`` maps each buffer's name to its live view, taken anew after
     every push; an edge buffer's view starts at slot 1, since slot 0 has no
@@ -304,17 +307,17 @@ class FactorWindow:
     it first drops slot 0 by advancing the view, and the window is
     ``slid`` from then on. When the view reaches the end of the buffers,
     the live slots move to the front, at most once every W + 1 pushes. The
-    edge's ``J_prev^T Omega``, written into the new slot's columns, and its
-    diagonal share depend only on its ``dt``, so they are built again only
-    when ``dt`` changes. The push then pins slot 0 at its own state, with
-    the first prior until the window has slid and the sliding prior after,
-    and rebuilds every diagonal block in whole-array operations, slot 0's
-    columns zeroed since no block sits above them. Each block is summed in
-    one order: the edge out of the slot, then the prior or the edge into
-    it, then the fix, whose weights are slice adds on the diagonal (band
-    row ``dim``). One push leaves the window ready to solve. The solve
-    starts from the ``state`` rows, and the estimator writes its solution
-    back into them. :func:`build_window` is that push.
+    edge's ``J_prev``, its ``J_prev^T Omega``, written into the new slot's
+    columns, and its diagonal share depend only on its ``dt``, so they are
+    built again only when ``dt`` changes. The push then pins slot 0 at its
+    own state, with the first prior until the window has slid and the
+    sliding prior after, and rebuilds every diagonal block in whole-array
+    operations, slot 0's columns zeroed since no block sits above them. Each
+    block is summed in one order: the edge out of the slot, then the prior or
+    the edge into it, then the fix, whose weights are slice adds on the
+    diagonal (band row ``dim``). One push leaves the window ready to solve.
+    The solve starts from the ``state`` rows, and the estimator writes its
+    solution back into them. :func:`build_window` is that push.
 
     **Pseudorange rows** are padded per slot to the widest slot so far, M
     (at least 2), with zero weight on the padding; M grows only when a slot
@@ -331,16 +334,16 @@ class FactorWindow:
     rows have reached.
 
     **One evaluation per point.** The last pricing is kept: the point it
-    priced and its cost, and in the slot buffers the whitened residual of
-    each edge and each slot's whitened fix residual or its pseudorange
-    rows' compact rows ``[w u | -w e_clock | w r]``. :meth:`cost` prices
-    every slot or none: a point equal (by value) to the kept one is not
-    priced again, so the LM solver's accepted trial is the next point it
-    linearizes. A push drops the kept cost, so the first pricing after a
-    slide prices every slot, carried ones included. Pricing only the
-    factors whose variables changed, as iSAM2 does (Kaess et al., IJRR
-    2012), would save little here: a pricing's cost is its numpy calls more
-    than its slots.
+    priced and its cost, and in the slot buffers each edge's transition
+    increment (``edge_sub``) and whitened residual, and each slot's whitened
+    fix residual or its pseudorange rows' compact rows ``[w u | -w e_clock |
+    w r]``. :meth:`cost` prices every slot or none: a point equal (by value)
+    to the kept one is not priced again, so the LM solver's accepted trial
+    is the next point it linearizes. A push drops the kept cost, so the first
+    pricing after a slide prices every slot, carried ones included. Pricing
+    only the factors whose variables changed, as iSAM2 does (Kaess et al.,
+    IJRR 2012), would save little here: a pricing's cost is its numpy calls
+    more than its slots.
     :meth:`newest_residuals` hands on the newest slot's raw pseudorange
     residuals from the last pricing, so that the caller scoring the epoch
     need not evaluate them again.
@@ -375,9 +378,10 @@ class FactorWindow:
             "state": np.zeros((cap, d)),
             # a column, so that it broadcasts over an edge's state columns
             "dt": np.empty((cap, 1)),
-            # what the edge residual takes from the state difference: the
-            # velocity increment a dt, written at push, on velocity, and
-            # v dt of the last pricing on position
+            # the ECEF specific force of the edge, and its J_prev = -F
+            "accel": np.zeros((cap, 3)),
+            "edge_jac": np.zeros((cap, d, d)),
+            # the last pricing's transition increment of each edge
             "edge_sub": np.zeros((cap, d)),
             # band columns slot by slot: column c of a slot holds its d + 1
             # band rows, so a live window is d + 1 rows in column order
@@ -405,9 +409,9 @@ class FactorWindow:
         self._kept_cost: Optional[float] = None
         # the raw residuals of the newest slot's rows at the last pricing
         self._newest_raw: Optional[np.ndarray] = None
-        # the last edge terms pushed: dt, then J_prev^T Omega and the edge
-        # block as band columns
-        self._edge_terms: tuple = (None, None, None)
+        # the last edge terms pushed: dt, J_prev, then J_prev^T Omega and
+        # the edge block as band columns
+        self._edge_terms: tuple = (None, None, None, None)
         # where a slot's diagonal block sits in its band columns
         self._diag_region = _band_columns(np.ones((d, d)), d) != 0
         # slot 0's two prior weights: the trajectory's first state
@@ -510,16 +514,15 @@ class FactorWindow:
         if self.n > 1:
             dt = float(meas.dt)
             if dt != self._edge_terms[0]:
-                jac = -np.eye(self.dim)
-                jac[POS, VEL] = -dt * np.eye(3)
+                jac = -transition_jacobian(dt, self.dim)
                 # the edge's off-diagonal block, J_prev^T Omega, which sits
                 # in the new slot's columns above its diagonal block, and its
                 # share of the previous slot's diagonal block
                 jw = jac.T * self._edge_w2
-                self._edge_terms = (dt, _band_columns(jw, 0), _band_columns(jw @ jac, self.dim))
-            _, buf["band"][p], buf["edge_block"][p] = self._edge_terms
+                self._edge_terms = (dt, jac, _band_columns(jw, 0), _band_columns(jw @ jac, self.dim))
+            _, buf["edge_jac"][p], buf["band"][p], buf["edge_block"][p] = self._edge_terms
             buf["dt"][p] = dt
-            buf["edge_sub"][p, VEL] = accel_ecef * dt
+            buf["accel"][p] = accel_ecef
 
         if self._tc:
             rows = len(meas.sats)
@@ -572,10 +575,9 @@ class FactorWindow:
         """
         slots = self.slots
         prior = self._prior_res = self.prior_w * (x[0] - self.prior_value)
-        edge, sub = slots["edge_res"], slots["edge_sub"]
-        np.multiply(x[:-1, VEL], slots["dt"], out=sub[:, POS])
+        edge = slots["edge_res"]
         np.subtract(x[1:], x[:-1], out=edge)
-        edge -= sub
+        edge -= transition(x[:-1], slots["accel"], slots["dt"], out=slots["edge_sub"])
         edge *= self.edge_w
         if not self._tc:
             fix = slots["fix_res"]
@@ -626,10 +628,7 @@ class FactorWindow:
         g[0] += self.prior_w * self._prior_res
         q = self.edge_w * slots["edge_res"]
         g[1:] += q
-        # q J_prev: J_prev is -I with -dt on position over velocity
-        back = -q
-        back[:, VEL] -= q[:, POS] * slots["dt"]
-        g[:-1] += back
+        g[:-1] += np.matmul(q[:, None], slots["edge_jac"])[:, 0]
         if not self._tc:
             g[:, 0:3] -= slots["fix_w"] * slots["fix_res"]
         band = slots["band"].copy()
@@ -786,11 +785,12 @@ class EpochWls:
         bound."""
         values = self.initial_values.reshape(-1, self.dim).copy()
         live, step = self.newton_step(values)
-        for _ in range(WLS_MAX_ITERS):
-            values += step
+        values += step
+        for _ in range(WLS_MAX_ITERS - 1):
             if (np.linalg.norm(step[:, 0:3], axis=1) <= FIX_STEP_M).all():
                 break
             live, step = self.newton_step(values, live)
+            values += step
         ok, step = self.newton_step(values)
         values += step
         return values, live & ok & (np.linalg.norm(step[:, 0:3], axis=1) <= FIX_STEP_M)
@@ -922,9 +922,7 @@ class FgoEstimator:
             seed_velocity(prev, meas, coupling, self.cfg.weighting)
         geo = ecef_to_geodetic(prev[POS])
         accel_ecef = body_accel_to_ecef(meas.accel_body_mean, prev[BIAS], meas.attitude, geo)
-        state = prev.copy()
-        state[POS] = prev[POS] + prev[VEL] * meas.dt
-        state[VEL] = prev[VEL] + accel_ecef * meas.dt
+        state = prev + transition(prev, accel_ecef, meas.dt)
 
         # looked up on the module at call time, once per epoch, so a tracer
         # that wraps fgo.build_window sees every window

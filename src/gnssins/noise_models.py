@@ -4,9 +4,10 @@ Loosely coupled position fixes are weighted by HDOP times a user-equivalent
 range error; tightly coupled pseudoranges are weighted per satellite from
 elevation and SNR. The process-side factor covariances (motion model, INS)
 are fixed diagonals taken from the inertial unit specification. Both
-estimator families read the per-epoch process noise and the first state's
-covariance from here, and the NLOS error is a :class:`GmmModel` that the
-simulator draws from and the residual analysis fits.
+estimator families read the process model (:func:`transition`), the per-epoch
+process noise that pairs with it and the first state's covariance from here,
+and the NLOS error is a :class:`GmmModel` that the simulator draws from and
+the residual analysis fits.
 
 The pseudorange model itself, :func:`pseudorange_rows`, lives here too, next
 to the observation type it reads, so that the filter, the factor graph and
@@ -275,6 +276,26 @@ def default_process_noise(layout: StateLayout) -> np.ndarray:
     if layout.has_clock:
         q[layout.clock_slice()] = CLOCK_RW_SIGMA**2
     return q
+
+
+def transition(x: np.ndarray, accel_ecef: np.ndarray, dt, out=None) -> np.ndarray:
+    """The increment ``f(x) - x`` of the process model both families share:
+    velocity times ``dt`` on position, the ECEF specific force times ``dt`` on
+    velocity, zero on bias and clocks. For a state ``x (dim,)``, ``accel (3,)``
+    and scalar ``dt``, or stacks ``(E, dim)``, ``(E, 3)`` and ``(E, 1)``;
+    written into ``out``, shaped like ``x``, when given."""
+    out = np.empty(np.shape(x)) if out is None else out
+    out[..., VEL.stop :] = 0.0
+    np.multiply(x[..., VEL], dt, out=out[..., POS])
+    np.multiply(accel_ecef, dt, out=out[..., VEL])
+    return out
+
+
+def transition_jacobian(dt: float, dim: int) -> np.ndarray:
+    """F, the Jacobian of ``x + transition(x, accel, dt)`` for ``dim`` states."""
+    f = np.eye(dim)
+    f[POS, VEL] = dt * np.eye(3)
+    return f
 
 
 def initial_covariance(layout: StateLayout) -> np.ndarray:

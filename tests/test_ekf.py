@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 
 from gnssins.ekf import (
     BeliefState,
+    accumulated_process_noise,
     default_process_noise,
     initial_covariance,
     predict,
     update_lc,
     update_tc,
 )
-from gnssins.noise_models import GeometryError, SatObservation
+from gnssins.noise_models import GeometryError, SatObservation, transition, transition_jacobian
 from gnssins.types import Constellation, StateLayout
 
 LC = StateLayout()
@@ -292,6 +293,46 @@ def test_accumulated_process_noise_matches_stepwise():
 
     one = accumulated_process_noise(layout, 1, dt_total)
     assert np.allclose(one, q, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    layout=st.sampled_from([LC, TC]),
+    steps=st.integers(1, 200),
+    dt_total=st.floats(0.01, 10.0),
+)
+def test_accumulated_process_noise_is_the_sub_step_recursion(layout, steps, dt_total):
+    # the brute-force recursion P <- F P F^T + Q over the epoch's sub-steps,
+    # F written out here: identity with the sub-step on position over velocity
+    dt_s = dt_total / steps
+    q = np.diag(default_process_noise(layout))
+    f_sub = np.eye(layout.dim)
+    f_sub[0:3, 3:6] = dt_s * np.eye(3)
+    acc = np.zeros((layout.dim, layout.dim))
+    for _ in range(steps):
+        acc = f_sub @ acc @ f_sub.T + q
+    got = accumulated_process_noise(layout, steps, dt_total)
+    assert np.abs(got - acc).max() <= 1e-12 * np.abs(acc).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    layout=st.sampled_from([LC, TC]),
+    dt=st.floats(0.01, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_predict_moves_by_the_one_process_model(layout, dt, seed):
+    rng = np.random.default_rng(seed)
+    mean = rng.normal(scale=100.0, size=layout.dim)
+    root = rng.normal(size=(layout.dim, layout.dim))
+    b = BeliefState(mean, root @ root.T + np.eye(layout.dim), layout)
+    accel = rng.normal(scale=5.0, size=3)
+    q = default_process_noise(layout)
+    out = predict(b, accel, dt, q)
+    assert np.array_equal(out.mean, mean + transition(mean, accel, dt))
+    f = transition_jacobian(dt, layout.dim)
+    want = f @ b.cov @ f.T + np.diag(q)
+    assert np.abs(out.cov - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("steps", [0, -3, 2.5, 100.0, True])

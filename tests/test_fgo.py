@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import TOY_CLOCKS, toy_epochs
 from test_noise_models import hdop_per_satellite
-from gnssins import fgo
+from gnssins import ekf, fgo
 from gnssins.canyon_sim import default_canyon_config, generate_lc_fixes, simulate
 from gnssins.fgo import (
     BATCH,
@@ -39,6 +39,8 @@ from gnssins.noise_models import (
     lc_fix_covariance,
     motion_model_cov,
     tc_covariance,
+    transition,
+    transition_jacobian,
 )
 from gnssins.nls_solver import (
     EvaluationError,
@@ -192,6 +194,33 @@ def test_all_factor_jacobians_match_numeric():
     assert np.allclose(prior_f.jac(x)[0], numeric_jacobian(prior_f, [random_state(rng, TC)], h=1e-5), atol=1e-6)
 
 
+def exactly_determined_draw(seed):
+    """Four GPS satellites of a noisy toy epoch, drawn by ``seed``, with a
+    drawn SNR threshold; returns them, the weighting and the truth."""
+    rng = np.random.default_rng(seed)
+    epochs, truth = toy_epochs(1, pr_noise=rng.normal(scale=3.0, size=(1, 8)))
+    sats = [
+        dataclasses.replace(s, constellation=Constellation.GPS)
+        for s in rng.permutation(epochs[0].sats)[:4]
+    ]
+    return sats, WeightingParams(T=float(rng.uniform(40.0, 50.0))), truth[0]
+
+
+def stepped_twice_at_the_cap(problem):
+    """``problem``'s solution and verdict by the loop that, at the cap,
+    computed its last step in the loop and again in the closing call."""
+    values = problem.initial_values.reshape(-1, problem.dim).copy()
+    live, step = problem.newton_step(values)
+    for _ in range(fgo.WLS_MAX_ITERS):
+        values += step
+        if (np.linalg.norm(step[:, 0:3], axis=1) <= fgo.FIX_STEP_M).all():
+            break
+        live, step = problem.newton_step(values, live)
+    ok, step = problem.newton_step(values)
+    values += step
+    return values, live & ok & (np.linalg.norm(step[:, 0:3], axis=1) <= fgo.FIX_STEP_M)
+
+
 class TestSingleEpochWls:
     def test_recovers_truth_from_exact_data(self):
         epochs, truth = toy_epochs(1)
@@ -216,18 +245,30 @@ class TestSingleEpochWls:
         # have other exact roots, tens of km off, that no residual or
         # conditioning test can tell from the truth; from the Earth's centre
         # Gauss-Newton either finds the truth or gives no fix
-        rng = np.random.default_rng(seed)
-        epochs, truth = toy_epochs(1, pr_noise=rng.normal(scale=3.0, size=(1, 8)))
-        sats = [
-            dataclasses.replace(s, constellation=Constellation.GPS)
-            for s in rng.permutation(epochs[0].sats)[:4]
-        ]
-        weighting = WeightingParams(T=float(rng.uniform(40.0, 50.0)))
+        sats, weighting, truth = exactly_determined_draw(seed)
         try:
             pos, _ = single_epoch_wls(sats, weighting)
         except GeometryError:
             return
-        assert np.linalg.norm(pos - truth[0]) <= 1e3
+        assert np.linalg.norm(pos - truth) <= 1e3
+
+    def test_a_solve_at_the_cap_takes_each_step_once(self, monkeypatch):
+        # seed 624's epoch is still stepping after WLS_MAX_ITERS steps: the
+        # solve takes those and the closing one, one Gram evaluation each,
+        # and ends where the loop that computed its last step twice ended
+        sats, weighting, _ = exactly_determined_draw(624)
+        problem = EpochWls([sats], weighting)
+        want = stepped_twice_at_the_cap(problem)
+        calls, newton_step = [], EpochWls.newton_step
+
+        def counted(*args):
+            calls.append(args)
+            return newton_step(*args)
+
+        monkeypatch.setattr(EpochWls, "newton_step", counted)
+        values, ok = problem.solve()
+        assert len(calls) == fgo.WLS_MAX_ITERS + 1
+        assert np.array_equal(values, want[0]) and np.array_equal(ok, want[1])
 
 
 @pytest.mark.parametrize("mixed", [False, True])
@@ -568,8 +609,7 @@ def window_blocks(window):
         dt = slots["dt"][k - 1, 0]
         motion_var = np.concatenate((edge_var[POS], edge_var[BIAS]))
         blocks.append(motion_factor(k - 1, k, dt, motion_var, layout))
-        accel = slots["edge_sub"][k - 1, VEL] / dt
-        blocks.append(ins_factor(k - 1, k, accel, dt, edge_var[VEL], layout))
+        blocks.append(ins_factor(k - 1, k, slots["accel"][k - 1], dt, edge_var[VEL], layout))
         if layout.has_clock:
             clock_var = edge_var[layout.clock_slice().start]
             blocks.append(clock_walk_factor(k - 1, k, math.sqrt(clock_var), layout))
@@ -649,6 +689,62 @@ class TestBuildWindow:
             n_states = problem.n
             assert problem.blocks.count("motion") == n_states - 1
             assert problem.blocks.count("ins") == n_states - 1
+
+
+class TestOneProcessModel:
+    """The window's edges and the estimator's prediction move a state by the
+    filter's process model: ``J_prev`` is ``-F`` and every increment is
+    ``noise_models.transition``'s."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        mode=st.sampled_from(["tc", "lc"]),
+        dts=st.lists(st.floats(0.01, 10.0), min_size=1, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_window_edges_are_the_transition(self, mode, dts, seed):
+        rng = np.random.default_rng(seed)
+        layout = TC if mode == "tc" else LC
+        epochs, truth = toy_epochs(len(dts) + 1)
+        epochs[1:] = [dataclasses.replace(e, dt=dt) for e, dt in zip(epochs[1:], dts)]
+        forces = rng.normal(scale=5.0, size=(len(epochs), 3))
+        w = FactorWindow(RunConfig(estimator=f"fgo-{mode}"), layout)
+        for e, pos, force in zip(epochs, truth, forces):
+            w.push(e, np.concatenate((pos, layout.zeros()[3:])), force)
+        x = w.initial_values.reshape(w.n, -1) + rng.normal(size=(w.n, w.dim))
+        w.cost(x.ravel())
+        for k, dt in enumerate(dts):
+            assert np.array_equal(w.slots["edge_jac"][k], -transition_jacobian(dt, w.dim))
+            want = w.edge_w * ((x[k + 1] - x[k]) - transition(x[k], forces[k + 1], dt))
+            assert np.array_equal(w.slots["edge_res"][k], want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        mode=st.sampled_from(["tc", "lc"]),
+        dt=st.floats(0.01, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_estimator_starts_the_newest_slot_at_the_filters_prediction(self, mode, dt, seed):
+        rng = np.random.default_rng(seed)
+        layout = TC if mode == "tc" else LC
+        epochs, _ = toy_epochs(3)
+        epochs[2] = dataclasses.replace(epochs[2], dt=dt, accel_body_mean=rng.normal(size=3))
+        est = FgoEstimator(RunConfig(estimator=f"fgo-{mode}"), layout)
+        for e in epochs[:2]:
+            est.step(e)
+        prev = est.window.slots["state"][-1]
+        prev += rng.normal(scale=[1.0] * 6 + [0.01] * 3 + [10.0] * (layout.dim - 9))
+        pushed, push = [], est.window.push
+
+        def recorded(meas, state, accel_ecef):
+            pushed.append((prev.copy(), state.copy(), accel_ecef))
+            push(meas, state, accel_ecef)
+
+        est.window.push = recorded
+        est.step(epochs[2])
+        [(before, state, accel)] = pushed
+        belief = ekf.BeliefState(before, initial_covariance(layout), layout)
+        assert np.array_equal(state, ekf.predict(belief, accel, dt).mean)
 
 
 class TestBandPlacement:
@@ -755,9 +851,8 @@ class TestArrayWindowMatchesOracle:
 
 
 WINDOW_ARRAYS = ("initial_values", "prior_value", "prior_w")
-# slot buffers, each with the columns a push writes (those of edge_sub not
-# on velocity hold the last pricing)
-SLOT_ARRAYS = {"state": ..., "dt": ..., "edge_sub": VEL, "edge_block": ...}
+# slot buffers that a push writes (edge_sub holds the last pricing)
+SLOT_ARRAYS = {"state": ..., "dt": ..., "accel": ..., "edge_jac": ..., "edge_block": ...}
 LC_ARRAYS = {"fix_pos": ..., "fix_w": ...}
 # padded per slot to the widest slot the window has seen, which a window
 # slid past a wide slot keeps and a scratch build may not have; of the

@@ -25,8 +25,11 @@ from gnssins.noise_models import (
     motion_model_cov,
     pseudorange_weight,
     tc_covariance,
+    transition,
+    transition_jacobian,
 )
-from gnssins.types import Constellation, constellations_present
+from gnssins.nls_solver import ResidualBlock, numeric_jacobian
+from gnssins.types import Constellation, StateLayout, constellations_present
 
 REF = Geodetic.from_degrees(22.3, 114.2, 10.0)
 
@@ -371,3 +374,41 @@ def test_weighting_params_reject_non_finite(name, value):
     # NaN T as an EvaluationError from the single-epoch WLS
     with pytest.raises(ValueError, match=name):
         WeightingParams(**{name: value})
+
+
+LAYOUTS = (StateLayout(), StateLayout((Constellation.GPS, Constellation.BEIDOU)))
+
+
+def moved(layout, seed, shape=()):
+    """Random states of ``layout`` and specific forces, stacked to ``shape``."""
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-100.0, 100.0, shape + (layout.dim,)), rng.uniform(-10.0, 10.0, shape + (3,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    layout=st.sampled_from(LAYOUTS),
+    dt=st.floats(0.01, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_transition_jacobian_is_the_models_derivative(layout, dt, seed):
+    x, accel = moved(layout, seed)
+    step = ResidualBlock((0,), layout.dim, lambda s: s + transition(s, accel, dt), np.eye(layout.dim))
+    assert np.allclose(transition_jacobian(dt, layout.dim), numeric_jacobian(step, [x]), rtol=0, atol=1e-6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    layout=st.sampled_from(LAYOUTS),
+    count=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_transition_is_the_row_by_row_one(layout, count, seed):
+    x, accel = moved(layout, seed, (count,))
+    dt = np.random.default_rng(seed + 1).uniform(0.01, 10.0, (count, 1))
+    rows = np.array([transition(*args) for args in zip(x, accel, dt[:, 0])])
+    assert np.array_equal(transition(x, accel, dt), rows)
+    # written into a buffer that holds an older increment
+    out = np.random.default_rng(seed).normal(size=x.shape)
+    assert transition(x, accel, dt, out=out) is out
+    assert np.array_equal(out, rows)
