@@ -5,7 +5,9 @@ receiver clock bias per constellation in the tightly coupled variant. The
 prediction moves the state by :func:`noise_models.transition`, the one
 process model the factor graph's prediction and edges read too, with its
 Jacobian F; the process noise that pairs with it and the initial covariance
-come from :mod:`noise_models` as well.
+come from :mod:`noise_models` as well. An update takes its gain from one
+LAPACK ``dposv`` call (:func:`nls_solver.solve_spd`) and its covariance in
+Joseph form.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .noise_models import (
     transition,
     transition_jacobian,
 )
+from .nls_solver import solve_spd
 from .types import POS, StateLayout, is_count
 
 
@@ -91,23 +94,34 @@ def predict(
 
 
 def _kalman_update(b: BeliefState, h: np.ndarray, innovation: np.ndarray, r_diag: np.ndarray):
-    r = np.diag(np.asarray(r_diag, dtype=float))
-    s = h @ b.cov @ h.T + r
-    try:
-        k = np.linalg.solve(s, h @ b.cov).T
-    except np.linalg.LinAlgError as exc:
-        raise GeometryError("innovation covariance is singular") from exc
+    """The update by observation rows ``h`` with ``innovation`` and
+    independent noise of variances ``r_diag``, one per row.
+
+    ``K = P H^T S^-1`` with ``S = H P H^T + R``, and the covariance in Joseph
+    form, ``(I - K H) P (I - K H)^T + K R K^T``. Raises ValueError for a
+    non-finite or non-positive variance, and GeometryError when S is not
+    positive definite.
+    """
+    r = np.asarray(r_diag, dtype=float)
+    if r.shape != (len(h),):
+        raise ValueError(f"{len(h)} observation rows need as many variances, got shape {r.shape}")
+    if not (np.isfinite(r) & (r > 0.0)).all():
+        raise ValueError(f"a non-finite or non-positive variance among {r}")
+    pht = b.cov @ h.T
+    s = h @ pht
+    s.flat[:: len(s) + 1] += r
+    k = solve_spd(s, pht)
+    if k is None:
+        raise GeometryError("innovation covariance is not positive definite")
     mean = b.mean + k @ innovation
     ikh = np.eye(b.layout.dim) - k @ h
-    cov = _symmetrize(ikh @ b.cov @ ikh.T + k @ r @ k.T)
+    cov = _symmetrize(ikh @ b.cov @ ikh.T + (k * r) @ k.T)
     return BeliefState(mean, cov, b.layout)
 
 
 def update_lc(b: BeliefState, fix: np.ndarray, r_diag: np.ndarray) -> BeliefState:
-    """Position-fix update with observation matrix [I3 | 0]."""
-    r_diag = np.asarray(r_diag, dtype=float)
-    if np.any(r_diag <= 0):
-        raise ValueError("fix covariance must be positive")
+    """Position-fix update with observation matrix [I3 | 0] and the fix's
+    per-axis variances ``r_diag``."""
     h = np.zeros((3, b.layout.dim))
     h[:, 0:3] = np.eye(3)
     innovation = np.asarray(fix, dtype=float) - b.mean[POS]

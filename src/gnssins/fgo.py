@@ -17,8 +17,9 @@ on the coupling (:data:`SLIDING_ANCHOR_VAR`). Both families start from
 fixes by :func:`fix_hdop`; the seed, like the simulator's LC fixes, is taken
 only from an :func:`overdetermined` epoch. Every single-epoch WLS fix (the
 start, the seed and the simulator's LC fixes) is one batched Gauss–Newton
-solve of an :class:`EpochWls` stack from the Earth's centre; LM solves the
-windows only.
+solve of an :class:`EpochWls` stack from the Earth's centre. LM solves the TC
+windows only: an LC window is linear, and :func:`nls_solver.solve_lm` solves
+it by one Gauss–Newton step, its exact minimum.
 
 The estimator keeps one :class:`FactorWindow`, its only epoch history, and
 :func:`build_window` slides it an epoch at a time. The window builds each
@@ -349,8 +350,10 @@ class FactorWindow:
     need not evaluate them again.
 
     The window provides what :func:`nls_solver.solve_lm` needs
-    (``initial_values``, ``normal_equations``, ``cost``) and what callers of
-    an :class:`NlsProblem` read (``total_dim``).
+    (``initial_values``, ``normal_equations``, ``cost``, and ``linear``, true
+    for an LC window, whose prior, edges and fixes are all linear, so that
+    its solve is one Gauss–Newton step) and what callers of an
+    :class:`NlsProblem` read (``total_dim``).
     ``blocks`` gives each factor's kind: ``"prior"``, then ``"motion"``,
     ``"ins"`` and (TC) ``"clock_walk"`` per edge, then ``"gnss_fix"`` per
     LC fix or ``"pseudorange"`` per TC row. The factor functions above
@@ -370,6 +373,8 @@ class FactorWindow:
         self._edge_w2 = self.edge_w**2
         self._per_edge = 3 if layout.has_clock else 2
         self._tc = cfg.coupling == "tc"
+        # only the pseudorange rows are nonlinear
+        self.linear = not self._tc
         cap = 8 if cfg.window is None else 2 * (cfg.window + 1)
         self._buf = {
             # each slot's epoch, from which push built the slot

@@ -59,15 +59,18 @@ class EulerAngles:
 def rotation_local_from_body(att: EulerAngles) -> np.ndarray:
     """Rotation taking body-frame vectors to the local (ENU) frame.
 
-    Composed as Rz(yaw) @ Ry(pitch) @ Rx(roll).
+    The product Rz(yaw) @ Ry(pitch) @ Rx(roll), written out entry by entry.
     """
     ca, sa = math.cos(att.yaw), math.sin(att.yaw)
     cb, sb = math.cos(att.pitch), math.sin(att.pitch)
     cg, sg = math.cos(att.roll), math.sin(att.roll)
-    rz = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
-    ry = np.array([[cb, 0.0, sb], [0.0, 1.0, 0.0], [-sb, 0.0, cb]])
-    rx = np.array([[1.0, 0.0, 0.0], [0.0, cg, -sg], [0.0, sg, cg]])
-    return rz @ ry @ rx
+    return np.array(
+        [
+            [ca * cb, ca * sb * sg - sa * cg, ca * sb * cg + sa * sg],
+            [sa * cb, sa * sb * sg + ca * cg, sa * sb * cg - ca * sg],
+            [-sb, cb * sg, cb * cg],
+        ]
+    )
 
 
 def rotation_global_from_local(geo: Geodetic) -> np.ndarray:
@@ -185,7 +188,15 @@ def body_accel_to_ecef(
     """Transform a body-frame specific force into the ECEF frame.
 
     The accelerometer bias is removed in the body frame before rotating
-    through the local and global frames.
+    through the local frame, then into ECEF by the columns of
+    :func:`rotation_global_from_local`, written out.
     """
     corrected = np.asarray(raw, dtype=float) - np.asarray(bias, dtype=float)
-    return rotation_global_from_local(geo) @ (rotation_local_from_body(att) @ corrected)
+    east, north, up = (rotation_local_from_body(att) @ corrected).tolist()
+    sphi, cphi = math.sin(geo.lat), math.cos(geo.lat)
+    slam, clam = math.sin(geo.lon), math.cos(geo.lon)
+    # the local vector's component in the equatorial plane, along the meridian
+    horizontal = cphi * up - sphi * north
+    return np.array(
+        [clam * horizontal - slam * east, slam * horizontal + clam * east, cphi * north + sphi * up]
+    )

@@ -5,18 +5,21 @@ whitened normal equations ``(H, g, cost)`` from ``normal_equations(x)``, with
 ``H = J^T J`` in upper band storage and ``g = J^T r``, and its cost alone from
 ``cost(x)``. Every damped system is solved by one LAPACK call, a banded
 Cholesky factorization and solve, whose bandwidth is the number of rows the
-problem's band holds.
+problem's band holds. A problem whose residuals are linear in ``x`` says so
+with ``linear = True``: its minimum is one undamped Gauss–Newton step from
+any start, so :func:`solve_lm` takes that one step and no LM iteration.
 
-That routine, ``dpbsv``, is bound once, at import, with ctypes. It comes from
-the OpenBLAS that numpy bundles (``numpy.libs/libscipy_openblas64_*.so``,
-built with 64-bit integers), which importing numpy has already loaded, so
-the process holds one BLAS library and this module does not load
-``scipy.linalg`` and the packages it brings. The same handle caps that
-library's thread pool at one thread, numpy's own BLAS calls included. An
-install without the bundled library takes the routine's address from
-``scipy.linalg.cython_lapack`` instead, with 32-bit integers, and pays for
-importing it. Both are called the same way, through a per-thread workspace
-of buffers that are reused from call to call.
+The banded routine, ``dpbsv``, is bound once, at import, with ctypes, and
+beside it ``dposv``, the dense Cholesky solve by which :func:`solve_spd`
+gives the filter its gain. Both come from the OpenBLAS that numpy bundles
+(``numpy.libs/libscipy_openblas64_*.so``, built with 64-bit integers), which
+importing numpy has already loaded, so the process holds one BLAS library
+and this module does not load ``scipy.linalg`` and the packages it brings.
+The same handle caps that library's thread pool at one thread, numpy's own
+BLAS calls included. An install without the bundled library takes each
+routine's address from ``scipy.linalg.cython_lapack`` instead, with 32-bit
+integers, and pays for importing it. Both are called the same way, through
+per-thread workspaces of buffers that are reused from call to call.
 
 :class:`NlsProblem` is the general form: state slots plus residual blocks;
 each block binds a few slots to a residual function, optional analytic
@@ -36,21 +39,26 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-# dpbsv(uplo, n, kd, nrhs, ab, ldab, b, ldb, info), every argument passed by
-# address and no hidden string length, as scipy's cython_lapack declares it
-_DPBSV_TYPE = ctypes.CFUNCTYPE(None, *(ctypes.c_void_p,) * 9)
+# dpbsv(uplo, n, kd, nrhs, ab, ldab, b, ldb, info) and dposv(uplo, n, nrhs,
+# a, lda, b, ldb, info), every argument passed by address and no hidden string
+# length, as scipy's cython_lapack declares them
+_ARGUMENTS = {"dpbsv": 9, "dposv": 8}
 
 
 class _Routine(NamedTuple):
-    """A bound ``dpbsv`` and the ctypes integer its integer arguments are."""
+    """A bound LAPACK routine and the ctypes integer its integer arguments are."""
 
     call: Callable
     integer: type
 
 
-def _bundled_dpbsv() -> Optional[_Routine]:
-    """``dpbsv`` from numpy's bundled OpenBLAS, run on one thread; None when
-    numpy bundles no OpenBLAS.
+def _signature(name: str):
+    return ctypes.CFUNCTYPE(None, *(ctypes.c_void_p,) * _ARGUMENTS[name])
+
+
+def _bundled_lapack(name: str) -> Optional[_Routine]:
+    """LAPACK's ``name`` from numpy's bundled OpenBLAS, run on one thread;
+    None when numpy bundles no OpenBLAS.
 
     The bands solved here are a few hundred columns wide. On the default pool
     (one thread per CPU) the banded Cholesky runs several times slower, and a
@@ -64,33 +72,39 @@ def _bundled_dpbsv() -> Optional[_Routine]:
     for path in sorted(libs.glob("libscipy_openblas64_*.so*")):
         try:
             lib = ctypes.CDLL(str(path))
-            dpbsv = _DPBSV_TYPE(("scipy_dpbsv_64_", lib))
+            routine = _signature(name)((f"scipy_{name}_64_", lib))
         except (OSError, AttributeError):
             continue
         try:
             ctypes.CFUNCTYPE(None, ctypes.c_int)(("scipy_openblas_set_num_threads64_", lib))(1)
         except AttributeError:
             pass
-        return _Routine(dpbsv, ctypes.c_int64)
+        return _Routine(routine, ctypes.c_int64)
     return None
 
 
-def _capsule_dpbsv() -> _Routine:
-    """``dpbsv`` from ``scipy.linalg.cython_lapack``, which exports each
-    routine's address in a capsule named after its C signature."""
+def _capsule_lapack(name: str) -> _Routine:
+    """LAPACK's ``name`` from ``scipy.linalg.cython_lapack``, which exports
+    each routine's address in a capsule named after its C signature."""
     from scipy.linalg.cython_lapack import __pyx_capi__
 
-    capsule = __pyx_capi__["dpbsv"]
+    capsule = __pyx_capi__[name]
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", ctypes.pythonapi)
     )
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", ctypes.pythonapi)
     )
-    return _Routine(_DPBSV_TYPE(get_pointer(capsule, get_name(capsule))), ctypes.c_int)
+    address = get_pointer(capsule, get_name(capsule))
+    return _Routine(_signature(name)(address), ctypes.c_int)
 
 
-_DPBSV = _bundled_dpbsv() or _capsule_dpbsv()
+_DPBSV = _bundled_lapack("dpbsv") or _capsule_lapack("dpbsv")
+_DPOSV = _bundled_lapack("dposv") or _capsule_lapack("dposv")
+
+
+# the stop reason of a linear problem's one Gauss–Newton step (solve_lm)
+LINEAR_STOP = "linear: one Gauss-Newton step"
 
 
 class EvaluationError(ValueError):
@@ -98,7 +112,8 @@ class EvaluationError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """Normal equations stayed singular up to the damping ceiling."""
+    """Normal equations stayed singular up to the damping ceiling, or those
+    of a linear problem are not positive definite."""
 
 
 @dataclass
@@ -204,9 +219,10 @@ class LmConfig:
     is trusted (Madsen, Nielsen & Tingleff 2004, §3.2). This default suits a
     cold solve, and no production solve is cold: the single-epoch WLS fixes,
     which start from the Earth's centre, are solved by Gauss–Newton
-    (:meth:`fgo.EpochWls.solve`), not LM. A window solve starts warm, one INS
-    step from its last solution, and ``harness.RunConfig.lm`` gives it
-    1e-10. At a linear problem's minimum, a step damped by ``lambda0``
+    (:meth:`fgo.EpochWls.solve`), not LM, and an LC window is linear, so
+    :func:`solve_lm` takes its one undamped Gauss–Newton step: neither reads
+    this damping. A TC window solve starts warm, one INS step from its last
+    solution, and ``harness.RunConfig.lm`` gives it 1e-10. At a linear problem's minimum, a step damped by ``lambda0``
     leaves a gradient cosine of about ``lambda0`` times the step whitened by
     ``sqrt(H_ii / cost)``, so only a ``lambda0`` below ``gtol`` lets the
     first step pass the gradient test; from 1e-6, a solve needs a second
@@ -352,7 +368,7 @@ def _workspace(shape: tuple[int, ...]) -> _Workspace:
     rows, n = shape
     ws = getattr(_local, "workspace", None)
     if ws is None or ws.routine is not _DPBSV or ws.rows != rows or ws.capacity < n:
-        grown = 2 * ws.capacity if ws is not None and ws.rows == rows else 0
+        grown = 2 * ws.capacity if ws is not None and ws.rows == rows and ws.capacity < n else 0
         ws = _local.workspace = _Workspace(rows, max(n, grown), _DPBSV)
     if ws.n.value != n:
         ws.use(n)
@@ -380,6 +396,83 @@ def solve_damped(ab: np.ndarray, diag: np.ndarray, lam: float, g: np.ndarray):
     return None if info > 0 else ws.rhs.copy()
 
 
+class _SpdWorkspace:
+    """The buffers a ``dposv`` call reads and writes, for up to ``capacity``
+    entries of the matrix and of the right-hand side each, and the argument
+    tuple that points LAPACK at them.
+
+    The matrix is packed at its own order (``lda`` = ``ldb`` = ``n``), so one
+    integer serves as all three and a system of another shape changes only
+    the values of ``n`` and ``nrhs``.
+    """
+
+    def __init__(self, capacity: int, routine: _Routine):
+        self.capacity = capacity
+        self.routine = routine
+        self.matrix_buffer = np.empty(capacity)
+        self.rhs_buffer = np.empty(capacity)
+        integer = routine.integer
+        self.n = integer(-1)
+        self.nrhs = integer(-1)
+        self.info = integer()
+        # kept so that its address stays valid
+        self._uplo = ctypes.c_char(b"U")
+        n = ctypes.addressof(self.n)
+        self.args = tuple(
+            ctypes.c_void_p(address)
+            for address in (
+                ctypes.addressof(self._uplo), n, ctypes.addressof(self.nrhs),
+                self.matrix_buffer.ctypes.data, n, self.rhs_buffer.ctypes.data, n,
+                ctypes.addressof(self.info),
+            )
+        )
+
+    def use(self, n: int, nrhs: int) -> None:
+        """Point the views and the arguments at an ``n``-square system with
+        ``nrhs`` right-hand sides, each one row of ``rhs``."""
+        self.n.value = n
+        self.nrhs.value = nrhs
+        self.matrix = self.matrix_buffer[: n * n].reshape(n, n)
+        self.rhs = self.rhs_buffer[: n * nrhs].reshape(nrhs, n)
+
+
+def _spd_workspace(n: int, nrhs: int) -> _SpdWorkspace:
+    """The calling thread's workspace for ``_DPOSV``, fitted to an ``n``-square
+    system with ``nrhs`` right-hand sides; one that is too small doubles."""
+    ws = getattr(_local, "spd_workspace", None)
+    size = n * max(n, nrhs)
+    if ws is None or ws.routine is not _DPOSV or ws.capacity < size:
+        grown = 2 * ws.capacity if ws is not None and ws.capacity < size else 0
+        ws = _local.spd_workspace = _SpdWorkspace(max(size, grown), _DPOSV)
+    if ws.n.value != n or ws.nrhs.value != nrhs:
+        ws.use(n, nrhs)
+    return ws
+
+
+def solve_spd(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
+    """``b @ inv(a)`` for a symmetric positive-definite ``a`` ``(m, m)`` and
+    rows ``b`` ``(k, m)``, by one LAPACK ``dposv`` call (Cholesky factor of
+    ``a``, then two triangular solves per row).
+
+    As ``a`` is symmetric, ``b @ inv(a)`` is the transpose of ``inv(a) @
+    b.T``, and ``b`` in C order is ``b.T`` in the column-major order LAPACK
+    reads: the rows of ``b`` are solved where they lie. Only the lower
+    triangle of ``a`` is read. Returns None when ``a`` is not positive
+    definite, and raises ValueError when the shapes do not fit.
+    """
+    m = len(a)
+    if m == 0 or a.shape != (m, m) or b.ndim != 2 or b.shape[1] != m:
+        raise ValueError(f"cannot solve {b.shape} rows against a {a.shape} matrix")
+    ws = _spd_workspace(m, len(b))
+    ws.matrix[...] = a
+    ws.rhs[...] = b
+    ws.routine.call(*ws.args)
+    info = ws.info.value
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dposv")
+    return None if info > 0 else ws.rhs.copy()
+
+
 def _gradient_converged(g: np.ndarray, diag: np.ndarray, cost: float, gtol: float) -> bool:
     """MINPACK's scale-free gradient test (see ``LmConfig.gtol``), squared:
     ``g_i^2 <= gtol^2 * H_ii * cost`` for every column.
@@ -398,6 +491,16 @@ def solve_lm(problem, cfg: Optional[LmConfig] = None) -> SolveReport:
     ``problem`` is an :class:`NlsProblem` or anything with the same
     ``initial_values``, ``normal_equations`` and ``cost``; trial steps are
     scored with :func:`total_cost`.
+
+    A problem whose ``linear`` attribute is true (``fgo.FactorWindow`` of an
+    LC window; an :class:`NlsProblem` has none) has a quadratic cost, whose
+    minimum is one undamped Gauss–Newton step from any start (Madsen,
+    Nielsen & Tingleff 2004). It is linearized once, at the start, and is
+    returned there after 0 iterations when the gradient test below holds.
+    Otherwise it takes that step, prices the result once for the report and stops after 1
+    iteration, converged, on ``"linear: one Gauss-Newton step"``; normal
+    equations that are not positive definite raise SolverError. No damping,
+    trial or other stop test applies to it.
 
     Jacobians are recomputed at every accepted iterate, except one whose
     step already ends the solve on ``LmConfig.tol``; a step is accepted only
@@ -430,6 +533,16 @@ def solve_lm(problem, cfg: Optional[LmConfig] = None) -> SolveReport:
     trace = [cost]
     if not np.isfinite(cost):
         raise EvaluationError("non-finite initial cost")
+    if getattr(problem, "linear", False):
+        if _gradient_converged(g, diag, cost, cfg.gtol):
+            return SolveReport(x, cost, 0, True, trace, jacobian_evals, "gradient below gtol")
+        delta = solve_damped(ab, diag, 0.0, g)
+        if delta is None:
+            raise SolverError("normal equations of a linear problem are not positive definite")
+        x += delta
+        cost = total_cost(problem, x)
+        trace.append(cost)
+        return SolveReport(x, cost, 1, True, trace, jacobian_evals, LINEAR_STOP)
 
     iterations = 0
     converged = False

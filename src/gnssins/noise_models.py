@@ -16,6 +16,7 @@ the residual analysis all evaluate the same one.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -291,10 +292,16 @@ def transition(x: np.ndarray, accel_ecef: np.ndarray, dt, out=None) -> np.ndarra
     return out
 
 
+@functools.lru_cache(maxsize=16)
 def transition_jacobian(dt: float, dim: int) -> np.ndarray:
-    """F, the Jacobian of ``x + transition(x, accel, dt)`` for ``dim`` states."""
+    """F, the Jacobian of ``x + transition(x, accel, dt)`` for ``dim`` states.
+
+    Cached by ``(dt, dim)``, since a run asks for the same few on every
+    epoch, and so returned read-only: every caller shares one array.
+    """
     f = np.eye(dim)
     f[POS, VEL] = dt * np.eye(3)
+    f.flags.writeable = False
     return f
 
 

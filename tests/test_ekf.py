@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gnssins import ekf
 from gnssins.ekf import (
     BeliefState,
     accumulated_process_noise,
@@ -168,6 +169,12 @@ class TestUpdateLc:
         with pytest.raises(ValueError):
             update_lc(make_belief(LC), np.zeros(3), np.array([1.0, -1.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -5.0])
+    def test_rejects_a_non_finite_or_non_positive_variance(self, bad):
+        # a NaN passed np.any(r <= 0) and gave a NaN mean
+        with pytest.raises(ValueError, match="non-finite or non-positive variance"):
+            update_lc(make_belief(LC), np.ones(3), np.array([1.0, bad, 1.0]))
+
 
 class TestUpdateTc:
     def test_axis_aligned_range(self):
@@ -264,6 +271,61 @@ class TestUpdateTc:
     def test_empty_satellite_list(self):
         with pytest.raises(ValueError):
             update_tc(make_belief(TC), [], np.ones(0))
+
+    @pytest.mark.parametrize("bad", [-5.0, 0.0, np.nan, np.inf])
+    def test_rejects_a_non_finite_or_non_positive_variance(self, bad):
+        # a variance of -5 m^2 gave a covariance with an eigenvalue of -24.7
+        sats = [make_sat(2.0e7 * np.eye(3)[min(i, 2)], sat_id=f"G{i}") for i in range(4)]
+        with pytest.raises(ValueError, match="non-finite or non-positive variance"):
+            update_tc(make_belief(TC), sats, np.array([1.0, 2.0, bad, 1.0]))
+
+    def test_one_variance_per_satellite(self):
+        with pytest.raises(ValueError, match="variances"):
+            update_tc(make_belief(TC), [make_sat([2.0e7, 0.0, 0.0])], np.ones(2))
+
+
+def textbook_update(b, h, innovation, r_diag):
+    """The Kalman update with the gain from a dense solve and the covariance
+    in Joseph form, every matrix written out."""
+    r = np.diag(r_diag)
+    s = h @ b.cov @ h.T + r
+    k = np.linalg.solve(s, h @ b.cov).T
+    ikh = np.eye(len(b.mean)) - k @ h
+    return b.mean + k @ innovation, ikh @ b.cov @ ikh.T + k @ r @ k.T
+
+
+class TestKalmanGain:
+    """The gain from one dposv call against the textbook update."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        layout=st.sampled_from([LC, TC]),
+        rows=st.integers(1, 14),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_textbook_update(self, layout, rows, seed):
+        rng = np.random.default_rng(seed)
+        root = rng.normal(size=(layout.dim, layout.dim))
+        cov = np.diag(np.diag(initial_covariance(layout)) * rng.uniform(0.1, 10.0, layout.dim))
+        b = BeliefState(rng.normal(scale=100.0, size=layout.dim), cov + root @ root.T, layout)
+        if rows == 3 and rng.integers(2):
+            # the LC rows, [I3 | 0]
+            h = np.eye(3, layout.dim)
+        else:
+            h = rng.normal(size=(rows, layout.dim))
+        innovation = rng.normal(scale=10.0, size=rows)
+        r_diag = rng.uniform(0.5, 50.0, size=rows)
+        post = ekf._kalman_update(b, h, innovation, r_diag)
+        mean, cov = textbook_update(b, h, innovation, r_diag)
+        for got, want in ((post.mean, mean), (post.cov, 0.5 * (cov + cov.T))):
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+        assert np.array_equal(post.cov, post.cov.T)
+
+    def test_innovation_covariance_not_positive_definite_raises(self):
+        # an indefinite prior covariance makes H P H^T + R indefinite
+        b = BeliefState(LC.zeros(), -np.eye(LC.dim), LC)
+        with pytest.raises(GeometryError, match="not positive definite"):
+            ekf._kalman_update(b, np.eye(3, LC.dim), np.ones(3), np.full(3, 0.5))
 
 
 def test_default_process_noise_blocks():

@@ -56,6 +56,21 @@ def fixed_point_geodetic(p: np.ndarray) -> Geodetic:
     return Geodetic(min(max(lat, -math.pi / 2), math.pi / 2), lon, height)
 
 
+def axis_product(att: EulerAngles) -> np.ndarray:
+    """Rz(yaw) @ Ry(pitch) @ Rx(roll) as three matrices and two products (the
+    oracle the closed-form body rotation is checked against)."""
+    ca, sa = math.cos(att.yaw), math.sin(att.yaw)
+    cb, sb = math.cos(att.pitch), math.sin(att.pitch)
+    cg, sg = math.cos(att.roll), math.sin(att.roll)
+    rz = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
+    ry = np.array([[cb, 0.0, sb], [0.0, 1.0, 0.0], [-sb, 0.0, cb]])
+    rx = np.array([[1.0, 0.0, 0.0], [0.0, cg, -sg], [0.0, sg, cg]])
+    return rz @ ry @ rx
+
+
+ANGLES = st.floats(-math.pi, math.pi)
+
+
 def assert_rotation(r):
     assert np.allclose(r.T @ r, np.eye(3), atol=1e-12)
     assert abs(np.linalg.det(r) - 1.0) < 1e-12
@@ -72,20 +87,17 @@ def test_body_rotation_pure_yaw():
 
 
 def test_body_rotation_matches_axis_product():
-    # independent oracle: explicit numeric product Rz @ Ry @ Rx
     a, b, g = math.radians(30), math.radians(20), math.radians(10)
-    rz = np.array(
-        [[math.cos(a), -math.sin(a), 0], [math.sin(a), math.cos(a), 0], [0, 0, 1]]
-    )
-    ry = np.array(
-        [[math.cos(b), 0, math.sin(b)], [0, 1, 0], [-math.sin(b), 0, math.cos(b)]]
-    )
-    rx = np.array(
-        [[1, 0, 0], [0, math.cos(g), -math.sin(g)], [0, math.sin(g), math.cos(g)]]
-    )
     r = rotation_local_from_body(EulerAngles(a, b, g))
-    assert np.allclose(r, rz @ ry @ rx, atol=1e-15)
+    assert np.abs(r - axis_product(EulerAngles(a, b, g))).max() <= 1e-15
     assert_rotation(r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(yaw=ANGLES, pitch=ANGLES, roll=ANGLES)
+def test_closed_form_body_rotation_is_the_axis_product(yaw, pitch, roll):
+    att = EulerAngles(yaw, pitch, roll)
+    assert np.abs(rotation_local_from_body(att) - axis_product(att)).max() <= 1e-15
 
 
 def test_local_rotation_at_origin():
@@ -275,10 +287,27 @@ def test_body_accel_matches_matrix_product():
         geo = Geodetic(rng.uniform(-1.4, 1.4), rng.uniform(-math.pi, math.pi))
         raw = rng.normal(size=3)
         bias = rng.normal(scale=0.1, size=3)
-        expected = (
-            rotation_global_from_local(geo) @ rotation_local_from_body(att) @ (raw - bias)
-        )
+        expected = rotation_global_from_local(geo) @ axis_product(att) @ (raw - bias)
         assert np.allclose(body_accel_to_ecef(raw, bias, att, geo), expected, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    yaw=ANGLES,
+    pitch=ANGLES,
+    roll=ANGLES,
+    lat=st.floats(-math.pi / 2, math.pi / 2),
+    lon=st.floats(-math.pi, math.pi, exclude_min=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_body_accel_is_the_two_matrix_product(yaw, pitch, roll, lat, lon, seed):
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(scale=10.0, size=3)
+    bias = rng.normal(scale=0.1, size=3)
+    att, geo = EulerAngles(yaw, pitch, roll), Geodetic(lat, lon)
+    expected = rotation_global_from_local(geo) @ (axis_product(att) @ (raw - bias))
+    gap = np.abs(body_accel_to_ecef(raw, bias, att, geo) - expected).max()
+    assert gap <= 1e-15 * np.linalg.norm(raw - bias)
 
 
 def test_body_accel_linear_in_input():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gnssins import nls_solver
 from gnssins.harness import RunConfig
 from gnssins.nls_solver import (
+    LINEAR_STOP,
     EvaluationError,
     LmConfig,
     NlsProblem,
@@ -18,6 +19,7 @@ from gnssins.nls_solver import (
     numeric_jacobian,
     solve_damped,
     solve_lm,
+    solve_spd,
     sqrt_info_from_cov_diag,
     total_cost,
     upper_band,
@@ -359,6 +361,147 @@ class TestSolveLm:
         assert np.allclose(report.values, expected, atol=1e-8)
 
 
+class Linear:
+    """An :class:`NlsProblem` that says it is linear, as an LC window does."""
+
+    linear = True
+
+    def __init__(self, problem):
+        self.problem = problem
+        self.initial_values = problem.initial_values
+        self.normal_equations = problem.normal_equations
+        self.cost = problem.cost
+
+
+class TestLinearProblem:
+    """A problem that says it is linear is solved by one undamped
+    Gauss-Newton step, and by nothing at its minimum."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_states=st.integers(1, 6),
+        state_dim=st.integers(1, 4),
+        sigma2=st.sampled_from([1.0, 10.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_step_reaches_the_closed_form(self, n_states, state_dim, sigma2, seed):
+        rng = np.random.default_rng(seed)
+        problem, mats = linear_problem(rng, n_states, state_dim, 2 * n_states, sigma2)
+        with mock.patch.object(nls_solver, "total_cost", wraps=total_cost) as priced:
+            report = solve_lm(Linear(problem))
+        expected = closed_form(problem, mats, n_states, state_dim)
+        assert np.abs(report.values - expected).max() <= 1e-9 * max(1.0, np.abs(expected).max())
+        assert (report.iterations, report.converged, report.message) == (1, True, LINEAR_STOP)
+        assert report.jacobian_evals == 1 and priced.call_count == 1
+        assert report.cost == report.cost_trace[-1] == total_cost(problem, report.values)
+        assert report.cost_trace[0] == total_cost(problem, problem.initial_values)
+
+        # from its own solution the gradient test holds before any step
+        problem.initial_values = report.values
+        with mock.patch.object(nls_solver, "total_cost", wraps=total_cost) as priced:
+            again = solve_lm(Linear(problem))
+        assert (again.iterations, again.converged, again.message) == (0, True, "gradient below gtol")
+        assert again.jacobian_evals == 1 and priced.call_count == 0
+        assert np.array_equal(again.values, report.values)
+
+    def test_no_damping_setting_reaches_it(self):
+        # a linear problem takes no damping, so a config that would stop LM
+        # at once leaves the one step as it is
+        problem, mats = linear_problem(np.random.default_rng(7))
+        cfg = LmConfig(lambda0=1e3, lambda_max=1e3, tol=1.0, max_iters=1)
+        report = solve_lm(Linear(problem), cfg)
+        assert report.message == LINEAR_STOP
+        assert np.allclose(report.values, closed_form(problem, mats, 3, 2), rtol=0.0, atol=1e-9)
+
+    def test_band_not_positive_definite_raises(self):
+        # one equation, two unknowns: the undamped normal equations are singular
+        block = ResidualBlock(
+            (0,),
+            1,
+            lambda x: np.array([x[0] - 1.0]),
+            jac=lambda x: [np.array([[1.0, 0.0]])],
+            sqrt_info=np.eye(1),
+        )
+        problem = NlsProblem([2], [block], np.array([5.0, 5.0]))
+        with pytest.raises(SolverError, match="not positive definite"):
+            solve_lm(Linear(problem))
+
+
+class TestSolveSpd:
+    """``b @ inv(a)`` by one dposv call against a dense solve."""
+
+    @staticmethod
+    def random_spd(rng, m):
+        root = rng.normal(size=(m, m))
+        return root @ root.T + m * np.eye(m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 14), k=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_solve(self, m, k, seed):
+        rng = np.random.default_rng(seed)
+        a = self.random_spd(rng, m)
+        b = rng.normal(size=(k, m))
+        before = a.copy(), b.copy()
+        got = solve_spd(a, b)
+        expected = np.linalg.solve(a, b.T).T
+        assert got.shape == (k, m)
+        assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
+        assert np.array_equal(a, before[0]) and np.array_equal(b, before[1])
+
+    @settings(max_examples=30, deadline=None)
+    @given(m=st.integers(1, 14), seed=st.integers(0, 2**32 - 1))
+    def test_indefinite_matrix_returns_none(self, m, seed):
+        rng = np.random.default_rng(seed)
+        a = self.random_spd(rng, m)
+        a[-1, -1] = -1.0
+        assert solve_spd(a, rng.normal(size=(3, m))) is None
+
+    def test_reads_the_lower_triangle_only(self):
+        rng = np.random.default_rng(8)
+        a = self.random_spd(rng, 5)
+        b = rng.normal(size=(4, 5))
+        garbled = np.tril(a) + np.triu(np.full((5, 5), np.nan), 1)
+        assert np.array_equal(solve_spd(garbled, b), solve_spd(a, b))
+
+    def test_shapes_that_do_not_fit_raise(self):
+        with pytest.raises(ValueError):
+            solve_spd(np.eye(3), np.ones((2, 4)))
+        with pytest.raises(ValueError):
+            solve_spd(np.ones((3, 2)), np.ones((2, 2)))
+        with pytest.raises(ValueError):
+            solve_spd(np.eye(3), np.ones(3))
+
+    def test_systems_of_many_shapes_in_turn(self):
+        # the filter alternates a 3-row LC system with TC systems of 4 to 14
+        # rows; a workspace grows and is repointed, never stale
+        rng = np.random.default_rng(9)
+        for m, k in [(3, 9), (14, 11), (4, 11), (3, 9), (1, 1), (20, 30), (3, 9)]:
+            a = self.random_spd(rng, m)
+            b = rng.normal(size=(k, m))
+            expected = np.linalg.solve(a, b.T).T
+            assert np.abs(solve_spd(a, b) - expected).max() <= 1e-10 * np.abs(expected).max()
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(1, 14), indefinite=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_bundled_and_capsule_bindings_agree(self, m, indefinite, seed):
+        bundled = nls_solver._bundled_lapack("dposv")
+        if bundled is None:
+            pytest.skip("numpy bundles no OpenBLAS, so only the capsule binding exists")
+        rng = np.random.default_rng(seed)
+        a = self.random_spd(rng, m)
+        if indefinite:
+            a[-1, -1] = -1.0
+        b = rng.normal(size=(11, m))
+        out = []
+        for routine in (bundled, nls_solver._capsule_lapack("dposv")):
+            with mock.patch.object(nls_solver, "_DPOSV", routine):
+                out.append(solve_spd(a, b))
+        if indefinite:
+            assert out == [None, None]
+        else:
+            assert out[0].tobytes() == out[1].tobytes()
+
+
 class TestSolveDamped:
     """The banded damped solve against a dense solve of the same system."""
 
@@ -412,7 +555,7 @@ class TestSolveDamped:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_bundled_and_capsule_bindings_agree(self, n, u, lam, indefinite, seed):
-        bundled = nls_solver._bundled_dpbsv()
+        bundled = nls_solver._bundled_lapack("dpbsv")
         if bundled is None:
             pytest.skip("numpy bundles no OpenBLAS, so only the capsule binding exists")
         rng = np.random.default_rng(seed)
@@ -423,7 +566,7 @@ class TestSolveDamped:
         ab = upper_band(h, u)
         g = rng.normal(size=n)
         deltas = []
-        for routine in (bundled, nls_solver._capsule_dpbsv()):
+        for routine in (bundled, nls_solver._capsule_lapack("dpbsv")):
             with mock.patch.object(nls_solver, "_DPBSV", routine):
                 deltas.append(solve_damped(ab, ab[-1], lam, g))
         if deltas[0] is None or deltas[1] is None:

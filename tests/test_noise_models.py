@@ -412,3 +412,15 @@ def test_stacked_transition_is_the_row_by_row_one(layout, count, seed):
     out = np.random.default_rng(seed).normal(size=x.shape)
     assert transition(x, accel, dt, out=out) is out
     assert np.array_equal(out, rows)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_cached_transition_jacobian_is_read_only(layout):
+    # every caller shares the cached array, so a write through one must fail
+    f = transition_jacobian(0.5, layout.dim)
+    assert transition_jacobian(0.5, layout.dim) is f
+    with pytest.raises(ValueError, match="read-only"):
+        f[0, 3] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        f += 1.0
+    assert f[0, 3] == 0.5 and f[0, 0] == 1.0

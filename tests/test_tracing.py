@@ -58,7 +58,7 @@ def test_tracer_sees_every_layer_and_restores(tracing):
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        for estimator in ("ekf-lc", "ekf-tc", "fgo-tc"):
+        for estimator in ("ekf-lc", "ekf-tc", "fgo-tc", "fgo-lc"):
             # through the module attribute, where the tracer wrapped it
             harness.run_estimator(ds, harness.RunConfig(estimator=estimator, window=5))
     finally:
@@ -66,7 +66,7 @@ def test_tracer_sees_every_layer_and_restores(tracing):
     assert tracer.missing == []
 
     runs = [s for s in tracer.spans if s.name == "harness.run_estimator"]
-    assert [s.attrs["estimator"] for s in runs] == ["ekf-lc", "ekf-tc", "fgo-tc"]
+    assert [s.attrs["estimator"] for s in runs] == ["ekf-lc", "ekf-tc", "fgo-tc", "fgo-lc"]
     for run in runs[:2]:
         # the filter loop's own calls: the start-up's single-epoch solve
         # prices pseudoranges too, so its spans are left out
@@ -74,10 +74,16 @@ def test_tracer_sees_every_layer_and_restores(tracing):
         assert "ekf.predict" in names, run.attrs
         assert any(n.startswith("frames.") for n in names), run.attrs
         assert any(n.startswith("noise_models.") for n in names), run.attrs
-    # one slide per epoch after the first, looked up on the module: a window
-    # slid some other way would read fgo.build_window.calls as 0
-    spans = descendants(tracer.spans, runs[2], skip=None)
-    builds = [s for s in spans if s.name == "fgo.build_window"]
-    assert len(builds) == len(ds.epochs) - 1 == 9
-    assert all(s.attrs["blocks"] > 0 and s.attrs["dim"] > 0 for s in builds)
+    for run in runs[2:]:
+        # one slide per epoch after the first, looked up on the module: a
+        # window slid some other way would read fgo.build_window.calls as 0
+        spans = descendants(tracer.spans, run, skip=None)
+        builds = [s for s in spans if s.name == "fgo.build_window"]
+        assert len(builds) == len(ds.epochs) - 1 == 9, run.attrs
+        assert all(s.attrs["blocks"] > 0 and s.attrs["dim"] > 0 for s in builds)
+        # and one window solve per slide, in the same step: an LC window's
+        # closed form is taken inside solve_lm, where the tracer sees it
+        solves = [s for s in spans if s.name == "nls_solver.solve_lm"]
+        assert [s.parent for s in solves] == [s.parent for s in builds], run.attrs
+        assert all(s.attrs["jacobian_evals"] >= 1 for s in solves)
     assert all(getattr(owner, attr) is fn for (owner, attr), fn in zip(sites, originals))
