@@ -14,6 +14,7 @@ without satellites.
 from __future__ import annotations
 
 import copy
+import gc
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -54,7 +55,7 @@ class RunConfig:
     # every TC window solve starts warm, one INS step from its last solution,
     # so its damping starts below LmConfig.gtol and its first step can pass
     # the gradient test (see LmConfig.lambda0); an LC window is linear and
-    # solve_lm takes its one undamped Gauss-Newton step, which reads only gtol
+    # solve_lm takes its one undamped Gauss-Newton step, which reads none of it
     lm: LmConfig = field(default_factory=lambda: LmConfig(lambda0=1e-10))
 
     def __post_init__(self) -> None:
@@ -168,34 +169,43 @@ def run_estimator(ds: Dataset, cfg: RunConfig) -> RunResult:
     stepper = make_stepper(cfg, layout)
 
     records: list[EpochRecord] = []
-    for k, meas in enumerate(epochs):
-        result = stepper.step(meas)
-        state, raw = result.state, None
-        residual = float("nan")
-        if cfg.coupling == "lc":
-            if meas.fix_available:
-                residual = lc_residual(meas.fix_pos, state)
-        elif meas.sats:
-            # a TC window hands on its last pricing of the epoch's rows when
-            # that was at the returned state
-            raw = result.residuals
-            if raw is None:
-                raw = pseudorange_residuals(meas.sats, state, layout)
-            residual = tc_residual(raw)
+    # timed as timeit times: a cyclic collection walks the whole process's
+    # heap, tens of ms in a test session, and would land in the solve_time of
+    # whichever epoch it interrupts. A run leaves no cyclic garbage.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for k, meas in enumerate(epochs):
+            result = stepper.step(meas)
+            state, raw = result.state, None
+            residual = float("nan")
+            if cfg.coupling == "lc":
+                if meas.fix_available:
+                    residual = lc_residual(meas.fix_pos, state)
+            elif meas.sats:
+                # a TC window hands on its last pricing of the epoch's rows when
+                # that was at the returned state
+                raw = result.residuals
+                if raw is None:
+                    raw = pseudorange_residuals(meas.sats, state, layout)
+                residual = tc_residual(raw)
 
-        # looked up at call time, so a caller that replaces
-        # residual_analysis.error_2d (a tracer or a timing probe) sees every call
-        err_2d = residual_analysis.error_2d(state[POS], ds.truth_pos[k], ds.ref)
-        # a copy of the step's fields: the step's own result stays as it was
-        records.append(
-            EpochRecord(
-                **{**vars(result), "residuals": raw},
-                epoch=meas.t,
-                truth_pos=ds.truth_pos[k].copy(),
-                err_2d=err_2d,
-                residual=residual,
+            # looked up at call time, so a caller that replaces
+            # residual_analysis.error_2d (a tracer or a timing probe) sees every call
+            err_2d = residual_analysis.error_2d(state[POS], ds.truth_pos[k], ds.ref)
+            # a copy of the step's fields: the step's own result stays as it was
+            records.append(
+                EpochRecord(
+                    **{**vars(result), "residuals": raw},
+                    epoch=meas.t,
+                    truth_pos=ds.truth_pos[k].copy(),
+                    err_2d=err_2d,
+                    residual=residual,
+                )
             )
-        )
+    finally:
+        if collecting:
+            gc.enable()
 
     return RunResult(cfg.estimator, records, summarize(records))
 

@@ -9,17 +9,18 @@ problem's band holds. A problem whose residuals are linear in ``x`` says so
 with ``linear = True``: its minimum is one undamped Gauss–Newton step from
 any start, so :func:`solve_lm` takes that one step and no LM iteration.
 
-The banded routine, ``dpbsv``, is bound once, at import, with ctypes, and
-beside it ``dposv``, the dense Cholesky solve by which :func:`solve_spd`
-gives the filter its gain. Both come from the OpenBLAS that numpy bundles
+That routine, ``dpbsv``, is the only one bound: a dense symmetric
+positive-definite matrix is a band with one super-diagonal fewer than its
+order, so :func:`solve_spd`, the filter's gain, calls it too. It is bound
+once, at import, with ctypes, from the OpenBLAS that numpy bundles
 (``numpy.libs/libscipy_openblas64_*.so``, built with 64-bit integers), which
 importing numpy has already loaded, so the process holds one BLAS library
 and this module does not load ``scipy.linalg`` and the packages it brings.
 The same handle caps that library's thread pool at one thread, numpy's own
-BLAS calls included. An install without the bundled library takes each
-routine's address from ``scipy.linalg.cython_lapack`` instead, with 32-bit
-integers, and pays for importing it. Both are called the same way, through
-per-thread workspaces of buffers that are reused from call to call.
+BLAS calls included. An install without the bundled library takes its
+address from ``scipy.linalg.cython_lapack`` instead, with 32-bit integers,
+and pays for importing it. Every call goes through one per-thread
+workspace, whose buffers are reused from call to call.
 
 :class:`NlsProblem` is the general form: state slots plus residual blocks;
 each block binds a few slots to a residual function, optional analytic
@@ -39,25 +40,20 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-# dpbsv(uplo, n, kd, nrhs, ab, ldab, b, ldb, info) and dposv(uplo, n, nrhs,
-# a, lda, b, ldb, info), every argument passed by address and no hidden string
-# length, as scipy's cython_lapack declares them
-_ARGUMENTS = {"dpbsv": 9, "dposv": 8}
+# dpbsv(uplo, n, kd, nrhs, ab, ldab, b, ldb, info), every argument passed by
+# address and no hidden string length, as scipy's cython_lapack declares it
+_DPBSV_SIGNATURE = ctypes.CFUNCTYPE(None, *(ctypes.c_void_p,) * 9)
 
 
 class _Routine(NamedTuple):
-    """A bound LAPACK routine and the ctypes integer its integer arguments are."""
+    """A bound ``dpbsv`` and the ctypes integer its integer arguments are."""
 
     call: Callable
     integer: type
 
 
-def _signature(name: str):
-    return ctypes.CFUNCTYPE(None, *(ctypes.c_void_p,) * _ARGUMENTS[name])
-
-
-def _bundled_lapack(name: str) -> Optional[_Routine]:
-    """LAPACK's ``name`` from numpy's bundled OpenBLAS, run on one thread;
+def _bundled_lapack() -> Optional[_Routine]:
+    """LAPACK's ``dpbsv`` from numpy's bundled OpenBLAS, run on one thread;
     None when numpy bundles no OpenBLAS.
 
     The bands solved here are a few hundred columns wide. On the default pool
@@ -72,7 +68,7 @@ def _bundled_lapack(name: str) -> Optional[_Routine]:
     for path in sorted(libs.glob("libscipy_openblas64_*.so*")):
         try:
             lib = ctypes.CDLL(str(path))
-            routine = _signature(name)((f"scipy_{name}_64_", lib))
+            routine = _DPBSV_SIGNATURE(("scipy_dpbsv_64_", lib))
         except (OSError, AttributeError):
             continue
         try:
@@ -83,12 +79,12 @@ def _bundled_lapack(name: str) -> Optional[_Routine]:
     return None
 
 
-def _capsule_lapack(name: str) -> _Routine:
-    """LAPACK's ``name`` from ``scipy.linalg.cython_lapack``, which exports
+def _capsule_lapack() -> _Routine:
+    """LAPACK's ``dpbsv`` from ``scipy.linalg.cython_lapack``, which exports
     each routine's address in a capsule named after its C signature."""
     from scipy.linalg.cython_lapack import __pyx_capi__
 
-    capsule = __pyx_capi__[name]
+    capsule = __pyx_capi__["dpbsv"]
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", ctypes.pythonapi)
     )
@@ -96,11 +92,10 @@ def _capsule_lapack(name: str) -> _Routine:
         ("PyCapsule_GetPointer", ctypes.pythonapi)
     )
     address = get_pointer(capsule, get_name(capsule))
-    return _Routine(_signature(name)(address), ctypes.c_int)
+    return _Routine(_DPBSV_SIGNATURE(address), ctypes.c_int)
 
 
-_DPBSV = _bundled_lapack("dpbsv") or _capsule_lapack("dpbsv")
-_DPOSV = _bundled_lapack("dposv") or _capsule_lapack("dposv")
+_DPBSV = _bundled_lapack() or _capsule_lapack()
 
 
 # the stop reason of a linear problem's one Gauss–Newton step (solve_lm)
@@ -219,15 +214,14 @@ class LmConfig:
     is trusted (Madsen, Nielsen & Tingleff 2004, §3.2). This default suits a
     cold solve, and no production solve is cold: the single-epoch WLS fixes,
     which start from the Earth's centre, are solved by Gauss–Newton
-    (:meth:`fgo.EpochWls.solve`), not LM, and an LC window is linear, so
+    (:meth:`fgo.EpochWls.solve`), and an LC window is linear, so
     :func:`solve_lm` takes its one undamped Gauss–Newton step: neither reads
     this damping. A TC window solve starts warm, one INS step from its last
-    solution, and ``harness.RunConfig.lm`` gives it 1e-10. At a linear problem's minimum, a step damped by ``lambda0``
-    leaves a gradient cosine of about ``lambda0`` times the step whitened by
-    ``sqrt(H_ii / cost)``, so only a ``lambda0`` below ``gtol`` lets the
-    first step pass the gradient test; from 1e-6, a solve needs a second
-    linearization. A poor guess costs rejected steps while the damping
-    grows."""
+    solution, and ``harness.RunConfig.lm`` gives it 1e-10: near a minimum, a
+    step damped by ``lambda0`` leaves a gradient cosine of about ``lambda0``
+    times the step whitened by ``sqrt(H_ii / cost)``, so only a ``lambda0``
+    below ``gtol`` lets the first step pass the gradient test. A poor guess
+    costs rejected steps while the damping grows."""
     lambda_max: float = 1e10
     """Damping ceiling; past it a step that cannot lower the cost ends the
     solve, and normal equations that stay singular raise SolverError."""
@@ -312,45 +306,66 @@ def _block_jacobians(block: ResidualBlock, states: list[np.ndarray]) -> list[np.
 
 
 class _Workspace:
-    """The buffers a ``dpbsv`` call reads and writes, for bands of ``rows``
-    rows and up to ``capacity`` columns, and the argument tuple that points
-    LAPACK at them.
+    """The buffers a ``dpbsv`` call reads and writes, the argument tuple that
+    points LAPACK at them, and the views a system is written through.
 
-    A band of ``n`` columns uses the first ``n`` columns of the band buffer:
-    in column-major order they are contiguous and keep the leading dimension,
-    so a band that grows (a batch graph, a window filling up) changes only
-    the values of ``n`` and ``ldb``.
+    Every integer argument is a value set per shape, so a system of another
+    shape changes only those values and the views; the flat band and
+    right-hand-side buffers double when either is too small.
+
+    * A band of ``rows`` rows and ``n`` columns (:func:`solve_damped`) fills
+      the band buffer's first ``rows * n`` entries in column-major order,
+      ``ldab = rows``, with one right-hand side.
+    * A dense ``m``-square matrix (:func:`solve_spd`) is a band with
+      ``kd = m - 1`` super-diagonals, and at ``ldab = m + 1`` its C-order
+      entries, copied as one block from band entry ``m - 1``, are the upper
+      band of its transpose: LAPACK reads the matrix's lower triangle. The
+      ``k`` rows of the right-hand side are its columns.
     """
 
-    def __init__(self, rows: int, capacity: int, routine: _Routine):
-        self.rows = rows
-        self.capacity = capacity
-        self.routine = routine
-        self.band = np.empty((rows, capacity), order="F")
-        self.rhs_buffer = np.empty(capacity)
-        integer = routine.integer
-        self.n = integer(-1)
-        self.ldb = integer()
-        self.info = integer()
-        # uplo, kd, nrhs and ldab never change; kept so their addresses stay valid
-        self._fixed = (ctypes.c_char(b"U"), integer(rows - 1), integer(1), integer(rows))
-        uplo, kd, nrhs, ldab = (ctypes.addressof(c) for c in self._fixed)
+    def __init__(self, routine: _Routine):
+        self.routine, self.shape = routine, None
+        self.n, self.kd, self.nrhs, self.ldab, self.ldb, self.info = (
+            routine.integer() for _ in range(6)
+        )
+        self._uplo = ctypes.c_char(b"U")  # kept so that its address stays valid
+        self._allocate(0, 0)
+
+    def _allocate(self, band_size: int, rhs_size: int) -> None:
+        self.band_buffer, self.rhs_buffer = np.empty(band_size), np.empty(rhs_size)
+        address = ctypes.addressof
         self.args = tuple(
-            ctypes.c_void_p(address)
-            for address in (
-                uplo, ctypes.addressof(self.n), kd, nrhs, self.band.ctypes.data, ldab,
-                self.rhs_buffer.ctypes.data, ctypes.addressof(self.ldb),
-                ctypes.addressof(self.info),
-            )
+            map(ctypes.c_void_p, (
+                address(self._uplo), address(self.n), address(self.kd), address(self.nrhs),
+                self.band_buffer.ctypes.data, address(self.ldab),
+                self.rhs_buffer.ctypes.data, address(self.ldb), address(self.info),
+            ))
         )
 
-    def use(self, n: int) -> None:
-        """Point the views and the arguments at the first ``n`` columns."""
-        self.n.value = n
-        self.ldb.value = max(n, 1)
-        self.damped = self.band[:, :n]
-        self.diagonal = self.damped[-1]
-        self.rhs = self.rhs_buffer[:n]
+    def use(self, shape: tuple[int, ...]) -> None:
+        """Point the arguments and the views at a band of ``shape``
+        ``(rows, n)``, or at a dense system whose matrix and right-hand rows
+        have the shapes ``shape = (m, m, k, m)``."""
+        if len(shape) == 2:
+            rows, n = shape
+            kd, nrhs, ldab = rows - 1, 1, rows
+        else:
+            n, _, nrhs, _ = shape
+            kd, ldab = n - 1, n + 1
+        if self.band_buffer.size < ldab * n or self.rhs_buffer.size < n * nrhs:
+            self._allocate(
+                max(ldab * n, 2 * self.band_buffer.size), max(n * nrhs, 2 * self.rhs_buffer.size)
+            )
+        self.n.value, self.kd.value, self.nrhs.value = n, kd, nrhs
+        self.ldab.value, self.ldb.value = ldab, max(n, 1)
+        if len(shape) == 2:
+            self.band = self.band_buffer[: ldab * n].reshape((ldab, n), order="F")
+            self.diagonal = self.band[-1]
+            self.rhs = self.rhs_buffer[:n]
+        else:
+            self.band = self.band_buffer[kd : kd + n * n].reshape(n, n)
+            self.rhs = self.rhs_buffer[: n * nrhs].reshape(nrhs, n)
+        self.shape = shape
 
 
 # one workspace per thread: LAPACK runs without the interpreter lock, so
@@ -359,19 +374,18 @@ _local = threading.local()
 
 
 def _workspace(shape: tuple[int, ...]) -> _Workspace:
-    """The calling thread's workspace for ``_DPBSV``, fitted to a band of ``shape``.
+    """The calling thread's workspace for ``_DPBSV``, pointed at ``shape``
+    (see :meth:`_Workspace.use`).
 
-    One is enough: a run solves bands of one shape over and over (the
-    window's, or a single epoch's), and a batch band only grows. A band
-    wider than the buffers doubles them.
+    One is enough: a run solves systems of one shape over and over (the
+    window's band, or the filter's few gain systems), and a batch band only
+    grows.
     """
-    rows, n = shape
     ws = getattr(_local, "workspace", None)
-    if ws is None or ws.routine is not _DPBSV or ws.rows != rows or ws.capacity < n:
-        grown = 2 * ws.capacity if ws is not None and ws.rows == rows and ws.capacity < n else 0
-        ws = _local.workspace = _Workspace(rows, max(n, grown), _DPBSV)
-    if ws.n.value != n:
-        ws.use(n)
+    if ws is None or ws.routine is not _DPBSV:
+        ws = _local.workspace = _Workspace(_DPBSV)
+    if ws.shape != shape:
+        ws.use(shape)
     return ws
 
 
@@ -386,7 +400,7 @@ def solve_damped(ab: np.ndarray, diag: np.ndarray, lam: float, g: np.ndarray):
     ws = _workspace(ab.shape)
     if g.shape != ws.rhs.shape or diag.shape != ws.rhs.shape:
         raise ValueError(f"band has {ws.rhs.size} columns, diag {diag.shape} and g {g.shape}")
-    ws.damped[...] = ab
+    ws.band[...] = ab
     ws.diagonal += lam * diag
     np.negative(g, out=ws.rhs)
     ws.routine.call(*ws.args)
@@ -396,63 +410,11 @@ def solve_damped(ab: np.ndarray, diag: np.ndarray, lam: float, g: np.ndarray):
     return None if info > 0 else ws.rhs.copy()
 
 
-class _SpdWorkspace:
-    """The buffers a ``dposv`` call reads and writes, for up to ``capacity``
-    entries of the matrix and of the right-hand side each, and the argument
-    tuple that points LAPACK at them.
-
-    The matrix is packed at its own order (``lda`` = ``ldb`` = ``n``), so one
-    integer serves as all three and a system of another shape changes only
-    the values of ``n`` and ``nrhs``.
-    """
-
-    def __init__(self, capacity: int, routine: _Routine):
-        self.capacity = capacity
-        self.routine = routine
-        self.matrix_buffer = np.empty(capacity)
-        self.rhs_buffer = np.empty(capacity)
-        integer = routine.integer
-        self.n = integer(-1)
-        self.nrhs = integer(-1)
-        self.info = integer()
-        # kept so that its address stays valid
-        self._uplo = ctypes.c_char(b"U")
-        n = ctypes.addressof(self.n)
-        self.args = tuple(
-            ctypes.c_void_p(address)
-            for address in (
-                ctypes.addressof(self._uplo), n, ctypes.addressof(self.nrhs),
-                self.matrix_buffer.ctypes.data, n, self.rhs_buffer.ctypes.data, n,
-                ctypes.addressof(self.info),
-            )
-        )
-
-    def use(self, n: int, nrhs: int) -> None:
-        """Point the views and the arguments at an ``n``-square system with
-        ``nrhs`` right-hand sides, each one row of ``rhs``."""
-        self.n.value = n
-        self.nrhs.value = nrhs
-        self.matrix = self.matrix_buffer[: n * n].reshape(n, n)
-        self.rhs = self.rhs_buffer[: n * nrhs].reshape(nrhs, n)
-
-
-def _spd_workspace(n: int, nrhs: int) -> _SpdWorkspace:
-    """The calling thread's workspace for ``_DPOSV``, fitted to an ``n``-square
-    system with ``nrhs`` right-hand sides; one that is too small doubles."""
-    ws = getattr(_local, "spd_workspace", None)
-    size = n * max(n, nrhs)
-    if ws is None or ws.routine is not _DPOSV or ws.capacity < size:
-        grown = 2 * ws.capacity if ws is not None and ws.capacity < size else 0
-        ws = _local.spd_workspace = _SpdWorkspace(max(size, grown), _DPOSV)
-    if ws.n.value != n or ws.nrhs.value != nrhs:
-        ws.use(n, nrhs)
-    return ws
-
-
 def solve_spd(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
     """``b @ inv(a)`` for a symmetric positive-definite ``a`` ``(m, m)`` and
-    rows ``b`` ``(k, m)``, by one LAPACK ``dposv`` call (Cholesky factor of
-    ``a``, then two triangular solves per row).
+    rows ``b`` ``(k, m)``, by one LAPACK ``dpbsv`` call on ``a`` as a band
+    with ``m - 1`` super-diagonals (Cholesky factor of ``a``, then two
+    triangular solves per row).
 
     As ``a`` is symmetric, ``b @ inv(a)`` is the transpose of ``inv(a) @
     b.T``, and ``b`` in C order is ``b.T`` in the column-major order LAPACK
@@ -463,13 +425,13 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
     m = len(a)
     if m == 0 or a.shape != (m, m) or b.ndim != 2 or b.shape[1] != m:
         raise ValueError(f"cannot solve {b.shape} rows against a {a.shape} matrix")
-    ws = _spd_workspace(m, len(b))
-    ws.matrix[...] = a
+    ws = _workspace(a.shape + b.shape)
+    ws.band[...] = a
     ws.rhs[...] = b
     ws.routine.call(*ws.args)
     info = ws.info.value
     if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dposv")
+        raise ValueError(f"illegal value in argument {-info} of dpbsv")
     return None if info > 0 else ws.rhs.copy()
 
 
@@ -495,12 +457,11 @@ def solve_lm(problem, cfg: Optional[LmConfig] = None) -> SolveReport:
     A problem whose ``linear`` attribute is true (``fgo.FactorWindow`` of an
     LC window; an :class:`NlsProblem` has none) has a quadratic cost, whose
     minimum is one undamped Gauss–Newton step from any start (Madsen,
-    Nielsen & Tingleff 2004). It is linearized once, at the start, and is
-    returned there after 0 iterations when the gradient test below holds.
-    Otherwise it takes that step, prices the result once for the report and stops after 1
-    iteration, converged, on ``"linear: one Gauss-Newton step"``; normal
-    equations that are not positive definite raise SolverError. No damping,
-    trial or other stop test applies to it.
+    Nielsen & Tingleff 2004). It is linearized once, at the start, takes
+    that step, is priced once for the report and stops after 1 iteration,
+    converged, on ``"linear: one Gauss-Newton step"``; normal equations that
+    are not positive definite raise SolverError. No damping, trial or stop
+    test applies to it, the gradient test included.
 
     Jacobians are recomputed at every accepted iterate, except one whose
     step already ends the solve on ``LmConfig.tol``; a step is accepted only
@@ -534,8 +495,6 @@ def solve_lm(problem, cfg: Optional[LmConfig] = None) -> SolveReport:
     if not np.isfinite(cost):
         raise EvaluationError("non-finite initial cost")
     if getattr(problem, "linear", False):
-        if _gradient_converged(g, diag, cost, cfg.gtol):
-            return SolveReport(x, cost, 0, True, trace, jacobian_evals, "gradient below gtol")
         delta = solve_damped(ab, diag, 0.0, g)
         if delta is None:
             raise SolverError("normal equations of a linear problem are not positive definite")

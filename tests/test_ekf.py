@@ -295,7 +295,7 @@ def textbook_update(b, h, innovation, r_diag):
 
 
 class TestKalmanGain:
-    """The gain from one dposv call against the textbook update."""
+    """The gain from one dpbsv call against the textbook update."""
 
     @settings(max_examples=80, deadline=None)
     @given(

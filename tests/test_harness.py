@@ -1,4 +1,5 @@
 import copy
+import gc
 import math
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import toy_epochs
-from gnssins import fgo, harness
+from gnssins import fgo, harness, residual_analysis
 from gnssins.canyon_sim import (
     default_canyon_config,
     generate_lc_fixes,
@@ -91,6 +92,27 @@ class TestRunEstimator:
         # HDOP from the satellites at the predicted position is close to the
         # generator's own, so the run stays close to the one with HDOP
         assert abs(result.summary["mean_err"] - with_hdop.summary["mean_err"]) < 1.0
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_no_cyclic_collection_inside_a_run(self, noise_free_ds, monkeypatch, enabled):
+        # a run is timed with the collector off, as timeit times, and leaves
+        # it as it found it, also when the run raises
+        seen = []
+        error_2d = residual_analysis.error_2d
+        monkeypatch.setattr(
+            residual_analysis, "error_2d", lambda *a: seen.append(gc.isenabled()) or error_2d(*a)
+        )
+        (gc.enable if enabled else gc.disable)()
+        try:
+            run_estimator(noise_free_ds, RunConfig(estimator="ekf-tc"))
+            assert gc.isenabled() is enabled
+            late = replace(noise_free_ds, epochs=noise_free_ds.epochs[::-1])
+            with pytest.raises(ValueError):
+                run_estimator(late, RunConfig(estimator="ekf-tc"))
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+        assert len(seen) > noise_free_ds.n_epochs and not any(seen)
 
     def test_unknown_estimator_rejected(self):
         with pytest.raises(ValueError):

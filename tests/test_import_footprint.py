@@ -35,13 +35,13 @@ def import_gnssins_and_print(expression: str) -> str:
 
 
 def test_import_loads_no_scipy_linalg():
-    if nls_solver._bundled_lapack("dpbsv") is None:
+    if nls_solver._bundled_lapack() is None:
         pytest.skip("numpy bundles no OpenBLAS, so dpbsv comes from scipy.linalg.cython_lapack")
     assert import_gnssins_and_print(f"' '.join(m for m in {HEAVY!r} if m in sys.modules)").split() == []
 
 
 def test_one_openblas_per_process():
-    if nls_solver._bundled_lapack("dpbsv") is None or not Path("/proc/self/maps").exists():
+    if nls_solver._bundled_lapack() is None or not Path("/proc/self/maps").exists():
         pytest.skip("needs numpy's bundled OpenBLAS and /proc/self/maps")
     mapped = "' '.join(sorted({l.split()[-1] for l in open('/proc/self/maps') if 'openblas' in l}))"
     assert len(import_gnssins_and_print(mapped).split()) == 1

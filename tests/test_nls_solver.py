@@ -375,7 +375,7 @@ class Linear:
 
 class TestLinearProblem:
     """A problem that says it is linear is solved by one undamped
-    Gauss-Newton step, and by nothing at its minimum."""
+    Gauss-Newton step, from any start."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -396,13 +396,13 @@ class TestLinearProblem:
         assert report.cost == report.cost_trace[-1] == total_cost(problem, report.values)
         assert report.cost_trace[0] == total_cost(problem, problem.initial_values)
 
-        # from its own solution the gradient test holds before any step
+        # from its own solution it takes the same one step, which stays there
         problem.initial_values = report.values
         with mock.patch.object(nls_solver, "total_cost", wraps=total_cost) as priced:
             again = solve_lm(Linear(problem))
-        assert (again.iterations, again.converged, again.message) == (0, True, "gradient below gtol")
-        assert again.jacobian_evals == 1 and priced.call_count == 0
-        assert np.array_equal(again.values, report.values)
+        assert (again.iterations, again.converged, again.message) == (1, True, LINEAR_STOP)
+        assert again.jacobian_evals == 1 and priced.call_count == 1
+        assert np.abs(again.values - expected).max() <= 1e-9 * max(1.0, np.abs(expected).max())
 
     def test_no_damping_setting_reaches_it(self):
         # a linear problem takes no damping, so a config that would stop LM
@@ -428,7 +428,7 @@ class TestLinearProblem:
 
 
 class TestSolveSpd:
-    """``b @ inv(a)`` by one dposv call against a dense solve."""
+    """``b @ inv(a)`` by one dpbsv call against a dense solve."""
 
     @staticmethod
     def random_spd(rng, m):
@@ -484,7 +484,7 @@ class TestSolveSpd:
     @settings(max_examples=40, deadline=None)
     @given(m=st.integers(1, 14), indefinite=st.booleans(), seed=st.integers(0, 2**32 - 1))
     def test_bundled_and_capsule_bindings_agree(self, m, indefinite, seed):
-        bundled = nls_solver._bundled_lapack("dposv")
+        bundled = nls_solver._bundled_lapack()
         if bundled is None:
             pytest.skip("numpy bundles no OpenBLAS, so only the capsule binding exists")
         rng = np.random.default_rng(seed)
@@ -493,8 +493,8 @@ class TestSolveSpd:
             a[-1, -1] = -1.0
         b = rng.normal(size=(11, m))
         out = []
-        for routine in (bundled, nls_solver._capsule_lapack("dposv")):
-            with mock.patch.object(nls_solver, "_DPOSV", routine):
+        for routine in (bundled, nls_solver._capsule_lapack()):
+            with mock.patch.object(nls_solver, "_DPBSV", routine):
                 out.append(solve_spd(a, b))
         if indefinite:
             assert out == [None, None]
@@ -555,7 +555,7 @@ class TestSolveDamped:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_bundled_and_capsule_bindings_agree(self, n, u, lam, indefinite, seed):
-        bundled = nls_solver._bundled_lapack("dpbsv")
+        bundled = nls_solver._bundled_lapack()
         if bundled is None:
             pytest.skip("numpy bundles no OpenBLAS, so only the capsule binding exists")
         rng = np.random.default_rng(seed)
@@ -566,7 +566,7 @@ class TestSolveDamped:
         ab = upper_band(h, u)
         g = rng.normal(size=n)
         deltas = []
-        for routine in (bundled, nls_solver._capsule_lapack("dpbsv")):
+        for routine in (bundled, nls_solver._capsule_lapack()):
             with mock.patch.object(nls_solver, "_DPBSV", routine):
                 deltas.append(solve_damped(ab, ab[-1], lam, g))
         if deltas[0] is None or deltas[1] is None:
@@ -610,18 +610,22 @@ class TestSolveDamped:
     def test_threads_solve_concurrently(self):
         rng = np.random.default_rng(6)
         cases = []
-        # bands of one shape, which one shared workspace would serve
-        for _ in range(6):
+        # bands of one shape, which one shared workspace would serve, and
+        # dense systems in other threads, which would repoint it
+        for _ in range(4):
             ab = upper_band(self.random_band(rng, 200, 11), 11)
             g = rng.normal(size=200)
-            cases.append((ab, g, solve_damped(ab, ab[-1], 1e-3, g)))
+            cases.append((solve_damped, (ab, ab[-1], 1e-3, g)))
+            a = TestSolveSpd.random_spd(rng, 14)
+            cases.append((solve_spd, (a, rng.normal(size=(11, 14)))))
+        cases = [(solve, args, solve(*args)) for solve, args in cases]
         failures = []
 
-        def worker(ab, g, expected):
+        def worker(solve, args, expected):
             for _ in range(150):
-                delta = solve_damped(ab, ab[-1], 1e-3, g)
-                if delta is None or not np.array_equal(delta, expected):
-                    failures.append(ab.shape)
+                got = solve(*args)
+                if got is None or not np.array_equal(got, expected):
+                    failures.append(solve.__name__)
                     return
 
         interval = sys.getswitchinterval()
@@ -694,3 +698,38 @@ def test_full_sqrt_info_whitens_like_whitening_by_hand(seed):
     assert cost == pytest.approx(cost_hand, rel=1e-12)
     assert relative_gap(dense_from_upper_band(ab), dense_from_upper_band(ab_hand)) <= 1e-12
     assert relative_gap(g, g_hand) <= 1e-12
+
+
+@st.composite
+def mixed_systems(draw):
+    """A band for solve_damped (1-30 columns, 0-11 super-diagonals, fewer
+    than the columns) or a dense system for solve_spd (1-14 rows, 1-12
+    right-hand sides)."""
+    if draw(st.booleans()):
+        u = draw(st.integers(0, 11))
+        return "band", draw(st.integers(u + 1, 30)), u
+    return "dense", draw(st.integers(1, 14)), draw(st.integers(1, 12))
+
+
+class TestOneWorkspace:
+    """Bands and dense systems in turn share one thread's workspace."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(systems=st.lists(mixed_systems(), min_size=1, max_size=8), seed=st.integers(0, 2**32 - 1))
+    def test_interleaved_systems_match_dense_solves(self, systems, seed):
+        rng = np.random.default_rng(seed)
+        for kind, m, j in systems:
+            if kind == "band":
+                h = TestSolveDamped.random_band(rng, m, j)
+                ab, g = upper_band(h, j), rng.normal(size=m)
+                solve, args = solve_damped, (ab, ab[-1], 1e-2, g)
+                expected = np.linalg.solve(h + 1e-2 * np.diag(np.diag(h)), -g)
+            else:
+                a, b = TestSolveSpd.random_spd(rng, m), rng.normal(size=(j, m))
+                solve, args = solve_spd, (a, b)
+                expected = np.linalg.solve(a, b.T).T
+            before = [np.copy(x) for x in args]
+            got = solve(*args)
+            assert got.shape == expected.shape
+            assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
+            assert all(np.array_equal(x, y) for x, y in zip(args, before))
