@@ -15,10 +15,8 @@ from typing import Optional
 import numpy as np
 
 from .canyon_sim import (
-    Dataset,
     config_to_dict,
     default_canyon_config,
-    generate_lc_fixes,
     load_config,
     noise_free_config,
     read_csv,
@@ -124,14 +122,8 @@ def _write_table(out: Path, name: str, columns: list[str], rows: list[dict]) -> 
         json.dump(rows, fh, indent=2)
 
 
-def _load_dataset(args: argparse.Namespace) -> Dataset:
-    ds = read_dataset(Path(args.dataset))
-    generate_lc_fixes(ds.epochs)
-    return ds
-
-
 def cmd_run(args: argparse.Namespace) -> int:
-    ds = _load_dataset(args)
+    ds = read_dataset(Path(args.dataset))
     cfg = RunConfig(estimator=args.estimator, window=args.window)
     result = run_estimator(ds, cfg)
     out = Path(args.out)
@@ -157,7 +149,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    ds = _load_dataset(args)
+    ds = read_dataset(Path(args.dataset))
     names = [n.strip() for n in args.estimators.split(",")] if args.estimators else list(ESTIMATORS)
     for n in names:
         if n not in ESTIMATORS:
@@ -179,7 +171,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    ds = _load_dataset(args)
+    ds = read_dataset(Path(args.dataset))
     rows = [_summary_dict("fgo-tc", r["window"], r) for r in sweep_windows(ds, args.sizes)]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

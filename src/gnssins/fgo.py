@@ -269,8 +269,9 @@ def _band_columns(block: np.ndarray, shift: int) -> np.ndarray:
 
 
 class FactorWindow:
-    """The NLS problem of one window, held in slot-major buffers and slid one
-    epoch at a time.
+    """The NLS problem of one window of the run ``cfg``, over its state
+    ``cfg.layout`` (kept as ``layout``), held in slot-major buffers and slid
+    one epoch at a time.
 
     Slot ``k`` is the ``k``-th in-window epoch; :meth:`push` turns an epoch
     into its slot, weighting its rows as it writes them. Every factor except
@@ -360,9 +361,9 @@ class FactorWindow:
     (:func:`prior_factor`, ...) are the per-block form of each kind.
     """
 
-    def __init__(self, cfg: RunConfig, layout: StateLayout) -> None:
+    def __init__(self, cfg: RunConfig) -> None:
         self.cfg = cfg
-        self.layout = layout
+        layout = self.layout = cfg.layout
         d = self.dim = layout.dim
         # whether the window has dropped a slot, so that slot 0 is no longer
         # the trajectory's first epoch
@@ -371,7 +372,6 @@ class FactorWindow:
         self._start = 0
         self.edge_w = 1.0 / np.sqrt(default_process_noise(layout) * cfg.cov_scale)
         self._edge_w2 = self.edge_w**2
-        self._per_edge = 3 if layout.has_clock else 2
         self._tc = cfg.coupling == "tc"
         # only the pseudorange rows are nonlinear
         self.linear = not self._tc
@@ -459,7 +459,7 @@ class FactorWindow:
 
     @property
     def blocks(self) -> tuple[str, ...]:
-        edge = ("motion", "ins", "clock_walk")[: self._per_edge]
+        edge = ("motion", "ins", "clock_walk")[: 3 if self._tc else 2]
         if self._tc:
             gnss = ("pseudorange",) * sum(len(meas.sats) for meas in self.slots["meas"])
         else:
@@ -829,20 +829,19 @@ def overdetermined(sats: Sequence[SatObservation]) -> bool:
     return len(sats) > 3 + len(constellations_present(sats))
 
 
-def initial_state(
-    meas: EpochMeasurements, mode: str, layout: StateLayout, weighting: WeightingParams
-) -> np.ndarray:
-    """First state of a trajectory, for both estimator families.
+def initial_state(meas: EpochMeasurements, cfg: RunConfig) -> np.ndarray:
+    """First state of a run ``cfg``, in ``cfg.layout``, for both families.
 
-    Position is the LC fix when there is one, else the single-epoch WLS
+    Position is an LC run's fix when there is one, else the single-epoch WLS
     solution, whose clock biases fill the layout's clock states. Velocity and
     bias start at zero. Raises GeometryError when the epoch has neither.
     """
+    layout = cfg.layout
     state = layout.zeros()
-    if mode == "lc" and meas.fix_available:
+    if cfg.coupling == "lc" and meas.fix_available:
         state[POS] = meas.fix_pos
     elif meas.sats:
-        pos, clocks = single_epoch_wls(meas.sats, weighting)
+        pos, clocks = single_epoch_wls(meas.sats, cfg.weighting)
         state[POS] = pos
         for c, value in clocks.items():
             if c in layout.constellations:
@@ -852,34 +851,30 @@ def initial_state(
     return state
 
 
-def position_seed(
-    meas: EpochMeasurements, mode: str, weighting: WeightingParams
-) -> Optional[np.ndarray]:
-    """Position of the second epoch for the two-point velocity seed.
+def position_seed(meas: EpochMeasurements, cfg: RunConfig) -> Optional[np.ndarray]:
+    """Position of the second epoch for the two-point velocity seed of ``cfg``.
 
     The LC fix, or for TC the single-epoch WLS solution when the epoch is
     :func:`overdetermined`; None when the epoch gives neither.
     """
-    if mode == "lc":
+    if cfg.coupling == "lc":
         return np.asarray(meas.fix_pos, dtype=float) if meas.fix_available else None
     if not overdetermined(meas.sats):
         return None
     try:
-        pos, _ = single_epoch_wls(meas.sats, weighting)
+        pos, _ = single_epoch_wls(meas.sats, cfg.weighting)
     except GeometryError:
         return None
     return pos
 
 
-def seed_velocity(
-    first: np.ndarray, meas: EpochMeasurements, mode: str, weighting: WeightingParams
-) -> None:
-    """Two-point velocity seed, for both estimator families: write the
-    velocity from the first state ``first`` to the second epoch's
+def seed_velocity(first: np.ndarray, meas: EpochMeasurements, cfg: RunConfig) -> None:
+    """Two-point velocity seed of a run ``cfg``, for both estimator families:
+    write the velocity from the first state ``first`` to the second epoch's
     :func:`position_seed` into ``first``, before the second epoch is
     predicted from it. Leaves ``first`` as it is when the epoch gives no
     seed."""
-    seed = position_seed(meas, mode, weighting)
+    seed = position_seed(meas, cfg)
     if seed is not None:
         first[VEL] = (seed - first[POS]) / meas.dt
 
@@ -894,28 +889,26 @@ def fix_hdop(meas: EpochMeasurements, receiver: np.ndarray) -> float:
 
 
 class FgoEstimator:
-    """Sliding-window estimator; feed epochs in time order via :meth:`step`.
+    """Sliding-window estimator of the run ``cfg``, over its state
+    ``cfg.layout``; feed epochs in time order via :meth:`step`.
 
     ``window`` is the estimator's only history: it holds the epochs the next
     slide reads, the newest W + 1 for a finite window and every epoch in
     batch mode.
     """
 
-    def __init__(self, cfg: RunConfig, layout: StateLayout):
-        if cfg.coupling == "tc" and not layout.has_clock:
-            raise ValueError("tightly coupled mode needs clock states in the layout")
+    def __init__(self, cfg: RunConfig):
         self.cfg = cfg
-        self.layout = layout
-        self.window = FactorWindow(cfg, layout)
+        self.window = FactorWindow(cfg)
 
     def step(self, meas: EpochMeasurements) -> StepResult:
         """Slide the window by ``meas`` and solve it. The result's residuals come
         from the window's last pricing: None for LC, at start-up, or when that
         pricing was at another state (a rejected trial)."""
         t0 = time.perf_counter()
-        window, coupling = self.window, self.cfg.coupling
+        window = self.window
         if not window.n:
-            state = initial_state(meas, coupling, self.layout, self.cfg.weighting)
+            state = initial_state(meas, self.cfg)
             window.push(meas, state, np.zeros(3))
             return StepResult(state.copy(), time.perf_counter() - t0, message="initialized")
 
@@ -924,7 +917,7 @@ class FgoEstimator:
         prev = window.slots["state"][-1]
         if window.n == 1:
             # written into slot 0's own state, where the anchor prior pins it
-            seed_velocity(prev, meas, coupling, self.cfg.weighting)
+            seed_velocity(prev, meas, self.cfg)
         geo = ecef_to_geodetic(prev[POS])
         accel_ecef = body_accel_to_ecef(meas.accel_body_mean, prev[BIAS], meas.attitude, geo)
         state = prev + transition(prev, accel_ecef, meas.dt)

@@ -1,8 +1,10 @@
 """Run the four estimator variants over a dataset and collect metrics.
 
-The four configurations are 'ekf-lc', 'ekf-tc', 'fgo-lc' and 'fgo-tc'. Both
-families' steppers (:class:`_EkfRunner`, :class:`fgo.FgoEstimator`) take one
-:class:`RunConfig` and return a :class:`types.StepResult` per epoch. Each run
+The four configurations are 'ekf-lc', 'ekf-tc', 'fgo-lc' and 'fgo-tc'. One
+:class:`RunConfig` decides a run: its family, its coupling and, from the
+coupling, its state layout (:attr:`RunConfig.layout`). Both families'
+steppers (:class:`_EkfRunner`, :class:`fgo.FgoEstimator`) take that config
+alone and return a :class:`types.StepResult` per epoch. Each run
 yields one :class:`residual_analysis.EpochRecord` per GNSS epoch, which is
 that step's whole result plus its score (truth, 2D error, GNSS residual).
 A TC epoch's record keeps its raw pseudorange residuals, one per satellite
@@ -40,6 +42,9 @@ from .residual_analysis import (
 from .types import BIAS, POS, Constellation, EpochMeasurements, StateLayout, StepResult, is_count
 
 ESTIMATORS = ("ekf-lc", "ekf-tc", "fgo-lc", "fgo-tc")
+
+# the state of a TC run: one clock per constellation, whichever a dataset holds
+TC_LAYOUT = StateLayout(tuple(Constellation))
 
 
 @dataclass
@@ -81,6 +86,11 @@ class RunConfig:
     def coupling(self) -> str:
         return self.estimator.split("-")[1]
 
+    @property
+    def layout(self) -> StateLayout:
+        """The run's state: :data:`TC_LAYOUT` when tightly coupled, else no clocks."""
+        return TC_LAYOUT if self.coupling == "tc" else StateLayout()
+
 
 @dataclass
 class RunResult:
@@ -89,18 +99,12 @@ class RunResult:
     summary: dict
 
 
-# the state of a TC run: one clock per constellation, whichever a dataset holds
-TC_LAYOUT = StateLayout(tuple(Constellation))
-
-
 class _EkfRunner:
     """Per-epoch EKF loop shared by the LC and TC variants. ``cfg.cov_scale``
     scales the initial, process and measurement noise alike: the gain, and so
     the estimate, stays and the covariance scales (criterion 9's counterpart)."""
 
-    def __init__(self, cfg: RunConfig, layout: StateLayout):
-        self.coupling = cfg.coupling
-        self.layout = layout
+    def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self.belief: Optional[ekf.BeliefState] = None
         # (dt, process noise) of the last epoch length seen: the noise is
@@ -116,22 +120,22 @@ class _EkfRunner:
         self._t_prev = meas.t
         scale = self.cfg.cov_scale
         if self.belief is None:
-            mean = initial_state(meas, self.coupling, self.layout, self.cfg.weighting)
-            cov = ekf.initial_covariance(self.layout) * scale
-            self.belief = ekf.BeliefState(mean, cov, self.layout)
+            mean = initial_state(meas, self.cfg)
+            cov = ekf.initial_covariance(self.cfg.layout) * scale
+            self.belief = ekf.BeliefState(mean, cov, self.cfg.layout)
             return StepResult(mean.copy(), time.perf_counter() - t0, message="initialized")
         if not self._vel_seeded:
             self._vel_seeded = True
-            seed_velocity(self.belief.mean, meas, self.coupling, self.cfg.weighting)
+            seed_velocity(self.belief.mean, meas, self.cfg)
         geo = ecef_to_geodetic(self.belief.mean[POS])
         accel_ecef = body_accel_to_ecef(
             meas.accel_body_mean, self.belief.mean[BIAS], meas.attitude, geo
         )
         if meas.dt != self._noise[0]:
-            q = ekf.accumulated_process_noise(self.layout, self.cfg.ekf_predict_steps, meas.dt)
+            q = ekf.accumulated_process_noise(self.cfg.layout, self.cfg.ekf_predict_steps, meas.dt)
             self._noise = (meas.dt, q * scale)
         belief = ekf.predict(self.belief, accel_ecef, meas.dt, self._noise[1])
-        if self.coupling == "lc":
+        if self.cfg.coupling == "lc":
             if meas.fix_available:
                 hdop = fix_hdop(meas, belief.mean[POS])
                 r = lc_fix_covariance(hdop, self.cfg.weighting.s_user) * scale
@@ -154,19 +158,18 @@ def _lc_epochs(ds: Dataset, weighting: WeightingParams) -> list[EpochMeasurement
     return epochs
 
 
-def make_stepper(cfg: RunConfig, layout: StateLayout) -> _EkfRunner | FgoEstimator:
-    """The estimator ``cfg`` names; feed it epochs in time order via ``step``."""
+def make_stepper(cfg: RunConfig) -> _EkfRunner | FgoEstimator:
+    """The estimator ``cfg`` names, over the state ``cfg.layout``; feed it
+    epochs in time order via ``step``."""
     if cfg.family == "ekf":
-        return _EkfRunner(cfg, layout)
-    return FgoEstimator(cfg, layout)
+        return _EkfRunner(cfg)
+    return FgoEstimator(cfg)
 
 
 def run_estimator(ds: Dataset, cfg: RunConfig) -> RunResult:
     """Run one estimator over the dataset and collect per-epoch records."""
-    epochs, layout = ds.epochs, TC_LAYOUT
-    if cfg.coupling == "lc":
-        epochs, layout = _lc_epochs(ds, cfg.weighting), StateLayout()
-    stepper = make_stepper(cfg, layout)
+    epochs = _lc_epochs(ds, cfg.weighting) if cfg.coupling == "lc" else ds.epochs
+    stepper = make_stepper(cfg)
 
     records: list[EpochRecord] = []
     # timed as timeit times: a cyclic collection walks the whole process's
@@ -187,7 +190,7 @@ def run_estimator(ds: Dataset, cfg: RunConfig) -> RunResult:
                 # that was at the returned state
                 raw = result.residuals
                 if raw is None:
-                    raw = pseudorange_residuals(meas.sats, state, layout)
+                    raw = pseudorange_residuals(meas.sats, state, cfg.layout)
                 residual = tc_residual(raw)
 
             # looked up at call time, so a caller that replaces

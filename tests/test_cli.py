@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gnssins import cli, harness
 from gnssins.canyon_sim import (
     CSV_FLOAT,
     config_to_dict,
@@ -360,6 +361,49 @@ class TestRun:
             assert code == 0
             text = (out / "residuals.csv").read_text()
             assert text.startswith(header) and text.count("\n") == lines
+
+    @pytest.mark.parametrize(
+        "argv, lc_runs",
+        [
+            (("run", "--estimator", "fgo-tc"), 0),
+            (("sweep", "--sizes", "1,batch"), 0),
+            (("run", "--estimator", "ekf-lc"), 1),
+            (("compare",), 2),
+        ],
+        ids=["run-fgo-tc", "sweep", "run-ekf-lc", "compare"],
+    )
+    def test_only_lc_runs_generate_fixes(self, dataset_dir, tmp_path, monkeypatch, argv, lc_runs):
+        # the commands read the dataset as it is: each LC run generates its
+        # fixes into copies of the epochs, and a TC run or a sweep none
+        read, generate = cli.read_dataset, harness.generate_lc_fixes
+        datasets, generated = [], []
+        monkeypatch.setattr(
+            cli, "read_dataset", lambda path: datasets.append(read(path)) or datasets[-1]
+        )
+        monkeypatch.setattr(
+            harness, "generate_lc_fixes", lambda *a: generated.append(a) or generate(*a)
+        )
+        out = tmp_path / "out"
+        assert run_cli(argv[0], "--dataset", str(dataset_dir), *argv[1:], "--out", str(out)) == 0
+        assert len(datasets) == 1 and len(generated) == lc_runs
+        assert not any(e.fix_available for e in datasets[0].epochs)
+
+    def test_lc_run_writes_run_estimator_on_generated_fixes(self, dataset_dir, tmp_path):
+        out = tmp_path / "run"
+        code = run_cli(
+            "run", "--dataset", str(dataset_dir), "--estimator", "ekf-lc", "--out", str(out)
+        )
+        assert code == 0
+        ds = read_dataset(dataset_dir)
+        generate_lc_fixes(ds.epochs)
+        assert all(e.fix_available for e in ds.epochs)
+        result = run_estimator(ds, RunConfig(estimator="ekf-lc"))
+        cli._write_epochs_csv(tmp_path / "direct.csv", result)
+        got, want = read_csv(out / "epochs.csv"), read_csv(tmp_path / "direct.csv")
+        assert list(got) == list(want)
+        for column in got:
+            if column != "solve_time_s":
+                assert got[column].tolist() == want[column].tolist(), column
 
     def test_batch_window(self, dataset_dir, tmp_path):
         code = run_cli(

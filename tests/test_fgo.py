@@ -285,7 +285,7 @@ def test_exactly_determined_epoch_gives_no_seed_and_no_fix(mixed):
             e.sats = [dataclasses.replace(s, constellation=Constellation.GPS) for s in e.sats]
     assert len(constellations_present(epochs[1].sats)) == (2 if mixed else 1)
     assert fgo.overdetermined(epochs[1].sats) is not mixed
-    seed = fgo.position_seed(epochs[1], "tc", WeightingParams())
+    seed = fgo.position_seed(epochs[1], RunConfig(estimator="fgo-tc"))
     generate_lc_fixes(epochs)
     if mixed:
         assert seed is None
@@ -576,23 +576,23 @@ def window_history(window, forces):
     return list(zip(window.slots["meas"], window.slots["state"].copy(), forces[-window.n :]))
 
 
-def batch_history(epochs, mode, layout):
+def batch_history(epochs, mode):
     """Every epoch's triple, as a batch estimator leaves them."""
-    est = FgoEstimator(RunConfig(estimator=f"fgo-{mode}", window=BATCH), layout)
+    est = FgoEstimator(RunConfig(estimator=f"fgo-{mode}", window=BATCH))
     forces = record_forces(est)
     for e in epochs:
         est.step(e)
     return window_history(est.window, forces)
 
 
-def scratch_window(history, cfg, layout, slid=None):
+def scratch_window(history, cfg, slid=None):
     """A fresh window over the newest W + 1 triples of ``history`` (all of
     them in batch), pushed in order, so that the last push anchors it at the
     oldest. It is slid when it leaves out the first epoch of ``history``,
     which by default is the trajectory's first; ``slid`` says so for any
     other history."""
     kept = history if cfg.window is None else history[-(cfg.window + 1) :]
-    window = FactorWindow(cfg, layout)
+    window = FactorWindow(cfg)
     # set before the pushes, which hold no more than W + 1 and so drop none
     window.slid = len(kept) < len(history) if slid is None else slid
     for triple in kept:
@@ -628,14 +628,13 @@ def window_blocks(window):
 class TestBuildWindow:
     def setup_history(self, n, mode="tc"):
         epochs, _ = toy_epochs(n)
-        layout = TC if mode == "tc" else LC
-        return batch_history(epochs, mode, layout), layout
+        return batch_history(epochs, mode)
 
     def test_window_one_structure(self):
         # window size 1 jointly optimizes the current and last epochs
-        history, layout = self.setup_history(5)
+        history = self.setup_history(5)
         cfg = RunConfig(estimator="fgo-tc", window=1)
-        problem = scratch_window(history, cfg, layout)
+        problem = scratch_window(history, cfg)
         assert problem.n == 2
         assert problem.blocks.count("prior") == 1
         assert problem.blocks.count("motion") == 1
@@ -646,9 +645,9 @@ class TestBuildWindow:
         assert {b.state_indices[0] for b in gnss} == {0, 1}
 
     def test_batch_structure(self):
-        history, layout = self.setup_history(6)
+        history = self.setup_history(6)
         cfg = RunConfig(estimator="fgo-tc", window=BATCH)
-        problem = scratch_window(history, cfg, layout)
+        problem = scratch_window(history, cfg)
         assert problem.n == 6
         assert problem.blocks.count("motion") == 5
         assert problem.blocks.count("ins") == 5
@@ -658,9 +657,9 @@ class TestBuildWindow:
     def test_tc_factor_count_formula(self):
         # with W in-graph states: (W-1) motion + (W-1) INS + all satellite
         # factors of those epochs + 1 prior
-        history, layout = self.setup_history(8)
+        history = self.setup_history(8)
         cfg = RunConfig(estimator="fgo-tc", window=4)
-        problem = scratch_window(history, cfg, layout)
+        problem = scratch_window(history, cfg)
         n_states = problem.n
         assert n_states == 5
         n_sats = sum(len(e.sats) for e, _, _ in history[len(history) - n_states :])
@@ -675,8 +674,8 @@ class TestBuildWindow:
         epochs, _ = toy_epochs(8)
         for k in (2, 5, 6):
             epochs[k].fix_pos = epochs[k].fix_hdop = None
-        history = batch_history(epochs, "lc", LC)
-        problem = scratch_window(history, RunConfig(estimator="fgo-lc", window=window), LC)
+        history = batch_history(epochs, "lc")
+        problem = scratch_window(history, RunConfig(estimator="fgo-lc", window=window))
         fixed = [k for k, (e, _, _) in enumerate(history[-problem.n :]) if e.fix_available]
         assert 0 < len(fixed) < problem.n
         assert len(problem.blocks) == 1 + 2 * (problem.n - 1) + len(fixed)
@@ -685,9 +684,9 @@ class TestBuildWindow:
         assert [b.state_indices[0] for b in fixes] == fixed
 
     def test_motion_equals_ins_count_invariant(self):
-        history, layout = self.setup_history(10)
+        history = self.setup_history(10)
         for w in (1, 3, 7, BATCH):
-            problem = scratch_window(history, RunConfig(estimator="fgo-tc", window=w), layout)
+            problem = scratch_window(history, RunConfig(estimator="fgo-tc", window=w))
             n_states = problem.n
             assert problem.blocks.count("motion") == n_states - 1
             assert problem.blocks.count("ins") == n_states - 1
@@ -710,7 +709,7 @@ class TestOneProcessModel:
         epochs, truth = toy_epochs(len(dts) + 1)
         epochs[1:] = [dataclasses.replace(e, dt=dt) for e, dt in zip(epochs[1:], dts)]
         forces = rng.normal(scale=5.0, size=(len(epochs), 3))
-        w = FactorWindow(RunConfig(estimator=f"fgo-{mode}"), layout)
+        w = FactorWindow(RunConfig(estimator=f"fgo-{mode}"))
         for e, pos, force in zip(epochs, truth, forces):
             w.push(e, np.concatenate((pos, layout.zeros()[3:])), force)
         x = w.initial_values.reshape(w.n, -1) + rng.normal(size=(w.n, w.dim))
@@ -731,7 +730,7 @@ class TestOneProcessModel:
         layout = TC if mode == "tc" else LC
         epochs, _ = toy_epochs(3)
         epochs[2] = dataclasses.replace(epochs[2], dt=dt, accel_body_mean=rng.normal(size=3))
-        est = FgoEstimator(RunConfig(estimator=f"fgo-{mode}"), layout)
+        est = FgoEstimator(RunConfig(estimator=f"fgo-{mode}"))
         for e in epochs[:2]:
             est.step(e)
         prev = est.window.slots["state"][-1]
@@ -783,7 +782,6 @@ def close(actual, expected, rel=1e-9):
 def drawn_window(rng, mode, window, slid, cov_scale=1.0):
     """A scratch window of ``mode`` and size ``window`` over noisy toy epochs,
     slid past its first epoch when ``slid`` (never in batch)."""
-    layout = TC if mode == "tc" else LC
     # a slid window drops older epochs and anchors at the tight prior; an
     # unslid one (always the case in batch) keeps the wide first prior
     span = 8 if window is BATCH else window + 1
@@ -796,9 +794,9 @@ def drawn_window(rng, mode, window, slid, cov_scale=1.0):
         pr_noise=rng.normal(scale=3.0, size=(n_epochs, 8)),
         fix_noise=rng.normal(scale=3.0, size=(n_epochs, 3)),
     )
-    history = batch_history(epochs, mode, layout)
+    history = batch_history(epochs, mode)
     cfg = RunConfig(estimator=f"fgo-{mode}", window=window, cov_scale=cov_scale)
-    w = scratch_window(history, cfg, layout)
+    w = scratch_window(history, cfg)
     assert (w.n < n_epochs) == (slid and window is not BATCH)
     return w
 
@@ -877,8 +875,8 @@ class TestLinearWindow:
         assert np.abs(report.values - expected).max() <= 1e-8
 
     def test_a_tc_window_is_not_linear(self):
-        assert not FactorWindow(RunConfig(estimator="fgo-tc"), TC).linear
-        assert FactorWindow(RunConfig(estimator="fgo-lc"), LC).linear
+        assert not FactorWindow(RunConfig(estimator="fgo-tc")).linear
+        assert FactorWindow(RunConfig(estimator="fgo-lc")).linear
 
 
 WINDOW_ARRAYS = ("initial_values", "prior_value", "prior_w")
@@ -937,7 +935,6 @@ class TestSlidingWindow:
     )
     def test_slide_equals_scratch_build(self, mode, window, cov_scale, seed):
         rng = np.random.default_rng(seed)
-        layout = TC if mode == "tc" else LC
         # window 4 moves its 5 slots to the front of its 10-slot buffers at
         # epochs 11, 17 and 23, window 1 every 3 epochs; batch grows its 8
         # slots to 32
@@ -957,16 +954,16 @@ class TestSlidingWindow:
             e.sats = e.sats[: counts[k]]
             if k > 1 and rng.random() < 0.3:
                 e.fix_pos = e.fix_hdop = None
-        history = batch_history(epochs, mode, layout)
+        history = batch_history(epochs, mode)
         cfg = RunConfig(estimator=f"fgo-{mode}", window=window, cov_scale=cov_scale)
-        slid, x_before = FactorWindow(cfg, layout), None
+        slid, x_before = FactorWindow(cfg), None
         compactions, widths = 0, set()
         for k in range(1, n_epochs + 1):
             start = slid._start
             assert build_window(slid, *history[k - 1]) is slid
             if slid._start < start:
                 compactions += 1
-            ref = scratch_window(history[:k], cfg, layout)
+            ref = scratch_window(history[:k], cfg)
             assert_same_window(slid, ref)
             if mode == "tc":
                 widths.add(slid.slots["pr_w"].shape[1])
@@ -993,14 +990,13 @@ class TestSlidingWindow:
     )
     def test_one_pricing_per_point(self, mode, window, seed):
         rng = np.random.default_rng(seed)
-        layout = TC if mode == "tc" else LC
         n_epochs = int(rng.integers(2, 9))
         epochs, _ = toy_epochs(n_epochs, pr_noise=rng.normal(scale=3.0, size=(n_epochs, 8)))
-        history = batch_history(epochs, mode, layout)
+        history = batch_history(epochs, mode)
         cfg = RunConfig(estimator=f"fgo-{mode}", window=window)
-        w = scratch_window(history, cfg, layout)
+        w = scratch_window(history, cfg)
         x = w.initial_values + rng.normal(scale=2.0, size=w.total_dim)
-        fresh = scratch_window(history, cfg, layout).normal_equations(x)
+        fresh = scratch_window(history, cfg).normal_equations(x)
 
         calls = []
         kernel = fgo.pseudorange_rows
@@ -1036,9 +1032,9 @@ class TestSlidingWindow:
         rng = np.random.default_rng(seed)
         n_epochs = int(rng.integers(2, 9))
         epochs, _ = toy_epochs(n_epochs, pr_noise=rng.normal(scale=3.0, size=(n_epochs, 8)))
-        history = batch_history(epochs, "tc", TC)
+        history = batch_history(epochs, "tc")
         cfg = RunConfig(estimator="fgo-tc", window=window)
-        start = scratch_window(history, cfg, TC)
+        start = scratch_window(history, cfg)
         n, d = start.n, start.dim
         before = start.initial_values + rng.normal(scale=2.0, size=n * d)
         # moved from a drawn slot on: the failed pricing rewrites every edge
@@ -1052,24 +1048,23 @@ class TestSlidingWindow:
 
         # after the failed pricing, the point it failed at or the one before
         for point in (x, before):
-            w = scratch_window(history, cfg, TC)
+            w = scratch_window(history, cfg)
             w.cost(before)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(fgo, "pseudorange_rows", raises)
                 with pytest.raises(GeometryError):
                     w.cost(x)
             assert w.newest_residuals(x) is None
-            fresh = scratch_window(history, cfg, TC)
+            fresh = scratch_window(history, cfg)
             assert_same_equations(w.normal_equations(point), fresh.normal_equations(point))
             assert w.cost(point) == fresh.cost(point)
 
     @pytest.mark.parametrize("mode", ["tc", "lc"])
     @pytest.mark.parametrize("window", [1, 3, BATCH])
     def test_estimator_keeps_only_the_history_it_slides(self, mode, window):
-        layout = TC if mode == "tc" else LC
         epochs, _ = toy_epochs(8)
         cfg = RunConfig(estimator=f"fgo-{mode}", window=window)
-        est = FgoEstimator(cfg, layout)
+        est = FgoEstimator(cfg)
         forces = record_forces(est)
         for k, e in enumerate(epochs, start=1):
             est.step(e)
@@ -1079,7 +1074,7 @@ class TestSlidingWindow:
         # the kept history rebuilds the estimator's own window, anchored at
         # the sliding prior once the first epoch has left it
         history = window_history(est.window, forces)
-        ref = scratch_window(history, cfg, layout, slid=len(epochs) > kept)
+        ref = scratch_window(history, cfg, slid=len(epochs) > kept)
         assert list(ref.slots["meas"]) == list(est.window.slots["meas"])
         assert ref.slid == est.window.slid
         assert np.array_equal(ref.prior_w, est.window.prior_w)
@@ -1094,7 +1089,7 @@ class TestSlidingWindow:
         layout = TC if mode == "tc" else LC
         n_epochs = 6 if window is BATCH else window + 2
         epochs, truth = toy_epochs(n_epochs)
-        w = FactorWindow(RunConfig(estimator=f"fgo-{mode}", window=window), layout)
+        w = FactorWindow(RunConfig(estimator=f"fgo-{mode}", window=window))
         sliding = default_process_noise(layout)
         sliding[0:3], sliding[3:6] = fgo.SLIDING_ANCHOR_VAR[mode]
         # the weights, whitening each prior variance
@@ -1116,10 +1111,9 @@ class TestSlidingWindow:
     )
     def test_nonfinite_state_names_its_factors(self, mode, slot, label):
         # slot 0 enters the prior first; any later slot only its edges
-        layout = TC if mode == "tc" else LC
         epochs, _ = toy_epochs(4)
         cfg = RunConfig(estimator=f"fgo-{mode}", window=3)
-        w = scratch_window(batch_history(epochs, mode, layout), cfg, layout)
+        w = scratch_window(batch_history(epochs, mode), cfg)
         x = w.initial_values.reshape(w.n, w.dim).copy()
         w.cost(x.ravel())
         x[slot, 0] = np.nan
@@ -1131,7 +1125,7 @@ class TestSlidingWindow:
     def test_lc_window_never_prices_pseudoranges(self, monkeypatch):
         epochs, _ = toy_epochs(4)
         cfg = RunConfig(estimator="fgo-lc", window=2)
-        est = FgoEstimator(cfg, LC)
+        est = FgoEstimator(cfg)
         forces = record_forces(est)
         for e in epochs:
             est.step(e)
@@ -1140,7 +1134,7 @@ class TestSlidingWindow:
             raise AssertionError("pseudorange kernel called on a window without rows")
 
         monkeypatch.setattr("gnssins.fgo.pseudorange_rows", no_rows)
-        window = scratch_window(window_history(est.window, forces), cfg, LC, slid=True)
+        window = scratch_window(window_history(est.window, forces), cfg, slid=True)
         window.normal_equations(window.initial_values)
         window.cost(window.initial_values)
 
@@ -1148,7 +1142,7 @@ class TestSlidingWindow:
 class TestFgoEstimator:
     def test_noise_free_convergence_tc(self):
         epochs, truth = toy_epochs(12)
-        est = FgoEstimator(RunConfig(estimator="fgo-tc", window=5), TC)
+        est = FgoEstimator(RunConfig(estimator="fgo-tc", window=5))
         errs = [np.linalg.norm(est.step(e).state[0:3] - t) for e, t in zip(epochs, truth)]
         assert errs[-1] < 1e-3
         assert max(errs[10:]) < 1e-3  # converged after startup
@@ -1157,7 +1151,7 @@ class TestFgoEstimator:
         # LC velocity is observed only through fix differences, so the
         # window must span enough epochs to dominate the sliding prior
         epochs, truth = toy_epochs(20)
-        est = FgoEstimator(RunConfig(estimator="fgo-lc", window=30), LC)
+        est = FgoEstimator(RunConfig(estimator="fgo-lc", window=30))
         errs = [np.linalg.norm(est.step(e).state[0:3] - t) for e, t in zip(epochs, truth)]
         assert errs[-1] < 1e-3
 
@@ -1165,8 +1159,8 @@ class TestFgoEstimator:
         # once the startup transient decays there are no outliers to
         # distinguish the windows, so both solve the same consistent problem
         epochs, _ = toy_epochs(100)
-        est1 = FgoEstimator(RunConfig(estimator="fgo-tc", window=1), TC)
-        est2 = FgoEstimator(RunConfig(estimator="fgo-tc", window=BATCH), TC)
+        est1 = FgoEstimator(RunConfig(estimator="fgo-tc", window=1))
+        est2 = FgoEstimator(RunConfig(estimator="fgo-tc", window=BATCH))
         for e in epochs:
             s1 = est1.step(e).state
             s2 = est2.step(e).state
@@ -1177,8 +1171,8 @@ class TestFgoEstimator:
         noise = rng.normal(scale=2.0, size=(10, 8))
         epochs1, _ = toy_epochs(10, pr_noise=noise)
         epochs2, _ = toy_epochs(10, pr_noise=noise)
-        est1 = FgoEstimator(RunConfig(estimator="fgo-tc", window=3), TC)
-        est2 = FgoEstimator(RunConfig(estimator="fgo-tc", window=3), TC)
+        est1 = FgoEstimator(RunConfig(estimator="fgo-tc", window=3))
+        est2 = FgoEstimator(RunConfig(estimator="fgo-tc", window=3))
         for e1, e2 in zip(epochs1, epochs2):
             s1 = est1.step(e1).state
             s2 = est2.step(e2).state
@@ -1190,7 +1184,7 @@ class TestFgoEstimator:
         results = []
         for scale in (1.0, 10.0):
             epochs, _ = toy_epochs(12, pr_noise=noise)
-            est = FgoEstimator(RunConfig(estimator="fgo-tc", window=4, cov_scale=scale), TC)
+            est = FgoEstimator(RunConfig(estimator="fgo-tc", window=4, cov_scale=scale))
             results.append([est.step(e).state[0:3].copy() for e in epochs])
         for a, b in zip(results[0], results[1]):
             assert np.linalg.norm(a - b) < 1e-6
@@ -1203,7 +1197,7 @@ class TestFgoEstimator:
         finals = []
         for n in (noise, mutated):
             epochs, _ = toy_epochs(60, pr_noise=n)
-            est = FgoEstimator(RunConfig(estimator="fgo-tc", window=3), TC)
+            est = FgoEstimator(RunConfig(estimator="fgo-tc", window=3))
             for e in epochs:
                 result = est.step(e)
             finals.append(result.state[0:3])
@@ -1211,7 +1205,7 @@ class TestFgoEstimator:
 
     def test_solver_error_names_the_epoch(self, monkeypatch):
         epochs, _ = toy_epochs(3)
-        est = FgoEstimator(RunConfig(estimator="fgo-tc", window=2), TC)
+        est = FgoEstimator(RunConfig(estimator="fgo-tc", window=2))
         est.step(epochs[0])
         est.step(epochs[1])
 
@@ -1225,7 +1219,7 @@ class TestFgoEstimator:
 
     def test_epochs_must_increase(self):
         epochs, _ = toy_epochs(2)
-        est = FgoEstimator(RunConfig(estimator="fgo-tc", window=1), TC)
+        est = FgoEstimator(RunConfig(estimator="fgo-tc", window=1))
         est.step(epochs[0])
         est.step(epochs[1])
         with pytest.raises(ValueError):
@@ -1249,7 +1243,7 @@ class TestWarmWindowSolves:
         # the oracle solves the same window again from where the step left
         # it, with damping and stop tests far tighter than any default
         tight = LmConfig(lambda0=1e-12, tol=0.0, gtol=1e-13)
-        est = FgoEstimator(RunConfig(estimator="fgo-tc", window=window), TC)
+        est = FgoEstimator(RunConfig(estimator="fgo-tc", window=window))
         for meas in seeded_canyon.epochs:
             if est.step(meas).message == "initialized":
                 continue
@@ -1271,7 +1265,7 @@ class TestWarmWindowSolves:
         # would take about a minute per seed, a banded Cholesky solve by
         # scipy's own LAPACK binding. A sparse LU solve was found to leave
         # errors of 1e-8 m here, so it is no oracle at this bound.
-        est = FgoEstimator(RunConfig(estimator="fgo-lc", window=window), LC)
+        est = FgoEstimator(RunConfig(estimator="fgo-lc", window=window))
         stepped = 0
         for meas in seeded_canyon.epochs:
             # only the start-up epoch solves no window

@@ -1,7 +1,7 @@
 import copy
 import gc
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -118,6 +118,17 @@ class TestRunEstimator:
         with pytest.raises(ValueError):
             RunConfig(estimator="ukf-tc")
 
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    def test_the_coupling_decides_the_layout(self, estimator):
+        # a TC run carries a clock for every constellation, an LC run none;
+        # derived, not a field, so it cannot disagree with the coupling
+        layout = RunConfig(estimator=estimator).layout
+        if estimator.endswith("-tc"):
+            assert layout == TC_LAYOUT and layout.constellations == tuple(Constellation)
+        else:
+            assert layout == StateLayout() and not layout.has_clock
+        assert "layout" not in {f.name for f in fields(RunConfig)}
+
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("config", [RunConfig])
     def test_cov_scale_must_be_finite_and_positive(self, config, value):
@@ -142,11 +153,12 @@ def test_stepping_directly_gives_the_records(noise_free_ds, estimator):
     # the family
     cfg = RunConfig(estimator=estimator, window=10)
     records = run_estimator(noise_free_ds, cfg).records
-    layout = StateLayout() if cfg.coupling == "lc" else TC_LAYOUT
-    stepper = make_stepper(cfg, layout)
+    stepper = make_stepper(cfg)
     for meas, record in zip(noise_free_ds.epochs, records):
         result = stepper.step(meas)
         assert isinstance(result, StepResult)
+        # the stepper's state is the one the config decides
+        assert result.state.shape == (cfg.layout.dim,)
         assert np.array_equal(result.state, record.state)
         assert np.array_equal(result.state[POS], record.est_pos)
         if cfg.coupling == "lc":
@@ -169,9 +181,8 @@ def test_filter_covariance_scales_with_cov_scale(estimator, scale, seed):
     # gain unchanged: the same estimates, and every covariance scaled
     ds = simulate(replace(default_canyon_config(seed), duration_s=20.0))
     generate_lc_fixes(ds.epochs)
-    layout = StateLayout() if estimator == "ekf-lc" else TC_LAYOUT
-    base = _EkfRunner(RunConfig(estimator=estimator), layout)
-    scaled = _EkfRunner(RunConfig(estimator=estimator, cov_scale=scale), layout)
+    base = _EkfRunner(RunConfig(estimator=estimator))
+    scaled = _EkfRunner(RunConfig(estimator=estimator, cov_scale=scale))
     for meas in ds.epochs:
         a, b = base.step(meas), scaled.step(meas)
         assert np.max(np.abs(a.state[POS] - b.state[POS])) <= 1e-6
@@ -184,7 +195,7 @@ def test_filter_process_noise_spans_each_epoch(estimator, monkeypatch):
     # at 2 Hz the sub-steps split half a second, not one; the noise is
     # accumulated once for the run's one epoch length
     ds = simulate(replace(default_canyon_config(99), duration_s=5.0, gnss_rate_hz=2.0))
-    layout = StateLayout() if estimator == "ekf-lc" else TC_LAYOUT
+    cfg = RunConfig(estimator=estimator, cov_scale=3.0)
     noises, accumulated = [], []
     predict, accumulate = harness.ekf.predict, harness.ekf.accumulated_process_noise
 
@@ -198,9 +209,9 @@ def test_filter_process_noise_spans_each_epoch(estimator, monkeypatch):
 
     monkeypatch.setattr(harness.ekf, "predict", recorded)
     monkeypatch.setattr(harness.ekf, "accumulated_process_noise", counted)
-    run_estimator(ds, RunConfig(estimator=estimator, cov_scale=3.0))
-    want = accumulate(layout, 100, 0.5) * 3.0
-    assert len(noises) == len(ds.epochs) - 1 and accumulated == [(layout, 100, 0.5)]
+    run_estimator(ds, cfg)
+    want = accumulate(cfg.layout, 100, 0.5) * 3.0
+    assert len(noises) == len(ds.epochs) - 1 and accumulated == [(cfg.layout, 100, 0.5)]
     for dt, noise in noises:
         assert dt == 0.5 and np.array_equal(noise, want)
     # the velocity noise integrates into position over 100 steps of 5 ms
@@ -279,11 +290,8 @@ def test_families_share_the_first_state(coupling, seed, n_sats):
         fix_noise=rng.normal(scale=3.0, size=(2, 3)),
         n_sats=n_sats,
     )
-    layout = StateLayout()
-    if coupling == "tc":
-        layout = StateLayout((Constellation.GPS, Constellation.BEIDOU))
-    runner = _EkfRunner(RunConfig(estimator=f"ekf-{coupling}"), layout)
-    est = FgoEstimator(RunConfig(estimator=f"fgo-{coupling}"), layout)
+    runner = _EkfRunner(RunConfig(estimator=f"ekf-{coupling}"))
+    est = FgoEstimator(RunConfig(estimator=f"fgo-{coupling}"))
     ekf_first = runner.step(epochs[0])
     fgo_first = est.step(epochs[0])
     assert isinstance(ekf_first, StepResult) and isinstance(fgo_first, StepResult)
@@ -307,7 +315,7 @@ def test_families_share_the_first_state(coupling, seed, n_sats):
     # the filter predicts from the seeded first state, which the window's
     # anchor pins
     assert np.array_equal(predicted_from[0][VEL], est.window.prior_value[VEL])
-    seeded = fgo.position_seed(epochs[1], coupling, WeightingParams()) is not None
+    seeded = fgo.position_seed(epochs[1], est.cfg) is not None
     assert predicted_from[0][VEL].any() == seeded
 
 
