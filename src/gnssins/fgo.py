@@ -33,7 +33,9 @@ that each slot's state is broadcast over its rows. Each push rewrites
 every diagonal block of the linear band in one pass. Each point the solver
 visits is priced once: the linearization at an accepted trial reuses the
 residuals its cost computed. A pricing covers every slot, so the first one
-after a slide prices the whole window anew.
+after a slide prices the whole window anew. A warm TC window solve factors
+one band: the solver reads only the gradient at the point its first step
+reaches, and takes a second step, if any, from the first step's factor.
 """
 
 from __future__ import annotations
@@ -341,20 +343,24 @@ class FactorWindow:
     fix residual or its pseudorange rows' compact rows ``[w u | -w e_clock |
     w r]``. :meth:`cost` prices every slot or none: a point equal (by value)
     to the kept one is not priced again, so the LM solver's accepted trial
-    is the next point it linearizes. A push drops the kept cost, so the first
-    pricing after a slide prices every slot, carried ones included. Pricing
-    only the factors whose variables changed, as iSAM2 does (Kaess et al.,
-    IJRR 2012), would save little here: a pricing's cost is its numpy calls
-    more than its slots.
+    is the next point it linearizes: by :meth:`gradient` (``J^T r`` alone,
+    from the compact rows' residual column, with no band copy, batched
+    product or scatter) after a step from a fresh factor, which the
+    solver's next step reuses, and by :meth:`normal_equations` at the start
+    and before every other fresh factorization. A push drops the kept cost,
+    so the first pricing after a slide prices every slot, carried ones
+    included. Pricing only the factors whose variables changed, as iSAM2
+    does (Kaess et al., IJRR 2012), would save little here: a pricing's
+    cost is its numpy calls more than its slots.
     :meth:`newest_residuals` hands on the newest slot's raw pseudorange
     residuals from the last pricing, so that the caller scoring the epoch
     need not evaluate them again.
 
     The window provides what :func:`nls_solver.solve_lm` needs
-    (``initial_values``, ``normal_equations``, ``cost``, and ``linear``, true
-    for an LC window, whose prior, edges and fixes are all linear, so that
-    its solve is one Gauss–Newton step) and what callers of an
-    :class:`NlsProblem` read (``total_dim``).
+    (``initial_values``, ``normal_equations``, ``gradient``, ``cost``, and
+    ``linear``, true for an LC window, whose prior, edges and fixes are all
+    linear, so that its solve is one Gauss–Newton step) and what callers of
+    an :class:`NlsProblem` read (``total_dim``).
     ``blocks`` gives each factor's kind: ``"prior"``, then ``"motion"``,
     ``"ins"`` and (TC) ``"clock_walk"`` per edge, then ``"gnss_fix"`` per
     LC fix or ``"pseudorange"`` per TC row. The factor functions above
@@ -625,17 +631,35 @@ class FactorWindow:
             self._kept_point, self._kept_cost = x.copy(), cost
         return self._kept_cost
 
-    def normal_equations(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        """Whitened J^T J (upper band storage), J^T r and cost at ``values``."""
-        cost = self.cost(values)
-        n, d, slots = self.n, self.dim, self.slots
-        g = np.zeros((n, d))
+    def _linear_gradient(self) -> np.ndarray:
+        """The ``(n, dim)`` share of J^T r of the prior, the edges and the LC
+        fixes at the last pricing."""
+        slots = self.slots
+        g = np.zeros((self.n, self.dim))
         g[0] += self.prior_w * self._prior_res
         q = self.edge_w * slots["edge_res"]
         g[1:] += q
         g[:-1] += np.matmul(q[:, None], slots["edge_jac"])[:, 0]
         if not self._tc:
             g[:, 0:3] -= slots["fix_w"] * slots["fix_res"]
+        return g
+
+    def gradient(self, values: np.ndarray) -> tuple[np.ndarray, float]:
+        """Whitened J^T r and cost at ``values``, from the same pricing as
+        :meth:`normal_equations`, without its band: each slot's pseudorange
+        rows give their share by one product with their residual column."""
+        cost = self.cost(values)
+        g = self._linear_gradient()
+        if self._tc:
+            rows = self.slots["pr_rows"]
+            g[:, self._compact] += np.matmul(rows[:, :-1], rows[:, -1, :, None])[..., 0]
+        return g.ravel(), cost
+
+    def normal_equations(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """Whitened J^T J (upper band storage), J^T r and cost at ``values``."""
+        cost = self.cost(values)
+        n, d, slots = self.n, self.dim, self.slots
+        g = self._linear_gradient()
         band = slots["band"].copy()
         if self._tc:
             rows = slots["pr_rows"]

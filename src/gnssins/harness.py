@@ -47,8 +47,12 @@ ESTIMATORS = ("ekf-lc", "ekf-tc", "fgo-lc", "fgo-tc")
 TC_LAYOUT = StateLayout(tuple(Constellation))
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
+    """One run's settings, checked when made and fixed after: a changed run
+    is a new config (``dataclasses.replace``), checked again, so a stepper
+    built from a config keeps the family, coupling and layout it read."""
+
     estimator: str = "fgo-tc"
     window: Optional[int] = 30  # epochs; None means batch
     weighting: WeightingParams = field(default_factory=WeightingParams)

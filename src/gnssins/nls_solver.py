@@ -2,25 +2,35 @@
 
 :func:`solve_lm` works on any problem that, at a point ``x``, returns its
 whitened normal equations ``(H, g, cost)`` from ``normal_equations(x)``, with
-``H = J^T J`` in upper band storage and ``g = J^T r``, and its cost alone from
-``cost(x)``. Every damped system is solved by one LAPACK call, a banded
-Cholesky factorization and solve, whose bandwidth is the number of rows the
-problem's band holds. A problem whose residuals are linear in ``x`` says so
-with ``linear = True``: its minimum is one undamped Gauss–Newton step from
-any start, so :func:`solve_lm` takes that one step and no LM iteration.
+``H = J^T J`` in upper band storage and ``g = J^T r``, its gradient and cost
+alone ``(g, cost)`` from ``gradient(x)``, and its cost alone from
+``cost(x)``. Every damped system is factored by a banded Cholesky
+factorization whose bandwidth is the number of rows the problem's band
+holds, and one factor serves at most two steps: the one it was made for,
+and one more from the exact gradient at the point that step reached. A
+problem whose residuals are linear in ``x`` says so with ``linear = True``:
+its minimum is one undamped Gauss–Newton step from any start, so
+:func:`solve_lm` takes that one step and no LM iteration.
 
-That routine, ``dpbsv``, is the only one bound: a dense symmetric
+Two LAPACK routines are bound, with the same nine arguments: ``dpbsv``
+factors a band and solves one system against it, and ``dpbtrs`` solves
+another right-hand side against the factor ``dpbsv`` left (``dpbsv`` is
+``dpbtrf`` then ``dpbtrs``, so both give the same bytes). A dense symmetric
 positive-definite matrix is a band with one super-diagonal fewer than its
-order, so :func:`solve_spd`, the filter's gain, calls it too. It is bound
-once, at import, with ctypes, from the OpenBLAS that numpy bundles
+order, so :func:`solve_spd`, the filter's gain, calls ``dpbsv`` too. Both are
+bound once, at import, with ctypes, from the OpenBLAS that numpy bundles
 (``numpy.libs/libscipy_openblas64_*.so``, built with 64-bit integers), which
 importing numpy has already loaded, so the process holds one BLAS library
 and this module does not load ``scipy.linalg`` and the packages it brings.
 The same handle caps that library's thread pool at one thread, numpy's own
-BLAS calls included. An install without the bundled library takes its
-address from ``scipy.linalg.cython_lapack`` instead, with 32-bit integers,
-and pays for importing it. Every call goes through one per-thread
-workspace, whose buffers are reused from call to call.
+BLAS calls included. An install without the bundled library takes their
+addresses from ``scipy.linalg.cython_lapack`` instead, with 32-bit integers,
+and pays for importing it.
+
+Every call goes through one per-thread workspace, whose buffers are reused
+from call to call. The factor :func:`solve_damped` leaves there serves
+further right-hand sides (:func:`kept_factor`, :func:`solve_kept`) until the
+thread's next solve reuses the buffers; a handle on it then raises.
 
 :class:`NlsProblem` is the general form: state slots plus residual blocks;
 each block binds a few slots to a residual function, optional analytic
@@ -40,21 +50,25 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-# dpbsv(uplo, n, kd, nrhs, ab, ldab, b, ldb, info), every argument passed by
-# address and no hidden string length, as scipy's cython_lapack declares it
-_DPBSV_SIGNATURE = ctypes.CFUNCTYPE(None, *(ctypes.c_void_p,) * 9)
+# dpbsv and dpbtrs(uplo, n, kd, nrhs, ab, ldab, b, ldb, info), every argument
+# passed by address and no hidden string length, as scipy's cython_lapack
+# declares them
+_SIGNATURE = ctypes.CFUNCTYPE(None, *(ctypes.c_void_p,) * 9)
+_ROUTINES = ("dpbsv", "dpbtrs")
 
 
-class _Routine(NamedTuple):
-    """A bound ``dpbsv`` and the ctypes integer its integer arguments are."""
+class _Routines(NamedTuple):
+    """The bound ``dpbsv`` and ``dpbtrs``, and the ctypes integer their
+    integer arguments are."""
 
-    call: Callable
+    dpbsv: Callable
+    dpbtrs: Callable
     integer: type
 
 
-def _bundled_lapack() -> Optional[_Routine]:
-    """LAPACK's ``dpbsv`` from numpy's bundled OpenBLAS, run on one thread;
-    None when numpy bundles no OpenBLAS.
+def _bundled_lapack() -> Optional[_Routines]:
+    """LAPACK's ``dpbsv`` and ``dpbtrs`` from numpy's bundled OpenBLAS, run on
+    one thread; None when numpy bundles no OpenBLAS.
 
     The bands solved here are a few hundred columns wide. On the default pool
     (one thread per CPU) the banded Cholesky runs several times slower, and a
@@ -68,34 +82,36 @@ def _bundled_lapack() -> Optional[_Routine]:
     for path in sorted(libs.glob("libscipy_openblas64_*.so*")):
         try:
             lib = ctypes.CDLL(str(path))
-            routine = _DPBSV_SIGNATURE(("scipy_dpbsv_64_", lib))
+            routines = [_SIGNATURE((f"scipy_{name}_64_", lib)) for name in _ROUTINES]
         except (OSError, AttributeError):
             continue
         try:
             ctypes.CFUNCTYPE(None, ctypes.c_int)(("scipy_openblas_set_num_threads64_", lib))(1)
         except AttributeError:
             pass
-        return _Routine(routine, ctypes.c_int64)
+        return _Routines(*routines, ctypes.c_int64)
     return None
 
 
-def _capsule_lapack() -> _Routine:
-    """LAPACK's ``dpbsv`` from ``scipy.linalg.cython_lapack``, which exports
-    each routine's address in a capsule named after its C signature."""
+def _capsule_lapack() -> _Routines:
+    """LAPACK's ``dpbsv`` and ``dpbtrs`` from ``scipy.linalg.cython_lapack``,
+    which exports each routine's address in a capsule named after its C
+    signature."""
     from scipy.linalg.cython_lapack import __pyx_capi__
 
-    capsule = __pyx_capi__["dpbsv"]
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", ctypes.pythonapi)
     )
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", ctypes.pythonapi)
     )
-    address = get_pointer(capsule, get_name(capsule))
-    return _Routine(_DPBSV_SIGNATURE(address), ctypes.c_int)
+    capsules = [__pyx_capi__[name] for name in _ROUTINES]
+    return _Routines(
+        *(_SIGNATURE(get_pointer(c, get_name(c))) for c in capsules), ctypes.c_int
+    )
 
 
-_DPBSV = _bundled_lapack() or _capsule_lapack()
+_LAPACK = _bundled_lapack() or _capsule_lapack()
 
 
 # the stop reason of a linear problem's one Gauss–Newton step (solve_lm)
@@ -199,6 +215,11 @@ class NlsProblem:
             _raise_nonfinite(self, parts)
         return upper_band(h_mat, self.bandwidth), g, cost
 
+    def gradient(self, values: np.ndarray) -> tuple[np.ndarray, float]:
+        """Whitened J^T r and cost, from :meth:`normal_equations`."""
+        _, g, cost = self.normal_equations(values)
+        return g, cost
+
 
 @dataclass
 class LmConfig:
@@ -231,10 +252,15 @@ class LmConfig:
     gtol: float = 1e-8
     """Stop once every column of the whitened Jacobian is this close to
     orthogonal to the whitened residual: ``max_i |g_i| / sqrt(H_ii * cost)``
-    (MINPACK's cosine test), with ``g = J^T r`` and ``H = J^T J``. A cost of
-    zero also counts as converged."""
+    (MINPACK's cosine test), with ``g = J^T r`` at the point tested and
+    ``H_ii`` the diagonal of the band last assembled: at the point itself, or,
+    at a point linearized for its gradient alone, that of the band factored
+    for the step that reached it (see :func:`solve_lm`). A cost of zero also
+    counts as converged."""
     max_iters: int = 100
-    """Ceiling on the number of linearizations (accepted or final steps)."""
+    """Ceiling on the number of steps (accepted or final), each from a fresh
+    or a kept factor; a point can be linearized twice, once for its gradient
+    and once for its band, and counts once."""
 
 
 @dataclass
@@ -306,8 +332,9 @@ def _block_jacobians(block: ResidualBlock, states: list[np.ndarray]) -> list[np.
 
 
 class _Workspace:
-    """The buffers a ``dpbsv`` call reads and writes, the argument tuple that
-    points LAPACK at them, and the views a system is written through.
+    """The buffers a ``dpbsv`` or ``dpbtrs`` call reads and writes, the
+    argument tuple that points LAPACK at them, and the views a system is
+    written through.
 
     Every integer argument is a value set per shape, so a system of another
     shape changes only those values and the views; the flat band and
@@ -315,18 +342,24 @@ class _Workspace:
 
     * A band of ``rows`` rows and ``n`` columns (:func:`solve_damped`) fills
       the band buffer's first ``rows * n`` entries in column-major order,
-      ``ldab = rows``, with one right-hand side.
+      ``ldab = rows``, with one right-hand side. ``dpbsv`` leaves the band's
+      Cholesky factor there, which ``dpbtrs`` reads (:func:`solve_kept`).
     * A dense ``m``-square matrix (:func:`solve_spd`) is a band with
       ``kd = m - 1`` super-diagonals, and at ``ldab = m + 1`` its C-order
       entries, copied as one block from band entry ``m - 1``, are the upper
       band of its transpose: LAPACK reads the matrix's lower triangle. The
       ``k`` rows of the right-hand side are its columns.
+
+    ``generation`` counts the systems written into the buffers, and
+    ``factored`` says whether the last of them was a band that ``dpbsv``
+    factored.
     """
 
-    def __init__(self, routine: _Routine):
-        self.routine, self.shape = routine, None
+    def __init__(self, routines: _Routines):
+        self.routines, self.shape = routines, None
+        self.generation, self.factored = 0, False
         self.n, self.kd, self.nrhs, self.ldab, self.ldb, self.info = (
-            routine.integer() for _ in range(6)
+            routines.integer() for _ in range(6)
         )
         self._uplo = ctypes.c_char(b"U")  # kept so that its address stays valid
         self._allocate(0, 0)
@@ -367,6 +400,14 @@ class _Workspace:
             self.rhs = self.rhs_buffer[: n * nrhs].reshape(nrhs, n)
         self.shape = shape
 
+    def call(self, name: str) -> int:
+        """Run the routine ``name`` on the buffers and return its ``info``."""
+        getattr(self.routines, name)(*self.args)
+        info = self.info.value
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of {name}")
+        return info
+
 
 # one workspace per thread: LAPACK runs without the interpreter lock, so
 # threads sharing buffers would overwrite each other's band mid-solve
@@ -374,25 +415,29 @@ _local = threading.local()
 
 
 def _workspace(shape: tuple[int, ...]) -> _Workspace:
-    """The calling thread's workspace for ``_DPBSV``, pointed at ``shape``
-    (see :meth:`_Workspace.use`).
+    """The calling thread's workspace for ``_LAPACK``, pointed at ``shape``
+    (see :meth:`_Workspace.use`) for a new system, which ends the life of
+    any factor kept there.
 
     One is enough: a run solves systems of one shape over and over (the
     window's band, or the filter's few gain systems), and a batch band only
     grows.
     """
     ws = getattr(_local, "workspace", None)
-    if ws is None or ws.routine is not _DPBSV:
-        ws = _local.workspace = _Workspace(_DPBSV)
+    if ws is None or ws.routines is not _LAPACK:
+        ws = _local.workspace = _Workspace(_LAPACK)
     if ws.shape != shape:
         ws.use(shape)
+    ws.generation += 1
+    ws.factored = False
     return ws
 
 
 def solve_damped(ab: np.ndarray, diag: np.ndarray, lam: float, g: np.ndarray):
     """Solve (H + lam*diag) delta = -g for H in upper band storage, with
     ``ab.shape[0] - 1`` super-diagonals, by one LAPACK ``dpbsv`` call (banded
-    Cholesky factorization, then the two triangular solves).
+    Cholesky factorization, then the two triangular solves). The factor
+    stays in the calling thread's workspace (:func:`kept_factor`).
 
     Returns None when the damped matrix is not positive definite, and raises
     ValueError when ``diag`` or ``g`` does not match the band's columns.
@@ -403,11 +448,47 @@ def solve_damped(ab: np.ndarray, diag: np.ndarray, lam: float, g: np.ndarray):
     ws.band[...] = ab
     ws.diagonal += lam * diag
     np.negative(g, out=ws.rhs)
-    ws.routine.call(*ws.args)
-    info = ws.info.value
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dpbsv")
-    return None if info > 0 else ws.rhs.copy()
+    if ws.call("dpbsv"):
+        return None
+    ws.factored = True
+    return ws.rhs.copy()
+
+
+class KeptFactor(NamedTuple):
+    """A handle on the factor that a :func:`solve_damped` call left in its
+    thread's workspace: the workspace and its generation at that call."""
+
+    workspace: _Workspace
+    generation: int
+
+
+def kept_factor() -> KeptFactor:
+    """The factor of ``H + lam*diag`` that the calling thread's last solve
+    left in its workspace; RuntimeError when that solve was not a
+    :func:`solve_damped` that factored its band."""
+    ws = getattr(_local, "workspace", None)
+    if ws is None or not ws.factored:
+        raise RuntimeError("no factor kept: the thread's last solve factored no band")
+    return KeptFactor(ws, ws.generation)
+
+
+def solve_kept(factor: KeptFactor, g: np.ndarray) -> np.ndarray:
+    """Solve (H + lam*diag) delta = -g against the kept ``factor`` of that
+    matrix, by one LAPACK ``dpbtrs`` call (two band triangular solves).
+
+    ``delta`` has the same bytes as a :func:`solve_damped` of the same band,
+    damping and ``g`` would give. Raises RuntimeError once another solve on
+    the thread has reused the workspace, or when called from another thread,
+    and ValueError when ``g`` does not match the band's columns.
+    """
+    ws = factor.workspace
+    if getattr(_local, "workspace", None) is not ws or ws.generation != factor.generation:
+        raise RuntimeError("the kept factor is gone: another solve reused its workspace")
+    if g.shape != ws.rhs.shape:
+        raise ValueError(f"band has {ws.rhs.size} columns, g {g.shape}")
+    np.negative(g, out=ws.rhs)
+    ws.call("dpbtrs")
+    return ws.rhs.copy()
 
 
 def solve_spd(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
@@ -428,11 +509,9 @@ def solve_spd(a: np.ndarray, b: np.ndarray) -> Optional[np.ndarray]:
     ws = _workspace(a.shape + b.shape)
     ws.band[...] = a
     ws.rhs[...] = b
-    ws.routine.call(*ws.args)
-    info = ws.info.value
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dpbsv")
-    return None if info > 0 else ws.rhs.copy()
+    if ws.call("dpbsv"):
+        return None
+    return ws.rhs.copy()
 
 
 def _gradient_converged(g: np.ndarray, diag: np.ndarray, cost: float, gtol: float) -> bool:
@@ -451,8 +530,8 @@ def solve_lm(problem, cfg: Optional[LmConfig] = None) -> SolveReport:
     """Minimize the whitened squared-residual cost with Levenberg-Marquardt.
 
     ``problem`` is an :class:`NlsProblem` or anything with the same
-    ``initial_values``, ``normal_equations`` and ``cost``; trial steps are
-    scored with :func:`total_cost`.
+    ``initial_values``, ``normal_equations``, ``gradient`` and ``cost``;
+    trial steps are scored with :func:`total_cost`.
 
     A problem whose ``linear`` attribute is true (``fgo.FactorWindow`` of an
     LC window; an :class:`NlsProblem` has none) has a quadratic cost, whose
@@ -463,10 +542,24 @@ def solve_lm(problem, cfg: Optional[LmConfig] = None) -> SolveReport:
     are not positive definite raise SolverError. No damping, trial or stop
     test applies to it, the gradient test included.
 
-    Jacobians are recomputed at every accepted iterate, except one whose
-    step already ends the solve on ``LmConfig.tol``; a step is accepted only
-    when it lowers the cost, otherwise the damping grows tenfold. The solve
-    stops, in the order tested, when
+    **One factor, two steps.** A step is a *fresh* one, from the band of
+    normal equations at its point, factored by :func:`solve_damped` with the
+    current damping, or a *kept* one, from the factor of the fresh step
+    before it (:func:`solve_kept`). After an accepted fresh step the solver
+    reads only the exact gradient and cost at the new point
+    (``problem.gradient``) and takes the next step from the kept factor,
+    with that factor's damping and diagonal in the predicted decrease; after
+    an accepted kept step it assembles the band again (``normal_equations``),
+    so the next step is fresh. So the band is assembled at the start and
+    then only for a fresh factorization. A kept step that is rejected, and
+    is not a tie or negligible (below), is taken again as a fresh step from
+    a band at the same point, at the current damping. Reusing a factor so
+    is a standard variant of the method (Madsen, Nielsen & Tingleff 2004).
+    ``jacobian_evals`` counts the points linearized: the start and every
+    accepted point but a last one that ends the solve on ``LmConfig.tol``.
+
+    A step is accepted only when it lowers the cost; a rejected fresh step
+    grows the damping tenfold. The solve stops, in the order tested, when
 
     * ``"gradient below gtol"``: the cosine gradient test of
       ``LmConfig.gtol`` holds at the current iterate (before any step, so an
@@ -506,6 +599,10 @@ def solve_lm(problem, cfg: Optional[LmConfig] = None) -> SolveReport:
     iterations = 0
     converged = False
     message = "max iterations reached"
+    # the factor that the next step takes, if it is a kept step, and its
+    # damping; ab is None at a point linearized for its gradient alone, and
+    # diag is then the diagonal of the band that factor was made from
+    kept, kept_lam = None, 0.0
     for _ in range(cfg.max_iters):
         if _gradient_converged(g, diag, cost, cfg.gtol):
             converged = True
@@ -514,14 +611,22 @@ def solve_lm(problem, cfg: Optional[LmConfig] = None) -> SolveReport:
         iterations += 1
         accepted = False
         while True:
-            delta = solve_damped(ab, diag, lam, g)
-            if delta is None:
-                lam *= 10.0
-                if lam > cfg.lambda_max:
-                    raise SolverError(
-                        f"normal equations singular up to lambda={cfg.lambda_max:g}"
-                    )
-                continue
+            if kept is None:
+                if ab is None:
+                    ab, g, cost = problem.normal_equations(x)
+                    diag = ab[-1]
+                delta = solve_damped(ab, diag, lam, g)
+                if delta is None:
+                    lam *= 10.0
+                    if lam > cfg.lambda_max:
+                        raise SolverError(
+                            f"normal equations singular up to lambda={cfg.lambda_max:g}"
+                        )
+                    continue
+                step_lam, factor = lam, kept_factor()
+            else:
+                delta = solve_kept(kept, g)
+                step_lam = kept_lam
             candidate = x + delta
             new_cost = total_cost(problem, candidate)
             if new_cost < cost:
@@ -536,6 +641,11 @@ def solve_lm(problem, cfg: Optional[LmConfig] = None) -> SolveReport:
                 message = "relative cost change below tol"
                 converged = True
                 break
+            if kept is not None:
+                # the kept factor's H is stale here: step again from this
+                # point's own band, at the current damping
+                kept = None
+                continue
             lam *= 10.0
             if lam > cfg.lambda_max:
                 message = "damping exceeded maximum without improvement"
@@ -549,9 +659,8 @@ def solve_lm(problem, cfg: Optional[LmConfig] = None) -> SolveReport:
         # error of a linear problem, and a gradient cosine of about lam times
         # the whitened step: a warm start below gtol (a window's 1e-10) then
         # stops on the gradient test after one step, and a cold one (1e-6)
-        # reaches the closed form on its second step (lam / 100), which
-        # then stops on tol
-        predicted = float(delta @ (lam * diag * delta - g))
+        # reaches the closed form on its second step, which then stops on tol
+        predicted = float(delta @ (step_lam * diag * delta - g))
         ratio = (cost - new_cost) / predicted if predicted > 0 else 0.0
         cost = new_cost
         trace.append(cost)
@@ -561,8 +670,14 @@ def solve_lm(problem, cfg: Optional[LmConfig] = None) -> SolveReport:
             message = "relative cost change below tol"
             break
         lam = max(lam / (100.0 if ratio > 0.75 else 10.0), 1e-15)
-        ab, g, cost = problem.normal_equations(x)
-        diag = ab[-1]
+        if kept is None:
+            # the fresh factor takes one more step, from the gradient here
+            kept, kept_lam, ab = factor, step_lam, None
+            g, cost = problem.gradient(x)
+        else:
+            kept = None
+            ab, g, cost = problem.normal_equations(x)
+            diag = ab[-1]
         jacobian_evals += 1
     else:
         if _gradient_converged(g, diag, cost, cfg.gtol):

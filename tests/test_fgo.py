@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import TOY_CLOCKS, toy_epochs
 from test_noise_models import hdop_per_satellite
-from gnssins import ekf, fgo
+from gnssins import ekf, fgo, nls_solver
 from gnssins.canyon_sim import default_canyon_config, generate_lc_fixes, simulate
 from gnssins.fgo import (
     BATCH,
@@ -850,6 +850,21 @@ class TestArrayWindowMatchesOracle:
         assert close(delta, expected)
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(**WINDOW_DRAWS)
+    def test_gradient_is_that_of_the_normal_equations(self, mode, window, slid, seed):
+        # the solver reads a point's gradient alone after a fresh step: it
+        # must be the g that the band at that point would come with
+        rng = np.random.default_rng(seed)
+        w = drawn_window(rng, mode, window, slid)
+        x = w.initial_values + rng.normal(scale=2.0, size=w.total_dim)
+        g, cost = w.gradient(x)
+        _, g_ref, cost_ref = w.normal_equations(x)
+        assert g.shape == g_ref.shape == (w.total_dim,)
+        assert close(g, g_ref, rel=1e-12)
+        assert cost == cost_ref == w.cost(x)
+
+
 class TestLinearWindow:
     """An LC window is linear, so its solve is one Gauss-Newton step to the
     minimum of the oracle's dense normal equations."""
@@ -1251,11 +1266,40 @@ class TestWarmWindowSolves:
             again = SimpleNamespace(
                 initial_values=states.flatten(),
                 normal_equations=est.window.normal_equations,
+                gradient=est.window.gradient,
                 cost=est.window.cost,
             )
             polished = solve_lm(again, tight).values.reshape(states.shape)
             gap = np.linalg.norm(polished[:, POS] - states[:, POS], axis=1).max()
             assert gap <= 1e-4, f"epoch at t={meas.t}: {gap:.3g} m from its window's minimum"
+
+    @pytest.mark.parametrize("window", [1, 30, BATCH])
+    def test_every_tc_window_is_factored_once(self, seeded_canyon, window, monkeypatch):
+        # a warm solve takes one fresh step, and at most one more from the
+        # factor that step kept: one band factorization per window
+        calls, solves = {"fresh": 0, "kept": 0}, []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        def solve(problem, cfg):
+            calls.update(fresh=0, kept=0)
+            report = solve_lm(problem, cfg)
+            solves.append((calls["fresh"], calls["kept"], report.iterations))
+            return report
+
+        monkeypatch.setattr(nls_solver, "solve_damped", counted("fresh", nls_solver.solve_damped))
+        monkeypatch.setattr(nls_solver, "solve_kept", counted("kept", nls_solver.solve_kept))
+        monkeypatch.setattr(fgo, "solve_lm", solve)
+        run_estimator(seeded_canyon, RunConfig(estimator="fgo-tc", window=window))
+        assert len(solves) == len(seeded_canyon.epochs) - 1
+        slow = [(k, s) for k, s in enumerate(solves) if s[0] != 1 or s[1] > 1 or s[2] > 2]
+        assert slow == []
+        assert any(kept for _, kept, _ in solves)
 
     @pytest.mark.parametrize("window", [1, 30, BATCH])
     def test_every_linear_window_ends_at_its_minimum(self, seeded_canyon, window):

@@ -1,7 +1,7 @@
 import copy
 import gc
 import math
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -145,6 +145,17 @@ class TestRunEstimator:
     def test_ekf_predict_steps_must_be_at_least_one(self, steps):
         with pytest.raises(ValueError, match=f"ekf_predict_steps.*{steps!r}"):
             RunConfig(estimator="ekf-lc", ekf_predict_steps=steps)
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)])
+    def test_a_field_cannot_be_assigned(self, name):
+        # an assignment would skip the checks, and a stepper built from the
+        # config would read the changed coupling mid-run
+        cfg = RunConfig()
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, name, getattr(RunConfig(estimator="ekf-lc", window=1), name))
+        assert cfg == RunConfig()
+        with pytest.raises(ValueError, match="window"):
+            replace(cfg, window=0)
 
 
 @pytest.mark.parametrize("estimator", ESTIMATORS)

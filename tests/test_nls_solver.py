@@ -16,8 +16,10 @@ from gnssins.nls_solver import (
     NlsProblem,
     ResidualBlock,
     SolverError,
+    kept_factor,
     numeric_jacobian,
     solve_damped,
+    solve_kept,
     solve_lm,
     solve_spd,
     sqrt_info_from_cov_diag,
@@ -352,6 +354,53 @@ class TestSolveLm:
         assert report.cost == problem.problem.normal_equations(report.values)[2]
         assert report.cost < report.cost_trace[0]
 
+    def test_one_factor_serves_at_most_two_steps(self):
+        # from x = -3 the residual exp(x) - 2 is flat, so the damping grows
+        # to 10 before a fresh step lands near its root, where the kept
+        # factor's stale curvature overshoots: that step is rejected and
+        # taken again from the point's own band, at the damping the accepted
+        # step left (10 / 100), not ten times it
+        blocks = [
+            ResidualBlock((0,), 1, lambda x: np.array([np.exp(x[0]) - 2.0]), sqrt_info=np.eye(1))
+        ]
+        problem = NlsProblem([1], blocks, np.array([-3.0]))
+        steps, prices = [], []
+
+        def fresh(ab, diag, lam, g):
+            steps.append(("fresh", lam))
+            return solve_damped(ab, diag, lam, g)
+
+        def kept(factor, g):
+            steps.append(("kept", None))
+            return solve_kept(factor, g)
+
+        def priced(p, x):
+            prices.append(total_cost(p, x))
+            return prices[-1]
+
+        with (
+            mock.patch.object(nls_solver, "solve_damped", fresh),
+            mock.patch.object(nls_solver, "solve_kept", kept),
+            mock.patch.object(nls_solver, "total_cost", priced),
+        ):
+            report = solve_lm(problem)
+        assert report.converged and report.message == "gradient below gtol"
+        assert report.values == pytest.approx([np.log(2.0)], abs=1e-9)
+        kinds = [kind for kind, _ in steps]
+        assert kinds[0] == "fresh" and "kept" in kinds
+        # a kept step follows an accepted fresh step, and the next step is fresh
+        for i, kind in enumerate(kinds):
+            if kind == "kept":
+                assert kinds[i - 1] == "fresh"
+                assert i + 1 == len(kinds) or kinds[i + 1] == "fresh"
+        first = kinds.index("kept")
+        assert prices[first] > prices[first - 1]
+        assert steps[first + 1][1] == pytest.approx(steps[first - 1][1] / 100.0)
+        # every accepted point but the last is linearized once, the retaken
+        # point included, and the last passes the gradient test there
+        assert report.jacobian_evals == len(report.cost_trace)
+        assert all(b < a for a, b in zip(report.cost_trace, report.cost_trace[1:]))
+
     def test_large_problem_matches_closed_form(self):
         rng = np.random.default_rng(6)
         problem, mats = linear_problem(rng, n_states=80, state_dim=9, n_blocks=200)
@@ -494,7 +543,7 @@ class TestSolveSpd:
         b = rng.normal(size=(11, m))
         out = []
         for routine in (bundled, nls_solver._capsule_lapack()):
-            with mock.patch.object(nls_solver, "_DPBSV", routine):
+            with mock.patch.object(nls_solver, "_LAPACK", routine):
                 out.append(solve_spd(a, b))
         if indefinite:
             assert out == [None, None]
@@ -567,7 +616,7 @@ class TestSolveDamped:
         g = rng.normal(size=n)
         deltas = []
         for routine in (bundled, nls_solver._capsule_lapack()):
-            with mock.patch.object(nls_solver, "_DPBSV", routine):
+            with mock.patch.object(nls_solver, "_LAPACK", routine):
                 deltas.append(solve_damped(ab, ab[-1], lam, g))
         if deltas[0] is None or deltas[1] is None:
             assert deltas[0] is None and deltas[1] is None
@@ -610,22 +659,31 @@ class TestSolveDamped:
     def test_threads_solve_concurrently(self):
         rng = np.random.default_rng(6)
         cases = []
-        # bands of one shape, which one shared workspace would serve, and
-        # dense systems in other threads, which would repoint it
+        # bands of one shape, which one shared workspace would serve, each
+        # thread then solving a second right-hand side against the factor it
+        # keeps, and dense systems in other threads, which would repoint it
         for _ in range(4):
             ab = upper_band(self.random_band(rng, 200, 11), 11)
-            g = rng.normal(size=200)
-            cases.append((solve_damped, (ab, ab[-1], 1e-3, g)))
+            g, again = rng.normal(size=200), rng.normal(size=200)
+            cases.append((solve_damped, (ab, ab[-1], 1e-3, g), again))
             a = TestSolveSpd.random_spd(rng, 14)
-            cases.append((solve_spd, (a, rng.normal(size=(11, 14)))))
-        cases = [(solve, args, solve(*args)) for solve, args in cases]
+            cases.append((solve_spd, (a, rng.normal(size=(11, 14))), None))
+        cases = [
+            (solve, args, solve(*args), again, again is not None and solve(*args[:3], again))
+            for solve, args, again in cases
+        ]
         failures = []
 
-        def worker(solve, args, expected):
+        def worker(solve, args, expected, again, expected_again):
             for _ in range(150):
                 got = solve(*args)
                 if got is None or not np.array_equal(got, expected):
                     failures.append(solve.__name__)
+                    return
+                if again is not None and not np.array_equal(
+                    solve_kept(kept_factor(), again), expected_again
+                ):
+                    failures.append("solve_kept")
                     return
 
         interval = sys.getswitchinterval()
@@ -640,6 +698,104 @@ class TestSolveDamped:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert failures == []
+
+
+def bindings():
+    """The LAPACK bindings this install has: numpy's bundled OpenBLAS, if
+    any, and scipy's capsules."""
+    bundled = nls_solver._bundled_lapack()
+    return ([bundled] if bundled is not None else []) + [nls_solver._capsule_lapack()]
+
+
+class TestKeptFactor:
+    """Further right-hand sides solved against the factor that solve_damped
+    left in the thread's workspace."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 30),
+        u=st.integers(0, 11),
+        lam=st.sampled_from([0.0, 1e-10, 1e-2, 1e3]),
+        k=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_and_fresh_solves(self, n, u, lam, k, seed):
+        rng = np.random.default_rng(seed)
+        h = TestSolveDamped.random_band(rng, n, u)
+        ab = upper_band(h, u)
+        first, *rhs = rng.normal(size=(k + 1, n))
+        damped = h + lam * np.diag(np.diag(h))
+        for routine in bindings():
+            with mock.patch.object(nls_solver, "_LAPACK", routine):
+                assert solve_damped(ab, ab[-1], lam, first) is not None
+                factor = kept_factor()
+                kept = [solve_kept(factor, g) for g in rhs]
+                fresh = [solve_damped(ab, ab[-1], lam, g) for g in rhs]
+            for g, got, want in zip(rhs, kept, fresh):
+                expected = np.linalg.solve(damped, -g)
+                assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
+                # dpbsv is dpbtrf then dpbtrs: the same bytes either way
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "interleaved",
+        [
+            lambda rng: solve_spd(TestSolveSpd.random_spd(rng, 4), rng.normal(size=(2, 4))),
+            lambda rng: solve_damped(*TestKeptFactor.band_system(rng, 13, 3)),
+            lambda rng: solve_damped(*TestKeptFactor.band_system(rng, 12, 2)),
+        ],
+        ids=["dense", "other-shape", "same-shape"],
+    )
+    def test_a_later_solve_ends_the_factor(self, interleaved):
+        rng = np.random.default_rng(10)
+        solve_damped(*self.band_system(rng, 12, 2))
+        factor = kept_factor()
+        g = rng.normal(size=12)
+        solve_kept(factor, g)
+        interleaved(rng)
+        with pytest.raises(RuntimeError, match="kept factor is gone"):
+            solve_kept(factor, g)
+
+    @staticmethod
+    def band_system(rng, n, u, lam=1e-2):
+        ab = upper_band(TestSolveDamped.random_band(rng, n, u), u)
+        return ab, ab[-1], lam, rng.normal(size=n)
+
+    def test_no_factor_after_a_dense_or_failed_solve(self):
+        rng = np.random.default_rng(11)
+        solve_spd(TestSolveSpd.random_spd(rng, 4), rng.normal(size=(2, 4)))
+        with pytest.raises(RuntimeError, match="no factor kept"):
+            kept_factor()
+        ab, diag, _, g = self.band_system(rng, 8, 2)
+        ab = ab.copy()
+        ab[-1, 3] = -1.0
+        assert solve_damped(ab, diag, 0.0, g) is None
+        with pytest.raises(RuntimeError, match="no factor kept"):
+            kept_factor()
+
+    def test_another_thread_cannot_use_it(self):
+        rng = np.random.default_rng(12)
+        solve_damped(*self.band_system(rng, 12, 2))
+        factor, raised = kept_factor(), []
+
+        def worker():
+            try:
+                solve_kept(factor, np.ones(12))
+            except RuntimeError as exc:
+                raised.append(exc)
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        thread.join(timeout=60)
+        assert len(raised) == 1
+        solve_kept(factor, np.ones(12))
+
+    @pytest.mark.parametrize("length", [1, 11, 13])
+    def test_mismatched_gradient_raises(self, length):
+        rng = np.random.default_rng(13)
+        solve_damped(*self.band_system(rng, 12, 2))
+        with pytest.raises(ValueError):
+            solve_kept(kept_factor(), np.ones(length))
 
 
 def test_sqrt_info_matches_inverse_covariance():
