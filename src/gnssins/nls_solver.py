@@ -28,9 +28,10 @@ addresses from ``scipy.linalg.cython_lapack`` instead, with 32-bit integers,
 and pays for importing it.
 
 Every call goes through one per-thread workspace, whose buffers are reused
-from call to call. The factor :func:`solve_damped` leaves there serves
-further right-hand sides (:func:`kept_factor`, :func:`solve_kept`) until the
-thread's next solve reuses the buffers; a handle on it then raises.
+from call to call. :func:`solve_damped` returns with its step a handle on
+the factor it left there (:class:`KeptFactor`), which serves further
+right-hand sides (:func:`solve_kept`) until the thread's next solve reuses
+the buffers, and then raises.
 
 :class:`NlsProblem` is the general form: state slots plus residual blocks;
 each block binds a few slots to a residual function, optional analytic
@@ -49,6 +50,8 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
+
+from .types import check_numbers
 
 # dpbsv and dpbtrs(uplo, n, kd, nrhs, ab, ldab, b, ldb, info), every argument
 # passed by address and no hidden string length, as scipy's cython_lapack
@@ -221,9 +224,10 @@ class NlsProblem:
         return g, cost
 
 
-@dataclass
+@dataclass(frozen=True)
 class LmConfig:
-    """Damping schedule and stop rules of :func:`solve_lm`.
+    """Damping schedule and stop rules of :func:`solve_lm`, checked when made
+    and fixed after.
 
     The damping is relative to ``diag(J^T J)`` and every stop test compares
     dimensionless ratios, so scaling all block covariances by one factor
@@ -253,14 +257,25 @@ class LmConfig:
     """Stop once every column of the whitened Jacobian is this close to
     orthogonal to the whitened residual: ``max_i |g_i| / sqrt(H_ii * cost)``
     (MINPACK's cosine test), with ``g = J^T r`` at the point tested and
-    ``H_ii`` the diagonal of the band last assembled: at the point itself, or,
-    at a point linearized for its gradient alone, that of the band factored
-    for the step that reached it (see :func:`solve_lm`). A cost of zero also
-    counts as converged."""
+    ``H_ii`` the diagonal of a band: at a point linearized for its band, that
+    band's own; at a point linearized for its gradient alone, that of the band
+    factored for the step that reached it (``KeptFactor.diag``, see
+    :func:`solve_lm`). A cost of zero also counts as converged."""
     max_iters: int = 100
     """Ceiling on the number of steps (accepted or final), each from a fresh
     or a kept factor; a point can be linearized twice, once for its gradient
     and once for its band, and counts once."""
+
+    def __post_init__(self) -> None:
+        check_numbers(self)
+        # a damping of zero never grows, so a singular band would be retried
+        # forever; lambda_max below lambda0 is allowed and stops at once
+        for name in ("lambda0", "lambda_max"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
+        for name in ("tol", "gtol", "max_iters"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -350,14 +365,13 @@ class _Workspace:
       band of its transpose: LAPACK reads the matrix's lower triangle. The
       ``k`` rows of the right-hand side are its columns.
 
-    ``generation`` counts the systems written into the buffers, and
-    ``factored`` says whether the last of them was a band that ``dpbsv``
-    factored.
+    ``generation`` counts the systems written into the buffers, so a
+    :class:`KeptFactor` whose generation is not the current one is stale.
     """
 
     def __init__(self, routines: _Routines):
         self.routines, self.shape = routines, None
-        self.generation, self.factored = 0, False
+        self.generation = 0
         self.n, self.kd, self.nrhs, self.ldab, self.ldb, self.info = (
             routines.integer() for _ in range(6)
         )
@@ -429,52 +443,46 @@ def _workspace(shape: tuple[int, ...]) -> _Workspace:
     if ws.shape != shape:
         ws.use(shape)
     ws.generation += 1
-    ws.factored = False
     return ws
 
 
-def solve_damped(ab: np.ndarray, diag: np.ndarray, lam: float, g: np.ndarray):
-    """Solve (H + lam*diag) delta = -g for H in upper band storage, with
-    ``ab.shape[0] - 1`` super-diagonals, by one LAPACK ``dpbsv`` call (banded
-    Cholesky factorization, then the two triangular solves). The factor
-    stays in the calling thread's workspace (:func:`kept_factor`).
-
-    Returns None when the damped matrix is not positive definite, and raises
-    ValueError when ``diag`` or ``g`` does not match the band's columns.
-    """
-    ws = _workspace(ab.shape)
-    if g.shape != ws.rhs.shape or diag.shape != ws.rhs.shape:
-        raise ValueError(f"band has {ws.rhs.size} columns, diag {diag.shape} and g {g.shape}")
-    ws.band[...] = ab
-    ws.diagonal += lam * diag
-    np.negative(g, out=ws.rhs)
-    if ws.call("dpbsv"):
-        return None
-    ws.factored = True
-    return ws.rhs.copy()
-
-
 class KeptFactor(NamedTuple):
-    """A handle on the factor that a :func:`solve_damped` call left in its
-    thread's workspace: the workspace and its generation at that call."""
+    """The factor of ``H + lam*diag(diag)`` that a :func:`solve_damped` call
+    left in its thread's workspace: the workspace and its generation at that
+    call, and the damping ``lam`` and diagonal ``diag`` (the band's own
+    ``ab[-1]``, not a copy) of the matrix it factored."""
 
     workspace: _Workspace
     generation: int
+    lam: float
+    diag: np.ndarray
 
 
-def kept_factor() -> KeptFactor:
-    """The factor of ``H + lam*diag`` that the calling thread's last solve
-    left in its workspace; RuntimeError when that solve was not a
-    :func:`solve_damped` that factored its band."""
-    ws = getattr(_local, "workspace", None)
-    if ws is None or not ws.factored:
-        raise RuntimeError("no factor kept: the thread's last solve factored no band")
-    return KeptFactor(ws, ws.generation)
+def solve_damped(ab: np.ndarray, lam: float, g: np.ndarray):
+    """Solve (H + lam*diag(H)) delta = -g for H in upper band storage, with
+    ``ab.shape[0] - 1`` super-diagonals and diagonal ``ab[-1]``, by one LAPACK
+    ``dpbsv`` call (banded Cholesky factorization, then the two triangular
+    solves).
+
+    Returns ``(delta, factor)``, ``factor`` the :class:`KeptFactor` of the
+    damped matrix, or None when that matrix is not positive definite; raises
+    ValueError when ``g`` does not match the band's columns.
+    """
+    ws = _workspace(ab.shape)
+    if g.shape != ws.rhs.shape:
+        raise ValueError(f"band has {ws.rhs.size} columns, g {g.shape}")
+    ws.band[...] = ab
+    ws.diagonal += lam * ab[-1]
+    np.negative(g, out=ws.rhs)
+    if ws.call("dpbsv"):
+        return None
+    return ws.rhs.copy(), KeptFactor(ws, ws.generation, lam, ab[-1])
 
 
 def solve_kept(factor: KeptFactor, g: np.ndarray) -> np.ndarray:
-    """Solve (H + lam*diag) delta = -g against the kept ``factor`` of that
-    matrix, by one LAPACK ``dpbtrs`` call (two band triangular solves).
+    """Solve (H + lam*diag(diag)) delta = -g against the ``factor`` a
+    :func:`solve_damped` call returned, by one LAPACK ``dpbtrs`` call (two
+    band triangular solves).
 
     ``delta`` has the same bytes as a :func:`solve_damped` of the same band,
     damping and ``g`` would give. Raises RuntimeError once another solve on
@@ -544,17 +552,18 @@ def solve_lm(problem, cfg: Optional[LmConfig] = None) -> SolveReport:
 
     **One factor, two steps.** A step is a *fresh* one, from the band of
     normal equations at its point, factored by :func:`solve_damped` with the
-    current damping, or a *kept* one, from the factor of the fresh step
-    before it (:func:`solve_kept`). After an accepted fresh step the solver
-    reads only the exact gradient and cost at the new point
-    (``problem.gradient``) and takes the next step from the kept factor,
-    with that factor's damping and diagonal in the predicted decrease; after
-    an accepted kept step it assembles the band again (``normal_equations``),
-    so the next step is fresh. So the band is assembled at the start and
-    then only for a fresh factorization. A kept step that is rejected, and
-    is not a tie or negligible (below), is taken again as a fresh step from
-    a band at the same point, at the current damping. Reusing a factor so
-    is a standard variant of the method (Madsen, Nielsen & Tingleff 2004).
+    current damping, or a *kept* one, from the :class:`KeptFactor` that the
+    fresh step before it returned (:func:`solve_kept`). After an accepted
+    fresh step the solver reads only the exact gradient and cost at the new
+    point (``problem.gradient``) and takes the next step from that factor;
+    after an accepted kept step it assembles the band again
+    (``normal_equations``), so the next step is fresh. The predicted
+    decrease reads the ``lam`` and ``diag`` of the factor that made the
+    step. So the band is assembled at the start and then only for a fresh
+    factorization. A kept step that is rejected, and is not a tie or
+    negligible (below), is taken again as a fresh step from a band at the
+    same point, at the current damping. Reusing a factor so is a standard
+    variant of the method (Madsen, Nielsen & Tingleff 2004).
     ``jacobian_evals`` counts the points linearized: the start and every
     accepted point but a last one that ends the solve on ``LmConfig.tol``.
 
@@ -582,16 +591,15 @@ def solve_lm(problem, cfg: Optional[LmConfig] = None) -> SolveReport:
     x = np.array(problem.initial_values, dtype=float)
     lam = cfg.lambda0
     ab, g, cost = problem.normal_equations(x)
-    diag = ab[-1]
     jacobian_evals = 1
     trace = [cost]
     if not np.isfinite(cost):
         raise EvaluationError("non-finite initial cost")
     if getattr(problem, "linear", False):
-        delta = solve_damped(ab, diag, 0.0, g)
-        if delta is None:
+        solved = solve_damped(ab, 0.0, g)
+        if solved is None:
             raise SolverError("normal equations of a linear problem are not positive definite")
-        x += delta
+        x += solved[0]
         cost = total_cost(problem, x)
         trace.append(cost)
         return SolveReport(x, cost, 1, True, trace, jacobian_evals, LINEAR_STOP)
@@ -599,34 +607,31 @@ def solve_lm(problem, cfg: Optional[LmConfig] = None) -> SolveReport:
     iterations = 0
     converged = False
     message = "max iterations reached"
-    # the factor that the next step takes, if it is a kept step, and its
-    # damping; ab is None at a point linearized for its gradient alone, and
-    # diag is then the diagonal of the band that factor was made from
-    kept, kept_lam = None, 0.0
-    for _ in range(cfg.max_iters):
-        if _gradient_converged(g, diag, cost, cfg.gtol):
+    # the factor of the last fresh step; ab is None at a point linearized for
+    # its gradient alone, whose next step is a kept one from that factor
+    factor = None
+    while True:
+        if _gradient_converged(g, factor.diag if ab is None else ab[-1], cost, cfg.gtol):
             converged = True
             message = "gradient below gtol"
+            break
+        if iterations == cfg.max_iters:
             break
         iterations += 1
         accepted = False
         while True:
-            if kept is None:
-                if ab is None:
-                    ab, g, cost = problem.normal_equations(x)
-                    diag = ab[-1]
-                delta = solve_damped(ab, diag, lam, g)
-                if delta is None:
+            if ab is None:
+                delta = solve_kept(factor, g)
+            else:
+                solved = solve_damped(ab, lam, g)
+                if solved is None:
                     lam *= 10.0
                     if lam > cfg.lambda_max:
                         raise SolverError(
                             f"normal equations singular up to lambda={cfg.lambda_max:g}"
                         )
                     continue
-                step_lam, factor = lam, kept_factor()
-            else:
-                delta = solve_kept(kept, g)
-                step_lam = kept_lam
+                delta, factor = solved
             candidate = x + delta
             new_cost = total_cost(problem, candidate)
             if new_cost < cost:
@@ -641,10 +646,10 @@ def solve_lm(problem, cfg: Optional[LmConfig] = None) -> SolveReport:
                 message = "relative cost change below tol"
                 converged = True
                 break
-            if kept is not None:
+            if ab is None:
                 # the kept factor's H is stale here: step again from this
                 # point's own band, at the current damping
-                kept = None
+                ab, g, cost = problem.normal_equations(x)
                 continue
             lam *= 10.0
             if lam > cfg.lambda_max:
@@ -660,7 +665,7 @@ def solve_lm(problem, cfg: Optional[LmConfig] = None) -> SolveReport:
         # the whitened step: a warm start below gtol (a window's 1e-10) then
         # stops on the gradient test after one step, and a cold one (1e-6)
         # reaches the closed form on its second step, which then stops on tol
-        predicted = float(delta @ (step_lam * diag * delta - g))
+        predicted = float(delta @ (factor.lam * factor.diag * delta - g))
         ratio = (cost - new_cost) / predicted if predicted > 0 else 0.0
         cost = new_cost
         trace.append(cost)
@@ -670,34 +675,21 @@ def solve_lm(problem, cfg: Optional[LmConfig] = None) -> SolveReport:
             message = "relative cost change below tol"
             break
         lam = max(lam / (100.0 if ratio > 0.75 else 10.0), 1e-15)
-        if kept is None:
-            # the fresh factor takes one more step, from the gradient here
-            kept, kept_lam, ab = factor, step_lam, None
-            g, cost = problem.gradient(x)
-        else:
-            kept = None
+        if ab is None:
             ab, g, cost = problem.normal_equations(x)
-            diag = ab[-1]
+        else:
+            # the fresh factor takes one more step, from the gradient here
+            ab = None
+            g, cost = problem.gradient(x)
         jacobian_evals += 1
-    else:
-        if _gradient_converged(g, diag, cost, cfg.gtol):
-            converged = True
-            message = "gradient below gtol"
 
-    return SolveReport(
-        values=x,
-        cost=cost,
-        iterations=iterations,
-        converged=converged,
-        cost_trace=trace,
-        jacobian_evals=jacobian_evals,
-        message=message,
-    )
+    return SolveReport(x, cost, iterations, converged, trace, jacobian_evals, message)
 
 
 def sqrt_info_from_cov_diag(variances: np.ndarray) -> np.ndarray:
     """Whitening matrix for a diagonal covariance given as variances."""
     variances = np.asarray(variances, dtype=float)
-    if np.any(variances <= 0):
-        raise ValueError("variances must be positive")
+    # a NaN fails every comparison, so only "all finite and > 0" rejects it
+    if not (np.isfinite(variances).all() and (variances > 0).all()):
+        raise ValueError(f"variances must be finite and > 0, got {variances}")
     return np.diag(1.0 / np.sqrt(variances))

@@ -844,9 +844,8 @@ class TestArrayWindowMatchesOracle:
         assert w.cost(x) == pytest.approx(oracle.cost(x), rel=1e-9)
 
         lam = float(10.0 ** rng.uniform(-6, 0))
-        diag = ab[-1]
-        delta = solve_damped(ab, diag, lam, g)
-        expected = np.linalg.solve(dense_from_band(ab) + lam * np.diag(diag), -g)
+        delta, _ = solve_damped(ab, lam, g)
+        expected = np.linalg.solve(dense_from_band(ab) + lam * np.diag(ab[-1]), -g)
         assert close(delta, expected)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import threading
 from unittest import mock
@@ -16,7 +17,6 @@ from gnssins.nls_solver import (
     NlsProblem,
     ResidualBlock,
     SolverError,
-    kept_factor,
     numeric_jacobian,
     solve_damped,
     solve_kept,
@@ -366,9 +366,9 @@ class TestSolveLm:
         problem = NlsProblem([1], blocks, np.array([-3.0]))
         steps, prices = [], []
 
-        def fresh(ab, diag, lam, g):
+        def fresh(ab, lam, g):
             steps.append(("fresh", lam))
-            return solve_damped(ab, diag, lam, g)
+            return solve_damped(ab, lam, g)
 
         def kept(factor, g):
             steps.append(("kept", None))
@@ -408,6 +408,48 @@ class TestSolveLm:
         report = solve_lm(problem)
         expected = closed_form(problem, mats, 80, 9)
         assert np.allclose(report.values, expected, atol=1e-8)
+
+
+class TestLmConfig:
+    """An LmConfig is checked when made and fixed after."""
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            # a damping of zero never grows: a band that is not positive
+            # definite undamped was retried forever
+            ("lambda0", 0.0),
+            ("lambda0", -1e-6),
+            ("lambda0", np.nan),
+            ("lambda_max", 0.0),
+            ("lambda_max", np.inf),
+            ("tol", -1e-8),
+            ("tol", np.nan),
+            ("gtol", -1.0),
+            ("gtol", np.inf),
+            ("max_iters", -1),
+            ("max_iters", 1.5),
+            ("max_iters", True),
+        ],
+    )
+    def test_bad_value_raises_naming_its_field(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} "):
+            LmConfig(**{name: value})
+
+    def test_edge_values_are_legal(self):
+        # no stop tolerance, no step, and a ceiling below the start damping
+        # (a solve that raises SolverError at once) are all legal
+        LmConfig(tol=0.0, gtol=0.0, max_iters=0)
+        LmConfig(lambda0=1e-6, lambda_max=1e-10)
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(LmConfig)])
+    def test_fields_are_fixed(self, name):
+        # an assignment would skip the checks, and would change every solve
+        # of a run whose RunConfig holds this LmConfig
+        cfg = LmConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, getattr(cfg, name))
+        assert cfg == LmConfig()
 
 
 class Linear:
@@ -575,10 +617,12 @@ class TestSolveDamped:
         g = rng.normal(size=n)
         ab = upper_band(h, u)
         before = ab.copy()
-        delta = solve_damped(ab, ab[-1], lam, g)
+        delta, factor = solve_damped(ab, lam, g)
         expected = np.linalg.solve(h + lam * np.diag(np.diag(h)), -g)
         assert np.abs(delta - expected).max() <= 1e-10 * np.abs(expected).max()
         assert np.array_equal(ab, before)
+        # the handle names the matrix it factored: the band's own diagonal
+        assert factor.lam == lam and np.array_equal(factor.diag, np.diag(h))
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -593,7 +637,7 @@ class TestSolveDamped:
         k = int(rng.integers(0, n))
         h[k, k] = -rng.uniform(0.1, 10.0)
         ab = upper_band(h, u)
-        assert solve_damped(ab, ab[-1], lam, rng.normal(size=n)) is None
+        assert solve_damped(ab, lam, rng.normal(size=n)) is None
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -617,19 +661,19 @@ class TestSolveDamped:
         deltas = []
         for routine in (bundled, nls_solver._capsule_lapack()):
             with mock.patch.object(nls_solver, "_LAPACK", routine):
-                deltas.append(solve_damped(ab, ab[-1], lam, g))
+                deltas.append(solve_damped(ab, lam, g))
         if deltas[0] is None or deltas[1] is None:
             assert deltas[0] is None and deltas[1] is None
             assert indefinite
         else:
-            assert deltas[0].tobytes() == deltas[1].tobytes()
+            assert deltas[0][0].tobytes() == deltas[1][0].tobytes()
 
     def test_solution_not_aliased_to_the_workspace(self):
         rng = np.random.default_rng(3)
         ab = upper_band(self.random_band(rng, 12, 3), 3)
-        first = solve_damped(ab, ab[-1], 1e-3, rng.normal(size=12))
+        first, _ = solve_damped(ab, 1e-3, rng.normal(size=12))
         kept = first.copy()
-        second = solve_damped(ab, ab[-1], 1e-3, rng.normal(size=12))
+        second, _ = solve_damped(ab, 1e-3, rng.normal(size=12))
         assert np.array_equal(first, kept)
         assert not np.array_equal(first, second)
 
@@ -643,7 +687,7 @@ class TestSolveDamped:
             h = self.random_band(rng, n, u)
             g = rng.normal(size=n)
             ab = upper_band(h, u)
-            delta = solve_damped(ab, ab[-1], 1e-2, g)
+            delta, _ = solve_damped(ab, 1e-2, g)
             expected = np.linalg.solve(h + 1e-2 * np.diag(np.diag(h)), -g)
             assert np.abs(delta - expected).max() <= 1e-10 * np.abs(expected).max()
 
@@ -652,38 +696,41 @@ class TestSolveDamped:
         rng = np.random.default_rng(5)
         ab = upper_band(self.random_band(rng, 10, 2), 2)
         with pytest.raises(ValueError):
-            solve_damped(ab, ab[-1], 1e-3, rng.normal(size=length))
-        with pytest.raises(ValueError):
-            solve_damped(ab, rng.normal(size=length), 1e-3, rng.normal(size=10))
+            solve_damped(ab, 1e-3, rng.normal(size=length))
 
     def test_threads_solve_concurrently(self):
         rng = np.random.default_rng(6)
+
+        def band_then_kept(ab, g, again):
+            solved = solve_damped(ab, 1e-3, g)
+            return [None] if solved is None else [solved[0], solve_kept(solved[1], again)]
+
+        def dense(a, b):
+            return [solve_spd(a, b)]
+
         cases = []
         # bands of one shape, which one shared workspace would serve, each
-        # thread then solving a second right-hand side against the factor it
-        # keeps, and dense systems in other threads, which would repoint it
+        # thread then solving a second right-hand side against the factor its
+        # solve returned, and dense systems in other threads, which would
+        # repoint it
         for _ in range(4):
             ab = upper_band(self.random_band(rng, 200, 11), 11)
             g, again = rng.normal(size=200), rng.normal(size=200)
-            cases.append((solve_damped, (ab, ab[-1], 1e-3, g), again))
-            a = TestSolveSpd.random_spd(rng, 14)
-            cases.append((solve_spd, (a, rng.normal(size=(11, 14))), None))
-        cases = [
-            (solve, args, solve(*args), again, again is not None and solve(*args[:3], again))
-            for solve, args, again in cases
-        ]
+            cases.append((band_then_kept, (ab, g, again), [solve_damped(ab, 1e-3, v)[0] for v in (g, again)]))
+            a, b = TestSolveSpd.random_spd(rng, 14), rng.normal(size=(11, 14))
+            cases.append((dense, (a, b), dense(a, b)))
         failures = []
 
-        def worker(solve, args, expected, again, expected_again):
+        def worker(solve, args, expected):
             for _ in range(150):
-                got = solve(*args)
-                if got is None or not np.array_equal(got, expected):
-                    failures.append(solve.__name__)
+                try:
+                    got = solve(*args)
+                except RuntimeError as exc:
+                    # a workspace shared between threads ends the handle
+                    failures.append(f"{solve.__name__}: {exc}")
                     return
-                if again is not None and not np.array_equal(
-                    solve_kept(kept_factor(), again), expected_again
-                ):
-                    failures.append("solve_kept")
+                if not all(x is not None and np.array_equal(x, y) for x, y in zip(got, expected)):
+                    failures.append(solve.__name__)
                     return
 
         interval = sys.getswitchinterval()
@@ -708,8 +755,8 @@ def bindings():
 
 
 class TestKeptFactor:
-    """Further right-hand sides solved against the factor that solve_damped
-    left in the thread's workspace."""
+    """Further right-hand sides solved against the factor that a
+    solve_damped call returned, left in the thread's workspace."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -724,13 +771,13 @@ class TestKeptFactor:
         h = TestSolveDamped.random_band(rng, n, u)
         ab = upper_band(h, u)
         first, *rhs = rng.normal(size=(k + 1, n))
-        damped = h + lam * np.diag(np.diag(h))
         for routine in bindings():
             with mock.patch.object(nls_solver, "_LAPACK", routine):
-                assert solve_damped(ab, ab[-1], lam, first) is not None
-                factor = kept_factor()
+                _, factor = solve_damped(ab, lam, first)
                 kept = [solve_kept(factor, g) for g in rhs]
-                fresh = [solve_damped(ab, ab[-1], lam, g) for g in rhs]
+                fresh = [solve_damped(ab, lam, g)[0] for g in rhs]
+            # the handle says which matrix it factored
+            damped = h + factor.lam * np.diag(factor.diag)
             for g, got, want in zip(rhs, kept, fresh):
                 expected = np.linalg.solve(damped, -g)
                 assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
@@ -748,8 +795,7 @@ class TestKeptFactor:
     )
     def test_a_later_solve_ends_the_factor(self, interleaved):
         rng = np.random.default_rng(10)
-        solve_damped(*self.band_system(rng, 12, 2))
-        factor = kept_factor()
+        _, factor = solve_damped(*self.band_system(rng, 12, 2))
         g = rng.normal(size=12)
         solve_kept(factor, g)
         interleaved(rng)
@@ -759,24 +805,28 @@ class TestKeptFactor:
     @staticmethod
     def band_system(rng, n, u, lam=1e-2):
         ab = upper_band(TestSolveDamped.random_band(rng, n, u), u)
-        return ab, ab[-1], lam, rng.normal(size=n)
+        return ab, lam, rng.normal(size=n)
 
     def test_no_factor_after_a_dense_or_failed_solve(self):
+        # a failed factorization returns no handle, and like a dense solve it
+        # ends the handle an earlier solve returned
         rng = np.random.default_rng(11)
-        solve_spd(TestSolveSpd.random_spd(rng, 4), rng.normal(size=(2, 4)))
-        with pytest.raises(RuntimeError, match="no factor kept"):
-            kept_factor()
-        ab, diag, _, g = self.band_system(rng, 8, 2)
-        ab = ab.copy()
-        ab[-1, 3] = -1.0
-        assert solve_damped(ab, diag, 0.0, g) is None
-        with pytest.raises(RuntimeError, match="no factor kept"):
-            kept_factor()
+        for interleaved in ("dense", "failed"):
+            ab, lam, g = self.band_system(rng, 8, 2)
+            _, factor = solve_damped(ab, lam, g)
+            if interleaved == "dense":
+                solve_spd(TestSolveSpd.random_spd(rng, 4), rng.normal(size=(2, 4)))
+            else:
+                ab = ab.copy()
+                ab[-1, 3] = -1.0
+                assert solve_damped(ab, 0.0, g) is None
+            with pytest.raises(RuntimeError, match="kept factor is gone"):
+                solve_kept(factor, g)
 
     def test_another_thread_cannot_use_it(self):
         rng = np.random.default_rng(12)
-        solve_damped(*self.band_system(rng, 12, 2))
-        factor, raised = kept_factor(), []
+        _, factor = solve_damped(*self.band_system(rng, 12, 2))
+        raised = []
 
         def worker():
             try:
@@ -793,17 +843,20 @@ class TestKeptFactor:
     @pytest.mark.parametrize("length", [1, 11, 13])
     def test_mismatched_gradient_raises(self, length):
         rng = np.random.default_rng(13)
-        solve_damped(*self.band_system(rng, 12, 2))
+        _, factor = solve_damped(*self.band_system(rng, 12, 2))
         with pytest.raises(ValueError):
-            solve_kept(kept_factor(), np.ones(length))
+            solve_kept(factor, np.ones(length))
 
 
 def test_sqrt_info_matches_inverse_covariance():
     var = np.array([0.25, 4.0, 9.0])
     s = sqrt_info_from_cov_diag(var)
     assert np.allclose(s.T @ s, np.diag(1.0 / var), atol=1e-10)
-    with pytest.raises(ValueError):
-        sqrt_info_from_cov_diag(np.array([1.0, -1.0]))
+    # a NaN fails every comparison and an infinite variance whitens to a
+    # silent zero weight: neither is a variance
+    for bad in ([np.nan, 1.0], [np.inf], [1.0, -np.inf], [0.0, 1.0], [1.0, -1.0]):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            sqrt_info_from_cov_diag(np.array(bad))
 
 
 def dense_from_upper_band(ab):
@@ -878,7 +931,7 @@ class TestOneWorkspace:
             if kind == "band":
                 h = TestSolveDamped.random_band(rng, m, j)
                 ab, g = upper_band(h, j), rng.normal(size=m)
-                solve, args = solve_damped, (ab, ab[-1], 1e-2, g)
+                solve, args = (lambda *band: solve_damped(*band)[0]), (ab, 1e-2, g)
                 expected = np.linalg.solve(h + 1e-2 * np.diag(np.diag(h)), -g)
             else:
                 a, b = TestSolveSpd.random_spd(rng, m), rng.normal(size=(j, m))
