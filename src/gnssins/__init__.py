@@ -1,8 +1,8 @@
 """GNSS/INS sensor fusion toolkit.
 
-Four integration schemes over a shared state (ECEF position, velocity,
-accelerometer bias, per-constellation receiver clock): loosely and tightly
-coupled extended Kalman filters, and loosely and tightly coupled
+Four integration schemes over a shared state (ECEF position and velocity,
+plus one receiver clock per constellation when tightly coupled): loosely and
+tightly coupled extended Kalman filters, and loosely and tightly coupled
 sliding-window factor-graph optimization solved by Levenberg-Marquardt.
 Includes a synthetic urban-canyon dataset generator, residual/GMM analysis
 tools and a CLI for running comparisons and window-size sweeps.

@@ -1,13 +1,13 @@
 """Extended Kalman filter steps shared by the LC and TC integrations.
 
-The state is position, velocity and accelerometer bias in ECEF, plus one
-receiver clock bias per constellation in the tightly coupled variant. The
-prediction moves the state by :func:`noise_models.transition`, the one
-process model the factor graph's prediction and edges read too, with its
-Jacobian F; the process noise that pairs with it and the initial covariance
-come from :mod:`noise_models` as well. An update takes its gain from one
-LAPACK ``dpbsv`` call (:func:`nls_solver.solve_spd`), the banded Cholesky
-solve the factor graph's windows use, and its covariance in Joseph form.
+The state is position and velocity in ECEF, plus one receiver clock bias per
+constellation in the tightly coupled variant. The prediction moves the state
+by :func:`noise_models.transition`, the one process model the factor graph's
+prediction and edges read too, with its Jacobian F; the process noise that
+pairs with it and the initial covariance come from :mod:`noise_models` as
+well. An update takes its gain from one LAPACK ``dpbsv`` call
+(:func:`nls_solver.solve_spd`), the banded Cholesky solve the factor graph's
+windows use, and its covariance in Joseph form.
 """
 
 from __future__ import annotations

@@ -1,12 +1,13 @@
 """Sliding-window factor graphs for LC and TC GNSS/INS integration.
 
-Each epoch contributes a state slot; consecutive slots are tied by a
-constant-velocity motion factor (position and accelerometer bias), an INS
-velocity factor and, for tightly coupled graphs, a clock random-walk factor.
-GNSS information enters either as one position-fix factor per epoch (LC) or
-one pseudorange factor per satellite (TC). The oldest in-window state is
-anchored with a prior at its previously optimized value; window size 1 keeps
-the current and last epochs only, while batch mode keeps everything.
+Each epoch contributes a state slot of position, velocity and (TC) one clock
+per constellation; consecutive slots are tied by a constant-velocity motion
+factor on position, an INS velocity factor and, for tightly coupled graphs, a
+clock random-walk factor. GNSS information enters either as one position-fix
+factor per epoch (LC) or one pseudorange factor per satellite (TC). The
+oldest in-window state is anchored with a prior at its previously optimized
+value; window size 1 keeps the current and last epochs only, while batch mode
+keeps everything.
 
 The edges move a state by the filter's process model and carry the per-epoch
 process noise it predicts with, and the trajectory's first state the filter's
@@ -71,7 +72,6 @@ from .nls_solver import (
     sqrt_info_from_cov_diag,
 )
 from .types import (
-    BIAS,
     POS,
     VEL,
     Constellation,
@@ -95,31 +95,27 @@ SLIDING_ANCHOR_VAR = {"lc": (25.0, 1.0), "tc": (1.0, 0.1)}
 
 
 def motion_factor(
-    idx_prev: int, idx_cur: int, dt: float, cov6: np.ndarray, layout: StateLayout
+    idx_prev: int, idx_cur: int, dt: float, cov3: np.ndarray, layout: StateLayout
 ) -> ResidualBlock:
-    """Constant-velocity motion model over position and accelerometer bias."""
+    """Constant-velocity motion model on position."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     n = layout.dim
-    j_prev = np.zeros((6, n))
-    j_prev[0:3, POS] = -np.eye(3)
-    j_prev[0:3, VEL] = -dt * np.eye(3)
-    j_prev[3:6, BIAS] = -np.eye(3)
-    j_cur = np.zeros((6, n))
-    j_cur[0:3, POS] = np.eye(3)
-    j_cur[3:6, BIAS] = np.eye(3)
+    j_prev = np.zeros((3, n))
+    j_prev[:, POS] = -np.eye(3)
+    j_prev[:, VEL] = -dt * np.eye(3)
+    j_cur = np.zeros((3, n))
+    j_cur[:, POS] = np.eye(3)
 
     def residual(xp, xc):
-        return np.concatenate(
-            (xc[POS] - xp[POS] - xp[VEL] * dt, xc[BIAS] - xp[BIAS])
-        )
+        return xc[POS] - xp[POS] - xp[VEL] * dt
 
     return ResidualBlock(
         state_indices=(idx_prev, idx_cur),
-        dim=6,
+        dim=3,
         fn=residual,
         jac=lambda xp, xc: [j_prev, j_cur],
-        sqrt_info=sqrt_info_from_cov_diag(cov6),
+        sqrt_info=sqrt_info_from_cov_diag(cov3),
         label="motion",
     )
 
@@ -242,8 +238,9 @@ def clock_walk_factor(
 # what a padding pseudorange row holds, in the order of the arrays of
 # stack_pseudoranges and then the weight: a satellite about 1e9 km from the
 # Earth, so that no receiver state the solver reaches gives it a zero range,
-# any state column for its clock, and zero weight (infinite variance)
-_PR_PAD = {"sat_pos": 1.0e12, "pseudorange": 0.0, "clock_col": 9, "pr_w": 0.0}
+# the first clock column, which every TC slot has, and zero weight (infinite
+# variance)
+_PR_PAD = {"sat_pos": 1.0e12, "pseudorange": 0.0, "clock_col": VEL.stop, "pr_w": 0.0}
 
 
 # slot buffers that slot k holds for the edge into it, live from slot 1 on
@@ -280,7 +277,7 @@ class FactorWindow:
     the pseudorange is linear: the prior on slot 0, the LC fixes, and the
     motion, INS and clock-walk factors between consecutive slots. The
     latter three give one residual entry per state column (motion on
-    position and bias, INS on velocity, clock walk on the clocks), so they
+    position, INS on velocity, clock walk on the clocks), so they
     are stacked as one ``dim``-row edge residual ``(x_k - x_{k-1}) -
     transition(x_{k-1}, a, dt)`` with the constant Jacobians ``J_prev = -F``
     of the process model (:mod:`noise_models`) and the identity. ``J^T J``
@@ -428,8 +425,8 @@ class FactorWindow:
         # slot 0's two prior weights: the trajectory's first state
         # carries the filter's initial covariance; once the window has slid
         # past it, the oldest state is re-pinned at its previously optimized
-        # value with the tight sliding prior, whose bias and clock variances
-        # are one epoch of process noise
+        # value with the tight sliding prior, whose clock variances are one
+        # epoch of process noise
         sliding = default_process_noise(layout)
         sliding[POS], sliding[VEL] = SLIDING_ANCHOR_VAR[cfg.coupling]
         self._priors = {
@@ -857,8 +854,8 @@ def initial_state(meas: EpochMeasurements, cfg: RunConfig) -> np.ndarray:
     """First state of a run ``cfg``, in ``cfg.layout``, for both families.
 
     Position is an LC run's fix when there is one, else the single-epoch WLS
-    solution, whose clock biases fill the layout's clock states. Velocity and
-    bias start at zero. Raises GeometryError when the epoch has neither.
+    solution, whose clock biases fill the layout's clock states. Velocity
+    starts at zero. Raises GeometryError when the epoch has neither.
     """
     layout = cfg.layout
     state = layout.zeros()
@@ -943,7 +940,7 @@ class FgoEstimator:
             # written into slot 0's own state, where the anchor prior pins it
             seed_velocity(prev, meas, self.cfg)
         geo = ecef_to_geodetic(prev[POS])
-        accel_ecef = body_accel_to_ecef(meas.accel_body_mean, prev[BIAS], meas.attitude, geo)
+        accel_ecef = body_accel_to_ecef(meas.accel_body_mean, meas.attitude, geo)
         state = prev + transition(prev, accel_ecef, meas.dt)
 
         # looked up on the module at call time, once per epoch, so a tracer

@@ -179,20 +179,14 @@ def enu_to_ecef(ref: Geodetic, enu: np.ndarray) -> np.ndarray:
     return geodetic_to_ecef(ref) + rotation_global_from_local(ref) @ np.asarray(enu, dtype=float)
 
 
-def body_accel_to_ecef(
-    raw: np.ndarray,
-    bias: np.ndarray,
-    att: EulerAngles,
-    geo: Geodetic,
-) -> np.ndarray:
+def body_accel_to_ecef(raw: np.ndarray, att: EulerAngles, geo: Geodetic) -> np.ndarray:
     """Transform a body-frame specific force into the ECEF frame.
 
-    The accelerometer bias is removed in the body frame before rotating
-    through the local frame, then into ECEF by the columns of
-    :func:`rotation_global_from_local`, written out.
+    The force is rotated through the local frame, then into ECEF by the
+    columns of :func:`rotation_global_from_local`, written out. It is used
+    as measured: neither estimator family models an accelerometer bias.
     """
-    corrected = np.asarray(raw, dtype=float) - np.asarray(bias, dtype=float)
-    east, north, up = (rotation_local_from_body(att) @ corrected).tolist()
+    east, north, up = (rotation_local_from_body(att) @ np.asarray(raw, dtype=float)).tolist()
     sphi, cphi = math.sin(geo.lat), math.cos(geo.lat)
     slam, clam = math.sin(geo.lon), math.cos(geo.lon)
     # the local vector's component in the equatorial plane, along the meridian

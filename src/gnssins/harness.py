@@ -39,7 +39,7 @@ from .residual_analysis import (
     summarize,
     tc_residual,
 )
-from .types import BIAS, POS, Constellation, EpochMeasurements, StateLayout, StepResult, is_count
+from .types import POS, Constellation, EpochMeasurements, StateLayout, StepResult, is_count
 
 ESTIMATORS = ("ekf-lc", "ekf-tc", "fgo-lc", "fgo-tc")
 
@@ -132,9 +132,7 @@ class _EkfRunner:
             self._vel_seeded = True
             seed_velocity(self.belief.mean, meas, self.cfg)
         geo = ecef_to_geodetic(self.belief.mean[POS])
-        accel_ecef = body_accel_to_ecef(
-            meas.accel_body_mean, self.belief.mean[BIAS], meas.attitude, geo
-        )
+        accel_ecef = body_accel_to_ecef(meas.accel_body_mean, meas.attitude, geo)
         if meas.dt != self._noise[0]:
             q = ekf.accumulated_process_noise(self.cfg.layout, self.cfg.ekf_predict_steps, meas.dt)
             self._noise = (meas.dt, q * scale)

@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .frames import MIN_RADIUS_M, ecef_to_geodetic_array, global_to_local_array
-from .types import BIAS, POS, VEL, Constellation, StateLayout, check_numbers, constellations_present
+from .types import POS, VEL, Constellation, StateLayout, check_numbers, constellations_present
 
 
 class GeometryError(ValueError):
@@ -252,8 +252,8 @@ def tc_covariance(sats: Sequence[SatObservation], p: WeightingParams) -> np.ndar
 
 
 def motion_model_cov() -> np.ndarray:
-    """Motion-model factor variances: position (m^2) then accel bias ((m/s^2)^2)."""
-    return np.array([0.3**2] * 3 + [0.01**2] * 3)
+    """Motion-model factor variances on position (m^2)."""
+    return np.array([0.3**2] * 3)
 
 
 def ins_cov() -> np.ndarray:
@@ -264,16 +264,14 @@ def ins_cov() -> np.ndarray:
 def default_process_noise(layout: StateLayout) -> np.ndarray:
     """Per-epoch process noise diagonal.
 
-    Position and bias blocks are the motion-model factor variances, the
-    velocity block the INS factor variances, and clock biases random-walk
-    with ``CLOCK_RW_SIGMA`` meters per epoch. The filter predicts with this
+    The position block is the motion-model factor variances, the velocity
+    block the INS factor variances, and clock biases random-walk with
+    ``CLOCK_RW_SIGMA`` meters per epoch. The filter predicts with this
     diagonal and the factor graph's edges carry it.
     """
-    mm = motion_model_cov()
     q = np.empty(layout.dim)
-    q[POS] = mm[:3]
+    q[POS] = motion_model_cov()
     q[VEL] = ins_cov()
-    q[BIAS] = mm[3:]
     if layout.has_clock:
         q[layout.clock_slice()] = CLOCK_RW_SIGMA**2
     return q
@@ -282,7 +280,7 @@ def default_process_noise(layout: StateLayout) -> np.ndarray:
 def transition(x: np.ndarray, accel_ecef: np.ndarray, dt, out=None) -> np.ndarray:
     """The increment ``f(x) - x`` of the process model both families share:
     velocity times ``dt`` on position, the ECEF specific force times ``dt`` on
-    velocity, zero on bias and clocks. For a state ``x (dim,)``, ``accel (3,)``
+    velocity, zero on clocks. For a state ``x (dim,)``, ``accel (3,)``
     and scalar ``dt``, or stacks ``(E, dim)``, ``(E, 3)`` and ``(E, 1)``;
     written into ``out``, shaped like ``x``, when given."""
     out = np.empty(np.shape(x)) if out is None else out
@@ -310,7 +308,6 @@ def initial_covariance(layout: StateLayout) -> np.ndarray:
     p = np.empty(layout.dim)
     p[POS] = 100.0
     p[VEL] = 10.0
-    p[BIAS] = 1e-2
     if layout.has_clock:
         p[layout.clock_slice()] = 100.0**2
     return np.diag(p)

@@ -93,11 +93,14 @@ def fit_gmm(samples: Iterable[float], k: int) -> GmmModel:
 
     Initialization is deterministic: means at the k mid-quantiles, a shared
     global standard deviation and uniform weights. Component standard
-    deviations are floored at ``GMM_STD_FLOOR``.
+    deviations are floored at ``GMM_STD_FLOOR``. Raises ValueError for
+    ``k < 1``, a NaN or infinite sample, or fewer than ``k`` distinct samples.
     """
     x = np.sort(np.asarray(list(samples), dtype=float))
     if k < 1:
         raise ValueError("k must be >= 1")
+    if not np.isfinite(x).all():
+        raise ValueError(f"samples must be finite, got {x[~np.isfinite(x)][0]}")
     if np.unique(x).size < k:
         raise ValueError(f"need at least {k} distinct samples, got {np.unique(x).size}")
     n = x.size

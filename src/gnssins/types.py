@@ -55,32 +55,36 @@ def check_numbers(record, key: str = "") -> None:
 
 POS = slice(0, 3)
 VEL = slice(3, 6)
-BIAS = slice(6, 9)
 
 
 @dataclass(frozen=True)
 class StateLayout:
     """Layout of a per-epoch state vector.
 
-    Always position (3), velocity (3) and accelerometer bias (3); tightly
-    coupled states append one clock-bias entry (meters) per constellation.
+    Position (3) and velocity (3) in ECEF; tightly coupled states append one
+    clock-bias entry (meters) per constellation, each a distinct Constellation.
     """
 
     constellations: tuple[Constellation, ...] = ()
 
+    def __post_init__(self) -> None:
+        for i, c in enumerate(self.constellations):
+            if not isinstance(c, Constellation) or c in self.constellations[:i]:
+                raise ValueError(f"a layout's clocks are distinct Constellations, got {c!r}")
+
     @property
     def dim(self) -> int:
-        return 9 + len(self.constellations)
+        return VEL.stop + len(self.constellations)
 
     @property
     def has_clock(self) -> bool:
         return bool(self.constellations)
 
     def clock_index(self, constellation: Constellation) -> int:
-        return 9 + self.constellations.index(constellation)
+        return VEL.stop + self.constellations.index(constellation)
 
     def clock_slice(self) -> slice:
-        return slice(9, self.dim)
+        return slice(VEL.stop, self.dim)
 
     def zeros(self) -> np.ndarray:
         return np.zeros(self.dim)

@@ -122,8 +122,7 @@ def _random_tc_state(rng):
     x = TC.zeros()
     x[0:3] = rng.normal(scale=1e3, size=3)
     x[3:6] = rng.normal(scale=10.0, size=3)
-    x[6:9] = rng.normal(scale=0.1, size=3)
-    x[9:] = rng.normal(scale=100.0, size=2)
+    x[TC.clock_slice()] = rng.normal(scale=100.0, size=2)
     return x
 
 

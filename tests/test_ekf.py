@@ -82,12 +82,12 @@ class TestPredict:
         # so uncertainty plus PSD process noise must grow it
         rng = np.random.default_rng(0)
         for _ in range(20):
-            cov = np.diag(rng.uniform(0.1, 50.0, size=9))
-            b = BeliefState(rng.normal(size=9), cov, LC)
+            cov = np.diag(rng.uniform(0.1, 50.0, size=LC.dim))
+            b = BeliefState(rng.normal(size=LC.dim), cov, LC)
             out = predict(b, rng.normal(size=3), 1.0)
             assert np.trace(out.cov) >= np.trace(b.cov) - 1e-9
             # the added process noise itself stays PSD
-            f = np.eye(9)
+            f = np.eye(LC.dim)
             f[0:3, 3:6] = np.eye(3)
             added = out.cov - f @ b.cov @ f.T
             assert np.linalg.eigvalsh(0.5 * (added + added.T)).min() >= -1e-9
@@ -109,9 +109,9 @@ class TestPredict:
 
     def test_clock_bias_constant(self):
         b = make_belief(TC)
-        b.mean[9:] = [120.0, 95.0]
+        b.mean[TC.clock_slice()] = [120.0, 95.0]
         out = predict(b, np.ones(3), 1.0)
-        assert np.allclose(out.mean[9:], [120.0, 95.0])
+        assert np.allclose(out.mean[TC.clock_slice()], [120.0, 95.0])
 
     def test_covariance_symmetric(self):
         rng = np.random.default_rng(2)
@@ -179,7 +179,7 @@ class TestUpdateLc:
 class TestUpdateTc:
     def test_axis_aligned_range(self):
         b = make_belief(TC)
-        b.mean[9] = 7.0  # GPS clock bias
+        b.mean[TC.clock_index(Constellation.GPS)] = 7.0
         sat = make_sat([3.0e7, 0.0, 0.0])
         assert predicted_pseudorange(b.mean, sat, TC) == pytest.approx(3.0e7 + 7.0)
 
@@ -206,7 +206,7 @@ class TestUpdateTc:
         for _ in range(20):
             truth = TC.zeros()
             truth[0:3] = rng.normal(scale=50.0, size=3)
-            truth[9:] = rng.normal(scale=30.0, size=2)
+            truth[TC.clock_slice()] = rng.normal(scale=30.0, size=2)
             sats = []
             for i in range(8):
                 az, el = rng.uniform(0, 2 * math.pi), rng.uniform(0.2, 1.4)
@@ -332,8 +332,7 @@ def test_default_process_noise_blocks():
     q = default_process_noise(TC)
     assert np.allclose(q[0:3], 0.09)
     assert np.allclose(q[3:6], 0.0225)
-    assert np.allclose(q[6:9], 1e-4)
-    assert np.allclose(q[9:], 25.0)
+    assert np.allclose(q[6:], 25.0)
 
 
 def test_accumulated_process_noise_matches_stepwise():

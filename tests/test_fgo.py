@@ -56,7 +56,7 @@ from gnssins.nls_solver import (
     sqrt_info_from_cov_diag,
     upper_band,
 )
-from gnssins.types import BIAS, POS, VEL, Constellation, StateLayout, constellations_present
+from gnssins.types import POS, VEL, Constellation, StateLayout, constellations_present
 
 TC = StateLayout((Constellation.GPS, Constellation.BEIDOU))
 LC = StateLayout()
@@ -66,9 +66,7 @@ def random_state(rng, layout):
     x = layout.zeros()
     x[0:3] = rng.normal(scale=1e3, size=3)
     x[3:6] = rng.normal(scale=10.0, size=3)
-    x[6:9] = rng.normal(scale=0.1, size=3)
-    if layout.has_clock:
-        x[9:] = rng.normal(scale=100.0, size=layout.dim - 9)
+    x[layout.clock_slice()] = rng.normal(scale=100.0, size=len(layout.constellations))
     return x
 
 
@@ -86,14 +84,7 @@ class TestMotionFactor:
         xc = TC.zeros()
         xc[0] = 0.3
         f = motion_factor(0, 1, 1.0, motion_model_cov(), TC)
-        assert np.allclose(f.sqrt_info @ f.fn(xp, xc), [1, 0, 0, 0, 0, 0], atol=1e-12)
-
-    def test_bias_perturbation_whitens_to_one(self):
-        xp = TC.zeros()
-        xc = TC.zeros()
-        xc[6] = 0.01
-        f = motion_factor(0, 1, 1.0, motion_model_cov(), TC)
-        assert np.allclose(f.sqrt_info @ f.fn(xp, xc), [0, 0, 0, 1, 0, 0], atol=1e-12)
+        assert np.allclose(f.sqrt_info @ f.fn(xp, xc), [1, 0, 0], atol=1e-12)
 
 
 class TestInsFactor:
@@ -150,7 +141,7 @@ class TestPseudorangeFactor:
 
     def test_perfect_measurement_zero(self):
         x = TC.zeros()
-        x[9] = 7.0
+        x[TC.clock_index(Constellation.GPS)] = 7.0
         sat = self.make_sat([2.0e7 - 7.0, 0.0, 0.0])
         sat.pseudorange = 2.0e7 - 7.0 + 7.0
         f = pseudorange_factor(0, sat, 1.0, TC)
@@ -609,8 +600,7 @@ def window_blocks(window):
     blocks = [prior_factor(0, window.prior_value, window.prior_w**-2, layout)]
     for k in range(1, window.n):
         dt = slots["dt"][k - 1, 0]
-        motion_var = np.concatenate((edge_var[POS], edge_var[BIAS]))
-        blocks.append(motion_factor(k - 1, k, dt, motion_var, layout))
+        blocks.append(motion_factor(k - 1, k, dt, edge_var[POS], layout))
         blocks.append(ins_factor(k - 1, k, slots["accel"][k - 1], dt, edge_var[VEL], layout))
         if layout.has_clock:
             clock_var = edge_var[layout.clock_slice().start]
@@ -734,7 +724,7 @@ class TestOneProcessModel:
         for e in epochs[:2]:
             est.step(e)
         prev = est.window.slots["state"][-1]
-        prev += rng.normal(scale=[1.0] * 6 + [0.01] * 3 + [10.0] * (layout.dim - 9))
+        prev += rng.normal(scale=[1.0] * 6 + [10.0] * (layout.dim - 6))
         pushed, push = [], est.window.push
 
         def recorded(meas, state, accel_ecef):
@@ -903,7 +893,7 @@ LC_ARRAYS = {"fix_pos": ..., "fix_w": ...}
 PADDED_ARRAYS = {
     "sat_pos": (..., 1.0e12),
     "pseudorange": (..., 0.0),
-    "clock_col": (..., 9),
+    "clock_col": (..., 6),
     "pr_w": (..., 0.0),
     "pr_rows": (slice(3, -1), 0.0),
 }

@@ -267,15 +267,9 @@ def test_enu_round_trip():
     assert np.allclose(ecef_to_enu(ref, enu_to_ecef(ref, enu)), enu, atol=1e-9)
 
 
-def test_body_accel_bias_cancellation():
-    raw = np.array([0.2, -0.1, 9.8])
-    out = body_accel_to_ecef(raw, raw, EulerAngles(0.3, 0.1, -0.2), Geodetic(0.5, 1.0))
-    assert np.allclose(out, 0.0, atol=1e-15)
-
-
 def test_body_accel_identity_attitude_at_origin():
     out = body_accel_to_ecef(
-        np.array([1.0, 0.0, 0.0]), np.zeros(3), EulerAngles(0, 0, 0), Geodetic(0.0, 0.0)
+        np.array([1.0, 0.0, 0.0]), EulerAngles(0, 0, 0), Geodetic(0.0, 0.0)
     )
     assert np.allclose(out, [0.0, 1.0, 0.0], atol=1e-15)
 
@@ -286,9 +280,8 @@ def test_body_accel_matches_matrix_product():
         att = EulerAngles(*rng.uniform(-math.pi, math.pi, size=3))
         geo = Geodetic(rng.uniform(-1.4, 1.4), rng.uniform(-math.pi, math.pi))
         raw = rng.normal(size=3)
-        bias = rng.normal(scale=0.1, size=3)
-        expected = rotation_global_from_local(geo) @ axis_product(att) @ (raw - bias)
-        assert np.allclose(body_accel_to_ecef(raw, bias, att, geo), expected, atol=1e-12)
+        expected = rotation_global_from_local(geo) @ axis_product(att) @ raw
+        assert np.allclose(body_accel_to_ecef(raw, att, geo), expected, atol=1e-12)
 
 
 @settings(max_examples=200, deadline=None)
@@ -303,19 +296,18 @@ def test_body_accel_matches_matrix_product():
 def test_body_accel_is_the_two_matrix_product(yaw, pitch, roll, lat, lon, seed):
     rng = np.random.default_rng(seed)
     raw = rng.normal(scale=10.0, size=3)
-    bias = rng.normal(scale=0.1, size=3)
     att, geo = EulerAngles(yaw, pitch, roll), Geodetic(lat, lon)
-    expected = rotation_global_from_local(geo) @ (axis_product(att) @ (raw - bias))
-    gap = np.abs(body_accel_to_ecef(raw, bias, att, geo) - expected).max()
-    assert gap <= 1e-15 * np.linalg.norm(raw - bias)
+    expected = rotation_global_from_local(geo) @ (axis_product(att) @ raw)
+    gap = np.abs(body_accel_to_ecef(raw, att, geo) - expected).max()
+    assert gap <= 1e-15 * np.linalg.norm(raw)
 
 
 def test_body_accel_linear_in_input():
     att = EulerAngles(0.4, -0.2, 0.1)
     geo = Geodetic(0.39, 1.99)
     v = np.array([0.3, -1.2, 0.7])
-    one = body_accel_to_ecef(v, np.zeros(3), att, geo)
-    scaled = body_accel_to_ecef(3.5 * v, np.zeros(3), att, geo)
+    one = body_accel_to_ecef(v, att, geo)
+    scaled = body_accel_to_ecef(3.5 * v, att, geo)
     assert np.allclose(scaled, 3.5 * one, atol=1e-12)
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import toy_epochs
-from gnssins import fgo, harness, residual_analysis
+from gnssins import ekf, fgo, harness, residual_analysis
 from gnssins.canyon_sim import (
     default_canyon_config,
     generate_lc_fixes,
@@ -28,7 +28,14 @@ from gnssins.harness import (
     sweep_windows,
 )
 from gnssins.residual_analysis import pseudorange_residuals, tc_residual
-from gnssins.noise_models import WeightingParams, compute_hdop
+from gnssins.noise_models import (
+    WeightingParams,
+    compute_hdop,
+    pseudorange_jacobian,
+    pseudorange_rows,
+    stack_pseudoranges,
+    transition_jacobian,
+)
 from gnssins.nls_solver import LmConfig
 from gnssins.types import POS, VEL, Constellation, StateLayout, StepResult
 
@@ -128,6 +135,29 @@ class TestRunEstimator:
         else:
             assert layout == StateLayout() and not layout.has_clock
         assert "layout" not in {f.name for f in fields(RunConfig)}
+
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    def test_every_state_column_is_observed_or_moves_another(self, estimator, monkeypatch):
+        # a column that no observation row reads and that moves no other
+        # column through F keeps its prior: the data cannot estimate it
+        cfg = RunConfig(estimator=estimator)
+        layout = cfg.layout
+        epoch = toy_epochs(1)[0][0]
+        state = layout.zeros()
+        state[POS] = epoch.fix_pos
+        if cfg.coupling == "lc":
+            rows = []
+            monkeypatch.setattr(ekf, "_kalman_update", lambda b, h, *args: rows.append(h))
+            ekf.update_lc(ekf.BeliefState(state, np.eye(layout.dim), layout), epoch.fix_pos, np.ones(3))
+            (h,) = rows
+        else:
+            arrays = stack_pseudoranges(epoch.sats, layout.clock_index)
+            _, unit = pseudorange_rows(*arrays, state)
+            h = pseudorange_jacobian(unit, arrays[2], layout.dim)
+        f = transition_jacobian(1.0, layout.dim)
+        observed = (h != 0).any(axis=0)
+        moves = ((f - np.eye(layout.dim)) != 0).any(axis=0)
+        assert (observed | moves).all(), f"dead columns {np.flatnonzero(~(observed | moves))}"
 
     @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("config", [RunConfig])

@@ -350,7 +350,7 @@ class TestTcCovariance:
 
 
 def test_motion_model_cov_values():
-    assert np.allclose(motion_model_cov(), [0.09, 0.09, 0.09, 1e-4, 1e-4, 1e-4])
+    assert np.allclose(motion_model_cov(), [0.09, 0.09, 0.09])
     assert np.allclose(motion_model_cov(), motion_model_cov())
 
 

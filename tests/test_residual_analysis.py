@@ -84,7 +84,7 @@ class TestResiduals:
 
     def test_tc_residual_perfect(self):
         state = TC.zeros()
-        state[9] = 5.0
+        state[TC.clock_index(Constellation.GPS)] = 5.0
         sat_pos = np.array([1.0e7, 0.0, 0.0])
         sat = self.make_sat(sat_pos, 1.0e7 + 5.0)
         raw = pseudorange_residuals([sat], state, TC)
@@ -200,6 +200,13 @@ class TestFitGmm:
     def test_too_few_distinct_samples(self):
         with pytest.raises(ValueError):
             fit_gmm([1.0, 1.0, 1.0], 2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample(self, bad):
+        # a NaN ran every EM iteration under RuntimeWarnings and returned NaN
+        # components
+        with pytest.raises(ValueError, match="finite"):
+            fit_gmm([1.0, 2.0, bad, 4.0, 5.0, 9.0], 2)
 
 
 class TestSummarize:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnssins.frames import EulerAngles
-from gnssins.types import EpochMeasurements
+from gnssins.types import Constellation, EpochMeasurements, StateLayout
 
 NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
@@ -64,3 +64,27 @@ def test_bad_field_rejected_naming_the_epoch(fields, data):
         fields["fix_pos"] = np.zeros(3)
     with pytest.raises(ValueError, match=re.escape(f"epoch at t={fields['t']}")):
         EpochMeasurements(**fields)
+
+
+def test_layout_columns():
+    # position and velocity, then one clock per constellation
+    tc = StateLayout((Constellation.GPS, Constellation.BEIDOU))
+    assert (StateLayout().dim, tc.dim) == (6, 8)
+    assert [tc.clock_index(c) for c in tc.constellations] == [6, 7]
+    assert tc.clock_slice() == slice(6, 8)
+
+
+@pytest.mark.parametrize(
+    "constellations, named",
+    [
+        ((Constellation.GPS, Constellation.GPS), "GPS"),
+        ((Constellation.BEIDOU, Constellation.GPS, Constellation.BEIDOU), "BEIDOU"),
+        (("GPS",), "'GPS'"),
+        ((Constellation.GPS, None), "None"),
+    ],
+)
+def test_layout_rejects_a_repeated_or_unknown_clock(constellations, named):
+    # a repeated clock had a column clock_index never returned; a name that
+    # is not a Constellation failed only at first use
+    with pytest.raises(ValueError, match=re.escape(named)):
+        StateLayout(constellations)
