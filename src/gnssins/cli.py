@@ -26,7 +26,7 @@ from .canyon_sim import (
     write_csv,
     write_dataset,
 )
-from .harness import ESTIMATORS, RunConfig, RunResult, compare, run_estimator, sweep_windows
+from .harness import ESTIMATORS, RunConfig, RunResult, compare, repeated, run_estimator, sweep_windows
 from .nls_solver import SolverError
 from .residual_analysis import fit_gmm
 
@@ -52,7 +52,10 @@ def _int_at_least(low: int):
 
 
 def _parse_sizes(text: str) -> list[Optional[int]]:
-    return [_parse_window(s.strip()) for s in text.split(",")]
+    sizes = [_parse_window(s.strip()) for s in text.split(",")]
+    if twice := repeated(sizes):
+        raise argparse.ArgumentTypeError(f"window {twice[0] or 'batch'} given twice")
+    return sizes
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -96,23 +99,7 @@ def _write_epochs_csv(path: Path, result: RunResult) -> None:
     )
 
 
-SUMMARY_COLUMNS = [
-    "window", "mean_err_m", "std_err_m", "total_time_s", "lm_iterations_per_epoch",
-]
-
-
-def _summary_dict(estimator: str, window: Optional[int | str], summary: dict) -> dict:
-    """A row of summary.json, compare.* and sweep.*: a run's summary, named with units."""
-    return {
-        "estimator": estimator,
-        "window": "batch" if window is None else window,
-        "mean_err_m": summary["mean_err"],
-        "std_err_m": summary["std_err"],
-        "total_time_s": summary["total_time"],
-        "epochs": summary["epochs"],
-        "unconverged_epochs": summary["unconverged"],
-        "lm_iterations_per_epoch": summary["mean_iterations"],
-    }
+SUMMARY_COLUMNS = ["window", "mean_err_m", "std_err_m", "total_time_s", "lm_iterations_per_epoch"]
 
 
 def _write_table(out: Path, name: str, columns: list[str], rows: list[dict]) -> None:
@@ -139,25 +126,27 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
     write_csv(out / "residuals.csv", "epoch,sat_id,constellation,residual_m,nlos".split(","), rows)
     with open(out / "summary.json", "w") as fh:
-        json.dump(_summary_dict(result.estimator, cfg.window, result.summary), fh, indent=2)
+        json.dump(result.row, fh, indent=2)
     s = result.summary
     print(
-        f"{args.estimator}: mean 2D error {s['mean_err']:.3f} m, "
-        f"std {s['std_err']:.3f} m, solve time {s['total_time']:.3f} s"
+        f"{args.estimator}: mean 2D error {s['mean_err_m']:.3f} m, "
+        f"std {s['std_err_m']:.3f} m, solve time {s['total_time_s']:.3f} s"
     )
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    ds = read_dataset(Path(args.dataset))
-    names = [n.strip() for n in args.estimators.split(",")] if args.estimators else list(ESTIMATORS)
+    names = [n.strip() for n in args.estimators.split(",")]
     for n in names:
         if n not in ESTIMATORS:
             raise UsageError(f"unknown estimator {n!r}")
+    if twice := repeated(names):
+        raise UsageError(f"estimator {twice[0]!r} given twice")
+    ds = read_dataset(Path(args.dataset))
     results = compare(ds, names, RunConfig(window=args.window))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = [_summary_dict(name, args.window, result.summary) for name, result in results.items()]
+    rows = [result.row for result in results.values()]
     for name, result in results.items():
         _write_epochs_csv(out / f"epochs_{name}.csv", result)
     _write_table(out, "compare", ["estimator", *SUMMARY_COLUMNS], rows)
@@ -172,7 +161,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     ds = read_dataset(Path(args.dataset))
-    rows = [_summary_dict("fgo-tc", r["window"], r) for r in sweep_windows(ds, args.sizes)]
+    rows = sweep_windows(ds, args.sizes)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_table(out, "sweep", SUMMARY_COLUMNS, rows)
@@ -250,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="run several estimators over one dataset")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--estimators", help="comma list; default all four")
+    p.add_argument("--estimators", default=",".join(ESTIMATORS), help="comma list; default all four")
     p.add_argument("--window", type=_parse_window, default=30)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compare)

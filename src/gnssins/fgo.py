@@ -244,7 +244,7 @@ _PR_PAD = {"sat_pos": 1.0e12, "pseudorange": 0.0, "clock_col": VEL.stop, "pr_w":
 
 
 # slot buffers that slot k holds for the edge into it, live from slot 1 on
-_EDGE_BUFFERS = ("dt", "accel", "edge_jac", "edge_sub", "edge_block", "edge_res")
+_EDGE_BUFFERS = ("dt", "accel", "edge_jac", "edge_block", "edge_res")
 
 
 def _band_at(r, c, shift: int, dim: int):
@@ -335,20 +335,20 @@ class FactorWindow:
     rows have reached.
 
     **One evaluation per point.** The last pricing is kept: the point it
-    priced and its cost, and in the slot buffers each edge's transition
-    increment (``edge_sub``) and whitened residual, and each slot's whitened
-    fix residual or its pseudorange rows' compact rows ``[w u | -w e_clock |
-    w r]``. :meth:`cost` prices every slot or none: a point equal (by value)
-    to the kept one is not priced again, so the LM solver's accepted trial
-    is the next point it linearizes: by :meth:`gradient` (``J^T r`` alone,
-    from the compact rows' residual column, with no band copy, batched
-    product or scatter) after a step from a fresh factor, which the
-    solver's next step reuses, and by :meth:`normal_equations` at the start
-    and before every other fresh factorization. A push drops the kept cost,
-    so the first pricing after a slide prices every slot, carried ones
-    included. Pricing only the factors whose variables changed, as iSAM2
-    does (Kaess et al., IJRR 2012), would save little here: a pricing's
-    cost is its numpy calls more than its slots.
+    priced and its cost, and in the slot buffers each edge's whitened
+    residual and each slot's whitened fix residual or its pseudorange rows'
+    compact rows ``[w u | -w e_clock | w r]``. :meth:`cost` prices every
+    slot or none: a point equal (by value) to the kept one is not priced
+    again, so the LM solver's accepted trial is the next point it
+    linearizes: by :meth:`gradient` (``J^T r`` alone, from the compact rows'
+    residual column, with no band copy, batched product or scatter) after a
+    step from a fresh factor, which the solver's next step reuses, and by
+    :meth:`normal_equations` at the start and before every other fresh
+    factorization. A push drops the kept cost, so the first pricing after a
+    slide prices every slot, carried ones included. Pricing only the factors
+    whose variables changed, as iSAM2 does (Kaess et al., IJRR 2012), would
+    save little here: a pricing's cost is its numpy calls more than its
+    slots.
     :meth:`newest_residuals` hands on the newest slot's raw pseudorange
     residuals from the last pricing, so that the caller scoring the epoch
     need not evaluate them again.
@@ -389,8 +389,6 @@ class FactorWindow:
             # the ECEF specific force of the edge, and its J_prev = -F
             "accel": np.zeros((cap, 3)),
             "edge_jac": np.zeros((cap, d, d)),
-            # the last pricing's transition increment of each edge
-            "edge_sub": np.zeros((cap, d)),
             # band columns slot by slot: column c of a slot holds its d + 1
             # band rows, so a live window is d + 1 rows in column order
             "band": np.zeros((cap, d, d + 1)),
@@ -585,7 +583,7 @@ class FactorWindow:
         prior = self._prior_res = self.prior_w * (x[0] - self.prior_value)
         edge = slots["edge_res"]
         np.subtract(x[1:], x[:-1], out=edge)
-        edge -= transition(x[:-1], slots["accel"], slots["dt"], out=slots["edge_sub"])
+        edge -= transition(x[:-1], slots["accel"], slots["dt"])
         edge *= self.edge_w
         if not self._tc:
             fix = slots["fix_res"]

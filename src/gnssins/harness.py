@@ -18,6 +18,7 @@ from __future__ import annotations
 import copy
 import gc
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
@@ -79,8 +80,9 @@ class RunConfig:
             raise ValueError(
                 f"ekf_predict_steps must be an integer >= 1, got {self.ekf_predict_steps!r}"
             )
-        if not (math.isfinite(self.cov_scale) and self.cov_scale > 0):
-            raise ValueError(f"cov_scale must be finite and > 0, got {self.cov_scale!r}")
+        c = self.cov_scale
+        if isinstance(c, bool) or not (isinstance(c, numbers.Real) and 0 < c < math.inf):
+            raise ValueError(f"cov_scale must be a finite number > 0, got {c!r}")
 
     @property
     def family(self) -> str:
@@ -98,9 +100,17 @@ class RunConfig:
 
 @dataclass
 class RunResult:
-    estimator: str
+    """One run: its config, its per-epoch records and their :func:`summarize`."""
+
+    config: RunConfig
     records: list[EpochRecord]
     summary: dict
+
+    @property
+    def row(self) -> dict:
+        """The run's row in ``summary.json``, ``compare.*`` and ``sweep.*``."""
+        window = "batch" if self.config.window is None else int(self.config.window)
+        return {"estimator": self.config.estimator, "window": window, **self.summary}
 
 
 class _EkfRunner:
@@ -212,18 +222,22 @@ def run_estimator(ds: Dataset, cfg: RunConfig) -> RunResult:
         if collecting:
             gc.enable()
 
-    return RunResult(cfg.estimator, records, summarize(records))
+    return RunResult(cfg, records, summarize(records))
+
+
+def repeated(items: Sequence) -> list:
+    """The items of ``items`` that an earlier one equals, in order."""
+    return [x for i, x in enumerate(items) if x in items[:i]]
 
 
 def compare(
     ds: Dataset, estimators: Sequence[str] = ESTIMATORS, base: Optional[RunConfig] = None
 ) -> dict[str, RunResult]:
-    """Run several estimators over identical data."""
+    """Run several estimators, none repeated, over identical data."""
+    if twice := repeated(estimators):
+        raise ValueError(f"estimator {twice[0]!r} requested twice")
     base = base or RunConfig()
-    out: dict[str, RunResult] = {}
-    for name in estimators:
-        out[name] = run_estimator(ds, replace(base, estimator=name))
-    return out
+    return {name: run_estimator(ds, replace(base, estimator=name)) for name in estimators}
 
 
 def sweep_windows(
@@ -231,15 +245,11 @@ def sweep_windows(
 ) -> list[dict]:
     """Window-size sweep of the TC factor-graph estimator over identical data.
 
-    One row per size (an int, or None for batch): the window and the run's
-    summary.
+    One :attr:`RunResult.row` per size (an int, or None for batch), in the
+    order given.
     """
     sizes = list(sizes)
     if not sizes:
         raise ValueError("no window sizes requested")
     base = base or RunConfig()
-    rows = []
-    for size in sizes:
-        result = run_estimator(ds, replace(base, estimator="fgo-tc", window=size))
-        rows.append({"window": "batch" if size is None else int(size), **result.summary})
-    return rows
+    return [run_estimator(ds, replace(base, estimator="fgo-tc", window=size)).row for size in sizes]

@@ -277,13 +277,12 @@ def default_process_noise(layout: StateLayout) -> np.ndarray:
     return q
 
 
-def transition(x: np.ndarray, accel_ecef: np.ndarray, dt, out=None) -> np.ndarray:
+def transition(x: np.ndarray, accel_ecef: np.ndarray, dt) -> np.ndarray:
     """The increment ``f(x) - x`` of the process model both families share:
     velocity times ``dt`` on position, the ECEF specific force times ``dt`` on
     velocity, zero on clocks. For a state ``x (dim,)``, ``accel (3,)``
-    and scalar ``dt``, or stacks ``(E, dim)``, ``(E, 3)`` and ``(E, 1)``;
-    written into ``out``, shaped like ``x``, when given."""
-    out = np.empty(np.shape(x)) if out is None else out
+    and scalar ``dt``, or stacks ``(E, dim)``, ``(E, 3)`` and ``(E, 1)``."""
+    out = np.empty(np.shape(x))
     out[..., VEL.stop :] = 0.0
     np.multiply(x[..., VEL], dt, out=out[..., POS])
     np.multiply(accel_ecef, dt, out=out[..., VEL])

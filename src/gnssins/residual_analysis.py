@@ -153,17 +153,17 @@ def match_components(model: GmmModel, target_means: Sequence[float]) -> list[Gmm
 
 
 def summarize(records: Sequence[EpochRecord]) -> dict:
-    """Mean and population std of the 2D error, the summed solve time, the
-    number of epochs whose solve did not converge and the mean LM iterations
-    per epoch (0 for a filter)."""
+    """A run's summary, named as in every summary file: mean and population
+    std of the 2D error, summed solve time, epochs, epochs whose solve did not
+    converge and mean LM iterations per epoch (0 for a filter)."""
     if not records:
         raise ValueError("no records to summarize")
     errs = np.array([r.err_2d for r in records])
     return {
-        "mean_err": float(np.mean(errs)),
-        "std_err": float(np.std(errs)),
-        "total_time": float(sum(r.solve_time for r in records)),
+        "mean_err_m": float(np.mean(errs)),
+        "std_err_m": float(np.std(errs)),
+        "total_time_s": float(sum(r.solve_time for r in records)),
         "epochs": len(records),
-        "unconverged": sum(not r.converged for r in records),
-        "mean_iterations": float(np.mean([r.iterations for r in records])),
+        "unconverged_epochs": sum(not r.converged for r in records),
+        "lm_iterations_per_epoch": float(np.mean([r.iterations for r in records])),
     }

@@ -65,7 +65,7 @@ def canyon_results(canyon):
 
 
 def test_criterion_01_ordering_and_margin(canyon, canyon_results):
-    means = {k: v.summary["mean_err"] for k, v in canyon_results.items() if k != "_wall_time"}
+    means = {k: v.summary["mean_err_m"] for k, v in canyon_results.items() if k != "_wall_time"}
     nlos = canyon.nlos_fraction()
     ordering = (
         means["ekf-lc"] >= means["ekf-tc"] >= means["fgo-lc"] >= means["fgo-tc"]
@@ -91,8 +91,8 @@ def test_criterion_01_ordering_and_margin(canyon, canyon_results):
 
 def test_criterion_02_window_one_ekf_like(canyon, canyon_results):
     w1 = run_estimator(canyon, RunConfig(estimator="fgo-tc", window=1))
-    ekf_tc = canyon_results["ekf-tc"].summary["mean_err"]
-    mean_w1 = w1.summary["mean_err"]
+    ekf_tc = canyon_results["ekf-tc"].summary["mean_err_m"]
+    mean_w1 = w1.summary["mean_err_m"]
     ok = mean_w1 <= 0.9 * ekf_tc
     report(
         "criterion 2 (window-1 EKF-like estimator)",
@@ -106,7 +106,7 @@ def test_criterion_03_window_plateau(canyon):
     from gnssins.harness import sweep_windows
 
     rows = sweep_windows(canyon, [1, 5, 10, 30, None])
-    means = {r["window"]: r["mean_err"] for r in rows}
+    means = {r["window"]: r["mean_err_m"] for r in rows}
     plateau = abs(means[30] - means["batch"]) <= 0.05 * means["batch"]
     improving = means[30] < means[1]
     ok = plateau and improving
@@ -264,7 +264,7 @@ def test_criterion_06_noise_free_smoke():
     t0 = time.perf_counter()
     means = {}
     for name in ("ekf-lc", "ekf-tc", "fgo-lc", "fgo-tc"):
-        means[name] = run_estimator(ds, RunConfig(estimator=name, window=30)).summary["mean_err"]
+        means[name] = run_estimator(ds, RunConfig(estimator=name, window=30)).summary["mean_err_m"]
     wall = time.perf_counter() - t0
     ok = all(m < 0.01 for m in means.values()) and wall < 10.0
     report(
@@ -392,7 +392,7 @@ def test_criterion_09_covariance_scaling():
 
 
 def test_criterion_10_relative_timing(canyon_results):
-    times = {k: v.summary["total_time"] for k, v in canyon_results.items() if k != "_wall_time"}
+    times = {k: v.summary["total_time_s"] for k, v in canyon_results.items() if k != "_wall_time"}
     ok = (
         times["fgo-tc"] > times["fgo-lc"] > max(times["ekf-tc"], times["ekf-lc"])
         and max(times["ekf-tc"], times["ekf-lc"]) / max(min(times["ekf-tc"], times["ekf-lc"]), 1e-9) < 20.0
@@ -419,8 +419,8 @@ NORTH_STAR_M = {
 
 def test_north_star_means(canyon, canyon_results):
     """Not a criterion: pins the means a change must reproduce or table."""
-    means = {k: v.summary["mean_err"] for k, v in canyon_results.items() if k != "_wall_time"}
+    means = {k: v.summary["mean_err_m"] for k, v in canyon_results.items() if k != "_wall_time"}
     batch = run_estimator(canyon, RunConfig(estimator="fgo-tc", window=None))
-    means["fgo-tc batch"] = batch.summary["mean_err"]
+    means["fgo-tc batch"] = batch.summary["mean_err_m"]
     for name, pinned in NORTH_STAR_M.items():
         assert abs(means[name] - pinned) <= 1e-4, f"{name}: {means[name]:.6f} m, pinned at {pinned} m"

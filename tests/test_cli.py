@@ -453,6 +453,74 @@ class TestCompareSweepGmm:
         assert_usage_error(capsys.readouterr().err, "--sizes")
         assert not list(tmp_path.rglob("sweep.*"))
 
+    @pytest.mark.parametrize("sizes, named", [("5,5", "window 5"), ("1,batch,BATCH", "window batch")])
+    def test_repeated_sweep_size_is_a_usage_error(self, dataset_dir, tmp_path, capsys, sizes, named):
+        # once two identical rows
+        out = tmp_path / "sweep"
+        code = run_cli("sweep", "--dataset", str(dataset_dir), "--sizes", sizes, "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert_usage_error(err, "--sizes")
+        assert named in err.splitlines()[-1]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "estimators, named",
+        [
+            # once ran ekf-lc twice and wrote one row
+            ("ekf-lc,ekf-lc", "estimator 'ekf-lc' given twice"),
+            ("fgo-tc, ekf-tc ,fgo-tc", "estimator 'fgo-tc' given twice"),
+            # once ran all four
+            ("", "unknown estimator ''"),
+            ("ekf-lc,", "unknown estimator ''"),
+        ],
+    )
+    def test_repeated_or_empty_estimator_is_a_usage_error(
+        self, dataset_dir, tmp_path, capsys, estimators, named
+    ):
+        out = tmp_path / "cmp"
+        code = run_cli(
+            "compare", "--dataset", str(dataset_dir), "--estimators", estimators, "--out", str(out)
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {named}\n"
+        assert not out.exists()
+
+    def test_every_summary_file_hands_on_the_runs_row(self, dataset_dir, tmp_path):
+        # summary.json, compare.json and sweep.json name a run's numbers as
+        # RunResult.row does, in its order, timing apart
+        ds = read_dataset(dataset_dir)
+
+        def row(**cfg):
+            return without_time(run_estimator(ds, RunConfig(**cfg)).row)
+
+        def without_time(row):
+            assert row.pop("total_time_s") > 0
+            return list(row.items())
+
+        def written(path):
+            rows = json.loads(path.read_text())
+            return [without_time(r) for r in rows] if isinstance(rows, list) else without_time(rows)
+
+        assert run_cli(
+            "run", "--dataset", str(dataset_dir), "--estimator", "fgo-lc", "--window", "batch",
+            "--out", str(tmp_path / "run"),
+        ) == 0
+        assert written(tmp_path / "run" / "summary.json") == row(estimator="fgo-lc", window=None)
+        assert run_cli(
+            "compare", "--dataset", str(dataset_dir), "--estimators", "ekf-lc,fgo-tc",
+            "--window", "5", "--out", str(tmp_path / "cmp"),
+        ) == 0
+        assert written(tmp_path / "cmp" / "compare.json") == [
+            row(estimator=name, window=5) for name in ("ekf-lc", "fgo-tc")
+        ]
+        assert run_cli(
+            "sweep", "--dataset", str(dataset_dir), "--sizes", "1,batch", "--out", str(tmp_path / "sw")
+        ) == 0
+        assert written(tmp_path / "sw" / "sweep.json") == [
+            row(estimator="fgo-tc", window=size) for size in (1, None)
+        ]
+
     def test_fit_gmm_on_residuals(self, dataset_dir, tmp_path):
         run_dir = tmp_path / "run_gmm"
         run_cli(

@@ -884,7 +884,7 @@ class TestLinearWindow:
 
 
 WINDOW_ARRAYS = ("initial_values", "prior_value", "prior_w")
-# slot buffers that a push writes (edge_sub holds the last pricing)
+# slot buffers that a push writes (edge_res and fix_res hold the last pricing)
 SLOT_ARRAYS = {"state": ..., "dt": ..., "accel": ..., "edge_jac": ..., "edge_block": ...}
 LC_ARRAYS = {"fix_pos": ..., "fix_w": ...}
 # padded per slot to the widest slot the window has seen, which a window

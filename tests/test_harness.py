@@ -27,7 +27,7 @@ from gnssins.harness import (
     run_estimator,
     sweep_windows,
 )
-from gnssins.residual_analysis import pseudorange_residuals, tc_residual
+from gnssins.residual_analysis import EpochRecord, pseudorange_residuals, summarize, tc_residual
 from gnssins.noise_models import (
     WeightingParams,
     compute_hdop,
@@ -56,7 +56,7 @@ class TestRunEstimator:
     @pytest.mark.parametrize("estimator", ESTIMATORS)
     def test_noise_free_accuracy(self, noise_free_ds, estimator):
         result = run_estimator(noise_free_ds, RunConfig(estimator=estimator, window=10))
-        assert result.summary["mean_err"] < 0.01
+        assert result.summary["mean_err_m"] < 0.01
 
     def test_records_shape(self, noise_free_ds):
         result = run_estimator(noise_free_ds, RunConfig(estimator="fgo-tc", window=5))
@@ -98,7 +98,7 @@ class TestRunEstimator:
             assert np.isfinite(r.est_pos).all() and np.isfinite(r.err_2d)
         # HDOP from the satellites at the predicted position is close to the
         # generator's own, so the run stays close to the one with HDOP
-        assert abs(result.summary["mean_err"] - with_hdop.summary["mean_err"]) < 1.0
+        assert abs(result.summary["mean_err_m"] - with_hdop.summary["mean_err_m"]) < 1.0
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_no_cyclic_collection_inside_a_run(self, noise_free_ds, monkeypatch, enabled):
@@ -159,7 +159,7 @@ class TestRunEstimator:
         moves = ((f - np.eye(layout.dim)) != 0).any(axis=0)
         assert (observed | moves).all(), f"dead columns {np.flatnonzero(~(observed | moves))}"
 
-    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, True, "1", None])
     @pytest.mark.parametrize("config", [RunConfig])
     def test_cov_scale_must_be_finite_and_positive(self, config, value):
         with pytest.raises(ValueError, match="cov_scale"):
@@ -267,7 +267,7 @@ class TestSolveDiagnostics:
         assert (first.iterations, first.message) == (0, "initialized") and np.isnan(first.cost)
         assert all(r.converged and r.message and np.isfinite(r.cost) for r in rest)
         assert sum(r.iterations for r in rest) > 0
-        assert result.summary["unconverged"] == 0
+        assert result.summary["unconverged_epochs"] == 0
 
     def test_unconverged_epochs_are_counted(self, noise_free_ds):
         # no stop test can pass, so every solve ends on its one iteration
@@ -276,21 +276,21 @@ class TestSolveDiagnostics:
         unconverged = [r for r in result.records if not r.converged]
         assert unconverged
         assert all(r.message == "max iterations reached" for r in unconverged)
-        assert result.summary["unconverged"] == len(unconverged)
+        assert result.summary["unconverged_epochs"] == len(unconverged)
 
     @pytest.mark.parametrize("estimator", ["ekf-lc", "ekf-tc"])
     def test_filter_records_report_no_iterations(self, noise_free_ds, estimator):
         result = run_estimator(noise_free_ds, RunConfig(estimator=estimator))
         for r in result.records:
             assert r.iterations == 0 and r.converged and np.isnan(r.cost)
-        assert result.summary["unconverged"] == 0
+        assert result.summary["unconverged_epochs"] == 0
 
 
 def test_compare_runs_all(noise_free_ds):
     out = compare(noise_free_ds, ("ekf-lc", "fgo-tc"), RunConfig(window=5))
     assert set(out) == {"ekf-lc", "fgo-tc"}
     for result in out.values():
-        assert result.summary["mean_err"] < 0.01
+        assert result.summary["mean_err_m"] < 0.01
 
 
 def test_compare_keeps_every_base_field(noise_free_ds):
@@ -307,12 +307,62 @@ def test_sweep_windows_rows(noise_free_ds):
     assert [r["window"] for r in rows] == [1, 5, "batch"]
     for row, size in zip(rows, (1, 5, None)):
         run = run_estimator(noise_free_ds, RunConfig(estimator="fgo-tc", window=size))
-        assert row["mean_err"] == run.summary["mean_err"]
+        assert row["mean_err_m"] == run.summary["mean_err_m"]
         assert row["epochs"] == noise_free_ds.n_epochs
     # outlier-free data: window size is irrelevant beyond the startup
-    assert abs(rows[1]["mean_err"] - rows[2]["mean_err"]) < 1e-3
+    assert abs(rows[1]["mean_err_m"] - rows[2]["mean_err_m"]) < 1e-3
     with pytest.raises(ValueError):
         sweep_windows(noise_free_ds, [])
+
+
+@pytest.mark.parametrize(
+    "estimators", [("ekf-lc", "ekf-lc"), ("fgo-tc", "ekf-tc", "fgo-tc"), ["fgo-lc"] * 3]
+)
+def test_compare_rejects_a_repeated_estimator(estimators):
+    # keyed by name, a second run of one estimator replaced the first
+    with pytest.raises(ValueError, match=f"estimator {estimators[0]!r} requested twice"):
+        compare(None, estimators)
+
+
+# the keys of every summary file's rows, in order
+SUMMARY_KEYS = [
+    "estimator", "window", "mean_err_m", "std_err_m", "total_time_s", "epochs",
+    "unconverged_epochs", "lm_iterations_per_epoch",
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    estimator=st.sampled_from(ESTIMATORS),
+    window=st.none() | st.integers(1, 50),
+    epochs=st.lists(
+        st.tuples(
+            st.floats(0.0, 1e3),
+            st.floats(0.0, 1.0),
+            st.integers(0, 20),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=20,
+    ),
+)
+def test_a_runs_row_is_its_config_and_summary(estimator, window, epochs):
+    cfg = RunConfig(estimator=estimator, window=window)
+    records = [
+        EpochRecord(
+            state=cfg.layout.zeros(), solve_time=t, iterations=n, converged=ok, epoch=float(k),
+            truth_pos=np.zeros(3), err_2d=e, residual=math.nan,
+        )
+        for k, (e, t, n, ok) in enumerate(epochs)
+    ]
+    summary = summarize(records)
+    row = harness.RunResult(cfg, records, summary).row
+    assert list(row) == SUMMARY_KEYS
+    assert (row["estimator"], row["window"]) == (estimator, "batch" if window is None else window)
+    assert type(row["window"]) is (str if window is None else int)
+    assert {k: row[k] for k in summary} == summary
+    assert row["epochs"] == len(epochs)
+    assert row["unconverged_epochs"] == sum(not ok for *_, ok in epochs)
 
 
 @settings(max_examples=30, deadline=None)
@@ -381,7 +431,7 @@ def test_lc_run_leaves_a_dataset_without_fixes_untouched():
     assert [r.est_pos.tobytes() for r in carried.records] == [
         r.est_pos.tobytes() for r in own.records
     ]
-    assert carried.summary["mean_err"] != fresh.summary["mean_err"]
+    assert carried.summary["mean_err_m"] != fresh.summary["mean_err_m"]
 
 
 def test_fix_hdop_prefers_the_epochs_own():

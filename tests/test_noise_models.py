@@ -408,10 +408,6 @@ def test_stacked_transition_is_the_row_by_row_one(layout, count, seed):
     dt = np.random.default_rng(seed + 1).uniform(0.01, 10.0, (count, 1))
     rows = np.array([transition(*args) for args in zip(x, accel, dt[:, 0])])
     assert np.array_equal(transition(x, accel, dt), rows)
-    # written into a buffer that holds an older increment
-    out = np.random.default_rng(seed).normal(size=x.shape)
-    assert transition(x, accel, dt, out=out) is out
-    assert np.array_equal(out, rows)
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)

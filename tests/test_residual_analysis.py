@@ -222,30 +222,30 @@ class TestSummarize:
 
     def test_constant_error(self):
         out = summarize(self.make_records([5.0, 5.0, 5.0]))
-        assert out["mean_err"] == pytest.approx(5.0)
-        assert out["std_err"] == pytest.approx(0.0)
+        assert out["mean_err_m"] == pytest.approx(5.0)
+        assert out["std_err_m"] == pytest.approx(0.0)
 
     def test_two_values(self):
         out = summarize(self.make_records([3.0, 4.0]))
-        assert out["mean_err"] == pytest.approx(3.5)
-        assert out["std_err"] == pytest.approx(0.5)
+        assert out["mean_err_m"] == pytest.approx(3.5)
+        assert out["std_err_m"] == pytest.approx(0.5)
 
     def test_matches_numpy_oracle(self):
         rng = np.random.default_rng(8)
         errs = np.abs(rng.normal(size=100))
         times = rng.uniform(0, 0.01, size=100)
         out = summarize(self.make_records(errs, times))
-        assert out["mean_err"] == pytest.approx(float(np.mean(errs)), abs=1e-12)
-        assert out["std_err"] == pytest.approx(float(np.std(errs)), abs=1e-12)
-        assert out["total_time"] == pytest.approx(float(np.sum(times)), abs=1e-12)
+        assert out["mean_err_m"] == pytest.approx(float(np.mean(errs)), abs=1e-12)
+        assert out["std_err_m"] == pytest.approx(float(np.std(errs)), abs=1e-12)
+        assert out["total_time_s"] == pytest.approx(float(np.sum(times)), abs=1e-12)
 
     def test_mean_iterations_is_the_records_mean(self):
         records = self.make_records([1.0] * 5)
         for record, n in zip(records, [0, 1, 2, 1, 3]):
             record.iterations = n
-        assert summarize(records)["mean_iterations"] == pytest.approx(7 / 5, abs=1e-15)
+        assert summarize(records)["lm_iterations_per_epoch"] == pytest.approx(7 / 5, abs=1e-15)
         # a filter's records read 0 iterations
-        assert summarize(self.make_records([1.0, 2.0]))["mean_iterations"] == 0.0
+        assert summarize(self.make_records([1.0, 2.0]))["lm_iterations_per_epoch"] == 0.0
 
     def test_empty_errors(self):
         with pytest.raises(ValueError):
@@ -266,11 +266,11 @@ def test_window_sweep_rows(monkeypatch):
             )
             for i in range(10)
         ]
-        return harness.RunResult(cfg.estimator, records, summarize(records))
+        return harness.RunResult(cfg, records, summarize(records))
 
     monkeypatch.setattr(harness, "run_estimator", fake_run)
     rows = harness.sweep_windows(None, [1, 3, None])
     assert [r["window"] for r in rows] == [1, 3, "batch"]
-    assert [r["mean_err"] for r in rows] == [1.0, 3.0, 5.0]
+    assert [r["mean_err_m"] for r in rows] == [1.0, 3.0, 5.0]
     with pytest.raises(ValueError):
         harness.sweep_windows(None, [])
