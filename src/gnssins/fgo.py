@@ -945,7 +945,7 @@ class FgoEstimator:
         # that wraps fgo.build_window sees every window
         build_window(window, meas, state, accel_ecef)
         try:
-            report = solve_lm(window, self.cfg.lm)
+            report = solve_lm(window)
         except SolverError as exc:
             raise SolverError(f"epoch at t={meas.t}: {exc}") from exc
         states = window.slots["state"]

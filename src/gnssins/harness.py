@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import copy
 import gc
-import math
-import numbers
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
@@ -32,7 +30,6 @@ from .canyon_sim import Dataset, generate_lc_fixes
 from .fgo import FgoEstimator, fix_hdop, initial_state, seed_velocity, single_epoch_wls
 from .frames import body_accel_to_ecef, ecef_to_geodetic
 from .noise_models import WeightingParams, lc_fix_covariance, tc_covariance
-from .nls_solver import LmConfig
 from .residual_analysis import (
     EpochRecord,
     lc_residual,
@@ -40,7 +37,7 @@ from .residual_analysis import (
     summarize,
     tc_residual,
 )
-from .types import POS, Constellation, EpochMeasurements, StateLayout, StepResult, is_count
+from .types import POS, Constellation, EpochMeasurements, StateLayout, StepResult, check_numbers
 
 ESTIMATORS = ("ekf-lc", "ekf-tc", "fgo-lc", "fgo-tc")
 
@@ -52,7 +49,9 @@ TC_LAYOUT = StateLayout(tuple(Constellation))
 class RunConfig:
     """One run's settings, checked when made and fixed after: a changed run
     is a new config (``dataclasses.replace``), checked again, so a stepper
-    built from a config keeps the family, coupling and layout it read."""
+    built from a config keeps the family, coupling and layout it read. Its
+    numbers are checked by :func:`types.check_numbers`, and ``window``
+    (unless None), ``cov_scale`` and ``ekf_predict_steps`` must be > 0."""
 
     estimator: str = "fgo-tc"
     window: Optional[int] = 30  # epochs; None means batch
@@ -62,27 +61,20 @@ class RunConfig:
     # accumulates over imu_rate/gnss_rate prediction steps spanning the
     # epoch; the factor graph applies its covariances once per epoch
     ekf_predict_steps: int = 100
-    # every TC window solve starts warm, one INS step from its last solution,
-    # so its damping starts below LmConfig.gtol and its first step can pass
-    # the gradient test (see LmConfig.lambda0); an LC window is linear and
-    # solve_lm takes its one undamped Gauss-Newton step, which reads none of it
-    lm: LmConfig = field(default_factory=lambda: LmConfig(lambda0=1e-10))
 
     def __post_init__(self) -> None:
         if self.estimator not in ESTIMATORS:
             raise ValueError(
                 f"unknown estimator {self.estimator!r}; expected one of {ESTIMATORS}"
             )
-        w = self.window
-        if w is not None and not is_count(w):
-            raise ValueError(f"window must be an integer >= 1 (or None for batch), got {w!r}")
-        if not is_count(self.ekf_predict_steps):
-            raise ValueError(
-                f"ekf_predict_steps must be an integer >= 1, got {self.ekf_predict_steps!r}"
-            )
-        c = self.cov_scale
-        if isinstance(c, bool) or not (isinstance(c, numbers.Real) and 0 < c < math.inf):
-            raise ValueError(f"cov_scale must be a finite number > 0, got {c!r}")
+        if not isinstance(self.weighting, WeightingParams):
+            raise ValueError(f"weighting must be a WeightingParams, got {self.weighting!r}")
+        check_numbers(self)
+        if self.window is not None and not self.window > 0:
+            raise ValueError(f"window must be >= 1 (or None for batch), got {self.window!r}")
+        for name in ("cov_scale", "ekf_predict_steps"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
 
     @property
     def family(self) -> str:
@@ -233,7 +225,9 @@ def repeated(items: Sequence) -> list:
 def compare(
     ds: Dataset, estimators: Sequence[str] = ESTIMATORS, base: Optional[RunConfig] = None
 ) -> dict[str, RunResult]:
-    """Run several estimators, none repeated, over identical data."""
+    """Run one or more estimators, none repeated, over identical data."""
+    if not estimators:
+        raise ValueError("no estimators requested")
     if twice := repeated(estimators):
         raise ValueError(f"estimator {twice[0]!r} requested twice")
     base = base or RunConfig()

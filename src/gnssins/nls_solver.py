@@ -234,19 +234,17 @@ class LmConfig:
     changes neither the iterates nor the stop decision.
     """
 
-    lambda0: float = 1e-6
+    lambda0: float = 1e-10
     """Initial damping, relative to ``diag(J^T J)``, set by how far the start
-    is trusted (Madsen, Nielsen & Tingleff 2004, §3.2). This default suits a
-    cold solve, and no production solve is cold: the single-epoch WLS fixes,
-    which start from the Earth's centre, are solved by Gauss–Newton
-    (:meth:`fgo.EpochWls.solve`), and an LC window is linear, so
-    :func:`solve_lm` takes its one undamped Gauss–Newton step: neither reads
-    this damping. A TC window solve starts warm, one INS step from its last
-    solution, and ``harness.RunConfig.lm`` gives it 1e-10: near a minimum, a
-    step damped by ``lambda0`` leaves a gradient cosine of about ``lambda0``
-    times the step whitened by ``sqrt(H_ii / cost)``, so only a ``lambda0``
-    below ``gtol`` lets the first step pass the gradient test. A poor guess
-    costs rejected steps while the damping grows."""
+    is trusted (Madsen, Nielsen & Tingleff 2004, §3.2). 1e-10 is the warm
+    start every window solve takes: a TC window starts one INS step from its
+    last solution, and near a minimum a step damped by ``lambda0`` leaves a
+    gradient cosine of about ``lambda0`` times the step whitened by
+    ``sqrt(H_ii / cost)``, so only a ``lambda0`` below ``gtol`` lets the
+    first step pass that test. An LC window (linear) and the WLS fixes
+    (:meth:`fgo.EpochWls.solve`) take Gauss–Newton steps and read no damping.
+    A cold solve, such as a test's oracle from a poor guess, pays for it in
+    rejected steps while the damping grows."""
     lambda_max: float = 1e10
     """Damping ceiling; past it a step that cannot lower the cost ends the
     solve, and normal equations that stay singular raise SolverError."""
@@ -534,12 +532,13 @@ def _gradient_converged(g: np.ndarray, diag: np.ndarray, cost: float, gtol: floa
     return bool((g * g <= (gtol * gtol * cost) * diag).all())
 
 
-def solve_lm(problem, cfg: Optional[LmConfig] = None) -> SolveReport:
+def solve_lm(problem, cfg: LmConfig = LmConfig()) -> SolveReport:
     """Minimize the whitened squared-residual cost with Levenberg-Marquardt.
 
     ``problem`` is an :class:`NlsProblem` or anything with the same
     ``initial_values``, ``normal_equations``, ``gradient`` and ``cost``;
-    trial steps are scored with :func:`total_cost`.
+    trial steps are scored with :func:`total_cost`. ``cfg`` defaults to one
+    shared frozen :class:`LmConfig`, the window solve's settings.
 
     A problem whose ``linear`` attribute is true (``fgo.FactorWindow`` of an
     LC window; an :class:`NlsProblem` has none) has a quadratic cost, whose
@@ -587,7 +586,6 @@ def solve_lm(problem, cfg: Optional[LmConfig] = None) -> SolveReport:
     Every test is a ratio of like quantities, so none depends on the scale
     of the covariances.
     """
-    cfg = cfg or LmConfig()
     x = np.array(problem.initial_values, dtype=float)
     lam = cfg.lambda0
     ab, g, cost = problem.normal_equations(x)
@@ -662,7 +660,7 @@ def solve_lm(problem, cfg: Optional[LmConfig] = None) -> SolveReport:
         # drop the damping faster when the quadratic model matched the actual
         # decrease. A step damped by lam leaves about lam * cond(H) of the
         # error of a linear problem, and a gradient cosine of about lam times
-        # the whitened step: a warm start below gtol (a window's 1e-10) then
+        # the whitened step: a warm start below gtol (the default 1e-10) then
         # stops on the gradient test after one step, and a cold one (1e-6)
         # reaches the closed form on its second step, which then stops on tol
         predicted = float(delta @ (factor.lam * factor.diag * delta - g))

@@ -21,7 +21,7 @@ import numpy as np
 
 from .frames import Geodetic, rotation_global_from_local
 from .noise_models import GmmComponent, GmmModel, SatObservation, pseudorange_rows, stack_pseudoranges
-from .types import POS, StateLayout, StepResult
+from .types import POS, StateLayout, StepResult, is_count
 
 
 @dataclass(kw_only=True)
@@ -93,12 +93,13 @@ def fit_gmm(samples: Iterable[float], k: int) -> GmmModel:
 
     Initialization is deterministic: means at the k mid-quantiles, a shared
     global standard deviation and uniform weights. Component standard
-    deviations are floored at ``GMM_STD_FLOOR``. Raises ValueError for
-    ``k < 1``, a NaN or infinite sample, or fewer than ``k`` distinct samples.
+    deviations are floored at ``GMM_STD_FLOOR``. Raises ValueError for a
+    ``k`` that is not an integer >= 1, a NaN or infinite sample, or fewer
+    than ``k`` distinct samples.
     """
     x = np.sort(np.asarray(list(samples), dtype=float))
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if not is_count(k):
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
     if not np.isfinite(x).all():
         raise ValueError(f"samples must be finite, got {x[~np.isfinite(x)][0]}")
     if np.unique(x).size < k:

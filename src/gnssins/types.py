@@ -35,14 +35,19 @@ def is_count(value) -> bool:
 def check_numbers(record, key: str = "") -> None:
     """Check every number of a record by its fields' annotations (strings): a
     ``float`` or ``int`` field holds one finite number of that kind, a bool
-    being none; any other holds records, checked alike, or finite numbers,
-    alone or as the items of a list, tuple or array or the values of a
-    mapping. A ValueError names the top-level field (``key`` inside one) at
-    fault."""
+    being none; a ``str`` field holds no number; an ``Optional[X]`` field may
+    be None and is otherwise checked as ``X``; any other holds records,
+    checked alike, or finite numbers, alone or as the items of a list, tuple
+    or array or the values of a mapping. A ValueError names the top-level
+    field (``key`` inside one) at fault."""
     for f in fields(record):
-        name, value = key or f.name, getattr(record, f.name)
-        numeric = f.type in ("float", "int")
-        kind, what = (numbers.Integral, "integers") if f.type == "int" else (numbers.Real, "finite numbers")
+        name, value, ann = key or f.name, getattr(record, f.name), f.type
+        optional = ann.startswith("Optional[")
+        ann = ann[len("Optional[") : -1] if optional else ann
+        if ann == "str" or (optional and value is None):
+            continue
+        numeric = ann in ("float", "int")
+        kind, what = (numbers.Integral, "integers") if ann == "int" else (numbers.Real, "finite numbers")
         items = [value]
         if not numeric and isinstance(value, (list, tuple, Mapping, np.ndarray)):
             items = value.values() if isinstance(value, Mapping) else value

@@ -873,7 +873,7 @@ class TestLinearWindow:
         oracle = NlsProblem([w.dim] * w.n, window_blocks(w), w.initial_values)
         ab, g, _ = oracle.normal_equations(w.initial_values)
         expected = w.initial_values + np.linalg.solve(dense_from_band(ab), -g)
-        report = solve_lm(w, RunConfig().lm)
+        report = solve_lm(w)
         assert (report.iterations, report.converged, report.message) == (1, True, LINEAR_STOP)
         assert report.jacobian_evals == 1
         assert np.abs(report.values - expected).max() <= 1e-8
@@ -1213,7 +1213,7 @@ class TestFgoEstimator:
         est.step(epochs[0])
         est.step(epochs[1])
 
-        def singular(problem, cfg):
+        def singular(problem):
             raise SolverError("normal equations singular up to lambda=1e+10")
 
         monkeypatch.setattr(fgo, "solve_lm", singular)
@@ -1240,7 +1240,7 @@ def seeded_canyon(request):
 
 class TestWarmWindowSolves:
     """Every window solve starts one INS step from its last solution, under
-    ``RunConfig().lm``, whose initial damping is below ``gtol``."""
+    :class:`LmConfig`'s defaults, whose initial damping is below ``gtol``."""
 
     @pytest.mark.parametrize("window", [1, 30, BATCH])
     def test_every_window_ends_at_its_minimum(self, seeded_canyon, window):
@@ -1275,9 +1275,9 @@ class TestWarmWindowSolves:
 
             return wrapper
 
-        def solve(problem, cfg):
+        def solve(problem):
             calls.update(fresh=0, kept=0)
-            report = solve_lm(problem, cfg)
+            report = solve_lm(problem)
             solves.append((calls["fresh"], calls["kept"], report.iterations))
             return report
 

@@ -36,7 +36,7 @@ from gnssins.noise_models import (
     stack_pseudoranges,
     transition_jacobian,
 )
-from gnssins.nls_solver import LmConfig
+from gnssins.nls_solver import LmConfig, solve_lm
 from gnssins.types import POS, VEL, Constellation, StateLayout, StepResult
 
 
@@ -176,6 +176,22 @@ class TestRunEstimator:
         with pytest.raises(ValueError, match=f"ekf_predict_steps.*{steps!r}"):
             RunConfig(estimator="ekf-lc", ekf_predict_steps=steps)
 
+    @pytest.mark.parametrize("weighting", [None, {"T": 45.0}, LmConfig()])
+    def test_weighting_must_be_weighting_params(self, weighting):
+        # a None weighting was taken, and the run failed part-way
+        with pytest.raises(ValueError, match="weighting"):
+            RunConfig(weighting=weighting)
+
+    def test_numpy_numbers_are_taken(self):
+        cfg = RunConfig(window=np.int64(5), cov_scale=np.float64(2.0), ekf_predict_steps=np.int64(7))
+        assert cfg == RunConfig(window=5, cov_scale=2.0, ekf_predict_steps=7)
+
+    def test_every_window_solve_takes_the_lm_defaults(self):
+        # no run setting changes the solver's: its warm damping is the default
+        with pytest.raises(TypeError):
+            RunConfig(lm=LmConfig())
+        assert LmConfig().lambda0 == 1e-10
+
     @pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)])
     def test_a_field_cannot_be_assigned(self, name):
         # an assignment would skip the checks, and a stepper built from the
@@ -269,10 +285,11 @@ class TestSolveDiagnostics:
         assert sum(r.iterations for r in rest) > 0
         assert result.summary["unconverged_epochs"] == 0
 
-    def test_unconverged_epochs_are_counted(self, noise_free_ds):
+    def test_unconverged_epochs_are_counted(self, noise_free_ds, monkeypatch):
         # no stop test can pass, so every solve ends on its one iteration
         lm = LmConfig(max_iters=1, tol=0.0, gtol=0.0)
-        result = run_estimator(noise_free_ds, RunConfig(estimator="fgo-tc", window=5, lm=lm))
+        monkeypatch.setattr(fgo, "solve_lm", lambda window: solve_lm(window, lm))
+        result = run_estimator(noise_free_ds, RunConfig(estimator="fgo-tc", window=5))
         unconverged = [r for r in result.records if not r.converged]
         assert unconverged
         assert all(r.message == "max iterations reached" for r in unconverged)
@@ -322,6 +339,12 @@ def test_compare_rejects_a_repeated_estimator(estimators):
     # keyed by name, a second run of one estimator replaced the first
     with pytest.raises(ValueError, match=f"estimator {estimators[0]!r} requested twice"):
         compare(None, estimators)
+
+
+def test_compare_rejects_no_estimators():
+    # as sweep_windows rejects no sizes, rather than returning nothing
+    with pytest.raises(ValueError, match="no estimators requested"):
+        compare(None, [])
 
 
 # the keys of every summary file's rows, in order
@@ -496,9 +519,9 @@ def test_rejected_last_trial_falls_back_to_evaluation(noisy_ds, monkeypatch):
     reference = run_estimator(noisy_ds, RunConfig(estimator="fgo-tc", window=30))
     solve = fgo.solve_lm
 
-    def solve_then_reject(window, lm):
+    def solve_then_reject(window):
         # price a trial away from the solution, as a rejected last step does
-        report = solve(window, lm)
+        report = solve(window)
         window.cost(report.values + 1.0)
         return report
 

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnssins import nls_solver
-from gnssins.harness import RunConfig
 from gnssins.nls_solver import (
     LINEAR_STOP,
     EvaluationError,
@@ -164,7 +163,7 @@ class TestSolveLm:
         # a window's damping starts below gtol, so the first step leaves a
         # gradient that passes the test
         problem, mats = linear_problem(np.random.default_rng(seed), **shape)
-        report = solve_lm(problem, RunConfig().lm)
+        report = solve_lm(problem)
         assert report.converged and report.message == "gradient below gtol"
         assert report.iterations == 1
         expected = closed_form(problem, mats, len(problem.state_dims), problem.state_dims[0])
@@ -444,8 +443,8 @@ class TestLmConfig:
 
     @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(LmConfig)])
     def test_fields_are_fixed(self, name):
-        # an assignment would skip the checks, and would change every solve
-        # of a run whose RunConfig holds this LmConfig
+        # an assignment would skip the checks, and on solve_lm's shared
+        # default it would change every window solve of every run
         cfg = LmConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(cfg, name, getattr(cfg, name))

@@ -135,6 +135,11 @@ class TestResiduals:
 
 
 class TestFitGmm:
+    @pytest.mark.parametrize("k", [0, -1, 2.5, True, "2"])
+    def test_k_must_be_a_count(self, k):
+        with pytest.raises(ValueError, match=f"k must be an integer >= 1, got {k!r}"):
+            fit_gmm(np.arange(10.0), k)
+
     def test_single_gaussian_recovery(self):
         rng = np.random.default_rng(2)
         samples = rng.normal(0.0, 1.0, size=10_000)

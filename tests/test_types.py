@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnssins.frames import EulerAngles
-from gnssins.types import Constellation, EpochMeasurements, StateLayout
+from gnssins.types import Constellation, EpochMeasurements, StateLayout, check_numbers
 
 NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
@@ -88,3 +89,26 @@ def test_layout_rejects_a_repeated_or_unknown_clock(constellations, named):
     # is not a Constellation failed only at first use
     with pytest.raises(ValueError, match=re.escape(named)):
         StateLayout(constellations)
+
+
+@dataclass
+class Named:
+    # annotations as strings, as a module with postponed annotations has them
+    name: "str"
+    count: "Optional[int]" = None
+    scale: "Optional[float]" = None
+
+
+@pytest.mark.parametrize(
+    "record", [Named("x"), Named("", 3, 2.5), Named("1", np.int64(2), np.float64(0.5))]
+)
+def test_check_numbers_skips_text_and_none(record):
+    check_numbers(record)
+
+
+@pytest.mark.parametrize(
+    "name, value", [("count", 2.5), ("count", "3"), ("count", True), ("scale", math.nan), ("scale", "1")]
+)
+def test_check_numbers_checks_an_optional_as_its_kind(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must hold only"):
+        check_numbers(Named("x", **{name: value}))
