@@ -15,8 +15,9 @@ span to emulate driving under dense high-rise cover.
 
 ``SimConfig`` derives the run's shape (epoch count, IMU samples per epoch,
 trajectory) once, as it is checked; ``simulate`` only reads it. Everything
-else but the random draws is computed once, in bulk: the trajectory at the
-IMU sample edges, each epoch's IMU input (``_epoch_imu``), truth attitude
+else but the random draws is computed in bulk: the IMU stream in blocks of
+``IMU_BLOCK`` samples written into the arrays the dataset keeps
+(``_imu_truth``), each epoch's IMU input (``_epoch_imu``), truth attitude
 and clocks, the satellite geometry of the whole epochs-by-tracks grid
 (``satellite_ecef_grid``, ``azimuth_elevation_grid``) and which of its pairs
 are LOS or NLOS candidates; their per-pair scalar references live in the
@@ -31,6 +32,8 @@ import bisect
 import json
 import math
 from dataclasses import asdict, astuple, dataclass, field, fields
+from functools import partial
+from itertools import islice
 from operator import attrgetter
 from pathlib import Path
 from types import MappingProxyType
@@ -61,6 +64,13 @@ from .types import Constellation, EpochMeasurements, check_numbers
 MEO_RADIUS_M = 26_560e3
 HARD_HORIZON_RAD = math.radians(5.0)
 CSV_FLOAT = "%.12g"
+# IMU samples simulate builds at a time: a (2048, 3) float block is 48 KiB,
+# under glibc's 128 KiB mmap threshold
+IMU_BLOCK = 2048
+# rows read_dataset parses at a time, and the bytes of a file it parses
+# straight to arrays (see _plain_rows)
+CSV_BLOCK = 1024
+_PLAIN_BYTES = b"\n" + bytes(range(0x21, 0x7F)).replace(b"#", b"")
 
 
 @dataclass(frozen=True)
@@ -509,45 +519,72 @@ def _draw_nlos_bias(rng: np.random.Generator, model: GmmModel, cdf: Sequence[flo
     return _truncated_positive_normal(rng, comp.mean, comp.std)
 
 
-def _imu_truth(pieces, imu_t: np.ndarray, rate_hz: float, ref: Geodetic):
-    """True yaw and body-frame specific force (no bias, no noise) per IMU sample.
+def _imu_truth(
+    pieces, imu_t: np.ndarray, rate_hz: float, ref: Geodetic, yaw: np.ndarray, force: np.ndarray
+) -> None:
+    """Write the true yaw and body-frame specific force (no bias, no noise) of
+    each IMU sample at ``imu_t`` into ``yaw`` and ``force``.
 
-    One trajectory pass at the sample edges ``[0, imu_t]``. The specific force
-    is the mean ENU acceleration over each sample, from exact velocity
-    differences, taken into the sample's local frame and then into the body
-    frame by the true yaw (pitch and roll are zero).
+    The specific force is the mean ENU acceleration over each sample, from
+    exact velocity differences at the sample edges ``[0, imu_t]``, taken into
+    the sample's local frame and then into the body frame by the true yaw
+    (pitch and roll are zero). A sample's values depend on its own edges
+    alone, so the samples are computed ``IMU_BLOCK`` at a time, each value
+    as a whole-array computation gives it, and no temporary grows with the
+    stream.
     """
-    pos, vel = eval_trajectory(pieces, np.concatenate(([0.0], imu_t)))
-    accel_enu = np.diff(vel, axis=0) * rate_hz
-    yaw = np.arctan2(vel[1:, 0], vel[1:, 1])
     rot_ref = rotation_global_from_local(ref)
-    lat, lon, _ = ecef_to_geodetic_array(geodetic_to_ecef(ref) + pos[1:] @ rot_ref.T)
-    a_local = global_to_local_array(lat, lon, accel_enu @ rot_ref.T)
-    cy, sy = np.cos(yaw), np.sin(yaw)
-    force = np.column_stack(
-        (
-            cy * a_local[:, 0] + sy * a_local[:, 1],
-            -sy * a_local[:, 0] + cy * a_local[:, 1],
-            a_local[:, 2],
-        )
-    )
-    return yaw, force
+    ref_ecef = geodetic_to_ecef(ref)
+    vel_before = eval_trajectory(pieces, [0.0])[1]
+    for i in range(0, len(imu_t), IMU_BLOCK):
+        pos, vel = eval_trajectory(pieces, imu_t[i : i + IMU_BLOCK])
+        accel_enu = np.diff(vel, axis=0, prepend=vel_before) * rate_hz
+        vel_before = vel[-1:]
+        block_yaw = np.arctan2(vel[:, 0], vel[:, 1])
+        yaw[i : i + IMU_BLOCK] = block_yaw
+        lat, lon, _ = ecef_to_geodetic_array(ref_ecef + pos @ rot_ref.T)
+        a_local = global_to_local_array(lat, lon, accel_enu @ rot_ref.T)
+        cy, sy = np.cos(block_yaw), np.sin(block_yaw)
+        out = force[i : i + IMU_BLOCK]
+        out[:, 0] = cy * a_local[:, 0] + sy * a_local[:, 1]
+        out[:, 1] = -sy * a_local[:, 0] + cy * a_local[:, 1]
+        out[:, 2] = a_local[:, 2]
+
+
+def _add_noise(rng: np.random.Generator, out: np.ndarray, sigma: float) -> None:
+    """Add zero-mean normal draws of ``sigma`` to every cell of ``out``,
+    ``IMU_BLOCK`` rows at a time, in the order of one whole-array draw."""
+    for i in range(0, len(out), IMU_BLOCK):
+        block = out[i : i + IMU_BLOCK]
+        block += rng.normal(0.0, sigma, size=block.shape)
+
+
+def _epoch_samples(n_epochs: int, samples_per_epoch: int) -> np.ndarray:
+    """Each epoch's IMU sample, the one at the epoch's time: the last of the
+    samples since the epoch before, and the first sample for epoch 0."""
+    return np.maximum(samples_per_epoch * np.arange(n_epochs) - 1, 0)
 
 
 def _epoch_imu(imu_accel: np.ndarray, samples_per_epoch: int, *sampled: np.ndarray):
     """Each epoch's mean specific force over the IMU samples since the epoch
-    before, then each per-sample array of ``sampled`` at the last of them, the
-    sample at the epoch's time. Epoch 0 takes zero force and the first sample.
-    The samples come in whole epochs, the last epoch's after its time."""
+    before, then each per-sample array of ``sampled`` at the epoch's sample
+    (:func:`_epoch_samples`). Epoch 0 takes zero force. The samples come in
+    whole epochs, the last epoch's after its time."""
     n_epochs = len(imu_accel) // samples_per_epoch
     accel = np.zeros((n_epochs, 3))
     accel[1:] = imu_accel.reshape(n_epochs, samples_per_epoch, 3)[:-1].mean(axis=1)
-    last = np.maximum(samples_per_epoch * np.arange(n_epochs) - 1, 0)
+    last = _epoch_samples(n_epochs, samples_per_epoch)
     return (accel, *(a[last] for a in sampled))
 
 
 def simulate(cfg: SimConfig) -> Dataset:
-    """Generate a complete dataset for the configuration, in the shape it derived."""
+    """Generate a complete dataset for the configuration, in the shape it derived.
+
+    The IMU stream is built in the arrays the dataset keeps, ``IMU_BLOCK``
+    samples at a time (:func:`_imu_truth`, :func:`_add_noise`), so that no
+    temporary grows with it. The generator draws all the attitude noise, then
+    all the accelerometer noise, then the constellation and the observations.
+    """
     rng = np.random.default_rng(cfg.seed)
     ref, n_epochs, samples_per_epoch = cfg.ref, cfg.n_epochs, cfg.samples_per_epoch
     rot_ref = rotation_global_from_local(ref)
@@ -555,24 +592,26 @@ def simulate(cfg: SimConfig) -> Dataset:
     epoch_t = np.arange(n_epochs) / cfg.gnss_rate_hz
     # whole epochs of IMU samples, so that the dataset reads back at any duration
     n_imu = n_epochs * samples_per_epoch
-    imu_t = np.arange(1, n_imu + 1) / cfg.imu_rate_hz
+    # divided in place: a freed stream-long temporary (128 KiB or more) would
+    # raise glibc's mmap threshold, so that later ones stay resident
+    imu_t = np.arange(1, n_imu + 1, dtype=float)
+    imu_t /= cfg.imu_rate_hz
 
     pos_e, vel_e = eval_trajectory(cfg.trajectory, epoch_t)
     truth_pos = ref_ecef + (rot_ref @ pos_e.T).T
     truth_vel = (rot_ref @ vel_e.T).T
 
-    yaw_true, imu_accel = _imu_truth(cfg.trajectory, imu_t, cfg.imu_rate_hz, ref)
-    att_noise = math.radians(cfg.attitude_noise_deg)
     imu_attitude = np.zeros((n_imu, 3))
-    imu_attitude[:, 0] = yaw_true
-    if att_noise > 0:
-        imu_attitude += rng.normal(0.0, att_noise, size=(n_imu, 3))
-
+    imu_accel = np.empty((n_imu, 3))
+    _imu_truth(cfg.trajectory, imu_t, cfg.imu_rate_hz, ref, imu_attitude[:, 0], imu_accel)
+    epoch_yaw = imu_attitude[_epoch_samples(n_epochs, samples_per_epoch), 0]
+    if cfg.attitude_noise_deg > 0:
+        _add_noise(rng, imu_attitude, math.radians(cfg.attitude_noise_deg))
     imu_accel += cfg.accel_bias_true
     if cfg.accel_noise_sigma > 0:
-        imu_accel += rng.normal(0.0, cfg.accel_noise_sigma, size=(n_imu, 3))
+        _add_noise(rng, imu_accel, cfg.accel_noise_sigma)
 
-    epoch_accel, epoch_att, epoch_yaw = _epoch_imu(imu_accel, samples_per_epoch, imu_attitude, yaw_true)
+    epoch_accel, epoch_att = _epoch_imu(imu_accel, samples_per_epoch, imu_attitude)
     truth_attitude = np.column_stack((epoch_yaw, np.zeros((n_epochs, 2))))
     tracks = generate_constellation(cfg, rng)
     clock_series = {name: model.at(epoch_t) for name, model in cfg.clock_models.items()}
@@ -933,43 +972,137 @@ def table_column(table: dict[str, np.ndarray], name: str, path: Path, dtype=floa
         raise ValueError(f"{path.name}: column {name!r} holds a cell that is not a number") from None
 
 
-def _read_columns(path: Path, names: Sequence[str], text: Sequence[str] = ()) -> dict[str, np.ndarray]:
-    """The columns ``names`` of a dataset file and any ``clk_`` columns it
-    has, as floats but for the ``text`` columns."""
+def _plain_rows(path: Path) -> Optional[int]:
+    """The number of rows under the header of ``path`` if the file is plain,
+    as :func:`write_csv` writes it: lines that each end in a newline, of
+    printable ASCII but the space and ``#``, which ``np.loadtxt`` reads as a
+    comment. None for any other file, an empty one included."""
+    lines, last = 0, b""
+    with open(path, "rb") as fh:
+        for chunk in iter(partial(fh.read, 1 << 16), b""):
+            if chunk.translate(None, _PLAIN_BYTES):
+                return None
+            lines, last = lines + chunk.count(b"\n"), chunk[-1:]
+    return lines - 1 if last == b"\n" else None
+
+
+def _parse_plain(path: Path, fields: Sequence, text: Sequence[str]) -> Optional[dict]:
+    """:func:`_read_columns` of a plain file (:func:`_plain_rows`), parsed
+    ``CSV_BLOCK`` rows at a time straight into arrays of their final size:
+    numbers to floats, the ``text`` columns split off as text. None when the
+    file is not plain, lacks a column or has a row of another length or a
+    number that does not parse, for the text table to name."""
+    rows = _plain_rows(path)
+    if rows is None:
+        return None
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline()[:-1].split(",")
+        index = {name: i for i, name in enumerate(header)}
+        fields = (*fields, *(n for n in index if n.startswith("clk_")))
+        groups = [(f,) if isinstance(f, str) else f for f in fields]
+        if any(n not in index for names in groups for n in names):
+            return None
+        # each number field's array, and its column or columns in a parsed block
+        numeric, col = {}, 0
+        for f, names in zip(fields, groups):
+            if f in text:
+                continue
+            if isinstance(f, str):
+                numeric[f] = np.empty(rows), col
+            else:
+                numeric[f] = np.empty((rows, len(f))), slice(col, col + len(f))
+            col += len(names)
+        numbers = [index[n] for names in groups for n in names if n not in text]
+        # the text columns' cells, split off each row up to the last of them
+        words = [index[n] for n in text]
+        splits = max(words, default=0) + 1
+        cells: dict = {n: [] for n in text}
+        commas, start = len(header) - 1, 0
+        while block := list(islice(fh, CSV_BLOCK)):
+            if any(line.count(",") != commas for line in block):
+                return None
+            try:
+                values = np.loadtxt(block, delimiter=",", usecols=numbers, ndmin=2)
+            except ValueError:
+                return None
+            stop = start + len(block)
+            for array, cols in numeric.values():
+                array[start:stop] = values[:, cols]
+            start = stop
+            if text:
+                for line in block:
+                    row = line[:-1].split(",", splits)
+                    for n, i in zip(text, words):
+                        cells[n].append(row[i])
+    columns = {f: array for f, (array, _) in numeric.items()}
+    columns.update((n, np.array(c, dtype=str)) for n, c in cells.items())
+    return columns
+
+
+def _read_columns(path: Path, fields: Sequence, text: Sequence[str] = ()) -> dict:
+    """The ``fields`` of a dataset file, then any ``clk_`` columns it has, as
+    arrays by field: a column name is an array of its cells, a tuple of them
+    an array with a column for each. Cells are floats but in the ``text``
+    columns. A plain file is parsed straight to arrays (:func:`_parse_plain`);
+    any other goes through :func:`read_csv`'s text table, which names the
+    fault of a file that cannot be read (:func:`table_column`)."""
+    columns = _parse_plain(path, fields, text)
+    if columns is not None:
+        return columns
     table = read_csv(path)
-    names = (*names, *(n for n in table if n.startswith("clk_")))
-    return {n: table_column(table, n, path, str if n in text else float) for n in names}
+    columns = {}
+    for f in (*fields, *(n for n in table if n.startswith("clk_"))):
+        if isinstance(f, str):
+            columns[f] = table_column(table, f, path, str if f in text else float)
+        else:
+            columns[f] = np.column_stack([table_column(table, n, path) for n in f])
+    return columns
 
 
-def _check_finite(path: str, columns: dict[str, np.ndarray]) -> None:
-    """Reject a numeric column of ``path`` with a value that is not finite."""
-    for name, values in columns.items():
-        if values.dtype.kind == "f" and not np.isfinite(values).all():
-            raise ValueError(f"{path}: column {name!r} holds a value that is not finite")
+def _check_finite(path: str, columns: dict) -> None:
+    """Reject a numeric column of ``path`` (in :func:`_read_columns`' form)
+    with a value that is not finite, naming the first such column."""
+    for f, values in columns.items():
+        if values.dtype.kind == "f":
+            finite = np.atleast_1d(np.isfinite(values).all(axis=0))
+            if not finite.all():
+                name = f if isinstance(f, str) else f[int(np.argmin(finite))]
+                raise ValueError(f"{path}: column {name!r} holds a value that is not finite")
 
 
 def read_dataset(in_dir: Path) -> Dataset:
-    """Rebuild a Dataset from the three CSV files."""
+    """Rebuild a Dataset from the three CSV files.
+
+    A file as :func:`write_dataset` writes it is parsed in one pass, its
+    numbers straight into the arrays the dataset keeps; only ``gnss.csv``'s
+    ``sat_id`` and ``constellation`` are read as text. So a read holds little
+    beyond the dataset it returns: 0.4 MB on the default canyon, against
+    35 MB for a text table of each file, which only a file in another form
+    is read through (it names the file's fault).
+    """
     in_dir = Path(in_dir)
-    truth = _read_columns(in_dir / "truth.csv", TRUTH_COLUMNS)
+    # the columns kept together, as each file's columns name them
+    pos, vel, ypr = TRUTH_COLUMNS[1:4], TRUTH_COLUMNS[4:7], TRUTH_COLUMNS[7:]
+    force, sat, scalars = IMU_COLUMNS[1:4], GNSS_COLUMNS[3:6], GNSS_COLUMNS[6:10]
+    truth = _read_columns(in_dir / "truth.csv", ("t", pos, vel, ypr))
     truth_t = truth["t"]
     if not truth_t.size:
         raise ValueError("truth.csv has no rows")
-    truth_pos = np.column_stack([truth["x"], truth["y"], truth["z"]])
-    truth_vel = np.column_stack([truth["vx"], truth["vy"], truth["vz"]])
-    truth_clocks = {n[4:]: truth[n] for n in truth if n.startswith("clk_")}
-    truth_attitude = np.column_stack([truth["yaw"], truth["pitch"], truth["roll"]])
+    truth_pos, truth_vel, truth_attitude = truth[pos], truth[vel], truth[ypr]
+    truth_clocks = {f[4:]: truth[f] for f in truth if isinstance(f, str) and f.startswith("clk_")}
 
-    imu = _read_columns(in_dir / "imu.csv", IMU_COLUMNS)
-    imu_t = imu["t"]
-    imu_accel = np.column_stack([imu["fx"], imu["fy"], imu["fz"]])
-    imu_attitude = np.column_stack([imu["yaw"], imu["pitch"], imu["roll"]])
+    imu = _read_columns(in_dir / "imu.csv", ("t", force, ypr))
+    imu_t, imu_accel, imu_attitude = imu["t"], imu[force], imu[ypr]
 
     dt = float(truth_t[1] - truth_t[0]) if truth_t.size > 1 else 1.0
     if not (dt > 0 and np.all(np.abs(np.diff(truth_t) - dt) <= 1e-6 * dt)):
         raise ValueError("truth.csv times must increase at one constant step")
 
-    gnss = _read_columns(in_dir / "gnss.csv", GNSS_COLUMNS, text=("sat_id", "constellation"))
+    gnss = _read_columns(
+        in_dir / "gnss.csv",
+        ("t", "sat_id", "constellation", sat, *scalars, "nlos", "range_error_m"),
+        text=("sat_id", "constellation"),
+    )
     _check_finite("gnss.csv", gnss)
     gnss_t = gnss["t"]
     epoch_of = np.minimum(np.searchsorted(truth_t, gnss_t), truth_t.size - 1)
@@ -983,15 +1116,15 @@ def read_dataset(in_dir: Path) -> Dataset:
     if not np.isin(gnss["nlos"], (0.0, 1.0)).all():
         raise ValueError("gnss.csv: column 'nlos' holds a value other than 0 or 1")
     sats_by_epoch: list[list[SatObservation]] = [[] for _ in truth_t]
-    for k, *sat in zip(  # then SatObservation's fields, in order
+    for k, *obs in zip(  # then SatObservation's fields, in order
         epoch_of.tolist(),
         gnss["sat_id"].tolist(),
         constellations,
-        np.column_stack([gnss["sat_x"], gnss["sat_y"], gnss["sat_z"]]),
-        *(gnss[n].tolist() for n in ("pseudorange_m", "snr_dbhz", "elevation_rad", "azimuth_rad")),
+        gnss[sat],
+        *(gnss[n].tolist() for n in scalars),
         (gnss["nlos"] == 1.0).tolist(),
     ):
-        sats_by_epoch[k].append(SatObservation(*sat))
+        sats_by_epoch[k].append(SatObservation(*obs))
 
     # epoch k averages the IMU rows since epoch k - 1, as simulate writes
     # them: the same number per epoch, the last of them at epoch k's time

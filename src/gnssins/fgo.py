@@ -350,8 +350,9 @@ class FactorWindow:
     save little here: a pricing's cost is its numpy calls more than its
     slots.
     :meth:`newest_residuals` hands on the newest slot's raw pseudorange
-    residuals from the last pricing, so that the caller scoring the epoch
-    need not evaluate them again.
+    residuals from the pricing at the solution, the last or the one before
+    it (a solve may end on a trial it rejects), so that the caller scoring
+    the epoch need not evaluate them again.
 
     The window provides what :func:`nls_solver.solve_lm` needs
     (``initial_values``, ``normal_equations``, ``gradient``, ``cost``, and
@@ -413,8 +414,11 @@ class FactorWindow:
         # pricing runs, and once a push has changed the window since)
         self._kept_point: Optional[np.ndarray] = None
         self._kept_cost: Optional[float] = None
-        # the raw residuals of the newest slot's rows at the last pricing
+        # the raw residuals of the newest slot's rows at the pricing that runs
         self._newest_raw: Optional[np.ndarray] = None
+        # the newest slot's state and those residuals at the last pricing and
+        # at the one before it, since the last push, the last first
+        self._newest_priced: list[tuple[np.ndarray, np.ndarray]] = []
         # the last edge terms pushed: dt, J_prev, then J_prev^T Omega and
         # the edge block as band columns
         self._edge_terms: tuple = (None, None, None, None)
@@ -620,10 +624,14 @@ class FactorWindow:
         equals the point last priced: then none is."""
         x = np.asarray(values, dtype=float).reshape(self.n, self.dim)
         if self._kept_cost is None or not np.array_equal(x, self._kept_point):
+            # the pricing before, whose point the solver may yet return if
+            # it rejects this one; none once a push has changed the window
+            before = self._newest_priced[:1] if self._kept_cost is not None else []
             # cleared first, so that a pricing that raises keeps no cost
             self._kept_cost = None
             cost = self._cost(self._whitened(x))
             self._kept_point, self._kept_cost = x.copy(), cost
+            self._newest_priced = [(self._kept_point[-1], self._newest_raw), *before]
         return self._kept_cost
 
     def _linear_gradient(self) -> np.ndarray:
@@ -672,13 +680,17 @@ class FactorWindow:
 
     def newest_residuals(self, values: np.ndarray) -> Optional[np.ndarray]:
         """Raw pseudorange residuals of the newest slot's rows at ``values``,
-        read from the last pricing; None for an LC window, or when that
-        pricing was not at the newest slot's state in ``values``."""
+        read from the last pricing or, when the solve ended on a trial it
+        rejected, from the one before, the accepted point's. None for an LC
+        window, or when neither pricing since the last push was at the
+        newest slot's state in ``values`` (two rejected trials in a row)."""
         if not self._tc or self._kept_cost is None:
             return None
-        if not np.array_equal(self._kept_point[-1], np.asarray(values)[-self.dim :]):
-            return None
-        return self._newest_raw[: len(self.slots["meas"][-1].sats)].copy()
+        newest = np.asarray(values)[-self.dim :]
+        for state, raw in self._newest_priced:
+            if np.array_equal(state, newest):
+                return raw[: len(self.slots["meas"][-1].sats)].copy()
+        return None
 
 
 def build_window(

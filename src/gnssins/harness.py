@@ -190,8 +190,10 @@ def run_estimator(ds: Dataset, cfg: RunConfig) -> RunResult:
                 if meas.fix_available:
                     residual = lc_residual(meas.fix_pos, state)
             elif meas.sats:
-                # a TC window hands on its last pricing of the epoch's rows when
-                # that was at the returned state
+                # a TC window hands on its pricing of the epoch's rows at the
+                # returned state: its last or, after a rejected last trial,
+                # the one before. The EKF, a window's start-up epoch and a
+                # solve that ends on two rejected trials hand on none.
                 raw = result.residuals
                 if raw is None:
                     raw = pseudorange_residuals(meas.sats, state, cfg.layout)

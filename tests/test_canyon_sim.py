@@ -1,6 +1,7 @@
 import json
 import math
-from dataclasses import FrozenInstanceError, fields, replace
+import tracemalloc
+from dataclasses import FrozenInstanceError, astuple, fields, replace
 from unittest import mock
 
 import numpy as np
@@ -10,8 +11,10 @@ from hypothesis import strategies as st
 
 from gnssins import fgo
 from gnssins.canyon_sim import (
+    CSV_BLOCK,
     GNSS_COLUMNS,
     HARD_HORIZON_RAD,
+    IMU_BLOCK,
     IMU_COLUMNS,
     MEO_RADIUS_M,
     TRUTH_COLUMNS,
@@ -41,8 +44,10 @@ from gnssins.frames import (
     EulerAngles,
     Geodetic,
     ecef_to_geodetic,
+    ecef_to_geodetic_array,
     enu_to_ecef,
     geodetic_to_ecef,
+    global_to_local_array,
     rotation_global_from_local,
     rotation_local_from_body,
 )
@@ -632,6 +637,54 @@ class TestBulkGeometryMatchesScalar:
             assert np.abs(ds.imu_accel[i] - expected).max() <= 1e-12
 
 
+def whole_stream_imu(cfg):
+    """The IMU stream as one whole-array computation, each temporary as long
+    as the stream: (specific force, attitude) per sample and (mean force,
+    attitude, truth yaw) per epoch. The oracle of the blocked stream
+    ``simulate`` builds."""
+    n_imu = cfg.n_epochs * cfg.samples_per_epoch
+    imu_t = np.arange(1, n_imu + 1) / cfg.imu_rate_hz
+    pos, vel = eval_trajectory(cfg.trajectory, np.concatenate(([0.0], imu_t)))
+    accel_enu = np.diff(vel, axis=0) * cfg.imu_rate_hz
+    yaw = np.arctan2(vel[1:, 0], vel[1:, 1])
+    rot_ref = rotation_global_from_local(cfg.ref)
+    lat, lon, _ = ecef_to_geodetic_array(geodetic_to_ecef(cfg.ref) + pos[1:] @ rot_ref.T)
+    a_local = global_to_local_array(lat, lon, accel_enu @ rot_ref.T)
+    cy, sy = np.cos(yaw), np.sin(yaw)
+    force = np.column_stack(
+        (cy * a_local[:, 0] + sy * a_local[:, 1], -sy * a_local[:, 0] + cy * a_local[:, 1], a_local[:, 2])
+    )
+    _, att_noise, acc_noise = replay_imu_noise(cfg)
+    attitude = np.zeros((n_imu, 3))
+    attitude[:, 0] = yaw
+    attitude += att_noise
+    force += cfg.accel_bias_true
+    force += acc_noise
+    spe = cfg.samples_per_epoch
+    epoch_force = np.zeros((cfg.n_epochs, 3))
+    epoch_force[1:] = force.reshape(cfg.n_epochs, spe, 3)[:-1].mean(axis=1)
+    last = np.maximum(spe * np.arange(cfg.n_epochs) - 1, 0)
+    return force, attitude, epoch_force, attitude[last], yaw[last]
+
+
+class TestBlockedImuStream:
+    @pytest.mark.parametrize("imu_rate", [100.0, 400.0])
+    def test_blocked_stream_equals_the_whole_array_computation(self, imu_rate):
+        # 37 s of samples is no whole number of blocks, and the route turns,
+        # so the force varies across block edges
+        cfg = replace(turning_canyon(11, 37.0), imu_rate_hz=imu_rate)
+        n_imu = cfg.n_epochs * cfg.samples_per_epoch
+        assert n_imu > IMU_BLOCK and n_imu % IMU_BLOCK
+        assert cfg.attitude_noise_deg > 0 and cfg.accel_noise_sigma > 0
+        ds = simulate(cfg)
+        force, attitude, epoch_force, epoch_attitude, truth_yaw = whole_stream_imu(cfg)
+        assert np.array_equal(ds.imu_accel, force)
+        assert np.array_equal(ds.imu_attitude, attitude)
+        assert np.array_equal([e.accel_body_mean for e in ds.epochs], epoch_force)
+        assert np.array_equal([astuple(e.attitude) for e in ds.epochs], epoch_attitude)
+        assert np.array_equal(ds.truth_attitude[:, 0], truth_yaw)
+
+
 class TestLcFixes:
     def test_noise_free_fix_matches_truth(self):
         ds = simulate(noise_free_config(duration_s=20.0))
@@ -966,6 +1019,72 @@ class TestPersistence:
             read_dataset(tmp_path)
         out = str(tmp_path / "run")
         assert main(["run", "--dataset", str(tmp_path), "--estimator", "ekf-tc", "--out", out]) == 1
+
+    def test_a_file_read_through_the_text_table_reads_the_same(self, tmp_path):
+        # CRLF line ends make each file other than plain, so that it is read
+        # through the text table; its numbers and text come out bit for bit
+        ds = simulate(small_canyon(seed=5, duration=5.0))
+        write_dataset(ds, tmp_path / "plain")
+        write_dataset(ds, tmp_path / "crlf")
+        for name in ("truth.csv", "imu.csv", "gnss.csv"):
+            path = tmp_path / "crlf" / name
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        plain, crlf = read_dataset(tmp_path / "plain"), read_dataset(tmp_path / "crlf")
+        for name in ("truth_t", "truth_pos", "truth_vel", "truth_attitude", "imu_t", "imu_accel", "imu_attitude"):
+            assert np.array_equal(getattr(plain, name), getattr(crlf, name)), name
+        assert plain.truth_clocks.keys() == crlf.truth_clocks.keys()
+        assert all(np.array_equal(plain.truth_clocks[n], crlf.truth_clocks[n]) for n in plain.truth_clocks)
+        for e1, e2 in zip(plain.epochs, crlf.epochs, strict=True):
+            assert np.array_equal(e1.accel_body_mean, e2.accel_body_mean)
+            assert [
+                (s.sat_id, s.constellation, s.sat_pos.tolist(), s.pseudorange, s.snr, s.nlos_truth)
+                for s in e1.sats
+            ] == [
+                (s.sat_id, s.constellation, s.sat_pos.tolist(), s.pseudorange, s.snr, s.nlos_truth)
+                for s in e2.sats
+            ]
+
+
+def traced(make):
+    """``make()``, the memory (MB) its result holds and the peak (MB) above
+    that while it ran, as tracemalloc traces them, after one untraced call
+    that leaves any first-call cache behind."""
+    make()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = make()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, (current - before) / 1e6, (peak - current) / 1e6
+
+
+class TestMemory:
+    """Building a dataset holds no temporary as long as its IMU stream."""
+
+    def test_simulate_transient_does_not_grow_with_the_imu_rate(self):
+        # once about five stream-long temporaries: 0.72 MB at 100 Hz, 3.63 MB at 400 Hz
+        cfg = replace(default_canyon_config(), duration_s=60.0)
+        _, _, slow = traced(lambda: simulate(cfg))
+        _, kept, fast = traced(lambda: simulate(replace(cfg, imu_rate_hz=400.0)))
+        assert kept > 1.0  # the stream itself, kept, is far larger than the bound
+        assert fast - slow < 0.25 and fast < 1.0
+
+    def test_read_dataset_holds_no_parsed_table(self, tmp_path):
+        # once a text table of each file, 29 MB traced here
+        cfg = replace(default_canyon_config(), duration_s=60.0, imu_rate_hz=400.0)
+        write_dataset(simulate(cfg), tmp_path)
+        ds, kept, transient = traced(lambda: read_dataset(tmp_path))
+        assert ds.imu_t.size > 10 * CSV_BLOCK
+        assert kept > 1.0 and transient < 1.0
+        # and no array it keeps is a view that pins a parsed table
+        arrays = [getattr(ds, f.name) for f in fields(ds) if isinstance(getattr(ds, f.name), np.ndarray)]
+        assert len(arrays) == 7
+        assert all(a.base is None for a in [*arrays, *ds.truth_clocks.values()])
+        assert all(s.sat_pos.base is None for e in ds.epochs for s in e.sats)
+        assert all(e.accel_body_mean.base.shape == (ds.n_epochs, 3) for e in ds.epochs)
 
 
 def assert_same_config(got, want):

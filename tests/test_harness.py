@@ -504,15 +504,32 @@ def test_fgo_tc_scores_the_window_residuals(request, monkeypatch, data, window):
     result, steps, evaluated = scored_tc_run(ds, window, monkeypatch)
     assert_scored_at_the_returned_state(ds, result, steps)
     # the harness evaluates only the epochs whose step handed on no residuals:
-    # the first, and those whose solve's last pricing was a rejected trial
+    # the first, and those whose solve's last two pricings were rejected trials
     fallback = [s.state for m, s in zip(ds.epochs, steps) if m.sats and s.residuals is None]
     assert len(evaluated) == len(fallback)
     assert all(np.array_equal(a, b) for a, b in zip(evaluated, fallback))
     assert steps[0].residuals is None
-    if data == "noisy_ds":
-        # noise-free solves end on rejected steps of negligible size; noisy
-        # ones often on an accepted step, whose pricing the window hands on
-        assert len(fallback) < len(steps)
+    # solves that end on an accepted step hand on its pricing, and those that
+    # end on one rejected trial (noise-free ones, of negligible size) the
+    # pricing before it
+    assert len(fallback) < len(steps)
+
+
+@pytest.fixture(scope="module", params=[99, 31], ids=lambda seed: f"seed-{seed}")
+def canyon_ds(request):
+    return simulate(default_canyon_config(request.param))
+
+
+@pytest.mark.parametrize("window", [1, 30, None], ids=["w1", "w30", "batch"])
+def test_fgo_tc_prices_only_the_start_up_epoch_itself(canyon_ds, monkeypatch, window):
+    # a window once handed on no residuals after a solve whose last pricing
+    # was a rejected trial, and the harness priced the epoch again: 54, 44
+    # and 15 times per run at window 1, 30 and in batch at seed 99, 35, 29
+    # and 10 at seed 31
+    result, steps, evaluated = scored_tc_run(canyon_ds, window, monkeypatch)
+    assert len(evaluated) == 1 and np.array_equal(evaluated[0], steps[0].state)
+    assert all(s.residuals is not None for m, s in zip(canyon_ds.epochs[1:], steps[1:]) if m.sats)
+    assert_scored_at_the_returned_state(canyon_ds, result, steps)
 
 
 def test_rejected_last_trial_falls_back_to_evaluation(noisy_ds, monkeypatch):
@@ -520,9 +537,11 @@ def test_rejected_last_trial_falls_back_to_evaluation(noisy_ds, monkeypatch):
     solve = fgo.solve_lm
 
     def solve_then_reject(window):
-        # price a trial away from the solution, as a rejected last step does
+        # price two trials away from the solution, as two rejected last
+        # steps do: the window keeps no pricing at the solution
         report = solve(window)
         window.cost(report.values + 1.0)
+        window.cost(report.values + 2.0)
         return report
 
     monkeypatch.setattr(fgo, "solve_lm", solve_then_reject)
